@@ -43,7 +43,6 @@ from .distributions import (
     logistic,
     normal,
     order_statistic_cdf,
-    order_statistic_pdf,
     pareto,
     piecewise_linear,
     trimodal_example,
@@ -62,7 +61,6 @@ from .equilibrium import (
     deviation_payoff_curve,
     equilibrium_effort,
     global_mode_sufficiency,
-    marginal_benefit_curve,
     marginal_benefit_rank,
     optimal_threshold,
     prize_probability,

@@ -30,7 +30,6 @@ from .equilibrium import (
     PrizeSchedule,
     QuadratureFailure,
     TournamentDesign,
-    marginal_benefit_curve,
     prize_probability,
     solve_design,
     total_marginal_benefit_curve,

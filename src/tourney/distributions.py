@@ -4,10 +4,12 @@ Performance in the tournament model is effort plus an i.i.d. additive shock.
 Everything the design layer needs to know about the shock is collected here:
 density / CDF / survival evaluation, hazard rate ``f/(1-F)``, likelihood
 ratio ``-f'/f``, mode detection, IFR/DFR classification, log-concavity
-screening, and order-statistic distributions.
+screening, and order-statistic CDFs.
 
-Distributions are immutable after construction; all operations are pure, so
-instances can be shared freely across threads.
+Distributions do not change after construction, apart from the cache that
+``find_modes`` fills on first use.  That cache is not locked, so share an
+instance across threads only after a first ``find_modes`` call, or give each
+thread its own.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ __all__ = [
     "trimodal_example",
     "from_spec",
     "order_statistic_cdf",
-    "order_statistic_pdf",
 ]
 
-# Quantile at which infinite supports are cut off for quadrature and grids.
+# Quantile at which infinite supports are cut off for grids and shape scans.
 DEFAULT_TAIL_QUANTILE = 1e-10
 # Grid step for shape detection, as a fraction of the (truncated) support width.
 DEFAULT_GRID_RESOLUTION = 2e-4
@@ -295,6 +296,11 @@ class NoiseDistribution:
 
     def _build_shape_report(self, resolution, plateau_tol, max_modes) -> ShapeReport:
         x = self.grid(resolution)
+        # Quantile points join the uniform grid: over a heavy tail's truncated
+        # support (inverse-exponential: [0, 1e10]) the uniform step jumps
+        # over the whole bulk of the mass.
+        levels = np.linspace(0.0, 1.0, x.size)[1:-1]
+        x = np.union1d(x, np.clip(np.asarray(self.ppf(levels)), x[0], x[-1]))
         f = np.asarray(self.pdf(x))
         idx = _grid_modes(x, f, plateau_tol)
         modes = [
@@ -406,15 +412,6 @@ class NoiseDistribution:
             return "log-convex"
         return "neither"
 
-    # -- order statistics ----------------------------------------------------
-
-    def order_statistic_cdf(self, j: int, n: int, x):
-        """CDF of the (n+1-j)-th highest of n i.i.d. draws; j=0 gives 1."""
-        return order_statistic_cdf(self, j, n, x)
-
-    def order_statistic_pdf(self, j: int, n: int, x):
-        return order_statistic_pdf(self, j, n, x)
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
         return f"NoiseDistribution({self.family}({inner}) on {self.support})"
@@ -480,20 +477,6 @@ def order_statistic_cdf(dist: NoiseDistribution, j: int, n: int, x):
         out = np.asarray(dist.cdf(arr)) ** n  # maximum of n draws, kept exact
     else:
         out = special.betainc(j, n - j + 1, np.asarray(dist.cdf(arr)))
-    return _scalar_or_array(out, scalar)
-
-
-def order_statistic_pdf(dist: NoiseDistribution, j: int, n: int, x):
-    """Density of the j-th lowest of n draws; identically 0 for j=0."""
-    if not (0 <= j <= n):
-        raise RankOutOfRange(f"rank {j} outside 0..{n}")
-    arr, scalar = _as_float_array(x)
-    if j == 0:
-        return _scalar_or_array(np.zeros_like(arr), scalar)
-    coeff = math.comb(n, j) * j  # n! / ((j-1)! (n-j)!)
-    F = np.asarray(dist.cdf(arr))
-    S = np.asarray(dist.sf(arr))
-    out = coeff * F ** (j - 1) * S ** (n - j) * np.asarray(dist.pdf(arr))
     return _scalar_or_array(out, scalar)
 
 
@@ -629,14 +612,14 @@ def erf_exponential() -> NoiseDistribution:
 
     def ppf(q):
         target = -np.log1p(-np.asarray(q, dtype=float))
-        lo = np.maximum(target - math.sqrt(math.pi) / 2.0, 0.0)
-        hi = target
-        for _ in range(60):  # bisection: H is monotone with slope in [1, 2]
-            mid = 0.5 * (lo + hi)
-            too_low = H(mid) < target
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        return 0.5 * (lo + hi)
+        # Newton on H(x) = target: H' is the hazard, in [1, 2], and H is
+        # within sqrt(pi)/2 of x, so four steps from this start reach
+        # double precision
+        x = np.maximum(target - math.sqrt(math.pi) / 2.0, 0.0)
+        with np.errstate(invalid="ignore"):  # q = 1: inf - inf
+            for _ in range(4):
+                x = np.maximum(x - (H(x) - target) / haz(x), 0.0)
+        return np.where(np.isinf(target), np.inf, x)
 
     def lr(x):
         b = np.exp(-np.square(x))

@@ -12,14 +12,15 @@ the noise density pins down the optimal standard.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize, special
 
-from .distributions import NoiseDistribution, order_statistic_cdf, order_statistic_pdf
+from .distributions import NoiseDistribution, order_statistic_cdf
 
 __all__ = [
     "PrizeSchedule",
@@ -32,7 +33,6 @@ __all__ = [
     "EffortOutOfRange",
     "ConcavityWarning",
     "marginal_benefit_rank",
-    "marginal_benefit_curve",
     "total_marginal_benefit",
     "total_marginal_benefit_curve",
     "prize_probability",
@@ -44,20 +44,24 @@ __all__ = [
     "random_schedule",
 ]
 
-QUAD_TARGET = 1e-9  # absolute error target for marginal-benefit integrals
+QUAD_TARGET = 1e-9  # absolute error target for every noise integral
+# Gauss-Legendre nodes per panel; the check rule uses twice as many.
+QUAD_ORDER = 20
 THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
 # accepts.
 DEVIATION_GAIN_TOL = 1e-9
-# Upper quantile levels handed to quad as break points when the support has no
-# upper bound.  Cut at the 1e-10 tail quantile, a heavy tail spans decades
-# (Pareto(2): [1, 1e5]) while the mass sits near the bottom, where a first
-# Gauss-Kronrod pass over the whole interval places almost no nodes.
-TAIL_BREAK_LEVELS = (0.5, 0.99, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8)
+# Distances from either end of [0, 1] at which the probability domain is
+# broken into panels.  A heavy tail makes the integrand singular at u = 1
+# (Pareto(2): f(Q(u)) ~ (1-u)^1.5); panels a decade apart keep it smooth on
+# each.  In the last panel, within 1e-12 of u = 1, the nodes' u = 1 - s
+# still round below 1.
+GRADE_LEVELS = 10.0 ** -np.arange(1.0, 13.0)
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not reach the requested error target."""
+    """Two Gauss-Legendre rules of a noise integral disagree beyond the
+    error target."""
 
 
 class EffortOutOfRange(ValueError):
@@ -203,54 +207,151 @@ class SufficiencyResult:
 
 
 # ---------------------------------------------------------------------------
+# noise integrals
+# ---------------------------------------------------------------------------
+#
+# Every integral here is over a rival's score x against the density of an
+# order statistic of the n-1 rivals' scores.  Substituting u = F(x) turns that
+# density into a Beta(j, n-j) weight, and leaves a bounded integrand, f(Q(u))
+# or a survival function at Q(u), even under heavy tails, where x spans
+# decades but u does not.  The kernel integrates over u on fixed
+# Gauss-Legendre panels.
+
+
+@cache
+def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] (Golub & Welsch, 1969)."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _levels(dist: NoiseDistribution, x) -> tuple[np.ndarray, np.ndarray]:
+    """Levels u = F(x) and s = 1 - F(x), kept apart so that s keeps its
+    precision near u = 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.asarray(dist.cdf(x)), np.asarray(dist.sf(x))
+
+
+def _order_key(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log(u / s): increasing in u and resolved at both ends of [0, 1]."""
+    with np.errstate(divide="ignore"):
+        return np.log(u) - np.log(s)
+
+
+def _breaks(dist: NoiseDistribution, n: int, start: float, kinks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending panel breaks (u, s) from F(start) to 1.
+
+    The fixed breaks are F at the density's knots, ``GRADE_LEVELS`` from
+    both ends, and p >= 2 sqrt(n) equal panels, which keep each panel within
+    about one standard deviation of every Beta(j, n-j) weight; p is a power
+    of two, so that k/p and 1 - k/p are exact.  ``kinks`` adds breaks at F
+    of further points, one row of panels per row of ``kinks``; kinks below
+    ``start`` give zero-width panels.
+    """
+    p = 2 ** math.ceil(math.log2(2.0 * math.sqrt(n)))
+    k = np.arange(1, p)
+    ku, ks = _levels(dist, dist.knots)
+    u = np.concatenate([[1.0], k / p, GRADE_LEVELS, 1.0 - GRADE_LEVELS, ku])
+    s = np.concatenate([[0.0], (p - k) / p, 1.0 - GRADE_LEVELS, GRADE_LEVELS, ks])
+    u0, s0 = _levels(dist, start)
+    keep = _order_key(u, s) > _order_key(u0, s0)
+    u, s = np.concatenate([u0, u[keep]]), np.concatenate([s0, s[keep]])
+    if kinks is not None:
+        xu, xs = _levels(dist, kinks)
+        below = _order_key(xu, xs) < _order_key(u0, s0)
+        u = np.concatenate([np.broadcast_to(u, xu.shape[:-1] + u.shape), np.where(below, u0, xu)], -1)
+        s = np.concatenate([np.broadcast_to(s, xs.shape[:-1] + s.shape), np.where(below, s0, xs)], -1)
+    order = np.argsort(_order_key(u, s), axis=-1)
+    return np.take_along_axis(u, order, -1), np.take_along_axis(s, order, -1)
+
+
+def _nodes(bu: np.ndarray, bs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (u, s) and weights of the m-point rule on each panel.  Panels in
+    the upper half of [0, 1] step from their s, since u rounds to 1 there."""
+    xi, wi = _gauss_rule(m)
+    u0, u1, s0, s1 = bu[..., :-1], bu[..., 1:], bs[..., :-1], bs[..., 1:]
+    low = u0 + u1 < 1.0
+    width = np.maximum(np.where(low, u1 - u0, s0 - s1), 0.0)[..., None]
+    step = width * xi
+    u = np.where(low, u0, 1.0 - s0)[..., None] + step
+    s = np.where(low, 1.0 - u0, s0)[..., None] - step
+    return u, s, width * wi
+
+
+def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_r d_r times the density at level u of the (n-r)-th lowest of the
+    n-1 rivals' levels, a Beta(n-r, r) density."""
+    out = np.zeros_like(u)
+    for r in np.nonzero(d[:-1])[0] + 1:
+        j = n - r
+        out += d[r - 1] * np.exp(special.xlogy(j - 1, u) + special.xlogy(r - 1, s) - special.betaln(j, r))
+    return out
+
+
+def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, start: float, kinks=None):
+    """Integrals of ``integrand(x)`` times the rank weight from each break of
+    ``_breaks`` up to u = 1, where x = Q(u) is a rival's noise at level u.
+
+    Returns the breaks' order keys and the integrals, both along the last
+    axis.  Every panel is integrated with the ``QUAD_ORDER``-point rule and
+    with the rule of twice as many points; the second is returned when the
+    two agree on every integral to ``QUAD_TARGET``, and ``QuadratureFailure``
+    is raised otherwise.
+    """
+    bu, bs = _breaks(dist, n, start, kinks)
+    key = _order_key(bu, bs)
+    if not np.any(d[:-1]):
+        return key, np.zeros_like(bu)
+    rules = []
+    for m in (QUAD_ORDER, 2 * QUAD_ORDER):
+        u, s, w = _nodes(bu, bs, m)
+        x = np.asarray(dist.ppf(u.ravel())).reshape(u.shape)
+        panels = np.sum(integrand(x) * _rank_weight(n, d, u, s) * w, axis=-1)
+        # accumulated in extended precision, each integral is rounded once
+        above = np.cumsum(panels[..., ::-1].astype(np.longdouble), -1)[..., ::-1].astype(float)
+        rules.append(np.append(above, np.zeros_like(bu[..., :1]), -1))
+    gap = np.abs(rules[0] - rules[1])
+    if np.max(gap) > QUAD_TARGET:
+        *row, k = np.unravel_index(np.argmax(gap), gap.shape)
+        row = tuple(row)
+        i = int(np.argmax(np.abs(np.diff(rules[0][row] - rules[1][row]))))
+        x0, x1 = dist.ppf(bu[row][[i, i + 1]])
+        ranks = ", ".join(str(r) for r in np.nonzero(d[:-1])[0] + 1)
+        raise QuadratureFailure(
+            f"{dist.family} {dist.params}, n={n}, rank {ranks}: the {QUAD_ORDER}- and "
+            f"{2 * QUAD_ORDER}-point Gauss-Legendre rules give {rules[0][row][k]:.12g} and "
+            f"{rules[1][row][k]:.12g}, {gap[row][k]:.2e} apart (target {QUAD_TARGET:.0e}); "
+            f"they differ most on u in [{bu[row][i]:.10g}, {bu[row][i + 1]:.10g}], "
+            f"x in [{x0:.6g}, {x1:.6g}]"
+        )
+    return key, rules[1]
+
+
+def _rank_cdf_sum(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.ndarray:
+    """sum_r d_r P(the (n-r)-th lowest of n-1 rival noises is at most t)."""
+    return sum(d[r - 1] * order_statistic_cdf(dist, n - r, n - 1, t) for r in np.nonzero(d)[0] + 1)
+
+
+def _unit(n: int, r: int) -> np.ndarray:
+    if not 1 <= r <= n:
+        raise ValueError(f"rank {r} outside 1..{n}")
+    return (np.arange(1, n + 1) == r).astype(float)
+
+
+# ---------------------------------------------------------------------------
 # marginal benefit coefficients
 # ---------------------------------------------------------------------------
 
 
-def _quad(fn, a, b, dist: NoiseDistribution, kinks=(), epsabs=QUAD_TARGET * 1e-2) -> float:
-    """Adaptive quadrature of ``fn``, an integrand against ``dist``, on [a, b].
-
-    quad's panels are split at the density's knots, at the integrand's own
-    ``kinks``, and, when the support has no upper bound, at the quantiles
-    ``TAIL_BREAK_LEVELS``, so that no first panel holds the bulk of the mass
-    among few nodes.  Raises ``QuadratureFailure`` when the error estimate
-    exceeds ``QUAD_TARGET``.
-    """
-    if b <= a:
-        return 0.0
-    knots = dist.knots + tuple(kinks)
-    if not np.isfinite(dist.support[1]):
-        knots += tuple(float(q) for q in dist.ppf(np.asarray(TAIL_BREAK_LEVELS)))
-    pts = sorted({k for k in knots if a < k < b})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            fn, a, b, points=pts or None, epsabs=epsabs, epsrel=1e-11, limit=400
-        )
-    if err > QUAD_TARGET:
-        raise QuadratureFailure(
-            f"integral error estimate {err:.2e} above target {QUAD_TARGET:.0e}"
-        )
-    return float(val)
-
-
-@lru_cache(maxsize=65536)
-def _rank_coefficient(dist: NoiseDistribution, n: int, r: int, t: float) -> float:
-    if not 1 <= r <= n:
-        raise ValueError(f"rank {r} outside 1..{n}")
-    ft = float(dist.pdf(t))
-    j = n - r
-    if j == 0:
-        return ft  # bottom rank: only the standard binds
-    lo, hi = dist.truncated_support()
-    a = max(t, lo)
-    integral = _quad(
-        lambda x: float(dist.pdf(x)) * float(order_statistic_pdf(dist, j, n - 1, x)),
-        a,
-        hi,
-        dist,
-    )
-    return ft * float(order_statistic_cdf(dist, j, n - 1, t)) + integral
+def _marginal_benefit(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.ndarray:
+    """sum_r d_r B_r at each threshold in ``t``: the standard binds with
+    weight f(t) F_{(n-r:n-1)}(t), and a rival above t is passed with weight
+    f(Q(u)) at u > F(t).  The integrals above the thresholds are cumulative
+    sums of panels broken at F(t)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    key, above = _integrals_above(dist, n, d, dist.pdf, t.min(), kinks=t)
+    at = np.searchsorted(key, _order_key(*_levels(dist, t)))
+    return np.asarray(dist.pdf(t)) * _rank_cdf_sum(dist, n, d, t) + above[at]
 
 
 def marginal_benefit_rank(dist: NoiseDistribution, n: int, r: int, t: float) -> float:
@@ -261,47 +362,47 @@ def marginal_benefit_rank(dist: NoiseDistribution, n: int, r: int, t: float) -> 
     collapses to ``f(t)``.  A threshold below the support means the standard
     never binds.
     """
-    return _rank_coefficient(dist, int(n), int(r), float(t))
-
-
-def marginal_benefit_curve(dist: NoiseDistribution, n: int, r: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized rank coefficient on an ascending grid (trapezoid tails)."""
-    x = np.asarray(x, dtype=float)
-    fx = np.asarray(dist.pdf(x))
-    j = n - r
-    if j == 0:
-        return fx.copy()
-    w = fx * np.asarray(order_statistic_pdf(dist, j, n - 1, x))
-    seg = 0.5 * (w[1:] + w[:-1]) * np.diff(x)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    tail = cum[-1] - cum
-    return fx * np.asarray(order_statistic_cdf(dist, j, n - 1, x)) + tail
+    return float(_marginal_benefit(dist, int(n), _unit(int(n), int(r)), t)[0])
 
 
 def total_marginal_benefit(dist: NoiseDistribution, n: int, v: PrizeSchedule, t: float) -> float:
     """Differential-weighted sum of rank coefficients at threshold t."""
     if v.n != n:
         raise ValueError(f"schedule is for {v.n} players, not {n}")
-    d = v.differentials
-    return float(
-        sum(d[r - 1] * marginal_benefit_rank(dist, n, r, t) for r in range(1, n + 1) if d[r - 1] != 0.0)
-    )
+    return float(_marginal_benefit(dist, n, v.differentials, t)[0])
 
 
 def total_marginal_benefit_curve(
     dist: NoiseDistribution, n: int, v: PrizeSchedule, x: np.ndarray
 ) -> np.ndarray:
-    d = v.differentials
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for r in range(1, n + 1):
-        if d[r - 1] != 0.0:
-            out += d[r - 1] * marginal_benefit_curve(dist, n, r, x)
-    return out
+    """``total_marginal_benefit`` at every threshold in ``x``, in one pass."""
+    return _marginal_benefit(dist, n, v.differentials, x)
 
 
 # ---------------------------------------------------------------------------
 # prize probabilities and deviation payoffs
 # ---------------------------------------------------------------------------
+
+
+def _prize_probabilities(
+    dist: NoiseDistribution, n: int, d: np.ndarray, e: np.ndarray, e_star: float, rho: float
+) -> np.ndarray:
+    """sum_r d_r P(a prize of at least rank r) for a deviator at each effort
+    in ``e`` against n-1 rivals at ``e_star`` under standard ``rho``.
+
+    Either the rank-r rival misses the standard and passing suffices, or the
+    deviator must also outperform that rival.  The deviator's survival
+    function at x + e_star - e kinks where that crosses a knot or a finite
+    support bound, so each effort gets its own breaks there.
+    """
+    own_pass = np.asarray(dist.sf(rho - e))
+    t = rho - e_star
+    shift = e_star - e
+    kinks = np.asarray(dist.knots + tuple(b for b in dist.support if np.isfinite(b)))
+    _, above = _integrals_above(
+        dist, n, d, lambda x: dist.sf(x + shift[:, None, None]), t, kinks[None, :] - shift[:, None]
+    )
+    return own_pass * _rank_cdf_sum(dist, n, d, t) + above[:, 0]
 
 
 def prize_probability(
@@ -310,82 +411,23 @@ def prize_probability(
     """Probability of winning a prize of at least rank r.
 
     The deviating player exerts ``e`` against n-1 rivals at ``e_star`` under
-    standard ``rho``: either the rank-r rival misses the standard and passing
-    suffices, or the player must also outperform that rival.  The integral
-    over the rival's score is split where ``_quad`` splits every noise
-    integral, and also where the deviator's shifted survival function kinks:
-    at the knots and finite support bounds moved by ``e - e_star``.
+    standard ``rho``.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"rank {r} outside 1..{n}")
-    j = n - r
-    own_pass = float(dist.sf(rho - e))
-    if j == 0:
-        return own_pass
-    lo, hi = dist.truncated_support()
-    a = max(rho - e_star, lo)
-    first = own_pass * float(order_statistic_cdf(dist, j, n - 1, rho - e_star))
-    shift = e_star - e
-    # sf(shift + x) kinks where shift + x crosses a knot or a support bound
-    kinks = dist.knots + tuple(b for b in dist.support if np.isfinite(b))
-    integral = _quad(
-        lambda x: float(dist.sf(shift + x)) * float(order_statistic_pdf(dist, j, n - 1, x)),
-        a,
-        hi,
-        dist,
-        kinks=tuple(k - shift for k in kinks),
-    )
-    return first + integral
+    return float(_prize_probabilities(dist, n, _unit(n, r), np.asarray([float(e)]), e_star, rho)[0])
 
 
 def deviation_payoff_curve(
-    dist: NoiseDistribution,
-    design: TournamentDesign,
-    e_star: float,
-    e_grid: np.ndarray,
-    x_points: int = 4001,
+    dist: NoiseDistribution, design: TournamentDesign, e_star: float, e_grid: np.ndarray
 ) -> np.ndarray:
     """Expected payoff of a single deviator at each effort in ``e_grid``.
 
-    Rivals play ``e_star`` under the design's standard.  Evaluated on a
-    shared noise grid so the whole curve costs one pass; used by the
+    Rivals play ``e_star`` under the design's standard.  Used by the
     concavity diagnostic and by figure rendering, while the Monte-Carlo
     module provides the independent estimate.
     """
-    n = design.n
-    rho = design.standard
-    e_grid = np.asarray(e_grid, dtype=float)
-    lo, hi = dist.truncated_support()
-    a = max(rho - e_star, lo)
-    d = design.schedule.differentials
-    payoff = np.zeros_like(e_grid)
-    own_pass = np.asarray(dist.sf(rho - e_grid))
-    if a < hi:
-        # quantile-spaced nodes follow the mass; uniform ones would leave a
-        # heavy tail's bulk between two nodes
-        u = np.linspace(float(dist.cdf(a)), float(dist.cdf(hi)), x_points)
-        xs = np.clip(np.asarray(dist.ppf(u)), a, hi)
-        xs[0], xs[-1] = a, hi
-        interior = [k for k in dist.knots if a < k < hi]
-        xs = np.unique(np.concatenate([xs, np.asarray(interior)]))
-        surv = np.asarray(dist.sf((e_star - e_grid)[:, None] + xs[None, :]))
-        dx = np.diff(xs)
-    for r in range(1, n + 1):
-        if d[r - 1] == 0.0:
-            continue
-        j = n - r
-        if j == 0:
-            payoff += d[r - 1] * own_pass
-            continue
-        first = own_pass * float(order_statistic_cdf(dist, j, n - 1, rho - e_star))
-        if a >= hi:
-            payoff += d[r - 1] * first
-            continue
-        fos = np.asarray(order_statistic_pdf(dist, j, n - 1, xs))
-        w = surv * fos[None, :]
-        integral = np.sum(0.5 * (w[:, 1:] + w[:, :-1]) * dx[None, :], axis=1)
-        payoff += d[r - 1] * (first + integral)
-    return payoff - np.asarray(design.cost.c(e_grid))
+    e = np.asarray(e_grid, dtype=float)
+    value = _prize_probabilities(dist, design.n, design.schedule.differentials, e, e_star, design.standard)
+    return value - np.asarray(design.cost.c(e))
 
 
 def _is_unimodal(values: np.ndarray, atol: float | None = None) -> bool:
@@ -423,8 +465,7 @@ def optimal_threshold(
 ) -> ThresholdResult:
     """Best threshold among the modes weakly above the global mode.
 
-    Candidates are evaluated with adaptive quadrature; a full-support grid
-    scan cross-validates that no off-mode threshold does better (up to grid
+    A full-support grid scan cross-validates that no off-mode threshold does better (up to grid
     tolerance).  Ties within 1e-9 resolve to the smallest threshold, which
     maximizes the pass probability.
     """
@@ -510,22 +551,16 @@ def global_mode_sufficiency(
     """Whether the top-rank coefficient peaks at the global mode.
 
     When it does, the standard at the global mode is optimal for every prize
-    schedule; the witness reports the maximizing mode either way.
+    schedule; the witness reports the maximizing mode either way.  This is
+    the winner-take-all case of ``optimal_threshold``.
     """
-    shape = dist.find_modes(resolution)
-    xm = shape.global_mode
-    cand = sorted(m for m in shape.modes if m >= xm - 1e-12)
-    vals = {m: marginal_benefit_rank(dist, n, 1, m) for m in cand}
-    grid = dist.grid(resolution)
-    curve = marginal_benefit_curve(dist, n, 1, grid)
-    g_grid = float(grid[int(np.argmax(curve))])
-    best = max(vals.values())
-    witness = min(m for m, g in vals.items() if g >= best - THRESHOLD_TIE_TOL)
-    holds = vals[xm] >= best - THRESHOLD_TIE_TOL
-    if holds:
-        # grid scan may reveal an off-candidate maximizer; treat a grid win
-        # beyond tolerance at a higher mode as a failure witness
-        nearest = min(cand, key=lambda m: abs(m - g_grid))
-        if curve.max() > best + THRESHOLD_TIE_TOL and nearest > xm:
+    thr = optimal_threshold(dist, n, PrizeSchedule.winner_take_all(n), resolution)
+    xm = dist.find_modes(resolution).global_mode
+    holds, witness = thr.threshold == xm, thr.threshold
+    if holds and thr.grid_marginal_benefit > thr.marginal_benefit + THRESHOLD_TIE_TOL:
+        # the grid scan found an off-candidate maximizer; a higher mode
+        # nearest to it is a failure witness
+        nearest = min((m for m, _ in thr.candidates), key=lambda m: abs(m - thr.grid_threshold))
+        if nearest > xm:
             holds, witness = False, nearest
     return SufficiencyResult(holds=bool(holds), witness=float(witness))

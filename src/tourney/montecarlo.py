@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import NoiseDistribution
-from .equilibrium import TournamentDesign, marginal_benefit_rank, prize_probability
+from .equilibrium import TournamentDesign, prize_probability
 
 __all__ = [
     "SeedRequired",
@@ -265,9 +265,3 @@ def finite_difference_marginals(
     at_least_up = np.cumsum(counts_up / draws)
     at_least_dn = np.cumsum(counts_dn / draws)
     return (at_least_up - at_least_dn) / (2.0 * step)
-
-
-def marginal_benefit_reference(dist: NoiseDistribution, design: TournamentDesign, e_star: float) -> np.ndarray:
-    """Quadrature rank coefficients at the design's threshold, for comparison."""
-    t = design.standard - e_star
-    return np.array([marginal_benefit_rank(dist, design.n, r, t) for r in range(1, design.n + 1)])

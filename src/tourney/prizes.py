@@ -11,7 +11,6 @@ internal cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,8 @@ from .equilibrium import (
     CostFunction,
     EquilibriumSolution,
     PrizeSchedule,
-    _quad,
+    _integrals_above,
+    _unit,
     global_mode_sufficiency,
     marginal_benefit_rank,
     solve_design,
@@ -72,32 +72,22 @@ def rank_score(dist: NoiseDistribution, n: int, r: int, t: float) -> float:
     """Per-rank score B_r(t)/r, cross-checked against its order-statistic form.
 
     The equivalent form averages the modified hazard against the
-    (n-r)-th-lowest-of-n order statistic; disagreement beyond 1e-7 signals a
-    quadrature defect and raises ``RepresentationMismatch``.
+    (n-r)-th-lowest-of-n order statistic over the whole support, where the
+    direct form takes the part below t in closed form.  Both run on the
+    same quadrature kernel, so the check catches a defect in either part but
+    not one the kernel makes in both; disagreement beyond 1e-7 raises
+    ``RepresentationMismatch``.
     """
     direct = marginal_benefit_rank(dist, n, r, t) / r
     if r == n:
         # degenerate order statistic at -inf: the average collapses to f(t)/n
         alt = float(dist.pdf(t)) / n
     else:
-        j = n - r
-        coeff = math.comb(n, r) * (n - r)  # n! / ((n-r-1)! r!)
-        lo, hi = dist.truncated_support()
-
-        def integrand(x):
-            # modified hazard times the order-statistic density, with the
-            # survival factors cancelled analytically (no division near 1-F=0)
-            F = float(dist.cdf(x))
-            S = float(dist.sf(x))
-            return (
-                float(dist.pdf(max(x, t)))
-                * F ** (j - 1)
-                * S ** (r - 1)
-                * float(dist.pdf(x))
-            )
-
-        # f(max(x, t)) has a kink at x = t
-        alt = coeff * _quad(integrand, lo, hi, dist, kinks=(t,)) / n
+        # modified hazard times the order-statistic density, with the
+        # survival factors cancelled analytically: over u = F(x) this is
+        # f(max(x, t)) against the Beta(n-r, r) weight, which kinks at t
+        _, above = _integrals_above(dist, n, _unit(n, r), lambda x: dist.pdf(np.maximum(x, t)), -np.inf, [t])
+        alt = float(above[0]) / r
     if abs(direct - alt) > CROSSCHECK_TOL:
         raise RepresentationMismatch(
             f"rank {r} score {direct:.12g} vs order-statistic form {alt:.12g}"

@@ -1,0 +1,86 @@
+"""Reference values for the tests, computed over the noise x with mpmath.
+
+They share no code with ``tourney``'s probability-domain quadrature; only the
+trimodal knots are read from the package, as data.
+"""
+
+import math
+
+import mpmath as mp
+
+from tourney import distributions as dists
+
+
+def _trimodal_red_mp():
+    """Trimodal red density and CDF in mpmath, and its knots."""
+    pts = [(mp.mpf(x), mp.mpf(f)) for x, f in dists._TRIMODAL_KNOTS["red"]]
+    mass = sum((x1 - x0) * (f0 + f1) / 2 for (x0, f0), (x1, f1) in zip(pts, pts[1:]))
+
+    def pdf(x):
+        for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
+            if x0 <= x <= x1:
+                return (f0 + (f1 - f0) * (x - x0) / (x1 - x0)) / mass
+        return mp.mpf(0)
+
+    def cdf(x):
+        x = min(max(x, pts[0][0]), pts[-1][0])
+        total = mp.mpf(0)
+        for (x0, _), (x1, _) in zip(pts, pts[1:]):
+            top = min(x, x1)
+            if top > x0:
+                total += (top - x0) * (pdf(x0) + pdf(top)) / 2
+        return total
+
+    return pdf, cdf, lambda x: 1 - cdf(x), [x for x, _ in pts]
+
+
+def family_mp(name):
+    """(pdf, cdf, sf, panel breaks) of a built-in family in mpmath."""
+    if name == "normal":
+        return mp.npdf, mp.ncdf, lambda x: mp.ncdf(-x), [-8, -4, -2, -1, 0, 1, 2, 4, 8, mp.inf]
+    if name == "logistic":
+        return (
+            lambda x: mp.exp(-abs(x)) / (1 + mp.exp(-abs(x))) ** 2,
+            lambda x: 1 / (1 + mp.exp(-x)),
+            lambda x: 1 / (1 + mp.exp(x)),
+            [-16, -8, -4, -2, 0, 2, 4, 8, 16, mp.inf],
+        )
+    if name == "gumbel":
+        return (
+            lambda x: mp.exp(-x - mp.exp(-x)),
+            lambda x: mp.exp(-mp.exp(-x)),
+            lambda x: -mp.expm1(-mp.exp(-x)),
+            [-4, -2, -1, 0, 1, 2, 4, 8, 16, mp.inf],
+        )
+    if name == "erf_exponential":
+        H = lambda x: x + mp.sqrt(mp.pi) / 2 * mp.erf(x)  # noqa: E731
+        return (
+            lambda x: (1 + mp.exp(-x * x)) * mp.exp(-H(x)),
+            lambda x: -mp.expm1(-H(x)),
+            lambda x: mp.exp(-H(x)),
+            [0, 0.5, 1, 2, 4, 8, 16, mp.inf],
+        )
+    if name == "inverse_exponential":
+        return (
+            lambda x: mp.exp(-1 / x) / x**2,
+            lambda x: mp.exp(-1 / x),
+            lambda x: -mp.expm1(-1 / x),
+            [0, 0.1, 0.25, 0.5, 1, 4, 16, 100, 10**3, 10**4, 10**6, mp.inf],
+        )
+    if name == "red":
+        return _trimodal_red_mp()
+    raise ValueError(name)
+
+
+def coefficient_mp(name, n, r, t):
+    """B_r(t), r < n, by 20-digit mpmath quadrature over the rival's noise x."""
+    pdf, cdf, sf, breaks = family_mp(name)
+    with mp.workdps(20):
+        t = mp.mpf(t)
+        j, m = n - r, n - 1
+        c = math.comb(m, j) * j
+        tail = mp.quad(
+            lambda x: c * cdf(x) ** (j - 1) * sf(x) ** (m - j) * pdf(x) ** 2,
+            [t] + [b for b in breaks if b > t],
+        )
+        return float(pdf(t) * mp.betainc(j, m - j + 1, 0, cdf(t), regularized=True) + tail)

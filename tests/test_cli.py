@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mp_reference import coefficient_mp
 from tourney import cli
 from tourney.equilibrium import ConcavityWarning
 
@@ -49,6 +50,29 @@ def test_solve_heavy_tail_eps(tmp_path):
     assert doc["regime"] == "EPS"
     assert doc["pass_probability"] == 1.0
     assert doc["effort"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_prizes_normal_mode_at_median(tmp_path):
+    # the mode sits on the median
+    loc, scale = -1.4857191889232015, 1.0246750380980518
+    scenario = {"distribution": {"family": "normal", "params": {"loc": loc, "scale": scale}}, "n": 10}
+    out = tmp_path / "sol.json"
+    assert cli.main(["prizes", "--config", _write(tmp_path, "cfg.json", scenario), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    z = (doc["threshold"] - loc) / scale
+    for r in (1, 5, 9):
+        exact = coefficient_mp("normal", 10, r, z) / (scale * r)
+        assert doc["rank_scores"][r - 1] == pytest.approx(exact, abs=1e-9)
+
+
+def test_solve_inverse_exponential_at_mode(tmp_path):
+    scenario = {"distribution": {"family": "inverse_exponential"}, "n": 3, "schedule": "wta"}
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--config", _write(tmp_path, "cfg.json", scenario), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["threshold"] == pytest.approx(0.5, abs=1e-7)
+    b1 = coefficient_mp("inverse_exponential", 3, 1, doc["threshold"])
+    assert doc["marginal_benefit"] == pytest.approx(b1, abs=1e-9)
 
 
 def test_solve_rejects_bad_budget(tmp_path, capsys):

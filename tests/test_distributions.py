@@ -159,32 +159,39 @@ def test_order_statistics():
     u = dists.uniform(0, 1)
     x = 0.37
     # top statistic is an exact power of the cdf
-    assert u.order_statistic_cdf(2, 2, x) == (u.cdf(x)) ** 2
-    assert dists.gumbel().order_statistic_cdf(3, 3, 0.1) == dists.gumbel().cdf(0.1) ** 3
+    assert dists.order_statistic_cdf(u, 2, 2, x) == (u.cdf(x)) ** 2
+    assert dists.order_statistic_cdf(dists.gumbel(), 3, 3, 0.1) == dists.gumbel().cdf(0.1) ** 3
     # degenerate rank-0 convention
-    assert u.order_statistic_cdf(0, 5, -10.0) == 1.0
+    assert dists.order_statistic_cdf(u, 0, 5, -10.0) == 1.0
     # minimum of two uniforms
-    assert u.order_statistic_cdf(1, 2, 0.5) == pytest.approx(0.75, abs=1e-12)
+    assert dists.order_statistic_cdf(u, 1, 2, 0.5) == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(dists.RankOutOfRange):
-        u.order_statistic_cdf(6, 5, 0.5)
+        dists.order_statistic_cdf(u, 6, 5, 0.5)
     with pytest.raises(dists.RankOutOfRange):
-        u.order_statistic_cdf(-1, 5, 0.5)
+        dists.order_statistic_cdf(u, -1, 5, 0.5)
 
 
 @pytest.mark.parametrize("d", [dists.gumbel(), dists.uniform(0, 1), dists.trimodal_example("red")])
 def test_order_statistic_cdf_decreasing_in_rank(d):
     n = 5
     for x in np.linspace(*d.truncated_support(), 11)[1:-1]:
-        vals = [d.order_statistic_cdf(j, n, x) for j in range(0, n + 1)]
+        vals = [dists.order_statistic_cdf(d, j, n, x) for j in range(0, n + 1)]
         assert all(a >= b - 1e-13 for a, b in zip(vals, vals[1:]))
 
 
-def test_order_statistic_pdf_integrates():
-    g = dists.gumbel()
-    lo, hi = g.truncated_support()
-    for j, n in [(1, 3), (2, 3), (3, 3)]:
-        total, _ = quad(lambda x: float(g.order_statistic_pdf(j, n, x)), lo, hi, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-7)
+def test_erf_exponential_ppf_round_trip():
+    fe = dists.erf_exponential()
+    q = np.concatenate([np.linspace(0.0, 1.0, 10001)[:-1], [1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 1e-16]])
+    x = np.asarray(fe.ppf(q))
+    assert np.all(x >= 0.0) and np.all(np.diff(x[:10000]) > 0)
+    assert np.max(np.abs(np.asarray(fe.cdf(x)) - q)) <= 4.5e-16
+    xs = np.linspace(0.0, 30.0, 3001)
+    assert np.allclose(fe.ppf(fe.cdf(xs[:400])), xs[:400], rtol=1e-13, atol=1e-15)
+
+
+def test_find_modes_heavy_tail_bulk():
+    # the truncated support is [0, 1e10], the mode 1/2
+    assert dists.inverse_exponential().find_modes().global_mode == pytest.approx(0.5, abs=1e-7)
 
 
 def test_sampling_matches_cdf():

@@ -1,9 +1,13 @@
+import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_reference import coefficient_mp
+from scipy import special
 
 from tourney import distributions as dists
 from tourney import equilibrium as eq
@@ -115,9 +119,120 @@ def test_pareto_rank_coefficients_closed_form():
 def test_curve_matches_pointwise_quadrature():
     grid = RED.grid()
     for r in (1, 2):
-        curve = eq.marginal_benefit_curve(RED, 3, r, grid)
+        curve = eq.total_marginal_benefit_curve(RED, 3, eq.PrizeSchedule.equal_top(r, 3), grid)
         for i in np.linspace(10, len(grid) - 10, 7, dtype=int):
-            assert curve[i] == pytest.approx(eq.marginal_benefit_rank(RED, 3, r, float(grid[i])), abs=2e-6)
+            pointwise = eq.marginal_benefit_rank(RED, 3, r, float(grid[i]))
+            assert r * curve[i] == pytest.approx(pointwise, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 30, 100, 1000])
+def test_rank_coefficients_closed_forms(n):
+    lam = 2.0
+    ranks = range(1, n + 1)
+    if n > 100:  # every tenth rank and both ends keep the suite's time budget
+        ranks = sorted({*ranks[:10], *ranks[::10], *ranks[-10:]})
+    for r in ranks:
+        # Pareto(alpha) at t = x_min: B_r = alpha B(n-r, r+1+1/alpha) / B(n-r, r)
+        for alpha in (0.5, 2.0):
+            exact = alpha
+            if r < n:
+                exact *= math.exp(special.betaln(n - r, r + 1 + 1 / alpha) - special.betaln(n - r, r))
+            assert eq.marginal_benefit_rank(dists.pareto(alpha), n, r, 1.0) == pytest.approx(exact, abs=1e-9)
+        expo = eq.marginal_benefit_rank(dists.exponential(lam), n, r, 0.0)
+        assert expo == pytest.approx(lam * r / n, abs=1e-9)
+        assert eq.marginal_benefit_rank(UNIF, n, r, 0.3) == pytest.approx(1.0, abs=1e-9)
+
+
+# B_r(t) by coefficient_mp at t = 0, except inverse-exponential (t = 1/2) and
+# trimodal red (t = 1)
+MP_COEFFICIENTS = {
+    ('normal', 3, 1): 0.2960490807905726,
+    ('normal', 3, 2): 0.38498799138473816,
+    ('normal', 30, 1): 0.06809202814030735,
+    ('normal', 30, 15): 0.3938249519606999,
+    ('normal', 30, 29): 0.3989422804001757,
+    ('normal', 100, 1): 0.025075936364416844,
+    ('normal', 100, 50): 0.3973851283453208,
+    ('normal', 100, 99): 0.3989422804014327,
+    ('logistic', 3, 1): 0.17708333333333334,
+    ('logistic', 3, 2): 0.23958333333333334,
+    ('logistic', 30, 1): 0.031182795699926154,
+    ('logistic', 30, 15): 0.24596774193548387,
+    ('logistic', 30, 29): 0.24999999999899858,
+    ('logistic', 100, 1): 0.009801980198019802,
+    ('logistic', 100, 50): 0.24876237623762376,
+    ('logistic', 100, 99): 0.25,
+    ('gumbel', 3, 1): 0.22775411870754045,
+    ('gumbel', 3, 2): 0.33991352291076593,
+    ('gumbel', 30, 1): 0.032222222222222326,
+    ('gumbel', 30, 15): 0.3386356215378181,
+    ('gumbel', 30, 29): 0.3678794393141812,
+    ('gumbel', 100, 1): 0.0099,
+    ('gumbel', 100, 50): 0.3440880476235852,
+    ('gumbel', 100, 99): 0.36787944117144233,
+    ('erf_exponential', 3, 1): 0.5967820693098037,
+    ('erf_exponential', 3, 2): 1.2989403063988942,
+    ('erf_exponential', 30, 1): 0.035455933861258435,
+    ('erf_exponential', 30, 15): 0.9405365259836777,
+    ('erf_exponential', 30, 29): 1.93279659573042,
+    ('erf_exponential', 100, 1): 0.010017324141290414,
+    ('erf_exponential', 100, 50): 0.940973635288904,
+    ('erf_exponential', 100, 99): 1.9799505024758046,
+    ('inverse_exponential', 3, 1): 0.14888259323753078,
+    ('inverse_exponential', 3, 2): 0.3785908650955705,
+    ('inverse_exponential', 30, 1): 0.002148148148148148,
+    ('inverse_exponential', 30, 15): 0.24485570711616947,
+    ('inverse_exponential', 30, 29): 0.5412145505043932,
+    ('inverse_exponential', 100, 1): 0.000198,
+    ('inverse_exponential', 100, 50): 0.2417160574699535,
+    ('inverse_exponential', 100, 99): 0.5413411324010001,
+    ('red', 3, 1): 0.6129485526083053,
+    ('red', 3, 2): 0.7079248305648287,
+    ('red', 30, 1): 0.25222233009557016,
+    ('red', 30, 15): 0.7166228407900608,
+    ('red', 30, 29): 0.7169811320754716,
+    ('red', 100, 1): 0.13789701128196627,
+    ('red', 100, 50): 0.7169806603183421,
+    ('red', 100, 99): 0.7169811320754716,
+}
+MP_THRESHOLDS = {"inverse_exponential": 0.5, "red": 1.0}
+
+
+def test_rank_coefficients_match_mpmath():
+    made = {
+        "normal": dists.normal(),
+        "logistic": dists.logistic(),
+        "gumbel": dists.gumbel(),
+        "erf_exponential": HEAVY,
+        "inverse_exponential": dists.inverse_exponential(),
+        "red": RED,
+    }
+    for (name, n, r), exact in MP_COEFFICIENTS.items():
+        got = eq.marginal_benefit_rank(made[name], n, r, MP_THRESHOLDS.get(name, 0.0))
+        assert got == pytest.approx(exact, abs=1e-9), (name, n, r)
+    # the table is what coefficient_mp computes
+    for key in [("normal", 30, 15), ("inverse_exponential", 3, 2), ("red", 100, 1)]:
+        name = key[0]
+        assert coefficient_mp(name, *key[1:], MP_THRESHOLDS.get(name, 0.0)) == pytest.approx(
+            MP_COEFFICIENTS[key], rel=1e-15
+        )
+
+
+def test_pareto_heavy_tail_middle_rank():
+    # the support spans twenty decades while the mass sits near x_min
+    exact = 0.5 * math.exp(special.betaln(42, 61) - special.betaln(42, 58))
+    assert eq.marginal_benefit_rank(dists.pareto(0.5), 100, 58, 1.0) == pytest.approx(exact, abs=1e-12)
+
+
+def test_quadrature_failure_names_its_cause(monkeypatch):
+    monkeypatch.setattr(eq, "QUAD_ORDER", 2)
+    with pytest.raises(
+        eq.QuadratureFailure,
+        match=r"^pareto \{'alpha': 2\.0, 'x_min': 1\.0\}, n=3, rank 1: the 2- and 4-point "
+        r"Gauss-Legendre rules give \S+ and \S+, \S+ apart \(target 1e-09\); they differ "
+        r"most on u in \[\S+, \S+\], x in \[\S+, \S+\]$",
+    ):
+        eq.marginal_benefit_rank(PARETO, 3, 1, 1.0)
 
 
 # -- prize probabilities ------------------------------------------------------
@@ -187,6 +302,14 @@ def test_optimal_threshold_red_by_schedule():
         assert thr.grid_marginal_benefit <= thr.marginal_benefit + 1e-6
 
 
+def test_wta_scan_peaks_at_pareto_mode():
+    # the top-rank coefficient peaks at the mode, the lower support bound
+    thr = eq.optimal_threshold(PARETO, 3, eq.PrizeSchedule.winner_take_all(3))
+    assert thr.threshold == 1.0
+    assert abs(thr.grid_threshold - 1.0) <= thr.grid_step
+    assert thr.grid_marginal_benefit == pytest.approx(16 / 35, abs=1e-9)
+
+
 def test_optimal_threshold_unimodal_is_global_mode():
     for d in (GUMBEL, HEAVY):
         thr = eq.optimal_threshold(d, 3, eq.PrizeSchedule.winner_take_all(3))
@@ -246,6 +369,17 @@ def test_deviation_payoff_peaks_at_equilibrium():
     assert abs(grid[int(np.argmax(pi))] - sol.effort) < 2 * (grid[1] - grid[0])
 
 
+def _pareto_wta_win_mp(e, e_star):
+    """P(top prize) of a deviator at e against two rivals at e* on Pareto(2)
+    noise, standard at the support bound + e*: the best rival's noise has
+    density 4 (1 - x^-2) x^-3 on [1, inf), the deviator's survival is x^-2."""
+    with mp.workdps(20):
+        shift = mp.mpf(e_star) - mp.mpf(e)
+        sf = lambda y: 1 if y < 1 else y**-2  # noqa: E731
+        kink = [1 - shift] if 1 - shift > 1 else []
+        return float(mp.quad(lambda x: sf(x + shift) * 4 * (1 - x**-2) * x**-3, [1] + kink + [10, mp.inf]))
+
+
 def test_deviation_payoff_matches_quadrature_on_heavy_tail():
     # winner-take-all equilibrium at t = 1: e* = B_1 = 16/35
     e_star = 16 / 35
@@ -254,8 +388,10 @@ def test_deviation_payoff_matches_quadrature_on_heavy_tail():
     grid = np.linspace(0.0, QUAD_COST.max_effort, 5)
     pi = eq.deviation_payoff_curve(PARETO, design, e_star, grid)
     for e, p in zip(grid, pi):
+        exact = _pareto_wta_win_mp(e, e_star) - QUAD_COST.c(e)
+        assert p == pytest.approx(exact, abs=1e-9)
         quad = eq.prize_probability(PARETO, 3, 1, e, e_star, design.standard) - QUAD_COST.c(e)
-        assert p == pytest.approx(quad, abs=5e-4)
+        assert p == pytest.approx(quad, abs=1e-12)
 
 
 def test_concavity_diagnostic_flags_profitable_deviation():

@@ -1,8 +1,6 @@
-import math
-
-import mpmath as mp
 import numpy as np
 import pytest
+from mp_reference import coefficient_mp
 
 from tourney import distributions as dists
 from tourney import equilibrium as eq
@@ -45,22 +43,6 @@ def test_pareto_scores_closed_form():
     assert sol.concavity_ok
 
 
-def _gumbel_coefficient_mp(n, r, t):
-    """B_r(t), r < n, for standard Gumbel noise by 20-digit mpmath quadrature."""
-    with mp.workdps(20):
-        t = mp.mpf(t)
-        f = lambda x: mp.exp(-x - mp.exp(-x))
-        F = lambda x: mp.exp(-mp.exp(-x))
-        S = lambda x: -mp.expm1(-mp.exp(-x))
-        j, m = n - r, n - 1
-        c = math.comb(m, j) * j
-        tail = mp.quad(
-            lambda x: c * F(x) ** (j - 1) * S(x) ** (m - j) * f(x) ** 2,
-            [t, t + 4, t + 40, mp.inf],
-        )
-        return float(f(t) * mp.betainc(j, m - j + 1, 0, F(t), regularized=True) + tail)
-
-
 def test_gumbel_scores_many_players():
     n = 30
     xm = GUMBEL.find_modes().global_mode
@@ -68,7 +50,7 @@ def test_gumbel_scores_many_players():
         prizes.rank_score(GUMBEL, n, r, xm)  # RepresentationMismatch otherwise
     for r in (1, 15, 16, 29):
         assert eq.marginal_benefit_rank(GUMBEL, n, r, xm) == pytest.approx(
-            _gumbel_coefficient_mp(n, r, xm), abs=1e-9
+            coefficient_mp("gumbel", n, r, xm), abs=1e-9
         )
 
 
