@@ -330,12 +330,13 @@ def cmd_verify(args) -> int:
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
     draws = int(args.draws or opts.get("draws") or mc_cfg.get("draws") or 10**6)
-    grid_size = int(opts.get("grid_size") or mc_cfg.get("grid_size") or 200)
+    grid_size = opts.get("grid_size") or mc_cfg.get("grid_size")
+    grid = {"grid_size": int(grid_size)} if grid_size else {}
     e_check = opts.get("force_effort")
     e_check = solution.effort if e_check is None else float(e_check)
 
     design = TournamentDesign(standard=solution.standard, schedule=schedule, cost=sc["cost"])
-    report = mc.verify_best_response(sc["dist"], design, e_check, grid_size, draws, seed)
+    report = mc.verify_best_response(sc["dist"], design, e_check, draws=draws, seed=seed, **grid)
     if args.tally_csv:
         mc.write_tally_csv(report, args.tally_csv)
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize
 
 from .distributions import NoiseDistribution, gumbel
-from .montecarlo import _require_seed, noise_batches
+from .montecarlo import _grid_sums, _require_seed, noise_batches
 
 __all__ = [
     "TullockConfig",
@@ -115,33 +115,25 @@ def tullock_best_response_gap(
 ) -> dict:
     """Monte-Carlo best-response scan for the Tullock contest with a standard.
 
-    Simulates the underlying Gumbel-noise tournament: player 1 deviates over
-    a multiplicative effort grid on [0, 1] (linear cost, unit prize) while
-    rivals sit at ``e_star``.  Common random numbers across the grid; returns
-    the max payoff gap over playing ``e_star``, its paired standard error,
-    and a grid-coarseness bias bound.
+    Simulates the underlying Gumbel-noise tournament, the winner-take-all
+    case of ``montecarlo.verify_best_response`` in log-effort units: player 1
+    deviates over a multiplicative effort grid on [0, 1] (linear cost, unit
+    prize) while rivals sit at ``e_star``.  Common random numbers across the
+    grid; returns the max payoff gap over playing ``e_star``, its paired
+    standard error, and a grid-coarseness bias bound.
     """
     seed = _require_seed(seed)
-    noise = gumbel()
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_size), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
-    log_grid = np.log(np.where(grid > 0, grid, 1.0))
-    rho_hat = np.log(rho)
-    rival_hat = np.log(e_star)
+    # additive units: effort 0 sits at log 0 = -inf and never wins
+    log_grid = np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0)
+    prizes = np.zeros(n)
+    prizes[0] = 1.0
 
-    sums = np.zeros(grid.size)
-    dsums = np.zeros(grid.size)
-    dsumsq = np.zeros(grid.size)
-    for x in noise_batches(noise, n, draws, seed):
-        rival_best = np.max(rival_hat + x[:, 1:], axis=1)
-        cut = np.maximum(rival_best, rho_hat)
-        # player 1 wins iff log(e1) + X1 clears both the rivals and the standard
-        wins = (log_grid[None, :] + x[:, 0][:, None] >= cut[:, None]) & (grid[None, :] > 0)
-        w = wins.astype(float)
-        sums += w.sum(axis=0)
-        diff = w - w[:, i_star][:, None]
-        dsums += diff.sum(axis=0)
-        dsumsq += np.sum(diff * diff, axis=0)
+    totals = np.zeros((4, grid.size))
+    for x in noise_batches(gumbel(), n, draws, seed):
+        totals += _grid_sums(x, log_grid, i_star, np.log(rho), prizes)[0]
+    sums, _, dsums, dsumsq = totals
     payoffs = sums / draws - grid
     gaps = payoffs - payoffs[i_star]
     i_best = int(np.argmax(gaps))

@@ -4,17 +4,26 @@ Tournaments are simulated directly from the model primitives: draw noise,
 rank performances above the standard, award prizes by rank.  Prize
 probabilities, deviation payoffs, and best-response gaps estimated here are
 independent of the quadrature code paths and certify them statistically.
+One routine ranks the simulated players.
 
 Reproducibility: draws come from counter-based Philox streams, one stream
 per fixed-size batch of draws, keyed by the caller's seed.  Batches can be
 processed in any order (merging is by sums), and every effort level on a
 verification grid reuses the same noise matrix, so payoff differences across
 efforts are common-random-number estimates with tiny variance.
+
+Best-response scan: for one draw, the deviator's prize as a function of own
+effort is a right-continuous step function.  It is 0 below rho - x1 (the
+standard minus the deviator's noise), steps up there, and steps up again at
+each passing rival's score minus x1.  Histograms of the jumps on the effort
+grid, summed cumulatively, give the payoff sums at every grid point in one
+pass over the noise, in O(draws n log n) whatever the grid size; the rank
+tally at the checked effort comes from the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,22 +88,73 @@ def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
         yield dist.sample((m, n), rng)
 
 
-def _prize_values(x: np.ndarray, efforts: np.ndarray, e_star: float, rho: float,
-                  prizes: np.ndarray) -> np.ndarray:
-    """Player 1's prize per draw (rows) and per own effort (columns).
+def _rank(x: np.ndarray, e: float, e_star: float, rho: float):
+    """Player 1's rank per draw at own effort ``e`` (0 = first, n = missed
+    the standard) against rivals at ``e_star``, and the rivals' pass mask.
 
-    Rivals sit at ``e_star``; ranking counts rivals who pass the standard and
-    strictly beat player 1 (ties, a measure-zero event, go to player 1).
+    A rival outranks player 1 when it passes the standard and strictly beats
+    player 1's score; ties, a measure-zero event, go to player 1.
     """
     rivals = e_star + x[:, 1:]
-    rival_pass = rivals >= rho
-    v = np.append(prizes, 0.0)  # sentinel for "missed the standard"
-    out = np.empty((x.shape[0], efforts.size))
-    for col, e in enumerate(efforts):
-        y1 = e + x[:, 0]
-        k = np.sum(rival_pass & (rivals > y1[:, None]), axis=1)
-        out[:, col] = v[np.where(y1 >= rho, k, len(prizes))]
-    return out
+    passing = rivals >= rho
+    y1 = e + x[:, 0]
+    k = np.count_nonzero(passing & (rivals > y1[:, None]), axis=1)
+    return np.where(y1 >= rho, k, x.shape[1]), passing
+
+
+def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes: np.ndarray):
+    """Sums over one batch of player 1's prize w at each point of ``grid``.
+
+    Rivals sit at e* = ``grid[i_star]``; w* is player 1's prize there.
+    Returns the (4, grid.size) sums of w, w^2, w - w* and (w - w*)^2, player
+    1's rank at e* per draw, and the rivals' pass mask.  A jump of w (see the
+    module docstring) at p reaches every grid point g >= p, which keeps the
+    rules of ``_rank``.  Jumps of (w - w*)^2 are taken per jump and summed
+    outward from e*, where they vanish, so the paired variance cannot cancel.
+    """
+    n = x.shape[1]
+    e_star = grid[i_star]
+    rank_star, passing = _rank(x, e_star, e_star, rho)
+    x1 = x[:, :1]
+    beaten_at = np.sort(np.where(passing, e_star + x[:, 1:] - x1, np.inf), axis=1)
+    pos = np.concatenate([rho - x1, beaten_at], axis=1)
+    # rank before the first jump and after each: n, then m, m - 1, ... (m rivals pass)
+    ranks = np.maximum(np.count_nonzero(passing, axis=1)[:, None] - np.arange(-1, n), 0)
+    ranks[:, 0] = n
+    v = np.append(prizes, 0.0)  # v[n] = 0: missed the standard
+    w = v[ranks]
+    w_star = v[rank_star]
+    bins = np.searchsorted(grid, pos, side="left").ravel()
+
+    def hist(levels):
+        return np.bincount(bins, np.diff(levels, axis=1).ravel(), grid.size + 1)[: grid.size]
+
+    out = np.empty((4, grid.size))
+    out[0] = np.cumsum(hist(w))
+    out[1] = np.cumsum(hist(w * w))
+    out[2] = out[0] - w_star.sum()
+    jumps = hist((w - w_star[:, None]) ** 2)
+    out[3, i_star] = 0.0
+    out[3, i_star + 1:] = np.cumsum(jumps[i_star + 1:])
+    out[3, :i_star] = -np.cumsum(jumps[i_star:0:-1])[::-1]
+    return out, rank_star, passing
+
+
+def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray,
+                  pass_count: int) -> SimulationReport:
+    freq = rank_counts[:n] / draws
+    at_least = np.cumsum(freq)
+    se = np.sqrt(at_least * (1.0 - at_least) / draws)
+    return SimulationReport(
+        draws=int(draws),
+        seed=seed,
+        n=n,
+        rank_counts=tuple(int(c) for c in rank_counts),
+        prize_freq=tuple(freq),
+        at_least_prob=tuple(at_least),
+        at_least_se=tuple(se),
+        pass_fraction=pass_count / (draws * n),
+    )
 
 
 def simulate_prize_probabilities(
@@ -114,30 +174,13 @@ def simulate_prize_probabilities(
     if draws < 10**4:
         raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
     n = design.n
-    rho = design.standard
-    prizes = np.asarray(design.schedule.prizes)
     rank_counts = np.zeros(n + 1, dtype=np.int64)  # index n = no prize
     pass_count = 0
     for x in noise_batches(dist, n, draws, seed):
-        rivals = e_star + x[:, 1:]
-        y1 = e + x[:, 0]
-        k = np.sum((rivals >= rho) & (rivals > y1[:, None]), axis=1)
-        rank = np.where(y1 >= rho, k, n)
+        rank, passing = _rank(x, e, e_star, design.standard)
         rank_counts += np.bincount(rank, minlength=n + 1)
-        pass_count += int(np.sum(y1 >= rho)) + int(np.sum(rivals >= rho))
-    freq = rank_counts[:n] / draws
-    at_least = np.cumsum(freq)
-    se = np.sqrt(at_least * (1.0 - at_least) / draws)
-    return SimulationReport(
-        draws=int(draws),
-        seed=seed,
-        n=n,
-        rank_counts=tuple(int(c) for c in rank_counts),
-        prize_freq=tuple(freq),
-        at_least_prob=tuple(at_least),
-        at_least_se=tuple(se),
-        pass_fraction=pass_count / (draws * n),
-    )
+        pass_count += int(np.count_nonzero(rank < n)) + int(np.count_nonzero(passing))
+    return _tally_report(draws, seed, n, rank_counts, pass_count)
 
 
 def write_tally_csv(report: SimulationReport, path: str) -> None:
@@ -153,11 +196,16 @@ def verify_best_response(
     dist: NoiseDistribution,
     design: TournamentDesign,
     e_star: float,
-    grid_size: int = 200,
+    grid_size: int = 10**4,
     draws: int = 10**6,
     seed: int | None = None,
 ) -> SimulationReport:
     """Scan deviation payoffs over an effort grid and report the best gap.
+
+    The grid is ``grid_size`` evenly spaced efforts on [0, max_effort] plus
+    ``e_star``.  A single pass over the noise gives the payoff at every grid
+    point, from histograms of the prize's jumps (see the module docstring),
+    and the rank tally at ``e_star`` that fills the report's rank fields.
 
     The gap is the largest estimated payoff improvement over playing
     ``e_star``; its standard error comes from the per-draw paired payoff
@@ -167,34 +215,26 @@ def verify_best_response(
     """
     seed = _require_seed(seed)
     n = design.n
-    rho = design.standard
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
     grid = np.unique(np.concatenate([np.linspace(0.0, e_max, grid_size), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
 
-    sums = np.zeros(grid.size)
-    sumsq = np.zeros(grid.size)
-    dsums = np.zeros(grid.size)
-    dsumsq = np.zeros(grid.size)
+    sums = np.zeros((4, grid.size))
+    rank_counts = np.zeros(n + 1, dtype=np.int64)
     pass_count = 0
     for x in noise_batches(dist, n, draws, seed):
-        w = _prize_values(x, grid, e_star, rho, prizes)
-        sums += w.sum(axis=0)
-        sumsq += np.sum(w * w, axis=0)
-        diff = w - w[:, i_star][:, None]
-        dsums += diff.sum(axis=0)
-        dsumsq += np.sum(diff * diff, axis=0)
-        y1 = grid[i_star] + x[:, 0]
-        pass_count += int(np.sum(y1 >= rho)) + int(np.sum(e_star + x[:, 1:] >= rho))
+        batch, rank, passing = _grid_sums(x, grid, i_star, design.standard, prizes)
+        sums += batch
+        rank_counts += np.bincount(rank, minlength=n + 1)
+        pass_count += int(np.count_nonzero(rank < n)) + int(np.count_nonzero(passing))
 
-    mean_w = sums / draws
-    var_w = np.maximum(sumsq / draws - mean_w**2, 0.0)
+    mean_w, mean_wsq, mean_d, mean_dsq = sums / draws
+    var_w = np.maximum(mean_wsq - mean_w**2, 0.0)
     payoffs = mean_w - np.asarray(design.cost.c(grid))
     payoff_se = np.sqrt(var_w / draws)
 
-    mean_d = dsums / draws
-    var_d = np.maximum(dsumsq / draws - mean_d**2, 0.0)
+    var_d = np.maximum(mean_dsq - mean_d**2, 0.0)
     gaps = (payoffs - payoffs[i_star])
     i_best = int(np.argmax(gaps))
     gap = float(gaps[i_best])
@@ -207,17 +247,8 @@ def verify_best_response(
     grid_bias = 0.5 * lipschitz * step
     certified = gap <= 3.0 * gap_se + grid_bias
 
-    # rank frequencies at the equilibrium point come along for free
-    base = simulate_prize_probabilities(dist, design, e_star, e_star, max(draws, 10**4), seed)
-    return SimulationReport(
-        draws=int(draws),
-        seed=seed,
-        n=n,
-        rank_counts=base.rank_counts,
-        prize_freq=base.prize_freq,
-        at_least_prob=base.at_least_prob,
-        at_least_se=base.at_least_se,
-        pass_fraction=pass_count / (draws * n),
+    return replace(
+        _tally_report(draws, seed, n, rank_counts, pass_count),
         effort_grid=tuple(grid),
         payoffs=tuple(payoffs),
         payoff_se=tuple(payoff_se),
@@ -255,13 +286,9 @@ def finite_difference_marginals(
     counts_up = np.zeros(n)
     counts_dn = np.zeros(n)
     for x in noise_batches(dist, n, draws, seed):
-        rivals = e_star + x[:, 1:]
-        rival_pass = rivals >= rho
         for sign, counts in ((+1.0, counts_up), (-1.0, counts_dn)):
-            y1 = e_star + sign * step + x[:, 0]
-            k = np.sum(rival_pass & (rivals > y1[:, None]), axis=1)
-            k = np.where(y1 >= rho, k, n)
-            counts += np.bincount(k, minlength=n + 1)[:n]
+            rank, _ = _rank(x, e_star + sign * step, e_star, rho)
+            counts += np.bincount(rank, minlength=n + 1)[:n]
     at_least_up = np.cumsum(counts_up / draws)
     at_least_dn = np.cumsum(counts_dn / draws)
     return (at_least_up - at_least_dn) / (2.0 * step)

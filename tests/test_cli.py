@@ -200,6 +200,20 @@ def test_verify_rejects_pareto_eps_at_unit_cost(tmp_path):
     assert rep["bounds_battery"][0]["satisfied"]
 
 
+def test_verify_rejects_erf_exponential_eps_at_unit_cost(tmp_path):
+    # solve flags this design (a deviation to e = 0.3155 gains 0.0066); the
+    # default effort grid keeps the grid bias well below that gain
+    doc = {**HEAVY_SCENARIO, "schedule": "eps"}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    out = tmp_path / "verify.json"
+    with pytest.warns(ConcavityWarning, match="gains"):
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 4
+    br = json.loads(out.read_text())["best_response"]
+    assert not br["certified"]
+    assert br["grid_bias"] < 1e-3
+    assert br["gap"] > 3 * br["gap_se"] + br["grid_bias"]
+
+
 def test_verify_requires_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TOURNEY_SEED", raising=False)
     doc = {k: v for k, v in EXP_SCENARIO.items() if k != "montecarlo"}

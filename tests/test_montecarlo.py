@@ -16,6 +16,87 @@ def _design(dist, n, schedule, rho):
     return eq.TournamentDesign(standard=rho, schedule=schedule, cost=COST)
 
 
+def _prize_values(x, efforts, e_star, rho, prizes):
+    """Dense reference: player 1's prize per draw (rows) and per own effort
+    (columns), ranking the rivals again at every effort."""
+    rivals = e_star + x[:, 1:]
+    rival_pass = rivals >= rho
+    v = np.append(prizes, 0.0)
+    out = np.empty((x.shape[0], efforts.size))
+    for col, e in enumerate(efforts):
+        y1 = e + x[:, 0]
+        k = np.sum(rival_pass & (rivals > y1[:, None]), axis=1)
+        out[:, col] = v[np.where(y1 >= rho, k, len(prizes))]
+    return out
+
+
+def _assert_grid_sums_match(x, grid, e_star, rho, prizes):
+    grid = np.unique(np.append(grid, e_star))
+    i_star = int(np.searchsorted(grid, e_star))
+    w = _prize_values(x, grid, e_star, rho, prizes)
+    d = w - w[:, i_star][:, None]
+    dense = np.array([w.sum(axis=0), (w * w).sum(axis=0), d.sum(axis=0), (d * d).sum(axis=0)])
+    sums, rank, _ = mc._grid_sums(x, grid, i_star, rho, prizes)
+    assert np.max(np.abs(sums - dense)) <= 1e-9
+    assert np.array_equal(np.append(prizes, 0.0)[rank], w[:, i_star])
+
+
+ORACLE_FAMILIES = {
+    "uniform": UNIF,
+    "gumbel": GUMBEL,
+    "erf_exponential": HEAVY,
+    "pareto": dists.pareto(2.0),
+    "red": dists.trimodal_example("red"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_grid_sums_match_dense_reference(family, n):
+    dist = ORACLE_FAMILIES[family]
+    rng = np.random.default_rng([n, sorted(ORACLE_FAMILIES).index(family)])
+    x = dist.sample((2000, n), rng)
+    schedules = [
+        eq.PrizeSchedule.winner_take_all(n),
+        eq.PrizeSchedule.equal_sharing(n),
+        eq.random_schedule(n, rng),
+    ]
+    for schedule in schedules:
+        e_star = float(rng.uniform(0.2, 0.8))
+        rho = e_star + float(dist.ppf(rng.uniform(0.2, 0.7)))
+        grid = np.linspace(0.0, COST.max_effort, 301)
+        _assert_grid_sums_match(x, grid, e_star, rho, np.asarray(schedule.prizes))
+
+
+def test_grid_sums_edge_cases():
+    rng = np.random.default_rng(4)
+    x = GUMBEL.sample((2000, 3), rng)
+    prizes = np.asarray(eq.random_schedule(3, rng).prizes)
+    # no standard: the first jump sits at -inf, below every grid point
+    _assert_grid_sums_match(x, np.linspace(0.0, 1.5, 101), 0.4, -np.inf, prizes)
+    # a narrow grid: many jumps fall below its start and beyond its end
+    narrow = np.linspace(0.35, 0.45, 51)
+    _assert_grid_sums_match(x, narrow, 0.4, 0.4 + 0.3, prizes)
+    _assert_grid_sums_match(x, narrow, 0.4, -np.inf, prizes)
+    # lattice noise: jumps land on grid points and scores tie with rivals'
+    lattice = rng.integers(0, 8, size=(2000, 3)) / 4.0
+    _assert_grid_sums_match(lattice, np.arange(0.0, 3.0, 0.25), 0.5, 1.25, prizes)
+    # e* at either end of the grid
+    _assert_grid_sums_match(x, np.linspace(0.4, 1.0, 31), 0.4, 0.7, prizes)
+    _assert_grid_sums_match(x, np.linspace(-0.2, 0.4, 31), 0.4, 0.7, prizes)
+
+
+def test_best_response_tally_equals_simulation():
+    red = dists.trimodal_example("red")
+    v = eq.PrizeSchedule.equal_top(2, 3)
+    design = _design(red, 3, v, 1.4)
+    rep = mc.verify_best_response(red, design, 0.4, grid_size=500, draws=40_000, seed=13)
+    sim = mc.simulate_prize_probabilities(red, design, 0.4, 0.4, 40_000, 13)
+    assert rep.rank_counts == sim.rank_counts
+    assert rep.pass_fraction == sim.pass_fraction
+    assert rep.at_least_prob == sim.at_least_prob
+
+
 def test_seed_required_and_min_draws():
     design = _design(UNIF, 2, eq.PrizeSchedule.winner_take_all(2), 0.8)
     with pytest.raises(mc.SeedRequired):
