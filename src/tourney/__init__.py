@@ -53,6 +53,7 @@ from .equilibrium import (
     CostFunction,
     EffortOutOfRange,
     EquilibriumSolution,
+    ModeScanMismatch,
     PrizeSchedule,
     QuadratureFailure,
     SufficiencyResult,

@@ -27,6 +27,7 @@ from . import prizes as prizes_mod
 from .equilibrium import (
     CostFunction,
     EffortOutOfRange,
+    ModeScanMismatch,
     PrizeSchedule,
     QuadratureFailure,
     TournamentDesign,
@@ -43,6 +44,7 @@ EXIT_VERIFY = 4
 
 NUMERIC_ERRORS = (
     QuadratureFailure,
+    ModeScanMismatch,
     EffortOutOfRange,
     dists.TooManyModes,
     dists.SurvivalUnderflow,
@@ -252,7 +254,7 @@ FIG1_SCHEDULES = (("wta", 1), ("two", 2), ("eps", 3))
 
 def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
     os.makedirs(outdir, exist_ok=True)
-    grid = dist_list[0][1].grid(2e-4)  # panel distributions share one support
+    grid = dist_list[0][1].grid()  # panel distributions share one support
     keep = slice(None) if t_max is None else grid <= t_max
     show = grid[keep]
 

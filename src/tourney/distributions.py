@@ -46,8 +46,8 @@ __all__ = [
 
 # Quantile at which infinite supports are cut off for grids and shape scans.
 DEFAULT_TAIL_QUANTILE = 1e-10
-# Grid step for shape detection, as a fraction of the (truncated) support width.
-DEFAULT_GRID_RESOLUTION = 2e-4
+# Points of the uniform grid over the (truncated) support, for shape detection.
+GRID_POINTS = 5001
 DEFAULT_PLATEAU_TOL = 1e-9
 DEFAULT_MODE_CAP = 64
 HAZARD_MONOTONE_TOL = 1e-9
@@ -75,13 +75,16 @@ class ShapeReport:
 
     ``modes`` are the distinct local maximizers, largest first; the lower
     support bound is included only when the density decreases away from it
-    and no interior mode exceeds it.  ``global_mode`` is the largest global
-    maximizer.  ``ifr_above`` lists the modes t for which the hazard rate is
-    increasing on {x > t}.
+    and no interior mode exceeds it.  ``antimodes``, largest first, are the
+    scanned minima between consecutive modes and beyond the outermost ones;
+    the density is monotone between neighbouring modes and antimodes.
+    ``global_mode`` is the largest global maximizer.  ``ifr_above`` lists the
+    modes t for which the hazard rate is increasing on {x > t}.
     """
 
     modes: tuple[float, ...]
     mode_densities: tuple[float, ...]
+    antimodes: tuple[float, ...]
     global_mode: float
     hazard_class: str
     ifr_above: tuple[float, ...]
@@ -252,10 +255,9 @@ class NoiseDistribution:
         return _scalar_or_array(out, scalar)
 
     def _likelihood_ratio_numeric(self, x: np.ndarray, dens: np.ndarray) -> np.ndarray:
-        lo, hi = self.truncated_support()
-        h = max(1e-7, 1e-9 * (hi - lo))
-        # One-sided right difference keeps kink handling consistent with the
-        # piecewise families.
+        # One-sided right difference, as the piecewise families take at kinks;
+        # a step set by the support's width would jump a heavy tail's bulk.
+        h = 1e-8 * np.maximum(np.abs(x), 1.0)
         fp = (np.asarray(self.pdf(x + h)) - dens) / h
         return -fp / dens
 
@@ -271,11 +273,10 @@ class NoiseDistribution:
             hi = float(self.ppf(1.0 - q))
         return lo, hi
 
-    def grid(self, resolution: float = DEFAULT_GRID_RESOLUTION) -> np.ndarray:
+    def grid(self) -> np.ndarray:
         """Uniform evaluation grid over the truncated support, knots included."""
         lo, hi = self.truncated_support()
-        n = max(8, int(round(1.0 / resolution)) + 1)
-        g = np.linspace(lo, hi, n)
+        g = np.linspace(lo, hi, GRID_POINTS)
         interior = [k for k in self.knots if lo < k < hi]
         if interior:
             g = np.unique(np.concatenate([g, np.asarray(interior)]))
@@ -283,26 +284,20 @@ class NoiseDistribution:
 
     # -- shape analytics ---------------------------------------------------
 
-    def find_modes(
-        self,
-        resolution: float = DEFAULT_GRID_RESOLUTION,
-        plateau_tol: float = DEFAULT_PLATEAU_TOL,
-        max_modes: int = DEFAULT_MODE_CAP,
-    ) -> ShapeReport:
-        key = (resolution, plateau_tol, max_modes)
-        if key not in self._shape_cache:
-            self._shape_cache[key] = self._build_shape_report(resolution, plateau_tol, max_modes)
-        return self._shape_cache[key]
+    def find_modes(self, max_modes: int = DEFAULT_MODE_CAP) -> ShapeReport:
+        if max_modes not in self._shape_cache:
+            self._shape_cache[max_modes] = self._build_shape_report(max_modes)
+        return self._shape_cache[max_modes]
 
-    def _build_shape_report(self, resolution, plateau_tol, max_modes) -> ShapeReport:
-        x = self.grid(resolution)
+    def _build_shape_report(self, max_modes) -> ShapeReport:
+        x = self.grid()
         # Quantile points join the uniform grid: over a heavy tail's truncated
         # support (inverse-exponential: [0, 1e10]) the uniform step jumps
         # over the whole bulk of the mass.
         levels = np.linspace(0.0, 1.0, x.size)[1:-1]
         x = np.union1d(x, np.clip(np.asarray(self.ppf(levels)), x[0], x[-1]))
         f = np.asarray(self.pdf(x))
-        idx = _grid_modes(x, f, plateau_tol)
+        idx = _grid_modes(x, f, DEFAULT_PLATEAU_TOL)
         modes = [
             (float(x[i]), float(f[i])) if i in (0, len(x) - 1) else self._refine_mode(x, f, i)
             for i in idx
@@ -313,7 +308,7 @@ class NoiseDistribution:
         # candidate standard).
         if modes and np.isfinite(self.support[0]) and modes[0][0] == x[0]:
             interior_max = max((fm for m, fm in modes[1:]), default=-np.inf)
-            if modes[0][1] < interior_max - plateau_tol:
+            if modes[0][1] < interior_max - DEFAULT_PLATEAU_TOL:
                 modes = modes[1:]
         if not modes:
             # Fall back to the raw grid argmax (covers pathological inputs).
@@ -325,35 +320,37 @@ class NoiseDistribution:
         modes.sort(key=lambda mf: -mf[0])
         locs = tuple(m for m, _ in modes)
         dens = tuple(fm for _, fm in modes)
+        # one antimode per gap of [scan start, modes ascending, scan end]
+        ends = [x[0], *locs[::-1], x[-1]]
+        cuts = zip(np.searchsorted(x, ends[:-1]), np.searchsorted(x, ends[1:], side="right"))
+        lows = {float(x[i + np.argmin(f[i:j])]) for i, j in cuts if i < j}
+        antimodes = tuple(sorted(lows - set(locs), reverse=True))
         fmax = max(dens)
-        global_mode = max(m for m, fm in modes if fm >= fmax - max(plateau_tol, 1e-12 * fmax))
+        global_mode = max(m for m, fm in modes if fm >= fmax - max(DEFAULT_PLATEAU_TOL, 1e-12 * fmax))
 
         hazard_class = self.classify_hazard()
         ifr_above = tuple(m for m in locs if self.classify_hazard(above=m) == "IFR")
         return ShapeReport(
             modes=locs,
             mode_densities=dens,
+            antimodes=antimodes,
             global_mode=float(global_mode),
             hazard_class=hazard_class,
             ifr_above=ifr_above,
             log_class=self.log_concavity(),
         )
 
-    def _refine_mode(self, x, f, index) -> tuple[float, float]:
-        i = index
-        left = x[max(i - 1, 0)]
-        right = x[min(i + 1, len(x) - 1)]
-        if right - left <= 0 or abs(f[min(i + 1, len(x) - 1)] - f[i]) + abs(
-            f[max(i - 1, 0)] - f[i]
-        ) < 1e-13:
-            return float(x[i]), float(f[i])  # plateau: keep the grid point
-        res = optimize.minimize_scalar(
-            lambda s: -float(self.pdf(s)), bounds=(left, right), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if -res.fun >= f[i]:
-            return float(res.x), float(-res.fun)
-        return float(x[i]), float(f[i])
+    def _refine_mode(self, x, f, i) -> tuple[float, float]:
+        """Root of -f'/f between the grid neighbours of the mode ``x[i]``, where f
+        itself is flat to double precision; knots and plateaus keep the grid point."""
+        a, b = x[i - 1], x[i + 1]
+        flat = abs(f[i + 1] - f[i]) + abs(f[i - 1] - f[i]) < 1e-13
+        if flat or x[i] in self.knots or min(f[i - 1], f[i + 1]) <= 0.0 or not (
+            self.likelihood_ratio(a) < 0.0 < self.likelihood_ratio(b)
+        ):
+            return float(x[i]), float(f[i])
+        m = optimize.brentq(lambda s: float(self.likelihood_ratio(s)), a, b, xtol=1e-12 * (b - a))
+        return float(m), float(self.pdf(m))
 
     @property
     def global_mode(self) -> float:
@@ -657,6 +654,7 @@ def inverse_exponential() -> NoiseDistribution:
         pdf=pdf,
         cdf=lambda x: np.exp(-1.0 / np.maximum(x, eps)),
         ppf=lambda q: -1.0 / np.log(np.maximum(q, eps)),
+        likelihood_ratio=lambda x: (2.0 * x - 1.0) / np.square(x),
     )
 
 

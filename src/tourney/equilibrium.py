@@ -6,8 +6,11 @@ equilibrium a player's marginal benefit of effort decomposes over prize
 differentials: for each rank r there is a coefficient giving the marginal
 effect of effort on the probability of finishing rank r or better among the
 qualifiers.  Equating the differential-weighted sum of those coefficients to
-marginal cost pins down effort, and scanning the threshold over the modes of
-the noise density pins down the optimal standard.
+marginal cost pins down effort.  With G(t) = sum_r d_r B_r(t) at threshold
+t and H(t) = sum_r d_r F_{(n-r:n-1)}(t) >= 0, G'(t) = f'(t) H(t), because
+the boundary terms f(t) g(t) cancel.  So G rises and falls with the noise
+density f, the optimal standard is a mode of f, and G is taken only at the
+critical points of f, where a move against f raises ``ModeScanMismatch``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "ThresholdResult",
     "SufficiencyResult",
     "QuadratureFailure",
+    "ModeScanMismatch",
     "EffortOutOfRange",
     "ConcavityWarning",
     "marginal_benefit_rank",
@@ -49,8 +53,9 @@ QUAD_TARGET = 1e-9  # absolute error target for every noise integral
 QUAD_ORDER = 20
 THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
-# accepts.
+# accepts, and the number of evenly spaced efforts it checks.
 DEVIATION_GAIN_TOL = 1e-9
+CONCAVITY_POINTS = 400
 # Distances from either end of [0, 1] at which the probability domain is
 # broken into panels.  A heavy tail makes the integrand singular at u = 1
 # (Pareto(2): f(Q(u)) ~ (1-u)^1.5); panels a decade apart keep it smooth on
@@ -62,6 +67,11 @@ GRADE_LEVELS = 10.0 ** -np.arange(1.0, 13.0)
 class QuadratureFailure(RuntimeError):
     """Two Gauss-Legendre rules of a noise integral disagree beyond the
     error target."""
+
+
+class ModeScanMismatch(RuntimeError):
+    """The marginal benefit moves against the noise density between two of its
+    consecutive critical points: the scan missed one, or an integral is wrong."""
 
 
 class EffortOutOfRange(ValueError):
@@ -195,9 +205,6 @@ class ThresholdResult:
     threshold: float
     marginal_benefit: float
     candidates: tuple[tuple[float, float], ...]  # (mode, marginal benefit there)
-    grid_threshold: float
-    grid_marginal_benefit: float
-    grid_step: float
 
 
 @dataclass(frozen=True)
@@ -348,6 +355,8 @@ def _marginal_benefit(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.n
     weight f(t) F_{(n-r:n-1)}(t), and a rival above t is passed with weight
     f(Q(u)) at u > F(t).  The integrals above the thresholds are cumulative
     sums of panels broken at F(t)."""
+    if d.size != n:
+        raise ValueError(f"schedule is for {d.size} players, not {n}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     key, above = _integrals_above(dist, n, d, dist.pdf, t.min(), kinks=t)
     at = np.searchsorted(key, _order_key(*_levels(dist, t)))
@@ -367,8 +376,6 @@ def marginal_benefit_rank(dist: NoiseDistribution, n: int, r: int, t: float) -> 
 
 def total_marginal_benefit(dist: NoiseDistribution, n: int, v: PrizeSchedule, t: float) -> float:
     """Differential-weighted sum of rank coefficients at threshold t."""
-    if v.n != n:
-        raise ValueError(f"schedule is for {v.n} players, not {n}")
     return float(_marginal_benefit(dist, n, v.differentials, t)[0])
 
 
@@ -460,32 +467,34 @@ def equilibrium_effort(
     return float(cost.cprime_inv(min(g, top)))
 
 
-def optimal_threshold(
-    dist: NoiseDistribution, n: int, v: PrizeSchedule, resolution: float = 2e-4
-) -> ThresholdResult:
+def optimal_threshold(dist: NoiseDistribution, n: int, v: PrizeSchedule) -> ThresholdResult:
     """Best threshold among the modes weakly above the global mode.
 
-    A full-support grid scan cross-validates that no off-mode threshold does better (up to grid
-    tolerance).  Ties within 1e-9 resolve to the smallest threshold, which
+    G = sum_r d_r B_r has G' = f' H with H = sum_r d_r F_{(n-r:n-1)} >= 0, so
+    one pass takes G at the modes and antimodes of ``find_modes`` from the
+    global mode up, and ``ModeScanMismatch`` names an interval between two
+    of them where G moves against f by more than ``THRESHOLD_TIE_TOL``.
+    Ties within that tolerance resolve to the smallest threshold, which
     maximizes the pass probability.
     """
-    shape = dist.find_modes(resolution)
-    cand = [m for m in shape.modes if m >= shape.global_mode - 1e-12]
-    values = [(m, total_marginal_benefit(dist, n, v, m)) for m in sorted(cand)]
-    best_val = max(g for _, g in values)
-    t_star, g_star = next((m, g) for m, g in values if g >= best_val - THRESHOLD_TIE_TOL)
-
-    grid = dist.grid(resolution)
-    curve = total_marginal_benefit_curve(dist, n, v, grid)
-    i = int(np.argmax(curve))
-    return ThresholdResult(
-        threshold=float(t_star),
-        marginal_benefit=float(g_star),
-        candidates=tuple(values),
-        grid_threshold=float(grid[i]),
-        grid_marginal_benefit=float(curve[i]),
-        grid_step=float((grid[-1] - grid[0]) * resolution),
-    )
+    shape = dist.find_modes()
+    t = np.union1d(shape.modes, shape.antimodes)
+    t = t[t >= shape.global_mode - 1e-12]
+    g = _marginal_benefit(dist, n, v.differentials, t)
+    f = np.asarray(dist.pdf(t))
+    dg = np.diff(g)
+    against = np.nonzero((np.abs(dg) > THRESHOLD_TIE_TOL) & (np.sign(dg) != np.sign(np.diff(f))))[0]
+    if against.size:
+        i = against[0]
+        raise ModeScanMismatch(
+            f"{dist.family} {dist.params}, n={n}: on [{t[i]:.10g}, {t[i + 1]:.10g}] f goes from "
+            f"{f[i]:.10g} to {f[i + 1]:.10g} but G = sum_r d_r B_r from {g[i]:.12g} to {g[i + 1]:.12g}; "
+            f"as G' = f' H, H >= 0, the mode scan missed a critical point there or an integral is wrong"
+        )
+    values = [(float(m), float(gm)) for m, gm in zip(t, g) if m in shape.modes]
+    best_val = max(gm for _, gm in values)
+    t_star, g_star = next((m, gm) for m, gm in values if gm >= best_val - THRESHOLD_TIE_TOL)
+    return ThresholdResult(threshold=t_star, marginal_benefit=g_star, candidates=tuple(values))
 
 
 def solve_design(
@@ -493,8 +502,6 @@ def solve_design(
     n: int,
     v: PrizeSchedule,
     cost: CostFunction,
-    resolution: float = 2e-4,
-    concavity_points: int = 400,
     threshold: float | None = None,
 ) -> EquilibriumSolution:
     """Optimal standard and equilibrium effort for a fixed prize schedule.
@@ -508,7 +515,7 @@ def solve_design(
     an equilibrium).
     """
     if threshold is None:
-        thr = optimal_threshold(dist, n, v, resolution)
+        thr = optimal_threshold(dist, n, v)
         t_star, g_star = thr.threshold, thr.marginal_benefit
     else:
         t_star = float(threshold)
@@ -516,7 +523,7 @@ def solve_design(
     e_star = equilibrium_effort(dist, n, v, t_star, cost)
     rho = e_star + t_star
     design = TournamentDesign(standard=rho, schedule=v, cost=cost)
-    e_grid = np.unique(np.append(np.linspace(0.0, cost.max_effort, concavity_points), e_star))
+    e_grid = np.unique(np.append(np.linspace(0.0, cost.max_effort, CONCAVITY_POINTS), e_star))
     pi = deviation_payoff_curve(dist, design, e_star, e_grid)
     i_best = int(np.argmax(pi))
     gain = float(pi[i_best] - pi[np.searchsorted(e_grid, e_star)])
@@ -545,22 +552,12 @@ def solve_design(
     )
 
 
-def global_mode_sufficiency(
-    dist: NoiseDistribution, n: int, resolution: float = 2e-4
-) -> SufficiencyResult:
+def global_mode_sufficiency(dist: NoiseDistribution, n: int) -> SufficiencyResult:
     """Whether the top-rank coefficient peaks at the global mode.
 
     When it does, the standard at the global mode is optimal for every prize
     schedule; the witness reports the maximizing mode either way.  This is
     the winner-take-all case of ``optimal_threshold``.
     """
-    thr = optimal_threshold(dist, n, PrizeSchedule.winner_take_all(n), resolution)
-    xm = dist.find_modes(resolution).global_mode
-    holds, witness = thr.threshold == xm, thr.threshold
-    if holds and thr.grid_marginal_benefit > thr.marginal_benefit + THRESHOLD_TIE_TOL:
-        # the grid scan found an off-candidate maximizer; a higher mode
-        # nearest to it is a failure witness
-        nearest = min((m for m, _ in thr.candidates), key=lambda m: abs(m - thr.grid_threshold))
-        if nearest > xm:
-            holds, witness = False, nearest
-    return SufficiencyResult(holds=bool(holds), witness=float(witness))
+    thr = optimal_threshold(dist, n, PrizeSchedule.winner_take_all(n))
+    return SufficiencyResult(holds=thr.threshold == dist.find_modes().global_mode, witness=thr.threshold)

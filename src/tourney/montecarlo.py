@@ -211,9 +211,11 @@ def verify_best_response(
     ``e_star``; its standard error comes from the per-draw paired payoff
     differences (common random numbers).  Certification allows the gap up to
     3 standard errors plus a grid-coarseness bias bound from a Lipschitz
-    estimate of the payoff slope.
+    estimate of the payoff slope.  Fewer than 1e4 draws raise ``ValueError``.
     """
     seed = _require_seed(seed)
+    if draws < 10**4:
+        raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort

@@ -100,7 +100,6 @@ def optimal_prizes(
     n: int,
     cost: CostFunction,
     threshold: float | None = None,
-    resolution: float = 2e-4,
 ) -> tuple[PrizeDesignReport, EquilibriumSolution]:
     """Jointly optimal prize schedule and standard.
 
@@ -110,14 +109,14 @@ def optimal_prizes(
     reported with regime ``tie`` and resolved to the smallest rank count.
     """
     if threshold is None:
-        suff = global_mode_sufficiency(dist, n, resolution)
+        suff = global_mode_sufficiency(dist, n)
         if not suff.holds:
             raise SufficiencyViolated(
                 f"top-rank incentives peak at mode {suff.witness:g}, not the "
                 f"global mode; pass threshold= explicitly to design for a "
                 f"chosen standard"
             )
-        t = dist.find_modes(resolution).global_mode
+        t = dist.find_modes().global_mode
     else:
         t = float(threshold)
 
@@ -134,7 +133,7 @@ def optimal_prizes(
     else:
         regime = "interior-check"
     schedule = PrizeSchedule.equal_top(r_star, n)
-    solution = solve_design(dist, n, schedule, cost, resolution, threshold=threshold)
+    solution = solve_design(dist, n, schedule, cost, threshold=threshold)
     report = PrizeDesignReport(
         r_star=r_star,
         schedule=schedule,

@@ -92,6 +92,17 @@ def test_likelihood_ratios():
         red.likelihood_ratio(1.75)
 
 
+def test_inverse_exponential_likelihood_ratio():
+    # -f'/f = (2x - 1)/x^2, analytic and from the one-sided difference that a
+    # distribution built without a likelihood ratio falls back on
+    d = dists.inverse_exponential()
+    bare = dists.NoiseDistribution("custom", {}, d.support, d.pdf, d.cdf, ppf=d.ppf)
+    x = np.array([0.3, 0.5, 1.0, 2.0, 10.0])
+    exact = (2.0 * x - 1.0) / x**2
+    assert np.allclose(d.likelihood_ratio(x), exact, rtol=1e-14, atol=1e-15)
+    assert np.allclose(bare.likelihood_ratio(x), exact, rtol=1e-6, atol=1e-6)
+
+
 def test_right_derivative_at_kinks():
     red = dists.trimodal_example("red")
     # at the kink 0.25 the raw slope switches from -16/16 to +20/16 while the
@@ -105,10 +116,14 @@ def test_find_modes_red():
     assert shape.global_mode == 0.5
     # the boundary bump at 0 sits below the global max and is not listed
     assert 0.0 not in shape.modes
+    assert shape.antimodes == (1.75, 0.75, 0.25)
 
 
 def test_find_modes_families():
-    assert dists.gumbel().find_modes().global_mode == pytest.approx(0.0, abs=1e-8)
+    assert dists.gumbel().find_modes().global_mode == pytest.approx(0.0, abs=1e-12)
+    assert dists.gumbel(0.3, 1.1).find_modes().global_mode == pytest.approx(0.3, abs=1e-12)
+    assert dists.normal(-1.5, 1.1).find_modes().global_mode == pytest.approx(-1.5, abs=1e-12)
+    assert dists.logistic(0.7, 0.9).find_modes().global_mode == pytest.approx(0.7, abs=1e-12)
     assert dists.erf_exponential().find_modes().modes == (0.0,)
     assert dists.exponential(2.0).find_modes().modes == (0.0,)
     assert dists.pareto(2.0).find_modes().global_mode == 1.0
@@ -191,7 +206,7 @@ def test_erf_exponential_ppf_round_trip():
 
 def test_find_modes_heavy_tail_bulk():
     # the truncated support is [0, 1e10], the mode 1/2
-    assert dists.inverse_exponential().find_modes().global_mode == pytest.approx(0.5, abs=1e-7)
+    assert dists.inverse_exponential().find_modes().global_mode == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sampling_matches_cdf():

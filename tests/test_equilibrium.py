@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -292,22 +293,73 @@ def test_effort_out_of_range():
         eq.equilibrium_effort(EXPO, 2, eq.PrizeSchedule.winner_take_all(2), 0.0, weak)
 
 
+def _assert_grid_scan_agrees(d, n, v):
+    """The reference for ``optimal_threshold``: sum_r d_r B_r over the whole
+    uniform grid peaks within one grid step of the threshold, and nowhere
+    beats it."""
+    thr = eq.optimal_threshold(d, n, v)
+    grid = d.grid()
+    curve = eq.total_marginal_benefit_curve(d, n, v, grid)
+    i = int(np.argmax(curve))
+    assert abs(grid[i] - thr.threshold) <= np.max(np.diff(grid))
+    assert curve[i] <= thr.marginal_benefit + 1e-9
+    return thr, curve[i]
+
+
 def test_optimal_threshold_red_by_schedule():
     expected = {1: 1.0, 2: 0.5, 3: 0.5}
     for s, t_exp in expected.items():
-        thr = eq.optimal_threshold(RED, 3, eq.PrizeSchedule.equal_top(s, 3))
-        assert thr.threshold == pytest.approx(t_exp, abs=thr.grid_step)
-        # mode-restricted optimum must agree with the full grid scan
-        assert abs(thr.grid_threshold - thr.threshold) <= thr.grid_step
-        assert thr.grid_marginal_benefit <= thr.marginal_benefit + 1e-6
+        thr, _ = _assert_grid_scan_agrees(RED, 3, eq.PrizeSchedule.equal_top(s, 3))
+        assert thr.threshold == t_exp
 
 
 def test_wta_scan_peaks_at_pareto_mode():
     # the top-rank coefficient peaks at the mode, the lower support bound
-    thr = eq.optimal_threshold(PARETO, 3, eq.PrizeSchedule.winner_take_all(3))
+    thr, peak = _assert_grid_scan_agrees(PARETO, 3, eq.PrizeSchedule.winner_take_all(3))
     assert thr.threshold == 1.0
-    assert abs(thr.grid_threshold - 1.0) <= thr.grid_step
-    assert thr.grid_marginal_benefit == pytest.approx(16 / 35, abs=1e-9)
+    assert peak == pytest.approx(16 / 35, abs=1e-9)
+
+
+SMOOTH = {
+    "gumbel": GUMBEL,
+    "normal": dists.normal(),
+    "logistic": dists.logistic(),
+    "erf_exponential": HEAVY,
+    "inverse_exponential": dists.inverse_exponential(),
+}
+
+
+@pytest.mark.parametrize(
+    "name, s",
+    [(v, s) for v in ("green", "blue") for s in (1, 2, 3)]
+    + [(f, s) for f in SMOOTH for s in (1, 3)],
+)
+def test_optimal_threshold_matches_grid_scan(name, s):
+    d = {"green": GREEN, "blue": BLUE, **SMOOTH}[name]
+    _assert_grid_scan_agrees(d, 3, eq.PrizeSchedule.equal_top(s, 3))
+
+
+def test_mode_scan_mismatch_names_interval(monkeypatch):
+    # Without the antimode 0.75 the scan reports f falling from the mode 0.5
+    # to the mode 1.0, yet the winner-take-all G rises there.
+    d = dists.trimodal_example("red")
+    shape = d.find_modes()
+    assert shape.antimodes == (1.75, 0.75, 0.25)
+    missed = replace(shape, antimodes=(1.75, 0.25))
+    monkeypatch.setattr(d, "find_modes", lambda: missed)
+    with pytest.raises(eq.ModeScanMismatch, match=r"'variant': 'red'\}, n=3: on \[0\.5, 1\]"):
+        eq.optimal_threshold(d, 3, eq.PrizeSchedule.winner_take_all(3))
+    # schedules whose G falls with f there pass the check
+    assert eq.optimal_threshold(d, 3, eq.PrizeSchedule.equal_top(2, 3)).threshold == 0.5
+
+
+@pytest.mark.xfail(raises=eq.QuadratureFailure, strict=True)
+def test_mode_where_density_nearly_vanishes_at_knot():
+    # Known kernel defect: f(Q(u)) has a near-square-root kink where the
+    # density almost vanishes at the knot 1.5, and the 20- and 40-point
+    # rules for G at the global mode 1 differ by 1.2e-6, most on x in [1.5, 2].
+    d = dists.piecewise_linear([(0, 0.2), (1, 1), (1.5, 0.01), (2, 0.8), (3, 0)])
+    eq.optimal_threshold(d, 3, eq.PrizeSchedule.winner_take_all(3))
 
 
 def test_optimal_threshold_unimodal_is_global_mode():

@@ -103,6 +103,8 @@ def test_seed_required_and_min_draws():
         mc.simulate_prize_probabilities(UNIF, design, 0.3, 0.3, draws=10**4)
     with pytest.raises(ValueError, match="1e4"):
         mc.simulate_prize_probabilities(UNIF, design, 0.3, 0.3, draws=100, seed=1)
+    with pytest.raises(ValueError, match="1e4"):
+        mc.verify_best_response(UNIF, design, 0.3, draws=200, seed=1)
 
 
 def test_bit_identical_reproducibility():
