@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import fft, ndimage
 
 from .distributions import _grid_modes
 
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 MIN_OBSERVATIONS = 30
+KDE_PAD = 3.0           # grid margin beyond the data, in bandwidths
+BOOTSTRAP_BLOCK = 32    # resamples per FFT block; sets the block's memory
+TIE_RTOL = 2e-9         # runner-up this close to a row's maximum: use the direct filter
 
 
 class SampleTooSmall(ValueError):
@@ -77,8 +80,23 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
+def _binned(
+    obs: np.ndarray, bandwidth: float, grid_size: int, pad: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bin centres, counts and bin width of the grid the KDE is smoothed on."""
+    lo = obs.min() - pad * bandwidth
+    hi = obs.max() + pad * bandwidth
+    edges = np.linspace(lo, hi, grid_size + 1)
+    counts, _ = np.histogram(obs, bins=edges)
+    return 0.5 * (edges[:-1] + edges[1:]), counts, float(edges[1] - edges[0])
+
+
+def _smoothed(counts: np.ndarray, sigma: float) -> np.ndarray:
+    return ndimage.gaussian_filter1d(counts.astype(float), sigma=sigma, mode="constant")
+
+
 def kde_on_grid(
-    obs: np.ndarray, bandwidth: float, grid_size: int = 4096, pad: float = 3.0
+    obs: np.ndarray, bandwidth: float, grid_size: int = 4096, pad: float = KDE_PAD
 ) -> tuple[np.ndarray, np.ndarray]:
     """Binned Gaussian kernel density estimate.
 
@@ -87,14 +105,41 @@ def kde_on_grid(
     instead of O(n * grid), which keeps the bootstrap cheap.
     """
     obs = np.asarray(obs, dtype=float)
-    lo = obs.min() - pad * bandwidth
-    hi = obs.max() + pad * bandwidth
-    edges = np.linspace(lo, hi, grid_size + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    counts, _ = np.histogram(obs, bins=edges)
-    binwidth = edges[1] - edges[0]
-    dens = ndimage.gaussian_filter1d(counts.astype(float), sigma=bandwidth / binwidth, mode="constant")
-    return centers, dens / (obs.size * binwidth)
+    centers, counts, binwidth = _binned(obs, bandwidth, grid_size, pad)
+    return centers, _smoothed(counts, bandwidth / binwidth) / (obs.size * binwidth)
+
+
+def _bootstrap_argmax(
+    rng: np.random.Generator, counts: np.ndarray, sigma: float, draws: int
+) -> np.ndarray:
+    """Bin of the smoothed maximum for each of ``draws`` multinomial resamples.
+
+    Equal, bin for bin, to drawing ``rng.multinomial`` once per resample and
+    taking the argmax of ``_smoothed``: a block of resamples is one
+    multinomial call (the same Philox stream), smoothed by real FFT with
+    scipy's truncated, normalised kernel, zero-padded so nothing wraps
+    around.  A row whose runner-up is within ``TIE_RTOL`` of its maximum,
+    where rounding could pick a different bin, is smoothed again by
+    ``_smoothed``.
+    """
+    n = int(counts.sum())
+    p = counts / n
+    radius = int(4.0 * sigma + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    kernel /= kernel.sum()
+    length = fft.next_fast_len(counts.size + 2 * radius, real=True)
+    spectrum = fft.rfft(kernel, length)
+    out = np.empty(draws, dtype=np.intp)
+    for start in range(0, draws, BOOTSTRAP_BLOCK):
+        block = rng.multinomial(n, p, size=min(BOOTSTRAP_BLOCK, draws - start))
+        smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
+        best = np.argmax(smooth, axis=1)
+        top = smooth[np.arange(best.size), best]
+        tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
+        for row in np.flatnonzero(tied):
+            best[row] = np.argmax(_smoothed(block[row], sigma))
+        out[start:start + best.size] = best
+    return out
 
 
 def kde_modes(grid: np.ndarray, density: np.ndarray, min_rel_height: float = 0.01) -> tuple[float, ...]:
@@ -117,27 +162,26 @@ def audit_sample(
     The modal performance is the global KDE argmax; its bootstrap confidence
     interval (percentile 2.5-97.5 over multinomial bin resamples) drives the
     recommendation: a declared standard below the interval should be raised,
-    above it lowered, inside it kept.
+    above it lowered, inside it kept.  Each resample is smoothed with the
+    point estimate's Gaussian kernel; blocks of resamples go through one real
+    FFT (Silverman, Applied Statistics AS 176, 1982), and a near-tied argmax
+    is settled by the direct filter, so every resample's mode is the bin the
+    direct filter picks.
     """
     obs = np.asarray(sample.observations, dtype=float)
     if obs.size < MIN_OBSERVATIONS:
         raise SampleTooSmall(f"need at least {MIN_OBSERVATIONS} observations, got {obs.size}")
+    if bootstrap < 1:
+        raise ValueError(f"bootstrap needs at least one resample, got {bootstrap}")
     bw = float(bandwidth) if bandwidth else silverman_bandwidth(obs)
-    grid, dens = kde_on_grid(obs, bw, grid_size)
+    grid, counts, binwidth = _binned(obs, bw, grid_size, KDE_PAD)
+    sigma = bw / binwidth
+    dens = _smoothed(counts, sigma) / (obs.size * binwidth)
     modes = kde_modes(grid, dens)
     modal = float(grid[int(np.argmax(dens))])
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    edges = np.linspace(grid[0] - (grid[1] - grid[0]) / 2, grid[-1] + (grid[1] - grid[0]) / 2, grid.size + 1)
-    counts, _ = np.histogram(obs, bins=edges)
-    p = counts / counts.sum()
-    binwidth = grid[1] - grid[0]
-    sigma = bw / binwidth
-    boot = np.empty(bootstrap)
-    for b in range(bootstrap):
-        resample = rng.multinomial(obs.size, p).astype(float)
-        smooth = ndimage.gaussian_filter1d(resample, sigma=sigma, mode="constant")
-        boot[b] = grid[int(np.argmax(smooth))]
+    boot = grid[_bootstrap_argmax(rng, counts, sigma, bootstrap)]
     ci = (float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5)))
 
     recommendation = None

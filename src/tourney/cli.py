@@ -409,19 +409,26 @@ def cmd_verify(args) -> int:
 def _read_sample(path: str, declared_standard) -> audit_mod.PerformanceSample:
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "performance" not in reader.fieldnames:
+            rows = csv.reader(fh)
+            columns = {name: i for i, name in enumerate(next(rows, []))}
+            if "performance" not in columns:
                 raise ConfigError("sample CSV needs a 'performance' header column")
-            has_group = "group" in reader.fieldnames
+            perf, group = columns["performance"], columns.get("group")
+            width = max(perf, group or 0) + 1
             obs, labels = [], []
-            for row in reader:
-                obs.append(float(row["performance"]))
-                if has_group:
-                    labels.append(row["group"])
+            for row in rows:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ConfigError(f"sample line {rows.line_num} has {len(row)} of {width} columns")
+                try:
+                    obs.append(float(row[perf]))
+                except ValueError as exc:
+                    raise ConfigError(f"bad sample value on line {rows.line_num}: {exc}") from exc
+                if group is not None:
+                    labels.append(row[group])
     except OSError as exc:
         raise ConfigError(f"cannot read sample: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad sample value: {exc}") from exc
     return audit_mod.PerformanceSample(
         observations=tuple(obs),
         declared_standard=declared_standard,

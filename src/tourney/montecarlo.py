@@ -242,8 +242,7 @@ def verify_best_response(
     gap = float(gaps[i_best])
     gap_se = float(np.sqrt(var_d[i_best] / draws))
 
-    lo, hi = dist.truncated_support()
-    sup_f = float(np.max(dist.pdf(np.linspace(lo, hi, 4096))))
+    sup_f = dist.find_modes().global_mode_density
     lipschitz = sup_f + float(design.cost.cprime(e_max))
     step = float(np.max(np.diff(grid))) if grid.size > 1 else 0.0
     grid_bias = 0.5 * lipschitz * step

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tourney import audit
 
@@ -93,3 +94,61 @@ def test_mode_estimate_converges():
         err = abs(grid[int(np.argmax(dens))])
         hits += err < 2 * bw
     assert hits >= 95
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _loop_argmax(rng, counts, sigma, draws):
+    """Reference: one multinomial draw and one direct Gaussian filter per resample."""
+    p = counts / counts.sum()
+    out = np.empty(draws, dtype=np.intp)
+    for b in range(draws):
+        resample = rng.multinomial(int(counts.sum()), p).astype(float)
+        out[b] = np.argmax(ndimage.gaussian_filter1d(resample, sigma=sigma, mode="constant"))
+    return out
+
+
+def _binned_gamma_sample(size, seed=17):
+    obs = 20.0 + _philox(seed).gamma(3.0, 7.0, size)
+    bw = audit.silverman_bandwidth(obs)
+    _, counts, binwidth = audit._binned(obs, bw, 4096, audit.KDE_PAD)
+    return obs, counts, bw / binwidth
+
+
+@pytest.mark.parametrize("size", [30, 1_000, 10_000])
+def test_bootstrap_matches_loop_reference(size):
+    obs, counts, sigma = _binned_gamma_sample(size)
+    got = audit._bootstrap_argmax(_philox(5), counts, sigma, 150)
+    assert np.array_equal(got, _loop_argmax(_philox(5), counts, sigma, 150))
+    grid, _ = audit.kde_on_grid(obs, audit.silverman_bandwidth(obs))
+    rep = audit.audit_sample(audit.PerformanceSample(tuple(obs)), bootstrap=150, seed=5)
+    boot = grid[got]
+    assert rep.mode_ci == (float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5)))
+
+
+@pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
+def test_bootstrap_block_edges(draws):
+    _, counts, sigma = _binned_gamma_sample(1_000)
+    got = audit._bootstrap_argmax(_philox(9), counts, sigma, draws)
+    assert np.array_equal(got, _loop_argmax(_philox(9), counts, sigma, draws))
+
+
+def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
+    # Two equal spikes: a resample splitting the mass evenly has two exactly
+    # equal smoothed maxima, where the direct filter takes the lower bin.
+    counts = np.zeros(4096, dtype=np.int64)
+    counts[[1000, 1257]] = 1
+    direct = []
+    smoothed = audit._smoothed
+    monkeypatch.setattr(audit, "_smoothed", lambda c, s: direct.append(1) or smoothed(c, s))
+    got = audit._bootstrap_argmax(_philox(1), counts, 37.4, 64)
+    assert direct
+    assert np.array_equal(got, _loop_argmax(_philox(1), counts, 37.4, 64))
+
+
+@pytest.mark.parametrize("bootstrap", [0, -1])
+def test_bootstrap_count_validated(bootstrap):
+    with pytest.raises(ValueError, match=f"got {bootstrap}"):
+        audit.audit_sample(audit.PerformanceSample(tuple(_normal_sample(100))), bootstrap=bootstrap)

@@ -272,6 +272,31 @@ def test_audit_rejects_missing_column(tmp_path, capsys):
     assert "performance" in capsys.readouterr().err
 
 
+def test_audit_rejects_short_row(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    rows = [f"{v},a" for v in range(40)]
+    rows[3] = "3"
+    path.write_text("performance,group\n" + "\n".join(rows) + "\n")
+    assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
+    assert "line 5" in capsys.readouterr().err
+
+
+def test_audit_sample_reader(tmp_path, capsys):
+    path = tmp_path / "sample.csv"
+    path.write_text("group,performance\nb,2.5\n\na,-1\n")
+    sample = cli._read_sample(str(path), None)
+    assert sample.observations == (2.5, -1.0) and sample.labels == ("b", "a")
+    path.write_text("performance\n1.0\nx\n")
+    assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_audit_rejects_bootstrap_count(tmp_path, capsys):
+    sample = _write_sample(tmp_path)
+    assert cli.main(["audit", "--input", sample, "--bootstrap", "0", "--seed", "1"]) == 2
+    assert "got 0" in capsys.readouterr().err
+
+
 def test_tullock_command(tmp_path):
     out = tmp_path / "t.json"
     assert cli.main(["tullock", "--n", "2", "--efforts", "1.0,1.0", "--rho", "2.0",

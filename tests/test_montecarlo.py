@@ -197,6 +197,19 @@ def test_best_response_flags_disequilibrium():
     assert rep.best_response_gap > 5 * rep.gap_se
 
 
+def test_grid_bias_uses_mode_density():
+    # The density of inverse-exponential noise peaks at x = 1/2 with 4/e^2;
+    # 4096 uniform points over its 1e10-wide support read about 1e-13.
+    noise = dists.inverse_exponential()
+    v = eq.PrizeSchedule.winner_take_all(3)
+    sol = eq.solve_design(noise, 3, v, COST)
+    rep = mc.verify_best_response(noise, _design(noise, 3, v, sol.standard), sol.effort,
+                                  grid_size=200, draws=10**4, seed=3)
+    step = float(np.max(np.diff(rep.effort_grid)))
+    lipschitz = 4.0 * np.exp(-2.0) + COST.cprime(COST.max_effort)
+    assert rep.grid_bias == pytest.approx(0.5 * lipschitz * step, rel=1e-12)
+
+
 def test_common_random_numbers_keep_curve_smooth():
     v = eq.PrizeSchedule.winner_take_all(2)
     sol = eq.solve_design(EXPO, 2, v, COST)
