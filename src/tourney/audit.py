@@ -166,14 +166,20 @@ def audit_sample(
     point estimate's Gaussian kernel; blocks of resamples go through one real
     FFT (Silverman, Applied Statistics AS 176, 1982), and a near-tied argmax
     is settled by the direct filter, so every resample's mode is the bin the
-    direct filter picks.
+    direct filter picks.  ``bandwidth`` None is Silverman's; one that is not
+    positive and finite raises ``ValueError``.
     """
     obs = np.asarray(sample.observations, dtype=float)
     if obs.size < MIN_OBSERVATIONS:
         raise SampleTooSmall(f"need at least {MIN_OBSERVATIONS} observations, got {obs.size}")
     if bootstrap < 1:
         raise ValueError(f"bootstrap needs at least one resample, got {bootstrap}")
-    bw = float(bandwidth) if bandwidth else silverman_bandwidth(obs)
+    if bandwidth is None:
+        bw = silverman_bandwidth(obs)
+    else:
+        bw = float(bandwidth)
+        if not (np.isfinite(bw) and bw > 0.0):
+            raise ValueError(f"bandwidth must be a positive finite number, got {bandwidth!r}")
     grid, counts, binwidth = _binned(obs, bw, grid_size, KDE_PAD)
     sigma = bw / binwidth
     dens = _smoothed(counts, sigma) / (obs.size * binwidth)

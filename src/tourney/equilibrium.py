@@ -272,11 +272,11 @@ def _breaks(dist: NoiseDistribution, n: int, start: float, kinks=None) -> tuple[
     return np.take_along_axis(u, order, -1), np.take_along_axis(s, order, -1)
 
 
-def _nodes(bu: np.ndarray, bs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (u, s) and weights of the m-point rule on each panel.  Panels in
-    the upper half of [0, 1] step from their s, since u rounds to 1 there."""
+def _nodes(u0, u1, s0, s1, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (u, s) and weights of the m-point rule on the panels with ends
+    (u0, u1) and (s0, s1).  Panels in the upper half of [0, 1] step from
+    their s, since u rounds to 1 there."""
     xi, wi = _gauss_rule(m)
-    u0, u1, s0, s1 = bu[..., :-1], bu[..., 1:], bs[..., :-1], bs[..., 1:]
     low = u0 + u1 < 1.0
     width = np.maximum(np.where(low, u1 - u0, s0 - s1), 0.0)[..., None]
     step = width * xi
@@ -285,50 +285,94 @@ def _nodes(bu: np.ndarray, bs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     return u, s, width * wi
 
 
+def _rank_sum(d: np.ndarray, term, shape: tuple) -> np.ndarray:
+    """sum_r d_r term(r) over the ranks r = 1, 2, ... of the last axis of
+    ``d``, for each row of differentials (one schedule, or one per leading
+    index).  ``term(r)`` has ``shape`` and is evaluated once, for all rows
+    that weight rank r.  Each row adds its non-zero terms in ascending r,
+    starting from zero, so a row gets the same sum alone or in a batch."""
+    rows = d.reshape(-1, d.shape[-1])
+    out = np.zeros((rows.shape[0],) + shape)
+    for r in np.nonzero(np.any(rows, axis=0))[0] + 1:
+        k = np.nonzero(rows[:, r - 1])[0]
+        out[k] += rows[k, r - 1].reshape((-1,) + (1,) * len(shape)) * term(r)
+    return out.reshape(d.shape[:-1] + shape)
+
+
 def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_r d_r times the density at level u of the (n-r)-th lowest of the
-    n-1 rivals' levels, a Beta(n-r, r) density."""
-    out = np.zeros_like(u)
-    for r in np.nonzero(d[:-1])[0] + 1:
-        j = n - r
-        out += d[r - 1] * np.exp(special.xlogy(j - 1, u) + special.xlogy(r - 1, s) - special.betaln(j, r))
-    return out
+    n-1 rivals' levels, a Beta(n-r, r) density.  xlogy(a, y) is a * log(y)
+    for a != 0 and 0 for a = 0, so log(u) and log(s) are each taken once for
+    all ranks, when first needed."""
+    log = cache(lambda i: special.xlogy(1, (u, s)[i]))
+
+    def density(r):
+        a, b = n - r - 1, r - 1
+        return np.exp((a * log(0) if a else 0.0) + (b * log(1) if b else 0.0) - special.betaln(n - r, r))
+
+    return _rank_sum(d[..., :-1], density, u.shape)
+
+
+def _distinct_panels(bu: np.ndarray, bs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Ends (u0, u1, s0, s1) of the distinct panels among all rows of breaks,
+    and for each panel, row by row, the index of its distinct panel.  Panels
+    are the same when their four ends are equal bit for bit."""
+    ends = [np.ascontiguousarray(e).ravel() for e in (bu[..., :-1], bu[..., 1:], bs[..., :-1], bs[..., 1:])]
+    bits = [e.view(np.uint64) for e in ends]
+    order = np.lexsort(bits[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for b in bits:
+        new[1:] |= b[order[1:]] != b[order[:-1]]
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    first = order[new]
+    return [e[first] for e in ends], index.reshape(bu[..., :-1].shape)
 
 
 def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, start: float, kinks=None):
     """Integrals of ``integrand(x)`` times the rank weight from each break of
     ``_breaks`` up to u = 1, where x = Q(u) is a rival's noise at level u.
 
-    Returns the breaks' order keys and the integrals, both along the last
-    axis.  Every panel is integrated with the ``QUAD_ORDER``-point rule and
-    with the rule of twice as many points; the second is returned when the
-    two agree on every integral to ``QUAD_TARGET``, and ``QuadratureFailure``
-    is raised otherwise.
+    ``d`` holds the differentials of one schedule, (n,), or of k schedules,
+    (k, n); each row's weight is summed as for that schedule alone.  Returns
+    the breaks' order keys, along the last axis, and the integrals, of shape
+    ``d.shape[:-1]`` plus the breaks' shape.  The nodes, ``ppf`` and the
+    weight are evaluated once per distinct panel among all rows of breaks
+    (``_distinct_panels``); only ``integrand`` runs per row.  Every panel is
+    integrated with the ``QUAD_ORDER``-point rule and with the rule of twice
+    as many points; the second is returned when the two agree on every
+    integral to ``QUAD_TARGET``, and ``QuadratureFailure``, naming the ranks
+    of the schedule that fails, is raised otherwise.
     """
     bu, bs = _breaks(dist, n, start, kinks)
     key = _order_key(bu, bs)
-    if not np.any(d[:-1]):
-        return key, np.zeros_like(bu)
+    lead = d.shape[:-1]
+    if not np.any(d[..., :-1]):
+        return key, np.zeros(lead + bu.shape)
+    ends, index = _distinct_panels(bu, bs)
     rules = []
     for m in (QUAD_ORDER, 2 * QUAD_ORDER):
-        u, s, w = _nodes(bu, bs, m)
+        u, s, w = _nodes(*ends, m)
         x = np.asarray(dist.ppf(u.ravel())).reshape(u.shape)
-        panels = np.sum(integrand(x) * _rank_weight(n, d, u, s) * w, axis=-1)
+        weight = _rank_weight(n, d, u, s)[..., index, :]
+        panels = np.sum(integrand(x[index]) * weight * w[index], axis=-1)
         # accumulated in extended precision, each integral is rounded once
         above = np.cumsum(panels[..., ::-1].astype(np.longdouble), -1)[..., ::-1].astype(float)
-        rules.append(np.append(above, np.zeros_like(bu[..., :1]), -1))
+        rules.append(np.append(above, np.zeros(above.shape[:-1] + (1,)), -1))
     gap = np.abs(rules[0] - rules[1])
     if np.max(gap) > QUAD_TARGET:
         *row, k = np.unravel_index(np.argmax(gap), gap.shape)
         row = tuple(row)
         i = int(np.argmax(np.abs(np.diff(rules[0][row] - rules[1][row]))))
-        x0, x1 = dist.ppf(bu[row][[i, i + 1]])
-        ranks = ", ".join(str(r) for r in np.nonzero(d[:-1])[0] + 1)
+        panel = row[len(lead):]
+        x0, x1 = dist.ppf(bu[panel][[i, i + 1]])
+        ranks = ", ".join(str(r) for r in np.nonzero(d[row[:len(lead)]][:-1])[0] + 1)
         raise QuadratureFailure(
             f"{dist.family} {dist.params}, n={n}, rank {ranks}: the {QUAD_ORDER}- and "
             f"{2 * QUAD_ORDER}-point Gauss-Legendre rules give {rules[0][row][k]:.12g} and "
             f"{rules[1][row][k]:.12g}, {gap[row][k]:.2e} apart (target {QUAD_TARGET:.0e}); "
-            f"they differ most on u in [{bu[row][i]:.10g}, {bu[row][i + 1]:.10g}], "
+            f"they differ most on u in [{bu[panel][i]:.10g}, {bu[panel][i + 1]:.10g}], "
             f"x in [{x0:.6g}, {x1:.6g}]"
         )
     return key, rules[1]
@@ -336,13 +380,17 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
 
 def _rank_cdf_sum(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.ndarray:
     """sum_r d_r P(the (n-r)-th lowest of n-1 rival noises is at most t)."""
-    return sum(d[r - 1] * order_statistic_cdf(dist, n - r, n - 1, t) for r in np.nonzero(d)[0] + 1)
+    return _rank_sum(d, lambda r: order_statistic_cdf(dist, n - r, n - 1, t), np.shape(t))
 
 
-def _unit(n: int, r: int) -> np.ndarray:
-    if not 1 <= r <= n:
-        raise ValueError(f"rank {r} outside 1..{n}")
-    return (np.arange(1, n + 1) == r).astype(float)
+def _unit(n: int, r) -> np.ndarray:
+    """Differentials of the schedule with one prize at rank r, (n,), or one
+    row per rank for an array of ranks."""
+    r = np.asarray(r)
+    bad = r[(r < 1) | (r > n)]
+    if bad.size:
+        raise ValueError(f"rank {bad.flat[0]} outside 1..{n}")
+    return (np.arange(1, n + 1) == r[..., None]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +403,12 @@ def _marginal_benefit(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.n
     weight f(t) F_{(n-r:n-1)}(t), and a rival above t is passed with weight
     f(Q(u)) at u > F(t).  The integrals above the thresholds are cumulative
     sums of panels broken at F(t)."""
-    if d.size != n:
-        raise ValueError(f"schedule is for {d.size} players, not {n}")
+    if d.shape[-1] != n:
+        raise ValueError(f"schedule is for {d.shape[-1]} players, not {n}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     key, above = _integrals_above(dist, n, d, dist.pdf, t.min(), kinks=t)
     at = np.searchsorted(key, _order_key(*_levels(dist, t)))
-    return np.asarray(dist.pdf(t)) * _rank_cdf_sum(dist, n, d, t) + above[at]
+    return np.asarray(dist.pdf(t)) * _rank_cdf_sum(dist, n, d, t) + above[..., at]
 
 
 def marginal_benefit_rank(dist: NoiseDistribution, n: int, r: int, t: float) -> float:

@@ -18,7 +18,9 @@ standard minus the deviator's noise), steps up there, and steps up again at
 each passing rival's score minus x1.  Histograms of the jumps on the effort
 grid, summed cumulatively, give the payoff sums at every grid point in one
 pass over the noise, in O(draws n log n) whatever the grid size; the rank
-tally at the checked effort comes from the same pass.
+tally at the checked effort comes from the same pass.  Only the steps where
+the prize changes are binned: under winner-take-all or equal prizes that is
+at most one per draw, and a rival who misses the standard is never one.
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
     v = np.append(prizes, 0.0)  # v[n] = 0: missed the standard
     w = v[ranks]
     w_star = v[rank_star]
-    bins = np.searchsorted(grid, pos, side="left").ravel()
+    # only where w changes: w^2 and (w - w*)^2 are constant where w is
+    jump = np.diff(w, axis=1) != 0
+    bins = np.searchsorted(grid, pos[jump], side="left")
 
     def hist(levels):
-        return np.bincount(bins, np.diff(levels, axis=1).ravel(), grid.size + 1)[: grid.size]
+        return np.bincount(bins, np.diff(levels, axis=1)[jump], grid.size + 1)[: grid.size]
 
     out = np.empty((4, grid.size))
     out[0] = np.cumsum(hist(w))

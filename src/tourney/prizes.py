@@ -21,9 +21,9 @@ from .equilibrium import (
     EquilibriumSolution,
     PrizeSchedule,
     _integrals_above,
+    _marginal_benefit,
     _unit,
     global_mode_sufficiency,
-    marginal_benefit_rank,
     solve_design,
 )
 
@@ -68,31 +68,36 @@ def modified_hazard(dist: NoiseDistribution, t: float, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def rank_score(dist: NoiseDistribution, n: int, r: int, t: float) -> float:
+def rank_score(dist: NoiseDistribution, n: int, r, t: float):
     """Per-rank score B_r(t)/r, cross-checked against its order-statistic form.
 
-    The equivalent form averages the modified hazard against the
+    ``r`` is one rank, which gives a float, or an array of ranks, which gives
+    an array of their scores, equal bit for bit to one call per rank: both
+    forms take every rank in one kernel pass, so two passes in all.  The
+    equivalent form averages the modified hazard against the
     (n-r)-th-lowest-of-n order statistic over the whole support, where the
     direct form takes the part below t in closed form.  Both run on the
     same quadrature kernel, so the check catches a defect in either part but
     not one the kernel makes in both; disagreement beyond 1e-7 raises
-    ``RepresentationMismatch``.
+    ``RepresentationMismatch`` for the first such rank.
     """
-    direct = marginal_benefit_rank(dist, n, r, t) / r
-    if r == n:
-        # degenerate order statistic at -inf: the average collapses to f(t)/n
-        alt = float(dist.pdf(t)) / n
-    else:
-        # modified hazard times the order-statistic density, with the
-        # survival factors cancelled analytically: over u = F(x) this is
-        # f(max(x, t)) against the Beta(n-r, r) weight, which kinks at t
-        _, above = _integrals_above(dist, n, _unit(n, r), lambda x: dist.pdf(np.maximum(x, t)), -np.inf, [t])
-        alt = float(above[0]) / r
-    if abs(direct - alt) > CROSSCHECK_TOL:
+    ranks = np.asarray(r, dtype=int)
+    unit = _unit(n, ranks)
+    direct = _marginal_benefit(dist, n, unit, t)[..., 0] / ranks
+    # modified hazard times the order-statistic density, with the survival
+    # factors cancelled analytically: over u = F(x) this is f(max(x, t))
+    # against the Beta(n-r, r) weight, which kinks at t.  At r = n the
+    # order statistic is degenerate at -inf and the average collapses to
+    # f(t)/n.
+    _, above = _integrals_above(dist, n, unit, lambda x: dist.pdf(np.maximum(x, t)), -np.inf, [t])
+    alt = np.where(ranks == n, float(dist.pdf(t)) / n, above[..., 0] / ranks)
+    bad = np.nonzero(np.ravel(np.abs(direct - alt) > CROSSCHECK_TOL))[0]
+    if bad.size:
+        i = bad[0]
         raise RepresentationMismatch(
-            f"rank {r} score {direct:.12g} vs order-statistic form {alt:.12g}"
+            f"rank {ranks.flat[i]} score {direct.flat[i]:.12g} vs order-statistic form {alt.flat[i]:.12g}"
         )
-    return float(direct)
+    return float(direct) if ranks.ndim == 0 else direct
 
 
 def optimal_prizes(
@@ -120,7 +125,7 @@ def optimal_prizes(
     else:
         t = float(threshold)
 
-    scores = tuple(rank_score(dist, n, r, t) for r in range(1, n + 1))
+    scores = tuple(float(s) for s in rank_score(dist, n, np.arange(1, n + 1), t))
     best = max(scores)
     tie_set = tuple(r for r, s in enumerate(scores, start=1) if s >= best - SCORE_TIE_TOL)
     r_star = tie_set[0]

@@ -152,3 +152,10 @@ def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
 def test_bootstrap_count_validated(bootstrap):
     with pytest.raises(ValueError, match=f"got {bootstrap}"):
         audit.audit_sample(audit.PerformanceSample(tuple(_normal_sample(100))), bootstrap=bootstrap)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.2, float("nan")])
+def test_bandwidth_validated(bandwidth):
+    # 0 used to fall back to Silverman's bandwidth; -0.2 and NaN died in scipy
+    with pytest.raises(ValueError, match=f"bandwidth .*got {bandwidth!r}$"):
+        audit.audit_sample(audit.PerformanceSample(tuple(_normal_sample(100))), bandwidth=bandwidth)

@@ -281,6 +281,12 @@ def test_audit_rejects_short_row(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+def test_audit_rejects_bad_bandwidth(tmp_path, capsys):
+    sample = _write_sample(tmp_path)
+    assert cli.main(["audit", "--input", sample, "--bandwidth", "-0.2", "--seed", "1"]) == 2
+    assert "bandwidth" in capsys.readouterr().err
+
+
 def test_audit_sample_reader(tmp_path, capsys):
     path = tmp_path / "sample.csv"
     path.write_text("group,performance\nb,2.5\n\na,-1\n")

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import per_row_integrals
 from mp_reference import coefficient_mp
 from scipy import special
 
 from tourney import distributions as dists
 from tourney import equilibrium as eq
+from tourney import prizes
 
 RED = dists.trimodal_example("red")
 GREEN = dists.trimodal_example("green")
@@ -128,20 +130,22 @@ def test_curve_matches_pointwise_quadrature():
 
 @pytest.mark.parametrize("n", [2, 3, 10, 30, 100, 1000])
 def test_rank_coefficients_closed_forms(n):
+    # every rank in one array call per distribution: B_r = r times its score
     lam = 2.0
-    ranks = range(1, n + 1)
-    if n > 100:  # every tenth rank and both ends keep the suite's time budget
-        ranks = sorted({*ranks[:10], *ranks[::10], *ranks[-10:]})
-    for r in ranks:
-        # Pareto(alpha) at t = x_min: B_r = alpha B(n-r, r+1+1/alpha) / B(n-r, r)
-        for alpha in (0.5, 2.0):
-            exact = alpha
-            if r < n:
-                exact *= math.exp(special.betaln(n - r, r + 1 + 1 / alpha) - special.betaln(n - r, r))
-            assert eq.marginal_benefit_rank(dists.pareto(alpha), n, r, 1.0) == pytest.approx(exact, abs=1e-9)
-        expo = eq.marginal_benefit_rank(dists.exponential(lam), n, r, 0.0)
-        assert expo == pytest.approx(lam * r / n, abs=1e-9)
-        assert eq.marginal_benefit_rank(UNIF, n, r, 0.3) == pytest.approx(1.0, abs=1e-9)
+    r = np.arange(1, n + 1)
+
+    def coefficients(dist, t):
+        return prizes.rank_score(dist, n, r, t) * r
+
+    # Pareto(alpha) at t = x_min: B_r = alpha B(n-r, r+1+1/alpha) / B(n-r, r)
+    for alpha in (0.5, 2.0):
+        lower = r[:-1]
+        exact = alpha * np.append(
+            np.exp(special.betaln(n - lower, lower + 1 + 1 / alpha) - special.betaln(n - lower, lower)), 1.0
+        )
+        np.testing.assert_allclose(coefficients(dists.pareto(alpha), 1.0), exact, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(coefficients(dists.exponential(lam), 0.0), lam * r / n, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(coefficients(UNIF, 0.3), 1.0, rtol=0, atol=1e-9)
 
 
 # B_r(t) by coefficient_mp at t = 0, except inverse-exponential (t = 1/2) and
@@ -234,6 +238,9 @@ def test_quadrature_failure_names_its_cause(monkeypatch):
         r"most on u in \[\S+, \S+\], x in \[\S+, \S+\]$",
     ):
         eq.marginal_benefit_rank(PARETO, 3, 1, 1.0)
+    # in a batch of ranks the message names the rank that fails, not the first
+    with pytest.raises(eq.QuadratureFailure, match=r"n=3, rank 1: "):
+        prizes.rank_score(PARETO, 3, np.array([3, 1]), 1.0)
 
 
 # -- prize probabilities ------------------------------------------------------
@@ -419,6 +426,22 @@ def test_deviation_payoff_peaks_at_equilibrium():
     grid = np.linspace(0.0, QUAD_COST.max_effort, 301)
     pi = eq.deviation_payoff_curve(EXPO, design, sol.effort, grid)
     assert abs(grid[int(np.argmax(pi))] - sol.effort) < 2 * (grid[1] - grid[0])
+
+
+@pytest.mark.parametrize(
+    "dist", [RED, GREEN, HEAVY, PARETO, EXPO, GUMBEL],
+    ids=["red", "green", "erf_exponential", "pareto", "exponential", "gumbel"],
+)
+def test_deviation_payoff_curve_matches_per_row_reference(dist, monkeypatch):
+    # shared panels and a per-row integrand give every row's bits unchanged;
+    # three prizes put a sum of rank weights on every node
+    e_star = 0.5
+    v = eq.PrizeSchedule((0.6, 0.3, 0.1))
+    design = eq.TournamentDesign(dist.find_modes().global_mode + e_star, v, QUAD_COST)
+    grid = np.append(np.linspace(0.0, QUAD_COST.max_effort, 101), e_star)
+    got = eq.deviation_payoff_curve(dist, design, e_star, grid)
+    monkeypatch.setattr(eq, "_integrals_above", per_row_integrals)
+    assert got.tobytes() == eq.deviation_payoff_curve(dist, design, e_star, grid).tobytes()
 
 
 def _pareto_wta_win_mp(e, e_star):

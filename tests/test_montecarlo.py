@@ -60,6 +60,7 @@ def test_grid_sums_match_dense_reference(family, n):
         eq.PrizeSchedule.winner_take_all(n),
         eq.PrizeSchedule.equal_sharing(n),
         eq.random_schedule(n, rng),
+        eq.PrizeSchedule.equal_top(2, n),  # a zero differential above a non-zero one
     ]
     for schedule in schedules:
         e_star = float(rng.uniform(0.2, 0.8))

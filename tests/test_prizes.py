@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from kernel_reference import per_row_integrals
 from mp_reference import coefficient_mp
 
 from tourney import distributions as dists
@@ -31,6 +32,32 @@ def test_rank_scores_cross_checked():
     for d, t in [(GUMBEL, 0.0), (HEAVY, 0.0), (RED, 0.5), (RED, 1.0)]:
         for r in (1, 2, 3):
             prizes.rank_score(d, 3, r, t)
+
+
+@pytest.mark.parametrize(
+    "dist, n",
+    [(RED, 2), (PARETO, 3), (HEAVY, 10), (RED, 30), (HEAVY, 30), (GUMBEL, 100)],
+    ids=["red-2", "pareto-3", "erf_exponential-10", "red-30", "erf_exponential-30", "gumbel-100"],
+)
+def test_rank_score_array_matches_per_rank_loop(dist, n, monkeypatch):
+    # all ranks in two kernel passes give each rank's bits from its own pass
+    t = dist.find_modes().global_mode
+    got = prizes.rank_score(dist, n, np.arange(1, n + 1), t)
+    assert got.shape == (n,)
+    monkeypatch.setattr(eq, "_integrals_above", per_row_integrals)
+    monkeypatch.setattr(prizes, "_integrals_above", per_row_integrals)
+    loop = np.array([prizes.rank_score(dist, n, r, t) for r in range(1, n + 1)])
+    assert got.tobytes() == loop.tobytes()
+
+
+def test_rank_score_batch_names_failing_rank(monkeypatch):
+    direct = prizes._marginal_benefit
+    off = np.array([0.0, 1e-6, 0.0])  # rank 2's direct form moved past CROSSCHECK_TOL
+    monkeypatch.setattr(prizes, "_marginal_benefit", lambda *a: direct(*a) + off[:, None])
+    with pytest.raises(prizes.RepresentationMismatch, match=r"^rank 2 score "):
+        prizes.rank_score(GUMBEL, 3, np.arange(1, 4), 0.0)
+    with pytest.raises(ValueError, match="rank 4 outside 1..3"):
+        prizes.rank_score(GUMBEL, 3, np.array([1, 4]), 0.0)
 
 
 def test_pareto_scores_closed_form():
