@@ -172,19 +172,15 @@ def _json_dump(obj, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray], comments=()) -> None:
+    """Columns as Python values, so each float is written as its shortest
+    round-trip repr."""
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

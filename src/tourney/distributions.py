@@ -426,13 +426,13 @@ def _grid_modes(x: np.ndarray, f: np.ndarray, plateau_tol: float) -> list[int]:
     higher point, rightmost on ties.
     """
     n = len(f)
-    cand = [
-        i
-        for i in range(1, n - 1)
-        if f[i] >= f[i - 1] - plateau_tol
-        and f[i] >= f[i + 1] - plateau_tol
-        and (f[i] > f[i - 1] + plateau_tol or f[i] > f[i + 1] + plateau_tol)
-    ]
+    mid, left, right = f[1:-1], f[:-2], f[2:]
+    peak = (
+        (mid >= left - plateau_tol)
+        & (mid >= right - plateau_tol)
+        & ((mid > left + plateau_tol) | (mid > right + plateau_tol))
+    )
+    cand = (np.flatnonzero(peak) + 1).tolist()
     if n >= 2 and f[0] >= f[1] - plateau_tol and f[0] > 0:
         cand.insert(0, 0)
     if n >= 2 and f[-1] >= f[-2] - plateau_tol and f[-1] >= f.max() - plateau_tol > 0:
@@ -468,13 +468,16 @@ def order_statistic_cdf(dist: NoiseDistribution, j: int, n: int, x):
     if not (0 <= j <= n):
         raise RankOutOfRange(f"rank {j} outside 0..{n}")
     arr, scalar = _as_float_array(x)
+    return _scalar_or_array(_order_statistic_level_cdf(j, n, np.asarray(dist.cdf(arr))), scalar)
+
+
+def _order_statistic_level_cdf(j: int, n: int, u: np.ndarray) -> np.ndarray:
+    """``order_statistic_cdf`` at the levels u = F(x), an array."""
     if j == 0:
-        out = np.ones_like(arr)
-    elif j == n:
-        out = np.asarray(dist.cdf(arr)) ** n  # maximum of n draws, kept exact
-    else:
-        out = special.betainc(j, n - j + 1, np.asarray(dist.cdf(arr)))
-    return _scalar_or_array(out, scalar)
+        return np.ones_like(u)
+    if j == n:
+        return u**n  # maximum of n draws, kept exact
+    return special.betainc(j, n - j + 1, u)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cache
 import numpy as np
 from scipy import optimize, special
 
-from .distributions import NoiseDistribution, order_statistic_cdf
+from .distributions import NoiseDistribution, _order_statistic_level_cdf
 
 __all__ = [
     "PrizeSchedule",
@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 QUAD_TARGET = 1e-9  # absolute error target for every noise integral
-# Gauss-Legendre nodes per panel; the check rule uses twice as many.
+# Gauss-Legendre nodes per panel; its Gauss-Kronrod extension, with
+# 2 QUAD_ORDER + 1 nodes, gives the answer and the Gauss rule the check.
 QUAD_ORDER = 20
 THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
@@ -65,8 +66,8 @@ GRADE_LEVELS = 10.0 ** -np.arange(1.0, 13.0)
 
 
 class QuadratureFailure(RuntimeError):
-    """Two Gauss-Legendre rules of a noise integral disagree beyond the
-    error target."""
+    """The Gauss rule of a noise integral and its Gauss-Kronrod extension on
+    the same panels disagree beyond the error target."""
 
 
 class ModeScanMismatch(RuntimeError):
@@ -221,8 +222,11 @@ class SufficiencyResult:
 # order statistic of the n-1 rivals' scores.  Substituting u = F(x) turns that
 # density into a Beta(j, n-j) weight, and leaves a bounded integrand, f(Q(u))
 # or a survival function at Q(u), even under heavy tails, where x spans
-# decades but u does not.  The kernel integrates over u on fixed
-# Gauss-Legendre panels.
+# decades but u does not.  The kernel integrates over u on fixed panels with
+# the (2m+1)-point Gauss-Kronrod rule, exact to degree 3m+1.  Its nodes
+# include those of the m-point Gauss-Legendre rule, exact to degree 2m-1, so
+# one evaluation per node gives both the answer and its error check, as in
+# QUADPACK's qk41 (Piessens et al., 1983).
 
 
 @cache
@@ -230,6 +234,68 @@ def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1] (Golub & Welsch, 1969)."""
     x, w = np.polynomial.legendre.leggauss(m)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _kronrod_recurrence(m: int) -> np.ndarray:
+    """Coefficients b_0, ..., b_2m of the Jacobi-Kronrod matrix of the
+    Legendre weight on [-1, 1] (Laurie, "Calculation of Gauss-Kronrod
+    quadrature rules", Math. Comp. 66, 1997).  The weight is symmetric, so
+    every diagonal coefficient a_k is 0.  The first ceil(3m/2) + 1 of the b_k
+    are Legendre's, k^2 / (4k^2 - 1); the algorithm overwrites the others.
+    Computed in extended precision (``np.longdouble``)."""
+    deg = np.arange(2 * m + 1, dtype=np.longdouble)
+    b = np.where(deg == 0, 2.0, deg**2 / (4 * deg**2 - 1))
+    s, t = np.zeros(m // 2 + 2, np.longdouble), np.zeros(m // 2 + 2, np.longdouble)
+    t[1] = b[m + 1]
+    for i in range(m - 1):
+        u = 0.0
+        for k in range((i + 1) // 2, -1, -1):
+            u += b[k + m + 1] * s[k] - b[i - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for i in range(m - 1, 2 * m - 2):
+        u = 0.0
+        for k in range(i + 1 - m, (i - 1) // 2 + 1):
+            j = m - 1 - i + k
+            u += b[i - k] * s[j + 2] - b[k + m + 1] * s[j + 1]
+            s[j + 1] = u
+        if i % 2:
+            b[(i + 1) // 2 + m + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
+@cache
+def _kronrod_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] of the (2m+1)-point Gauss-Kronrod rule, ascending, its
+    weights, and the weights of the m-point Gauss rule on the same nodes, 0
+    at the m+1 Kronrod nodes.
+
+    The Gauss nodes, at the odd indices, are ``_gauss_rule(m)``'s.  The
+    Kronrod nodes are the other eigenvalues of the Jacobi-Kronrod matrix J,
+    each polished by a Newton step on det(x - J).  The weights are the
+    Christoffel numbers 1 / sum_k p_k(x)^2 of J's orthonormal polynomials
+    p_0, ..., p_2m (Golub & Welsch, 1969).  The polishing and the weights run
+    in extended precision and are rounded once; for m = 20 the weights are
+    within 2e-17 of mpmath's (6e-17 when computed in double)."""
+    b = _kronrod_recurrence(m)
+    off = np.sqrt(b[1:])
+    upper = np.diag(off.astype(float), 1)
+    x = np.linalg.eigvalsh(upper + upper.T).astype(np.longdouble)
+    p0, p1, d0, d1 = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
+    for k in range(1, 2 * m + 1):  # monic p_k and p_k'
+        p0, p1, d0, d1 = p1, x * p1 - b[k] * p0, d1, p1 + x * d1 - b[k] * d0
+    x = x - p1 / d1
+    x[1::2] = np.polynomial.legendre.leggauss(m)[0]
+    p0, p1 = np.zeros_like(x), np.full_like(x, 1 / np.sqrt(b[0]))
+    total = p1 * p1
+    for k in range(2 * m):  # orthonormal p_k
+        p0, p1 = p1, (x * p1 - (off[k - 1] * p0 if k else 0)) / off[k]
+        total += p1 * p1
+    gauss = np.zeros(2 * m + 1)
+    gauss[1::2] = _gauss_rule(m)[1]
+    return (0.5 * (x + 1)).astype(float), (0.5 / total).astype(float), gauss
 
 
 def _levels(dist: NoiseDistribution, x) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +338,17 @@ def _breaks(dist: NoiseDistribution, n: int, start: float, kinks=None) -> tuple[
     return np.take_along_axis(u, order, -1), np.take_along_axis(s, order, -1)
 
 
-def _nodes(u0, u1, s0, s1, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (u, s) and weights of the m-point rule on the panels with ends
-    (u0, u1) and (s0, s1).  Panels in the upper half of [0, 1] step from
-    their s, since u rounds to 1 there."""
-    xi, wi = _gauss_rule(m)
+def _nodes(u0, u1, s0, s1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (u, s) of ``_kronrod_rule(QUAD_ORDER)`` on the panels with ends
+    (u0, u1) and (s0, s1), and their Gauss-Kronrod and Gauss weights.  Panels
+    in the upper half of [0, 1] step from their s, since u rounds to 1 there."""
+    xi, kronrod, gauss = _kronrod_rule(QUAD_ORDER)
     low = u0 + u1 < 1.0
     width = np.maximum(np.where(low, u1 - u0, s0 - s1), 0.0)[..., None]
     step = width * xi
     u = np.where(low, u0, 1.0 - s0)[..., None] + step
     s = np.where(low, 1.0 - u0, s0)[..., None] - step
-    return u, s, width * wi
+    return u, s, width * kronrod, width * gauss
 
 
 def _rank_sum(d: np.ndarray, term, shape: tuple) -> np.ndarray:
@@ -340,8 +406,9 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
     ``d.shape[:-1]`` plus the breaks' shape.  The nodes, ``ppf`` and the
     weight are evaluated once per distinct panel among all rows of breaks
     (``_distinct_panels``); only ``integrand`` runs per row.  Every panel is
-    integrated with the ``QUAD_ORDER``-point rule and with the rule of twice
-    as many points; the second is returned when the two agree on every
+    evaluated once, at the nodes of ``_kronrod_rule``, and summed twice: by
+    the ``QUAD_ORDER``-point Gauss rule and by its Gauss-Kronrod extension.
+    The Gauss-Kronrod integrals are returned when the two agree on every
     integral to ``QUAD_TARGET``, and ``QuadratureFailure``, naming the ranks
     of the schedule that fails, is raised otherwise.
     """
@@ -351,12 +418,12 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
     if not np.any(d[..., :-1]):
         return key, np.zeros(lead + bu.shape)
     ends, index = _distinct_panels(bu, bs)
+    u, s, kronrod, gauss = _nodes(*ends)
+    x = np.asarray(dist.ppf(u.ravel())).reshape(u.shape)
+    values = integrand(x[index]) * _rank_weight(n, d, u, s)[..., index, :]
     rules = []
-    for m in (QUAD_ORDER, 2 * QUAD_ORDER):
-        u, s, w = _nodes(*ends, m)
-        x = np.asarray(dist.ppf(u.ravel())).reshape(u.shape)
-        weight = _rank_weight(n, d, u, s)[..., index, :]
-        panels = np.sum(integrand(x[index]) * weight * w[index], axis=-1)
+    for w in (gauss, kronrod):
+        panels = np.sum(values * w[index], axis=-1)
         # accumulated in extended precision, each integral is rounded once
         above = np.cumsum(panels[..., ::-1].astype(np.longdouble), -1)[..., ::-1].astype(float)
         rules.append(np.append(above, np.zeros(above.shape[:-1] + (1,)), -1))
@@ -369,8 +436,8 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
         x0, x1 = dist.ppf(bu[panel][[i, i + 1]])
         ranks = ", ".join(str(r) for r in np.nonzero(d[row[:len(lead)]][:-1])[0] + 1)
         raise QuadratureFailure(
-            f"{dist.family} {dist.params}, n={n}, rank {ranks}: the {QUAD_ORDER}- and "
-            f"{2 * QUAD_ORDER}-point Gauss-Legendre rules give {rules[0][row][k]:.12g} and "
+            f"{dist.family} {dist.params}, n={n}, rank {ranks}: the {QUAD_ORDER}-point Gauss and "
+            f"{2 * QUAD_ORDER + 1}-point Gauss-Kronrod rules give {rules[0][row][k]:.12g} and "
             f"{rules[1][row][k]:.12g}, {gap[row][k]:.2e} apart (target {QUAD_TARGET:.0e}); "
             f"they differ most on u in [{bu[panel][i]:.10g}, {bu[panel][i + 1]:.10g}], "
             f"x in [{x0:.6g}, {x1:.6g}]"
@@ -379,8 +446,11 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
 
 
 def _rank_cdf_sum(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.ndarray:
-    """sum_r d_r P(the (n-r)-th lowest of n-1 rival noises is at most t)."""
-    return _rank_sum(d, lambda r: order_statistic_cdf(dist, n - r, n - 1, t), np.shape(t))
+    """sum_r d_r P(the (n-r)-th lowest of n-1 rival noises is at most t),
+    from one evaluation of the levels F(t)."""
+    shape = np.shape(t)
+    u = np.asarray(dist.cdf(np.atleast_1d(np.asarray(t, dtype=float))))
+    return _rank_sum(d, lambda r: _order_statistic_level_cdf(n - r, n - 1, u).reshape(shape), shape)
 
 
 def _unit(n: int, r) -> np.ndarray:

@@ -109,22 +109,11 @@ def line_plot_svg(
         color = PALETTE[k % len(PALETTE)]
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        ok = np.isfinite(x) & np.isfinite(y) & (y >= y_lo) & (y <= y_hi)
-        pieces = []
-        run = []
-        for xi, yi, good in zip(x, y, ok):
-            if good:
-                run.append(f"{px(xi):.2f},{py(yi):.2f}")
-            elif run:
-                pieces.append(run)
-                run = []
-        if run:
-            pieces.append(run)
-        for run in pieces:
-            if len(run) > 1:
-                out.append(
-                    f'<polyline points="{" ".join(run)}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-                )
+        ok = np.flatnonzero(np.isfinite(x) & np.isfinite(y) & (y >= y_lo) & (y <= y_hi))
+        for run in np.split(ok, np.flatnonzero(np.diff(ok) > 1) + 1):
+            if run.size > 1:
+                points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(x[run]).tolist(), py(y[run]).tolist()))
+                out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = _MARGIN_T + 14 + 16 * k
         out.append(
             f'<line x1="{width - _MARGIN_R - 120}" y1="{ly - 4}" x2="{width - _MARGIN_R - 96}" '

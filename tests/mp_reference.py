@@ -84,3 +84,52 @@ def coefficient_mp(name, n, r, t):
             [t] + [b for b in breaks if b > t],
         )
         return float(pdf(t) * mp.betainc(j, m - j + 1, 0, cdf(t), regularized=True) + tail)
+
+
+def kronrod_mp(m, dps=40):
+    """Nodes on [0, 1], ascending, and weights of the (2m+1)-point
+    Gauss-Kronrod rule, from its definition rather than from Laurie's
+    algorithm: the Gauss nodes are the roots of the Legendre polynomial P_m,
+    the Kronrod nodes the roots of the monic Stieltjes polynomial E_{m+1},
+    which is orthogonal to P_m x^k for k <= m; each lies between two
+    consecutive Gauss nodes or a Gauss node and an end (Szego, 1935).  The
+    weights are 2c / (P_m(x) E'(x)) at a Kronrod node and 2c / (P_m'(x) E(x))
+    plus the Gauss weight at a Gauss node, with c = int_{-1}^1 P_m x^m dx / 2
+    (Monegato, 1978), halved for [0, 1]."""
+    with mp.workdps(dps):
+        p = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]]  # P_k, lowest power first
+        for k in range(1, m):
+            nxt = [mp.mpf(0)] + [(2 * k + 1) * c for c in p[k]]
+            for i, c in enumerate(p[k - 1]):
+                nxt[i] -= k * c
+            p.append([c / (k + 1) for c in nxt])
+        pm = p[m]
+        # int_{-1}^1 P_m(x) x^j dx
+        mom = [mp.fsum(c * (1 + (-1) ** (i + j)) / (i + j + 1) for i, c in enumerate(pm)) for j in range(2 * m + 2)]
+        low = mp.lu_solve(
+            mp.matrix([[mom[j + k] for j in range(m + 1)] for k in range(m + 1)]),
+            mp.matrix([-mom[m + 1 + k] for k in range(m + 1)]),
+        )
+        e = list(low) + [mp.mpf(1)]
+
+        def poly(c, x, d=0):
+            return mp.polyval(c[::-1], x, derivative=True)[d]
+
+        # the i-th largest root of P_m is cos(theta) with theta between
+        # (i - 1/2) pi / (m + 1/2) and i pi / (m + 1/2) (Szego, 6.21.5)
+        gauss = [
+            mp.findroot(lambda x: poly(pm, x), (mp.cos(i * h), mp.cos((i - 0.5) * h)), solver="anderson")
+            for h in [mp.pi / (m + 0.5)]
+            for i in range(m, 0, -1)
+        ]
+        ends = [mp.mpf(-1)] + gauss + [mp.mpf(1)]
+        kronrod = [mp.findroot(lambda x: poly(e, x), (a, b), solver="anderson") for a, b in zip(ends, ends[1:])]
+        nodes, weights = [], []
+        for i, x in enumerate(kronrod):
+            nodes.append(x)
+            weights.append(mom[m] / (poly(pm, x) * poly(e, x, 1)))
+            if i < m:
+                g = gauss[i]
+                nodes.append(g)
+                weights.append(2 / ((1 - g**2) * poly(pm, g, 1) ** 2) + mom[m] / (poly(pm, g, 1) * poly(e, g)))
+        return [(x + 1) / 2 for x in nodes], [w / 2 for w in weights]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mp_reference import coefficient_mp
-from tourney import cli
+from tourney import cli, svgplot
 from tourney.equilibrium import ConcavityWarning
 
 
@@ -138,6 +138,57 @@ def test_figures_deterministic(tmp_path):
     cli.main(["figures", "fig2", "--outdir", str(d2)])
     for name in ("fig2_density.csv", "fig2_marginal_benefit.csv", "fig2_density.svg"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _per_point_polylines(series, ylim, width=720, height=460):
+    """The polylines of ``line_plot_svg``, each point scaled and formatted
+    as a numpy scalar on its own."""
+    xs = np.concatenate([x for _, x, _ in series])
+    ys = np.concatenate([y for _, _, y in series])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
+    y_lo, y_hi = ylim
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = width - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = height - svgplot._MARGIN_T - svgplot._MARGIN_B
+    lines = []
+    for k, (_, x, y) in enumerate(series):
+        runs, run = [], []
+        for xi, yi in zip(x, y):
+            if np.isfinite(xi) and np.isfinite(yi) and y_lo <= yi <= y_hi:
+                px = svgplot._MARGIN_L + (xi - x_lo) / (x_hi - x_lo) * plot_w
+                py = svgplot._MARGIN_T + (y_hi - yi) / (y_hi - y_lo) * plot_h
+                run.append(f"{px:.2f},{py:.2f}")
+            elif run:
+                runs.append(run)
+                run = []
+        runs.append(run)
+        color = svgplot.PALETTE[k]
+        lines += [
+            f'<polyline points="{" ".join(r)}" fill="none" stroke="{color}" stroke-width="1.6"/>'
+            for r in runs
+            if len(r) > 1
+        ]
+    return lines
+
+
+def test_figure_writers_match_per_point_form(tmp_path):
+    x = np.linspace(-1.0, 3.0, 301)
+    y = 5.0 * np.sin(7.0 * x)  # clipped by ylim on every swing
+    y[[0, 40, 41, 42, 100, 101, 250]] = np.nan
+    y[[60, 61]] = np.inf
+    x2 = x.copy()
+    x2[[5, 6, 200]] = np.nan
+    series = [("a", x, y), ("b", x2, np.cos(x) / 3.0), ("c", x, np.where(x > 2.9, np.nan, x**3))]
+    svg = svgplot.line_plot_svg(series, ylim=(-2.0, 4.0))
+    got = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert got == _per_point_polylines(series, (-2.0, 4.0)) and len(got) > 10
+    # the CSV holds each value's repr, as the numpy scalar's float() gives it
+    cols = [x, y, np.array([-0.0, 1e-300, 1e300, 2.0 / 3.0] * 75 + [np.nan])]
+    cli._write_csv(str(tmp_path / "t.csv"), ["x", "y", "z"], cols, ["note"])
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "x,y,z", *rows]) + "\n"
 
 
 def test_verify_ok_and_forced_effort(tmp_path):

@@ -130,6 +130,65 @@ def test_find_modes_families():
     assert dists.uniform(0, 1).find_modes().global_mode == 1.0  # largest maximizer
 
 
+def _grid_modes_loop(f, plateau_tol):
+    """The candidate scan of ``_grid_modes`` as a loop over the grid, followed
+    by its merge."""
+    n = len(f)
+    cand = [
+        i
+        for i in range(1, n - 1)
+        if f[i] >= f[i - 1] - plateau_tol
+        and f[i] >= f[i + 1] - plateau_tol
+        and (f[i] > f[i - 1] + plateau_tol or f[i] > f[i + 1] + plateau_tol)
+    ]
+    if n >= 2 and f[0] >= f[1] - plateau_tol and f[0] > 0:
+        cand.insert(0, 0)
+    if n >= 2 and f[-1] >= f[-2] - plateau_tol and f[-1] >= f.max() - plateau_tol > 0:
+        cand.append(n - 1)
+    stack = []
+    for i in cand:
+        while stack:
+            prev = stack[-1]
+            if f[prev : i + 1].min() < min(f[prev], f[i]) - plateau_tol:
+                break
+            if f[i] >= f[prev] - plateau_tol:
+                stack.pop()
+                continue
+            i = None
+            break
+        if i is not None:
+            stack.append(i)
+    return stack
+
+
+def test_grid_modes_matches_loop(monkeypatch):
+    cases = [
+        # plateaus: steps within the tolerance, one just past it
+        (np.array([0.0, 1.0, 1.0 + 4e-10, 1.0, 0.5, 0.5 + 2e-9, 0.5, 2.0, 2.0, 2.0, 0.0]), 1e-9),
+        (np.array([1.0, 1.0, 1.0, 1.0]), 1e-9),
+        # modes at the ends
+        (np.array([3.0, 2.0, 1.0, 2.0, 1.0]), 1e-9),
+        (np.array([0.0, 1.0, 0.5, 2.0, 3.0]), 1e-9),
+        (np.array([2.0, 2.0, 1.0, 2.0, 2.0]), 0.0),
+        (np.array([0.0, 0.0, 0.0]), 1e-9),
+        (np.array([1.0]), 1e-9),
+    ]
+    rng = np.random.default_rng(7)
+    for size in (2, 3, 10, 200):
+        for tol in (0.0, 1e-9, 0.5):
+            cases.append((rng.integers(0, 4, size).astype(float), tol))  # many ties
+            cases.append((rng.random(size), tol))
+    grids = []
+    real = dists._grid_modes
+    monkeypatch.setattr(dists, "_grid_modes", lambda x, f, tol: grids.append((f, tol)) or real(x, f, tol))
+    for d in [dists.trimodal_example(c) for c in ("red", "green", "blue")] + [dists.inverse_exponential()]:
+        d.find_modes()
+    assert len(grids) == 4
+    for f, tol in cases + grids:
+        got = real(np.arange(f.size, dtype=float), f, tol)
+        assert got == _grid_modes_loop(f, tol) and all(type(i) is int for i in got), (f, tol)
+
+
 def test_mode_scale_invariance():
     raw = [(0, 2.5), (0.25, 2.0), (0.5, 2.625), (0.75, 2.0), (1.0, 2.375), (1.25, 2.0), (1.75, 0)]
     scaled = dists.piecewise_linear(raw)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import per_row_integrals
-from mp_reference import coefficient_mp
+from mp_reference import coefficient_mp, kronrod_mp
 from scipy import special
 
 from tourney import distributions as dists
@@ -229,12 +229,50 @@ def test_pareto_heavy_tail_middle_rank():
     assert eq.marginal_benefit_rank(dists.pareto(0.5), 100, 58, 1.0) == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, eq.QUAD_ORDER])
+def test_kronrod_rule(m):
+    nodes, kronrod, gauss = eq._kronrod_rule(m)
+    x, w = kronrod_mp(m)
+    assert np.max(np.abs(nodes - np.array(x, dtype=float))) <= 2e-16
+    assert np.max(np.abs(kronrod - np.array(w, dtype=float))) <= 2e-16
+    assert np.all(kronrod > 0)
+    # the Gauss rule on the same nodes is _gauss_rule's
+    g_nodes, g_weights = eq._gauss_rule(m)
+    assert nodes[1::2].tobytes() == g_nodes.tobytes() and gauss[1::2].tobytes() == g_weights.tobytes()
+    assert not np.any(gauss[::2])
+    # Legendre P_k on [0, 1] integrates to 0 for k > 0: the Gauss-Kronrod rule
+    # is exact to degree 3m + 1, the Gauss rule to 2m - 1
+    k = np.arange(3 * m + 2)
+    p = special.eval_legendre(k[:, None], 2.0 * nodes - 1.0)
+    assert np.max(np.abs(p @ kronrod - (k == 0))) < 1e-14
+    assert np.max(np.abs(p[: 2 * m] @ gauss - (k[: 2 * m] == 0))) < 1e-14
+
+
+def test_rank_cdf_sum_takes_levels_once(monkeypatch):
+    # the per-rank form, one order_statistic_cdf call per rank, is the reference
+    d = eq.random_schedule(30, np.random.default_rng(3)).differentials
+    for t in (0.3, np.array([-1.0, 0.0, 0.3, 2.0])):
+        loop = np.zeros(np.shape(t))
+        for r in range(1, 31):
+            loop = loop + d[r - 1] * dists.order_statistic_cdf(GUMBEL, 30 - r, 29, t)
+        assert np.asarray(eq._rank_cdf_sum(GUMBEL, 30, d, t)).tobytes() == loop.tobytes()
+    # an all-ranks marginal benefit at n=1000 takes F a fixed number of times
+    noise = dists.gumbel()
+    calls = []
+    cdf = noise.cdf
+    monkeypatch.setattr(noise, "cdf", lambda x: calls.append(np.size(x)) or cdf(x))
+    d = eq.random_schedule(1000, np.random.default_rng(4)).differentials
+    assert np.all(d > 0)
+    eq._marginal_benefit(noise, 1000, d, np.array([0.0, 0.5]))
+    assert len(calls) <= 5
+
+
 def test_quadrature_failure_names_its_cause(monkeypatch):
     monkeypatch.setattr(eq, "QUAD_ORDER", 2)
     with pytest.raises(
         eq.QuadratureFailure,
-        match=r"^pareto \{'alpha': 2\.0, 'x_min': 1\.0\}, n=3, rank 1: the 2- and 4-point "
-        r"Gauss-Legendre rules give \S+ and \S+, \S+ apart \(target 1e-09\); they differ "
+        match=r"^pareto \{'alpha': 2\.0, 'x_min': 1\.0\}, n=3, rank 1: the 2-point Gauss and 5-point "
+        r"Gauss-Kronrod rules give \S+ and \S+, \S+ apart \(target 1e-09\); they differ "
         r"most on u in \[\S+, \S+\], x in \[\S+, \S+\]$",
     ):
         eq.marginal_benefit_rank(PARETO, 3, 1, 1.0)
