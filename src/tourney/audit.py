@@ -28,7 +28,9 @@ __all__ = [
 ]
 
 MIN_OBSERVATIONS = 30
+KDE_GRID_POINTS = 4096  # bins of the KDE grid
 KDE_PAD = 3.0           # grid margin beyond the data, in bandwidths
+MODE_MIN_REL_HEIGHT = 0.01  # smallest KDE mode reported, relative to the highest
 BOOTSTRAP_BLOCK = 32    # resamples per FFT block; sets the block's memory
 TIE_RTOL = 2e-9         # runner-up this close to a row's maximum: use the direct filter
 
@@ -80,13 +82,11 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
-def _binned(
-    obs: np.ndarray, bandwidth: float, grid_size: int, pad: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _binned(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Bin centres, counts and bin width of the grid the KDE is smoothed on."""
-    lo = obs.min() - pad * bandwidth
-    hi = obs.max() + pad * bandwidth
-    edges = np.linspace(lo, hi, grid_size + 1)
+    lo = obs.min() - KDE_PAD * bandwidth
+    hi = obs.max() + KDE_PAD * bandwidth
+    edges = np.linspace(lo, hi, KDE_GRID_POINTS + 1)
     counts, _ = np.histogram(obs, bins=edges)
     return 0.5 * (edges[:-1] + edges[1:]), counts, float(edges[1] - edges[0])
 
@@ -95,9 +95,7 @@ def _smoothed(counts: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.gaussian_filter1d(counts.astype(float), sigma=sigma, mode="constant")
 
 
-def kde_on_grid(
-    obs: np.ndarray, bandwidth: float, grid_size: int = 4096, pad: float = KDE_PAD
-) -> tuple[np.ndarray, np.ndarray]:
+def kde_on_grid(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
     """Binned Gaussian kernel density estimate.
 
     Observations are histogrammed onto a uniform grid and smoothed with a
@@ -105,7 +103,7 @@ def kde_on_grid(
     instead of O(n * grid), which keeps the bootstrap cheap.
     """
     obs = np.asarray(obs, dtype=float)
-    centers, counts, binwidth = _binned(obs, bandwidth, grid_size, pad)
+    centers, counts, binwidth = _binned(obs, bandwidth)
     return centers, _smoothed(counts, bandwidth / binwidth) / (obs.size * binwidth)
 
 
@@ -142,11 +140,11 @@ def _bootstrap_argmax(
     return out
 
 
-def kde_modes(grid: np.ndarray, density: np.ndarray, min_rel_height: float = 0.01) -> tuple[float, ...]:
+def kde_modes(grid: np.ndarray, density: np.ndarray) -> tuple[float, ...]:
     """Distinct local maxima of a density curve, largest location first."""
     fmax = float(density.max())
     idx = _grid_modes(grid, density, plateau_tol=1e-9 * max(fmax, 1.0))
-    modes = [float(grid[i]) for i in idx if density[i] >= min_rel_height * fmax]
+    modes = [float(grid[i]) for i in idx if density[i] >= MODE_MIN_REL_HEIGHT * fmax]
     return tuple(sorted(modes, reverse=True))
 
 
@@ -155,7 +153,6 @@ def audit_sample(
     bandwidth: float | None = None,
     bootstrap: int = 1000,
     seed: int = 0,
-    grid_size: int = 4096,
 ) -> AuditReport:
     """Estimate modal performance and judge the declared standard against it.
 
@@ -180,7 +177,7 @@ def audit_sample(
         bw = float(bandwidth)
         if not (np.isfinite(bw) and bw > 0.0):
             raise ValueError(f"bandwidth must be a positive finite number, got {bandwidth!r}")
-    grid, counts, binwidth = _binned(obs, bw, grid_size, KDE_PAD)
+    grid, counts, binwidth = _binned(obs, bw)
     sigma = bw / binwidth
     dens = _smoothed(counts, sigma) / (obs.size * binwidth)
     modes = kde_modes(grid, dens)

@@ -64,6 +64,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {type(doc).__name__}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
@@ -109,7 +111,10 @@ def _build_cost(spec) -> CostFunction:
     if spec is None:
         return CostFunction.quadratic()
     _check_keys(spec, {"kappa", "beta"}, "cost")
-    return CostFunction.power(spec.get("kappa", 1.0), spec.get("beta", 2.0))
+    try:
+        return CostFunction.power(float(spec.get("kappa", 1.0)), float(spec.get("beta", 2.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad cost: {exc}") from exc
 
 
 def _build_schedule(spec, n: int) -> PrizeSchedule | None:
@@ -123,6 +128,8 @@ def _build_schedule(spec, n: int) -> PrizeSchedule | None:
             return PrizeSchedule.equal_sharing(n)
         if isinstance(spec, dict):
             _check_keys(spec, {"equal_top"}, "schedule")
+            if "equal_top" not in spec:
+                raise ConfigError("schedule object needs an 'equal_top' count")
             return PrizeSchedule.equal_top(int(spec["equal_top"]), n)
         if isinstance(spec, (list, tuple)):
             if len(spec) != n:
@@ -316,13 +323,13 @@ def cmd_figures(args) -> int:
 def cmd_verify(args) -> int:
     sc = _scenario_from(_load_config(args.config), args)
     payload, schedule, solution = _solve_scenario(sc)
-    opts = dict(sc["verify"])
+    opts = sc["verify"]
     _check_keys(
         opts,
         {"draws", "grid_size", "force_effort", "bounds_battery", "battery_draws", "scheme"},
         "verify",
     )
-    mc_cfg = dict(sc["montecarlo"])
+    mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed", "grid_size"}, "montecarlo")
     seed = _resolve_seed(args.seed, {"montecarlo": mc_cfg})
     if seed is None:
@@ -340,8 +347,10 @@ def cmd_verify(args) -> int:
 
     ranks = []
     ok_ranks = True
-    for r in range(1, design.n + 1):
-        quad = prize_probability(sc["dist"], design.n, r, e_check, e_check, design.standard)
+    quads = prize_probability(
+        sc["dist"], design.n, np.arange(1, design.n + 1), e_check, e_check, design.standard
+    )
+    for r, quad in enumerate(quads.tolist(), start=1):
         est = report.at_least_prob[r - 1]
         se = max(report.at_least_se[r - 1], 1.0 / draws)
         z = (est - quad) / se

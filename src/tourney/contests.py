@@ -11,8 +11,6 @@ deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import optimize
 
@@ -20,7 +18,6 @@ from .distributions import NoiseDistribution, gumbel
 from .montecarlo import _grid_sums, _require_seed, noise_batches
 
 __all__ = [
-    "TullockConfig",
     "AllZeroEfforts",
     "tullock_csf_with_standard",
     "tullock_optimal",
@@ -31,28 +28,12 @@ __all__ = [
     "patent_race_deadline",
 ]
 
+# Evenly spaced efforts on [0, 1] of the Tullock best-response scan.
+TULLOCK_GRID_POINTS = 200
+
 
 class AllZeroEfforts(ValueError):
     """The contest success function is undefined when every effort is zero."""
-
-
-@dataclass(frozen=True)
-class TullockConfig:
-    """Multiplicative-units contest: ``rho`` and ``efforts`` are exponentials
-    of the additive standard and efforts."""
-
-    efforts: tuple[float, ...]
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("standard must be positive in multiplicative units")
-        if any(e < 0 for e in self.efforts):
-            raise ValueError("efforts must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.efforts)
 
 
 def tullock_csf_with_standard(efforts, rho: float, i: int | None = None):
@@ -109,7 +90,6 @@ def tullock_best_response_gap(
     n: int,
     e_star: float,
     rho: float,
-    grid_size: int = 200,
     draws: int = 10**5,
     seed: int | None = None,
 ) -> dict:
@@ -123,7 +103,7 @@ def tullock_best_response_gap(
     standard error, and a grid-coarseness bias bound.
     """
     seed = _require_seed(seed)
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_size), [e_star]]))
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, TULLOCK_GRID_POINTS), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
     # additive units: effort 0 sits at log 0 = -inf and never wins
     log_grid = np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0)
@@ -164,15 +144,7 @@ def fm_optimal_standard(ideas: NoiseDistribution, n: int, e_star: float | None =
     """
     if e_star is None:
         e_star, _ = tullock_optimal(n)
-    target = float(np.exp(-1.0 / e_star))
-    if ideas._ppf is not None:
-        return float(ideas.ppf(target))
-    lo, hi = ideas.support
-    if not np.isfinite(hi):
-        hi = ideas.truncated_support()[1]
-    return float(
-        optimize.bisect(lambda x: float(ideas.cdf(x)) - target, lo, hi, xtol=1e-12)
-    )
+    return float(ideas.ppf(np.exp(-1.0 / e_star)))
 
 
 def patent_race_deadline(shock, n: int | None = None, e_star: float | None = None) -> float:

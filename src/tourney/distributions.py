@@ -6,8 +6,8 @@ density / CDF / survival evaluation, hazard rate ``f/(1-F)``, likelihood
 ratio ``-f'/f``, mode detection, IFR/DFR classification, log-concavity
 screening, and order-statistic CDFs.
 
-Distributions do not change after construction, apart from the cache that
-``find_modes`` fills on first use.  That cache is not locked, so share an
+Distributions do not change after construction, apart from the shape report
+that ``find_modes`` stores on first use.  That slot is not locked, so share an
 instance across threads only after a first ``find_modes`` call, or give each
 thread its own.
 """
@@ -49,8 +49,9 @@ DEFAULT_TAIL_QUANTILE = 1e-10
 # Points of the uniform grid over the (truncated) support, for shape detection.
 GRID_POINTS = 5001
 DEFAULT_PLATEAU_TOL = 1e-9
-DEFAULT_MODE_CAP = 64
+MODE_CAP = 64
 HAZARD_MONOTONE_TOL = 1e-9
+LOG_CURVATURE_TOL = 1e-10
 
 
 class SurvivalUnderflow(ValueError):
@@ -62,7 +63,7 @@ class ZeroDensity(ValueError):
 
 
 class TooManyModes(RuntimeError):
-    """Mode detection found more modes than the configured cap allows."""
+    """Mode detection found more than ``MODE_CAP`` modes."""
 
 
 class RankOutOfRange(ValueError):
@@ -78,17 +79,15 @@ class ShapeReport:
     and no interior mode exceeds it.  ``antimodes``, largest first, are the
     scanned minima between consecutive modes and beyond the outermost ones;
     the density is monotone between neighbouring modes and antimodes.
-    ``global_mode`` is the largest global maximizer.  ``ifr_above`` lists the
-    modes t for which the hazard rate is increasing on {x > t}.
+    ``global_mode`` is the largest global maximizer.  The hazard and
+    log-concavity classes are separate scans: ``classify_hazard`` and
+    ``log_concavity``.
     """
 
     modes: tuple[float, ...]
     mode_densities: tuple[float, ...]
     antimodes: tuple[float, ...]
     global_mode: float
-    hazard_class: str
-    ifr_above: tuple[float, ...]
-    log_class: str
 
     @property
     def global_mode_density(self) -> float:
@@ -114,6 +113,11 @@ class NoiseDistribution:
     spec via :func:`from_spec`.  User-supplied piecewise densities are
     renormalized to unit mass; the applied factor is kept in
     ``normalization``.
+
+    ``pdf``, ``cdf``, ``ppf`` and ``likelihood_ratio`` are required; every
+    family has them in closed form.  ``sf`` and ``hazard`` are optional:
+    without them 1 - F and f / (1 - F) are formed from ``cdf`` and ``pdf``,
+    which loses the tail's precision where F rounds to 1.
     """
 
     def __init__(
@@ -123,13 +127,12 @@ class NoiseDistribution:
         support: tuple[float, float],
         pdf: Callable[[np.ndarray], np.ndarray],
         cdf: Callable[[np.ndarray], np.ndarray],
+        ppf: Callable[[np.ndarray], np.ndarray],
+        likelihood_ratio: Callable[[np.ndarray], np.ndarray],
         sf: Callable[[np.ndarray], np.ndarray] | None = None,
-        ppf: Callable[[np.ndarray], np.ndarray] | None = None,
         hazard: Callable[[np.ndarray], np.ndarray] | None = None,
-        likelihood_ratio: Callable[[np.ndarray], np.ndarray] | None = None,
         knots: Sequence[float] | None = None,
         normalization: float = 1.0,
-        tail_quantile: float = DEFAULT_TAIL_QUANTILE,
         require_upper_zero: bool = True,
     ):
         lo, hi = float(support[0]), float(support[1])
@@ -140,14 +143,13 @@ class NoiseDistribution:
         self.support = (lo, hi)
         self.normalization = float(normalization)
         self.knots = tuple(float(k) for k in knots) if knots is not None else ()
-        self.tail_quantile = float(tail_quantile)
         self._pdf = pdf
         self._cdf = cdf
         self._sf = sf
         self._ppf = ppf
         self._hazard = hazard
         self._lr = likelihood_ratio
-        self._shape_cache: dict = {}
+        self._shape: ShapeReport | None = None
         if require_upper_zero and np.isfinite(hi):
             top = float(pdf(np.asarray(hi)))
             if top > 1e-8:
@@ -203,24 +205,7 @@ class NoiseDistribution:
         arr, scalar = _as_float_array(q)
         if np.any((arr < 0.0) | (arr > 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        if self._ppf is not None:
-            out = self._ppf(arr)
-        else:
-            out = self._ppf_numeric(arr)
-        return _scalar_or_array(out, scalar)
-
-    def _ppf_numeric(self, q: np.ndarray) -> np.ndarray:
-        lo, hi = self.truncated_support()
-        grid = np.linspace(lo, hi, 4097)
-        cg = self.cdf(grid)
-        cg = np.maximum.accumulate(cg)
-        x = np.interp(q, cg, grid)
-        # Newton polish where the density is informative.
-        for _ in range(4):
-            f = self.pdf(x)
-            step = np.where(f > 1e-12, (self.cdf(x) - q) / np.where(f > 1e-12, f, 1.0), 0.0)
-            x = np.clip(x - step, lo, hi)
-        return x
+        return _scalar_or_array(self._ppf(arr), scalar)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling, so identical uniforms give identical draws."""
@@ -248,29 +233,17 @@ class NoiseDistribution:
         dens = np.asarray(self.pdf(arr), dtype=float)
         if np.any(dens <= 0.0):
             raise ZeroDensity("likelihood ratio undefined where f(x) = 0")
-        if self._lr is not None:
-            out = self._lr(arr)
-        else:
-            out = self._likelihood_ratio_numeric(arr, dens)
-        return _scalar_or_array(out, scalar)
-
-    def _likelihood_ratio_numeric(self, x: np.ndarray, dens: np.ndarray) -> np.ndarray:
-        # One-sided right difference, as the piecewise families take at kinks;
-        # a step set by the support's width would jump a heavy tail's bulk.
-        h = 1e-8 * np.maximum(np.abs(x), 1.0)
-        fp = (np.asarray(self.pdf(x + h)) - dens) / h
-        return -fp / dens
+        return _scalar_or_array(self._lr(arr), scalar)
 
     # -- support helpers ---------------------------------------------------
 
-    def truncated_support(self, tail_quantile: float | None = None) -> tuple[float, float]:
+    def truncated_support(self, tail_quantile: float = DEFAULT_TAIL_QUANTILE) -> tuple[float, float]:
         """Support with infinite endpoints cut at symmetric tail quantiles."""
-        q = self.tail_quantile if tail_quantile is None else tail_quantile
         lo, hi = self.support
         if not np.isfinite(lo):
-            lo = float(self.ppf(q))
+            lo = float(self.ppf(tail_quantile))
         if not np.isfinite(hi):
-            hi = float(self.ppf(1.0 - q))
+            hi = float(self.ppf(1.0 - tail_quantile))
         return lo, hi
 
     def grid(self) -> np.ndarray:
@@ -284,12 +257,12 @@ class NoiseDistribution:
 
     # -- shape analytics ---------------------------------------------------
 
-    def find_modes(self, max_modes: int = DEFAULT_MODE_CAP) -> ShapeReport:
-        if max_modes not in self._shape_cache:
-            self._shape_cache[max_modes] = self._build_shape_report(max_modes)
-        return self._shape_cache[max_modes]
+    def find_modes(self) -> ShapeReport:
+        if self._shape is None:
+            self._shape = self._build_shape_report()
+        return self._shape
 
-    def _build_shape_report(self, max_modes) -> ShapeReport:
+    def _build_shape_report(self) -> ShapeReport:
         x = self.grid()
         # Quantile points join the uniform grid: over a heavy tail's truncated
         # support (inverse-exponential: [0, 1e10]) the uniform step jumps
@@ -314,8 +287,8 @@ class NoiseDistribution:
             # Fall back to the raw grid argmax (covers pathological inputs).
             i = int(np.argmax(f))
             modes = [(float(x[i]), float(f[i]))]
-        if len(modes) > max_modes:
-            raise TooManyModes(f"{len(modes)} modes exceed the cap of {max_modes}")
+        if len(modes) > MODE_CAP:
+            raise TooManyModes(f"{len(modes)} modes exceed the cap of {MODE_CAP}")
 
         modes.sort(key=lambda mf: -mf[0])
         locs = tuple(m for m, _ in modes)
@@ -327,17 +300,11 @@ class NoiseDistribution:
         antimodes = tuple(sorted(lows - set(locs), reverse=True))
         fmax = max(dens)
         global_mode = max(m for m, fm in modes if fm >= fmax - max(DEFAULT_PLATEAU_TOL, 1e-12 * fmax))
-
-        hazard_class = self.classify_hazard()
-        ifr_above = tuple(m for m in locs if self.classify_hazard(above=m) == "IFR")
         return ShapeReport(
             modes=locs,
             mode_densities=dens,
             antimodes=antimodes,
             global_mode=float(global_mode),
-            hazard_class=hazard_class,
-            ifr_above=ifr_above,
-            log_class=self.log_concavity(),
         )
 
     def _refine_mode(self, x, f, i) -> tuple[float, float]:
@@ -352,11 +319,7 @@ class NoiseDistribution:
         m = optimize.brentq(lambda s: float(self.likelihood_ratio(s)), a, b, xtol=1e-12 * (b - a))
         return float(m), float(self.pdf(m))
 
-    @property
-    def global_mode(self) -> float:
-        return self.find_modes().global_mode
-
-    def classify_hazard(self, above: float | None = None, tol: float = HAZARD_MONOTONE_TOL) -> str:
+    def classify_hazard(self, above: float | None = None) -> str:
         """Classify the hazard rate as IFR/DFR/constant/mixed on {x > above}."""
         lo, hi = self.truncated_support()
         start = lo if above is None else max(lo, above)
@@ -372,8 +335,8 @@ class NoiseDistribution:
             return "constant"
         h = np.asarray(self.hazard(x))
         d = np.diff(h)
-        rising = bool(np.any(d > tol))
-        falling = bool(np.any(d < -tol))
+        rising = bool(np.any(d > HAZARD_MONOTONE_TOL))
+        falling = bool(np.any(d < -HAZARD_MONOTONE_TOL))
         if rising and falling:
             return "mixed"
         if rising:
@@ -382,7 +345,7 @@ class NoiseDistribution:
             return "DFR"
         return "constant"
 
-    def log_concavity(self, tol: float = 1e-10) -> str:
+    def log_concavity(self) -> str:
         """Classify log f as concave / convex / neither on the support.
 
         The classification is strict: a log-linear density (exponential)
@@ -401,8 +364,8 @@ class NoiseDistribution:
         if lf.size < 5:
             return "neither"
         d2 = lf[:-2] - 2.0 * lf[1:-1] + lf[2:]
-        concave = bool(np.all(d2 <= tol) and np.any(d2 < -tol))
-        convex = bool(np.all(d2 >= -tol) and np.any(d2 > tol))
+        concave = bool(np.all(d2 <= LOG_CURVATURE_TOL) and np.any(d2 < -LOG_CURVATURE_TOL))
+        convex = bool(np.all(d2 >= -LOG_CURVATURE_TOL) and np.any(d2 > LOG_CURVATURE_TOL))
         if concave and not convex:
             return "log-concave"
         if convex and not concave:
@@ -661,7 +624,7 @@ def inverse_exponential() -> NoiseDistribution:
     )
 
 
-def piecewise_linear(knots: Sequence[Sequence[float]], require_upper_zero: bool = True) -> NoiseDistribution:
+def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
     """Density interpolating linearly through ``[(x, f), ...]`` knot pairs.
 
     The input need not integrate to one; it is renormalized and the raw mass
@@ -719,7 +682,6 @@ def piecewise_linear(knots: Sequence[Sequence[float]], require_upper_zero: bool 
         likelihood_ratio=lr,
         knots=kx,
         normalization=mass,
-        require_upper_zero=require_upper_zero,
     )
 
 

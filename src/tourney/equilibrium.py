@@ -513,7 +513,8 @@ def _prize_probabilities(
     dist: NoiseDistribution, n: int, d: np.ndarray, e: np.ndarray, e_star: float, rho: float
 ) -> np.ndarray:
     """sum_r d_r P(a prize of at least rank r) for a deviator at each effort
-    in ``e`` against n-1 rivals at ``e_star`` under standard ``rho``.
+    in ``e`` against n-1 rivals at ``e_star`` under standard ``rho``, of
+    shape ``d.shape[:-1] + e.shape``.
 
     Either the rank-r rival misses the standard and passing suffices, or the
     deviator must also outperform that rival.  The deviator's survival
@@ -527,18 +528,20 @@ def _prize_probabilities(
     _, above = _integrals_above(
         dist, n, d, lambda x: dist.sf(x + shift[:, None, None]), t, kinks[None, :] - shift[:, None]
     )
-    return own_pass * _rank_cdf_sum(dist, n, d, t) + above[:, 0]
+    return own_pass * _rank_cdf_sum(dist, n, d, t)[..., None] + above[..., 0]
 
 
-def prize_probability(
-    dist: NoiseDistribution, n: int, r: int, e: float, e_star: float, rho: float
-) -> float:
+def prize_probability(dist: NoiseDistribution, n: int, r, e: float, e_star: float, rho: float):
     """Probability of winning a prize of at least rank r.
 
     The deviating player exerts ``e`` against n-1 rivals at ``e_star`` under
-    standard ``rho``.
+    standard ``rho``.  ``r`` is one rank, which gives a float, or an array of
+    ranks, which gives an array of their probabilities from one kernel pass,
+    equal bit for bit to one call per rank.
     """
-    return float(_prize_probabilities(dist, n, _unit(n, r), np.asarray([float(e)]), e_star, rho)[0])
+    ranks = np.asarray(r)
+    p = _prize_probabilities(dist, n, _unit(n, ranks), np.asarray([float(e)]), e_star, rho)[..., 0]
+    return float(p) if ranks.ndim == 0 else p
 
 
 def deviation_payoff_curve(

@@ -282,8 +282,9 @@ def finite_difference_marginals(
     n = design.n
     rho = design.standard
     if method == "quadrature":
-        up = np.array([prize_probability(dist, n, r, e_star + step, e_star, rho) for r in range(1, n + 1)])
-        dn = np.array([prize_probability(dist, n, r, e_star - step, e_star, rho) for r in range(1, n + 1)])
+        ranks = np.arange(1, n + 1)
+        up = prize_probability(dist, n, ranks, e_star + step, e_star, rho)
+        dn = prize_probability(dist, n, ranks, e_star - step, e_star, rho)
         return (up - dn) / (2.0 * step)
     if method != "simulate":
         raise ValueError("method must be 'quadrature' or 'simulate'")

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import NoiseDistribution
-from .equilibrium import PrizeSchedule, TournamentDesign, marginal_benefit_rank
+from .equilibrium import PrizeSchedule, TournamentDesign, marginal_benefit_rank, random_schedule
 from .montecarlo import _require_seed, noise_batches
 
 __all__ = [
@@ -135,6 +135,12 @@ def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
     return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})")
 
 
+def _field(spec: dict, key: str):
+    if key not in spec:
+        raise ValueError(f"{spec['kind']} scheme spec needs a {key!r} key")
+    return spec[key]
+
+
 def scheme_from_spec(spec: dict, n: int) -> PayScheme:
     """Build a battery-family scheme from a config document.
 
@@ -151,14 +157,14 @@ def scheme_from_spec(spec: dict, n: int) -> PayScheme:
         schedule = PrizeSchedule(tuple(prizes)) if prizes else PrizeSchedule.winner_take_all(n)
         return rank_payscheme(schedule, float(spec.get("standard", -np.inf)))
     if kind == "linear_share":
-        return capped_linear_share(n, float(spec["cap"]))
+        return capped_linear_share(n, float(_field(spec, "cap")))
     if kind == "constant":
         return constant_share(n)
     if kind == "mixture":
         return mixture(
-            scheme_from_spec(spec["first"], n),
-            scheme_from_spec(spec["second"], n),
-            float(spec["weight"]),
+            scheme_from_spec(_field(spec, "first"), n),
+            scheme_from_spec(_field(spec, "second"), n),
+            float(_field(spec, "weight")),
         )
     raise ValueError(f"unknown scheme kind {kind!r}")
 
@@ -174,13 +180,12 @@ def scheme_battery(
     """
     out = []
     for _ in range(size):
-        v = np.sort(rng.dirichlet(np.ones(n)))[::-1]
-        v[0] += 1.0 - v.sum()
+        schedule = random_schedule(n, rng)
         standard = rng.uniform(y_low, y_high) if rng.random() < 0.7 else -np.inf
         cap = rng.uniform(y_low, y_high)
         theta = rng.random()
         out.append(
-            mixture(rank_payscheme(PrizeSchedule(tuple(v)), standard), capped_linear_share(n, cap), theta)
+            mixture(rank_payscheme(schedule, standard), capped_linear_share(n, cap), theta)
         )
     return out
 

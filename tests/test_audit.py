@@ -113,7 +113,7 @@ def _loop_argmax(rng, counts, sigma, draws):
 def _binned_gamma_sample(size, seed=17):
     obs = 20.0 + _philox(seed).gamma(3.0, 7.0, size)
     bw = audit.silverman_bandwidth(obs)
-    _, counts, binwidth = audit._binned(obs, bw, 4096, audit.KDE_PAD)
+    _, counts, binwidth = audit._binned(obs, bw)
     return obs, counts, bw / binwidth
 
 

@@ -87,6 +87,24 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, value, named",
+    [
+        ("schedule", {}, "schedule"),
+        ("cost", 3, "cost"),
+        ("montecarlo", 5, "montecarlo"),
+        ("cost", {"kappa": "x"}, "cost"),
+        ("verify", {"scheme": {"kind": "linear_share"}}, "scheme"),
+    ],
+)
+def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
+    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta", section: value}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["verify", "--config", cfg, "--seed", "1", "--draws", "10000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and named in err
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = _write(tmp_path, "cfg.json", EXP_SCENARIO)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -29,8 +29,6 @@ def test_csf_errors():
         contests.tullock_csf_with_standard([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         contests.tullock_csf_with_standard([1.0, 1.0], -1.0)
-    with pytest.raises(ValueError):
-        contests.TullockConfig(efforts=(1.0, 1.0), rho=0.0)
 
 
 def test_csf_matches_additive_gumbel_tournament():
@@ -97,9 +95,10 @@ def test_fm_bisection_without_closed_inverse():
         support=(0.0, 1.0),
         pdf=lambda x: 2.0 * x,
         cdf=lambda x: x**2,
+        ppf=np.sqrt,
+        likelihood_ratio=lambda x: -1.0 / x,
         require_upper_zero=False,
     )
-    ideas._ppf = None
     e_star, _ = contests.tullock_optimal(3)
     rho = contests.fm_optimal_standard(ideas, 3)
     assert rho == pytest.approx(np.sqrt(np.exp(-1.0 / e_star)), abs=1e-10)

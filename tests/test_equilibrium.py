@@ -309,6 +309,19 @@ def test_prize_probability_monotone_in_rank():
         assert vals[0] <= vals[1] <= vals[2] + 1e-12
 
 
+@pytest.mark.parametrize(
+    "dist, rho", [(GUMBEL, 0.3), (HEAVY, 0.2), (PARETO, 1.6), (RED, 0.8)], ids=lambda v: getattr(v, "family", v)
+)
+def test_prize_probability_ranks_in_one_pass(dist, rho):
+    # the array form equals one call per rank, bit for bit
+    n, e, e_star = 10, 0.35, 0.3
+    ranks = np.arange(1, n + 1)
+    got = eq.prize_probability(dist, n, ranks, e, e_star, rho)
+    loop = np.array([eq.prize_probability(dist, n, int(r), e, e_star, rho) for r in ranks])
+    assert got.shape == (n,) and got.tobytes() == loop.tobytes()
+    assert eq.prize_probability(dist, n, ranks[[6, 2]], e, e_star, rho).tobytes() == loop[[6, 2]].tobytes()
+
+
 def test_finite_difference_matches_rank_coefficient():
     # interior threshold, away from the support boundary kink
     e_star, rho = 0.3, 0.3 + 0.8
@@ -401,8 +414,9 @@ def test_mode_scan_mismatch_names_interval(monkeypatch):
 @pytest.mark.xfail(raises=eq.QuadratureFailure, strict=True)
 def test_mode_where_density_nearly_vanishes_at_knot():
     # Known kernel defect: f(Q(u)) has a near-square-root kink where the
-    # density almost vanishes at the knot 1.5, and the 20- and 40-point
-    # rules for G at the global mode 1 differ by 1.2e-6, most on x in [1.5, 2].
+    # density almost vanishes at the knot 1.5, and the 20-point Gauss and
+    # 41-point Gauss-Kronrod rules for G at the global mode 1 differ by
+    # 1.30e-6, most on x in [1.5, 2].
     d = dists.piecewise_linear([(0, 0.2), (1, 1), (1.5, 0.01), (2, 0.8), (3, 0)])
     eq.optimal_threshold(d, 3, eq.PrizeSchedule.winner_take_all(3))
 
