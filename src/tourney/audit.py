@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft, ndimage
 
-from .distributions import _grid_modes
-
 __all__ = [
     "SampleTooSmall",
     "NoDeclaredStandard",
@@ -140,10 +138,50 @@ def _bootstrap_argmax(
     return out
 
 
+def _grid_modes(f: np.ndarray, plateau_tol: float) -> list[int]:
+    """Indices of distinct local maxima on a grid, ascending.
+
+    A candidate is a weak local maximum with a strict rise on at least one
+    side; the endpoints join when the density decreases away from them (the
+    upper one additionally must carry the global maximum, so flat tails do
+    not leak in).  Adjacent candidates merge when no grid point between them
+    dips below both by more than ``plateau_tol``, encoding the
+    separated-by-a-dip notion of distinct modes; merged groups keep the
+    higher point, rightmost on ties.
+    """
+    n = len(f)
+    mid, left, right = f[1:-1], f[:-2], f[2:]
+    peak = (
+        (mid >= left - plateau_tol)
+        & (mid >= right - plateau_tol)
+        & ((mid > left + plateau_tol) | (mid > right + plateau_tol))
+    )
+    cand = (np.flatnonzero(peak) + 1).tolist()
+    if n >= 2 and f[0] >= f[1] - plateau_tol and f[0] > 0:
+        cand.insert(0, 0)
+    if n >= 2 and f[-1] >= f[-2] - plateau_tol and f[-1] >= f.max() - plateau_tol > 0:
+        cand.append(n - 1)
+    stack: list[int] = []
+    for i in cand:
+        while stack:
+            prev = stack[-1]
+            dip = f[prev : i + 1].min()
+            if dip < min(f[prev], f[i]) - plateau_tol:
+                break  # distinct
+            if f[i] >= f[prev] - plateau_tol:
+                stack.pop()
+                continue
+            i = None
+            break
+        if i is not None:
+            stack.append(i)
+    return stack
+
+
 def kde_modes(grid: np.ndarray, density: np.ndarray) -> tuple[float, ...]:
     """Distinct local maxima of a density curve, largest location first."""
     fmax = float(density.max())
-    idx = _grid_modes(grid, density, plateau_tol=1e-9 * max(fmax, 1.0))
+    idx = _grid_modes(density, plateau_tol=1e-9 * max(fmax, 1.0))
     modes = [float(grid[i]) for i in idx if density[i] >= MODE_MIN_REL_HEIGHT * fmax]
     return tuple(sorted(modes, reverse=True))
 

@@ -46,7 +46,6 @@ NUMERIC_ERRORS = (
     QuadratureFailure,
     ModeScanMismatch,
     EffortOutOfRange,
-    dists.TooManyModes,
     dists.SurvivalUnderflow,
     prizes_mod.RepresentationMismatch,
     prizes_mod.SufficiencyViolated,
@@ -71,6 +70,14 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
+def _number(convert, value, key: str):
+    """``convert(value)``; a value it cannot take is a config error naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad '{key}': {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -91,7 +98,7 @@ def _resolve_seed(flag_seed, config: dict):
         return int(flag_seed)
     mc_cfg = config.get("montecarlo", {})
     if isinstance(mc_cfg, dict) and mc_cfg.get("seed") is not None:
-        return int(mc_cfg["seed"])
+        return _number(int, mc_cfg["seed"], "seed")
     env = os.environ.get("TOURNEY_SEED")
     if env is not None:
         return int(env)
@@ -130,11 +137,11 @@ def _build_schedule(spec, n: int) -> PrizeSchedule | None:
             _check_keys(spec, {"equal_top"}, "schedule")
             if "equal_top" not in spec:
                 raise ConfigError("schedule object needs an 'equal_top' count")
-            return PrizeSchedule.equal_top(int(spec["equal_top"]), n)
+            return PrizeSchedule.equal_top(_number(int, spec["equal_top"], "equal_top"), n)
         if isinstance(spec, (list, tuple)):
             if len(spec) != n:
                 raise ConfigError(f"schedule has {len(spec)} prizes but n={n}")
-            return PrizeSchedule(tuple(float(v) for v in spec))
+            return PrizeSchedule(tuple(_number(float, v, "schedule") for v in spec))
     except ValueError as exc:
         raise ConfigError(f"bad prize schedule: {exc}") from exc
     raise ConfigError(f"cannot interpret schedule spec {spec!r}")
@@ -153,12 +160,12 @@ def _scenario_from(config: dict, args) -> dict:
             merged[key] = val
     if "n" not in merged:
         raise ConfigError("config needs the player count 'n'")
-    n = int(merged["n"])
+    n = _number(int, merged["n"], "n")
     if n < 2:
         raise ConfigError("need at least two players")
     threshold = merged.get("threshold", "optimal")
     if threshold != "optimal":
-        threshold = float(threshold)
+        threshold = _number(float, threshold, "threshold")
     return {
         "dist": _build_distribution(merged.get("distribution")),
         "n": n,
@@ -253,11 +260,18 @@ def cmd_prizes(args) -> int:
 # ---------------------------------------------------------------------------
 
 FIG1_SCHEDULES = (("wta", 1), ("two", 2), ("eps", 3))
+GRID_POINTS = 5001
+
+
+def plot_grid(dist: dists.NoiseDistribution) -> np.ndarray:
+    """Uniform plotting grid over the truncated support, knots included."""
+    lo, hi = dist.truncated_support()
+    return np.union1d(np.linspace(lo, hi, GRID_POINTS), [k for k in dist.knots if lo < k < hi])
 
 
 def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
     os.makedirs(outdir, exist_ok=True)
-    grid = dist_list[0][1].grid()  # panel distributions share one support
+    grid = plot_grid(dist_list[0][1])  # panel distributions share one support
     keep = slice(None) if t_max is None else grid <= t_max
     show = grid[keep]
 
@@ -334,11 +348,13 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed, {"montecarlo": mc_cfg})
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
-    draws = int(args.draws or opts.get("draws") or mc_cfg.get("draws") or 10**6)
+    draws = _number(int, args.draws or opts.get("draws") or mc_cfg.get("draws") or 10**6, "draws")
     grid_size = opts.get("grid_size") or mc_cfg.get("grid_size")
-    grid = {"grid_size": int(grid_size)} if grid_size else {}
+    grid = {"grid_size": _number(int, grid_size, "grid_size")} if grid_size else {}
     e_check = opts.get("force_effort")
-    e_check = solution.effort if e_check is None else float(e_check)
+    e_check = solution.effort if e_check is None else _number(float, e_check, "force_effort")
+    n_battery = _number(int, opts.get("bounds_battery") or 0, "bounds_battery")
+    battery_draws = _number(int, opts.get("battery_draws") or 10**5, "battery_draws")
 
     design = TournamentDesign(standard=solution.standard, schedule=schedule, cost=sc["cost"])
     report = mc.verify_best_response(sc["dist"], design, e_check, draws=draws, seed=seed, **grid)
@@ -359,7 +375,6 @@ def cmd_verify(args) -> int:
 
     battery_out = None
     battery_ok = True
-    n_battery = int(opts.get("bounds_battery") or 0)
     schemes = []
     if opts.get("scheme") is not None:
         schemes.append(payschemes.scheme_from_spec(opts["scheme"], design.n))
@@ -373,7 +388,7 @@ def cmd_verify(args) -> int:
         battery_out = []
         for k, scheme in enumerate(schemes):
             chk = payschemes.check_incentive_bound(
-                sc["dist"], scheme, e_check, int(opts.get("battery_draws") or 10**5), seed + 2 + k
+                sc["dist"], scheme, e_check, battery_draws, seed + 2 + k
             )
             battery_ok &= chk.satisfied
             battery_out.append(

@@ -1,15 +1,14 @@
-"""Noise distributions and their shape analytics.
+"""Noise distributions and their shape.
 
 Performance in the tournament model is effort plus an i.i.d. additive shock.
 Everything the design layer needs to know about the shock is collected here:
 density / CDF / survival evaluation, hazard rate ``f/(1-F)``, likelihood
-ratio ``-f'/f``, mode detection, IFR/DFR classification, log-concavity
-screening, and order-statistic CDFs.
+ratio ``-f'/f``, and the shape facts the paper's results rest on: the modes,
+the IFR/DFR class of the hazard and the log-concavity class.
 
-Distributions do not change after construction, apart from the shape report
-that ``find_modes`` stores on first use.  That slot is not locked, so share an
-instance across threads only after a first ``find_modes`` call, or give each
-thread its own.
+Every family declares its shape in closed form when it is built, and a
+piecewise-linear density works its shape out exactly from its knots; nothing
+is read off a grid.  Distributions do not change after construction.
 """
 
 from __future__ import annotations
@@ -21,15 +20,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "NoiseDistribution",
     "ShapeReport",
     "SurvivalUnderflow",
     "ZeroDensity",
-    "TooManyModes",
-    "RankOutOfRange",
     "exponential",
     "gumbel",
     "normal",
@@ -41,17 +38,10 @@ __all__ = [
     "piecewise_linear",
     "trimodal_example",
     "from_spec",
-    "order_statistic_cdf",
 ]
 
-# Quantile at which infinite supports are cut off for grids and shape scans.
+# Quantile at which infinite supports are cut off by ``truncated_support``.
 DEFAULT_TAIL_QUANTILE = 1e-10
-# Points of the uniform grid over the (truncated) support, for shape detection.
-GRID_POINTS = 5001
-DEFAULT_PLATEAU_TOL = 1e-9
-MODE_CAP = 64
-HAZARD_MONOTONE_TOL = 1e-9
-LOG_CURVATURE_TOL = 1e-10
 
 
 class SurvivalUnderflow(ValueError):
@@ -62,37 +52,42 @@ class ZeroDensity(ValueError):
     """Likelihood ratio requested at a point with zero density."""
 
 
-class TooManyModes(RuntimeError):
-    """Mode detection found more than ``MODE_CAP`` modes."""
-
-
-class RankOutOfRange(ValueError):
-    """Order-statistic rank outside 0..n."""
-
-
 @dataclass(frozen=True)
 class ShapeReport:
-    """Shape summary of a noise density.
+    """Shape of a noise density, declared by its family.
 
-    ``modes`` are the distinct local maximizers, largest first; the lower
-    support bound is included only when the density decreases away from it
-    and no interior mode exceeds it.  ``antimodes``, largest first, are the
-    scanned minima between consecutive modes and beyond the outermost ones;
-    the density is monotone between neighbouring modes and antimodes.
-    ``global_mode`` is the largest global maximizer.  The hazard and
-    log-concavity classes are separate scans: ``classify_hazard`` and
-    ``log_concavity``.
+    ``modes`` are the distinct local maximizers, largest first.  A flat top
+    is reported by its left end, and the lower support bound counts only
+    while it carries the global maximum.  ``antimodes``, largest first, are
+    the interior local minimizers (a flat bottom by its left end) and the
+    upper support bound when the density falls into it; the density is
+    monotone between neighbouring modes and antimodes.  ``global_mode`` is
+    the largest mode that carries the global maximum.
+
+    ``log_class`` is ``log-concave``, ``log-convex`` or ``neither``; the
+    classes are strict, so a log-linear density (exponential, uniform) is
+    ``neither``.  ``hazard`` lists the monotone pieces of the hazard rate as
+    ``(start, class)`` pairs, ascending, with class ``IFR``, ``DFR`` or
+    ``constant``.  A piece runs to the next start, the last one to the upper
+    support bound; where 1 - F = 0 no piece starts.
     """
 
     modes: tuple[float, ...]
     mode_densities: tuple[float, ...]
     antimodes: tuple[float, ...]
     global_mode: float
+    log_class: str
+    hazard: tuple[tuple[float, str], ...]
 
     @property
     def global_mode_density(self) -> float:
         i = self.modes.index(self.global_mode)
         return self.mode_densities[i]
+
+
+def _unimodal(mode: float, density: float, log_class: str, *hazard: tuple[float, str]) -> ShapeReport:
+    """Shape of a family with one mode and no antimode."""
+    return ShapeReport((mode,), (density,), (), mode, log_class, hazard)
 
 
 def _as_float_array(x):
@@ -114,10 +109,12 @@ class NoiseDistribution:
     renormalized to unit mass; the applied factor is kept in
     ``normalization``.
 
-    ``pdf``, ``cdf``, ``ppf`` and ``likelihood_ratio`` are required; every
-    family has them in closed form.  ``sf`` and ``hazard`` are optional:
-    without them 1 - F and f / (1 - F) are formed from ``cdf`` and ``pdf``,
-    which loses the tail's precision where F rounds to 1.
+    ``pdf``, ``cdf``, ``ppf``, ``likelihood_ratio`` and ``shape`` are
+    required; every family has them in closed form, and ``shape`` is the
+    :class:`ShapeReport` that ``find_modes``, ``classify_hazard`` and
+    ``log_concavity`` read.  ``sf`` and ``hazard`` are optional: without them
+    1 - F and f / (1 - F) are formed from ``cdf`` and ``pdf``, which loses
+    the tail's precision where F rounds to 1.
     """
 
     def __init__(
@@ -129,6 +126,7 @@ class NoiseDistribution:
         cdf: Callable[[np.ndarray], np.ndarray],
         ppf: Callable[[np.ndarray], np.ndarray],
         likelihood_ratio: Callable[[np.ndarray], np.ndarray],
+        shape: ShapeReport,
         sf: Callable[[np.ndarray], np.ndarray] | None = None,
         hazard: Callable[[np.ndarray], np.ndarray] | None = None,
         knots: Sequence[float] | None = None,
@@ -149,7 +147,7 @@ class NoiseDistribution:
         self._ppf = ppf
         self._hazard = hazard
         self._lr = likelihood_ratio
-        self._shape: ShapeReport | None = None
+        self._shape = shape
         if require_upper_zero and np.isfinite(hi):
             top = float(pdf(np.asarray(hi)))
             if top > 1e-8:
@@ -246,104 +244,20 @@ class NoiseDistribution:
             hi = float(self.ppf(1.0 - tail_quantile))
         return lo, hi
 
-    def grid(self) -> np.ndarray:
-        """Uniform evaluation grid over the truncated support, knots included."""
-        lo, hi = self.truncated_support()
-        g = np.linspace(lo, hi, GRID_POINTS)
-        interior = [k for k in self.knots if lo < k < hi]
-        if interior:
-            g = np.unique(np.concatenate([g, np.asarray(interior)]))
-        return g
-
-    # -- shape analytics ---------------------------------------------------
+    # -- shape -------------------------------------------------------------
 
     def find_modes(self) -> ShapeReport:
-        if self._shape is None:
-            self._shape = self._build_shape_report()
+        """The shape declared at construction."""
         return self._shape
-
-    def _build_shape_report(self) -> ShapeReport:
-        x = self.grid()
-        # Quantile points join the uniform grid: over a heavy tail's truncated
-        # support (inverse-exponential: [0, 1e10]) the uniform step jumps
-        # over the whole bulk of the mass.
-        levels = np.linspace(0.0, 1.0, x.size)[1:-1]
-        x = np.union1d(x, np.clip(np.asarray(self.ppf(levels)), x[0], x[-1]))
-        f = np.asarray(self.pdf(x))
-        idx = _grid_modes(x, f, DEFAULT_PLATEAU_TOL)
-        modes = [
-            (float(x[i]), float(f[i])) if i in (0, len(x) - 1) else self._refine_mode(x, f, i)
-            for i in idx
-        ]
-        # The lower bound qualifies only for densities decreasing away from
-        # it; keep it only while no interior mode tops it, so the global mode
-        # stays the global maximizer (a below-global boundary bump is not a
-        # candidate standard).
-        if modes and np.isfinite(self.support[0]) and modes[0][0] == x[0]:
-            interior_max = max((fm for m, fm in modes[1:]), default=-np.inf)
-            if modes[0][1] < interior_max - DEFAULT_PLATEAU_TOL:
-                modes = modes[1:]
-        if not modes:
-            # Fall back to the raw grid argmax (covers pathological inputs).
-            i = int(np.argmax(f))
-            modes = [(float(x[i]), float(f[i]))]
-        if len(modes) > MODE_CAP:
-            raise TooManyModes(f"{len(modes)} modes exceed the cap of {MODE_CAP}")
-
-        modes.sort(key=lambda mf: -mf[0])
-        locs = tuple(m for m, _ in modes)
-        dens = tuple(fm for _, fm in modes)
-        # one antimode per gap of [scan start, modes ascending, scan end]
-        ends = [x[0], *locs[::-1], x[-1]]
-        cuts = zip(np.searchsorted(x, ends[:-1]), np.searchsorted(x, ends[1:], side="right"))
-        lows = {float(x[i + np.argmin(f[i:j])]) for i, j in cuts if i < j}
-        antimodes = tuple(sorted(lows - set(locs), reverse=True))
-        fmax = max(dens)
-        global_mode = max(m for m, fm in modes if fm >= fmax - max(DEFAULT_PLATEAU_TOL, 1e-12 * fmax))
-        return ShapeReport(
-            modes=locs,
-            mode_densities=dens,
-            antimodes=antimodes,
-            global_mode=float(global_mode),
-        )
-
-    def _refine_mode(self, x, f, i) -> tuple[float, float]:
-        """Root of -f'/f between the grid neighbours of the mode ``x[i]``, where f
-        itself is flat to double precision; knots and plateaus keep the grid point."""
-        a, b = x[i - 1], x[i + 1]
-        flat = abs(f[i + 1] - f[i]) + abs(f[i - 1] - f[i]) < 1e-13
-        if flat or x[i] in self.knots or min(f[i - 1], f[i + 1]) <= 0.0 or not (
-            self.likelihood_ratio(a) < 0.0 < self.likelihood_ratio(b)
-        ):
-            return float(x[i]), float(f[i])
-        m = optimize.brentq(lambda s: float(self.likelihood_ratio(s)), a, b, xtol=1e-12 * (b - a))
-        return float(m), float(self.pdf(m))
 
     def classify_hazard(self, above: float | None = None) -> str:
         """Classify the hazard rate as IFR/DFR/constant/mixed on {x > above}."""
-        lo, hi = self.truncated_support()
-        start = lo if above is None else max(lo, above)
-        if start >= hi:
-            return "constant"
-        x = np.linspace(start, hi, 2048)
-        if above is not None:
-            x = x[x > above]
-        surv = np.asarray(self.sf(x))
-        keep = surv > 1e-12  # drop the top of finite supports where 1-F -> 0
-        x = x[keep]
-        if x.size < 3:
-            return "constant"
-        h = np.asarray(self.hazard(x))
-        d = np.diff(h)
-        rising = bool(np.any(d > HAZARD_MONOTONE_TOL))
-        falling = bool(np.any(d < -HAZARD_MONOTONE_TOL))
-        if rising and falling:
+        pieces = self._shape.hazard
+        ends = [start for start, _ in pieces[1:]] + [self.support[1]]
+        tags = {tag for (_, tag), end in zip(pieces, ends) if above is None or end > above} - {"constant"}
+        if len(tags) > 1:
             return "mixed"
-        if rising:
-            return "IFR"
-        if falling:
-            return "DFR"
-        return "constant"
+        return tags.pop() if tags else "constant"
 
     def log_concavity(self) -> str:
         """Classify log f as concave / convex / neither on the support.
@@ -351,70 +265,11 @@ class NoiseDistribution:
         The classification is strict: a log-linear density (exponential)
         reports ``neither``.
         """
-        lo, hi = self.truncated_support()
-        x = np.linspace(lo, hi, 4096)
-        f = np.asarray(self.pdf(x))
-        pos = f > max(f.max(), 0.0) * 1e-13
-        if not pos.any():
-            return "neither"
-        i0, i1 = np.nonzero(pos)[0][[0, -1]]
-        if not pos[i0 : i1 + 1].all():
-            return "neither"  # interior zeros rule out both shapes
-        lf = np.log(f[i0 : i1 + 1])
-        if lf.size < 5:
-            return "neither"
-        d2 = lf[:-2] - 2.0 * lf[1:-1] + lf[2:]
-        concave = bool(np.all(d2 <= LOG_CURVATURE_TOL) and np.any(d2 < -LOG_CURVATURE_TOL))
-        convex = bool(np.all(d2 >= -LOG_CURVATURE_TOL) and np.any(d2 > LOG_CURVATURE_TOL))
-        if concave and not convex:
-            return "log-concave"
-        if convex and not concave:
-            return "log-convex"
-        return "neither"
+        return self._shape.log_class
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
         return f"NoiseDistribution({self.family}({inner}) on {self.support})"
-
-
-def _grid_modes(x: np.ndarray, f: np.ndarray, plateau_tol: float) -> list[int]:
-    """Indices of distinct local maxima on a grid, ascending.
-
-    A candidate is a weak local maximum with a strict rise on at least one
-    side; the endpoints join when the density decreases away from them (the
-    upper one additionally must carry the global maximum, so flat tails do
-    not leak in).  Adjacent candidates merge when no grid point between them
-    dips below both by more than ``plateau_tol``, encoding the
-    separated-by-a-dip notion of distinct modes; merged groups keep the
-    higher point, rightmost on ties.
-    """
-    n = len(f)
-    mid, left, right = f[1:-1], f[:-2], f[2:]
-    peak = (
-        (mid >= left - plateau_tol)
-        & (mid >= right - plateau_tol)
-        & ((mid > left + plateau_tol) | (mid > right + plateau_tol))
-    )
-    cand = (np.flatnonzero(peak) + 1).tolist()
-    if n >= 2 and f[0] >= f[1] - plateau_tol and f[0] > 0:
-        cand.insert(0, 0)
-    if n >= 2 and f[-1] >= f[-2] - plateau_tol and f[-1] >= f.max() - plateau_tol > 0:
-        cand.append(n - 1)
-    stack: list[int] = []
-    for i in cand:
-        while stack:
-            prev = stack[-1]
-            dip = f[prev : i + 1].min()
-            if dip < min(f[prev], f[i]) - plateau_tol:
-                break  # distinct
-            if f[i] >= f[prev] - plateau_tol:
-                stack.pop()
-                continue
-            i = None
-            break
-        if i is not None:
-            stack.append(i)
-    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +277,8 @@ def _grid_modes(x: np.ndarray, f: np.ndarray, plateau_tol: float) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def order_statistic_cdf(dist: NoiseDistribution, j: int, n: int, x):
-    """CDF of the (n+1-j)-th highest (j-th lowest) of n i.i.d. draws.
-
-    Follows the convention that rank j=0 is a degenerate draw at -inf, so its
-    CDF is identically one.
-    """
-    if not (0 <= j <= n):
-        raise RankOutOfRange(f"rank {j} outside 0..{n}")
-    arr, scalar = _as_float_array(x)
-    return _scalar_or_array(_order_statistic_level_cdf(j, n, np.asarray(dist.cdf(arr))), scalar)
-
-
 def _order_statistic_level_cdf(j: int, n: int, u: np.ndarray) -> np.ndarray:
-    """``order_statistic_cdf`` at the levels u = F(x), an array."""
+    """CDF of the j-th lowest of n i.i.d. draws at the levels u = F(x); j = 0 is a draw at -inf."""
     if j == 0:
         return np.ones_like(u)
     if j == n:
@@ -463,6 +306,7 @@ def exponential(rate: float = 1.0) -> NoiseDistribution:
         ppf=lambda q: -np.log1p(-q) / lam,
         hazard=lambda x: np.full_like(x, lam),
         likelihood_ratio=lambda x: np.full_like(x, lam),
+        shape=_unimodal(0.0, lam, "neither", (0.0, "constant")),
     )
 
 
@@ -483,6 +327,7 @@ def gumbel(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         sf=lambda x: -np.expm1(-np.exp(-z(x))),
         ppf=lambda q: mu - beta * np.log(-np.log(q)),
         likelihood_ratio=lambda x: (1.0 - np.exp(-z(x))) / beta,
+        shape=_unimodal(mu, math.exp(-1.0) / beta, "log-concave", (-np.inf, "IFR")),
     )
 
 
@@ -499,6 +344,7 @@ def normal(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         sf=lambda x: special.ndtr(-(x - mu) / sigma),
         ppf=lambda q: mu + sigma * special.ndtri(q),
         likelihood_ratio=lambda x: (x - mu) / sigma**2,
+        shape=_unimodal(mu, 1.0 / (sigma * math.sqrt(2 * math.pi)), "log-concave", (-np.inf, "IFR")),
     )
 
 
@@ -519,10 +365,12 @@ def logistic(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         sf=lambda x: special.expit(-z(x)),
         ppf=lambda q: mu + s * (np.log(q) - np.log1p(-q)),
         likelihood_ratio=lambda x: np.tanh(z(x) / 2.0) / s,
+        shape=_unimodal(mu, 0.25 / s, "log-concave", (-np.inf, "IFR")),
     )
 
 
 def uniform(lo: float = 0.0, hi: float = 1.0) -> NoiseDistribution:
+    """Uniform on [lo, hi]: its flat top is reported by the mode ``lo``."""
     a, b = float(lo), float(hi)
     if not a < b:
         raise ValueError("need lo < hi")
@@ -536,6 +384,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> NoiseDistribution:
         sf=lambda x: (b - x) / w,
         ppf=lambda q: a + q * w,
         likelihood_ratio=lambda x: np.zeros_like(x),
+        shape=_unimodal(a, 1.0 / w, "neither", (a, "IFR")),
         knots=(a, b),
         require_upper_zero=False,  # flat density by design
     )
@@ -556,6 +405,7 @@ def pareto(alpha: float = 2.0, x_min: float = 1.0) -> NoiseDistribution:
         ppf=lambda q: m * (1.0 - q) ** (-1.0 / a),
         hazard=lambda x: a / x,
         likelihood_ratio=lambda x: (a + 1.0) / x,
+        shape=_unimodal(m, a / m, "log-convex", (m, "DFR")),
     )
 
 
@@ -598,6 +448,7 @@ def erf_exponential() -> NoiseDistribution:
         ppf=ppf,
         hazard=haz,
         likelihood_ratio=lr,
+        shape=_unimodal(0.0, 2.0, "neither", (0.0, "DFR")),
     )
 
 
@@ -605,7 +456,9 @@ def inverse_exponential() -> NoiseDistribution:
     """Distribution with CDF exp(-1/x) on (0, inf) (Frechet with unit shape).
 
     Exponentiating a Gumbel draw lands here; used as an idea distribution in
-    the innovation-contest adapter.
+    the innovation-contest adapter.  (log f)'' = 2(x - 1)/x^3 changes sign
+    at 1; with u = 1/x the hazard's slope has the sign of u - 2 + 2 exp(-u),
+    which is zero at u = 2 + W0(-2/e^2).
     """
     eps = 1e-300
 
@@ -613,6 +466,7 @@ def inverse_exponential() -> NoiseDistribution:
         xm = np.maximum(x, eps)
         return np.exp(-1.0 / xm - 2.0 * np.log(xm))
 
+    peak = 1.0 / (2.0 + float(special.lambertw(-2.0 * math.exp(-2.0)).real))
     return NoiseDistribution(
         family="inverse_exponential",
         params={},
@@ -621,6 +475,62 @@ def inverse_exponential() -> NoiseDistribution:
         cdf=lambda x: np.exp(-1.0 / np.maximum(x, eps)),
         ppf=lambda q: -1.0 / np.log(np.maximum(q, eps)),
         likelihood_ratio=lambda x: (2.0 * x - 1.0) / np.square(x),
+        shape=_unimodal(0.5, 4.0 * math.exp(-2.0), "neither", (0.0, "IFR"), (peak, "DFR")),
+    )
+
+
+def _knot_shape(kx: np.ndarray, raw: np.ndarray, kf: np.ndarray) -> ShapeReport:
+    """Exact shape of the density through the knots (kx, raw), normalized to
+    (kx, kf).  Every shape fact is invariant to the scale, so it is read off
+    the values as given, where ties such as collinear knots are exact."""
+    slopes = np.diff(raw) / np.diff(kx)
+    # Each sloped segment hands over at its top knot, the left end of any
+    # plateau that follows, to the next sloped segment (0: the end).
+    sloped = np.flatnonzero(slopes)
+    sign = np.sign(slopes[sloped])
+    after = np.append(sign[1:], 0.0)
+    peaks = sloped[(sign > 0) & (after <= 0)] + 1
+    if (sign.size == 0 or sign[0] < 0) and raw[0] == raw.max():
+        peaks = np.insert(peaks, 0, 0)  # the lower bound, while it carries the maximum
+    dips = sloped[(sign < 0) & (after >= 0)] + 1
+
+    # log-concave iff -f'/f never falls: past the zero ends, the slope never
+    # rises at a knot and no knot has f = 0
+    pos = np.flatnonzero(raw > 0)
+    i0, i1 = max(pos[0] - 1, 0), min(pos[-1] + 1, slopes.size)
+    s = slopes[i0:i1]
+    concave = np.all(raw[i0 + 1 : i1] > 0) and np.all(np.diff(s) <= 0) and np.any(s != 0)
+
+    # The hazard's slope has the sign of q = f' S + f^2.  At distance t below
+    # a segment's top knot f = f1 - b t and S = R + f1 t - b t^2 / 2, with R
+    # the mass above the segment, so q = f1^2 + b R - b f1 t + b^2 t^2 / 2:
+    # q < 0 only on a falling segment with -b R > f1^2, and only near its top.
+    seg = (raw[1:] + raw[:-1]) / 2.0 * np.diff(kx)
+    mass_above = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+    pieces = []
+    for k in np.flatnonzero(mass_above[:-1] > 0):  # no class where 1 - F = 0
+        b, f1, r = slopes[k], raw[k + 1], mass_above[k + 1]
+        # -b R carries a relative rounding error below (m + 8) eps from the
+        # slope, the sums of masses and the product; within it, it ties f1^2
+        excess = -b * r - f1 * f1
+        if excess > (slopes.size + 8) * np.finfo(float).eps * -b * r:
+            # t_root = (sqrt(f1^2 + 2 excess) - f1) / -b, without the cancellation
+            root = max(kx[k + 1] - 2.0 * excess / (-b * (math.sqrt(f1 * f1 + 2.0 * excess) + f1)), kx[k])
+            if root > kx[k]:
+                pieces.append((kx[k], "IFR"))
+            if root < kx[k + 1]:  # a root that rounds to the top knot opens no piece
+                pieces.append((root, "DFR"))
+        else:
+            pieces.append((kx[k], "constant" if b == 0.0 and f1 == 0.0 else "IFR"))
+    hazard = [(float(x), tag) for i, (x, tag) in enumerate(pieces) if i == 0 or tag != pieces[i - 1][1]]
+
+    return ShapeReport(
+        modes=tuple(kx[peaks[::-1]].tolist()),
+        mode_densities=tuple(kf[peaks[::-1]].tolist()),
+        antimodes=tuple(kx[dips[::-1]].tolist()),
+        global_mode=float(kx[peaks[raw[peaks] == raw.max()][-1]]),
+        log_class="log-concave" if concave else "neither",
+        hazard=tuple(hazard),
     )
 
 
@@ -629,7 +539,8 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
 
     The input need not integrate to one; it is renormalized and the raw mass
     is recorded as ``normalization``.  Mode locations and all argmax-level
-    results are invariant to that rescaling.
+    results are invariant to that rescaling.  The shape follows exactly from
+    the knots (``_knot_shape``).
     """
     pts = sorted((float(x), float(f)) for x, f in knots)
     if len(pts) < 2:
@@ -680,6 +591,7 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
         cdf=cdf,
         ppf=ppf,
         likelihood_ratio=lr,
+        shape=_knot_shape(kx, kf_raw, kf),
         knots=kx,
         normalization=mass,
     )

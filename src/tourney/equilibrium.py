@@ -72,7 +72,7 @@ class QuadratureFailure(RuntimeError):
 
 class ModeScanMismatch(RuntimeError):
     """The marginal benefit moves against the noise density between two of its
-    consecutive critical points: the scan missed one, or an integral is wrong."""
+    consecutive critical points: the shape misses one, or an integral is wrong."""
 
 
 class EffortOutOfRange(ValueError):
@@ -600,7 +600,7 @@ def optimal_threshold(dist: NoiseDistribution, n: int, v: PrizeSchedule) -> Thre
     """
     shape = dist.find_modes()
     t = np.union1d(shape.modes, shape.antimodes)
-    t = t[t >= shape.global_mode - 1e-12]
+    t = t[t >= shape.global_mode]
     g = _marginal_benefit(dist, n, v.differentials, t)
     f = np.asarray(dist.pdf(t))
     dg = np.diff(g)
@@ -610,7 +610,7 @@ def optimal_threshold(dist: NoiseDistribution, n: int, v: PrizeSchedule) -> Thre
         raise ModeScanMismatch(
             f"{dist.family} {dist.params}, n={n}: on [{t[i]:.10g}, {t[i + 1]:.10g}] f goes from "
             f"{f[i]:.10g} to {f[i + 1]:.10g} but G = sum_r d_r B_r from {g[i]:.12g} to {g[i + 1]:.12g}; "
-            f"as G' = f' H, H >= 0, the mode scan missed a critical point there or an integral is wrong"
+            f"as G' = f' H, H >= 0, the shape report misses a critical point there or an integral is wrong"
         )
     values = [(float(m), float(gm)) for m, gm in zip(t, g) if m in shape.modes]
     best_val = max(gm for _, gm in values)

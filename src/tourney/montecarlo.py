@@ -30,14 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import NoiseDistribution
-from .equilibrium import TournamentDesign, prize_probability
+from .equilibrium import TournamentDesign
 
 __all__ = [
     "SeedRequired",
     "SimulationReport",
     "simulate_prize_probabilities",
     "verify_best_response",
-    "finite_difference_marginals",
     "write_tally_csv",
 ]
 
@@ -262,39 +261,3 @@ def verify_best_response(
         grid_bias=float(grid_bias),
         certified=bool(certified),
     )
-
-
-def finite_difference_marginals(
-    dist: NoiseDistribution,
-    design: TournamentDesign,
-    e_star: float,
-    step: float = 1e-5,
-    method: str = "quadrature",
-    draws: int = 10**6,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Central-difference estimates of d/de of the at-least-rank-r probability.
-
-    Differentiates either the quadrature probabilities (default) or the
-    common-random-number Monte-Carlo estimates; in equilibrium these match
-    the rank marginal-benefit coefficients at ``standard - e_star``.
-    """
-    n = design.n
-    rho = design.standard
-    if method == "quadrature":
-        ranks = np.arange(1, n + 1)
-        up = prize_probability(dist, n, ranks, e_star + step, e_star, rho)
-        dn = prize_probability(dist, n, ranks, e_star - step, e_star, rho)
-        return (up - dn) / (2.0 * step)
-    if method != "simulate":
-        raise ValueError("method must be 'quadrature' or 'simulate'")
-    seed = _require_seed(seed)
-    counts_up = np.zeros(n)
-    counts_dn = np.zeros(n)
-    for x in noise_batches(dist, n, draws, seed):
-        for sign, counts in ((+1.0, counts_up), (-1.0, counts_dn)):
-            rank, _ = _rank(x, e_star + sign * step, e_star, rho)
-            counts += np.bincount(rank, minlength=n + 1)[:n]
-    at_least_up = np.cumsum(counts_up / draws)
-    at_least_dn = np.cumsum(counts_dn / draws)
-    return (at_least_up - at_least_dn) / (2.0 * step)

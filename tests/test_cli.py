@@ -105,6 +105,37 @@ def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
     assert err.startswith("invalid input: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"n": None}, "n"),
+        ({"threshold": None}, "threshold"),
+        ({"schedule": {"equal_top": None}}, "equal_top"),
+        ({"verify": {"force_effort": [1]}}, "force_effort"),
+    ],
+)
+def test_null_or_list_value_exits_2(tmp_path, capsys, change, key):
+    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta", **change}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["verify", "--config", cfg, "--seed", "1", "--draws", "10000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and f"'{key}'" in err
+
+
+def test_verify_has_no_cap_for_inverse_exponential(tmp_path, capsys):
+    # log f is concave below 1 and convex above, so neither closed-form cap applies
+    scenario = {
+        "distribution": {"family": "inverse_exponential"},
+        "n": 3,
+        "schedule": "wta",
+        "cost": {"kappa": 3.0, "beta": 2.0},
+        "verify": {"scheme": {"kind": "constant"}},
+    }
+    cfg = _write(tmp_path, "cfg.json", scenario)
+    assert cli.main(["verify", "--config", cfg, "--seed", "1", "--draws", "10000"]) == 2
+    assert "noise is neither" in capsys.readouterr().err
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = _write(tmp_path, "cfg.json", EXP_SCENARIO)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

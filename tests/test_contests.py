@@ -97,6 +97,7 @@ def test_fm_bisection_without_closed_inverse():
         cdf=lambda x: x**2,
         ppf=np.sqrt,
         likelihood_ratio=lambda x: -1.0 / x,
+        shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),)),
         require_upper_zero=False,
     )
     e_star, _ = contests.tullock_optimal(3)

