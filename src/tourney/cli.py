@@ -31,9 +31,9 @@ from .equilibrium import (
     PrizeSchedule,
     QuadratureFailure,
     TournamentDesign,
+    _marginal_benefit,
     prize_probability,
     solve_design,
-    total_marginal_benefit_curve,
 )
 from .svgplot import line_plot_svg
 
@@ -308,8 +308,9 @@ def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
         hz[alive] = np.asarray(d.hazard(grid[alive]))
         hz_cols.append((name, hz[keep]))
 
-        for sched_name, s in FIG1_SCHEDULES:
-            curve = total_marginal_benefit_curve(d, 3, PrizeSchedule.equal_top(s, 3), grid)
+        d_rows = np.stack([PrizeSchedule.equal_top(s, 3).differentials for _, s in FIG1_SCHEDULES])
+        curves = _marginal_benefit(d, 3, d_rows, grid)  # each row summed as for its schedule alone
+        for (sched_name, _), curve in zip(FIG1_SCHEDULES, curves):
             g_cols.append((f"{name}_{sched_name}", curve[keep]))
 
     _panel("density", dens_cols, "noise density", "f(t)")

@@ -12,7 +12,6 @@ deadline.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .distributions import NoiseDistribution, gumbel
 from .montecarlo import _grid_sums, _require_seed, noise_batches
@@ -75,14 +74,18 @@ def _symmetric_foc(e: float, n: int, rho: float) -> float:
 
 def tullock_effort_given_standard(n: int, rho: float) -> float:
     """Symmetric equilibrium effort for a fixed standard, linear cost."""
-    return float(optimize.brentq(_symmetric_foc, 1e-12, 1.0, args=(n, rho), xtol=1e-15, rtol=1e-15))
+    from scipy.optimize import brentq  # off the import path of the other commands
+
+    return float(brentq(_symmetric_foc, 1e-12, 1.0, args=(n, rho), xtol=1e-15, rtol=1e-15))
 
 
 def tullock_selfconsistent_effort(n: int) -> float:
     """Solve the symmetric first-order condition with the standard tied to
     the effort (rho = e); independent check of the closed form."""
+    from scipy.optimize import brentq  # off the import path of the other commands
+
     return float(
-        optimize.brentq(lambda e: _symmetric_foc(e, n, e), 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
+        brentq(lambda e: _symmetric_foc(e, n, e), 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
     )
 
 

@@ -70,6 +70,13 @@ class ShapeReport:
     ``(start, class)`` pairs, ascending, with class ``IFR``, ``DFR`` or
     ``constant``.  A piece runs to the next start, the last one to the upper
     support bound; where 1 - F = 0 no piece starts.
+
+    ``steepest_descent`` is sup(-f') over the real line, the fastest fall of
+    the density.  An upward jump of f (at the lower bound of exponential or
+    Pareto noise) does not count; a downward jump (at the upper bound of
+    uniform noise) makes it infinite, which is also the default of a shape
+    that does not declare it.  ``solve_design`` bounds the curvature of the
+    deviation payoff with it.
     """
 
     modes: tuple[float, ...]
@@ -78,6 +85,7 @@ class ShapeReport:
     global_mode: float
     log_class: str
     hazard: tuple[tuple[float, str], ...]
+    steepest_descent: float = math.inf
 
     @property
     def global_mode_density(self) -> float:
@@ -85,9 +93,11 @@ class ShapeReport:
         return self.mode_densities[i]
 
 
-def _unimodal(mode: float, density: float, log_class: str, *hazard: tuple[float, str]) -> ShapeReport:
+def _unimodal(
+    mode: float, density: float, log_class: str, steepest_descent: float, *hazard: tuple[float, str]
+) -> ShapeReport:
     """Shape of a family with one mode and no antimode."""
-    return ShapeReport((mode,), (density,), (), mode, log_class, hazard)
+    return ShapeReport((mode,), (density,), (), mode, log_class, hazard, steepest_descent)
 
 
 def _as_float_array(x):
@@ -306,7 +316,7 @@ def exponential(rate: float = 1.0) -> NoiseDistribution:
         ppf=lambda q: -np.log1p(-q) / lam,
         hazard=lambda x: np.full_like(x, lam),
         likelihood_ratio=lambda x: np.full_like(x, lam),
-        shape=_unimodal(0.0, lam, "neither", (0.0, "constant")),
+        shape=_unimodal(0.0, lam, "neither", lam * lam, (0.0, "constant")),
     )
 
 
@@ -318,6 +328,10 @@ def gumbel(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
     def z(x):
         return (x - mu) / beta
 
+    # with w = exp(-z), -f' = w (1 - w) exp(-w) / beta^2, largest where
+    # w^2 - 3w + 1 = 0 on (0, 1)
+    w = (3.0 - math.sqrt(5.0)) / 2.0
+    descent = w * (1.0 - w) * math.exp(-w)
     return NoiseDistribution(
         family="gumbel",
         params={"loc": mu, "scale": beta},
@@ -327,7 +341,7 @@ def gumbel(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         sf=lambda x: -np.expm1(-np.exp(-z(x))),
         ppf=lambda q: mu - beta * np.log(-np.log(q)),
         likelihood_ratio=lambda x: (1.0 - np.exp(-z(x))) / beta,
-        shape=_unimodal(mu, math.exp(-1.0) / beta, "log-concave", (-np.inf, "IFR")),
+        shape=_unimodal(mu, math.exp(-1.0) / beta, "log-concave", descent / beta**2, (-np.inf, "IFR")),
     )
 
 
@@ -344,7 +358,13 @@ def normal(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         sf=lambda x: special.ndtr(-(x - mu) / sigma),
         ppf=lambda q: mu + sigma * special.ndtri(q),
         likelihood_ratio=lambda x: (x - mu) / sigma**2,
-        shape=_unimodal(mu, 1.0 / (sigma * math.sqrt(2 * math.pi)), "log-concave", (-np.inf, "IFR")),
+        shape=_unimodal(
+            mu,
+            1.0 / (sigma * math.sqrt(2 * math.pi)),
+            "log-concave",
+            1.0 / (sigma**2 * math.sqrt(2 * math.pi * math.e)),  # -f' peaks at mu + sigma
+            (-np.inf, "IFR"),
+        ),
     )
 
 
@@ -365,7 +385,7 @@ def logistic(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         sf=lambda x: special.expit(-z(x)),
         ppf=lambda q: mu + s * (np.log(q) - np.log1p(-q)),
         likelihood_ratio=lambda x: np.tanh(z(x) / 2.0) / s,
-        shape=_unimodal(mu, 0.25 / s, "log-concave", (-np.inf, "IFR")),
+        shape=_unimodal(mu, 0.25 / s, "log-concave", 1.0 / (6.0 * math.sqrt(3.0) * s * s), (-np.inf, "IFR")),
     )
 
 
@@ -384,7 +404,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> NoiseDistribution:
         sf=lambda x: (b - x) / w,
         ppf=lambda q: a + q * w,
         likelihood_ratio=lambda x: np.zeros_like(x),
-        shape=_unimodal(a, 1.0 / w, "neither", (a, "IFR")),
+        shape=_unimodal(a, 1.0 / w, "neither", math.inf, (a, "IFR")),
         knots=(a, b),
         require_upper_zero=False,  # flat density by design
     )
@@ -405,7 +425,7 @@ def pareto(alpha: float = 2.0, x_min: float = 1.0) -> NoiseDistribution:
         ppf=lambda q: m * (1.0 - q) ** (-1.0 / a),
         hazard=lambda x: a / x,
         likelihood_ratio=lambda x: (a + 1.0) / x,
-        shape=_unimodal(m, a / m, "log-convex", (m, "DFR")),
+        shape=_unimodal(m, a / m, "log-convex", a * (a + 1.0) / (m * m), (m, "DFR")),
     )
 
 
@@ -414,7 +434,8 @@ def erf_exponential() -> NoiseDistribution:
 
     The hazard decreases from 2 at the origin to 1 in the tail, so the
     density is decreasing (mode at 0) and the distribution is DFR without
-    being log-convex.
+    being log-convex.  -f' = (h^2 + 2x exp(-x^2)) exp(-H), with h the
+    hazard, falls from 4 at the origin.
     """
 
     def H(x):
@@ -448,7 +469,7 @@ def erf_exponential() -> NoiseDistribution:
         ppf=ppf,
         hazard=haz,
         likelihood_ratio=lr,
-        shape=_unimodal(0.0, 2.0, "neither", (0.0, "DFR")),
+        shape=_unimodal(0.0, 2.0, "neither", 4.0, (0.0, "DFR")),
     )
 
 
@@ -467,6 +488,10 @@ def inverse_exponential() -> NoiseDistribution:
         return np.exp(-1.0 / xm - 2.0 * np.log(xm))
 
     peak = 1.0 / (2.0 + float(special.lambertw(-2.0 * math.exp(-2.0)).real))
+    # with u = 1/x, -f' = u^3 (2 - u) exp(-u), largest where u^2 - 6u + 6 = 0
+    # on (0, 2)
+    u = 3.0 - math.sqrt(3.0)
+    descent = u**3 * (2.0 - u) * math.exp(-u)
     return NoiseDistribution(
         family="inverse_exponential",
         params={},
@@ -475,14 +500,16 @@ def inverse_exponential() -> NoiseDistribution:
         cdf=lambda x: np.exp(-1.0 / np.maximum(x, eps)),
         ppf=lambda q: -1.0 / np.log(np.maximum(q, eps)),
         likelihood_ratio=lambda x: (2.0 * x - 1.0) / np.square(x),
-        shape=_unimodal(0.5, 4.0 * math.exp(-2.0), "neither", (0.0, "IFR"), (peak, "DFR")),
+        shape=_unimodal(0.5, 4.0 * math.exp(-2.0), "neither", descent, (0.0, "IFR"), (peak, "DFR")),
     )
 
 
 def _knot_shape(kx: np.ndarray, raw: np.ndarray, kf: np.ndarray) -> ShapeReport:
     """Exact shape of the density through the knots (kx, raw), normalized to
-    (kx, kf).  Every shape fact is invariant to the scale, so it is read off
-    the values as given, where ties such as collinear knots are exact."""
+    (kx, kf).  Every shape fact but the steepest descent is invariant to the
+    scale, so it is read off the values as given, where ties such as
+    collinear knots are exact.  The steepest descent is the largest fall of
+    the normalized segments, or infinite when f drops to 0 past the last knot."""
     slopes = np.diff(raw) / np.diff(kx)
     # Each sloped segment hands over at its top knot, the left end of any
     # plateau that follows, to the next sloped segment (0: the end).
@@ -531,6 +558,7 @@ def _knot_shape(kx: np.ndarray, raw: np.ndarray, kf: np.ndarray) -> ShapeReport:
         global_mode=float(kx[peaks[raw[peaks] == raw.max()][-1]]),
         log_class="log-concave" if concave else "neither",
         hazard=tuple(hazard),
+        steepest_descent=math.inf if kf[-1] > 0 else float(-np.min(np.diff(kf) / np.diff(kx))),
     )
 
 
@@ -542,6 +570,11 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
     results are invariant to that rescaling.  The shape follows exactly from
     the knots (``_knot_shape``).
     """
+    return _piecewise_linear(knots)
+
+
+def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistribution:
+    """``piecewise_linear`` with ``labels`` appended to its ``params``."""
     pts = sorted((float(x), float(f)) for x, f in knots)
     if len(pts) < 2:
         raise ValueError("need at least two knots")
@@ -585,7 +618,7 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
 
     return NoiseDistribution(
         family="piecewise_linear",
-        params={"knots": [[float(a), float(b)] for a, b in zip(kx, kf_raw)]},
+        params={"knots": [[float(a), float(b)] for a, b in zip(kx, kf_raw)], **labels},
         support=(float(kx[0]), float(kx[-1])),
         pdf=pdf,
         cdf=cdf,
@@ -615,9 +648,7 @@ def trimodal_example(variant: str = "red") -> NoiseDistribution:
         kn = _TRIMODAL_KNOTS[variant]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(_TRIMODAL_KNOTS)}")
-    d = piecewise_linear([(x, f / 16.0) for x, f in kn])
-    d.params["variant"] = variant
-    return d
+    return _piecewise_linear([(x, f / 16.0) for x, f in kn], variant=variant)
 
 
 _FAMILIES = {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .distributions import NoiseDistribution, _order_statistic_level_cdf
 
@@ -54,9 +54,12 @@ QUAD_TARGET = 1e-9  # absolute error target for every noise integral
 QUAD_ORDER = 20
 THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
-# accepts, and the number of evenly spaced efforts it checks.
+# accepts; the number of evenly spaced efforts it checks when the deviation
+# payoff's curvature has no finite bound; and, when it has, the number of
+# equal cells its refinement starts from.
 DEVIATION_GAIN_TOL = 1e-9
 CONCAVITY_POINTS = 400
+REFINEMENT_CELLS = 32
 # Distances from either end of [0, 1] at which the probability domain is
 # broken into panels.  A heavy tail makes the integrand singular at u = 1
 # (Pareto(2): f(Q(u)) ~ (1-u)^1.5); panels a decade apart keep it smooth on
@@ -80,8 +83,10 @@ class EffortOutOfRange(ValueError):
 
 
 class ConcavityWarning(UserWarning):
-    """Deviation payoff failed the unimodality diagnostic; the first-order
-    condition may not characterize an equilibrium."""
+    """A single deviator gains over the first-order effort, or, where the
+    deviation payoff's curvature has no finite bound, that payoff is not
+    unimodal on the diagnostic grid; the first-order condition may not
+    characterize an equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -143,16 +148,29 @@ class CostFunction:
     """Strictly convex effort cost with analytic derivative and inverse.
 
     ``max_effort`` is the largest undominated effort level, i.e. the effort
-    whose cost equals the entire unit prize budget.
+    whose cost equals the entire unit prize budget; without it, c(e) = 1 is
+    solved by bisection.  ``min_curvature`` is the infimum of c'' on
+    [0, max_effort], a lower bound that ``solve_design`` uses to bound the
+    curvature of the deviation payoff; 0, the default, holds for every convex
+    cost.
     """
 
-    def __init__(self, c, cprime, cprime_inv, max_effort: float | None = None, label: str = "custom"):
+    def __init__(
+        self,
+        c,
+        cprime,
+        cprime_inv,
+        max_effort: float | None = None,
+        label: str = "custom",
+        min_curvature: float = 0.0,
+    ):
         self.c = c
         self.cprime = cprime
         self.cprime_inv = cprime_inv
         self.label = label
+        self.min_curvature = float(min_curvature)
         if max_effort is None:
-            max_effort = float(optimize.brentq(lambda e: c(e) - 1.0, 1e-12, 1e12, xtol=1e-14))
+            max_effort = _unit_cost_effort(c)
         self.max_effort = float(max_effort)
         if abs(c(0.0)) > 1e-12 or abs(cprime(0.0)) > 1e-9:
             raise ValueError("cost must satisfy c(0) = 0 and c'(0) = 0")
@@ -162,12 +180,16 @@ class CostFunction:
         """c(e) = kappa * e**beta / beta with kappa > 0, beta > 1."""
         if kappa <= 0 or beta <= 1:
             raise ValueError("need kappa > 0 and beta > 1")
+        e_max = (beta / kappa) ** (1.0 / beta)
+        # c'' = kappa (beta - 1) e^(beta - 2): constant at beta = 2, least at
+        # e_max below it and at 0 above it
         return cls(
             c=lambda e: kappa * e**beta / beta,
             cprime=lambda e: kappa * e ** (beta - 1.0),
             cprime_inv=lambda y: (y / kappa) ** (1.0 / (beta - 1.0)),
-            max_effort=(beta / kappa) ** (1.0 / beta),
+            max_effort=e_max,
             label=f"power(kappa={kappa:g}, beta={beta:g})",
+            min_curvature=kappa * (beta - 1.0) * e_max ** (beta - 2.0) if beta <= 2.0 else 0.0,
         )
 
     @classmethod
@@ -176,6 +198,17 @@ class CostFunction:
 
     def __repr__(self):
         return f"CostFunction({self.label}, max_effort={self.max_effort:.6g})"
+
+
+def _unit_cost_effort(c) -> float:
+    """The effort e in [0, 1e12] with c(e) = 1, by bisection to adjacent
+    floats; c is increasing there, as it is convex with c'(0) = 0."""
+    lo, hi = 0.0, 1e12
+    if not c(hi) >= 1.0:
+        raise ValueError("cost stays below the unit prize budget up to effort 1e12")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if c(mid) < 1.0 else (lo, mid)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -558,6 +591,49 @@ def deviation_payoff_curve(
     return value - np.asarray(design.cost.c(e))
 
 
+def _deviation_payoffs(
+    dist: NoiseDistribution, design: TournamentDesign, e_star: float, curvature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Efforts in [0, max_effort], ascending and with ``e_star`` among them,
+    and the deviation payoffs there, on which ``solve_design`` judges e*.
+
+    With ``curvature`` K finite, a cell [a, b] of width h keeps the payoff
+    below its chord plus K s (h - s) / 2, s = e - a.  The efforts start at
+    ``REFINEMENT_CELLS`` equal cells, e*, and e* +- h0 2^-j, h0 the cell
+    width, down to the first step within the floor sqrt(8 tol / K), at
+    which K h^2 / 8 = tol.  Each round then bisects, in one kernel call,
+    every cell wider than the floor whose bound can exceed pi(e*) + tol,
+    until no cell can or some effort gains more than tol.  Without a finite
+    K, the grid of ``CONCAVITY_POINTS`` efforts and e*.
+    """
+    e_max = design.cost.max_effort
+    if math.isinf(curvature):
+        e = np.unique(np.append(np.linspace(0.0, e_max, CONCAVITY_POINTS), e_star))
+        return e, deviation_payoff_curve(dist, design, e_star, e)
+    floor = math.sqrt(8.0 * DEVIATION_GAIN_TOL / curvature)
+    h0 = e_max / REFINEMENT_CELLS
+    steps = h0 * 0.5 ** np.arange(max(math.ceil(math.log2(h0 / floor)), 0) + 1)
+    graded = e_star + np.concatenate([-steps, steps])
+    graded = graded[(graded >= 0.0) & (graded <= e_max)]
+    e = np.unique(np.concatenate([np.linspace(0.0, e_max, REFINEMENT_CELLS + 1), [e_star], graded]))
+    pi = deviation_payoff_curve(dist, design, e_star, e)
+    pi_star = pi[np.searchsorted(e, e_star)]
+    while np.max(pi) - pi_star <= DEVIATION_GAIN_TOL:
+        h, rise = np.diff(e), np.diff(pi)
+        # the chord plus K s (h - s) / 2 peaks inside the cell at
+        # mean + K h^2 / 8 + rise^2 / (2 K h^2) when |rise| < K h^2 / 2
+        inside = np.abs(rise) < curvature * h * h / 2.0
+        peak = (pi[:-1] + pi[1:]) / 2.0 + curvature * h * h / 8.0 + rise**2 / (2.0 * curvature * h * h)
+        bound = np.where(inside, peak, np.maximum(pi[:-1], pi[1:]))
+        split = np.flatnonzero((bound - pi_star > DEVIATION_GAIN_TOL) & (h > floor))
+        if split.size == 0:
+            break
+        mid = e[split] + h[split] / 2.0
+        e = np.insert(e, split + 1, mid)
+        pi = np.insert(pi, split + 1, deviation_payoff_curve(dist, design, e_star, mid))
+    return e, pi
+
+
 def _is_unimodal(values: np.ndarray, atol: float | None = None) -> bool:
     diffs = np.diff(np.asarray(values, dtype=float))
     if atol is None:
@@ -628,12 +704,32 @@ def solve_design(
     """Optimal standard and equilibrium effort for a fixed prize schedule.
 
     Pass ``threshold`` to solve at a caller-chosen threshold instead of the
-    optimal one.  Emits a non-fatal ``ConcavityWarning``, and reports
-    ``concavity_ok=False``, when some effort on the diagnostic grid pays a
-    single deviator more than the first-order effort (the design then has no
-    symmetric equilibrium at that effort), or when the deviation payoff is not
-    unimodal on the effort range (the first-order condition may not identify
-    an equilibrium).
+    optimal one.
+
+    The first-order effort e* is an equilibrium only if it is a single
+    deviator's best response on [0, max_effort].  Against rivals at e*, the
+    deviator's payoff is P(e) = sum_r d_r E[S(Z_r - e)] - c(e), with S the
+    noise survival function and Z_r the larger of the standard and the
+    rank-r rival's noise.  As d_r >= 0 and sum_r d_r = v_1, the top prize,
+    P'' = -sum_r d_r E[f'(Z_r - e)] - c'' <= K = v_1 sup(-f') - inf c''
+    (``ShapeReport.steepest_descent``, ``CostFunction.min_curvature``); an
+    upward jump of f and the kink at the standard only add negative mass.
+    So:
+
+    - K <= 0: P is concave and e*, where P' = 0, is its global maximum.  No
+      payoff is evaluated.
+    - K finite and positive: on a cell [a, b], P stays below its chord plus
+      K (e - a)(b - e) / 2.  ``_deviation_payoffs`` bisects the cells where
+      that bound can exceed P(e*) + ``DEVIATION_GAIN_TOL`` until none can,
+      down to cells on which it adds at most the tolerance to the chord, or
+      until an effort gains more than the tolerance.  A pass so certifies
+      that no effort gains more than twice the tolerance.
+    - K infinite (f drops by a jump, as at the top of uniform noise): P is
+      taken on a grid of ``CONCAVITY_POINTS`` efforts, a grid verdict and no
+      proof, and must also be unimodal there.
+
+    A failed check emits a non-fatal ``ConcavityWarning``, naming K and the
+    number of efforts evaluated, and reports ``concavity_ok=False``.
     """
     if threshold is None:
         thr = optimal_threshold(dist, n, v)
@@ -644,25 +740,26 @@ def solve_design(
     e_star = equilibrium_effort(dist, n, v, t_star, cost)
     rho = e_star + t_star
     design = TournamentDesign(standard=rho, schedule=v, cost=cost)
-    e_grid = np.unique(np.append(np.linspace(0.0, cost.max_effort, CONCAVITY_POINTS), e_star))
-    pi = deviation_payoff_curve(dist, design, e_star, e_grid)
-    i_best = int(np.argmax(pi))
-    gain = float(pi[i_best] - pi[np.searchsorted(e_grid, e_star)])
-    if gain > DEVIATION_GAIN_TOL:
-        problem = (
-            f"deviating to effort {e_grid[i_best]:.6g} gains {gain:.3g} over the "
-            f"first-order effort {e_star:.6g}; this design has no symmetric "
-            f"equilibrium there"
-        )
-    elif not _is_unimodal(pi):
-        problem = (
-            "deviation payoff is not unimodal in own effort; equilibrium "
-            "existence is not guaranteed for this design"
-        )
-    else:
-        problem = None
+    curvature = v.prizes[0] * dist.find_modes().steepest_descent - cost.min_curvature
+    problem = None
+    if curvature > 0.0:
+        e, pi = _deviation_payoffs(dist, design, e_star, curvature)
+        i_best = int(np.argmax(pi))
+        gain = float(pi[i_best] - pi[np.searchsorted(e, e_star)])
+        if gain > DEVIATION_GAIN_TOL:
+            problem = (
+                f"deviating to effort {e[i_best]:.6g} gains {gain:.3g} over the "
+                f"first-order effort {e_star:.6g}; this design has no symmetric "
+                f"equilibrium there"
+            )
+        elif math.isinf(curvature) and not _is_unimodal(pi):
+            problem = (
+                "deviation payoff is not unimodal in own effort; equilibrium "
+                "existence is not guaranteed for this design"
+            )
     if problem is not None:
-        warnings.warn(problem, ConcavityWarning, stacklevel=2)
+        evidence = f" (curvature bound K = {curvature:.3g}, {e.size} efforts evaluated)"
+        warnings.warn(problem + evidence, ConcavityWarning, stacklevel=2)
     return EquilibriumSolution(
         threshold=float(t_star),
         effort=float(e_star),

@@ -277,10 +277,12 @@ def _random_knots(rng):
 
 
 def _dense_shape(d):
-    """Global mode, hazard class and log class read off 2e5 points.  Over a
-    finite support the points are uniform with the knots added, f interpolates
-    its knot values and 1 - F sums trapezoids from the top, which is exact for
-    a piecewise-linear f; otherwise they sit at evenly spaced quantiles."""
+    """Global mode, hazard class, log class and sup(-f') read off 2e5 points.
+    Over a finite support the points are uniform with the knots added, f
+    interpolates its knot values and 1 - F sums trapezoids from the top,
+    which is exact for a piecewise-linear f; otherwise they sit at evenly
+    spaced quantiles.  f' is taken by second-order differences; f > 0 at a
+    finite upper bound is a drop to 0, an infinite sup(-f')."""
     lo, hi = d.support
     if np.isfinite(hi):
         kx = np.asarray(d.knots)
@@ -316,7 +318,8 @@ def _dense_shape(d):
         concave = np.all(bend <= tol) and np.any(bend < -tol)
         convex = np.all(bend >= -tol) and np.any(bend > tol)
         log_class = "log-concave" if concave else "log-convex" if convex else "neither"
-    return x[i], f[i], step, hazard, log_class
+    descent = np.inf if np.isfinite(hi) and f[-1] > 0 else float(np.max(-np.gradient(f, x, edge_order=2)))
+    return x[i], f[i], step, hazard, log_class, descent
 
 
 NAMED = [
@@ -344,17 +347,21 @@ def test_declared_shapes_match_dense_reference():
         randoms = [dists.piecewise_linear(_random_knots(rng)) for _ in range(200)]
     for d in NAMED + randoms:
         shape = d.find_modes()
-        x_max, f_max, step, hazard, log_class = _dense_shape(d)
+        x_max, f_max, step, hazard, log_class, descent = _dense_shape(d)
         assert shape.global_mode_density == pytest.approx(f_max, rel=1e-12), d
+        assert shape.steepest_descent == pytest.approx(descent, rel=1e-8), d
         assert abs(shape.global_mode - x_max) <= step, d
         assert d.classify_hazard() == hazard, d
         assert d.log_concavity() == log_class, d
 
 
 def test_import_leaves_out_scipy_optimize():
-    code = "import sys, tourney.distributions; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, tourney.distributions; print('scipy.optimize' in sys.modules); "
+        "import tourney.cli; print('scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_order_statistics():

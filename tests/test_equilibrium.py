@@ -561,6 +561,130 @@ def test_concavity_diagnostic_flags_profitable_deviation():
     assert sol.effort == pytest.approx(2 / 9, abs=1e-9)
 
 
+def _curvature_bound(dist, v, cost):
+    """K = v_1 sup(-f') - inf c'', the bound on the deviation payoff's P''."""
+    return v.prizes[0] * dist.find_modes().steepest_descent - cost.min_curvature
+
+
+SCHEDULES = [(3, eq.PrizeSchedule.winner_take_all(3)), (10, eq.PrizeSchedule.equal_sharing(10)),
+             (10, eq.PrizeSchedule.winner_take_all(10))]
+
+
+@pytest.mark.parametrize(
+    "dist", [GUMBEL, dists.normal(), EXPO, RED, HEAVY], ids=["gumbel", "normal", "exponential", "red", "erf_exponential"]
+)
+def test_deviation_payoff_curvature_within_bound(dist):
+    # second differences, h = 1e-3, at 61 efforts across [0, e_max]
+    h = 1e-3
+    centers = np.linspace(h, QUAD_COST.max_effort - h, 61)
+    for n, v in SCHEDULES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", eq.ConcavityWarning)
+            sol = eq.solve_design(dist, n, v, QUAD_COST)
+        design = eq.TournamentDesign(sol.standard, v, QUAD_COST)
+        pi = eq.deviation_payoff_curve(dist, design, sol.effort, np.concatenate([centers - h, centers, centers + h]))
+        lo, mid, hi = pi.reshape(3, -1)
+        assert np.max((lo - 2 * mid + hi) / h**2) <= _curvature_bound(dist, v, QUAD_COST) + 1e-6, (n, v)
+
+
+def test_concavity_verdict_evaluates_no_payoff_when_bound_proves_concavity(monkeypatch):
+    evaluated = []
+    curve = eq.deviation_payoff_curve
+    monkeypatch.setattr(eq, "deviation_payoff_curve", lambda *a: evaluated.append(np.size(a[3])) or curve(*a))
+    concave = [
+        (GUMBEL, eq.PrizeSchedule.winner_take_all(3)),
+        (dists.normal(0.5, 0.8), eq.PrizeSchedule.equal_sharing(10)),
+        (PARETO, eq.PrizeSchedule.equal_sharing(10)),
+        (HEAVY, eq.PrizeSchedule.equal_sharing(4)),  # K = 4/4 - 1 = 0 exactly
+    ]
+    for dist, v in concave:
+        assert _curvature_bound(dist, v, QUAD_COST) <= 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", eq.ConcavityWarning)
+            assert eq.solve_design(dist, v.n, v, QUAD_COST).concavity_ok
+    assert evaluated == []
+    # a finite K > 0 refines from far fewer efforts than the grid
+    assert eq.solve_design(RED, 3, eq.PrizeSchedule.winner_take_all(3), QUAD_COST).concavity_ok
+    assert 0 < sum(evaluated) < eq.CONCAVITY_POINTS
+    # only K = inf, here a drop at the top of the support, takes the grid
+    evaluated.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", eq.ConcavityWarning)
+        eq.solve_design(UNIF, 3, eq.PrizeSchedule.winner_take_all(3), QUAD_COST)
+    assert len(evaluated) == 1 and evaluated[0] >= eq.CONCAVITY_POINTS
+
+
+def test_refinement_flags_gain_on_blue_wta():
+    # a deviation to e ~ 0.376 gains 3.1e-8 over e* = 0.3848
+    v = eq.PrizeSchedule.winner_take_all(10)
+    with pytest.warns(eq.ConcavityWarning, match=r"gains .*curvature bound K = 0\.758, \d+ efforts evaluated"):
+        sol = eq.solve_design(BLUE, 10, v, QUAD_COST)
+    assert not sol.concavity_ok
+    design = eq.TournamentDesign(sol.standard, v, QUAD_COST)
+    pi = eq.deviation_payoff_curve(BLUE, design, sol.effort, np.array([sol.effort, 0.376]))
+    assert pi[1] - pi[0] == pytest.approx(3.14e-8, rel=0.01)
+
+
+def test_refinement_finds_gain_between_grid_points():
+    # EPS on Pareto(2, x_min) at n = 3: below e* the deviation payoff is
+    # (x_min / (rho - e))^2 / 3 - e^2 / 2, whose P'' at e* is 2 / x_min^2 - 1,
+    # just above 0 at x_min = 1.412; its maximum, 2.56e-9 over e*, lies at
+    # e = 0.46993, between two efforts of the evenly spaced grid
+    x_min = 1.412
+    with pytest.warns(eq.ConcavityWarning, match="gains"):
+        sol = eq.solve_design(dists.pareto(2.0, x_min), 3, eq.PrizeSchedule.equal_sharing(3), QUAD_COST)
+    assert not sol.concavity_ok
+
+    def payoff(e):
+        return (x_min / (sol.standard - e)) ** 2 / 3 - e**2 / 2
+
+    grid = np.linspace(0.0, QUAD_COST.max_effort, eq.CONCAVITY_POINTS)
+    below = grid[grid < sol.effort]
+    assert np.max(payoff(below)) - payoff(sol.effort) < eq.DEVIATION_GAIN_TOL
+    assert payoff(0.46993) - payoff(sol.effort) == pytest.approx(2.56e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("height, gains", [(0.13, True), (0.12, False)])
+def test_refinement_bisects_to_a_gain_between_its_first_efforts(monkeypatch, height, gains):
+    # a synthetic payoff -(e - e*)^2 / 2 plus a bump of width 0.005 midway
+    # between two of the first efforts, where the parabola is at -0.122: the
+    # bump rises above P(e*) = 0 at height 0.13, not at 0.12.  Its P'' stays
+    # below 0.4463 * 0.13 / 0.005^2 - 1 < K = 2400.
+    e_star, center = 0.5, 22.5 * QUAD_COST.max_effort / eq.REFINEMENT_CELLS
+
+    def payoff(dist, design, e_star, e):
+        return -0.5 * (e - e_star) ** 2 + height * np.exp(-0.5 * ((e - center) / 0.005) ** 2)
+
+    monkeypatch.setattr(eq, "deviation_payoff_curve", payoff)
+    design = eq.TournamentDesign(0.0, eq.PrizeSchedule.winner_take_all(2), QUAD_COST)
+    e, pi = eq._deviation_payoffs(None, design, e_star, 2400.0)
+    first = np.linspace(0.0, QUAD_COST.max_effort, eq.REFINEMENT_CELLS + 1)
+    assert np.max(payoff(None, None, e_star, first)) <= 0.0
+    gain = np.max(pi) - pi[np.searchsorted(e, e_star)]
+    assert (gain > eq.DEVIATION_GAIN_TOL) == gains
+
+
+def test_refinement_verdict_matches_dense_grid_on_random_density():
+    # a seeded random piecewise density that vanishes at the top, so K is
+    # finite; its interior knots stay at f >= 0.2, away from the kernel fault
+    # at near-vanishing knots (test_mode_where_density_nearly_vanishes_at_knot)
+    rng = np.random.default_rng(1)
+    k = int(rng.integers(3, 8))
+    knots = zip(np.cumsum(rng.uniform(0.1, 1.0, k)), np.append(rng.uniform(0.2, 1.0, k - 1), 0.0))
+    d = dists.piecewise_linear(list(knots))
+    verdicts = []
+    for v in (eq.PrizeSchedule.winner_take_all(3), eq.PrizeSchedule.equal_sharing(3), eq.random_schedule(3, rng)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", eq.ConcavityWarning)
+            sol = eq.solve_design(d, 3, v, QUAD_COST)
+        grid = np.unique(np.append(np.linspace(0.0, QUAD_COST.max_effort, 4000), sol.effort))
+        pi = eq.deviation_payoff_curve(d, eq.TournamentDesign(sol.standard, v, QUAD_COST), sol.effort, grid)
+        dense_ok = np.max(pi) - pi[np.searchsorted(grid, sol.effort)] <= eq.DEVIATION_GAIN_TOL
+        assert sol.concavity_ok == dense_ok, v
+        verdicts.append(dense_ok)
+    assert verdicts == [False, True, True]
+
+
 def test_unimodality_detector():
     assert eq._is_unimodal(np.array([0.0, 1.0, 2.0, 1.5, 0.5]))
     assert eq._is_unimodal(np.array([3.0, 2.0, 1.0]))
@@ -576,3 +700,13 @@ def test_cost_function_contract():
         eq.CostFunction.power(kappa=-1.0)
     with pytest.raises(ValueError):
         eq.CostFunction(c=lambda e: e, cprime=lambda e: 1.0, cprime_inv=lambda y: y)
+    # inf c'' on [0, e_max]: c'' = kappa (beta - 1) e^(beta - 2)
+    assert c.min_curvature == 0.0
+    assert eq.CostFunction.power(3.0, 2.0).min_curvature == 3.0
+    soft = eq.CostFunction.power(1.0, 1.5)
+    assert soft.min_curvature == pytest.approx(0.5 / math.sqrt(soft.max_effort), rel=1e-15)
+    # without max_effort, c(e) = 1 is solved by bisection
+    cubic = eq.CostFunction(c=lambda e: e**3, cprime=lambda e: 3 * e * e, cprime_inv=lambda y: math.sqrt(y / 3))
+    assert (cubic.max_effort, cubic.min_curvature) == (1.0, 0.0)
+    soft_custom = eq.CostFunction(soft.c, soft.cprime, soft.cprime_inv)
+    assert soft_custom.max_effort == pytest.approx(soft.max_effort, rel=4 * np.finfo(float).eps)
