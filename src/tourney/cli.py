@@ -47,7 +47,6 @@ NUMERIC_ERRORS = (
     ModeScanMismatch,
     EffortOutOfRange,
     dists.SurvivalUnderflow,
-    prizes_mod.RepresentationMismatch,
     prizes_mod.SufficiencyViolated,
     payschemes.UnboundedLikelihoodRatio,
 )
@@ -339,18 +338,14 @@ def cmd_verify(args) -> int:
     sc = _scenario_from(_load_config(args.config), args)
     payload, schedule, solution = _solve_scenario(sc)
     opts = sc["verify"]
-    _check_keys(
-        opts,
-        {"draws", "grid_size", "force_effort", "bounds_battery", "battery_draws", "scheme"},
-        "verify",
-    )
+    _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
     mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed", "grid_size"}, "montecarlo")
     seed = _resolve_seed(args.seed, {"montecarlo": mc_cfg})
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
-    draws = _number(int, args.draws or opts.get("draws") or mc_cfg.get("draws") or 10**6, "draws")
-    grid_size = opts.get("grid_size") or mc_cfg.get("grid_size")
+    draws = _number(int, args.draws or mc_cfg.get("draws") or 10**6, "draws")
+    grid_size = mc_cfg.get("grid_size")
     grid = {"grid_size": _number(int, grid_size, "grid_size")} if grid_size else {}
     e_check = opts.get("force_effort")
     e_check = solution.effort if e_check is None else _number(float, e_check, "force_effort")

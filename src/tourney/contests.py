@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import NoiseDistribution, gumbel
-from .montecarlo import _grid_sums, _require_seed, noise_batches
+from .montecarlo import _certificate, _require_seed, _scan
 
 __all__ = [
     "AllZeroEfforts",
@@ -103,7 +103,8 @@ def tullock_best_response_gap(
     deviates over a multiplicative effort grid on [0, 1] (linear cost, unit
     prize) while rivals sit at ``e_star``.  Common random numbers across the
     grid; returns the max payoff gap over playing ``e_star``, its paired
-    standard error, and a grid-coarseness bias bound.
+    standard error, and a grid-coarseness bias bound, certified as in
+    ``montecarlo._certificate``.
     """
     seed = _require_seed(seed)
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, TULLOCK_GRID_POINTS), [e_star]]))
@@ -112,28 +113,17 @@ def tullock_best_response_gap(
     log_grid = np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0)
     prizes = np.zeros(n)
     prizes[0] = 1.0
-
-    totals = np.zeros((4, grid.size))
-    for x in noise_batches(gumbel(), n, draws, seed):
-        totals += _grid_sums(x, log_grid, i_star, np.log(rho), prizes)[0]
-    sums, _, dsums, dsumsq = totals
-    payoffs = sums / draws - grid
-    gaps = payoffs - payoffs[i_star]
-    i_best = int(np.argmax(gaps))
-    var_d = max(dsumsq[i_best] / draws - (dsums[i_best] / draws) ** 2, 0.0)
-    gap_se = float(np.sqrt(var_d / draws))
+    sums, _, _ = _scan(gumbel(), n, draws, seed, log_grid, i_star, np.log(rho), prizes)
     # payoff slope is bounded by the win-probability slope plus marginal cost
     lipschitz = 1.0 / ((n - 1) * e_star) + 1.0 / rho + 1.0
-    step = float(np.max(np.diff(grid)))
-    grid_bias = 0.5 * lipschitz * step
-    gap = float(gaps[i_best])
+    cert = _certificate(sums, draws, grid, grid, i_star, lipschitz)
     return {
-        "gap": gap,
-        "gap_se": gap_se,
-        "grid_bias": float(grid_bias),
-        "certified": bool(gap <= 3.0 * gap_se + grid_bias),
+        "gap": cert["best_response_gap"],
+        "gap_se": cert["gap_se"],
+        "grid_bias": cert["grid_bias"],
+        "certified": cert["certified"],
         "effort_grid": grid,
-        "payoffs": payoffs,
+        "payoffs": cert["payoffs"],
     }
 
 

@@ -119,12 +119,12 @@ class NoiseDistribution:
     renormalized to unit mass; the applied factor is kept in
     ``normalization``.
 
-    ``pdf``, ``cdf``, ``ppf``, ``likelihood_ratio`` and ``shape`` are
-    required; every family has them in closed form, and ``shape`` is the
-    :class:`ShapeReport` that ``find_modes``, ``classify_hazard`` and
-    ``log_concavity`` read.  ``sf`` and ``hazard`` are optional: without them
-    1 - F and f / (1 - F) are formed from ``cdf`` and ``pdf``, which loses
-    the tail's precision where F rounds to 1.
+    ``pdf``, ``cdf``, ``sf``, ``ppf``, ``likelihood_ratio`` and ``shape``
+    are required; every family has them in closed form, ``sf`` without the
+    cancellation of 1 - F, and ``shape`` is the :class:`ShapeReport` that
+    ``find_modes``, ``classify_hazard`` and ``log_concavity`` read.
+    ``hazard`` is optional: without it f / (1 - F) is formed from ``pdf``
+    and ``sf``.
     """
 
     def __init__(
@@ -134,14 +134,13 @@ class NoiseDistribution:
         support: tuple[float, float],
         pdf: Callable[[np.ndarray], np.ndarray],
         cdf: Callable[[np.ndarray], np.ndarray],
+        sf: Callable[[np.ndarray], np.ndarray],
         ppf: Callable[[np.ndarray], np.ndarray],
         likelihood_ratio: Callable[[np.ndarray], np.ndarray],
         shape: ShapeReport,
-        sf: Callable[[np.ndarray], np.ndarray] | None = None,
         hazard: Callable[[np.ndarray], np.ndarray] | None = None,
         knots: Sequence[float] | None = None,
         normalization: float = 1.0,
-        require_upper_zero: bool = True,
     ):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
@@ -158,15 +157,6 @@ class NoiseDistribution:
         self._hazard = hazard
         self._lr = likelihood_ratio
         self._shape = shape
-        if require_upper_zero and np.isfinite(hi):
-            top = float(pdf(np.asarray(hi)))
-            if top > 1e-8:
-                warnings.warn(
-                    f"density does not vanish at the upper support bound "
-                    f"(f({hi:g}) = {top:.3g}); heavy-tail (DFR) results may "
-                    f"not apply",
-                    stacklevel=3,
-                )
 
     # -- basic evaluation --------------------------------------------------
 
@@ -194,7 +184,7 @@ class NoiseDistribution:
         return _scalar_or_array(out, scalar)
 
     def sf(self, x):
-        """Survival function 1-F, computed in a cancellation-safe form."""
+        """Survival function 1-F, from the family's closed form."""
         arr, scalar = _as_float_array(x)
         lo, hi = self.support
         out = np.empty_like(arr)
@@ -202,10 +192,7 @@ class NoiseDistribution:
         out[arr > hi] = 0.0
         inside = (arr >= lo) & (arr <= hi)
         if np.any(inside):
-            if self._sf is not None:
-                out[inside] = np.clip(self._sf(arr[inside]), 0.0, 1.0)
-            else:
-                out[inside] = np.clip(1.0 - self._cdf(arr[inside]), 0.0, 1.0)
+            out[inside] = np.clip(self._sf(arr[inside]), 0.0, 1.0)
         return _scalar_or_array(out, scalar)
 
     def ppf(self, q):
@@ -406,7 +393,6 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> NoiseDistribution:
         likelihood_ratio=lambda x: np.zeros_like(x),
         shape=_unimodal(a, 1.0 / w, "neither", math.inf, (a, "IFR")),
         knots=(a, b),
-        require_upper_zero=False,  # flat density by design
     )
 
 
@@ -498,6 +484,7 @@ def inverse_exponential() -> NoiseDistribution:
         support=(0.0, np.inf),
         pdf=pdf,
         cdf=lambda x: np.exp(-1.0 / np.maximum(x, eps)),
+        sf=lambda x: -np.expm1(-1.0 / np.maximum(x, eps)),
         ppf=lambda q: -1.0 / np.log(np.maximum(q, eps)),
         likelihood_ratio=lambda x: (2.0 * x - 1.0) / np.square(x),
         shape=_unimodal(0.5, 4.0 * math.exp(-2.0), "neither", descent, (0.0, "IFR"), (peak, "DFR")),
@@ -568,7 +555,8 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
     The input need not integrate to one; it is renormalized and the raw mass
     is recorded as ``normalization``.  Mode locations and all argmax-level
     results are invariant to that rescaling.  The shape follows exactly from
-    the knots (``_knot_shape``).
+    the knots (``_knot_shape``).  A density that does not vanish at the last
+    knot draws a warning: the heavy-tail (DFR) results may not apply.
     """
     return _piecewise_linear(knots)
 
@@ -588,8 +576,18 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
     if mass <= 0:
         raise ValueError("density integrates to zero")
     kf = kf_raw / mass
-    seg_mass = np.concatenate([[0.0], np.cumsum((kf[1:] + kf[:-1]) / 2.0 * np.diff(kx))])
+    if kf[-1] > 1e-8:
+        warnings.warn(
+            f"density does not vanish at the upper support bound "
+            f"(f({kx[-1]:g}) = {kf[-1]:.3g}); heavy-tail (DFR) results may "
+            f"not apply",
+            stacklevel=3,  # the caller of piecewise_linear or trimodal_example
+        )
+    seg = (kf[1:] + kf[:-1]) / 2.0 * np.diff(kx)
+    seg_mass = np.concatenate([[0.0], np.cumsum(seg)])
     seg_mass[-1] = 1.0
+    # mass above each knot, summed from the top down
+    mass_above = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     slopes = np.diff(kf) / np.diff(kx)
 
     def pdf(x):
@@ -599,6 +597,13 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
         i = np.clip(np.searchsorted(kx, x, side="right") - 1, 0, len(kx) - 2)
         s = x - kx[i]
         return seg_mass[i] + kf[i] * s + 0.5 * slopes[i] * s * s
+
+    def sf(x):
+        # the mass of [x, next knot] in the segment's own terms: with f >= 0
+        # there, f(next) - slope * s / 2 >= f(next) / 2, so nothing cancels
+        i = np.clip(np.searchsorted(kx, x, side="right") - 1, 0, len(kx) - 2)
+        s = kx[i + 1] - x
+        return mass_above[i + 1] + s * (kf[i + 1] - 0.5 * slopes[i] * s)
 
     def ppf(q):
         q = np.asarray(q, dtype=float)
@@ -622,6 +627,7 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
         support=(float(kx[0]), float(kx[-1])),
         pdf=pdf,
         cdf=cdf,
+        sf=sf,
         ppf=ppf,
         likelihood_ratio=lr,
         shape=_knot_shape(kx, kf_raw, kf),

@@ -143,6 +143,50 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
     return out, rank_star, passing
 
 
+def _scan(dist: NoiseDistribution, n: int, draws: int, seed: int, grid: np.ndarray, i_star: int,
+          rho: float, prizes: np.ndarray):
+    """``_grid_sums`` totalled over every batch of noise, with player 1's rank
+    tally at e* = ``grid[i_star]`` and the count of players who pass there."""
+    sums = np.zeros((4, grid.size))
+    rank_counts = np.zeros(n + 1, dtype=np.int64)
+    pass_count = 0
+    for x in noise_batches(dist, n, draws, seed):
+        batch, rank, passing = _grid_sums(x, grid, i_star, rho, prizes)
+        sums += batch
+        rank_counts += np.bincount(rank, minlength=n + 1)
+        pass_count += int(np.count_nonzero(rank < n)) + int(np.count_nonzero(passing))
+    return sums, rank_counts, pass_count
+
+
+def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.ndarray, i_star: int,
+                 lipschitz: float) -> dict:
+    """Payoffs at every effort from the totals of ``_scan``, and the
+    certificate of the best deviation from ``efforts[i_star]``.
+
+    The gap is the largest estimated payoff improvement over that effort;
+    its standard error comes from the per-draw paired payoff differences
+    (common random numbers).  The gap is certified up to 3 standard errors
+    plus the grid-coarseness bias h L / 2, with h the widest grid step and
+    L a bound on the payoff's slope.
+    """
+    mean_w, mean_wsq, mean_d, mean_dsq = sums / draws
+    payoffs = mean_w - costs
+    gaps = payoffs - payoffs[i_star]
+    i_best = int(np.argmax(gaps))
+    gap = float(gaps[i_best])
+    gap_se = float(np.sqrt(max(mean_dsq[i_best] - mean_d[i_best] ** 2, 0.0) / draws))
+    step = float(np.max(np.diff(efforts))) if efforts.size > 1 else 0.0
+    grid_bias = float(0.5 * lipschitz * step)
+    return {
+        "payoffs": payoffs,
+        "payoff_se": np.sqrt(np.maximum(mean_wsq - mean_w**2, 0.0) / draws),
+        "best_response_gap": gap,
+        "gap_se": gap_se,
+        "grid_bias": grid_bias,
+        "certified": bool(gap <= 3.0 * gap_se + grid_bias),
+    }
+
+
 def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray,
                   pass_count: int) -> SimulationReport:
     freq = rank_counts[:n] / draws
@@ -210,11 +254,9 @@ def verify_best_response(
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
 
-    The gap is the largest estimated payoff improvement over playing
-    ``e_star``; its standard error comes from the per-draw paired payoff
-    differences (common random numbers).  Certification allows the gap up to
-    3 standard errors plus a grid-coarseness bias bound from a Lipschitz
-    estimate of the payoff slope.  Fewer than 1e4 draws raise ``ValueError``.
+    The gap over playing ``e_star`` is certified as in ``_certificate``,
+    with the payoff slope bounded by sup f + c'(max_effort).  Fewer than 1e4
+    draws raise ``ValueError``.
     """
     seed = _require_seed(seed)
     if draws < 10**4:
@@ -224,40 +266,11 @@ def verify_best_response(
     e_max = design.cost.max_effort
     grid = np.unique(np.concatenate([np.linspace(0.0, e_max, grid_size), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
-
-    sums = np.zeros((4, grid.size))
-    rank_counts = np.zeros(n + 1, dtype=np.int64)
-    pass_count = 0
-    for x in noise_batches(dist, n, draws, seed):
-        batch, rank, passing = _grid_sums(x, grid, i_star, design.standard, prizes)
-        sums += batch
-        rank_counts += np.bincount(rank, minlength=n + 1)
-        pass_count += int(np.count_nonzero(rank < n)) + int(np.count_nonzero(passing))
-
-    mean_w, mean_wsq, mean_d, mean_dsq = sums / draws
-    var_w = np.maximum(mean_wsq - mean_w**2, 0.0)
-    payoffs = mean_w - np.asarray(design.cost.c(grid))
-    payoff_se = np.sqrt(var_w / draws)
-
-    var_d = np.maximum(mean_dsq - mean_d**2, 0.0)
-    gaps = (payoffs - payoffs[i_star])
-    i_best = int(np.argmax(gaps))
-    gap = float(gaps[i_best])
-    gap_se = float(np.sqrt(var_d[i_best] / draws))
-
-    sup_f = dist.find_modes().global_mode_density
-    lipschitz = sup_f + float(design.cost.cprime(e_max))
-    step = float(np.max(np.diff(grid))) if grid.size > 1 else 0.0
-    grid_bias = 0.5 * lipschitz * step
-    certified = gap <= 3.0 * gap_se + grid_bias
-
+    sums, rank_counts, pass_count = _scan(dist, n, draws, seed, grid, i_star, design.standard, prizes)
+    lipschitz = dist.find_modes().global_mode_density + float(design.cost.cprime(e_max))
+    cert = _certificate(sums, draws, grid, np.asarray(design.cost.c(grid)), i_star, lipschitz)
     return replace(
         _tally_report(draws, seed, n, rank_counts, pass_count),
         effort_grid=tuple(grid),
-        payoffs=tuple(payoffs),
-        payoff_se=tuple(payoff_se),
-        best_response_gap=gap,
-        gap_se=gap_se,
-        grid_bias=float(grid_bias),
-        certified=bool(certified),
+        **{**cert, "payoffs": tuple(cert["payoffs"]), "payoff_se": tuple(cert["payoff_se"])},
     )

@@ -4,9 +4,8 @@ With the threshold fixed at the global mode, choosing prizes is a linear
 program over prize differentials whose budget constraint prices the rank-r
 differential at r.  The optimum is therefore a corner: some number r* of
 equal prizes at the top, with r* maximizing the per-rank score
-``B_r / r``.  The score has an equivalent representation as an average of
-the modified hazard rate against an order statistic, which is computed as an
-internal cross-check.
+``B_r / r``.  All n scores come from one pass of the quadrature kernel
+that computes the rank coefficients B_r.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .equilibrium import (
     CostFunction,
     EquilibriumSolution,
     PrizeSchedule,
-    _integrals_above,
     _marginal_benefit,
     _unit,
     global_mode_sufficiency,
@@ -29,19 +27,12 @@ from .equilibrium import (
 
 __all__ = [
     "PrizeDesignReport",
-    "RepresentationMismatch",
     "SufficiencyViolated",
-    "modified_hazard",
     "rank_score",
     "optimal_prizes",
 ]
 
 SCORE_TIE_TOL = 1e-9
-CROSSCHECK_TOL = 1e-7
-
-
-class RepresentationMismatch(RuntimeError):
-    """The two computations of a rank score disagree beyond tolerance."""
 
 
 class SufficiencyViolated(RuntimeError):
@@ -59,45 +50,17 @@ class PrizeDesignReport:
     threshold: float
 
 
-def modified_hazard(dist: NoiseDistribution, t: float, x):
-    """Hazard rate with the density argument floored at the threshold:
-    f(max(x, t)) / (1 - F(x))."""
-    arr = np.asarray(x, dtype=float)
-    surv = np.asarray(dist.sf(arr), dtype=float)
-    out = np.asarray(dist.pdf(np.maximum(arr, t)), dtype=float) / np.where(surv > 0, surv, np.nan)
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def rank_score(dist: NoiseDistribution, n: int, r, t: float):
-    """Per-rank score B_r(t)/r, cross-checked against its order-statistic form.
+    """Per-rank score B_r(t)/r.
 
     ``r`` is one rank, which gives a float, or an array of ranks, which gives
-    an array of their scores, equal bit for bit to one call per rank: both
-    forms take every rank in one kernel pass, so two passes in all.  The
-    equivalent form averages the modified hazard against the
-    (n-r)-th-lowest-of-n order statistic over the whole support, where the
-    direct form takes the part below t in closed form.  Both run on the
-    same quadrature kernel, so the check catches a defect in either part but
-    not one the kernel makes in both; disagreement beyond 1e-7 raises
-    ``RepresentationMismatch`` for the first such rank.
+    an array of their scores, equal bit for bit to one call per rank: every
+    rank goes through one kernel pass.  A rank outside 1..n raises
+    ``ValueError``.
     """
     ranks = np.asarray(r, dtype=int)
-    unit = _unit(n, ranks)
-    direct = _marginal_benefit(dist, n, unit, t)[..., 0] / ranks
-    # modified hazard times the order-statistic density, with the survival
-    # factors cancelled analytically: over u = F(x) this is f(max(x, t))
-    # against the Beta(n-r, r) weight, which kinks at t.  At r = n the
-    # order statistic is degenerate at -inf and the average collapses to
-    # f(t)/n.
-    _, above = _integrals_above(dist, n, unit, lambda x: dist.pdf(np.maximum(x, t)), -np.inf, [t])
-    alt = np.where(ranks == n, float(dist.pdf(t)) / n, above[..., 0] / ranks)
-    bad = np.nonzero(np.ravel(np.abs(direct - alt) > CROSSCHECK_TOL))[0]
-    if bad.size:
-        i = bad[0]
-        raise RepresentationMismatch(
-            f"rank {ranks.flat[i]} score {direct.flat[i]:.12g} vs order-statistic form {alt.flat[i]:.12g}"
-        )
-    return float(direct) if ranks.ndim == 0 else direct
+    scores = _marginal_benefit(dist, n, _unit(n, ranks), t)[..., 0] / ranks
+    return float(scores) if ranks.ndim == 0 else scores
 
 
 def optimal_prizes(

@@ -95,6 +95,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("montecarlo", 5, "montecarlo"),
         ("cost", {"kappa": "x"}, "cost"),
         ("verify", {"scheme": {"kind": "linear_share"}}, "scheme"),
+        # the Monte-Carlo settings live in the montecarlo section only
+        ("verify", {"draws": 10000, "grid_size": 500}, "unknown keys in verify: ['draws', 'grid_size']"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):

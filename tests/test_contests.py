@@ -75,6 +75,9 @@ def test_best_response_gap_certifies_optimum():
     res_bad = contests.tullock_best_response_gap(2, e_star + 0.3, rho_star, draws=10**5, seed=17)
     assert res_bad["gap"] > 5 * res_bad["gap_se"]
     assert not res_bad["certified"]
+    # pinned bits at this seed
+    assert res_bad["gap"] == float.fromhex("0x1.0d76e43a85559p-3")
+    assert res_bad["gap_se"] == float.fromhex("0x1.72b8dd5d250a1p-10")
 
 
 def test_fm_standard_uniform_ideas():
@@ -95,10 +98,10 @@ def test_fm_bisection_without_closed_inverse():
         support=(0.0, 1.0),
         pdf=lambda x: 2.0 * x,
         cdf=lambda x: x**2,
+        sf=lambda x: 1.0 - x**2,
         ppf=np.sqrt,
         likelihood_ratio=lambda x: -1.0 / x,
         shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),)),
-        require_upper_zero=False,
     )
     e_star, _ = contests.tullock_optimal(3)
     rho = contests.fm_optimal_standard(ideas, 3)

@@ -2,10 +2,12 @@ import subprocess
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mp_reference import family_mp
 from rank_reference import RankOutOfRange, order_statistic_cdf
 from tourney import audit
 from tourney import distributions as dists
@@ -422,6 +424,24 @@ def test_from_spec():
         dists.from_spec({"family": "gumbel", "mean": 0.0})
     with pytest.raises(ValueError, match="unknown family"):
         dists.from_spec({"family": "cauchy"})
+
+
+@pytest.mark.parametrize(
+    "name, dist, xs",
+    [
+        ("red", dists.trimodal_example("red"), [0.1, 0.6, 1.3, 1.75 - 1e-3, 1.75 - 1e-6, 1.75 - 1e-8]),
+        ("inverse_exponential", dists.inverse_exponential(), [0.3, 1.0, 10.0, 1e8, 1e17]),
+    ],
+    ids=["red", "inverse_exponential"],
+)
+def test_sf_matches_mpmath_in_the_upper_tail(name, dist, xs):
+    # 1 - F rounds to 0 or loses digits here: 1.75 - 1e-8 and 1e17 have
+    # survival 6.04e-17 and 1e-17
+    sf = family_mp(name)[2]
+    with mp.workdps(40):
+        for x in xs:
+            exact = sf(mp.mpf(x))
+            assert abs(dist.sf(x) - exact) <= 1e-14 * exact, x
 
 
 def test_unnormalized_inputs_warn_when_top_density_positive():

@@ -197,6 +197,9 @@ def test_best_response_flags_disequilibrium():
     rep = mc.verify_best_response(EXPO, design, bad, grid_size=120, draws=200_000, seed=42)
     assert not rep.certified
     assert rep.best_response_gap > 5 * rep.gap_se
+    # pinned bits at this seed
+    assert rep.best_response_gap == float.fromhex("0x1.33c54bed07edep-3")
+    assert rep.gap_se == float.fromhex("0x1.f6957b807ae4bp-11")
 
 
 def test_grid_bias_uses_mode_density():
