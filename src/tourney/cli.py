@@ -115,10 +115,10 @@ def _build_distribution(spec) -> dists.NoiseDistribution:
 
 def _build_cost(spec) -> CostFunction:
     if spec is None:
-        return CostFunction.quadratic()
+        return CostFunction()
     _check_keys(spec, {"kappa", "beta"}, "cost")
     try:
-        return CostFunction.power(float(spec.get("kappa", 1.0)), float(spec.get("beta", 2.0)))
+        return CostFunction(float(spec.get("kappa", 1.0)), float(spec.get("beta", 2.0)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad cost: {exc}") from exc
 
@@ -149,7 +149,7 @@ def _build_schedule(spec, n: int) -> PrizeSchedule | None:
 def _scenario_from(config: dict, args) -> dict:
     _check_keys(
         config,
-        {"distribution", "n", "schedule", "threshold", "cost", "montecarlo", "verify", "output"},
+        {"distribution", "n", "schedule", "threshold", "cost", "montecarlo", "verify"},
         "config",
     )
     merged = dict(config)
@@ -340,20 +340,20 @@ def cmd_verify(args) -> int:
     opts = sc["verify"]
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
     mc_cfg = sc["montecarlo"]
-    _check_keys(mc_cfg, {"draws", "seed", "grid_size"}, "montecarlo")
+    _check_keys(mc_cfg, {"draws", "seed"}, "montecarlo")
     seed = _resolve_seed(args.seed, {"montecarlo": mc_cfg})
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
-    draws = _number(int, args.draws or mc_cfg.get("draws") or 10**6, "draws")
-    grid_size = mc_cfg.get("grid_size")
-    grid = {"grid_size": _number(int, grid_size, "grid_size")} if grid_size else {}
+    draws = args.draws if args.draws is not None else mc_cfg.get("draws")
+    draws = 10**6 if draws is None else _number(int, draws, "draws")
     e_check = opts.get("force_effort")
     e_check = solution.effort if e_check is None else _number(float, e_check, "force_effort")
     n_battery = _number(int, opts.get("bounds_battery") or 0, "bounds_battery")
-    battery_draws = _number(int, opts.get("battery_draws") or 10**5, "battery_draws")
+    battery_draws = opts.get("battery_draws")
+    battery_draws = 10**5 if battery_draws is None else _number(int, battery_draws, "battery_draws")
 
     design = TournamentDesign(standard=solution.standard, schedule=schedule, cost=sc["cost"])
-    report = mc.verify_best_response(sc["dist"], design, e_check, draws=draws, seed=seed, **grid)
+    report = mc.verify_best_response(sc["dist"], design, e_check, draws=draws, seed=seed)
     if args.tally_csv:
         mc.write_tally_csv(report, args.tally_csv)
 
@@ -521,14 +521,15 @@ def cmd_fm(args) -> int:
 def cmd_race(args) -> int:
     if (args.shock is None) == (args.mode is None):
         raise ConfigError("pass exactly one of --shock or --mode")
-    shock = args.mode if args.mode is not None else _build_distribution(json.loads(args.shock))
+    mode = args.mode
+    if mode is None:
+        mode = _build_distribution(json.loads(args.shock)).find_modes().global_mode
     e_star, _ = contests.tullock_optimal(args.n)
-    mode = shock if isinstance(shock, float) else shock.find_modes().global_mode
     out = {
         "n": args.n,
         "e_star": e_star,
         "shock_mode": mode,
-        "deadline": contests.patent_race_deadline(shock, n=args.n),
+        "deadline": contests.patent_race_deadline(mode, args.n),
     }
     _json_dump(out, args.out)
     return EXIT_OK

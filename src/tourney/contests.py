@@ -127,7 +127,7 @@ def tullock_best_response_gap(
     }
 
 
-def fm_optimal_standard(ideas: NoiseDistribution, n: int, e_star: float | None = None) -> float:
+def fm_optimal_standard(ideas: NoiseDistribution, n: int) -> float:
     """Optimal minimum idea quality in the sample-your-best-idea contest.
 
     Players draw ideas from ``ideas`` (support within [0, x_max]) at one draw
@@ -135,24 +135,17 @@ def fm_optimal_standard(ideas: NoiseDistribution, n: int, e_star: float | None =
     The optimal standard is the idea quantile ``exp(-1/e*)`` with ``e*`` the
     optimal Tullock effort.
     """
-    if e_star is None:
-        e_star, _ = tullock_optimal(n)
+    e_star, _ = tullock_optimal(n)
     return float(ideas.ppf(np.exp(-1.0 / e_star)))
 
 
-def patent_race_deadline(shock, n: int | None = None, e_star: float | None = None) -> float:
+def patent_race_deadline(mode: float, n: int) -> float:
     """Optimal deadline for a patent race with multiplicative arrival times.
 
-    ``shock`` is the additive-log shock distribution (or directly its mode);
-    the deadline is ``exp(-mode) / e*``.  Gumbel shocks have mode zero, so
-    the deadline is simply the reciprocal of the optimal effort.
+    ``mode`` is the global mode of the additive-log shock distribution; the
+    deadline is ``exp(-mode) / e*`` with ``e*`` the optimal Tullock effort.
+    Gumbel shocks have mode zero, so the deadline is simply the reciprocal
+    of the optimal effort.
     """
-    if isinstance(shock, NoiseDistribution):
-        mode = shock.find_modes().global_mode
-    else:
-        mode = float(shock)
-    if e_star is None:
-        if n is None:
-            raise ValueError("pass n to derive the optimal effort, or e_star directly")
-        e_star, _ = tullock_optimal(n)
+    e_star, _ = tullock_optimal(n)
     return float(np.exp(-mode) / e_star)

@@ -74,9 +74,8 @@ class ShapeReport:
     ``steepest_descent`` is sup(-f') over the real line, the fastest fall of
     the density.  An upward jump of f (at the lower bound of exponential or
     Pareto noise) does not count; a downward jump (at the upper bound of
-    uniform noise) makes it infinite, which is also the default of a shape
-    that does not declare it.  ``solve_design`` bounds the curvature of the
-    deviation payoff with it.
+    uniform noise) makes it infinite.  ``solve_design`` bounds the curvature
+    of the deviation payoff with it.
     """
 
     modes: tuple[float, ...]
@@ -85,7 +84,7 @@ class ShapeReport:
     global_mode: float
     log_class: str
     hazard: tuple[tuple[float, str], ...]
-    steepest_descent: float = math.inf
+    steepest_descent: float
 
     @property
     def global_mode_density(self) -> float:
@@ -122,9 +121,8 @@ class NoiseDistribution:
     ``pdf``, ``cdf``, ``sf``, ``ppf``, ``likelihood_ratio`` and ``shape``
     are required; every family has them in closed form, ``sf`` without the
     cancellation of 1 - F, and ``shape`` is the :class:`ShapeReport` that
-    ``find_modes``, ``classify_hazard`` and ``log_concavity`` read.
-    ``hazard`` is optional: without it f / (1 - F) is formed from ``pdf``
-    and ``sf``.
+    ``find_modes``, ``classify_hazard`` and ``log_concavity`` read.  The
+    hazard rate is always f / (1 - F), formed from ``pdf`` and ``sf``.
     """
 
     def __init__(
@@ -138,7 +136,6 @@ class NoiseDistribution:
         ppf: Callable[[np.ndarray], np.ndarray],
         likelihood_ratio: Callable[[np.ndarray], np.ndarray],
         shape: ShapeReport,
-        hazard: Callable[[np.ndarray], np.ndarray] | None = None,
         knots: Sequence[float] | None = None,
         normalization: float = 1.0,
     ):
@@ -154,7 +151,6 @@ class NoiseDistribution:
         self._cdf = cdf
         self._sf = sf
         self._ppf = ppf
-        self._hazard = hazard
         self._lr = likelihood_ratio
         self._shape = shape
 
@@ -208,14 +204,9 @@ class NoiseDistribution:
         return np.asarray(self.ppf(u))
 
     def hazard(self, x):
-        """Failure rate f(x) / (1 - F(x))."""
+        """Failure rate f(x) / (1 - F(x)); ``SurvivalUnderflow`` where 1 - F
+        is below 1e-300."""
         arr, scalar = _as_float_array(x)
-        if self._hazard is not None:
-            lo, hi = self.support
-            inside = (arr >= lo) & (arr <= hi)
-            out = np.zeros_like(arr)
-            out[inside] = self._hazard(arr[inside])
-            return _scalar_or_array(out, scalar)
         surv = np.asarray(self.sf(arr), dtype=float)
         if np.any(surv < 1e-300):
             raise SurvivalUnderflow("1-F(x) below 1e-300; hazard rate undefined here")
@@ -301,7 +292,6 @@ def exponential(rate: float = 1.0) -> NoiseDistribution:
         cdf=lambda x: -np.expm1(-lam * x),
         sf=lambda x: np.exp(-lam * x),
         ppf=lambda q: -np.log1p(-q) / lam,
-        hazard=lambda x: np.full_like(x, lam),
         likelihood_ratio=lambda x: np.full_like(x, lam),
         shape=_unimodal(0.0, lam, "neither", lam * lam, (0.0, "constant")),
     )
@@ -409,7 +399,6 @@ def pareto(alpha: float = 2.0, x_min: float = 1.0) -> NoiseDistribution:
         cdf=lambda x: 1.0 - (m / x) ** a,
         sf=lambda x: (m / x) ** a,
         ppf=lambda q: m * (1.0 - q) ** (-1.0 / a),
-        hazard=lambda x: a / x,
         likelihood_ratio=lambda x: (a + 1.0) / x,
         shape=_unimodal(m, a / m, "log-convex", a * (a + 1.0) / (m * m), (m, "DFR")),
     )
@@ -453,7 +442,6 @@ def erf_exponential() -> NoiseDistribution:
         cdf=lambda x: -np.expm1(-H(x)),
         sf=lambda x: np.exp(-H(x)),
         ppf=ppf,
-        hazard=haz,
         likelihood_ratio=lr,
         shape=_unimodal(0.0, 2.0, "neither", 4.0, (0.0, "DFR")),
     )

@@ -56,10 +56,12 @@ THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
 # accepts; the number of evenly spaced efforts it checks when the deviation
 # payoff's curvature has no finite bound; and, when it has, the number of
-# equal cells its refinement starts from.
+# equal cells its refinement starts from and the number of times it may halve
+# one of them.
 DEVIATION_GAIN_TOL = 1e-9
 CONCAVITY_POINTS = 400
 REFINEMENT_CELLS = 32
+REFINEMENT_HALVINGS = 30
 # Distances from either end of [0, 1] at which the probability domain is
 # broken into panels.  A heavy tail makes the integrand singular at u = 1
 # (Pareto(2): f(Q(u)) ~ (1-u)^1.5); panels a decade apart keep it smooth on
@@ -83,10 +85,11 @@ class EffortOutOfRange(ValueError):
 
 
 class ConcavityWarning(UserWarning):
-    """A single deviator gains over the first-order effort, or, where the
-    deviation payoff's curvature has no finite bound, that payoff is not
-    unimodal on the diagnostic grid; the first-order condition may not
-    characterize an equilibrium."""
+    """A single deviator gains over the first-order effort, the curvature
+    bound cannot rule such a gain out, or, where the deviation payoff's
+    curvature has no finite bound, that payoff is not unimodal on the
+    diagnostic grid; the first-order condition may not characterize an
+    equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -144,71 +147,46 @@ def random_schedule(n: int, rng: np.random.Generator) -> PrizeSchedule:
     return PrizeSchedule(tuple(v))
 
 
+@dataclass(frozen=True)
 class CostFunction:
-    """Strictly convex effort cost with analytic derivative and inverse.
+    """Power effort cost c(e) = kappa e^beta / beta, with kappa > 0 and
+    beta > 1, and its closed forms.
 
-    ``max_effort`` is the largest undominated effort level, i.e. the effort
-    whose cost equals the entire unit prize budget; without it, c(e) = 1 is
-    solved by bisection.  ``min_curvature`` is the infimum of c'' on
-    [0, max_effort], a lower bound that ``solve_design`` uses to bound the
-    curvature of the deviation payoff; 0, the default, holds for every convex
-    cost.
+    ``max_effort`` is the largest undominated effort level, the effort whose
+    cost equals the entire unit prize budget.  ``min_curvature`` is the
+    infimum of c'' on [0, max_effort], a lower bound that ``solve_design``
+    uses to bound the curvature of the deviation payoff.
     """
 
-    def __init__(
-        self,
-        c,
-        cprime,
-        cprime_inv,
-        max_effort: float | None = None,
-        label: str = "custom",
-        min_curvature: float = 0.0,
-    ):
-        self.c = c
-        self.cprime = cprime
-        self.cprime_inv = cprime_inv
-        self.label = label
-        self.min_curvature = float(min_curvature)
-        if max_effort is None:
-            max_effort = _unit_cost_effort(c)
-        self.max_effort = float(max_effort)
-        if abs(c(0.0)) > 1e-12 or abs(cprime(0.0)) > 1e-9:
-            raise ValueError("cost must satisfy c(0) = 0 and c'(0) = 0")
+    kappa: float = 1.0
+    beta: float = 2.0
 
-    @classmethod
-    def power(cls, kappa: float = 1.0, beta: float = 2.0) -> "CostFunction":
-        """c(e) = kappa * e**beta / beta with kappa > 0, beta > 1."""
-        if kappa <= 0 or beta <= 1:
+    def __post_init__(self):
+        if not (self.kappa > 0 and self.beta > 1):
             raise ValueError("need kappa > 0 and beta > 1")
-        e_max = (beta / kappa) ** (1.0 / beta)
+        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "beta", float(self.beta))
+
+    def c(self, e):
+        return self.kappa * e**self.beta / self.beta
+
+    def cprime(self, e):
+        return self.kappa * e ** (self.beta - 1.0)
+
+    def cprime_inv(self, y):
+        return (y / self.kappa) ** (1.0 / (self.beta - 1.0))
+
+    @property
+    def max_effort(self) -> float:
+        return (self.beta / self.kappa) ** (1.0 / self.beta)
+
+    @property
+    def min_curvature(self) -> float:
         # c'' = kappa (beta - 1) e^(beta - 2): constant at beta = 2, least at
-        # e_max below it and at 0 above it
-        return cls(
-            c=lambda e: kappa * e**beta / beta,
-            cprime=lambda e: kappa * e ** (beta - 1.0),
-            cprime_inv=lambda y: (y / kappa) ** (1.0 / (beta - 1.0)),
-            max_effort=e_max,
-            label=f"power(kappa={kappa:g}, beta={beta:g})",
-            min_curvature=kappa * (beta - 1.0) * e_max ** (beta - 2.0) if beta <= 2.0 else 0.0,
-        )
-
-    @classmethod
-    def quadratic(cls) -> "CostFunction":
-        return cls.power(1.0, 2.0)
-
-    def __repr__(self):
-        return f"CostFunction({self.label}, max_effort={self.max_effort:.6g})"
-
-
-def _unit_cost_effort(c) -> float:
-    """The effort e in [0, 1e12] with c(e) = 1, by bisection to adjacent
-    floats; c is increasing there, as it is convex with c'(0) = 0."""
-    lo, hi = 0.0, 1e12
-    if not c(hi) >= 1.0:
-        raise ValueError("cost stays below the unit prize budget up to effort 1e12")
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if c(mid) < 1.0 else (lo, mid)
-    return hi
+        # max_effort below it and at 0 above it
+        if self.beta > 2.0:
+            return 0.0
+        return self.kappa * (self.beta - 1.0) * self.max_effort ** (self.beta - 2.0)
 
 
 @dataclass(frozen=True)
@@ -402,12 +380,15 @@ def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndar
     """sum_r d_r times the density at level u of the (n-r)-th lowest of the
     n-1 rivals' levels, a Beta(n-r, r) density.  xlogy(a, y) is a * log(y)
     for a != 0 and 0 for a = 0, so log(u) and log(s) are each taken once for
-    all ranks, when first needed."""
+    all ranks, when first needed.  The normalizer 1 / B(n-r, r) is the
+    exact integer (n-1) C(n-2, r-1), so its log is within an ulp
+    (``special.betaln`` is off by 1.8e-12 at n = 1000)."""
     log = cache(lambda i: special.xlogy(1, (u, s)[i]))
 
     def density(r):
         a, b = n - r - 1, r - 1
-        return np.exp((a * log(0) if a else 0.0) + (b * log(1) if b else 0.0) - special.betaln(n - r, r))
+        norm = math.log((n - 1) * math.comb(n - 2, int(b)))
+        return np.exp((a * log(0) if a else 0.0) + (b * log(1) if b else 0.0) + norm)
 
     return _rank_sum(d[..., :-1], density, u.shape)
 
@@ -591,20 +572,43 @@ def deviation_payoff_curve(
     return value - np.asarray(design.cost.c(e))
 
 
+def _cell_bounds(e: np.ndarray, pi: np.ndarray, curvature: float) -> np.ndarray:
+    """Upper bound of a payoff P with P'' <= ``curvature`` K on each cell
+    [e_i, e_i+1] between the efforts ``e``, from the payoffs ``pi`` there.
+
+    q = P - K e^2 / 2 is concave, so on a cell it stays below the lines
+    through the chords of q on both neighbouring cells (one line in an end
+    cell).  Their minimum plus K e^2 / 2 is convex between their crossing
+    and either end, so its largest value on the cell is at an end or at the
+    crossing.
+    """
+    q = pi - curvature * e * e / 2.0
+    a, b, h = e[:-1], e[1:], np.diff(e)
+    slope = np.diff(q) / h
+    left, right = np.append(np.nan, slope[:-1]), np.append(slope[1:], np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = a + h * (slope - right) / (left - right)
+    cross = np.where((cross > a) & (cross < b), cross, a)
+    # fmin ignores the missing line of an end cell, which is nan
+    bounds = [np.fmin(q[:-1] + left * (x - a), q[1:] + right * (x - b)) + curvature * x * x / 2.0
+              for x in (a, b, cross)]
+    return np.max(bounds, axis=0)
+
+
 def _deviation_payoffs(
     dist: NoiseDistribution, design: TournamentDesign, e_star: float, curvature: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Efforts in [0, max_effort], ascending and with ``e_star`` among them,
     and the deviation payoffs there, on which ``solve_design`` judges e*.
 
-    With ``curvature`` K finite, a cell [a, b] of width h keeps the payoff
-    below its chord plus K s (h - s) / 2, s = e - a.  The efforts start at
-    ``REFINEMENT_CELLS`` equal cells, e*, and e* +- h0 2^-j, h0 the cell
-    width, down to the first step within the floor sqrt(8 tol / K), at
-    which K h^2 / 8 = tol.  Each round then bisects, in one kernel call,
-    every cell wider than the floor whose bound can exceed pi(e*) + tol,
-    until no cell can or some effort gains more than tol.  Without a finite
-    K, the grid of ``CONCAVITY_POINTS`` efforts and e*.
+    With ``curvature`` K finite, ``_cell_bounds`` bounds the payoff on each
+    cell between the efforts.  The efforts start at ``REFINEMENT_CELLS``
+    equal cells, e*, and e* +- h0 2^-j, h0 the cell width, down to the first
+    step within sqrt(8 tol / K).  Each round then bisects, in one kernel
+    call, every cell whose bound exceeds pi(e*) + tol and that is wider than
+    h0 2^-``REFINEMENT_HALVINGS``, until no cell is left to split or some
+    effort gains more than tol.  Without a finite K, the grid of
+    ``CONCAVITY_POINTS`` efforts and e*.
     """
     e_max = design.cost.max_effort
     if math.isinf(curvature):
@@ -619,13 +623,9 @@ def _deviation_payoffs(
     pi = deviation_payoff_curve(dist, design, e_star, e)
     pi_star = pi[np.searchsorted(e, e_star)]
     while np.max(pi) - pi_star <= DEVIATION_GAIN_TOL:
-        h, rise = np.diff(e), np.diff(pi)
-        # the chord plus K s (h - s) / 2 peaks inside the cell at
-        # mean + K h^2 / 8 + rise^2 / (2 K h^2) when |rise| < K h^2 / 2
-        inside = np.abs(rise) < curvature * h * h / 2.0
-        peak = (pi[:-1] + pi[1:]) / 2.0 + curvature * h * h / 8.0 + rise**2 / (2.0 * curvature * h * h)
-        bound = np.where(inside, peak, np.maximum(pi[:-1], pi[1:]))
-        split = np.flatnonzero((bound - pi_star > DEVIATION_GAIN_TOL) & (h > floor))
+        h = np.diff(e)
+        open_ = _cell_bounds(e, pi, curvature) - pi_star > DEVIATION_GAIN_TOL
+        split = np.flatnonzero(open_ & (h > h0 * 0.5**REFINEMENT_HALVINGS))
         if split.size == 0:
             break
         mid = e[split] + h[split] / 2.0
@@ -634,10 +634,9 @@ def _deviation_payoffs(
     return e, pi
 
 
-def _is_unimodal(values: np.ndarray, atol: float | None = None) -> bool:
+def _is_unimodal(values: np.ndarray) -> bool:
     diffs = np.diff(np.asarray(values, dtype=float))
-    if atol is None:
-        atol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
     signs = np.sign(diffs[np.abs(diffs) > atol])
     if signs.size == 0:
         return True
@@ -718,12 +717,14 @@ def solve_design(
 
     - K <= 0: P is concave and e*, where P' = 0, is its global maximum.  No
       payoff is evaluated.
-    - K finite and positive: on a cell [a, b], P stays below its chord plus
-      K (e - a)(b - e) / 2.  ``_deviation_payoffs`` bisects the cells where
-      that bound can exceed P(e*) + ``DEVIATION_GAIN_TOL`` until none can,
-      down to cells on which it adds at most the tolerance to the chord, or
-      until an effort gains more than the tolerance.  A pass so certifies
-      that no effort gains more than twice the tolerance.
+    - K finite and positive: P - K e^2 / 2 is concave, which bounds P on
+      each cell between evaluated efforts (``_cell_bounds``).
+      ``_deviation_payoffs`` bisects the cells whose bound exceeds P(e*) +
+      ``DEVIATION_GAIN_TOL`` until none does or an effort gains more than
+      the tolerance.  A pass so certifies, up to the error of the
+      quadrature, that no effort gains more than the tolerance.  Where a
+      cell's bound stays open at the refinement's width limit, the check
+      fails closed.
     - K infinite (f drops by a jump, as at the top of uniform noise): P is
       taken on a grid of ``CONCAVITY_POINTS`` efforts, a grid verdict and no
       proof, and must also be unimodal there.
@@ -744,8 +745,10 @@ def solve_design(
     problem = None
     if curvature > 0.0:
         e, pi = _deviation_payoffs(dist, design, e_star, curvature)
+        pi_star = pi[np.searchsorted(e, e_star)]
         i_best = int(np.argmax(pi))
-        gain = float(pi[i_best] - pi[np.searchsorted(e, e_star)])
+        gain = float(pi[i_best] - pi_star)
+        bound = math.nan if math.isinf(curvature) else float(np.max(_cell_bounds(e, pi, curvature)) - pi_star)
         if gain > DEVIATION_GAIN_TOL:
             problem = (
                 f"deviating to effort {e[i_best]:.6g} gains {gain:.3g} over the "
@@ -756,6 +759,12 @@ def solve_design(
             problem = (
                 "deviation payoff is not unimodal in own effort; equilibrium "
                 "existence is not guaranteed for this design"
+            )
+        elif bound > DEVIATION_GAIN_TOL:
+            problem = (
+                f"at the refinement's width limit the curvature bound still allows "
+                f"a gain of {bound:.3g} over the first-order effort {e_star:.6g}; "
+                f"the design is not certified"
             )
     if problem is not None:
         evidence = f" (curvature bound K = {curvature:.3g}, {e.size} efforts evaluated)"

@@ -73,6 +73,12 @@ def _require_seed(seed) -> int:
     return int(seed)
 
 
+def _require_draws(draws) -> int:
+    if draws < 10**4:
+        raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
+    return int(draws)
+
+
 def _batch_sizes(draws: int):
     full, rest = divmod(int(draws), BATCH)
     sizes = [BATCH] * full
@@ -218,8 +224,7 @@ def simulate_prize_probabilities(
     ``e_star``).
     """
     seed = _require_seed(seed)
-    if draws < 10**4:
-        raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
+    draws = _require_draws(draws)
     n = design.n
     rank_counts = np.zeros(n + 1, dtype=np.int64)  # index n = no prize
     pass_count = 0
@@ -259,8 +264,7 @@ def verify_best_response(
     draws raise ``ValueError``.
     """
     seed = _require_seed(seed)
-    if draws < 10**4:
-        raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
+    draws = _require_draws(draws)
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, TournamentDesign, marginal_benefit_rank, random_schedule
-from .montecarlo import _require_seed, noise_batches
+from .montecarlo import _require_draws, _require_seed, noise_batches
 
 __all__ = [
     "PayScheme",
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 LR_CAP = 1e6
+# Random permutations and output bumps per spot-check of a scheme's
+# properties, and the tolerance on a negative payment.
+PROPERTY_TRIALS = 16
+PROPERTY_TOL = 1e-9
 
 
 class PropertyViolation(ValueError):
@@ -190,13 +194,7 @@ def scheme_battery(
     return out
 
 
-def check_properties(
-    scheme: PayScheme,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    trials: int = 16,
-    tol: float = 1e-9,
-) -> None:
+def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator) -> None:
     """Spot-check anonymity, monotonicity, and the budget on sampled outputs.
 
     Statistical by design: schemes are opaque callables.  Raises
@@ -205,12 +203,12 @@ def check_properties(
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = scheme.n
     w = scheme.payments(y)
-    if np.any(w < -tol):
+    if np.any(w < -PROPERTY_TOL):
         raise PropertyViolation(f"{scheme.label}: negative payments")
     totals = w.sum(axis=1)
     if np.any(totals > 1.0 + 1e-6):
         raise PropertyViolation(f"{scheme.label}: budget exceeded (max total {totals.max():.6g})")
-    for _ in range(trials):
+    for _ in range(PROPERTY_TRIALS):
         perm = rng.permutation(n)
         wp = scheme.payments(y[:, perm])
         if not np.allclose(wp, w[:, perm], atol=1e-8):
@@ -248,6 +246,7 @@ def marginal_incentive(
     at the upper support bound.
     """
     seed = _require_seed(seed)
+    draws = _require_draws(draws)
     n = scheme.n
     lo, hi = dist.support
     if np.isfinite(hi) and float(dist.pdf(hi)) > 1e-8:

@@ -14,6 +14,7 @@ __all__ = ["line_plot_svg"]
 
 PALETTE = ("#d62728", "#2ca02c", "#1f77b4", "#ff7f0e", "#9467bd", "#8c564b", "#17becf", "#7f7f7f", "#bcbd22")
 
+_WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
 
 
@@ -37,8 +38,6 @@ def line_plot_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 460,
     ylim: tuple[float, float] | None = None,
 ) -> str:
     """Render labeled (x, y) series as an SVG document string.
@@ -61,8 +60,8 @@ def line_plot_svg(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -71,15 +70,15 @@ def line_plot_svg(
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica,Arial,sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="Helvetica,Arial,sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
         )
     for t in _ticks(x_lo, x_hi):
         out.append(
@@ -98,7 +97,7 @@ def line_plot_svg(
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         out.append(
@@ -116,9 +115,9 @@ def line_plot_svg(
                 out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = _MARGIN_T + 14 + 16 * k
         out.append(
-            f'<line x1="{width - _MARGIN_R - 120}" y1="{ly - 4}" x2="{width - _MARGIN_R - 96}" '
+            f'<line x1="{_WIDTH - _MARGIN_R - 120}" y1="{ly - 4}" x2="{_WIDTH - _MARGIN_R - 96}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        out.append(f'<text x="{width - _MARGIN_R - 90}" y="{ly}">{label}</text>')
+        out.append(f'<text x="{_WIDTH - _MARGIN_R - 90}" y="{ly}">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

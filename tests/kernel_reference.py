@@ -9,6 +9,8 @@ the two must agree bit for bit.  Both sum the Gauss-Kronrod rule and the
 Gauss rule on the same nodes.
 """
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -27,7 +29,8 @@ def per_row_integrals(dist, n, d, integrand, start, kinks=None):
     weight = np.zeros_like(u)
     for r in np.nonzero(d[:-1])[0] + 1:
         j = n - r
-        weight += d[r - 1] * np.exp(special.xlogy(j - 1, u) + special.xlogy(r - 1, s) - special.betaln(j, r))
+        norm = math.log((n - 1) * math.comb(n - 2, int(r) - 1))  # 1 / B(j, r)
+        weight += d[r - 1] * np.exp(special.xlogy(j - 1, u) + special.xlogy(r - 1, s) + norm)
     rules = []
     for w in (gauss, kronrod):
         panels = np.sum(integrand(x) * weight * w, axis=-1)

@@ -45,7 +45,8 @@ def test_solve_exponential(tmp_path):
 def test_solve_heavy_tail_eps(tmp_path):
     cfg = _write(tmp_path, "cfg.json", HEAVY_SCENARIO)
     out = tmp_path / "sol.json"
-    assert cli.main(["prizes", "--config", cfg, "--out", str(out)]) == 0
+    with pytest.warns(ConcavityWarning, match="gains"):
+        assert cli.main(["prizes", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["regime"] == "EPS"
     assert doc["pass_probability"] == 1.0
@@ -97,6 +98,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("verify", {"scheme": {"kind": "linear_share"}}, "scheme"),
         # the Monte-Carlo settings live in the montecarlo section only
         ("verify", {"draws": 10000, "grid_size": 500}, "unknown keys in verify: ['draws', 'grid_size']"),
+        ("output", "out.json", "unknown keys in config: ['output']"),
+        ("montecarlo", {"grid_size": 500}, "unknown keys in montecarlo: ['grid_size']"),
+        ("verify", {"bounds_battery": 1, "battery_draws": 0}, "at least 1e4 draws"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
@@ -105,6 +109,16 @@ def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
     assert cli.main(["verify", "--config", cfg, "--seed", "1", "--draws", "10000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and named in err
+
+
+@pytest.mark.parametrize("config_draws, flags", [(0, []), (10**5, ["--draws", "0"])], ids=["config", "flag"])
+def test_zero_draws_exits_2(tmp_path, capsys, config_draws, flags):
+    # zero is a value, below the floor, not "use the default"
+    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta",
+           "montecarlo": {"draws": config_draws}}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["verify", "--config", cfg, "--seed", "1", *flags]) == 2
+    assert "at least 1e4 draws" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,8 @@ def test_fm_bisection_without_closed_inverse():
         sf=lambda x: 1.0 - x**2,
         ppf=np.sqrt,
         likelihood_ratio=lambda x: -1.0 / x,
-        shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),)),
+        # the density 2x drops to 0 past its top, so sup(-f') is infinite
+        shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),), math.inf),
     )
     e_star, _ = contests.tullock_optimal(3)
     rho = contests.fm_optimal_standard(ideas, 3)
@@ -110,11 +113,7 @@ def test_fm_bisection_without_closed_inverse():
 
 def test_patent_race_deadline():
     e_star, _ = contests.tullock_optimal(2)
-    tau = contests.patent_race_deadline(dists.gumbel(), n=2)
+    tau = contests.patent_race_deadline(dists.gumbel().find_modes().global_mode, 2)
     assert tau == pytest.approx(1.0 / e_star, rel=1e-8)
-    assert contests.patent_race_deadline(0.0, e_star=e_star) == pytest.approx(1.0 / e_star, abs=1e-12)
-    assert contests.patent_race_deadline(1.0, e_star=e_star) == pytest.approx(
-        np.exp(-1.0) / e_star, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        contests.patent_race_deadline(0.0)
+    assert contests.patent_race_deadline(0.0, 2) == pytest.approx(1.0 / e_star, abs=1e-12)
+    assert contests.patent_race_deadline(1.0, 2) == pytest.approx(np.exp(-1.0) / e_star, abs=1e-12)

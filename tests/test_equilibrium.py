@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +25,7 @@ UNIF = dists.uniform(0.0, 1.0)
 GUMBEL = dists.gumbel()
 HEAVY = dists.erf_exponential()
 PARETO = dists.pareto(2.0)
-QUAD_COST = eq.CostFunction.quadratic()
+QUAD_COST = eq.CostFunction()
 
 
 # -- prize schedules ---------------------------------------------------------
@@ -274,15 +274,14 @@ def test_rank_cdf_sum_is_one_minus_rank_weight_above():
     # P(the (n-r)-th lowest of n-1 levels <= F(t)) = 1 - the Beta(n-r, r)
     # mass above F(t).  Under uniform noise Q(u) = u, so the kernel
     # integrates the bare rank weight, and _rank_cdf_sum takes the left side
-    # from betainc.  scipy's betaln, which normalizes the kernel's weight, is
-    # off by up to 1.8e-12 (against mpmath) at n = 1000.
+    # from betainc.
     t = np.array([0.0, 1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-9])
-    for n, tol in [(2, 1e-12), (3, 1e-12), (10, 1e-12), (100, 1e-12), (1000, 2e-12)]:
+    for n in (2, 3, 10, 100, 1000):
         unit = eq._unit(n, np.arange(1, n + 1))
         key, above = eq._integrals_above(UNIF, n, unit, np.ones_like, 0.0, kinks=t)
         at = np.searchsorted(key, eq._order_key(*eq._levels(UNIF, t)))
         below = eq._rank_cdf_sum(UNIF, n, unit, t)
-        assert np.max(np.abs(below - (1.0 - above[:, at]))) <= tol, n
+        assert np.max(np.abs(below - (1.0 - above[:, at]))) <= 1e-12, n
 
 
 def test_quadrature_failure_names_its_cause(monkeypatch):
@@ -364,7 +363,7 @@ def test_equilibrium_effort():
 
 
 def test_effort_out_of_range():
-    weak = eq.CostFunction.power(kappa=0.01, beta=2.0)  # c'(max_effort) ~ 0.14
+    weak = eq.CostFunction(kappa=0.01, beta=2.0)  # c'(max_effort) ~ 0.14
     with pytest.raises(eq.EffortOutOfRange):
         eq.equilibrium_effort(EXPO, 2, eq.PrizeSchedule.winner_take_all(2), 0.0, weak)
 
@@ -474,7 +473,8 @@ def test_solve_design_examples():
     assert sol.standard == sol.effort
     assert sol.pass_probability == 1.0 and sol.concavity_ok
 
-    sol2 = eq.solve_design(HEAVY, 3, eq.PrizeSchedule.equal_sharing(3), QUAD_COST)
+    with pytest.warns(eq.ConcavityWarning, match="gains"):
+        sol2 = eq.solve_design(HEAVY, 3, eq.PrizeSchedule.equal_sharing(3), QUAD_COST)
     assert sol2.effort == pytest.approx(2 / 3, abs=1e-12)
     assert sol2.pass_probability == 1.0
     assert sol2.standard == sol2.effort + sol2.threshold
@@ -569,7 +569,7 @@ def test_concavity_diagnostic_flags_profitable_deviation():
         with pytest.warns(eq.ConcavityWarning, match="gains"):
             sol = eq.solve_design(d, 3, eps, QUAD_COST)
         assert not sol.concavity_ok
-    steep = eq.CostFunction.power(kappa=3.0, beta=2.0)
+    steep = eq.CostFunction(kappa=3.0, beta=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", eq.ConcavityWarning)
         sol = eq.solve_design(PARETO, 3, eps, steep)
@@ -680,6 +680,52 @@ def test_refinement_bisects_to_a_gain_between_its_first_efforts(monkeypatch, hei
     assert (gain > eq.DEVIATION_GAIN_TOL) == gains
 
 
+def test_refinement_finds_gain_hidden_between_first_efforts_by_a_sharp_peak(monkeypatch):
+    # a synthetic payoff -b (x^2 - d^2)^2 + g x, x = e - m, with maxima at
+    # e* = 0.5 and 0.599, the second 1e-6 higher and between the first
+    # efforts 0.5745 and 0.6187.  P'' <= 4 b d^2 = 0.49 < K = 0.5, yet P
+    # falls from the second maximum far faster than K bounds its rise: a
+    # bound of the chord plus K s (h - s) / 2 stays below P(e*) on that cell
+    m, d, b = 0.5495, 0.0495, 50.0
+    g = 1e-6 / (2 * d)
+
+    def payoff(dist, design, e_star, e):
+        x = np.asarray(e) - m
+        return -b * (x * x - d * d) ** 2 + g * x
+
+    monkeypatch.setattr(eq, "deviation_payoff_curve", payoff)
+    design = eq.TournamentDesign(0.0, eq.PrizeSchedule.winner_take_all(2), QUAD_COST)
+    e, pi = eq._deviation_payoffs(None, design, m - d, 0.5)
+    first = np.linspace(0.0, QUAD_COST.max_effort, eq.REFINEMENT_CELLS + 1)
+    assert first[13] < m + d < first[14]
+    gain = np.max(pi) - pi[np.searchsorted(e, m - d)]
+    assert gain > eq.DEVIATION_GAIN_TOL
+    assert e[np.argmax(pi)] == pytest.approx(m + d, abs=1e-3)
+
+
+@pytest.mark.parametrize("dist", [dists.exponential(1.25), RED], ids=["exponential", "red"])
+def test_cell_bounds_hold_inside_final_cells(dist):
+    v = eq.PrizeSchedule.winner_take_all(3)
+    sol = eq.solve_design(dist, 3, v, QUAD_COST)
+    assert sol.concavity_ok
+    design = eq.TournamentDesign(sol.standard, v, QUAD_COST)
+    k = _curvature_bound(dist, v, QUAD_COST)
+    e, pi = eq._deviation_payoffs(dist, design, sol.effort, k)
+    bound = eq._cell_bounds(e, pi, k)
+    inside = e[:-1, None] + np.diff(e)[:, None] * np.arange(1, 41) / 41.0
+    payoffs = eq.deviation_payoff_curve(dist, design, sol.effort, inside.ravel()).reshape(inside.shape)
+    assert np.all(payoffs.max(axis=1) <= bound)
+
+
+def test_refinement_fails_closed_at_its_width_limit(monkeypatch):
+    # red WTA n=3 passes after two rounds of bisection; with no bisection
+    # allowed, a cell's bound stays above P(e*) + tol
+    monkeypatch.setattr(eq, "REFINEMENT_HALVINGS", 0)
+    with pytest.warns(eq.ConcavityWarning, match="still allows a gain of .* not certified"):
+        sol = eq.solve_design(RED, 3, eq.PrizeSchedule.winner_take_all(3), QUAD_COST)
+    assert not sol.concavity_ok
+
+
 def test_refinement_verdict_matches_dense_grid_on_random_density():
     # a seeded random piecewise density that vanishes at the top, so K is
     # finite; its interior knots stay at f >= 0.2, away from the kernel fault
@@ -708,21 +754,17 @@ def test_unimodality_detector():
 
 
 def test_cost_function_contract():
-    c = eq.CostFunction.power(2.0, 3.0)
+    c = eq.CostFunction(2, 3)
+    assert [f.name for f in fields(c)] == ["kappa", "beta"]
+    assert (type(c.kappa), type(c.beta)) == (float, float)
     assert c.c(0.0) == 0.0 and c.cprime(0.0) == 0.0
     assert c.c(c.max_effort) == pytest.approx(1.0, abs=1e-9)
     assert c.cprime_inv(c.cprime(0.4)) == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(ValueError):
-        eq.CostFunction.power(kappa=-1.0)
-    with pytest.raises(ValueError):
-        eq.CostFunction(c=lambda e: e, cprime=lambda e: 1.0, cprime_inv=lambda y: y)
+    for kappa, beta in [(-1.0, 2.0), (1.0, 1.0), (math.nan, 2.0)]:
+        with pytest.raises(ValueError):
+            eq.CostFunction(kappa, beta)
     # inf c'' on [0, e_max]: c'' = kappa (beta - 1) e^(beta - 2)
     assert c.min_curvature == 0.0
-    assert eq.CostFunction.power(3.0, 2.0).min_curvature == 3.0
-    soft = eq.CostFunction.power(1.0, 1.5)
+    assert eq.CostFunction(3.0, 2.0).min_curvature == 3.0
+    soft = eq.CostFunction(1.0, 1.5)
     assert soft.min_curvature == pytest.approx(0.5 / math.sqrt(soft.max_effort), rel=1e-15)
-    # without max_effort, c(e) = 1 is solved by bisection
-    cubic = eq.CostFunction(c=lambda e: e**3, cprime=lambda e: 3 * e * e, cprime_inv=lambda y: math.sqrt(y / 3))
-    assert (cubic.max_effort, cubic.min_curvature) == (1.0, 0.0)
-    soft_custom = eq.CostFunction(soft.c, soft.cprime, soft.cprime_inv)
-    assert soft_custom.max_effort == pytest.approx(soft.max_effort, rel=4 * np.finfo(float).eps)

@@ -7,7 +7,7 @@ from tourney import payschemes as ps
 
 GUMBEL = dists.gumbel()
 PARETO = dists.pareto(2.0)
-COST = eq.CostFunction.quadratic()
+COST = eq.CostFunction()
 
 
 def _tournament(schedule, rho):

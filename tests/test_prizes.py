@@ -12,7 +12,7 @@ GUMBEL = dists.gumbel()
 HEAVY = dists.erf_exponential()
 RED = dists.trimodal_example("red")
 PARETO = dists.pareto(2.0)
-COST = eq.CostFunction.quadratic()
+COST = eq.CostFunction()
 
 
 @pytest.mark.parametrize(
@@ -39,7 +39,7 @@ def test_pareto_scores_closed_form():
     # B_r(1) / r with B = (16/35, 8/7, 2) for Pareto(2), n = 3
     for r, exact in zip((1, 2, 3), (16 / 35, 4 / 7, 2 / 3)):
         assert prizes.rank_score(PARETO, 3, r, 1.0) == pytest.approx(exact, abs=1e-9)
-    rep, sol = prizes.optimal_prizes(PARETO, 3, eq.CostFunction.power(kappa=3.0, beta=2.0))
+    rep, sol = prizes.optimal_prizes(PARETO, 3, eq.CostFunction(kappa=3.0, beta=2.0))
     assert rep.regime == "EPS" and rep.r_star == 3
     assert rep.threshold == 1.0
     assert sol.concavity_ok
@@ -79,7 +79,8 @@ def test_optimal_prizes_regimes():
     assert rep.regime == "WTA" and rep.r_star == 1
     assert rep.schedule.prizes == (1.0, 0.0, 0.0)
 
-    rep2, sol2 = prizes.optimal_prizes(HEAVY, 3, COST)
+    with pytest.warns(eq.ConcavityWarning, match="gains"):
+        rep2, sol2 = prizes.optimal_prizes(HEAVY, 3, COST)
     assert rep2.regime == "EPS" and rep2.r_star == 3
     assert sol2.effort == pytest.approx(2 / 3, abs=1e-12)
     assert sol2.pass_probability == 1.0
