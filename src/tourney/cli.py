@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -540,6 +541,7 @@ def cmd_race(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process, however many commands main() runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tourney",

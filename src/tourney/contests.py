@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import NoiseDistribution, gumbel
-from .montecarlo import _certificate, _require_seed, _scan
+from .montecarlo import _certificate, _require_effort, _require_seed, _scan
 
 __all__ = [
     "AllZeroEfforts",
@@ -104,9 +104,11 @@ def tullock_best_response_gap(
     prize) while rivals sit at ``e_star``.  Common random numbers across the
     grid; returns the max payoff gap over playing ``e_star``, its paired
     standard error, and a grid-coarseness bias bound, certified as in
-    ``montecarlo._certificate``.
+    ``montecarlo._certificate``.  An ``e_star`` that is not a number in
+    [0, 1] raises ``ValueError``.
     """
     seed = _require_seed(seed)
+    e_star = _require_effort(e_star, 1.0)
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, TULLOCK_GRID_POINTS), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
     # additive units: effort 0 sits at log 0 = -inf and never wins

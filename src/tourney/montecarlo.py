@@ -12,15 +12,20 @@ processed in any order (merging is by sums), and every effort level on a
 verification grid reuses the same noise matrix, so payoff differences across
 efforts are common-random-number estimates with tiny variance.
 
-Best-response scan: for one draw, the deviator's prize as a function of own
-effort is a right-continuous step function.  It is 0 below rho - x1 (the
-standard minus the deviator's noise), steps up there, and steps up again at
-each passing rival's score minus x1.  Histograms of the jumps on the effort
-grid, summed cumulatively, give the payoff sums at every grid point in one
-pass over the noise, in O(draws n log n) whatever the grid size; the rank
-tally at the checked effort comes from the same pass.  Only the steps where
-the prize changes are binned: under winner-take-all or equal prizes that is
-at most one per draw, and a rival who misses the standard is never one.
+Best-response scan: write the prize as a sum of differentials,
+d_j = v_j - v_(j+1) for the rank j = 0, ..., n - 1 counted from the top, with
+v_n = 0 for missing the standard.  For one draw the deviator's prize at own
+effort e is then w(e) = sum_j d_j 1[e >= P_j], with
+P_j = max(rho, e* + X_(j+1)) - x1: the deviator holds rank j or better once
+its score clears the standard and the (j+1)-th largest rival score.  All
+rivals play e*, so X_(j+1) is an order statistic of their noise, and a rival
+who misses the standard cannot lift P_j above rho.  Histograms of the jumps
+d_j at P_j on the effort grid, summed cumulatively, give the payoff sums at
+every grid point in one pass over the noise, with at most one sort of the
+rivals per draw, whatever the grid size; the rank tally at the checked
+effort comes from the same pass.  Only levels with d_j != 0 are binned:
+winner-take-all needs the best rival alone, equal prizes for all only the
+standard and no sort.
 """
 
 from __future__ import annotations
@@ -79,6 +84,14 @@ def _require_draws(draws) -> int:
     return int(draws)
 
 
+def _require_effort(e: float, e_max: float) -> float:
+    """The checked effort, which must be a number in [0, ``e_max``]: the grid
+    spans that interval, and an effort outside it widens the grid's step."""
+    if not 0.0 <= e <= e_max:
+        raise ValueError(f"checked effort {e!r} is not a number in [0, {e_max!r}]")
+    return float(e)
+
+
 def _batch_sizes(draws: int):
     full, rest = divmod(int(draws), BATCH)
     sizes = [BATCH] * full
@@ -114,35 +127,39 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
 
     Rivals sit at e* = ``grid[i_star]``; w* is player 1's prize there.
     Returns the (4, grid.size) sums of w, w^2, w - w* and (w - w*)^2, player
-    1's rank at e* per draw, and the rivals' pass mask.  A jump of w (see the
-    module docstring) at p reaches every grid point g >= p, which keeps the
-    rules of ``_rank``.  Jumps of (w - w*)^2 are taken per jump and summed
+    1's rank at e* per draw (from ``_rank``), and the rivals' pass mask.
+
+    Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
+    jump at P_j reaches every grid point g >= P_j, which keeps the rules of
+    ``_rank``.  Across level j, w^2 jumps by v_j^2 - v_(j+1)^2 and
+    (w - w*)^2 by (v_j - w*)^2 - (v_(j+1) - w*)^2; the latter are summed
     outward from e*, where they vanish, so the paired variance cannot cancel.
     """
     n = x.shape[1]
     e_star = grid[i_star]
     rank_star, passing = _rank(x, e_star, e_star, rho)
-    x1 = x[:, :1]
-    beaten_at = np.sort(np.where(passing, e_star + x[:, 1:] - x1, np.inf), axis=1)
-    pos = np.concatenate([rho - x1, beaten_at], axis=1)
-    # rank before the first jump and after each: n, then m, m - 1, ... (m rivals pass)
-    ranks = np.maximum(np.count_nonzero(passing, axis=1)[:, None] - np.arange(-1, n), 0)
-    ranks[:, 0] = n
     v = np.append(prizes, 0.0)  # v[n] = 0: missed the standard
-    w = v[ranks]
+    levels = np.flatnonzero(v[:-1] != v[1:])
+    hi, lo = v[levels], v[levels + 1]
+    # X_(j+1) of each level; level n - 1 needs no rival and keeps -inf
+    top = np.full((x.shape[0], levels.size), -np.inf)
+    ranked = levels < n - 1
+    if np.array_equal(levels[ranked], [0]):  # only the best rival counts
+        top[:, ranked] = x[:, 1:].max(axis=1, keepdims=True)
+    elif ranked.any():
+        top[:, ranked] = np.sort(x[:, 1:], axis=1)[:, n - 2 - levels[ranked]]
+    pos = np.maximum(rho, e_star + top) - x[:, :1]
+    bins = np.searchsorted(grid, pos.ravel(), side="left")
     w_star = v[rank_star]
-    # only where w changes: w^2 and (w - w*)^2 are constant where w is
-    jump = np.diff(w, axis=1) != 0
-    bins = np.searchsorted(grid, pos[jump], side="left")
 
-    def hist(levels):
-        return np.bincount(bins, np.diff(levels, axis=1)[jump], grid.size + 1)[: grid.size]
+    def hist(jumps):
+        return np.bincount(bins, np.broadcast_to(jumps, pos.shape).ravel(), grid.size + 1)[: grid.size]
 
     out = np.empty((4, grid.size))
-    out[0] = np.cumsum(hist(w))
-    out[1] = np.cumsum(hist(w * w))
+    out[0] = np.cumsum(hist(hi - lo))
+    out[1] = np.cumsum(hist(hi * hi - lo * lo))
     out[2] = out[0] - w_star.sum()
-    jumps = hist((w - w_star[:, None]) ** 2)
+    jumps = hist((hi - w_star[:, None]) ** 2 - (lo - w_star[:, None]) ** 2)
     out[3, i_star] = 0.0
     out[3, i_star + 1:] = np.cumsum(jumps[i_star + 1:])
     out[3, :i_star] = -np.cumsum(jumps[i_star:0:-1])[::-1]
@@ -261,13 +278,15 @@ def verify_best_response(
 
     The gap over playing ``e_star`` is certified as in ``_certificate``,
     with the payoff slope bounded by sup f + c'(max_effort).  Fewer than 1e4
-    draws raise ``ValueError``.
+    draws, or an ``e_star`` that is not a number in [0, max_effort], raise
+    ``ValueError``.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
+    e_star = _require_effort(e_star, e_max)
     grid = np.unique(np.concatenate([np.linspace(0.0, e_max, grid_size), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
     sums, rank_counts, pass_count = _scan(dist, n, draws, seed, grid, i_star, design.standard, prizes)

@@ -273,6 +273,19 @@ def test_verify_ok_and_forced_effort(tmp_path):
     assert rep["best_response"]["gap"] > 0
 
 
+@pytest.mark.parametrize("effort", [-0.5, 1.5, float("nan")], ids=["negative", "above", "nan"])
+def test_verify_rejects_forced_effort_off_the_grid(tmp_path, capsys, effort):
+    # an effort off [0, max_effort] widens the grid's step: at -0.5 grid_bias
+    # (0.446) would cover the gap (0.28) and the scenario would verify
+    doc = {"distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta",
+           "montecarlo": {"draws": 10000, "seed": 3}, "verify": {"force_effort": effort}}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: checked effort ")
+    assert f"{effort!r} is not a number in [0, {2.0 ** 0.5!r}]" in err
+
+
 def test_verify_with_named_scheme_and_tally(tmp_path):
     doc = {
         "distribution": {"family": "pareto", "params": {"alpha": 2.0}},

@@ -82,6 +82,12 @@ def test_best_response_gap_certifies_optimum():
     assert res_bad["gap_se"] == float.fromhex("0x1.72b8dd5d250a1p-10")
 
 
+@pytest.mark.parametrize("e_star", [1.5, -0.1, float("nan")])
+def test_best_response_gap_rejects_effort_off_the_grid(e_star):
+    with pytest.raises(ValueError, match=r"checked effort .* is not a number in \[0, 1.0\]"):
+        contests.tullock_best_response_gap(2, e_star, 0.25, draws=10**4, seed=17)
+
+
 def test_fm_standard_uniform_ideas():
     rho = contests.fm_optimal_standard(dists.uniform(0.0, 1.0), 2)
     assert rho == pytest.approx(0.029505213220466765, abs=1e-9)

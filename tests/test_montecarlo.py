@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from rank_reference import finite_difference_marginals
@@ -51,7 +53,7 @@ ORACLE_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("n", [2, 3, 10, 30])
 @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
 def test_grid_sums_match_dense_reference(family, n):
     dist = ORACLE_FAMILIES[family]
@@ -62,6 +64,7 @@ def test_grid_sums_match_dense_reference(family, n):
         eq.PrizeSchedule.equal_sharing(n),
         eq.random_schedule(n, rng),
         eq.PrizeSchedule.equal_top(2, n),  # a zero differential above a non-zero one
+        eq.PrizeSchedule.equal_top(n - 1, n),  # one level, set by the weakest rival
     ]
     for schedule in schedules:
         e_star = float(rng.uniform(0.2, 0.8))
@@ -97,6 +100,24 @@ def test_best_response_tally_equals_simulation():
     assert rep.rank_counts == sim.rank_counts
     assert rep.pass_fraction == sim.pass_fraction
     assert rep.at_least_prob == sim.at_least_prob
+
+
+@pytest.mark.parametrize(
+    "noise, schedule, rho, gap, gap_se, payoffs",
+    [
+        (GUMBEL, eq.PrizeSchedule.winner_take_all(10), 0.4, "0x1.a93e7d37ab204p-5", "0x1.0a3eaa0b202f3p-11",
+         "2d7d0d8e70106a466b03f8f2651b431f0d90ae052a88d139da1d71a9d35dfe23"),
+        (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.a1ca14b00240fp-5",
+         "0x1.27c87fafa4acep-13", "5de46225d35a8d5c967061928d214089a0b1b3af3cab447e377ff2d720686611"),
+    ],
+    ids=["gumbel-wta", "pareto-eps"],
+)
+def test_best_response_pinned_bits_at_n10(noise, schedule, rho, gap, gap_se, payoffs):
+    # pinned bits at this seed
+    rep = mc.verify_best_response(noise, _design(noise, 10, schedule, rho), 0.4, draws=10**5, seed=1505)
+    assert rep.best_response_gap == float.fromhex(gap)
+    assert rep.gap_se == float.fromhex(gap_se)
+    assert hashlib.sha256(np.asarray(rep.payoffs).tobytes()).hexdigest() == payoffs
 
 
 def test_seed_required_and_min_draws():
