@@ -71,11 +71,12 @@ class ShapeReport:
     ``constant``.  A piece runs to the next start, the last one to the upper
     support bound; where 1 - F = 0 no piece starts.
 
-    ``steepest_descent`` is sup(-f') over the real line, the fastest fall of
-    the density.  An upward jump of f (at the lower bound of exponential or
-    Pareto noise) does not count; a downward jump (at the upper bound of
-    uniform noise) makes it infinite.  ``solve_design`` bounds the curvature
-    of the deviation payoff with it.
+    ``steepest_descent`` is sup(-f') on the smooth pieces of the density, 0
+    where it never falls.  ``top_drop`` is f just below a finite upper
+    support bound, where it drops to 0: 1/w for uniform noise of width w, 0
+    where f vanishes there or the bound is infinite.  No family drops
+    anywhere else, and an upward jump of f only helps.  ``solve_design``
+    bounds the curvature of the deviation payoff with both.
     """
 
     modes: tuple[float, ...]
@@ -85,6 +86,7 @@ class ShapeReport:
     log_class: str
     hazard: tuple[tuple[float, str], ...]
     steepest_descent: float
+    top_drop: float
 
     @property
     def global_mode_density(self) -> float:
@@ -93,10 +95,10 @@ class ShapeReport:
 
 
 def _unimodal(
-    mode: float, density: float, log_class: str, steepest_descent: float, *hazard: tuple[float, str]
+    mode: float, density: float, log_class: str, steepest_descent: float, *hazard: tuple[float, str], top_drop=0.0
 ) -> ShapeReport:
     """Shape of a family with one mode and no antimode."""
-    return ShapeReport((mode,), (density,), (), mode, log_class, hazard, steepest_descent)
+    return ShapeReport((mode,), (density,), (), mode, log_class, hazard, steepest_descent, top_drop)
 
 
 def _as_float_array(x):
@@ -381,7 +383,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> NoiseDistribution:
         sf=lambda x: (b - x) / w,
         ppf=lambda q: a + q * w,
         likelihood_ratio=lambda x: np.zeros_like(x),
-        shape=_unimodal(a, 1.0 / w, "neither", math.inf, (a, "IFR")),
+        shape=_unimodal(a, 1.0 / w, "neither", 0.0, (a, "IFR"), top_drop=1.0 / w),
         knots=(a, b),
     )
 
@@ -481,10 +483,10 @@ def inverse_exponential() -> NoiseDistribution:
 
 def _knot_shape(kx: np.ndarray, raw: np.ndarray, kf: np.ndarray) -> ShapeReport:
     """Exact shape of the density through the knots (kx, raw), normalized to
-    (kx, kf).  Every shape fact but the steepest descent is invariant to the
-    scale, so it is read off the values as given, where ties such as
-    collinear knots are exact.  The steepest descent is the largest fall of
-    the normalized segments, or infinite when f drops to 0 past the last knot."""
+    (kx, kf).  Every shape fact but the steepest descent (the largest fall of
+    the normalized segments) and the top drop (the normalized last knot) is
+    invariant to the scale, so it is read off the values as given, where
+    ties such as collinear knots are exact."""
     slopes = np.diff(raw) / np.diff(kx)
     # Each sloped segment hands over at its top knot, the left end of any
     # plateau that follows, to the next sloped segment (0: the end).
@@ -533,7 +535,8 @@ def _knot_shape(kx: np.ndarray, raw: np.ndarray, kf: np.ndarray) -> ShapeReport:
         global_mode=float(kx[peaks[raw[peaks] == raw.max()][-1]]),
         log_class="log-concave" if concave else "neither",
         hazard=tuple(hazard),
-        steepest_descent=math.inf if kf[-1] > 0 else float(-np.min(np.diff(kf) / np.diff(kx))),
+        steepest_descent=max(float(-np.min(np.diff(kf) / np.diff(kx))), 0.0),
+        top_drop=float(kf[-1]),
     )
 
 

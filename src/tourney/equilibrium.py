@@ -54,12 +54,10 @@ QUAD_TARGET = 1e-9  # absolute error target for every noise integral
 QUAD_ORDER = 20
 THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
-# accepts; the number of evenly spaced efforts it checks when the deviation
-# payoff's curvature has no finite bound; and, when it has, the number of
-# equal cells its refinement starts from and the number of times it may halve
-# one of them.
+# accepts, and the number of equal cells its refinement starts from and of
+# times it may halve one.  A drop of f at its upper support bound adds a
+# finite term to the curvature bound and a kink, which is a fixed cell end.
 DEVIATION_GAIN_TOL = 1e-9
-CONCAVITY_POINTS = 400
 REFINEMENT_CELLS = 32
 REFINEMENT_HALVINGS = 30
 # Distances from either end of [0, 1] at which the probability domain is
@@ -85,11 +83,9 @@ class EffortOutOfRange(ValueError):
 
 
 class ConcavityWarning(UserWarning):
-    """A single deviator gains over the first-order effort, the curvature
-    bound cannot rule such a gain out, or, where the deviation payoff's
-    curvature has no finite bound, that payoff is not unimodal on the
-    diagnostic grid; the first-order condition may not characterize an
-    equilibrium."""
+    """A single deviator gains over the first-order effort, or the curvature
+    bound cannot rule such a gain out; the first-order condition may not
+    characterize an equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -393,6 +389,13 @@ def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndar
     return _rank_sum(d[..., :-1], density, u.shape)
 
 
+def _rank_weight_peak(n: int, d: np.ndarray) -> float:
+    """sum_r d_r times the largest Beta(n-r, r) density of ``_rank_weight``,
+    taken at its mode (n-r-1) / (n-2), one row of ranks per mode."""
+    m = (n - 1 - np.arange(1, n)) / max(n - 2, 1)
+    return float(np.trace(_rank_weight(n, np.diag(d)[:-1], m, 1.0 - m)))
+
+
 def _distinct_panels(bu: np.ndarray, bs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Ends (u0, u1, s0, s1) of the distinct panels among all rows of breaks,
     and for each panel, row by row, the index of its distinct panel.  Panels
@@ -572,59 +575,60 @@ def deviation_payoff_curve(
     return value - np.asarray(design.cost.c(e))
 
 
-def _cell_bounds(e: np.ndarray, pi: np.ndarray, curvature: float) -> np.ndarray:
+def _cell_bounds(e: np.ndarray, pi: np.ndarray, curvature: float, kinks) -> np.ndarray:
     """Upper bound of a payoff P with P'' <= ``curvature`` K on each cell
-    [e_i, e_i+1] between the efforts ``e``, from the payoffs ``pi`` there.
+    [e_i, e_i+1] between the efforts ``e``, from the payoffs ``pi`` there,
+    where P' may jump up only at the inner efforts ``kinks``.
 
-    q = P - K e^2 / 2 is concave, so on a cell it stays below the lines
-    through the chords of q on both neighbouring cells (one line in an end
-    cell).  Their minimum plus K e^2 / 2 is convex between their crossing
-    and either end, so its largest value on the cell is at an end or at the
-    crossing.
+    q = P - K e^2 / 2 is concave between kinks, so on a cell it stays below
+    the lines through the chords of q on both neighbouring cells on its side
+    of any kink (one line in an end cell; none, and no bound, in a lone one).
+    Their minimum plus K e^2 / 2 is convex between their crossing and either
+    end, so its largest value on the cell is at an end or at the crossing.
     """
     q = pi - curvature * e * e / 2.0
     a, b, h = e[:-1], e[1:], np.diff(e)
     slope = np.diff(q) / h
     left, right = np.append(np.nan, slope[:-1]), np.append(slope[1:], np.nan)
+    k = np.searchsorted(e, kinks)  # the cells on either side lose their line across it
+    left[k] = right[k - 1] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = a + h * (slope - right) / (left - right)
     cross = np.where((cross > a) & (cross < b), cross, a)
-    # fmin ignores the missing line of an end cell, which is nan
+    # fmin ignores a missing line, which is nan
     bounds = [np.fmin(q[:-1] + left * (x - a), q[1:] + right * (x - b)) + curvature * x * x / 2.0
               for x in (a, b, cross)]
-    return np.max(bounds, axis=0)
+    return np.nan_to_num(np.max(bounds, axis=0), nan=np.inf)
 
 
 def _deviation_payoffs(
-    dist: NoiseDistribution, design: TournamentDesign, e_star: float, curvature: float
+    dist: NoiseDistribution, design: TournamentDesign, e_star: float, curvature: float, kinks
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Efforts in [0, max_effort], ascending and with ``e_star`` among them,
-    and the deviation payoffs there, on which ``solve_design`` judges e*.
+    """Efforts in [0, max_effort], ascending and with ``e_star`` and the
+    ``kinks`` among them, and the deviation payoffs there, on which
+    ``solve_design`` judges e*.
 
-    With ``curvature`` K finite, ``_cell_bounds`` bounds the payoff on each
-    cell between the efforts.  The efforts start at ``REFINEMENT_CELLS``
-    equal cells, e*, and e* +- h0 2^-j, h0 the cell width, down to the first
-    step within sqrt(8 tol / K).  Each round then bisects, in one kernel
-    call, every cell whose bound exceeds pi(e*) + tol and that is wider than
-    h0 2^-``REFINEMENT_HALVINGS``, until no cell is left to split or some
-    effort gains more than tol.  Without a finite K, the grid of
-    ``CONCAVITY_POINTS`` efforts and e*.
+    ``_cell_bounds`` bounds the payoff on each cell between the efforts from
+    its curvature bound K and its convex kinks.  The efforts start at
+    ``REFINEMENT_CELLS`` equal cells, e*, the kinks, and e* +- h0 2^-j, h0 the
+    cell width, down to the first step within sqrt(8 tol / (3K)), the width
+    at which a cell beside e* closes where P''(e*) = 0 (h0 for K <= 0).
+    Each round then bisects, in one kernel call, every cell whose bound
+    exceeds pi(e*) + tol and that is wider than h0 2^-``REFINEMENT_HALVINGS``,
+    until no cell is left to split or some effort gains more than tol.
     """
     e_max = design.cost.max_effort
-    if math.isinf(curvature):
-        e = np.unique(np.append(np.linspace(0.0, e_max, CONCAVITY_POINTS), e_star))
-        return e, deviation_payoff_curve(dist, design, e_star, e)
-    floor = math.sqrt(8.0 * DEVIATION_GAIN_TOL / curvature)
     h0 = e_max / REFINEMENT_CELLS
+    floor = math.sqrt(8.0 * DEVIATION_GAIN_TOL / (3.0 * curvature)) if curvature > 0.0 else h0
     steps = h0 * 0.5 ** np.arange(max(math.ceil(math.log2(h0 / floor)), 0) + 1)
     graded = e_star + np.concatenate([-steps, steps])
     graded = graded[(graded >= 0.0) & (graded <= e_max)]
-    e = np.unique(np.concatenate([np.linspace(0.0, e_max, REFINEMENT_CELLS + 1), [e_star], graded]))
+    e = np.unique(np.concatenate([np.linspace(0.0, e_max, REFINEMENT_CELLS + 1), [e_star], kinks, graded]))
     pi = deviation_payoff_curve(dist, design, e_star, e)
     pi_star = pi[np.searchsorted(e, e_star)]
     while np.max(pi) - pi_star <= DEVIATION_GAIN_TOL:
         h = np.diff(e)
-        open_ = _cell_bounds(e, pi, curvature) - pi_star > DEVIATION_GAIN_TOL
+        open_ = _cell_bounds(e, pi, curvature, kinks) - pi_star > DEVIATION_GAIN_TOL
         split = np.flatnonzero(open_ & (h > h0 * 0.5**REFINEMENT_HALVINGS))
         if split.size == 0:
             break
@@ -632,16 +636,6 @@ def _deviation_payoffs(
         e = np.insert(e, split + 1, mid)
         pi = np.insert(pi, split + 1, deviation_payoff_curve(dist, design, e_star, mid))
     return e, pi
-
-
-def _is_unimodal(values: np.ndarray) -> bool:
-    diffs = np.diff(np.asarray(values, dtype=float))
-    atol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
-    signs = np.sign(diffs[np.abs(diffs) > atol])
-    if signs.size == 0:
-        return True
-    flips = np.nonzero(np.diff(signs) != 0)[0]
-    return flips.size == 0 or (flips.size == 1 and signs[0] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -708,26 +702,30 @@ def solve_design(
     The first-order effort e* is an equilibrium only if it is a single
     deviator's best response on [0, max_effort].  Against rivals at e*, the
     deviator's payoff is P(e) = sum_r d_r E[S(Z_r - e)] - c(e), with S the
-    noise survival function and Z_r the larger of the standard and the
-    rank-r rival's noise.  As d_r >= 0 and sum_r d_r = v_1, the top prize,
-    P'' = -sum_r d_r E[f'(Z_r - e)] - c'' <= K = v_1 sup(-f') - inf c''
-    (``ShapeReport.steepest_descent``, ``CostFunction.min_curvature``); an
-    upward jump of f and the kink at the standard only add negative mass.
-    So:
+    noise survival function and Z_r the larger of the standard rho and the
+    rank-r rival's noise, so P'' = -sum_r d_r E[f'(Z_r - e)] - c''.  As d_r
+    >= 0 and sum_r d_r = v_1, the top prize, the smooth pieces of f add at
+    most v_1 sup(-f') (``ShapeReport.steepest_descent``).  A drop J of f to
+    0 at the upper support bound hi (``top_drop``) adds J sum_r d_r g_r(hi +
+    e), g_r the law of Z_r.  Its atom at rho puts a convex kink in P at e =
+    rho - hi, below which no effort reaches the standard; elsewhere g_r is
+    at most sup f times the largest Beta(n-r, r) density (David & Nagaraja,
+    *Order Statistics*, 2003), and 0 for r = n.  An upward jump of f and the
+    kink at the standard only add negative mass.  So away from the kink
+    P'' <= K = v_1 sup(-f') + J sup f sum_{r<n} d_r max Beta(n-r, r) -
+    inf c'' (``CostFunction.min_curvature``), and:
 
-    - K <= 0: P is concave and e*, where P' = 0, is its global maximum.  No
-      payoff is evaluated.
-    - K finite and positive: P - K e^2 / 2 is concave, which bounds P on
-      each cell between evaluated efforts (``_cell_bounds``).
+    - K <= 0 and no kink in (0, max_effort): P is concave and e*, where
+      P' = 0, is its global maximum.  No payoff is evaluated.
+    - Otherwise, K > 0 or a kink that can make effort 0 a second peak:
+      P - K e^2 / 2 is concave on either side of the kink, which
+      bounds P on each cell between evaluated efforts (``_cell_bounds``).
       ``_deviation_payoffs`` bisects the cells whose bound exceeds P(e*) +
       ``DEVIATION_GAIN_TOL`` until none does or an effort gains more than
       the tolerance.  A pass so certifies, up to the error of the
       quadrature, that no effort gains more than the tolerance.  Where a
       cell's bound stays open at the refinement's width limit, the check
       fails closed.
-    - K infinite (f drops by a jump, as at the top of uniform noise): P is
-      taken on a grid of ``CONCAVITY_POINTS`` efforts, a grid verdict and no
-      proof, and must also be unimodal there.
 
     A failed check emits a non-fatal ``ConcavityWarning``, naming K and the
     number of efforts evaluated, and reports ``concavity_ok=False``.
@@ -741,24 +739,23 @@ def solve_design(
     e_star = equilibrium_effort(dist, n, v, t_star, cost)
     rho = e_star + t_star
     design = TournamentDesign(standard=rho, schedule=v, cost=cost)
-    curvature = v.prizes[0] * dist.find_modes().steepest_descent - cost.min_curvature
+    shape = dist.find_modes()
+    curvature = v.prizes[0] * shape.steepest_descent - cost.min_curvature
+    if shape.top_drop:
+        curvature += shape.top_drop * shape.global_mode_density * _rank_weight_peak(n, v.differentials)
+    kinks = [rho - hi for hi in dist.support[1:] if shape.top_drop and 0.0 < rho - hi < cost.max_effort]
     problem = None
-    if curvature > 0.0:
-        e, pi = _deviation_payoffs(dist, design, e_star, curvature)
+    if curvature > 0.0 or kinks:
+        e, pi = _deviation_payoffs(dist, design, e_star, curvature, kinks)
         pi_star = pi[np.searchsorted(e, e_star)]
         i_best = int(np.argmax(pi))
         gain = float(pi[i_best] - pi_star)
-        bound = math.nan if math.isinf(curvature) else float(np.max(_cell_bounds(e, pi, curvature)) - pi_star)
+        bound = float(np.max(_cell_bounds(e, pi, curvature, kinks)) - pi_star)
         if gain > DEVIATION_GAIN_TOL:
             problem = (
                 f"deviating to effort {e[i_best]:.6g} gains {gain:.3g} over the "
                 f"first-order effort {e_star:.6g}; this design has no symmetric "
                 f"equilibrium there"
-            )
-        elif math.isinf(curvature) and not _is_unimodal(pi):
-            problem = (
-                "deviation payoff is not unimodal in own effort; equilibrium "
-                "existence is not guaranteed for this design"
             )
         elif bound > DEVIATION_GAIN_TOL:
             problem = (

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -109,8 +107,8 @@ def test_fm_bisection_without_closed_inverse():
         sf=lambda x: 1.0 - x**2,
         ppf=np.sqrt,
         likelihood_ratio=lambda x: -1.0 / x,
-        # the density 2x drops to 0 past its top, so sup(-f') is infinite
-        shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),), math.inf),
+        # the density 2x never falls on [0, 1], and drops from 2 to 0 past its top
+        shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),), 0.0, 2.0),
     )
     e_star, _ = contests.tullock_optimal(3)
     rho = contests.fm_optimal_standard(ideas, 3)

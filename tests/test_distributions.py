@@ -279,40 +279,51 @@ def _random_knots(rng):
 
 
 def _dense_shape(d):
-    """Global mode, hazard class, log class and sup(-f') read off 2e5 points.
-    Over a finite support the points are uniform with the knots added, f
-    interpolates its knot values and 1 - F sums trapezoids from the top,
-    which is exact for a piecewise-linear f; otherwise they sit at evenly
-    spaced quantiles.  f' is taken by second-order differences; f > 0 at a
-    finite upper bound is a drop to 0, an infinite sup(-f')."""
+    """Global mode, hazard class, log class, sup(-f') on the smooth pieces
+    (0 where f never falls) and the drop of f at the upper support bound,
+    read off 2e5 points.  Over a finite support the points are uniform with
+    the knots added, f interpolates its knot values and 1 - F sums
+    trapezoids from the top, which is exact for a piecewise-linear f; its
+    slopes are the first differences on the uniform points, exact on every
+    step within a segment and a weighted mean of two segments' slopes on a
+    step across a knot; f at the upper bound is the drop.  Otherwise the
+    points sit at evenly spaced quantiles, f' is taken by second-order
+    differences, and there is no drop."""
     lo, hi = d.support
     if np.isfinite(hi):
-        kx = np.asarray(d.knots)
-        x = np.linspace(lo, hi, 200_001)
-        x = np.insert(x, np.searchsorted(x, kx[1:-1]), kx[1:-1])
-        f = np.interp(x, kx, d.pdf(kx))
-        sf = np.concatenate([np.cumsum((np.diff(x) * (f[1:] + f[:-1]) / 2)[::-1])[::-1], [0.0]])
+        kx, kf = np.asarray(d.knots), d.pdf(np.asarray(d.knots))
+        grid = np.linspace(lo, hi, 200_001)
+        at = np.searchsorted(grid, kx[1:-1])
+        x = np.insert(grid, at, kx[1:-1])
+        f = np.interp(x, kx, kf)
+        dx = np.diff(x)
+        sf = np.concatenate([np.cumsum((dx * (f[1:] + f[:-1]) / 2)[::-1])[::-1], [0.0]])
+        on_grid = np.delete(f, at + np.arange(at.size))
+        descent = max(float(np.max(-np.diff(on_grid) / np.diff(grid))), 0.0)
+        drop = float(f[-1])
     else:
         x = np.asarray(d.ppf(np.linspace(0.0, 1.0, 200_001)[1:-1]))
         x = np.concatenate([[lo], x]) if np.isfinite(lo) else x
         f, sf = np.asarray(d.pdf(x)), np.asarray(d.sf(x))
+        dx = np.diff(x)
+        descent, drop = float(np.max(-np.gradient(f, x, edge_order=2))), 0.0
     # the largest global maximizer; a flat top by its left end
     top = np.flatnonzero(f >= f.max() * (1 - 1e-12))
     i = top[np.flatnonzero(np.diff(top, prepend=-2) > 1)[-1]]
-    step = np.diff(x)[max(i - 1, 0) : i + 1].max()
+    step = dx[max(i - 1, 0) : i + 1].max()
 
     alive = sf > 1e-9
     h = f[alive] / sf[alive]
-    dh = np.diff(h)
-    big = np.abs(dh) > 1e-9 * np.maximum(h[1:], h[:-1])
-    rising, falling = np.any(dh[big] > 0), np.any(dh[big] < 0)
+    dh, big = np.diff(h), 1e-9 * np.maximum(h[1:], h[:-1])  # a move of h that counts exceeds big
+    rising, falling = np.any(dh > big), np.any(dh < -big)
     hazard = "mixed" if rising and falling else "IFR" if rising else "DFR" if falling else "constant"
 
     pos = np.flatnonzero(f > 0)
-    if pos[-1] - pos[0] + 1 != pos.size:
+    a, b = pos[0], pos[-1] + 1
+    if b - a != pos.size:
         log_class = "neither"  # f vanishes inside its support
     else:
-        dx, lf = np.diff(x[pos]), np.log(f[pos])
+        dx, lf = dx[a : b - 1], np.log(f[a:b])
         bend = np.diff(np.diff(lf) / dx)
         # a bound on the rounding error of each slope of log f
         err = (128 * np.finfo(float).eps) * (np.abs(lf[1:]) + 1.0) / dx
@@ -320,8 +331,7 @@ def _dense_shape(d):
         concave = np.all(bend <= tol) and np.any(bend < -tol)
         convex = np.all(bend >= -tol) and np.any(bend > tol)
         log_class = "log-concave" if concave else "log-convex" if convex else "neither"
-    descent = np.inf if np.isfinite(hi) and f[-1] > 0 else float(np.max(-np.gradient(f, x, edge_order=2)))
-    return x[i], f[i], step, hazard, log_class, descent
+    return x[i], f[i], step, hazard, log_class, descent, drop
 
 
 NAMED = [
@@ -349,9 +359,10 @@ def test_declared_shapes_match_dense_reference():
         randoms = [dists.piecewise_linear(_random_knots(rng)) for _ in range(200)]
     for d in NAMED + randoms:
         shape = d.find_modes()
-        x_max, f_max, step, hazard, log_class, descent = _dense_shape(d)
+        x_max, f_max, step, hazard, log_class, descent, drop = _dense_shape(d)
         assert shape.global_mode_density == pytest.approx(f_max, rel=1e-12), d
         assert shape.steepest_descent == pytest.approx(descent, rel=1e-8), d
+        assert shape.top_drop == pytest.approx(drop, rel=1e-12), d
         assert abs(shape.global_mode - x_max) <= step, d
         assert d.classify_hazard() == hazard, d
         assert d.log_concavity() == log_class, d

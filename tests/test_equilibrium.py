@@ -578,25 +578,42 @@ def test_concavity_diagnostic_flags_profitable_deviation():
 
 
 def _curvature_bound(dist, v, cost):
-    """K = v_1 sup(-f') - inf c'', the bound on the deviation payoff's P''."""
-    return v.prizes[0] * dist.find_modes().steepest_descent - cost.min_curvature
+    """K = v_1 sup(-f') + J sup f sum_{r<n} d_r max Beta(n-r, r) - inf c'',
+    the bound on the deviation payoff's P'' away from the kink, with J the
+    drop of f at the upper support bound and the Beta densities taken at
+    their modes."""
+    shape, n = dist.find_modes(), v.n
+    a, b = n - np.arange(1, n), np.arange(1, n)
+    m = (a - 1) / (n - 2) if n > 2 else 0.5
+    peaks = m ** (a - 1) * (1 - m) ** (b - 1) / special.beta(a, b)
+    drop = shape.top_drop * shape.global_mode_density * np.dot(v.differentials[:-1], peaks)
+    return v.prizes[0] * shape.steepest_descent + drop - cost.min_curvature
 
 
 SCHEDULES = [(3, eq.PrizeSchedule.winner_take_all(3)), (10, eq.PrizeSchedule.equal_sharing(10)),
              (10, eq.PrizeSchedule.winner_take_all(10))]
 
 
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # f = 0.5 / 0.975 at the top: a drop
+    TOP_DROP = dists.piecewise_linear([(0, 0.2), (0.5, 1), (1, 0.6), (1.5, 0.5)])
+
+
 @pytest.mark.parametrize(
-    "dist", [GUMBEL, dists.normal(), EXPO, RED, HEAVY], ids=["gumbel", "normal", "exponential", "red", "erf_exponential"]
+    "dist",
+    [GUMBEL, dists.normal(), EXPO, RED, HEAVY, UNIF, TOP_DROP],
+    ids=["gumbel", "normal", "exponential", "red", "erf_exponential", "uniform", "top_drop"],
 )
 def test_deviation_payoff_curvature_within_bound(dist):
-    # second differences, h = 1e-3, at 61 efforts across [0, e_max]
+    # second differences, h = 1e-3, at 61 efforts across [0, e_max], none
+    # within 3h of the kink that a drop of f puts at rho - hi
     h = 1e-3
-    centers = np.linspace(h, QUAD_COST.max_effort - h, 61)
+    grid = np.linspace(h, QUAD_COST.max_effort - h, 61)
     for n, v in SCHEDULES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", eq.ConcavityWarning)
             sol = eq.solve_design(dist, n, v, QUAD_COST)
+        centers = grid[np.abs(grid - (sol.standard - dist.support[1])) > 3 * h]
         design = eq.TournamentDesign(sol.standard, v, QUAD_COST)
         pi = eq.deviation_payoff_curve(dist, design, sol.effort, np.concatenate([centers - h, centers, centers + h]))
         lo, mid, hi = pi.reshape(3, -1)
@@ -619,15 +636,52 @@ def test_concavity_verdict_evaluates_no_payoff_when_bound_proves_concavity(monke
             warnings.simplefilter("error", eq.ConcavityWarning)
             assert eq.solve_design(dist, v.n, v, QUAD_COST).concavity_ok
     assert evaluated == []
-    # a finite K > 0 refines from far fewer efforts than the grid
-    assert eq.solve_design(RED, 3, eq.PrizeSchedule.winner_take_all(3), QUAD_COST).concavity_ok
-    assert 0 < sum(evaluated) < eq.CONCAVITY_POINTS
-    # only K = inf, here a drop at the top of the support, takes the grid
-    evaluated.clear()
+    # the drop at the top of uniform noise adds a finite term: K = 2 - 3
+    steep = eq.CostFunction(kappa=3.0, beta=2.0)
+    wta3 = eq.PrizeSchedule.winner_take_all(3)
+    assert _curvature_bound(UNIF, wta3, steep) == pytest.approx(-1.0, abs=1e-12)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eq.ConcavityWarning)
-        eq.solve_design(UNIF, 3, eq.PrizeSchedule.winner_take_all(3), QUAD_COST)
-    assert len(evaluated) == 1 and evaluated[0] >= eq.CONCAVITY_POINTS
+        warnings.simplefilter("error", eq.ConcavityWarning)
+        assert eq.solve_design(UNIF, 3, wta3, steep).concavity_ok
+    assert evaluated == []
+    # a finite K > 0 refines from far fewer efforts than a 400-point grid,
+    # and reaches the dense grid's verdict
+    assert eq.solve_design(RED, 3, wta3, QUAD_COST).concavity_ok
+    assert 0 < sum(evaluated) < 400
+    evaluated.clear()
+    top2 = eq.PrizeSchedule.equal_top(2, 10)
+    with pytest.warns(eq.ConcavityWarning, match="gains"):
+        assert not eq.solve_design(UNIF, 10, top2, QUAD_COST).concavity_ok
+    assert 0 < sum(evaluated) < 400
+    # uniform WTA at n = 10: the dense grid's gain is 0.0685, near e = 0.01
+    v = eq.PrizeSchedule.winner_take_all(10)
+    with pytest.warns(eq.ConcavityWarning, match="gains 0.068"):
+        sol = eq.solve_design(UNIF, 10, v, steep)
+    grid = np.unique(np.append(np.linspace(0.0, steep.max_effort, 4000), sol.effort))
+    pi = eq.deviation_payoff_curve(UNIF, eq.TournamentDesign(sol.standard, v, steep), sol.effort, grid)
+    assert np.max(pi) - pi[np.searchsorted(grid, sol.effort)] == pytest.approx(0.0685, abs=1e-4)
+    assert grid[np.argmax(pi)] == pytest.approx(0.01, abs=2e-3)
+
+
+@pytest.mark.parametrize("kappa, ok", [(0.1, False), (0.2, True)])
+def test_kink_inside_effort_range_is_checked_even_when_bound_is_negative(kappa, ok):
+    # EPS on uniform noise at n = 3: K = -kappa, but rho - 1 = 1 / (3 kappa)
+    # - 1 lies in (0, e_max), and below it no effort reaches the standard, so
+    # P = -c there.  Effort 0 then gains P(0) - P(e*) = 1 / (18 kappa) - 1/3
+    # when kappa < 1/6; at kappa = 0.2 e* is a best response, though the
+    # payoff is not unimodal
+    v, cost = eq.PrizeSchedule.equal_sharing(3), eq.CostFunction(kappa, 2.0)
+    assert _curvature_bound(UNIF, v, cost) == pytest.approx(-kappa)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", eq.ConcavityWarning)
+        sol = eq.solve_design(UNIF, 3, v, cost)
+    assert 0.0 < sol.standard - 1.0 < cost.max_effort
+    assert sol.concavity_ok == ok
+    assert [str(w.message).startswith("deviating to effort 0 gains") for w in caught] == ([] if ok else [True])
+    design = eq.TournamentDesign(sol.standard, v, cost)
+    grid = np.unique(np.append(np.linspace(0.0, cost.max_effort, 4000), sol.effort))
+    pi = eq.deviation_payoff_curve(UNIF, design, sol.effort, grid)
+    assert (np.max(pi) - pi[np.searchsorted(grid, sol.effort)] <= eq.DEVIATION_GAIN_TOL) == ok
 
 
 def test_refinement_flags_gain_on_blue_wta():
@@ -654,7 +708,7 @@ def test_refinement_finds_gain_between_grid_points():
     def payoff(e):
         return (x_min / (sol.standard - e)) ** 2 / 3 - e**2 / 2
 
-    grid = np.linspace(0.0, QUAD_COST.max_effort, eq.CONCAVITY_POINTS)
+    grid = np.linspace(0.0, QUAD_COST.max_effort, 400)
     below = grid[grid < sol.effort]
     assert np.max(payoff(below)) - payoff(sol.effort) < eq.DEVIATION_GAIN_TOL
     assert payoff(0.46993) - payoff(sol.effort) == pytest.approx(2.56e-9, rel=1e-3)
@@ -673,7 +727,7 @@ def test_refinement_bisects_to_a_gain_between_its_first_efforts(monkeypatch, hei
 
     monkeypatch.setattr(eq, "deviation_payoff_curve", payoff)
     design = eq.TournamentDesign(0.0, eq.PrizeSchedule.winner_take_all(2), QUAD_COST)
-    e, pi = eq._deviation_payoffs(None, design, e_star, 2400.0)
+    e, pi = eq._deviation_payoffs(None, design, e_star, 2400.0, ())
     first = np.linspace(0.0, QUAD_COST.max_effort, eq.REFINEMENT_CELLS + 1)
     assert np.max(payoff(None, None, e_star, first)) <= 0.0
     gain = np.max(pi) - pi[np.searchsorted(e, e_star)]
@@ -695,7 +749,7 @@ def test_refinement_finds_gain_hidden_between_first_efforts_by_a_sharp_peak(monk
 
     monkeypatch.setattr(eq, "deviation_payoff_curve", payoff)
     design = eq.TournamentDesign(0.0, eq.PrizeSchedule.winner_take_all(2), QUAD_COST)
-    e, pi = eq._deviation_payoffs(None, design, m - d, 0.5)
+    e, pi = eq._deviation_payoffs(None, design, m - d, 0.5, ())
     first = np.linspace(0.0, QUAD_COST.max_effort, eq.REFINEMENT_CELLS + 1)
     assert first[13] < m + d < first[14]
     gain = np.max(pi) - pi[np.searchsorted(e, m - d)]
@@ -703,18 +757,29 @@ def test_refinement_finds_gain_hidden_between_first_efforts_by_a_sharp_peak(monk
     assert e[np.argmax(pi)] == pytest.approx(m + d, abs=1e-3)
 
 
-@pytest.mark.parametrize("dist", [dists.exponential(1.25), RED], ids=["exponential", "red"])
-def test_cell_bounds_hold_inside_final_cells(dist):
-    v = eq.PrizeSchedule.winner_take_all(3)
-    sol = eq.solve_design(dist, 3, v, QUAD_COST)
+@pytest.mark.parametrize(
+    "dist, v, cost",
+    [
+        (dists.exponential(1.25), eq.PrizeSchedule.winner_take_all(3), QUAD_COST),
+        (RED, eq.PrizeSchedule.winner_take_all(3), QUAD_COST),
+        (UNIF, eq.PrizeSchedule.equal_sharing(3), eq.CostFunction(0.2, 2.0)),  # kink at 2/3
+    ],
+    ids=["exponential", "red", "uniform_kink"],
+)
+def test_cell_bounds_hold_inside_final_cells(dist, v, cost):
+    sol = eq.solve_design(dist, v.n, v, cost)
     assert sol.concavity_ok
-    design = eq.TournamentDesign(sol.standard, v, QUAD_COST)
-    k = _curvature_bound(dist, v, QUAD_COST)
-    e, pi = eq._deviation_payoffs(dist, design, sol.effort, k)
-    bound = eq._cell_bounds(e, pi, k)
+    design = eq.TournamentDesign(sol.standard, v, cost)
+    k = _curvature_bound(dist, v, cost)
+    kinks = [sol.standard - dist.support[1]] if dist.find_modes().top_drop else []
+    e, pi = eq._deviation_payoffs(dist, design, sol.effort, k, kinks)
+    bound = eq._cell_bounds(e, pi, k, kinks)
     inside = e[:-1, None] + np.diff(e)[:, None] * np.arange(1, 41) / 41.0
     payoffs = eq.deviation_payoff_curve(dist, design, sol.effort, inside.ravel()).reshape(inside.shape)
     assert np.all(payoffs.max(axis=1) <= bound)
+    if kinks:
+        # a chord line across the kink undercuts P: P' jumps up there
+        assert np.any(payoffs.max(axis=1) > eq._cell_bounds(e, pi, k, []))
 
 
 def test_refinement_fails_closed_at_its_width_limit(monkeypatch):
@@ -745,12 +810,6 @@ def test_refinement_verdict_matches_dense_grid_on_random_density():
         assert sol.concavity_ok == dense_ok, v
         verdicts.append(dense_ok)
     assert verdicts == [False, True, True]
-
-
-def test_unimodality_detector():
-    assert eq._is_unimodal(np.array([0.0, 1.0, 2.0, 1.5, 0.5]))
-    assert eq._is_unimodal(np.array([3.0, 2.0, 1.0]))
-    assert not eq._is_unimodal(np.array([0.0, 1.0, 0.5, 1.2, 0.2]))
 
 
 def test_cost_function_contract():
