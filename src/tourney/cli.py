@@ -48,7 +48,6 @@ NUMERIC_ERRORS = (
     ModeScanMismatch,
     EffortOutOfRange,
     dists.SurvivalUnderflow,
-    prizes_mod.SufficiencyViolated,
     payschemes.UnboundedLikelihoodRatio,
 )
 

@@ -20,7 +20,6 @@ __all__ = [
     "AllZeroEfforts",
     "tullock_csf_with_standard",
     "tullock_optimal",
-    "tullock_effort_given_standard",
     "tullock_selfconsistent_effort",
     "tullock_best_response_gap",
     "fm_optimal_standard",
@@ -70,13 +69,6 @@ def _symmetric_foc(e: float, n: int, rho: float) -> float:
     s = n * e
     expo = np.exp(-s / rho)
     return (n - 1.0) * (1.0 - expo) / (n**2 * e) + expo / (n * rho) - 1.0
-
-
-def tullock_effort_given_standard(n: int, rho: float) -> float:
-    """Symmetric equilibrium effort for a fixed standard, linear cost."""
-    from scipy.optimize import brentq  # off the import path of the other commands
-
-    return float(brentq(_symmetric_foc, 1e-12, 1.0, args=(n, rho), xtol=1e-15, rtol=1e-15))
 
 
 def tullock_selfconsistent_effort(n: int) -> float:

@@ -372,28 +372,41 @@ def _rank_sum(d: np.ndarray, term, shape: tuple) -> np.ndarray:
     return out.reshape(d.shape[:-1] + shape)
 
 
+def _log_beta_norms(n: int) -> np.ndarray:
+    """log of the Beta(n-r, r) normalizer 1 / B(n-r, r) = (n-1) C(n-2, r-1)
+    for r = 1..n-1.  The binomials come exact from the integer recurrence
+    C(n-2, b) = C(n-2, b-1) (n-1-b) / b, so each log is within an ulp
+    (``special.betaln`` is off by 1.8e-12 at n = 1000)."""
+    norms, c = [], 1
+    for b in range(n - 1):
+        c = c * (n - 1 - b) // b if b else 1
+        norms.append(math.log((n - 1) * c))
+    return np.asarray(norms)
+
+
 def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_r d_r times the density at level u of the (n-r)-th lowest of the
     n-1 rivals' levels, a Beta(n-r, r) density.  xlogy(a, y) is a * log(y)
     for a != 0 and 0 for a = 0, so log(u) and log(s) are each taken once for
-    all ranks, when first needed.  The normalizer 1 / B(n-r, r) is the
-    exact integer (n-1) C(n-2, r-1), so its log is within an ulp
-    (``special.betaln`` is off by 1.8e-12 at n = 1000)."""
+    all ranks, when first needed."""
     log = cache(lambda i: special.xlogy(1, (u, s)[i]))
+    norms = _log_beta_norms(n)
 
     def density(r):
         a, b = n - r - 1, r - 1
-        norm = math.log((n - 1) * math.comb(n - 2, int(b)))
-        return np.exp((a * log(0) if a else 0.0) + (b * log(1) if b else 0.0) + norm)
+        return np.exp((a * log(0) if a else 0.0) + (b * log(1) if b else 0.0) + norms[b])
 
     return _rank_sum(d[..., :-1], density, u.shape)
 
 
 def _rank_weight_peak(n: int, d: np.ndarray) -> float:
     """sum_r d_r times the largest Beta(n-r, r) density of ``_rank_weight``,
-    taken at its mode (n-r-1) / (n-2), one row of ranks per mode."""
-    m = (n - 1 - np.arange(1, n)) / max(n - 2, 1)
-    return float(np.trace(_rank_weight(n, np.diag(d)[:-1], m, 1.0 - m)))
+    each taken at its own mode (n-r-1) / (n-2)."""
+    r = np.arange(1, n)
+    a, b = n - r - 1, r - 1
+    m = a / max(n - 2, 1)
+    density = np.exp(special.xlogy(a, m) + special.xlogy(b, 1.0 - m) + _log_beta_norms(n))
+    return float(np.sum(d[:-1] * density))
 
 
 def _distinct_panels(bu: np.ndarray, bs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -647,7 +660,11 @@ def equilibrium_effort(
     dist: NoiseDistribution, n: int, v: PrizeSchedule, t: float, cost: CostFunction
 ) -> float:
     """Effort solving marginal benefit = marginal cost at threshold t."""
-    g = total_marginal_benefit(dist, n, v, t)
+    return _effort(total_marginal_benefit(dist, n, v, t), cost)
+
+
+def _effort(g: float, cost: CostFunction) -> float:
+    """Effort at which marginal cost equals the marginal benefit g."""
     top = cost.cprime(cost.max_effort)
     if g > top * (1.0 + 1e-12):
         raise EffortOutOfRange(
@@ -657,34 +674,45 @@ def equilibrium_effort(
     return float(cost.cprime_inv(min(g, top)))
 
 
-def optimal_threshold(dist: NoiseDistribution, n: int, v: PrizeSchedule) -> ThresholdResult:
-    """Best threshold among the modes weakly above the global mode.
+def _mode_values(dist: NoiseDistribution, n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The modes weakly above the global mode, ascending, and G = sum_r d_r
+    B_r there for each row of differentials ``d``, of shape ``d.shape[:-1]``
+    plus the modes'.
 
-    G = sum_r d_r B_r has G' = f' H with H = sum_r d_r F_{(n-r:n-1)} >= 0, so
-    one pass takes G at the modes and antimodes of ``find_modes`` from the
-    global mode up, and ``ModeScanMismatch`` names an interval between two
-    of them where G moves against f by more than ``THRESHOLD_TIE_TOL``.
-    Ties within that tolerance resolve to the smallest threshold, which
-    maximizes the pass probability.
+    Each row, a unit row too, has G' = f' H with H = sum_r d_r
+    F_{(n-r:n-1)} >= 0, so one pass takes G at the modes and antimodes of
+    ``find_modes`` from the global mode up, and ``ModeScanMismatch`` names
+    an interval between two of them where a row's G moves against f by more
+    than ``THRESHOLD_TIE_TOL``.
     """
     shape = dist.find_modes()
     t = np.union1d(shape.modes, shape.antimodes)
     t = t[t >= shape.global_mode]
-    g = _marginal_benefit(dist, n, v.differentials, t)
+    g = _marginal_benefit(dist, n, d, t)
     f = np.asarray(dist.pdf(t))
-    dg = np.diff(g)
-    against = np.nonzero((np.abs(dg) > THRESHOLD_TIE_TOL) & (np.sign(dg) != np.sign(np.diff(f))))[0]
+    dg = np.diff(g, axis=-1)
+    against = np.argwhere((np.abs(dg) > THRESHOLD_TIE_TOL) & (np.sign(dg) != np.sign(np.diff(f))))
     if against.size:
-        i = against[0]
+        *row, i = against[0]
+        g, where = g[tuple(row)], f", row {row[0]} of the differentials" if row else ""
         raise ModeScanMismatch(
-            f"{dist.family} {dist.params}, n={n}: on [{t[i]:.10g}, {t[i + 1]:.10g}] f goes from "
+            f"{dist.family} {dist.params}, n={n}{where}: on [{t[i]:.10g}, {t[i + 1]:.10g}] f goes from "
             f"{f[i]:.10g} to {f[i + 1]:.10g} but G = sum_r d_r B_r from {g[i]:.12g} to {g[i + 1]:.12g}; "
             f"as G' = f' H, H >= 0, the shape report misses a critical point there or an integral is wrong"
         )
-    values = [(float(m), float(gm)) for m, gm in zip(t, g) if m in shape.modes]
-    best_val = max(gm for _, gm in values)
-    t_star, g_star = next((m, gm) for m, gm in values if gm >= best_val - THRESHOLD_TIE_TOL)
-    return ThresholdResult(threshold=t_star, marginal_benefit=g_star, candidates=tuple(values))
+    modes = np.isin(t, shape.modes)
+    return t[modes], g[..., modes]
+
+
+def optimal_threshold(dist: NoiseDistribution, n: int, v: PrizeSchedule) -> ThresholdResult:
+    """Best threshold among the modes weakly above the global mode, from
+    ``_mode_values``.  Ties within ``THRESHOLD_TIE_TOL`` resolve to the
+    smallest threshold, which maximizes the pass probability.
+    """
+    modes, g = _mode_values(dist, n, v.differentials)
+    i = int(np.argmax(g >= np.max(g) - THRESHOLD_TIE_TOL))
+    candidates = tuple((float(m), float(gm)) for m, gm in zip(modes, g))
+    return ThresholdResult(threshold=candidates[i][0], marginal_benefit=candidates[i][1], candidates=candidates)
 
 
 def solve_design(
@@ -736,7 +764,7 @@ def solve_design(
     else:
         t_star = float(threshold)
         g_star = total_marginal_benefit(dist, n, v, t_star)
-    e_star = equilibrium_effort(dist, n, v, t_star, cost)
+    e_star = _effort(g_star, cost)
     rho = e_star + t_star
     design = TournamentDesign(standard=rho, schedule=v, cost=cost)
     shape = dist.find_modes()
@@ -777,11 +805,14 @@ def solve_design(
 
 
 def global_mode_sufficiency(dist: NoiseDistribution, n: int) -> SufficiencyResult:
-    """Whether the top-rank coefficient peaks at the global mode.
+    """Whether the top-rank coefficient peaks at the global mode, the
+    winner-take-all case of ``optimal_threshold``; the witness reports the
+    maximizing mode either way.
 
-    When it does, the standard at the global mode is optimal for every prize
-    schedule; the witness reports the maximizing mode either way.  This is
-    the winner-take-all case of ``optimal_threshold``.
+    It holds exactly when every rank's B_r, one row of the table that
+    ``optimal_prizes`` maximizes, peaks at the global mode, so that the
+    standard there is optimal for every prize schedule.  Where it fails, the
+    joint design can put the standard at a higher mode.
     """
     thr = optimal_threshold(dist, n, PrizeSchedule.winner_take_all(n))
     return SufficiencyResult(holds=thr.threshold == dist.find_modes().global_mode, witness=thr.threshold)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import NoiseDistribution
-from .equilibrium import PrizeSchedule, TournamentDesign, marginal_benefit_rank, random_schedule
+from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
 from .montecarlo import _require_draws, _require_seed, noise_batches
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "PropertyViolation",
     "UnboundedLikelihoodRatio",
     "NoBoundAvailable",
-    "tournament_as_payscheme",
     "rank_payscheme",
     "capped_linear_share",
     "mixture",
@@ -102,11 +101,6 @@ def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PaySch
 
     label = f"rank(v={schedule.prizes}, standard={standard:g})"
     return PayScheme(n, pay, label)
-
-
-def tournament_as_payscheme(design: TournamentDesign) -> PayScheme:
-    """A tournament with a standard, repackaged as a cardinal pay scheme."""
-    return rank_payscheme(design.schedule, design.standard)
 
 
 def capped_linear_share(n: int, cap: float) -> PayScheme:

@@ -1,11 +1,14 @@
-"""Optimal prize schedules at the optimal standard.
+"""Optimal prize schedules and standards, designed jointly.
 
-With the threshold fixed at the global mode, choosing prizes is a linear
-program over prize differentials whose budget constraint prices the rank-r
-differential at r.  The optimum is therefore a corner: some number r* of
-equal prizes at the top, with r* maximizing the per-rank score
-``B_r / r``.  All n scores come from one pass of the quadrature kernel
-that computes the rank coefficients B_r.
+For a fixed standard at threshold t, choosing prizes is a linear program
+over prize differentials whose budget constraint prices the rank-r
+differential at r.  The optimum is therefore a corner: some number r of
+equal prizes at the top, with r maximizing the per-rank score
+``B_r(t) / r``.  For every schedule the optimal standard is a mode at or
+above the global mode of the noise density, so the jointly optimal design
+is the largest score in the table of B_r(m) / r over the ranks r and those
+modes m (Moldovanu & Sela, AER 2001).  The whole table comes from one pass
+of the quadrature kernel that computes the rank coefficients B_r.
 """
 
 from __future__ import annotations
@@ -19,25 +22,18 @@ from .equilibrium import (
     CostFunction,
     EquilibriumSolution,
     PrizeSchedule,
+    THRESHOLD_TIE_TOL,
     _marginal_benefit,
+    _mode_values,
     _unit,
-    global_mode_sufficiency,
     solve_design,
 )
 
 __all__ = [
     "PrizeDesignReport",
-    "SufficiencyViolated",
     "rank_score",
     "optimal_prizes",
 ]
-
-SCORE_TIE_TOL = 1e-9
-
-
-class SufficiencyViolated(RuntimeError):
-    """The standard at the global mode is not optimal for every schedule;
-    pass an explicit threshold to design prizes for a chosen standard."""
 
 
 @dataclass(frozen=True)
@@ -69,45 +65,29 @@ def optimal_prizes(
     cost: CostFunction,
     threshold: float | None = None,
 ) -> tuple[PrizeDesignReport, EquilibriumSolution]:
-    """Jointly optimal prize schedule and standard.
+    """Jointly optimal prize schedule and standard: the largest score
+    B_r(t)/r over the ranks r and the modes t weakly above the global mode,
+    which ``_mode_values`` gives in one kernel pass.
 
-    Requires the global mode to be the optimal threshold for every schedule
-    unless the caller overrides with an explicit ``threshold`` (in which case
-    prizes maximize effort for that given standard).  Ties across ranks are
-    reported with regime ``tie`` and resolved to the smallest rank count.
+    An explicit ``threshold`` fixes the standard instead, and the prizes
+    maximize effort for it from one column of scores.  Ties within
+    ``THRESHOLD_TIE_TOL`` go to the smallest threshold, which maximizes the
+    pass probability, then to the smallest rank count; a tie across ranks
+    is reported with regime ``tie``.
     """
+    ranks = np.arange(1, n + 1)
     if threshold is None:
-        suff = global_mode_sufficiency(dist, n)
-        if not suff.holds:
-            raise SufficiencyViolated(
-                f"top-rank incentives peak at mode {suff.witness:g}, not the "
-                f"global mode; pass threshold= explicitly to design for a "
-                f"chosen standard"
-            )
-        t = dist.find_modes().global_mode
+        modes, b = _mode_values(dist, n, _unit(n, ranks))
     else:
-        t = float(threshold)
-
-    scores = tuple(float(s) for s in rank_score(dist, n, np.arange(1, n + 1), t))
-    best = max(scores)
-    tie_set = tuple(r for r, s in enumerate(scores, start=1) if s >= best - SCORE_TIE_TOL)
-    r_star = tie_set[0]
-    if len(tie_set) > 1:
-        regime = "tie"
-    elif r_star == 1:
-        regime = "WTA"
-    elif r_star == n:
-        regime = "EPS"
-    else:
-        regime = "interior-check"
+        modes = np.array([float(threshold)])
+        b = _marginal_benefit(dist, n, _unit(n, ranks), modes)
+    table = b / ranks[:, None]
+    best = np.max(table)
+    j = int(np.argmax(np.any(table >= best - THRESHOLD_TIE_TOL, axis=0)))
+    scores = tuple(float(s) for s in table[:, j])
+    tie_set = tuple(int(r) for r in ranks[table[:, j] >= best - THRESHOLD_TIE_TOL])
+    r_star, t = tie_set[0], float(modes[j])
+    regime = "tie" if len(tie_set) > 1 else {n: "EPS", 1: "WTA"}.get(r_star, "interior-check")
     schedule = PrizeSchedule.equal_top(r_star, n)
-    solution = solve_design(dist, n, schedule, cost, threshold=threshold)
-    report = PrizeDesignReport(
-        r_star=r_star,
-        schedule=schedule,
-        scores=scores,
-        regime=regime,
-        tie_set=tie_set,
-        threshold=float(t),
-    )
-    return report, solution
+    report = PrizeDesignReport(r_star, schedule, scores, regime, tie_set, threshold=t)
+    return report, solve_design(dist, n, schedule, cost, threshold=t)

@@ -66,6 +66,15 @@ def test_prizes_normal_mode_at_median(tmp_path):
         assert doc["rank_scores"][r - 1] == pytest.approx(exact, abs=1e-9)
 
 
+def test_prizes_puts_the_standard_at_a_higher_mode(tmp_path):
+    # red noise, n = 3: winner-take-all at the upper mode 1.0, above the global mode 0.5
+    scenario = {"distribution": {"family": "trimodal_example", "params": {"variant": "red"}}, "n": 3}
+    out = tmp_path / "sol.json"
+    assert cli.main(["prizes", "--config", _write(tmp_path, "cfg.json", scenario), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["threshold"], doc["regime"]) == (1.0, "WTA")
+
+
 def test_solve_inverse_exponential_at_mode(tmp_path):
     scenario = {"distribution": {"family": "inverse_exponential"}, "n": 3, "schedule": "wta"}
     out = tmp_path / "sol.json"

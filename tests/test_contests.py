@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from tourney import contests, distributions as dists, equilibrium as eq
 
@@ -64,7 +65,8 @@ def test_standard_scan_peaks_at_optimum():
     n = 2
     e_star, rho_star = contests.tullock_optimal(n)
     rhos = np.linspace(0.5 * rho_star, 1.5 * rho_star, 81)
-    efforts = [contests.tullock_effort_given_standard(n, r) for r in rhos]
+    # the symmetric equilibrium effort at each fixed standard, linear cost
+    efforts = [brentq(contests._symmetric_foc, 1e-12, 1.0, args=(n, r), xtol=1e-15, rtol=1e-15) for r in rhos]
     assert abs(rhos[int(np.argmax(efforts))] - rho_star) <= rhos[1] - rhos[0]
 
 

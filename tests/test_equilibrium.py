@@ -426,6 +426,9 @@ def test_mode_scan_mismatch_names_interval(monkeypatch):
         eq.optimal_threshold(d, 3, eq.PrizeSchedule.winner_take_all(3))
     # schedules whose G falls with f there pass the check
     assert eq.optimal_threshold(d, 3, eq.PrizeSchedule.equal_top(2, 3)).threshold == 0.5
+    # the joint table checks every rank's row and names the first that fails
+    with pytest.raises(eq.ModeScanMismatch, match=r"n=3, row 0 of the differentials: on \[0\.5, 1\]"):
+        prizes.optimal_prizes(d, 3, QUAD_COST)
 
 
 @pytest.mark.xfail(raises=eq.QuadratureFailure, strict=True)
@@ -588,6 +591,17 @@ def _curvature_bound(dist, v, cost):
     peaks = m ** (a - 1) * (1 - m) ** (b - 1) / special.beta(a, b)
     drop = shape.top_drop * shape.global_mode_density * np.dot(v.differentials[:-1], peaks)
     return v.prizes[0] * shape.steepest_descent + drop - cost.min_curvature
+
+
+def test_beta_normalizer_from_the_integer_recurrence():
+    # the recurrence gives math.comb's binomials, so every log is the same
+    n = 300
+    assert eq._log_beta_norms(n).tolist() == [math.log((n - 1) * math.comb(n - 2, b)) for b in range(n - 1)]
+    # each rank's density at its own mode is the diagonal of all ranks at all modes
+    for n in (3, 30):
+        d = eq.random_schedule(n, np.random.default_rng(n)).differentials
+        m = (n - 1 - np.arange(1, n)) / (n - 2)
+        assert eq._rank_weight_peak(n, d) == float(np.trace(eq._rank_weight(n, np.diag(d)[:-1], m, 1.0 - m)))
 
 
 SCHEDULES = [(3, eq.PrizeSchedule.winner_take_all(3)), (10, eq.PrizeSchedule.equal_sharing(10)),

@@ -7,24 +7,19 @@ from tourney import payschemes as ps
 
 GUMBEL = dists.gumbel()
 PARETO = dists.pareto(2.0)
-COST = eq.CostFunction()
-
-
-def _tournament(schedule, rho):
-    return ps.tournament_as_payscheme(eq.TournamentDesign(rho, schedule, COST))
 
 
 def test_tournament_payments():
-    wta = _tournament(eq.PrizeSchedule.winner_take_all(3), -np.inf)
+    wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), -np.inf)
     assert wta.payments([[3.0, 1.0, 2.0]]).tolist() == [[1.0, 0.0, 0.0]]
-    eps_high = _tournament(eq.PrizeSchedule.equal_sharing(3), 2.5)
+    eps_high = ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(3), 2.5)
     np.testing.assert_allclose(eps_high.payments([[3.0, 1.0, 2.0]]), [[1 / 3, 0.0, 0.0]])
-    eps_low = _tournament(eq.PrizeSchedule.equal_sharing(3), 0.0)
+    eps_low = ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(3), 0.0)
     np.testing.assert_allclose(eps_low.payments([[3.0, 1.0, 2.0]]), [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_tournament_tie_goes_to_lower_index():
-    wta = _tournament(eq.PrizeSchedule.winner_take_all(3), -np.inf)
+    wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), -np.inf)
     pay = wta.payments([[2.0, 2.0, 1.0]])
     assert pay.tolist() == [[1.0, 0.0, 0.0]]
     assert pay.sum() == 1.0  # ties never double-pay
@@ -61,7 +56,7 @@ def test_marginal_incentive_zero_scheme():
 
 def test_marginal_incentive_attains_wta_bound():
     xm = GUMBEL.find_modes().global_mode
-    scheme = _tournament(eq.PrizeSchedule.winner_take_all(3), 0.3 + xm)
+    scheme = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), 0.3 + xm)
     est, se = ps.marginal_incentive(GUMBEL, scheme, 0.3, draws=300_000, seed=5)
     ref = eq.marginal_benefit_rank(GUMBEL, 3, 1, xm)
     assert abs(est - ref) <= 4 * se
@@ -105,11 +100,11 @@ def test_check_bound_battery_pareto():
 
 def test_check_bound_attained_by_optimal_schemes():
     xm = GUMBEL.find_modes().global_mode
-    wta = _tournament(eq.PrizeSchedule.winner_take_all(3), 0.3 + xm)
+    wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), 0.3 + xm)
     chk = ps.check_incentive_bound(GUMBEL, wta, 0.3, draws=300_000, seed=90)
     assert chk.satisfied and abs(chk.estimate - chk.bound) <= 4 * chk.se
 
-    eps = _tournament(eq.PrizeSchedule.equal_sharing(2), 0.5 + 1.0)
+    eps = ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(2), 0.5 + 1.0)
     chk2 = ps.check_incentive_bound(PARETO, eps, 0.5, draws=300_000, seed=91)
     assert chk2.satisfied and abs(chk2.estimate - chk2.bound) <= 4 * chk2.se
 

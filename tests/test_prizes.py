@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from kernel_reference import per_row_integrals
@@ -91,9 +93,11 @@ def test_optimal_prizes_regimes():
     assert rep3.r_star == 1  # canonical smallest
 
 
-def test_sufficiency_gate_and_override():
-    with pytest.raises(prizes.SufficiencyViolated):
-        prizes.optimal_prizes(RED, 3, COST)
+def test_joint_design_and_override():
+    # winner-take-all peaks at the upper mode 1.0, above the global mode 0.5
+    rep, sol = prizes.optimal_prizes(RED, 3, COST)
+    assert (rep.threshold, rep.regime) == (1.0, "WTA")
+    assert sol.threshold == 1.0
     rep, sol = prizes.optimal_prizes(RED, 3, COST, threshold=1.0)
     assert rep.threshold == 1.0
     assert rep.r_star == 1  # top-heavy wins at the high mode
@@ -143,3 +147,44 @@ def test_threshold_weakly_decreases_with_prize_equality():
             for s in (1, 2, 3)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(ts, ts[1:]))
+
+
+TRIMODAL = [(name, n) for name in ("red", "green", "blue") for n in (3, 4, 5, 10, 30)]
+# the cases where every rank peaks at the global mode 0.5
+HOLDS = {("green", 3), ("green", 4), ("green", 5), ("blue", 3), ("blue", 4)}
+# the joint designs that are no equilibrium at kappa = 1
+NO_EQUILIBRIUM = {("red", 10), ("red", 30), ("blue", 5), ("blue", 10)}
+
+
+@pytest.mark.parametrize("name, n", TRIMODAL)
+def test_joint_design_on_trimodal_noise(name, n, monkeypatch):
+    d = dists.trimodal_example(name)
+    gm = d.find_modes().global_mode
+    ranks = np.arange(1, n + 1)
+    modes, b = eq._mode_values(d, n, eq._unit(n, ranks))
+    peaks = modes[np.argmax(b >= b.max(axis=1, keepdims=True) - eq.THRESHOLD_TIE_TOL, axis=1)]
+    # the standard at the global mode is optimal for every schedule exactly
+    # when every rank's B_r peaks there
+    holds = bool(np.all(peaks == gm))
+    assert eq.global_mode_sufficiency(d, n).holds == holds == ((name, n) in HOLDS)
+    # each corner alone: G = B_r / r peaks where rank r's row does
+    corners = [eq.optimal_threshold(d, n, eq.PrizeSchedule.equal_top(r, n)) for r in ranks]
+    assert [c.threshold for c in corners] == list(peaks)
+
+    with pytest.warns(eq.ConcavityWarning) if (name, n) in NO_EQUILIBRIUM else nullcontext():
+        rep, sol = prizes.optimal_prizes(d, n, COST)
+    # the best corner, ties to the smallest standard, then rank count
+    top = max(c.marginal_benefit for c in corners)
+    best = min((c.threshold, r) for r, c in zip(ranks, corners) if c.marginal_benefit >= top - eq.THRESHOLD_TIE_TOL)
+    assert (rep.threshold, rep.r_star, rep.regime) == best + ("WTA",)
+    assert rep.threshold == (gm if holds else 1.0)
+    assert rep.scores[rep.r_star - 1] == pytest.approx(top, abs=1e-12)
+    assert sol.threshold == rep.threshold
+    assert sol.concavity_ok == ((name, n) not in NO_EQUILIBRIUM)
+    if holds:
+        # the standard given as the global mode gives the same bits (repr
+        # tells every float apart) and solves the same design
+        solved = []
+        monkeypatch.setattr(prizes, "solve_design", lambda *args, **kwargs: solved.append((args, kwargs)) or sol)
+        assert repr((rep, sol)) == repr(prizes.optimal_prizes(d, n, COST, threshold=gm))
+        assert solved == [((d, n, rep.schedule, COST), {"threshold": rep.threshold})]
