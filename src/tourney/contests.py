@@ -34,7 +34,7 @@ class AllZeroEfforts(ValueError):
     """The contest success function is undefined when every effort is zero."""
 
 
-def tullock_csf_with_standard(efforts, rho: float, i: int | None = None):
+def tullock_csf_with_standard(efforts, rho: float):
     """Win probabilities ``(e_i / sum e) * (1 - exp(-sum e / rho))``.
 
     The bracketed factor is the chance that anyone clears the standard; its
@@ -47,8 +47,7 @@ def tullock_csf_with_standard(efforts, rho: float, i: int | None = None):
     total = float(e.sum())
     if total <= 0.0:
         raise AllZeroEfforts("at least one effort must be positive")
-    p = (e / total) * -np.expm1(-total / rho)
-    return p if i is None else float(p[i])
+    return (e / total) * -np.expm1(-total / rho)
 
 
 def tullock_optimal(n: int) -> tuple[float, float]:
@@ -107,7 +106,7 @@ def tullock_best_response_gap(
     log_grid = np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0)
     prizes = np.zeros(n)
     prizes[0] = 1.0
-    sums, _, _ = _scan(gumbel(), n, draws, seed, log_grid, i_star, np.log(rho), prizes)
+    sums, _ = _scan(gumbel(), n, draws, seed, log_grid, i_star, np.log(rho), prizes)
     # payoff slope is bounded by the win-probability slope plus marginal cost
     lipschitz = 1.0 / ((n - 1) * e_star) + 1.0 / rho + 1.0
     cert = _certificate(sums, draws, grid, grid, i_star, lipschitz)
@@ -116,8 +115,6 @@ def tullock_best_response_gap(
         "gap_se": cert["gap_se"],
         "grid_bias": cert["grid_bias"],
         "certified": cert["certified"],
-        "effort_grid": grid,
-        "payoffs": cert["payoffs"],
     }
 
 

@@ -62,7 +62,8 @@ class ShapeReport:
     the interior local minimizers (a flat bottom by its left end) and the
     upper support bound when the density falls into it; the density is
     monotone between neighbouring modes and antimodes.  ``global_mode`` is
-    the largest mode that carries the global maximum.
+    the largest mode that carries the global maximum, and
+    ``global_mode_density`` is that maximum.
 
     ``log_class`` is ``log-concave``, ``log-convex`` or ``neither``; the
     classes are strict, so a log-linear density (exponential, uniform) is
@@ -80,25 +81,20 @@ class ShapeReport:
     """
 
     modes: tuple[float, ...]
-    mode_densities: tuple[float, ...]
     antimodes: tuple[float, ...]
     global_mode: float
+    global_mode_density: float
     log_class: str
     hazard: tuple[tuple[float, str], ...]
     steepest_descent: float
     top_drop: float
-
-    @property
-    def global_mode_density(self) -> float:
-        i = self.modes.index(self.global_mode)
-        return self.mode_densities[i]
 
 
 def _unimodal(
     mode: float, density: float, log_class: str, steepest_descent: float, *hazard: tuple[float, str], top_drop=0.0
 ) -> ShapeReport:
     """Shape of a family with one mode and no antimode."""
-    return ShapeReport((mode,), (density,), (), mode, log_class, hazard, steepest_descent, top_drop)
+    return ShapeReport((mode,), (), mode, density, log_class, hazard, steepest_descent, top_drop)
 
 
 def _as_float_array(x):
@@ -528,11 +524,12 @@ def _knot_shape(kx: np.ndarray, raw: np.ndarray, kf: np.ndarray) -> ShapeReport:
             pieces.append((kx[k], "constant" if b == 0.0 and f1 == 0.0 else "IFR"))
     hazard = [(float(x), tag) for i, (x, tag) in enumerate(pieces) if i == 0 or tag != pieces[i - 1][1]]
 
+    top = peaks[raw[peaks] == raw.max()][-1]
     return ShapeReport(
         modes=tuple(kx[peaks[::-1]].tolist()),
-        mode_densities=tuple(kf[peaks[::-1]].tolist()),
         antimodes=tuple(kx[dips[::-1]].tolist()),
-        global_mode=float(kx[peaks[raw[peaks] == raw.max()][-1]]),
+        global_mode=float(kx[top]),
+        global_mode_density=float(kf[top]),
         log_class="log-concave" if concave else "neither",
         hazard=tuple(hazard),
         steepest_descent=max(float(-np.min(np.diff(kf) / np.diff(kx))), 0.0),

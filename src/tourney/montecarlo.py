@@ -59,13 +59,10 @@ class SimulationReport:
     seed: int
     n: int
     rank_counts: tuple[int, ...]           # raw tallies, last slot = no prize
-    prize_freq: tuple[float, ...]          # chance of exactly rank r, player 1
     at_least_prob: tuple[float, ...]       # chance of rank r or better
     at_least_se: tuple[float, ...]
-    pass_fraction: float
     effort_grid: tuple[float, ...] | None = None
     payoffs: tuple[float, ...] | None = None
-    payoff_se: tuple[float, ...] | None = None
     best_response_gap: float | None = None
     gap_se: float | None = None
     grid_bias: float | None = None
@@ -108,36 +105,37 @@ def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
         yield dist.sample((m, n), rng)
 
 
-def _rank(x: np.ndarray, e: float, e_star: float, rho: float):
+def _rank(x: np.ndarray, e: float, e_star: float, rho: float) -> np.ndarray:
     """Player 1's rank per draw at own effort ``e`` (0 = first, n = missed
-    the standard) against rivals at ``e_star``, and the rivals' pass mask.
+    the standard) against rivals at ``e_star``.
 
     A rival outranks player 1 when it passes the standard and strictly beats
-    player 1's score; ties, a measure-zero event, go to player 1.
+    player 1's score; ties, a measure-zero event, go to player 1.  Player 1
+    is ranked only where it passes, and a rival that beats a passing score
+    passes too, so counting the rivals above player 1 needs no pass check.
     """
     rivals = e_star + x[:, 1:]
-    passing = rivals >= rho
     y1 = e + x[:, 0]
-    k = np.count_nonzero(passing & (rivals > y1[:, None]), axis=1)
-    return np.where(y1 >= rho, k, x.shape[1]), passing
+    k = np.count_nonzero(rivals > y1[:, None], axis=1)
+    return np.where(y1 >= rho, k, x.shape[1])
 
 
 def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes: np.ndarray):
     """Sums over one batch of player 1's prize w at each point of ``grid``.
 
     Rivals sit at e* = ``grid[i_star]``; w* is player 1's prize there.
-    Returns the (4, grid.size) sums of w, w^2, w - w* and (w - w*)^2, player
-    1's rank at e* per draw (from ``_rank``), and the rivals' pass mask.
+    Returns the (3, grid.size) sums of w, w - w* and (w - w*)^2, and player
+    1's rank at e* per draw (from ``_rank``).
 
     Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
     jump at P_j reaches every grid point g >= P_j, which keeps the rules of
-    ``_rank``.  Across level j, w^2 jumps by v_j^2 - v_(j+1)^2 and
-    (w - w*)^2 by (v_j - w*)^2 - (v_(j+1) - w*)^2; the latter are summed
-    outward from e*, where they vanish, so the paired variance cannot cancel.
+    ``_rank``.  Across level j, (w - w*)^2 jumps by
+    (v_j - w*)^2 - (v_(j+1) - w*)^2.  These jumps are summed outward from
+    e*, where they vanish, so the paired variance cannot cancel.
     """
     n = x.shape[1]
     e_star = grid[i_star]
-    rank_star, passing = _rank(x, e_star, e_star, rho)
+    rank_star = _rank(x, e_star, e_star, rho)
     v = np.append(prizes, 0.0)  # v[n] = 0: missed the standard
     levels = np.flatnonzero(v[:-1] != v[1:])
     hi, lo = v[levels], v[levels + 1]
@@ -155,30 +153,27 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
     def hist(jumps):
         return np.bincount(bins, np.broadcast_to(jumps, pos.shape).ravel(), grid.size + 1)[: grid.size]
 
-    out = np.empty((4, grid.size))
+    out = np.empty((3, grid.size))
     out[0] = np.cumsum(hist(hi - lo))
-    out[1] = np.cumsum(hist(hi * hi - lo * lo))
-    out[2] = out[0] - w_star.sum()
+    out[1] = out[0] - w_star.sum()
     jumps = hist((hi - w_star[:, None]) ** 2 - (lo - w_star[:, None]) ** 2)
-    out[3, i_star] = 0.0
-    out[3, i_star + 1:] = np.cumsum(jumps[i_star + 1:])
-    out[3, :i_star] = -np.cumsum(jumps[i_star:0:-1])[::-1]
-    return out, rank_star, passing
+    out[2, i_star] = 0.0
+    out[2, i_star + 1:] = np.cumsum(jumps[i_star + 1:])
+    out[2, :i_star] = -np.cumsum(jumps[i_star:0:-1])[::-1]
+    return out, rank_star
 
 
 def _scan(dist: NoiseDistribution, n: int, draws: int, seed: int, grid: np.ndarray, i_star: int,
           rho: float, prizes: np.ndarray):
     """``_grid_sums`` totalled over every batch of noise, with player 1's rank
-    tally at e* = ``grid[i_star]`` and the count of players who pass there."""
-    sums = np.zeros((4, grid.size))
+    tally at e* = ``grid[i_star]``."""
+    sums = np.zeros((3, grid.size))
     rank_counts = np.zeros(n + 1, dtype=np.int64)
-    pass_count = 0
     for x in noise_batches(dist, n, draws, seed):
-        batch, rank, passing = _grid_sums(x, grid, i_star, rho, prizes)
+        batch, rank = _grid_sums(x, grid, i_star, rho, prizes)
         sums += batch
         rank_counts += np.bincount(rank, minlength=n + 1)
-        pass_count += int(np.count_nonzero(rank < n)) + int(np.count_nonzero(passing))
-    return sums, rank_counts, pass_count
+    return sums, rank_counts
 
 
 def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.ndarray, i_star: int,
@@ -192,7 +187,7 @@ def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.nd
     plus the grid-coarseness bias h L / 2, with h the widest grid step and
     L a bound on the payoff's slope.
     """
-    mean_w, mean_wsq, mean_d, mean_dsq = sums / draws
+    mean_w, mean_d, mean_dsq = sums / draws
     payoffs = mean_w - costs
     gaps = payoffs - payoffs[i_star]
     i_best = int(np.argmax(gaps))
@@ -202,7 +197,6 @@ def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.nd
     grid_bias = float(0.5 * lipschitz * step)
     return {
         "payoffs": payoffs,
-        "payoff_se": np.sqrt(np.maximum(mean_wsq - mean_w**2, 0.0) / draws),
         "best_response_gap": gap,
         "gap_se": gap_se,
         "grid_bias": grid_bias,
@@ -210,20 +204,16 @@ def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.nd
     }
 
 
-def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray,
-                  pass_count: int) -> SimulationReport:
-    freq = rank_counts[:n] / draws
-    at_least = np.cumsum(freq)
+def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray) -> SimulationReport:
+    at_least = np.cumsum(rank_counts[:n] / draws)
     se = np.sqrt(at_least * (1.0 - at_least) / draws)
     return SimulationReport(
         draws=int(draws),
         seed=seed,
         n=n,
         rank_counts=tuple(int(c) for c in rank_counts),
-        prize_freq=tuple(freq),
         at_least_prob=tuple(at_least),
         at_least_se=tuple(se),
-        pass_fraction=pass_count / (draws * n),
     )
 
 
@@ -235,21 +225,15 @@ def simulate_prize_probabilities(
     draws: int = 10**6,
     seed: int | None = None,
 ) -> SimulationReport:
-    """Estimate per-rank prize probabilities for a deviator at effort ``e``.
-
-    ``pass_fraction`` pools all n players (the deviator at ``e``, rivals at
-    ``e_star``).
-    """
+    """Estimate per-rank prize probabilities for a deviator at effort ``e``
+    against rivals at ``e_star``."""
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
     rank_counts = np.zeros(n + 1, dtype=np.int64)  # index n = no prize
-    pass_count = 0
     for x in noise_batches(dist, n, draws, seed):
-        rank, passing = _rank(x, e, e_star, design.standard)
-        rank_counts += np.bincount(rank, minlength=n + 1)
-        pass_count += int(np.count_nonzero(rank < n)) + int(np.count_nonzero(passing))
-    return _tally_report(draws, seed, n, rank_counts, pass_count)
+        rank_counts += np.bincount(_rank(x, e, e_star, design.standard), minlength=n + 1)
+    return _tally_report(draws, seed, n, rank_counts)
 
 
 def write_tally_csv(report: SimulationReport, path: str) -> None:
@@ -289,11 +273,11 @@ def verify_best_response(
     e_star = _require_effort(e_star, e_max)
     grid = np.unique(np.concatenate([np.linspace(0.0, e_max, grid_size), [e_star]]))
     i_star = int(np.searchsorted(grid, e_star))
-    sums, rank_counts, pass_count = _scan(dist, n, draws, seed, grid, i_star, design.standard, prizes)
+    sums, rank_counts = _scan(dist, n, draws, seed, grid, i_star, design.standard, prizes)
     lipschitz = dist.find_modes().global_mode_density + float(design.cost.cprime(e_max))
     cert = _certificate(sums, draws, grid, np.asarray(design.cost.c(grid)), i_star, lipschitz)
     return replace(
-        _tally_report(draws, seed, n, rank_counts, pass_count),
+        _tally_report(draws, seed, n, rank_counts),
         effort_grid=tuple(grid),
-        **{**cert, "payoffs": tuple(cert["payoffs"]), "payoff_se": tuple(cert["payoff_se"])},
+        **{**cert, "payoffs": tuple(cert["payoffs"])},
     )

@@ -78,10 +78,10 @@ def optimal_prizes(
     ranks = np.arange(1, n + 1)
     if threshold is None:
         modes, b = _mode_values(dist, n, _unit(n, ranks))
+        table = b / ranks[:, None]
     else:
         modes = np.array([float(threshold)])
-        b = _marginal_benefit(dist, n, _unit(n, ranks), modes)
-    table = b / ranks[:, None]
+        table = rank_score(dist, n, ranks, threshold)[:, None]
     best = np.max(table)
     j = int(np.argmax(np.any(table >= best - THRESHOLD_TIE_TOL, axis=0)))
     scores = tuple(float(s) for s in table[:, j])

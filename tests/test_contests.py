@@ -6,7 +6,7 @@ from tourney import contests, distributions as dists, equilibrium as eq
 
 
 def test_csf_closed_form_value():
-    assert contests.tullock_csf_with_standard([1.0, 1.0], 2.0, 0) == pytest.approx(
+    assert contests.tullock_csf_with_standard([1.0, 1.0], 2.0)[0] == pytest.approx(
         0.5 * (1 - np.exp(-1.0)), abs=1e-12
     )
 
@@ -40,7 +40,7 @@ def test_csf_matches_additive_gumbel_tournament():
         n = int(rng.integers(2, 6))
         p_additive = eq.prize_probability(g, n, 1, e_hat, estar_hat, rho_hat)
         efforts = [np.exp(e_hat)] + [np.exp(estar_hat)] * (n - 1)
-        p_csf = contests.tullock_csf_with_standard(efforts, np.exp(rho_hat), 0)
+        p_csf = contests.tullock_csf_with_standard(efforts, np.exp(rho_hat))[0]
         assert p_additive == pytest.approx(p_csf, abs=1e-6)
 
 
@@ -110,7 +110,7 @@ def test_fm_bisection_without_closed_inverse():
         ppf=np.sqrt,
         likelihood_ratio=lambda x: -1.0 / x,
         # the density 2x never falls on [0, 1], and drops from 2 to 0 past its top
-        shape=dists.ShapeReport((1.0,), (2.0,), (), 1.0, "log-concave", ((0.0, "IFR"),), 0.0, 2.0),
+        shape=dists.ShapeReport((1.0,), (), 1.0, 2.0, "log-concave", ((0.0, "IFR"),), 0.0, 2.0),
     )
     e_star, _ = contests.tullock_optimal(3)
     rho = contests.fm_optimal_standard(ideas, 3)

@@ -38,8 +38,8 @@ def _assert_grid_sums_match(x, grid, e_star, rho, prizes):
     i_star = int(np.searchsorted(grid, e_star))
     w = _prize_values(x, grid, e_star, rho, prizes)
     d = w - w[:, i_star][:, None]
-    dense = np.array([w.sum(axis=0), (w * w).sum(axis=0), d.sum(axis=0), (d * d).sum(axis=0)])
-    sums, rank, _ = mc._grid_sums(x, grid, i_star, rho, prizes)
+    dense = np.array([w.sum(axis=0), d.sum(axis=0), (d * d).sum(axis=0)])
+    sums, rank = mc._grid_sums(x, grid, i_star, rho, prizes)
     assert np.max(np.abs(sums - dense)) <= 1e-9
     assert np.array_equal(np.append(prizes, 0.0)[rank], w[:, i_star])
 
@@ -98,7 +98,6 @@ def test_best_response_tally_equals_simulation():
     rep = mc.verify_best_response(red, design, 0.4, grid_size=500, draws=40_000, seed=13)
     sim = mc.simulate_prize_probabilities(red, design, 0.4, 0.4, 40_000, 13)
     assert rep.rank_counts == sim.rank_counts
-    assert rep.pass_fraction == sim.pass_fraction
     assert rep.at_least_prob == sim.at_least_prob
 
 
@@ -159,7 +158,6 @@ def test_heavy_tail_equal_sharing_everyone_passes():
         sol = eq.solve_design(HEAVY, 3, eq.PrizeSchedule.equal_sharing(3), COST)
     design = _design(HEAVY, 3, eq.PrizeSchedule.equal_sharing(3), sol.standard)
     rep = mc.simulate_prize_probabilities(HEAVY, design, sol.effort, sol.effort, draws=10**5, seed=3)
-    assert rep.pass_fraction == 1.0
     assert rep.at_least_prob[-1] == 1.0
 
 

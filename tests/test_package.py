@@ -1,5 +1,8 @@
+import ast
+import functools
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,4 +19,29 @@ def test_version():
 def test_public_names_resolve(name):
     module = importlib.import_module(f"tourney.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
+
+
+def test_traced_names_resolve():
+    # bench/tracer.py wraps these by name; a renamed or deleted one breaks
+    # the traced benchmark run when the wrappers are installed
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    if not tracer.is_file():
+        pytest.skip("no bench/tracer.py")
+    names = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("SPANS", "EVALUATIONS")
+    }
+    assert set(names) == {"SPANS", "EVALUATIONS"}
+    wanted = [(module, attr) for module, attr, _ in names["SPANS"]]
+    wanted += [("distributions", f"NoiseDistribution.{attr}") for attr in names["EVALUATIONS"]]
+    missing = []
+    for module, attr in wanted:
+        try:
+            functools.reduce(getattr, attr.split("."), importlib.import_module(f"tourney.{module}"))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{attr}")
     assert not missing
