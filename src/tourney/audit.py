@@ -16,7 +16,6 @@ from scipy import fft, ndimage
 
 __all__ = [
     "SampleTooSmall",
-    "NoDeclaredStandard",
     "PerformanceSample",
     "AuditReport",
     "silverman_bandwidth",
@@ -37,10 +36,6 @@ class SampleTooSmall(ValueError):
     """Fewer observations than the density estimate can support."""
 
 
-class NoDeclaredStandard(ValueError):
-    """Standard comparison requested for a sample without a declared standard."""
-
-
 @dataclass(frozen=True)
 class PerformanceSample:
     observations: tuple[float, ...]
@@ -58,6 +53,16 @@ class PerformanceSample:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Modal performance of a sample and its bootstrap interval.
+
+    ``standard_comparison`` is None without a declared standard; otherwise
+    it holds ``declared_standard``, ``modal_performance``, ``mode_ci`` (a
+    list), ``recommendation`` (raise, lower or keep) and ``pass_fraction``,
+    the share of observations at or above the standard.
+    ``group_pass_fractions`` gives that share per label when the sample has
+    both labels and a standard, and is None otherwise.
+    """
+
     n_obs: int
     bandwidth: float
     modes: tuple[float, ...]
@@ -65,9 +70,7 @@ class AuditReport:
     mode_ci: tuple[float, float]
     bootstrap_draws: int
     seed: int
-    declared_standard: float | None
-    recommendation: str | None        # raise | lower | keep
-    pass_fraction: float | None
+    standard_comparison: dict | None
     pass_benchmark_note: str
     group_pass_fractions: dict | None
 
@@ -225,18 +228,17 @@ def audit_sample(
     boot = grid[_bootstrap_argmax(rng, counts, sigma, bootstrap)]
     ci = (float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5)))
 
-    recommendation = None
-    pass_fraction = None
+    comparison = None
     groups = None
     if sample.declared_standard is not None:
         std = float(sample.declared_standard)
-        pass_fraction = float(np.mean(obs >= std))
-        if std < ci[0]:
-            recommendation = "raise"
-        elif std > ci[1]:
-            recommendation = "lower"
-        else:
-            recommendation = "keep"
+        comparison = {
+            "declared_standard": sample.declared_standard,
+            "modal_performance": modal,
+            "mode_ci": list(ci),
+            "recommendation": "raise" if std < ci[0] else "lower" if std > ci[1] else "keep",
+            "pass_fraction": float(np.mean(obs >= std)),
+        }
         if sample.labels is not None:
             labels = np.asarray(sample.labels)
             groups = {
@@ -255,22 +257,8 @@ def audit_sample(
         mode_ci=ci,
         bootstrap_draws=int(bootstrap),
         seed=int(seed),
-        declared_standard=sample.declared_standard,
-        recommendation=recommendation,
-        pass_fraction=pass_fraction,
+        standard_comparison=comparison,
         pass_benchmark_note=note,
         group_pass_fractions=groups,
     )
 
-
-def standard_comparison(report: AuditReport) -> dict:
-    """The standard-vs-mode block of an audit; errors without a standard."""
-    if report.declared_standard is None:
-        raise NoDeclaredStandard("sample carries no declared standard to compare")
-    return {
-        "declared_standard": report.declared_standard,
-        "modal_performance": report.modal_performance,
-        "mode_ci": list(report.mode_ci),
-        "recommendation": report.recommendation,
-        "pass_fraction": report.pass_fraction,
-    }

@@ -92,11 +92,11 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve_seed(flag_seed, config: dict):
+def _resolve_seed(flag_seed, mc_cfg: dict):
+    """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's."""
     if flag_seed is not None:
         return int(flag_seed)
-    mc_cfg = config.get("montecarlo", {})
-    if isinstance(mc_cfg, dict) and mc_cfg.get("seed") is not None:
+    if mc_cfg.get("seed") is not None:
         return _number(int, mc_cfg["seed"], "seed")
     env = os.environ.get("TOURNEY_SEED")
     if env is not None:
@@ -165,6 +165,8 @@ def _scenario_from(config: dict, args) -> dict:
     threshold = merged.get("threshold", "optimal")
     if threshold != "optimal":
         threshold = _number(float, threshold, "threshold")
+        if not np.isfinite(threshold):
+            raise ConfigError(f"bad 'threshold': {threshold!r} is not a finite number")
     return {
         "dist": _build_distribution(merged.get("distribution")),
         "n": n,
@@ -240,15 +242,10 @@ def _solve_scenario(sc: dict):
 
 
 def cmd_solve(args) -> int:
+    """``solve`` and ``prizes``; ``prizes`` always designs the schedule."""
     sc = _scenario_from(_load_config(args.config), args)
-    payload, _, _ = _solve_scenario(sc)
-    _json_dump(payload, args.out)
-    return EXIT_OK
-
-
-def cmd_prizes(args) -> int:
-    sc = _scenario_from(_load_config(args.config), args)
-    sc["schedule"] = None  # this command always designs the schedule
+    if args.command == "prizes":
+        sc["schedule"] = None
     payload, _, _ = _solve_scenario(sc)
     _json_dump(payload, args.out)
     return EXIT_OK
@@ -341,7 +338,7 @@ def cmd_verify(args) -> int:
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
     mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed"}, "montecarlo")
-    seed = _resolve_seed(args.seed, {"montecarlo": mc_cfg})
+    seed = _resolve_seed(args.seed, mc_cfg)
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
     draws = args.draws if args.draws is not None else mc_cfg.get("draws")
@@ -470,8 +467,8 @@ def cmd_audit(args) -> int:
         "seed": report.seed,
         "pass_benchmark_note": report.pass_benchmark_note,
     }
-    if report.declared_standard is not None:
-        out["standard_comparison"] = audit_mod.standard_comparison(report)
+    if report.standard_comparison is not None:
+        out["standard_comparison"] = report.standard_comparison
         if report.group_pass_fractions:
             out["group_pass_fractions"] = report.group_pass_fractions
     _json_dump(out, args.out)
@@ -561,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prizes", help="jointly optimal prize schedule and standard")
     scenario_flags(p)
-    p.set_defaults(func=cmd_prizes)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("figures", help="reproduce the built-in showcase figures")
     p.add_argument("which", choices=("fig1", "fig2"))

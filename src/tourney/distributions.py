@@ -77,7 +77,8 @@ class ShapeReport:
     support bound, where it drops to 0: 1/w for uniform noise of width w, 0
     where f vanishes there or the bound is infinite.  No family drops
     anywhere else, and an upward jump of f only helps.  ``solve_design``
-    bounds the curvature of the deviation payoff with both.
+    bounds the curvature of the deviation payoff with both, and the
+    cardinal pay-scheme bound needs ``top_drop`` 0.
     """
 
     modes: tuple[float, ...]
@@ -97,14 +98,20 @@ def _unimodal(
     return ShapeReport((mode,), (), mode, density, log_class, hazard, steepest_descent, top_drop)
 
 
-def _as_float_array(x):
+def _on_interval(form: Callable, x, lo: float, hi: float, below: float, above: float):
+    """``form`` on [lo, hi], ``below`` and ``above`` beyond its ends and NaN
+    at NaN; a float for a scalar ``x``.  ``form`` sees only points of
+    [lo, hi], all of them in one call when none lies elsewhere."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _scalar_or_array(values, scalar: bool):
-    return float(values[0]) if scalar else values
+    flat = np.atleast_1d(arr)
+    inside = (flat >= lo) & (flat <= hi)
+    if inside.all():
+        out = form(flat)
+    else:
+        out = np.where(flat < lo, below, np.where(flat > hi, above, np.nan))
+        if inside.any():
+            out[inside] = form(flat[inside])
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 class NoiseDistribution:
@@ -119,7 +126,9 @@ class NoiseDistribution:
     ``pdf``, ``cdf``, ``sf``, ``ppf``, ``likelihood_ratio`` and ``shape``
     are required; every family has them in closed form, ``sf`` without the
     cancellation of 1 - F, and ``shape`` is the :class:`ShapeReport` that
-    ``find_modes``, ``classify_hazard`` and ``log_concavity`` read.  The
+    ``find_modes`` returns and ``classify_hazard`` reads.  The closed forms
+    are evaluated on the support only: beyond it the density is 0 and F is
+    0 or 1, and every method gives NaN at NaN and a float for a scalar.  The
     hazard rate is always f / (1 - F), formed from ``pdf`` and ``sf``.
     """
 
@@ -146,8 +155,8 @@ class NoiseDistribution:
         self.normalization = float(normalization)
         self.knots = tuple(float(k) for k in knots) if knots is not None else ()
         self._pdf = pdf
-        self._cdf = cdf
-        self._sf = sf
+        self._cdf = lambda x: np.clip(cdf(x), 0.0, 1.0)
+        self._sf = lambda x: np.clip(sf(x), 0.0, 1.0)
         self._ppf = ppf
         self._lr = likelihood_ratio
         self._shape = shape
@@ -156,45 +165,21 @@ class NoiseDistribution:
 
     def pdf(self, x):
         """Normalized density; zero outside the support."""
-        arr, scalar = _as_float_array(x)
-        lo, hi = self.support
-        inside = (arr >= lo) & (arr <= hi)
-        out = np.zeros_like(arr)
-        if np.any(inside):
-            out[inside] = self._pdf(arr[inside])
-        return _scalar_or_array(out, scalar)
+        return _on_interval(self._pdf, x, *self.support, 0.0, 0.0)
 
     def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        lo, hi = self.support
-        out = np.empty_like(arr)
-        below = arr < lo
-        above = arr > hi
-        inside = ~below & ~above
-        out[below] = 0.0
-        out[above] = 1.0
-        if np.any(inside):
-            out[inside] = np.clip(self._cdf(arr[inside]), 0.0, 1.0)
-        return _scalar_or_array(out, scalar)
+        return _on_interval(self._cdf, x, *self.support, 0.0, 1.0)
 
     def sf(self, x):
         """Survival function 1-F, from the family's closed form."""
-        arr, scalar = _as_float_array(x)
-        lo, hi = self.support
-        out = np.empty_like(arr)
-        out[arr < lo] = 1.0
-        out[arr > hi] = 0.0
-        inside = (arr >= lo) & (arr <= hi)
-        if np.any(inside):
-            out[inside] = np.clip(self._sf(arr[inside]), 0.0, 1.0)
-        return _scalar_or_array(out, scalar)
+        return _on_interval(self._sf, x, *self.support, 1.0, 0.0)
 
     def ppf(self, q):
-        """Quantile function on (0, 1)."""
-        arr, scalar = _as_float_array(q)
-        if np.any((arr < 0.0) | (arr > 1.0)):
+        """Quantile function on [0, 1]."""
+        levels = np.asarray(q, dtype=float)
+        if ((levels < 0.0) | (levels > 1.0)).any():
             raise ValueError("quantile levels must lie in [0, 1]")
-        return _scalar_or_array(self._ppf(arr), scalar)
+        return _on_interval(self._ppf, levels, 0.0, 1.0, np.nan, np.nan)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling, so identical uniforms give identical draws."""
@@ -204,20 +189,16 @@ class NoiseDistribution:
     def hazard(self, x):
         """Failure rate f(x) / (1 - F(x)); ``SurvivalUnderflow`` where 1 - F
         is below 1e-300."""
-        arr, scalar = _as_float_array(x)
-        surv = np.asarray(self.sf(arr), dtype=float)
+        surv = self.sf(x)
         if np.any(surv < 1e-300):
             raise SurvivalUnderflow("1-F(x) below 1e-300; hazard rate undefined here")
-        out = np.asarray(self.pdf(arr), dtype=float) / surv
-        return _scalar_or_array(out, scalar)
+        return self.pdf(x) / surv
 
     def likelihood_ratio(self, x):
         """Likelihood ratio -f'(x)/f(x); right derivative at density kinks."""
-        arr, scalar = _as_float_array(x)
-        dens = np.asarray(self.pdf(arr), dtype=float)
-        if np.any(dens <= 0.0):
+        if np.any(self.pdf(x) <= 0.0):
             raise ZeroDensity("likelihood ratio undefined where f(x) = 0")
-        return _scalar_or_array(self._lr(arr), scalar)
+        return _on_interval(self._lr, x, *self.support, np.nan, np.nan)
 
     # -- support helpers ---------------------------------------------------
 
@@ -244,14 +225,6 @@ class NoiseDistribution:
         if len(tags) > 1:
             return "mixed"
         return tags.pop() if tags else "constant"
-
-    def log_concavity(self) -> str:
-        """Classify log f as concave / convex / neither on the support.
-
-        The classification is strict: a log-linear density (exponential)
-        reports ``neither``.
-        """
-        return self._shape.log_class
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())

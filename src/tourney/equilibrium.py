@@ -41,7 +41,6 @@ __all__ = [
     "total_marginal_benefit_curve",
     "prize_probability",
     "deviation_payoff_curve",
-    "equilibrium_effort",
     "optimal_threshold",
     "solve_design",
     "global_mode_sufficiency",
@@ -98,6 +97,8 @@ class PrizeSchedule:
         v = np.asarray(self.prizes, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("need a flat, nonempty prize vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"prizes must be finite, got {self.prizes!r}")
         if np.any(v < -1e-15):
             raise ValueError("prizes must be nonnegative")
         if np.any(np.diff(v) > 1e-12):
@@ -580,8 +581,8 @@ def deviation_payoff_curve(
     """Expected payoff of a single deviator at each effort in ``e_grid``.
 
     Rivals play ``e_star`` under the design's standard.  Used by the
-    concavity diagnostic and by figure rendering, while the Monte-Carlo
-    module provides the independent estimate.
+    concavity diagnostic; the Monte-Carlo module provides the independent
+    estimate.
     """
     e = np.asarray(e_grid, dtype=float)
     value = _prize_probabilities(dist, design.n, design.schedule.differentials, e, e_star, design.standard)
@@ -654,13 +655,6 @@ def _deviation_payoffs(
 # ---------------------------------------------------------------------------
 # equilibrium and optimal standard
 # ---------------------------------------------------------------------------
-
-
-def equilibrium_effort(
-    dist: NoiseDistribution, n: int, v: PrizeSchedule, t: float, cost: CostFunction
-) -> float:
-    """Effort solving marginal benefit = marginal cost at threshold t."""
-    return _effort(total_marginal_benefit(dist, n, v, t), cost)
 
 
 def _effort(g: float, cost: CostFunction) -> float:

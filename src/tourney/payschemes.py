@@ -242,10 +242,10 @@ def marginal_incentive(
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = scheme.n
-    lo, hi = dist.support
-    if np.isfinite(hi) and float(dist.pdf(hi)) > 1e-8:
+    shape = dist.find_modes()
+    if shape.top_drop > 1e-8:
         raise ValueError("density must vanish at the upper support bound")
-    xm = dist.find_modes().global_mode
+    xm = shape.global_mode
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
     probe = dist.sample((256, n), rng) + effort
     check_properties(scheme, probe, rng)
@@ -280,11 +280,11 @@ def check_incentive_bound(
     global mode; log-convex noise caps it at f(lower bound)/n.  Satisfied
     means the estimate stays within four standard errors of the cap.
     """
-    log_class = dist.log_concavity()
+    shape = dist.find_modes()
+    log_class = shape.log_class
     n = scheme.n
     if log_class == "log-concave":
-        xm = dist.find_modes().global_mode
-        bound = marginal_benefit_rank(dist, n, 1, xm)
+        bound = marginal_benefit_rank(dist, n, 1, shape.global_mode)
         kind = "top-prize-at-mode"
     elif log_class == "log-convex":
         bound = float(dist.pdf(dist.support[0])) / n

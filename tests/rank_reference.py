@@ -25,9 +25,9 @@ def order_statistic_cdf(dist, j: int, n: int, x):
     """
     if not (0 <= j <= n):
         raise RankOutOfRange(f"rank {j} outside 0..{n}")
-    arr, scalar = dists._as_float_array(x)
-    u = np.asarray(dist.cdf(arr))
-    return dists._scalar_or_array(dists._order_statistic_level_cdf(j, n, u), scalar)
+    u = np.asarray(dist.cdf(x))
+    out = dists._order_statistic_level_cdf(j, n, u)
+    return float(out) if u.ndim == 0 else out
 
 
 def finite_difference_marginals(

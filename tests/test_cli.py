@@ -147,6 +147,24 @@ def test_null_or_list_value_exits_2(tmp_path, capsys, change, key):
     assert err.startswith("invalid input: ") and f"'{key}'" in err
 
 
+@pytest.mark.parametrize(
+    "change, flags, key",
+    [
+        ({}, ["--threshold", "nan"], "'threshold'"),
+        ({"threshold": float("nan")}, [], "'threshold'"),
+        ({"schedule": [float("nan")] * 3}, [], "schedule"),
+    ],
+    ids=["threshold-flag", "threshold-config", "schedule"],
+)
+def test_non_finite_scenario_number_exits_2(tmp_path, capsys, change, flags, key):
+    # NaN passes every comparison-based check, so it used to reach the effort as NaN
+    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta", **change}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["solve", "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and key in err
+
+
 def test_verify_has_no_cap_for_inverse_exponential(tmp_path, capsys):
     # log f is concave below 1 and convex above, so neither closed-form cap applies
     scenario = {

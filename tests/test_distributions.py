@@ -59,6 +59,46 @@ def test_pdf_matches_cdf_derivative(d):
     assert np.allclose(fd, np.asarray(d.pdf(x)), atol=1e-5)
 
 
+# each evaluation with its fixed values below and above the support
+SUPPORT_RULE = (("pdf", 0.0, 0.0), ("cdf", 0.0, 1.0), ("sf", 1.0, 0.0))
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.family + str(d.params.get("variant", "")))
+def test_nan_evaluates_to_nan(d):
+    mid = float(d.ppf(0.5))
+    for name, _, _ in SUPPORT_RULE:
+        method = getattr(d, name)
+        value = method(np.nan)
+        assert type(value) is float and np.isnan(value), name
+        out = method(np.array([np.nan, mid, np.nan]))
+        assert np.isnan(out[[0, 2]]).all() and out[1] == method(mid), name
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.family + str(d.params.get("variant", "")))
+def test_fixed_values_beyond_the_support(d):
+    lo, hi = d.support
+    for name, below, above in SUPPORT_RULE:
+        method = getattr(d, name)
+        for end, beyond, want in ((lo, -1.0, below), (hi, 1.0, above)):
+            if np.isfinite(end):
+                x = end + beyond * np.array([1e-9, 1.0, 1e6])
+                assert method(float(x[1])) == want, (name, end)
+                assert np.all(method(x) == want), (name, end)
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.family + str(d.params.get("variant", "")))
+def test_array_equals_scalar_calls(d):
+    lo, hi = d.truncated_support()
+    beyond = [end + step for end, step in zip(d.support, (-0.5, 0.5)) if np.isfinite(end)]
+    x = np.concatenate([np.linspace(lo, hi, 101), beyond, [np.nan]])
+    for name, _, _ in SUPPORT_RULE:
+        method = getattr(d, name)
+        scalars = np.array([method(v) for v in x.tolist()])
+        assert method(x).tobytes() == scalars.tobytes(), name
+        inside = x[1:100]  # on the support only: the closed form sees the whole array at once
+        assert method(inside).tobytes() == np.array([method(v) for v in inside.tolist()]).tobytes(), name
+
+
 def test_outside_support_is_zero():
     red = dists.trimodal_example("red")
     assert red.pdf(-0.5) == 0.0
@@ -219,17 +259,17 @@ def test_classify_hazard():
 
 def test_log_class_and_ifr_consistency():
     for d in (dists.gumbel(), dists.normal(), dists.logistic()):
-        assert d.log_concavity() == "log-concave"
+        assert d.find_modes().log_class == "log-concave"
         assert d.classify_hazard() == "IFR"
-    assert dists.pareto(2.0).log_concavity() == "log-convex"
-    assert dists.erf_exponential().log_concavity() == "neither"
-    assert dists.exponential(1.0).log_concavity() == "neither"  # log-linear boundary case
+    assert dists.pareto(2.0).find_modes().log_class == "log-convex"
+    assert dists.erf_exponential().find_modes().log_class == "neither"
+    assert dists.exponential(1.0).find_modes().log_class == "neither"  # log-linear boundary case
 
 
 def test_inverse_exponential_shape():
     d = dists.inverse_exponential()
     # (log f)'' = 2(x - 1)/x^3 changes sign at 1
-    assert d.log_concavity() == "neither"
+    assert d.find_modes().log_class == "neither"
     # the hazard rises up to 1/(2 + W0(-2/e^2)) ~ 0.6275 and falls above it
     (_, rising), (peak, falling) = d.find_modes().hazard
     assert (rising, falling) == ("IFR", "DFR") and peak == pytest.approx(0.62750048745798, rel=1e-13)
@@ -365,7 +405,7 @@ def test_declared_shapes_match_dense_reference():
         assert shape.top_drop == pytest.approx(drop, rel=1e-12), d
         assert abs(shape.global_mode - x_max) <= step, d
         assert d.classify_hazard() == hazard, d
-        assert d.log_concavity() == log_class, d
+        assert d.find_modes().log_class == log_class, d
 
 
 def test_import_leaves_out_scipy_optimize():

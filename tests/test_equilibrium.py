@@ -38,6 +38,10 @@ def test_schedule_validation():
         eq.PrizeSchedule((0.3, 0.7))
     with pytest.raises(ValueError, match="nonnegative"):
         eq.PrizeSchedule((1.5, -0.5))
+    # NaN fails every comparison, so the budget and ordering checks pass it
+    for prizes in ((float("nan"),) * 3, (float("inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            eq.PrizeSchedule(prizes)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10))
@@ -355,17 +359,19 @@ def test_finite_difference_matches_rank_coefficient():
 
 def test_equilibrium_effort():
     v = eq.random_schedule(2, np.random.default_rng(0))
-    assert eq.equilibrium_effort(EXPO, 2, v, 0.0, QUAD_COST) == pytest.approx(0.5, abs=1e-9)
+    assert eq._effort(eq.total_marginal_benefit(EXPO, 2, v, 0.0), QUAD_COST) == pytest.approx(0.5, abs=1e-9)
     eps = eq.PrizeSchedule.equal_sharing(3)
-    assert eq.equilibrium_effort(HEAVY, 3, eps, 0.0, QUAD_COST) == pytest.approx(2 / 3, abs=1e-12)
+    assert eq._effort(eq.total_marginal_benefit(HEAVY, 3, eps, 0.0), QUAD_COST) == pytest.approx(2 / 3, abs=1e-12)
     # zero marginal benefit means zero effort
-    assert eq.equilibrium_effort(UNIF, 2, eq.PrizeSchedule.equal_sharing(2), 2.5, QUAD_COST) == 0.0
+    es2 = eq.PrizeSchedule.equal_sharing(2)
+    assert eq._effort(eq.total_marginal_benefit(UNIF, 2, es2, 2.5), QUAD_COST) == 0.0
 
 
 def test_effort_out_of_range():
     weak = eq.CostFunction(kappa=0.01, beta=2.0)  # c'(max_effort) ~ 0.14
+    wta = eq.PrizeSchedule.winner_take_all(2)
     with pytest.raises(eq.EffortOutOfRange):
-        eq.equilibrium_effort(EXPO, 2, eq.PrizeSchedule.winner_take_all(2), 0.0, weak)
+        eq._effort(eq.total_marginal_benefit(EXPO, 2, wta, 0.0), weak)
 
 
 def _assert_grid_scan_agrees(d, n, v):
