@@ -9,6 +9,7 @@ applies when noise is symmetric and unimodal.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,30 +115,46 @@ def _bootstrap_argmax(
     """Bin of the smoothed maximum for each of ``draws`` multinomial resamples.
 
     Equal, bin for bin, to drawing ``rng.multinomial`` once per resample and
-    taking the argmax of ``_smoothed``: a block of resamples is one
-    multinomial call (the same Philox stream), smoothed by real FFT with
-    scipy's truncated, normalised kernel, zero-padded so nothing wraps
-    around.  A row whose runner-up is within ``TIE_RTOL`` of its maximum,
-    where rounding could pick a different bin, is smoothed again by
-    ``_smoothed``.
+    taking the argmax of ``_smoothed``, and ``rng`` ends in the same state.
+    A block of resamples is one multinomial call over the occupied bins and
+    the last bin: numpy's multinomial takes no random word for a bin of
+    probability 0 and gives the last bin the remainder, so these are the
+    full grid's draws from the same Philox stream.  One worker thread draws
+    block k + 1 while this thread smooths block k by real FFT with scipy's
+    truncated, normalised kernel, zero-padded so nothing wraps around; both
+    release the GIL, and the stream is still drawn strictly in order.  A row
+    whose runner-up is within ``TIE_RTOL`` of its maximum, where rounding
+    could pick a different bin, is smoothed again by ``_smoothed``.
     """
     n = int(counts.sum())
-    p = counts / n
+    cols = np.append(np.flatnonzero(counts[:-1]), counts.size - 1)
+    p = counts[cols] / n
     radius = int(4.0 * sigma + 0.5)
     kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     kernel /= kernel.sum()
     length = fft.next_fast_len(counts.size + 2 * radius, real=True)
     spectrum = fft.rfft(kernel, length)
+
+    def draw(start: int) -> np.ndarray:
+        size = min(BOOTSTRAP_BLOCK, draws - start)
+        block = np.zeros((size, counts.size), dtype=np.int64)
+        block[:, cols] = rng.multinomial(n, p, size=size)
+        return block
+
     out = np.empty(draws, dtype=np.intp)
-    for start in range(0, draws, BOOTSTRAP_BLOCK):
-        block = rng.multinomial(n, p, size=min(BOOTSTRAP_BLOCK, draws - start))
-        smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
-        best = np.argmax(smooth, axis=1)
-        top = smooth[np.arange(best.size), best]
-        tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
-        for row in np.flatnonzero(tied):
-            best[row] = np.argmax(_smoothed(block[row], sigma))
-        out[start:start + best.size] = best
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(draw, 0)
+        for start in range(0, draws, BOOTSTRAP_BLOCK):
+            block = pending.result()
+            if start + BOOTSTRAP_BLOCK < draws:
+                pending = pool.submit(draw, start + BOOTSTRAP_BLOCK)
+            smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
+            best = np.argmax(smooth, axis=1)
+            top = smooth[np.arange(best.size), best]
+            tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
+            for row in np.flatnonzero(tied):
+                best[row] = np.argmax(_smoothed(block[row], sigma))
+            out[start:start + best.size] = best
     return out
 
 
@@ -204,7 +221,10 @@ def audit_sample(
     point estimate's Gaussian kernel; blocks of resamples go through one real
     FFT (Silverman, Applied Statistics AS 176, 1982), and a near-tied argmax
     is settled by the direct filter, so every resample's mode is the bin the
-    direct filter picks.  ``bandwidth`` None is Silverman's; one that is not
+    direct filter picks.  Each block draws only the occupied bins, and one
+    worker thread draws the next block from the same stream while this one
+    is smoothed; the bins are those of one full multinomial draw per
+    resample.  ``bandwidth`` None is Silverman's; one that is not
     positive and finite raises ``ValueError``.
     """
     obs = np.asarray(sample.observations, dtype=float)

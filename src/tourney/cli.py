@@ -100,7 +100,7 @@ def _resolve_seed(flag_seed, mc_cfg: dict):
         return _number(int, mc_cfg["seed"], "seed")
     env = os.environ.get("TOURNEY_SEED")
     if env is not None:
-        return int(env)
+        return _number(int, env, "TOURNEY_SEED")
     return None
 
 

@@ -638,6 +638,9 @@ def from_spec(spec: dict | str) -> NoiseDistribution:
 
         {"family": "exponential", "params": {"rate": 1.0}}
         {"family": "piecewise_linear", "knots": [[x, f], ...]}
+
+    A parameter that is NaN or infinite raises ``ValueError`` naming the
+    family and the key.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -653,4 +656,8 @@ def from_spec(spec: dict | str) -> NoiseDistribution:
         return piecewise_linear(spec["knots"])
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    return _FAMILIES[family](**spec.get("params", {}))
+    dist = _FAMILIES[family](**spec.get("params", {}))
+    for key, value in dist.params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{family} parameter {key!r} must be finite, got {value}")
+    return dist

@@ -1,3 +1,6 @@
+import json
+import threading
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -132,6 +135,49 @@ def test_bootstrap_block_edges(draws):
     _, counts, sigma = _binned_gamma_sample(1_000)
     got = audit._bootstrap_argmax(_philox(9), counts, sigma, draws)
     assert np.array_equal(got, _loop_argmax(_philox(9), counts, sigma, draws))
+
+
+def _stream_state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
+@pytest.mark.parametrize("last_bin", [False, True], ids=["last-bin-empty", "last-bin-occupied"])
+def test_bootstrap_consumes_the_stream_exactly(draws, last_bin):
+    if last_bin:  # the grid's last bin is then already among the occupied ones
+        counts, sigma = np.zeros(4096, dtype=np.int64), 12.5
+        counts[[700, 2048, 4095]] = [40, 25, 35]
+    else:
+        _, counts, sigma = _binned_gamma_sample(1_000)
+        assert counts[-1] == 0
+    got_rng, ref_rng = _philox(13), _philox(13)
+    got = audit._bootstrap_argmax(got_rng, counts, sigma, draws)
+    assert np.array_equal(got, _loop_argmax(ref_rng, counts, sigma, draws))
+    assert _stream_state(got_rng) == _stream_state(ref_rng)
+
+
+class _FailingSecondDraw:
+    """A generator whose second ``multinomial`` call raises."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def multinomial(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("second block failed")
+        return self.rng.multinomial(*args, **kwargs)
+
+
+def test_bootstrap_draw_error_leaves_no_thread():
+    _, counts, sigma = _binned_gamma_sample(1_000)
+    before = threading.active_count()
+    rng = _FailingSecondDraw(_philox(3))
+    with pytest.raises(RuntimeError, match="second block failed"):
+        audit._bootstrap_argmax(rng, counts, sigma, 100)
+    assert rng.calls == 2
+    assert threading.active_count() == before
 
 
 def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):

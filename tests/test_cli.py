@@ -165,6 +165,19 @@ def test_non_finite_scenario_number_exits_2(tmp_path, capsys, change, flags, key
     assert err.startswith("invalid input: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "family, key, value",
+    [("gumbel", "loc", float("nan")), ("exponential", "rate", float("inf")), ("pareto", "alpha", float("nan"))],
+)
+def test_non_finite_distribution_parameter_exits_2(tmp_path, capsys, family, key, value):
+    # NaN used to die later with "zero-size array to reduction operation minimum"
+    doc = {**EXP_SCENARIO, "distribution": {"family": family, "params": {key: value}}, "n": 3, "schedule": "wta"}
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and f"{family} parameter '{key}'" in err
+
+
 def test_verify_has_no_cap_for_inverse_exponential(tmp_path, capsys):
     # log f is concave below 1 and convex above, so neither closed-form cap applies
     scenario = {
@@ -387,6 +400,21 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     out = tmp_path / "v.json"
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["best_response"]["seed"] == 77
+
+
+@pytest.mark.parametrize("command", ["audit", "verify"])
+def test_bad_seed_env_is_named(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("TOURNEY_SEED", "abc")
+    if command == "audit":
+        path = tmp_path / "perf.csv"
+        path.write_text("performance\n" + "\n".join(str(v) for v in range(40)) + "\n")
+        argv = ["audit", "--input", str(path)]
+    else:
+        doc = {k: v for k, v in EXP_SCENARIO.items() if k != "montecarlo"}
+        argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "'TOURNEY_SEED'" in err
 
 
 def _write_sample(tmp_path, loc=5.0, groups=False):
