@@ -93,14 +93,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_seed(flag_seed, mc_cfg: dict):
-    """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's."""
-    if flag_seed is not None:
-        return int(flag_seed)
-    if mc_cfg.get("seed") is not None:
-        return _number(int, mc_cfg["seed"], "seed")
-    env = os.environ.get("TOURNEY_SEED")
-    if env is not None:
-        return _number(int, env, "TOURNEY_SEED")
+    """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's.
+    A seed outside [0, 2**128), the keys of a Philox stream, is a config
+    error naming where it came from."""
+    sources = (
+        ("--seed", flag_seed),
+        ("montecarlo.seed", mc_cfg.get("seed")),
+        ("TOURNEY_SEED", os.environ.get("TOURNEY_SEED")),
+    )
+    for source, value in sources:
+        if value is not None:
+            seed = _number(int, value, source)
+            if not 0 <= seed < 2**128:
+                raise ConfigError(f"bad '{source}': seed {seed} is not in [0, 2**128)")
+            return seed
     return None
 
 

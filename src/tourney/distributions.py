@@ -43,6 +43,9 @@ __all__ = [
 # Quantile at which infinite supports are cut off by ``truncated_support``.
 DEFAULT_TAIL_QUANTILE = 1e-10
 
+# Uniforms that ``NoiseDistribution.sample`` maps through ``ppf`` at a time.
+SLAB = 1 << 14
+
 
 class SurvivalUnderflow(ValueError):
     """Hazard rate requested where 1-F(x) underflows."""
@@ -182,9 +185,21 @@ class NoiseDistribution:
         return _on_interval(self._ppf, levels, 0.0, 1.0, np.nan, np.nan)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF sampling, so identical uniforms give identical draws."""
+        """Inverse-CDF sampling, so identical uniforms give identical draws.
+
+        The uniforms come from one ``rng.random(size)`` call, which takes
+        the stream's words in order.  ``ppf`` then maps slabs of ``SLAB``
+        of them, 128 KiB that stay in cache, and each slab is written back
+        into the uniforms' own buffer, so the temporaries are one slab's,
+        not the whole draw's.  Every family's quantile function works value
+        by value, so the draws are bit-identical to ``ppf`` of the whole
+        array.
+        """
         u = rng.random(size)
-        return np.asarray(self.ppf(u))
+        flat = u.reshape(-1)
+        for start in range(0, flat.size, SLAB):
+            flat[start:start + SLAB] = self.ppf(flat[start:start + SLAB])
+        return u
 
     def hazard(self, x):
         """Failure rate f(x) / (1 - F(x)); ``SurvivalUnderflow`` where 1 - F

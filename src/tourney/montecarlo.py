@@ -7,10 +7,13 @@ independent of the quadrature code paths and certify them statistically.
 One routine ranks the simulated players.
 
 Reproducibility: draws come from counter-based Philox streams, one stream
-per fixed-size batch of draws, keyed by the caller's seed.  Batches can be
-processed in any order (merging is by sums), and every effort level on a
-verification grid reuses the same noise matrix, so payoff differences across
-efforts are common-random-number estimates with tiny variance.
+per fixed-size batch of draws, keyed by the caller's seed.  A batch is a
+function of its stream alone: two worker threads draw the two batches after
+the one in use, each maps its uniforms to noise in cache-sized slabs, value
+by value, and the batches reach the caller strictly in order, so every draw
+is bit-identical to a serial pass.  Every effort level on a verification
+grid reuses the same noise matrix, so payoff differences across efforts are
+common-random-number estimates with tiny variance.
 
 Best-response scan: write the prize as a sum of differentials,
 d_j = v_j - v_(j+1) for the rank j = 0, ..., n - 1 counted from the top, with
@@ -30,6 +33,8 @@ standard and no sort.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,11 +103,29 @@ def _batch_sizes(draws: int):
 
 
 def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
-    """Yield (m, n) noise matrices from per-batch Philox substreams."""
+    """Yield (m, n) noise matrices from per-batch Philox substreams.
+
+    Batch i is ``dist.sample`` on its own substream ``root.jumped(i)``, so
+    who draws it and when cannot change a bit of it.  Two worker threads
+    draw batches i + 1 and i + 2 while the caller works on batch i, and the
+    batches are yielded strictly in order; no batch further ahead is
+    drawn.  The pool closes, its threads joined, when the batches run out,
+    when a draw raises (the error reaches the caller), and when the caller
+    stops or raises mid-stream and the generator is closed.
+    """
     root = np.random.Philox(key=seed)
-    for i, m in enumerate(_batch_sizes(draws)):
-        rng = np.random.Generator(root.jumped(i))
-        yield dist.sample((m, n), rng)
+    sizes = _batch_sizes(draws)
+
+    def draw(pool, i):
+        return pool.submit(dist.sample, (sizes[i], n), np.random.Generator(root.jumped(i)))
+
+    with ThreadPoolExecutor(2) as pool:
+        pending = deque(draw(pool, i) for i in range(min(2, len(sizes))))
+        for i in range(len(sizes)):
+            x = pending.popleft().result()
+            if i + 2 < len(sizes):
+                pending.append(draw(pool, i + 2))
+            yield x
 
 
 def _rank(x: np.ndarray, e: float, e_star: float, rho: float) -> np.ndarray:
@@ -259,6 +282,10 @@ def verify_best_response(
     ``e_star``.  A single pass over the noise gives the payoff at every grid
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
+    The noise comes from ``noise_batches``: two threads draw ahead, in
+    slabs, while this thread bins the batch in hand, and the batches arrive
+    in order, so the result is bit-identical to a serial scan of the same
+    seed.
 
     The gap over playing ``e_star`` is certified as in ``_certificate``,
     with the payoff slope bounded by sup f + c'(max_effort).  Fewer than 1e4

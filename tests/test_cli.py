@@ -417,6 +417,30 @@ def test_bad_seed_env_is_named(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("invalid input: ") and "'TOURNEY_SEED'" in err
 
 
+@pytest.mark.parametrize(
+    "command, source, value",
+    [("verify", "--seed", -1), ("verify", "TOURNEY_SEED", -5), ("verify", "montecarlo.seed", -1),
+     ("audit", "--seed", -1), ("audit", "TOURNEY_SEED", 2**128)],
+)
+def test_out_of_range_seed_is_named(tmp_path, capsys, monkeypatch, command, source, value):
+    monkeypatch.delenv("TOURNEY_SEED", raising=False)
+    if command == "audit":
+        path = tmp_path / "perf.csv"
+        path.write_text("performance\n" + "\n".join(str(v) for v in range(40)) + "\n")
+        argv = ["audit", "--input", str(path)]
+    else:
+        doc = {k: v for k, v in EXP_SCENARIO.items() if k != "montecarlo"}
+        doc["montecarlo"] = {"draws": 10000, "seed": value} if source == "montecarlo.seed" else {"draws": 10000}
+        argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc)]
+    if source == "--seed":
+        argv += ["--seed", str(value)]
+    elif source == "TOURNEY_SEED":
+        monkeypatch.setenv("TOURNEY_SEED", str(value))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: bad '{source}': seed {value} is not in [0, 2**128)\n"
+
+
 def _write_sample(tmp_path, loc=5.0, groups=False):
     rng = np.random.Generator(np.random.Philox(key=99))
     obs = rng.normal(loc, 1.0, 50_000)

@@ -498,3 +498,32 @@ def test_sf_matches_mpmath_in_the_upper_tail(name, dist, xs):
 def test_unnormalized_inputs_warn_when_top_density_positive():
     with pytest.warns(UserWarning, match="vanish"):
         dists.piecewise_linear([(0, 1.0), (1, 1.0)])
+
+
+def _random_piecewise():
+    rng = np.random.default_rng(21)
+    xs = np.cumsum(rng.uniform(0.1, 1.0, 7))
+    fs = np.append(rng.uniform(0.0, 2.0, 6), 0.0)
+    return dists.piecewise_linear(list(zip(xs, fs)))
+
+
+SLAB_FAMILIES = ALL_FAMILIES + [dists.inverse_exponential(), _random_piecewise()]
+# each slab edge as a flat size and as an (m, n) shape of the same size
+SLAB_SIZES = [
+    (0, (0, 10)),
+    (1, (1, 1)),
+    (dists.SLAB - 1, ((dists.SLAB - 1) // 3, 3)),
+    (dists.SLAB, (dists.SLAB // 8, 8)),
+    (dists.SLAB + 1, ((dists.SLAB + 1) // 5, 5)),
+    (3 * dists.SLAB + 7, ((3 * dists.SLAB + 7) // 11, 11)),
+]
+
+
+@pytest.mark.parametrize("d", SLAB_FAMILIES, ids=lambda d: d.family + str(d.params.get("variant", "")))
+def test_sample_by_slabs_is_ppf_of_the_uniforms(d):
+    for sizes in SLAB_SIZES:
+        for size in sizes:
+            assert np.prod(size) == sizes[0]
+            drawn = d.sample(size, np.random.Generator(np.random.Philox(key=5)))
+            whole = d.ppf(np.random.Generator(np.random.Philox(key=5)).random(size))
+            assert np.array_equal(drawn, whole), size

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -257,3 +258,69 @@ def test_tally_csv(tmp_path):
     assert lines[0] == "rank,count,frequency"
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert sum(counts) == rep.draws
+
+
+@pytest.mark.parametrize("draws", [mc.BATCH - 1, mc.BATCH, mc.BATCH + 1, 3 * mc.BATCH + 5])
+def test_noise_batches_match_serial_substreams(draws):
+    root = np.random.Philox(key=9)
+    full, rest = divmod(draws, mc.BATCH)
+    sizes = [mc.BATCH] * full + ([rest] if rest else [])
+    serial = [GUMBEL.ppf(np.random.Generator(root.jumped(i)).random((m, 2))) for i, m in enumerate(sizes)]
+    batches = list(mc.noise_batches(GUMBEL, 2, draws, 9))
+    assert len(batches) == len(serial)
+    for got, want in zip(batches, serial):
+        assert np.array_equal(got, want)
+
+
+def _uniform_failing_at_batch(fail, seed, batches):
+    """Uniform noise, one slab per batch at n = 1, whose ``ppf`` records
+    which batch it maps and raises on batch ``fail``."""
+    firsts = [np.random.Generator(np.random.Philox(key=seed).jumped(i)).random() for i in range(batches)]
+    drawn = []
+
+    def ppf(q):
+        batch = firsts.index(q[0])
+        drawn.append(batch)
+        if batch == fail:
+            raise RuntimeError(f"batch {batch} failed")
+        return q
+
+    dist = dists.NoiseDistribution("uniform", {}, (0.0, 1.0), np.ones_like, lambda x: x, lambda x: 1.0 - x,
+                                   ppf, np.zeros_like, UNIF.find_modes())
+    return dist, drawn
+
+
+def test_noise_batch_error_reaches_caller_and_leaves_no_thread():
+    assert dists.SLAB == mc.BATCH
+    before = threading.active_count()
+    dist, drawn = _uniform_failing_at_batch(1, 4, 6)
+    seen = []
+    with pytest.raises(RuntimeError, match="batch 1 failed"):
+        for x in mc.noise_batches(dist, 1, 6 * mc.BATCH, 4):
+            seen.append(x)
+    assert len(seen) == 1
+    assert sorted(drawn) == [0, 1, 2]  # two batches ahead of batch 0, none further
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("stop", ["break", "raise", "close"])
+def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
+    before = threading.active_count()
+
+    def consume():
+        batches = mc.noise_batches(UNIF, 1, 6 * mc.BATCH, 4)
+        for k, _ in enumerate(batches):
+            if k == 1:
+                if stop == "raise":
+                    raise RuntimeError("consumer failed")
+                if stop == "close":
+                    batches.close()
+                    assert threading.active_count() == before
+                break
+
+    if stop == "raise":
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            consume()
+    else:
+        consume()
+    assert threading.active_count() == before
