@@ -92,10 +92,11 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve_seed(flag_seed, mc_cfg: dict):
+def _resolve_seed(flag_seed, mc_cfg: dict, derived: int = 0):
     """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's.
     A seed outside [0, 2**128), the keys of a Philox stream, is a config
-    error naming where it came from."""
+    error naming where it came from, and so is a seed whose largest derived
+    key, ``seed + derived``, lies outside."""
     sources = (
         ("--seed", flag_seed),
         ("montecarlo.seed", mc_cfg.get("seed")),
@@ -106,6 +107,10 @@ def _resolve_seed(flag_seed, mc_cfg: dict):
             seed = _number(int, value, source)
             if not 0 <= seed < 2**128:
                 raise ConfigError(f"bad '{source}': seed {seed} is not in [0, 2**128)")
+            if seed + derived >= 2**128:
+                raise ConfigError(
+                    f"bad '{source}': seed {seed} derives key {seed + derived}, not in [0, 2**128)"
+                )
             return seed
     return None
 
@@ -344,14 +349,16 @@ def cmd_verify(args) -> int:
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
     mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed"}, "montecarlo")
-    seed = _resolve_seed(args.seed, mc_cfg)
+    n_battery = _number(int, opts.get("bounds_battery") or 0, "bounds_battery")
+    n_schemes = (opts.get("scheme") is not None) + max(n_battery, 0)
+    # the schemes' streams are keyed seed + 1 (the battery) and seed + 2 + k
+    seed = _resolve_seed(args.seed, mc_cfg, n_schemes + 1 if n_schemes else 0)
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
     draws = args.draws if args.draws is not None else mc_cfg.get("draws")
     draws = 10**6 if draws is None else _number(int, draws, "draws")
     e_check = opts.get("force_effort")
     e_check = solution.effort if e_check is None else _number(float, e_check, "force_effort")
-    n_battery = _number(int, opts.get("bounds_battery") or 0, "bounds_battery")
     battery_draws = opts.get("battery_draws")
     battery_draws = 10**5 if battery_draws is None else _number(int, battery_draws, "battery_draws")
 

@@ -136,10 +136,16 @@ def _rank(x: np.ndarray, e: float, e_star: float, rho: float) -> np.ndarray:
     player 1's score; ties, a measure-zero event, go to player 1.  Player 1
     is ranked only where it passes, and a rival that beats a passing score
     passes too, so counting the rivals above player 1 needs no pass check.
+    The count adds one rival column at a time, so no (m, n - 1) block of
+    scores or comparisons is built, and the scores compared are the floats
+    e_star + x_j and e + x_1 of a dense comparison.  The ranks come in the
+    smallest unsigned integer type that holds n, which the count adds into
+    fastest; use them as indices or counts, not in arithmetic.
     """
-    rivals = e_star + x[:, 1:]
     y1 = e + x[:, 0]
-    k = np.count_nonzero(rivals > y1[:, None], axis=1)
+    k = np.zeros(len(x), dtype=np.min_scalar_type(x.shape[1]))
+    for j in range(1, x.shape[1]):
+        k += e_star + x[:, j] > y1
     return np.where(y1 >= rho, k, x.shape[1])
 
 

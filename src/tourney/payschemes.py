@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
-from .montecarlo import _require_draws, _require_seed, noise_batches
+from .montecarlo import _rank, _require_draws, _require_seed, noise_batches
 
 __all__ = [
     "PayScheme",
@@ -63,20 +63,43 @@ class PayScheme:
     """Anonymous, monotone, budget-feasible payments over output vectors.
 
     ``payments`` maps an (m, n) block of output vectors to an (m, n) block
-    of nonnegative payments.  Any callable with that signature plugs in;
-    declared properties are verified by random spot-checks, not symbolically.
+    of nonnegative payments, row by row: a row's payments depend on that
+    row alone, so pricing a subset of the rows gives those rows' payments
+    bit for bit.  Any callable with that signature plugs in; declared
+    properties are verified by random spot-checks, not symbolically.
+
+    ``player1_payments`` gives column 0 of ``payments`` alone, which is all
+    the marginal incentive reads.  A scheme built here computes it without
+    pricing the other players, bit-equal to ``payments(y)[:, 0]``; for a
+    bare callable it falls back to ``payments(y)[:, 0]``, or to the
+    ``player1`` callable passed in.  ``check_properties`` checks that the
+    two agree.
     """
 
-    def __init__(self, n: int, payments: Callable[[np.ndarray], np.ndarray], label: str = "custom"):
+    def __init__(
+        self,
+        n: int,
+        payments: Callable[[np.ndarray], np.ndarray],
+        label: str = "custom",
+        player1: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         self.n = int(n)
         self._payments = payments
+        self._player1 = player1 if player1 is not None else lambda y: payments(y)[:, 0]
         self.label = label
 
-    def payments(self, y: np.ndarray) -> np.ndarray:
+    def _outputs(self, y) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if y.shape[1] != self.n:
             raise ValueError(f"output vectors must have {self.n} columns")
-        return self._payments(y)
+        return y
+
+    def payments(self, y: np.ndarray) -> np.ndarray:
+        return self._payments(self._outputs(y))
+
+    def player1_payments(self, y: np.ndarray) -> np.ndarray:
+        """Player 1's payment per output vector: ``payments(y)[:, 0]``."""
+        return self._player1(self._outputs(y))
 
     def __repr__(self):
         return f"PayScheme({self.label}, n={self.n})"
@@ -86,7 +109,8 @@ def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PaySch
     """Pay by performance rank among those above the standard.
 
     Ties (measure zero under continuous noise) give the better rank to the
-    lower player index.
+    lower player index.  Player 1's payment alone is the prize of its rank
+    from ``montecarlo._rank``, which counts the rivals strictly above it.
     """
     v = np.append(np.asarray(schedule.prizes), 0.0)
     n = schedule.n
@@ -100,7 +124,7 @@ def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PaySch
         return np.where(passed, v[pos], 0.0)
 
     label = f"rank(v={schedule.prizes}, standard={standard:g})"
-    return PayScheme(n, pay, label)
+    return PayScheme(n, pay, label, lambda y: v[_rank(y, 0.0, 0.0, standard)])
 
 
 def capped_linear_share(n: int, cap: float) -> PayScheme:
@@ -112,12 +136,20 @@ def capped_linear_share(n: int, cap: float) -> PayScheme:
         tot = a.sum(axis=1, keepdims=True)
         return np.where(tot > 0, a / np.where(tot > 0, tot, 1.0), 0.0)
 
-    return PayScheme(n, pay, f"linear_share(cap={cap:g})")
+    def pay1(y):
+        a = np.maximum(y - cap, 0.0)
+        tot = a.sum(axis=1)
+        return np.where(tot > 0, a[:, 0] / np.where(tot > 0, tot, 1.0), 0.0)
+
+    return PayScheme(n, pay, f"linear_share(cap={cap:g})", pay1)
 
 
 def constant_share(n: int) -> PayScheme:
     """Unconditional equal split of the budget."""
-    return PayScheme(n, lambda y: np.full_like(y, 1.0 / n), f"constant_share(1/{n})")
+    return PayScheme(
+        n, lambda y: np.full_like(y, 1.0 / n), f"constant_share(1/{n})",
+        lambda y: np.full(len(y), 1.0 / n),
+    )
 
 
 def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
@@ -130,7 +162,10 @@ def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
     def pay(y):
         return w * first.payments(y) + (1.0 - w) * second.payments(y)
 
-    return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})")
+    def pay1(y):
+        return w * first.player1_payments(y) + (1.0 - w) * second.player1_payments(y)
+
+    return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})", pay1)
 
 
 def _field(spec: dict, key: str):
@@ -189,7 +224,8 @@ def scheme_battery(
 
 
 def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator) -> None:
-    """Spot-check anonymity, monotonicity, and the budget on sampled outputs.
+    """Spot-check anonymity, monotonicity, the budget, and that player 1's
+    payment path gives column 0 of the payments, on sampled outputs.
 
     Statistical by design: schemes are opaque callables.  Raises
     ``PropertyViolation`` on the first failure.
@@ -197,6 +233,8 @@ def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator)
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = scheme.n
     w = scheme.payments(y)
+    if not np.allclose(scheme.player1_payments(y), w[:, 0], atol=1e-8):
+        raise PropertyViolation(f"{scheme.label}: player 1's payment is not column 0 of the payments")
     if np.any(w < -PROPERTY_TOL):
         raise PropertyViolation(f"{scheme.label}: negative payments")
     totals = w.sum(axis=1)
@@ -238,6 +276,13 @@ def marginal_incentive(
     In equilibrium this expression caps the marginal cost of effort for any
     anonymous monotone budget-feasible scheme, provided the density vanishes
     at the upper support bound.
+
+    Per batch, only player 1 is priced (``PayScheme.player1_payments``), and
+    only on the draws whose noise x_1 lies above the mode x_m; the products
+    with the likelihood ratio are scattered into zeros of the batch's
+    length, so the sums run over the same values in the same order as when
+    every player is priced on every draw, and the result is the same to the
+    last bit.  The likelihood-ratio cap is still checked on every draw.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
@@ -258,8 +303,10 @@ def marginal_incentive(
             raise UnboundedLikelihoodRatio(
                 f"|likelihood ratio| exceeded {LR_CAP:g} on sampled points"
             )
-        w1 = scheme.payments(effort + x)[:, 0]
-        vals = np.where(x[:, 0] > xm, w1 * lam, 0.0)
+        above = x[:, 0] > xm
+        vals = np.zeros(len(x))
+        if above.any():  # a short last batch may have none; a bare callable need not take 0 rows
+            vals[above] = scheme.player1_payments(effort + x[above]) * lam[above]
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
     mean = total / draws

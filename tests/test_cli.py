@@ -23,6 +23,14 @@ EXP_SCENARIO = {
     "montecarlo": {"draws": 100000, "seed": 11},
 }
 
+GUMBEL_BATTERY = {
+    "distribution": {"family": "gumbel"},
+    "n": 3,
+    "schedule": "wta",
+    "cost": {"kappa": 1.0, "beta": 2.0},
+    "montecarlo": {"draws": 10000},
+}
+
 HEAVY_SCENARIO = {
     "distribution": {"family": "erf_exponential"},
     "n": 3,
@@ -439,6 +447,36 @@ def test_out_of_range_seed_is_named(tmp_path, capsys, monkeypatch, command, sour
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"invalid input: bad '{source}': seed {value} is not in [0, 2**128)\n"
+
+
+@pytest.mark.parametrize("source", ["--seed", "montecarlo.seed", "TOURNEY_SEED"])
+@pytest.mark.parametrize(
+    "verify, derived",
+    [({"scheme": {"kind": "constant"}}, 2), ({"bounds_battery": 1}, 2),
+     ({"scheme": {"kind": "constant"}, "bounds_battery": 2}, 4)],
+)
+def test_seed_whose_derived_key_overflows_is_named(tmp_path, capsys, monkeypatch, source, verify,
+                                                   derived):
+    # the schemes' streams are keyed seed + 1 and seed + 2 + k
+    seed = 2**128 - 1
+    monkeypatch.delenv("TOURNEY_SEED", raising=False)
+    mc_cfg = {"draws": 10000, "seed": seed} if source == "montecarlo.seed" else {"draws": 10000}
+    doc = {**GUMBEL_BATTERY, "verify": verify, "montecarlo": mc_cfg}
+    argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc)]
+    if source == "--seed":
+        argv += ["--seed", str(seed)]
+    elif source == "TOURNEY_SEED":
+        monkeypatch.setenv("TOURNEY_SEED", str(seed))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"invalid input: bad '{source}': seed {seed} derives key {seed + derived}, "
+                   "not in [0, 2**128)\n")
+
+
+def test_seed_whose_largest_derived_key_fits_runs(tmp_path):
+    doc = {**GUMBEL_BATTERY, "verify": {"scheme": {"kind": "constant"}, "battery_draws": 10000}}
+    argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc), "--seed", str(2**128 - 3)]
+    assert cli.main(argv) == 0
 
 
 def _write_sample(tmp_path, loc=5.0, groups=False):

@@ -318,6 +318,17 @@ def _random_knots(rng):
     return list(zip(x, f))
 
 
+WINDOW = 1 << 13  # points per window of the dense reference's local passes
+
+
+def _windows(start, stop, overlap):
+    """(lo, hi) windows of WINDOW points over [start, stop), each reaching
+    ``overlap`` points into the next, so differences across a seam are
+    taken once.  Passes over windows keep every temporary small, so none
+    takes fresh pages of memory."""
+    return [(s, min(s + WINDOW + overlap, stop)) for s in range(start, stop - overlap, WINDOW)]
+
+
 def _dense_shape(d):
     """Global mode, hazard class, log class, sup(-f') on the smooth pieces
     (0 where f never falls) and the drop of f at the upper support bound,
@@ -328,7 +339,11 @@ def _dense_shape(d):
     step within a segment and a weighted mean of two segments' slopes on a
     step across a knot; f at the upper bound is the drop.  Otherwise the
     points sit at evenly spaced quantiles, f' is taken by second-order
-    differences, and there is no drop."""
+    differences, and there is no drop.
+
+    The local passes run window by window (``_windows``) on the same floats
+    as whole-array passes, and a class pass stops once its verdict is
+    settled: hazard at "mixed", log class at "neither"."""
     lo, hi = d.support
     if np.isfinite(hi):
         kx, kf = np.asarray(d.knots), d.pdf(np.asarray(d.knots))
@@ -336,40 +351,57 @@ def _dense_shape(d):
         at = np.searchsorted(grid, kx[1:-1])
         x = np.insert(grid, at, kx[1:-1])
         f = np.interp(x, kx, kf)
-        dx = np.diff(x)
-        sf = np.concatenate([np.cumsum((dx * (f[1:] + f[:-1]) / 2)[::-1])[::-1], [0.0]])
+        sf = np.zeros_like(x)
+        carry = 0.0  # the trapezoids above the window
+        for a, b in reversed(_windows(0, x.size, 1)):
+            trapezoids = (np.diff(x[a:b]) * (f[a + 1 : b] + f[a : b - 1]) / 2)[::-1]
+            trapezoids[0] += carry
+            carry = np.cumsum(trapezoids, out=sf[a : b - 1][::-1])[-1]
         on_grid = np.delete(f, at + np.arange(at.size))
-        descent = max(float(np.max(-np.diff(on_grid) / np.diff(grid))), 0.0)
+        descent = 0.0
+        for a, b in _windows(0, grid.size, 1):
+            descent = max(descent, float(np.max(-np.diff(on_grid[a:b]) / np.diff(grid[a:b]))))
         drop = float(f[-1])
     else:
         x = np.asarray(d.ppf(np.linspace(0.0, 1.0, 200_001)[1:-1]))
         x = np.concatenate([[lo], x]) if np.isfinite(lo) else x
         f, sf = np.asarray(d.pdf(x)), np.asarray(d.sf(x))
-        dx = np.diff(x)
         descent, drop = float(np.max(-np.gradient(f, x, edge_order=2))), 0.0
     # the largest global maximizer; a flat top by its left end
     top = np.flatnonzero(f >= f.max() * (1 - 1e-12))
     i = top[np.flatnonzero(np.diff(top, prepend=-2) > 1)[-1]]
-    step = dx[max(i - 1, 0) : i + 1].max()
+    step = np.diff(x[max(i - 1, 0) : i + 2]).max()
 
-    alive = sf > 1e-9
-    h = f[alive] / sf[alive]
-    dh, big = np.diff(h), 1e-9 * np.maximum(h[1:], h[:-1])  # a move of h that counts exceeds big
-    rising, falling = np.any(dh > big), np.any(dh < -big)
+    rising = falling = False
+    h_prev = np.empty(0)  # the last h before the window, where 1 - F > 1e-9
+    for a, b in _windows(0, x.size, 0):
+        alive = sf[a:b] > 1e-9
+        h = np.concatenate([h_prev, f[a:b][alive] / sf[a:b][alive]])
+        dh, big = np.diff(h), 1e-9 * np.maximum(h[1:], h[:-1])  # a move of h that counts exceeds big
+        rising, falling = rising or np.any(dh > big), falling or np.any(dh < -big)
+        h_prev = h[-1:]
+        if rising and falling:
+            break
     hazard = "mixed" if rising and falling else "IFR" if rising else "DFR" if falling else "constant"
 
-    pos = np.flatnonzero(f > 0)
-    a, b = pos[0], pos[-1] + 1
-    if b - a != pos.size:
+    pos = f > 0
+    a, b = int(np.argmax(pos)), pos.size - int(np.argmax(pos[::-1]))
+    if b - a != np.count_nonzero(pos):
         log_class = "neither"  # f vanishes inside its support
     else:
-        dx, lf = dx[a : b - 1], np.log(f[a:b])
-        bend = np.diff(np.diff(lf) / dx)
-        # a bound on the rounding error of each slope of log f
-        err = (128 * np.finfo(float).eps) * (np.abs(lf[1:]) + 1.0) / dx
-        tol = err[1:] + err[:-1]
-        concave = np.all(bend <= tol) and np.any(bend < -tol)
-        convex = np.all(bend >= -tol) and np.any(bend > tol)
+        below = above = True  # bend <= tol, bend >= -tol everywhere
+        inward = outward = False  # bend < -tol, bend > tol somewhere
+        for s, e in _windows(a, b, 2):
+            lf, dx = np.log(f[s:e]), np.diff(x[s:e])
+            bend = np.diff(np.diff(lf) / dx)
+            # a bound on the rounding error of each slope of log f
+            err = (128 * np.finfo(float).eps) * (np.abs(lf[1:]) + 1.0) / dx
+            tol = err[1:] + err[:-1]
+            below, above = below and np.all(bend <= tol), above and np.all(bend >= -tol)
+            inward, outward = inward or np.any(bend < -tol), outward or np.any(bend > tol)
+            if not (below or above):
+                break
+        concave, convex = below and inward, above and outward
         log_class = "log-concave" if concave else "log-convex" if convex else "neither"
     return x[i], f[i], step, hazard, log_class, descent, drop
 

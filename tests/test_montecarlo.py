@@ -92,6 +92,17 @@ def test_grid_sums_edge_cases():
     _assert_grid_sums_match(x, np.linspace(-0.2, 0.4, 31), 0.4, 0.7, prizes)
 
 
+@pytest.mark.parametrize("n", [2, 3, 1000])
+def test_rank_matches_dense_comparison(n):
+    rng = np.random.default_rng(n)
+    # lattice noise: player 1 ties rivals, and scores tie the standard
+    for x in (GUMBEL.sample((500, n), rng), rng.integers(0, 6, size=(500, n)) / 4.0):
+        for e, e_star, rho in ((0.5, 0.5, 0.75), (0.25, 0.5, 0.5), (0.5, 0.25, -np.inf)):
+            y1 = e + x[:, 0]
+            k = np.count_nonzero(e_star + x[:, 1:] > y1[:, None], axis=1)
+            assert np.array_equal(mc._rank(x, e, e_star, rho), np.where(y1 >= rho, k, n))
+
+
 def test_best_response_tally_equals_simulation():
     red = dists.trimodal_example("red")
     v = eq.PrizeSchedule.equal_top(2, 3)

@@ -3,6 +3,7 @@ import pytest
 
 from tourney import distributions as dists
 from tourney import equilibrium as eq
+from tourney import montecarlo as mc
 from tourney import payschemes as ps
 
 GUMBEL = dists.gumbel()
@@ -125,3 +126,118 @@ def test_scheme_from_spec():
     assert mix.payments(y).sum() <= 1.0 + 1e-12
     with pytest.raises(ValueError, match="unknown scheme kind"):
         ps.scheme_from_spec({"kind": "??"}, 3)
+
+
+def _built_in_schemes(n):
+    """Every built-in kind, with and without a standard; a linear share's cap
+    is its standard, and -10 lies below every output drawn here."""
+    wta, eps = eq.PrizeSchedule.winner_take_all(n), eq.PrizeSchedule.equal_sharing(n)
+    return [
+        ps.rank_payscheme(wta),
+        ps.rank_payscheme(wta, 0.4),
+        ps.rank_payscheme(eps, 0.4),
+        ps.rank_payscheme(eq.random_schedule(n, np.random.default_rng(n)), 0.2),
+        ps.capped_linear_share(n, -10.0),
+        ps.capped_linear_share(n, 0.6),
+        ps.constant_share(n),
+        ps.mixture(ps.rank_payscheme(wta, 0.4), ps.capped_linear_share(n, 0.6), 0.3),
+        ps.mixture(ps.constant_share(n), ps.rank_payscheme(eps), 0.8),
+    ]
+
+
+def _assert_player1_is_column_0(scheme, y):
+    got, want = scheme.player1_payments(y), scheme.payments(y)[:, 0]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), scheme
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_player1_payments_are_column_0_for_built_in_kinds(n):
+    y = np.random.default_rng(20 + n).normal(0.5, 1.0, size=(500, n))
+    for scheme in _built_in_schemes(n):
+        _assert_player1_is_column_0(scheme, y)
+        _assert_player1_is_column_0(scheme, y[:1])
+        _assert_player1_is_column_0(scheme, y[:0])
+
+
+def test_player1_payments_on_tied_outputs():
+    y = np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0, 2.0], [2.0, 3.0, 2.0], [2.0, 1.0, 2.0]])
+    for scheme in _built_in_schemes(3) + [ps.rank_payscheme(eq.PrizeSchedule((0.5, 0.3, 0.2)), 2.0)]:
+        _assert_player1_is_column_0(scheme, y)
+    wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3))
+    assert wta.player1_payments([[2.0, 2.0, 1.0]]).tolist() == [1.0]  # the tie goes to player 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 30])
+def test_player1_payments_are_column_0_for_battery(n):
+    rng = np.random.default_rng(30 + n)
+    y = rng.normal(0.5, 1.0, size=(400, n))
+    for scheme in ps.scheme_battery(n, 50, rng, -1.0, 2.0):
+        _assert_player1_is_column_0(scheme, y)
+
+
+def test_bare_callable_falls_back_to_column_0():
+    share = ps.PayScheme(3, lambda y: y / y.sum(axis=1, keepdims=True), "share")
+    y = np.random.default_rng(5).uniform(1.0, 2.0, size=(50, 3))
+    _assert_player1_is_column_0(share, y)
+
+
+def test_check_properties_rejects_a_player1_path_off_column_0():
+    rng = np.random.default_rng(0)
+    liar = ps.PayScheme(3, lambda y: np.full_like(y, 1 / 3), "liar", lambda y: np.full(len(y), 0.5))
+    with pytest.raises(ps.PropertyViolation, match="player 1's payment is not column 0"):
+        ps.check_properties(liar, rng.normal(size=(100, 3)), rng)
+
+
+def _full_payment_incentive(dist, scheme, effort, draws, seed):
+    """Reference: the marginal incentive pricing every player on every draw
+    and keeping player 1 above the mode, summed in the estimator's order."""
+    xm = dist.find_modes().global_mode
+    total = total_sq = 0.0
+    for x in mc.noise_batches(dist, scheme.n, draws, seed):
+        lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
+        w1 = scheme.payments(effort + x)[:, 0]
+        vals = np.where(x[:, 0] > xm, w1 * lam, 0.0)
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
+    mean = total / draws
+    var = max(total_sq / draws - mean * mean, 0.0)
+    return mean, float(np.sqrt(var / draws))
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
+def test_marginal_incentive_equals_full_payment_reference(dist, n):
+    draws = mc.BATCH + 5  # a short last batch
+    lo, hi = dist.truncated_support(1e-6)
+    rng = np.random.default_rng(n)
+    schemes = _built_in_schemes(n) + [
+        ps.PayScheme(n, lambda y: np.full_like(y, 1 / n), "bare"),
+        *ps.scheme_battery(n, 2, rng, 0.3 + lo, 0.3 + min(hi, 30.0)),
+    ]
+    for k, scheme in enumerate(schemes):
+        got = ps.marginal_incentive(dist, scheme, 0.3, draws, seed=60 + k)
+        assert got == _full_payment_incentive(dist, scheme, 0.3, draws, 60 + k), scheme
+
+
+def test_marginal_incentive_prices_no_full_payments_outside_check(monkeypatch):
+    calls = []
+    checking = [False]
+    payments, check = ps.PayScheme.payments, ps.check_properties
+
+    def spy(self, y):
+        calls.append(checking[0])
+        return payments(self, y)
+
+    def checked(*args):
+        checking[0] = True
+        try:
+            check(*args)
+        finally:
+            checking[0] = False
+
+    monkeypatch.setattr(ps.PayScheme, "payments", spy)
+    monkeypatch.setattr(ps, "check_properties", checked)
+    for scheme in _built_in_schemes(3):
+        calls.clear()
+        ps.marginal_incentive(GUMBEL, scheme, 0.3, draws=mc.BATCH + 1, seed=7)
+        assert calls and all(calls), scheme
