@@ -198,15 +198,15 @@ def _json_dump(obj, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray], comments=()) -> None:
-    """Columns as Python values, so each float is written as its shortest
-    round-trip repr."""
+def _write_csv(path: str, header: list[str], columns: list[list[str]], comments=()) -> None:
+    """Write columns of cells, as ``_csv_column`` makes them, in one call.
+    Each number is formatted once, with its column, into the string that its
+    ``str`` gives, so a column that several files share is formatted once
+    and the bytes are those of formatting row by row."""
+    lines = [f"# {line}" for line in comments] + [",".join(header)]
+    lines += map(",".join, zip(*columns))
     with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,12 @@ FIG1_SCHEDULES = (("wta", 1), ("two", 2), ("eps", 3))
 GRID_POINTS = 5001
 
 
+def _csv_column(values) -> list[str]:
+    """A column's CSV cells: each value's ``str`` as a Python value, so each
+    float is written as its shortest round-trip repr."""
+    return list(map(str, np.asarray(values).tolist()))
+
+
 def plot_grid(dist: dists.NoiseDistribution) -> np.ndarray:
     """Uniform plotting grid over the truncated support, knots included."""
     lo, hi = dist.truncated_support()
@@ -281,10 +287,11 @@ def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
     grid = plot_grid(dist_list[0][1])  # panel distributions share one support
     keep = slice(None) if t_max is None else grid <= t_max
     show = grid[keep]
+    t_cells = _csv_column(show)
 
     def _panel(fname, columns, title, ylabel, ylim=None):
         header = ["t"] + [c[0] for c in columns]
-        cols = [show] + [c[1] for c in columns]
+        cols = [t_cells] + [_csv_column(c[1]) for c in columns]
         comments = [
             "density normalization: "
             + " ".join(f"{name}={d.normalization!r}" for name, d in dist_list)
@@ -301,6 +308,7 @@ def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
             fh.write(svg)
 
     dens_cols, lr_cols, hz_cols, g_cols = [], [], [], []
+    d_rows = np.stack([PrizeSchedule.equal_top(s, 3).differentials for _, s in FIG1_SCHEDULES])
     for name, d in dist_list:
         f = np.asarray(d.pdf(grid))
         dens_cols.append((name, f[keep]))
@@ -315,7 +323,6 @@ def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
         hz[alive] = np.asarray(d.hazard(grid[alive]))
         hz_cols.append((name, hz[keep]))
 
-        d_rows = np.stack([PrizeSchedule.equal_top(s, 3).differentials for _, s in FIG1_SCHEDULES])
         curves = _marginal_benefit(d, 3, d_rows, grid)  # each row summed as for its schedule alone
         for (sched_name, _), curve in zip(FIG1_SCHEDULES, curves):
             g_cols.append((f"{name}_{sched_name}", curve[keep]))

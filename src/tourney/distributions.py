@@ -564,7 +564,14 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
     seg_mass[-1] = 1.0
     # mass above each knot, summed from the top down
     mass_above = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
-    slopes = np.diff(kf) / np.diff(kx)
+    widths = np.diff(kx)
+    slopes = np.diff(kf) / widths
+    # per-segment constants of ppf: the guarded divisors of its two branches
+    # and the segments flat enough for the linear one
+    kf_div = np.where(np.abs(kf[:-1]) > 1e-300, kf[:-1], 1.0)
+    slope_div = np.where(np.abs(slopes) > 1e-300, slopes, 1.0)
+    flat = np.abs(slopes) < 1e-12 * np.maximum(np.abs(kf[:-1]), 1.0)
+    any_flat = bool(flat.any())
 
     def pdf(x):
         return np.interp(x, kx, kf)
@@ -582,15 +589,25 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
         return mass_above[i + 1] + s * (kf[i + 1] - 0.5 * slopes[i] * s)
 
     def ppf(q):
-        q = np.asarray(q, dtype=float)
+        """Invert each segment's quadratic cdf, or its linear one on a flat
+        segment.
+
+        The guarded divisors, widths and flat mask are per-segment constants,
+        made once with the density.  The quadratic branch runs on every
+        element and the linear one only on the elements of flat segments,
+        overwriting theirs.  Each element thus meets exactly the IEEE
+        operations, in the same order, of the branch chosen for it, so the
+        bits equal those of evaluating both branches everywhere and picking
+        one per element.
+        """
         i = np.clip(np.searchsorted(seg_mass, q, side="right") - 1, 0, len(kx) - 2)
         resid = q - seg_mass[i]
-        a, b = kf[i], slopes[i]
-        lin = resid / np.where(np.abs(a) > 1e-300, a, 1.0)
-        disc = np.maximum(a * a + 2.0 * b * resid, 0.0)
-        quad = (np.sqrt(disc) - a) / np.where(np.abs(b) > 1e-300, b, 1.0)
-        s = np.where(np.abs(b) < 1e-12 * np.maximum(np.abs(a), 1.0), lin, quad)
-        return kx[i] + np.clip(s, 0.0, np.diff(kx)[i])
+        a = kf[i]
+        s = (np.sqrt(np.maximum(a * a + 2.0 * slopes[i] * resid, 0.0)) - a) / slope_div[i]
+        if any_flat:
+            on = flat[i]
+            s[on] = resid[on] / kf_div[i[on]]
+        return kx[i] + np.clip(s, 0.0, widths[i])
 
     def lr(x):
         # right derivative at kinks; the final knot keeps its left segment

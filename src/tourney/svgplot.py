@@ -44,6 +44,13 @@ def line_plot_svg(
 
     Non-finite points break the polyline; pass ``ylim`` to clip spiky series
     (values outside are dropped from the path).
+
+    Each number is formatted once: the x pixels once for each distinct x
+    array (the series of a panel share one grid), and the y pixels of the
+    drawn points once per series.  A run of drawn points is a contiguous
+    index range, so its x text is a slice of its array's.  Each pixel is the
+    same float, formatted alike, as when each point is scaled and formatted
+    on its own, so the bytes are those of that form.
     """
     xs_all = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys_all = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
@@ -104,14 +111,21 @@ def line_plot_svg(
             f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
             f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
         )
+    x_text = {}  # id of an x array -> its pixels, formatted
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
+        key = id(x)
         x = np.asarray(x, dtype=float)
+        if key not in x_text:
+            x_text[key] = [f"{v:.2f}" for v in px(x).tolist()]
+        xs = x_text[key]
         y = np.asarray(y, dtype=float)
         ok = np.flatnonzero(np.isfinite(x) & np.isfinite(y) & (y >= y_lo) & (y <= y_hi))
-        for run in np.split(ok, np.flatnonzero(np.diff(ok) > 1) + 1):
-            if run.size > 1:
-                points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(x[run]).tolist(), py(y[run]).tolist()))
+        ys = [f"{v:.2f}" for v in py(y[ok]).tolist()]
+        ends = np.flatnonzero(np.diff(ok) > 1) + 1
+        for j0, j1 in zip([0, *ends.tolist()], [*ends.tolist(), ok.size]):
+            if j1 - j0 > 1:  # ok[j0:j1] is the index range ok[j0] .. ok[j1 - 1]
+                points = " ".join(f"{a},{b}" for a, b in zip(xs[ok[j0]:ok[j1 - 1] + 1], ys[j0:j1]))
                 out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = _MARGIN_T + 14 + 16 * k
         out.append(

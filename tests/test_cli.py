@@ -291,17 +291,27 @@ def test_figure_writers_match_per_point_form(tmp_path):
     y = 5.0 * np.sin(7.0 * x)  # clipped by ylim on every swing
     y[[0, 40, 41, 42, 100, 101, 250]] = np.nan
     y[[60, 61]] = np.inf
-    x2 = x.copy()
+    x2 = 0.75 * x + 0.5
     x2[[5, 6, 200]] = np.nan
-    series = [("a", x, y), ("b", x2, np.cos(x) / 3.0), ("c", x, np.where(x > 2.9, np.nan, x**3))]
+    y4 = np.where(np.abs(x - 1.0) < 0.2, -np.inf, 4.5 - 2.0 * x)  # a hole and a clipped head
+    y4[[3, 150]] = np.nan
+    # a, c and d share the one x array, each with its own holes; b has its own x
+    series = [
+        ("a", x, y),
+        ("b", x2, np.cos(x) / 3.0),
+        ("c", x, np.where(x > 2.9, np.nan, x**3)),
+        ("d", x, y4),
+        ("e", x, np.full_like(x, 9.0)),  # every point clipped: no polyline
+    ]
     svg = svgplot.line_plot_svg(series, ylim=(-2.0, 4.0))
     got = [line for line in svg.splitlines() if line.startswith("<polyline")]
     assert got == _per_point_polylines(series, (-2.0, 4.0)) and len(got) > 10
     # the CSV holds each value's repr, as the numpy scalar's float() gives it
-    cols = [x, y, np.array([-0.0, 1e-300, 1e300, 2.0 / 3.0] * 75 + [np.nan])]
-    cli._write_csv(str(tmp_path / "t.csv"), ["x", "y", "z"], cols, ["note"])
+    z = np.array([-0.0, 1e-300, 1e300, 2.0 / 3.0] * 75 + [np.nan])
+    cols = [x, y, z, y4]
+    cli._write_csv(str(tmp_path / "t.csv"), ["x", "y", "z", "w"], [cli._csv_column(c) for c in cols], ["note"])
     rows = [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "x,y,z", *rows]) + "\n"
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "x,y,z,w", *rows]) + "\n"
 
 
 def test_verify_ok_and_forced_effort(tmp_path):

@@ -559,3 +559,39 @@ def test_sample_by_slabs_is_ppf_of_the_uniforms(d):
             drawn = d.sample(size, np.random.Generator(np.random.Philox(key=5)))
             whole = d.ppf(np.random.Generator(np.random.Philox(key=5)).random(size))
             assert np.array_equal(drawn, whole), size
+
+
+def _both_branch_piecewise_ppf(d, q):
+    """(quantiles, segment masses): the piecewise quantile with both
+    branches on every element and one picked by ``where``."""
+    kx, kf_raw = np.array(d.params["knots"]).T
+    kf = kf_raw / d.normalization
+    seg_mass = np.concatenate([[0.0], np.cumsum((kf[1:] + kf[:-1]) / 2.0 * np.diff(kx))])
+    seg_mass[-1] = 1.0
+    slopes = np.diff(kf) / np.diff(kx)
+    i = np.clip(np.searchsorted(seg_mass, q, side="right") - 1, 0, len(kx) - 2)
+    resid = q - seg_mass[i]
+    a, b = kf[i], slopes[i]
+    lin = resid / np.where(np.abs(a) > 1e-300, a, 1.0)
+    disc = np.maximum(a * a + 2.0 * b * resid, 0.0)
+    quad = (np.sqrt(disc) - a) / np.where(np.abs(b) > 1e-300, b, 1.0)
+    s = np.where(np.abs(b) < 1e-12 * np.maximum(np.abs(a), 1.0), lin, quad)
+    return kx[i] + np.clip(s, 0.0, np.diff(kx)[i]), seg_mass
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        *(dists.trimodal_example(c) for c in ("red", "green", "blue")),
+        dists.piecewise_linear([(0, 1), (1.5, 1), (2, 0.5), (3, 0)]),  # flat: the linear branch
+        dists.piecewise_linear([(0, 0.5), (1, 0), (2, 1), (3, 0)]),  # f = 0 at an interior knot
+    ],
+    ids=["red", "green", "blue", "flat_segment", "zero_knot"],
+)
+def test_piecewise_ppf_bits_match_both_branch_form(d):
+    _, seg_mass = _both_branch_piecewise_ppf(d, np.zeros(1))
+    edges = np.concatenate([seg_mass, np.nextafter(seg_mass, -1.0), np.nextafter(seg_mass, 2.0)])
+    q = np.concatenate([np.random.default_rng(11).random(100_000), edges, [0.0, 1.0]])
+    q = q[(q >= 0.0) & (q <= 1.0)]
+    expected, _ = _both_branch_piecewise_ppf(d, q)
+    assert np.array_equal(np.asarray(d.ppf(q)).view(np.uint64), expected.view(np.uint64))
