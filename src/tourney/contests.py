@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import NoiseDistribution, gumbel
-from .montecarlo import _certificate, _require_effort, _require_seed, _scan
+from .montecarlo import _certificate, _effort_grid, _require_draws, _require_effort, _require_seed, _scan
 
 __all__ = [
     "AllZeroEfforts",
@@ -96,12 +96,20 @@ def tullock_best_response_gap(
     grid; returns the max payoff gap over playing ``e_star``, its paired
     standard error, and a grid-coarseness bias bound, certified as in
     ``montecarlo._certificate``.  An ``e_star`` that is not a number in
-    [0, 1] raises ``ValueError``.
+    (0, 1], where the slope bound 1 / ((n - 1) e*) is finite, a ``rho``
+    that is not a positive finite number, fewer than two players and fewer
+    than 1e4 draws raise ``ValueError``.
     """
     seed = _require_seed(seed)
+    draws = _require_draws(draws)
+    if n < 2:
+        raise ValueError(f"need at least two players, got n={n!r}")
     e_star = _require_effort(e_star, 1.0)
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, TULLOCK_GRID_POINTS), [e_star]]))
-    i_star = int(np.searchsorted(grid, e_star))
+    if e_star == 0.0:
+        raise ValueError(f"checked effort {e_star!r} must be positive: the slope bound 1/((n-1) e*) is infinite")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"standard rho={rho!r} is not a positive finite number")
+    grid, i_star = _effort_grid(1.0, TULLOCK_GRID_POINTS, e_star)
     # additive units: effort 0 sits at log 0 = -inf and never wins
     log_grid = np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0)
     prizes = np.zeros(n)

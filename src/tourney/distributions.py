@@ -188,17 +188,20 @@ class NoiseDistribution:
         """Inverse-CDF sampling, so identical uniforms give identical draws.
 
         The uniforms come from one ``rng.random(size)`` call, which takes
-        the stream's words in order.  ``ppf`` then maps slabs of ``SLAB``
-        of them, 128 KiB that stay in cache, and each slab is written back
-        into the uniforms' own buffer, so the temporaries are one slab's,
-        not the whole draw's.  Every family's quantile function works value
-        by value, so the draws are bit-identical to ``ppf`` of the whole
-        array.
+        the stream's words in order.  The family's quantile function then
+        maps slabs of ``SLAB`` of them, 128 KiB that stay in cache, and each
+        slab is written back into the uniforms' own buffer, so the
+        temporaries are one slab's, not the whole draw's.  The slabs go to
+        the closed form ``_ppf`` directly: ``Generator.random`` returns
+        floats in [0, 1), so the range check and the split at the ends of
+        [0, 1] in ``ppf`` would never fire, and ``ppf`` hands such levels to
+        ``_ppf`` unchanged.  Every family's quantile function works value by
+        value, so the draws are bit-identical to ``ppf`` of the whole array.
         """
         u = rng.random(size)
         flat = u.reshape(-1)
         for start in range(0, flat.size, SLAB):
-            flat[start:start + SLAB] = self.ppf(flat[start:start + SLAB])
+            flat[start:start + SLAB] = self._ppf(flat[start:start + SLAB])
         return u
 
     def hazard(self, x):

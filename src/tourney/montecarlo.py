@@ -28,11 +28,16 @@ every grid point in one pass over the noise, with at most one sort of the
 rivals per draw, whatever the grid size; the rank tally at the checked
 effort comes from the same pass.  Only levels with d_j != 0 are binned:
 winner-take-all needs the best rival alone, equal prizes for all only the
-standard and no sort.
+standard and no sort.  A jump finds its grid cell, the first grid point at
+or above P_j, from a bucket table built once per scan (``_Cells``): two
+buckets per grid point give the start, and comparisons with the grid's own
+floats finish the search, so the cells are ``np.searchsorted``'s exactly
+without its binary search over the whole grid for each of the m draws.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -94,6 +99,13 @@ def _require_effort(e: float, e_max: float) -> float:
     return float(e)
 
 
+def _effort_grid(e_max: float, points: int, e_star: float) -> tuple[np.ndarray, int]:
+    """``points`` evenly spaced efforts on [0, ``e_max``] and ``e_star``,
+    ascending and without repeats, and the index of ``e_star`` among them."""
+    grid = np.unique(np.concatenate([np.linspace(0.0, e_max, points), [e_star]]))
+    return grid, int(np.searchsorted(grid, e_star))
+
+
 def _batch_sizes(draws: int):
     full, rest = divmod(int(draws), BATCH)
     sizes = [BATCH] * full
@@ -149,8 +161,55 @@ def _rank(x: np.ndarray, e: float, e_star: float, rho: float) -> np.ndarray:
     return np.where(y1 >= rho, k, x.shape[1])
 
 
-def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes: np.ndarray):
-    """Sums over one batch of player 1's prize w at each point of ``grid``.
+class _Cells:
+    """The grid cell of each jump position, equal element for element to
+    ``np.searchsorted(grid, pos, side="left")``: the first grid index whose
+    point is at or above the position, ``grid.size`` beyond the top and at
+    NaN.  ``grid`` must be ascending; a first point of -inf is allowed.
+
+    Built once per grid.  The span of the grid's finite points is cut into
+    two buckets per grid point, and ``first`` holds, for each bucket, the
+    first grid index at or above its left edge; one more entry, ``grid.size``,
+    takes positions beyond the top and NaN.  A position starts at its
+    bucket's entry and then moves down while ``grid[k - 1] >= pos`` and up
+    while ``grid[k] < pos``, compared with the grid's own floats, until none
+    moves.  The stop is searchsorted's answer whatever the bucket arithmetic
+    rounded to; the table only makes the moves few: at most one on an even
+    grid, more where a bucket holds many points, as on a log grid with one
+    point far below the rest.  Positions are clipped to the finite span
+    before the arithmetic, so none overflows, and a NaN pads the grid at
+    both ends, so no move leaves it.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        finite = grid[np.isfinite(grid)]
+        self.lo, self.hi = float(finite[0]), float(finite[-1])
+        self.buckets = 2 * grid.size
+        span = self.hi - self.lo
+        # capped, so that no position's bucket arithmetic overflows on a span
+        # too short to cut; the moves then do all the work
+        self.scale = min(self.buckets / span, sys.float_info.max) if span > 0 else 0.0
+        edges = self.lo + np.arange(self.buckets) * (span / self.buckets)
+        self.first = np.append(np.searchsorted(grid, edges, side="left"), grid.size)
+        padded = np.concatenate([[np.nan], grid, [np.nan]])
+        self.below, self.above = padded[:-1], padded[1:]  # grid[k - 1] and grid[k] at index k
+
+    def __call__(self, pos: np.ndarray) -> np.ndarray:
+        t = (np.clip(pos, self.lo, self.hi) - self.lo) * self.scale
+        k = self.first.take(np.fmin(t, self.buckets).astype(np.intp))
+        while True:
+            up = self.above.take(k) < pos
+            down = self.below.take(k) >= pos
+            if not (up.any() or down.any()):
+                return k
+            k += up
+            k -= down
+
+
+def _grid_sums(x: np.ndarray, cells: _Cells, i_star: int, rho: float, prizes: np.ndarray):
+    """Sums over one batch of player 1's prize w at each point of
+    ``cells.grid``.
 
     Rivals sit at e* = ``grid[i_star]``; w* is player 1's prize there.
     Returns the (3, grid.size) sums of w, w - w* and (w - w*)^2, and player
@@ -158,10 +217,14 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
 
     Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
     jump at P_j reaches every grid point g >= P_j, which keeps the rules of
-    ``_rank``.  Across level j, (w - w*)^2 jumps by
-    (v_j - w*)^2 - (v_(j+1) - w*)^2.  These jumps are summed outward from
-    e*, where they vanish, so the paired variance cannot cancel.
+    ``_rank``; ``cells`` finds the first such point.  Winner-take-all's best
+    rival is a running maximum over the rival columns, added one column at a
+    time as ``_rank`` counts, which equals the row maximum bit for bit.
+    Across level j, (w - w*)^2 jumps by (v_j - w*)^2 - (v_(j+1) - w*)^2.
+    These jumps are summed outward from e*, where they vanish, so the paired
+    variance cannot cancel.
     """
+    grid = cells.grid
     n = x.shape[1]
     e_star = grid[i_star]
     rank_star = _rank(x, e_star, e_star, rho)
@@ -172,11 +235,14 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
     top = np.full((x.shape[0], levels.size), -np.inf)
     ranked = levels < n - 1
     if np.array_equal(levels[ranked], [0]):  # only the best rival counts
-        top[:, ranked] = x[:, 1:].max(axis=1, keepdims=True)
+        best = x[:, 1].copy()
+        for j in range(2, n):
+            np.maximum(best, x[:, j], out=best)
+        top[:, ranked] = best[:, None]
     elif ranked.any():
         top[:, ranked] = np.sort(x[:, 1:], axis=1)[:, n - 2 - levels[ranked]]
     pos = np.maximum(rho, e_star + top) - x[:, :1]
-    bins = np.searchsorted(grid, pos.ravel(), side="left")
+    bins = cells(pos.ravel())
     w_star = v[rank_star]
 
     def hist(jumps):
@@ -195,11 +261,13 @@ def _grid_sums(x: np.ndarray, grid: np.ndarray, i_star: int, rho: float, prizes:
 def _scan(dist: NoiseDistribution, n: int, draws: int, seed: int, grid: np.ndarray, i_star: int,
           rho: float, prizes: np.ndarray):
     """``_grid_sums`` totalled over every batch of noise, with player 1's rank
-    tally at e* = ``grid[i_star]``."""
+    tally at e* = ``grid[i_star]``.  The cell table of ``grid`` is built
+    once here and serves every batch."""
+    cells = _Cells(grid)
     sums = np.zeros((3, grid.size))
     rank_counts = np.zeros(n + 1, dtype=np.int64)
     for x in noise_batches(dist, n, draws, seed):
-        batch, rank = _grid_sums(x, grid, i_star, rho, prizes)
+        batch, rank = _grid_sums(x, cells, i_star, rho, prizes)
         sums += batch
         rank_counts += np.bincount(rank, minlength=n + 1)
     return sums, rank_counts
@@ -304,8 +372,7 @@ def verify_best_response(
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
     e_star = _require_effort(e_star, e_max)
-    grid = np.unique(np.concatenate([np.linspace(0.0, e_max, grid_size), [e_star]]))
-    i_star = int(np.searchsorted(grid, e_star))
+    grid, i_star = _effort_grid(e_max, grid_size, e_star)
     sums, rank_counts = _scan(dist, n, draws, seed, grid, i_star, design.standard, prizes)
     lipschitz = dist.find_modes().global_mode_density + float(design.cost.cprime(e_max))
     cert = _certificate(sums, draws, grid, np.asarray(design.cost.c(grid)), i_star, lipschitz)

@@ -88,6 +88,24 @@ def test_best_response_gap_rejects_effort_off_the_grid(e_star):
         contests.tullock_best_response_gap(2, e_star, 0.25, draws=10**4, seed=17)
 
 
+@pytest.mark.parametrize(
+    "n, e_star, rho, draws, match",
+    [
+        (2, 0.0, 0.25, 10**4, r"checked effort 0\.0 must be positive"),
+        (2, 0.25, 0.0, 10**4, r"standard rho=0\.0 is not a positive finite number"),
+        (2, 0.25, -1.0, 10**4, r"standard rho=-1\.0 is not a positive finite number"),
+        (2, 0.25, float("nan"), 10**4, r"standard rho=nan is not a positive finite number"),
+        (2, 0.25, float("inf"), 10**4, r"standard rho=inf is not a positive finite number"),
+        (1, 0.25, 0.25, 10**4, r"need at least two players, got n=1"),
+        (2, 0.25, 0.25, 0, r"at least 1e4 draws"),
+    ],
+    ids=["effort-0", "rho-0", "rho-negative", "rho-nan", "rho-inf", "one-player", "no-draws"],
+)
+def test_best_response_gap_rejects_bad_input(n, e_star, rho, draws, match):
+    with pytest.raises(ValueError, match=match):
+        contests.tullock_best_response_gap(n, e_star, rho, draws=draws, seed=17)
+
+
 def test_fm_standard_uniform_ideas():
     rho = contests.fm_optimal_standard(dists.uniform(0.0, 1.0), 2)
     assert rho == pytest.approx(0.029505213220466765, abs=1e-9)

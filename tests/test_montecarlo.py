@@ -3,8 +3,10 @@ import threading
 
 import numpy as np
 import pytest
+from grid_sums_reference import grid_sums as reference_grid_sums
 from rank_reference import finite_difference_marginals
 
+from tourney import contests
 from tourney import distributions as dists
 from tourney import equilibrium as eq
 from tourney import montecarlo as mc
@@ -40,7 +42,7 @@ def _assert_grid_sums_match(x, grid, e_star, rho, prizes):
     w = _prize_values(x, grid, e_star, rho, prizes)
     d = w - w[:, i_star][:, None]
     dense = np.array([w.sum(axis=0), d.sum(axis=0), (d * d).sum(axis=0)])
-    sums, rank = mc._grid_sums(x, grid, i_star, rho, prizes)
+    sums, rank = mc._grid_sums(x, mc._Cells(grid), i_star, rho, prizes)
     assert np.max(np.abs(sums - dense)) <= 1e-9
     assert np.array_equal(np.append(prizes, 0.0)[rank], w[:, i_star])
 
@@ -92,6 +94,63 @@ def test_grid_sums_edge_cases():
     _assert_grid_sums_match(x, np.linspace(-0.2, 0.4, 31), 0.4, 0.7, prizes)
 
 
+E_MAX = COST.max_effort
+
+
+def _tullock_log_grid(e_star):
+    """The Tullock scan's grid in additive units, its first point -inf."""
+    grid, i_star = mc._effort_grid(1.0, contests.TULLOCK_GRID_POINTS, e_star)
+    return np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0), i_star
+
+
+def _cell_grids():
+    """``verify``'s grids with e* at 0, at max_effort, on and off the
+    linspace and a float above a linspace point, and Tullock's log grids."""
+    for size in (1, 2, 50, 10**4):
+        on = np.linspace(0.0, E_MAX, size)[size // 2]
+        for e_star in (0.0, E_MAX, on, 0.37 * E_MAX, np.nextafter(on, np.inf)):
+            yield mc._effort_grid(E_MAX, size, e_star)[0]
+    for e_star in (0.25, 1.0, np.nextafter(100 / 199, np.inf)):
+        yield _tullock_log_grid(e_star)[0]
+
+
+def test_cells_equal_searchsorted():
+    rng = np.random.default_rng(24)
+    for grid in _cell_grids():
+        finite = grid[np.isfinite(grid)]
+        span = max(finite[-1] - finite[0], 1.0)
+        pos = np.concatenate([
+            rng.uniform(finite[0] - span, finite[-1] + span, 4000),
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+            [finite[0] - 1e300, finite[-1] + 1e300, -1e308, 1e308, -np.inf, np.inf, np.nan],
+        ])
+        rng.shuffle(pos)
+        assert np.array_equal(mc._Cells(grid)(pos), np.searchsorted(grid, pos, side="left"))
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("family", ["gumbel", "erf_exponential", "pareto", "red"])
+def test_grid_sums_bits_match_searchsorted_reference(family, n):
+    dist = ORACLE_FAMILIES[family]
+    rng = np.random.default_rng([n, 24])
+    x = dist.sample((4096, n), rng)
+    schedules = [
+        eq.PrizeSchedule.winner_take_all(n),
+        eq.PrizeSchedule.equal_sharing(n),
+        eq.random_schedule(n, rng),
+    ]
+    e_star = 0.4
+    rho = e_star + float(dist.ppf(0.4))
+    grids = [mc._effort_grid(E_MAX, 10**4, e_star), _tullock_log_grid(e_star)]
+    for schedule in schedules:
+        prizes = np.asarray(schedule.prizes)
+        for grid, i_star in grids:
+            sums, rank = mc._grid_sums(x, mc._Cells(grid), i_star, rho, prizes)
+            want, want_rank = reference_grid_sums(x, grid, i_star, rho, prizes)
+            assert sums.tobytes() == want.tobytes()
+            assert rank.tobytes() == want_rank.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 1000])
 def test_rank_matches_dense_comparison(n):
     rng = np.random.default_rng(n)
@@ -120,8 +179,11 @@ def test_best_response_tally_equals_simulation():
          "2d7d0d8e70106a466b03f8f2651b431f0d90ae052a88d139da1d71a9d35dfe23"),
         (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.a1ca14b00240fp-5",
          "0x1.27c87fafa4acep-13", "5de46225d35a8d5c967061928d214089a0b1b3af3cab447e377ff2d720686611"),
+        # ten distinct prizes: every level is binned, from a sort of the rivals
+        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f820768c2c6c6p-5",
+         "0x1.9c740ecbb13fap-14", "fb9df627b969a21e1376311f4b5f0dba6cc71c4a6bdcc82ba248e15a0e81b6f6"),
     ],
-    ids=["gumbel-wta", "pareto-eps"],
+    ids=["gumbel-wta", "pareto-eps", "gumbel-dirichlet"],
 )
 def test_best_response_pinned_bits_at_n10(noise, schedule, rho, gap, gap_se, payoffs):
     # pinned bits at this seed
