@@ -47,6 +47,8 @@ class PerformanceSample:
         obs = np.asarray(self.observations, dtype=float)
         if not np.all(np.isfinite(obs)):
             raise ValueError("observations must be finite")
+        if self.declared_standard is not None and not np.isfinite(self.declared_standard):
+            raise ValueError(f"declared standard {self.declared_standard!r} is not a finite number")
         if self.labels is not None and len(self.labels) != obs.size:
             raise ValueError("labels must align with observations")
         object.__setattr__(self, "observations", tuple(float(v) for v in obs))
@@ -61,7 +63,8 @@ class AuditReport:
     list), ``recommendation`` (raise, lower or keep) and ``pass_fraction``,
     the share of observations at or above the standard.
     ``group_pass_fractions`` gives that share per label when the sample has
-    both labels and a standard, and is None otherwise.
+    both labels and a standard, and is None otherwise.  Its fields that are
+    not None are the JSON keys that ``audit`` prints.
     """
 
     n_obs: int

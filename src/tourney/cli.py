@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -214,41 +215,33 @@ def _write_csv(path: str, header: list[str], columns: list[list[str]], comments=
 # ---------------------------------------------------------------------------
 
 
-def _solution_payload(solution, schedule: PrizeSchedule, dist) -> dict:
-    return {
-        "threshold": solution.threshold,
-        "effort": solution.effort,
-        "standard": solution.standard,
-        "marginal_benefit": solution.marginal_benefit,
-        "pass_probability": solution.pass_probability,
-        "concavity_ok": solution.concavity_ok,
-        "schedule": list(schedule.prizes),
-        "distribution": {"family": dist.family, "normalization": dist.normalization},
-    }
+def _fields(report, *omit: str) -> dict:
+    """A report's JSON block: its dataclass fields, less ``omit`` and the
+    fields that are None.  The values are read, not deep-copied as
+    ``dataclasses.asdict`` would, since only ``json.dumps`` reads them."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {k: v for k, v in values.items() if v is not None and k not in omit}
 
 
 def _solve_scenario(sc: dict):
-    """Returns (payload, schedule, solution)."""
+    """Returns (payload, schedule, solution).  The payload holds the
+    solution's fields, the schedule and the distribution, and the prize
+    report's fields when the schedule is designed."""
     if sc["schedule"] is None:
         report, solution = prizes_mod.optimal_prizes(
             sc["dist"], sc["n"], sc["cost"], threshold=sc["threshold"]
         )
-        schedule = report.schedule
-        payload = _solution_payload(solution, schedule, sc["dist"])
-        payload.update(
-            {
-                "regime": report.regime,
-                "r_star": report.r_star,
-                "tie_set": list(report.tie_set),
-                "rank_scores": list(report.scores),
-            }
-        )
+        schedule, payload = report.schedule, _fields(report, "schedule")
     else:
-        schedule = sc["schedule"]
+        schedule, payload = sc["schedule"], {}
         solution = solve_design(
             sc["dist"], sc["n"], schedule, sc["cost"], threshold=sc["threshold"]
         )
-        payload = _solution_payload(solution, schedule, sc["dist"])
+    payload.update(
+        _fields(solution),
+        schedule=list(schedule.prizes),
+        distribution={"family": sc["dist"].family, "normalization": sc["dist"].normalization},
+    )
     return payload, schedule, solution
 
 
@@ -419,12 +412,7 @@ def cmd_verify(args) -> int:
         "scenario": payload,
         "checked_effort": e_check,
         "best_response": {
-            "gap": report.best_response_gap,
-            "gap_se": report.gap_se,
-            "grid_bias": report.grid_bias,
-            "certified": report.certified,
-            "draws": draws,
-            "seed": seed,
+            key: getattr(report, key) for key in ("gap", "gap_se", "grid_bias", "certified", "draws", "seed")
         },
         "prize_probabilities": ranks,
         "bounds_battery": battery_out,
@@ -477,21 +465,7 @@ def cmd_audit(args) -> int:
         bootstrap=args.bootstrap,
         seed=_resolve_seed(args.seed, {}) or 0,
     )
-    out = {
-        "n_obs": report.n_obs,
-        "bandwidth": report.bandwidth,
-        "modes": list(report.modes),
-        "modal_performance": report.modal_performance,
-        "mode_ci": list(report.mode_ci),
-        "bootstrap_draws": report.bootstrap_draws,
-        "seed": report.seed,
-        "pass_benchmark_note": report.pass_benchmark_note,
-    }
-    if report.standard_comparison is not None:
-        out["standard_comparison"] = report.standard_comparison
-        if report.group_pass_fractions:
-            out["group_pass_fractions"] = report.group_pass_fractions
-    _json_dump(out, args.out)
+    _json_dump(_fields(report), args.out)
     return EXIT_OK
 
 

@@ -40,10 +40,15 @@ def tullock_csf_with_standard(efforts, rho: float):
     The bracketed factor is the chance that anyone clears the standard; its
     complement is the no-winner probability, so the probabilities sum to
     less than one.  As ``rho -> 0`` the classic ratio form is recovered.
+    An effort that is negative or not finite, or a ``rho`` that is not a
+    positive finite number, raises ``ValueError`` naming it.
     """
     e = np.asarray(efforts, dtype=float)
-    if rho <= 0:
-        raise ValueError("standard must be positive in multiplicative units")
+    bad = e[~(np.isfinite(e) & (e >= 0.0))]
+    if bad.size:
+        raise ValueError(f"effort {float(bad[0])!r} is not a nonnegative finite number")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"standard rho={rho!r} is not a positive finite number")
     total = float(e.sum())
     if total <= 0.0:
         raise AllZeroEfforts("at least one effort must be positive")
@@ -93,12 +98,13 @@ def tullock_best_response_gap(
     case of ``montecarlo.verify_best_response`` in log-effort units: player 1
     deviates over a multiplicative effort grid on [0, 1] (linear cost, unit
     prize) while rivals sit at ``e_star``.  Common random numbers across the
-    grid; returns the max payoff gap over playing ``e_star``, its paired
-    standard error, and a grid-coarseness bias bound, certified as in
-    ``montecarlo._certificate``.  An ``e_star`` that is not a number in
-    (0, 1], where the slope bound 1 / ((n - 1) e*) is finite, a ``rho``
-    that is not a positive finite number, fewer than two players and fewer
-    than 1e4 draws raise ``ValueError``.
+    grid.  Returns the ``gap``, ``gap_se``, ``grid_bias`` and ``certified``
+    of ``montecarlo._certificate``, named as in ``SimulationReport``: the
+    max payoff gap over playing ``e_star``, its paired standard error, the
+    grid-coarseness bias bound and the verdict.  An ``e_star`` that is not
+    a number in (0, 1], where the slope bound 1 / ((n - 1) e*) is finite, a
+    ``rho`` that is not a positive finite number, fewer than two players
+    and fewer than 1e4 draws raise ``ValueError``.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
@@ -118,12 +124,7 @@ def tullock_best_response_gap(
     # payoff slope is bounded by the win-probability slope plus marginal cost
     lipschitz = 1.0 / ((n - 1) * e_star) + 1.0 / rho + 1.0
     cert = _certificate(sums, draws, grid, grid, i_star, lipschitz)
-    return {
-        "gap": cert["best_response_gap"],
-        "gap_se": cert["gap_se"],
-        "grid_bias": cert["grid_bias"],
-        "certified": cert["certified"],
-    }
+    return {key: cert[key] for key in ("gap", "gap_se", "grid_bias", "certified")}
 
 
 def fm_optimal_standard(ideas: NoiseDistribution, n: int) -> float:
@@ -144,7 +145,10 @@ def patent_race_deadline(mode: float, n: int) -> float:
     ``mode`` is the global mode of the additive-log shock distribution; the
     deadline is ``exp(-mode) / e*`` with ``e*`` the optimal Tullock effort.
     Gumbel shocks have mode zero, so the deadline is simply the reciprocal
-    of the optimal effort.
+    of the optimal effort.  A ``mode`` that is not finite raises
+    ``ValueError``.
     """
+    if not np.isfinite(mode):
+        raise ValueError(f"shock mode {mode!r} is not a finite number")
     e_star, _ = tullock_optimal(n)
     return float(np.exp(-mode) / e_star)

@@ -541,8 +541,13 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
 
 
 def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistribution:
-    """``piecewise_linear`` with ``labels`` appended to its ``params``."""
-    pts = sorted((float(x), float(f)) for x, f in knots)
+    """``piecewise_linear`` with ``labels`` appended to its ``params``.  A
+    knot with a NaN or infinite entry raises ``ValueError`` naming the first."""
+    pts = [(float(x), float(f)) for x, f in knots]
+    for x, f in pts:
+        if not (math.isfinite(x) and math.isfinite(f)):
+            raise ValueError(f"knot [{x!r}, {f!r}] is not a pair of finite numbers")
+    pts.sort()
     if len(pts) < 2:
         raise ValueError("need at least two knots")
     kx = np.array([p[0] for p in pts])

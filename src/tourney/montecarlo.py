@@ -65,6 +65,9 @@ class SeedRequired(ValueError):
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """Player 1's rank tally; a best-response scan adds the payoffs on its
+    effort grid and the certificate of ``_certificate``, None otherwise."""
+
     draws: int
     seed: int
     n: int
@@ -73,7 +76,7 @@ class SimulationReport:
     at_least_se: tuple[float, ...]
     effort_grid: tuple[float, ...] | None = None
     payoffs: tuple[float, ...] | None = None
-    best_response_gap: float | None = None
+    gap: float | None = None               # best payoff gain over e*
     gap_se: float | None = None
     grid_bias: float | None = None
     certified: bool | None = None
@@ -275,8 +278,10 @@ def _scan(dist: NoiseDistribution, n: int, draws: int, seed: int, grid: np.ndarr
 
 def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.ndarray, i_star: int,
                  lipschitz: float) -> dict:
-    """Payoffs at every effort from the totals of ``_scan``, and the
-    certificate of the best deviation from ``efforts[i_star]``.
+    """Payoffs at every effort from the totals of ``_scan``, as a tuple, and
+    the certificate of the best deviation from ``efforts[i_star]``: the
+    ``SimulationReport`` fields ``payoffs``, ``gap``, ``gap_se``,
+    ``grid_bias`` and ``certified``.
 
     The gap is the largest estimated payoff improvement over that effort;
     its standard error comes from the per-draw paired payoff differences
@@ -293,8 +298,8 @@ def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.nd
     step = float(np.max(np.diff(efforts))) if efforts.size > 1 else 0.0
     grid_bias = float(0.5 * lipschitz * step)
     return {
-        "payoffs": payoffs,
-        "best_response_gap": gap,
+        "payoffs": tuple(payoffs),
+        "gap": gap,
         "gap_se": gap_se,
         "grid_bias": grid_bias,
         "certified": bool(gap <= 3.0 * gap_se + grid_bias),
@@ -379,5 +384,5 @@ def verify_best_response(
     return replace(
         _tally_report(draws, seed, n, rank_counts),
         effort_grid=tuple(grid),
-        **{**cert, "payoffs": tuple(cert["payoffs"])},
+        **cert,
     )

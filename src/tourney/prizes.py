@@ -38,12 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrizeDesignReport:
+    """The prize corner at the design's threshold, which is the
+    ``EquilibriumSolution.threshold`` returned with it.  Its fields but
+    ``schedule`` are the JSON keys that ``prizes`` prints."""
+
     r_star: int
     schedule: PrizeSchedule
-    scores: tuple[float, ...]       # B_r(t)/r for r = 1..n
+    rank_scores: tuple[float, ...]  # B_r(t)/r for r = 1..n
     regime: str                     # WTA | EPS | tie | interior-check
     tie_set: tuple[int, ...]        # all ranks within tolerance of the best score
-    threshold: float
 
 
 def rank_score(dist: NoiseDistribution, n: int, r, t: float):
@@ -89,5 +92,5 @@ def optimal_prizes(
     r_star, t = tie_set[0], float(modes[j])
     regime = "tie" if len(tie_set) > 1 else {n: "EPS", 1: "WTA"}.get(r_star, "interior-check")
     schedule = PrizeSchedule.equal_top(r_star, n)
-    report = PrizeDesignReport(r_star, schedule, scores, regime, tie_set, threshold=t)
+    report = PrizeDesignReport(r_star, schedule, scores, regime, tie_set)
     return report, solve_design(dist, n, schedule, cost, threshold=t)

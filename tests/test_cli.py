@@ -489,9 +489,9 @@ def test_seed_whose_largest_derived_key_fits_runs(tmp_path):
     assert cli.main(argv) == 0
 
 
-def _write_sample(tmp_path, loc=5.0, groups=False):
+def _write_sample(tmp_path, loc=5.0, groups=False, size=50_000):
     rng = np.random.Generator(np.random.Philox(key=99))
-    obs = rng.normal(loc, 1.0, 50_000)
+    obs = rng.normal(loc, 1.0, size)
     path = tmp_path / "perf.csv"
     with open(path, "w") as fh:
         fh.write("performance,group\n" if groups else "performance\n")
@@ -582,3 +582,113 @@ def test_race_command(tmp_path):
     assert json.loads(out.read_text())["deadline"] == pytest.approx(3.5231883119, rel=1e-6)
     assert cli.main(["race", "--n", "2", "--mode", "0.0", "--out", str(out)]) == 0
     assert cli.main(["race", "--n", "2"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_audit_rejects_non_finite_standard(tmp_path, capsys, value):
+    # NaN used to fail every comparison and give "keep"; inf gave "lower" and
+    # printed Infinity, which is not JSON
+    sample = _write_sample(tmp_path, size=100)
+    assert cli.main(["audit", "--input", sample, f"--standard={value}", "--seed", "1"]) == 2
+    assert f"declared standard {float(value)!r} is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "knots, bad",
+    [
+        ([[0, 0], [1, float("nan")], [2, 0]], "[1.0, nan]"),
+        ([[0, 0], [1, 1], [float("inf"), 0]], "[inf, 0.0]"),
+        ([[0, 0], [1, float("inf")], [2, 0]], "[1.0, inf]"),
+    ],
+    ids=["nan-density", "infinite-position", "infinite-density"],
+)
+def test_non_finite_knot_exits_2(tmp_path, capsys, knots, bad):
+    # a NaN density died in _knot_shape with an IndexError; an infinite
+    # position or density printed an infinite normalization or a NaN effort
+    doc = {"distribution": {"family": "piecewise_linear", "knots": knots}, "n": 3, "schedule": "wta"}
+    assert cli.main(["solve", "--config", _write(tmp_path, "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and f"knot {bad} is not a pair of finite numbers" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["tullock", "--n", "3", "--efforts", "0.1,-0.5,0.6"], "effort -0.5"),
+        (["tullock", "--n", "3", "--efforts", "0.1,nan"], "effort nan"),
+        (["tullock", "--n", "3", "--efforts", "0.1,0.2", "--rho=nan"], "rho=nan"),
+        (["tullock", "--n", "3", "--efforts", "0.1,0.2", "--rho=inf"], "rho=inf"),
+        (["race", "--n", "3", "--mode=nan"], "mode nan"),
+        (["race", "--n", "3", "--mode=inf"], "mode inf"),
+    ],
+    ids=["negative-effort", "nan-effort", "nan-rho", "inf-rho", "nan-mode", "inf-mode"],
+)
+def test_contest_adapter_rejects_impossible_number(capsys, argv, named):
+    # each used to exit 0, printing negative or NaN probabilities or deadlines
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and named in err
+
+
+SOLUTION_KEYS = {
+    "threshold", "effort", "standard", "marginal_benefit", "pass_probability", "concavity_ok",
+    "schedule", "distribution", "distribution.family", "distribution.normalization",
+}
+PRIZE_KEYS = {"r_star", "rank_scores", "regime", "tie_set"}
+VERIFY_KEYS = {f"scenario.{key}" for key in SOLUTION_KEYS} | {
+    "scenario", "checked_effort", "verified",
+    "best_response", "best_response.gap", "best_response.gap_se", "best_response.grid_bias",
+    "best_response.certified", "best_response.draws", "best_response.seed",
+    "prize_probabilities", "prize_probabilities.rank", "prize_probabilities.montecarlo",
+    "prize_probabilities.quadrature", "prize_probabilities.se", "prize_probabilities.z",
+    "bounds_battery", "bounds_battery.scheme", "bounds_battery.estimate", "bounds_battery.se",
+    "bounds_battery.bound", "bounds_battery.satisfied",
+}
+AUDIT_KEYS = {
+    "n_obs", "bandwidth", "modes", "modal_performance", "mode_ci", "bootstrap_draws", "seed",
+    "pass_benchmark_note",
+}
+COMPARISON_KEYS = {
+    "standard_comparison", "standard_comparison.declared_standard",
+    "standard_comparison.modal_performance", "standard_comparison.mode_ci",
+    "standard_comparison.recommendation", "standard_comparison.pass_fraction",
+}
+GROUP_KEYS = {"group_pass_fractions", "group_pass_fractions.a", "group_pass_fractions.b"}
+
+
+def _key_paths(doc, prefix=""):
+    """Every key of a JSON document as a dotted path; the keys of the
+    objects in a list sit under the list's key."""
+    if isinstance(doc, list):
+        return set().union(*(_key_paths(item, prefix) for item in doc))
+    if isinstance(doc, dict):
+        return set().union(*({prefix + k} | _key_paths(v, f"{prefix}{k}.") for k, v in doc.items()))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["solve", "--config", "{config}"], SOLUTION_KEYS),
+        (["prizes", "--config", "{config}"], SOLUTION_KEYS | PRIZE_KEYS),
+        (["verify", "--config", "{config}", "--seed", "4"], VERIFY_KEYS),
+        (["audit", "--input", "{sample}"], AUDIT_KEYS),
+        (["audit", "--input", "{sample}", "--standard", "5.0"], AUDIT_KEYS | COMPARISON_KEYS),
+        (["audit", "--input", "{grouped}", "--standard", "5.0"], AUDIT_KEYS | COMPARISON_KEYS | GROUP_KEYS),
+    ],
+    ids=["solve", "prizes", "verify", "audit", "audit-standard", "audit-groups"],
+)
+def test_printed_keys(tmp_path, argv, keys):
+    # the printed schema: a field added to a report must be added here too
+    files = {
+        "{config}": lambda: _write(tmp_path, "cfg.json", {
+            **GUMBEL_BATTERY, "verify": {"scheme": {"kind": "constant"}, "battery_draws": 10000}}),
+        "{sample}": lambda: _write_sample(tmp_path, size=1000),
+        "{grouped}": lambda: _write_sample(tmp_path, groups=True, size=1000),
+    }
+    argv = [files[a]() if a in files else a for a in argv]
+    if argv[0] == "audit":
+        argv += ["--bootstrap", "20", "--seed", "3"]
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert _key_paths(json.loads(out.read_text())) == keys

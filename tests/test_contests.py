@@ -141,3 +141,27 @@ def test_patent_race_deadline():
     assert tau == pytest.approx(1.0 / e_star, rel=1e-8)
     assert contests.patent_race_deadline(0.0, 2) == pytest.approx(1.0 / e_star, abs=1e-12)
     assert contests.patent_race_deadline(1.0, 2) == pytest.approx(np.exp(-1.0) / e_star, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "efforts, rho, match",
+    [
+        ([0.1, -0.5, 0.6], 0.3, "effort -0.5 is not"),
+        ([0.1, np.nan], 0.3, "effort nan is not"),
+        ([0.1, np.inf], 0.3, "effort inf is not"),
+        ([0.1, 0.2], np.nan, "rho=nan is not"),
+        ([0.1, 0.2], np.inf, "rho=inf is not"),
+    ],
+    ids=["negative-effort", "nan-effort", "inf-effort", "nan-rho", "inf-rho"],
+)
+def test_csf_rejects_impossible_numbers(efforts, rho, match):
+    # each used to return probabilities outside [0, 1], NaN or zeros
+    with pytest.raises(ValueError, match=match):
+        contests.tullock_csf_with_standard(efforts, rho)
+
+
+@pytest.mark.parametrize("mode", [np.nan, np.inf, -np.inf])
+def test_patent_race_deadline_rejects_non_finite_mode(mode):
+    # NaN gave a NaN deadline, +inf a deadline of 0 and -inf an infinite one
+    with pytest.raises(ValueError, match=f"mode {mode!r} is not a finite number"):
+        contests.patent_race_deadline(mode, 3)

@@ -188,7 +188,7 @@ def test_best_response_tally_equals_simulation():
 def test_best_response_pinned_bits_at_n10(noise, schedule, rho, gap, gap_se, payoffs):
     # pinned bits at this seed
     rep = mc.verify_best_response(noise, _design(noise, 10, schedule, rho), 0.4, draws=10**5, seed=1505)
-    assert rep.best_response_gap == float.fromhex(gap)
+    assert rep.gap == float.fromhex(gap)
     assert rep.gap_se == float.fromhex(gap_se)
     assert hashlib.sha256(np.asarray(rep.payoffs).tobytes()).hexdigest() == payoffs
 
@@ -280,7 +280,7 @@ def test_best_response_certifies_equilibrium():
     design = _design(EXPO, 2, v, sol.standard)
     rep = mc.verify_best_response(EXPO, design, sol.effort, grid_size=120, draws=200_000, seed=42)
     assert rep.certified
-    assert rep.best_response_gap <= 3 * rep.gap_se + rep.grid_bias
+    assert rep.gap <= 3 * rep.gap_se + rep.grid_bias
 
 
 def test_best_response_flags_disequilibrium():
@@ -290,9 +290,9 @@ def test_best_response_flags_disequilibrium():
     bad = sol.effort + 0.3 * COST.max_effort
     rep = mc.verify_best_response(EXPO, design, bad, grid_size=120, draws=200_000, seed=42)
     assert not rep.certified
-    assert rep.best_response_gap > 5 * rep.gap_se
+    assert rep.gap > 5 * rep.gap_se
     # pinned bits at this seed
-    assert rep.best_response_gap == float.fromhex("0x1.33c54bed07edep-3")
+    assert rep.gap == float.fromhex("0x1.33c54bed07edep-3")
     assert rep.gap_se == float.fromhex("0x1.f6957b807ae4bp-11")
 
 

@@ -43,7 +43,7 @@ def test_pareto_scores_closed_form():
         assert prizes.rank_score(PARETO, 3, r, 1.0) == pytest.approx(exact, abs=1e-9)
     rep, sol = prizes.optimal_prizes(PARETO, 3, eq.CostFunction(kappa=3.0, beta=2.0))
     assert rep.regime == "EPS" and rep.r_star == 3
-    assert rep.threshold == 1.0
+    assert sol.threshold == 1.0
     assert sol.concavity_ok
 
 
@@ -96,10 +96,8 @@ def test_optimal_prizes_regimes():
 def test_joint_design_and_override():
     # winner-take-all peaks at the upper mode 1.0, above the global mode 0.5
     rep, sol = prizes.optimal_prizes(RED, 3, COST)
-    assert (rep.threshold, rep.regime) == (1.0, "WTA")
-    assert sol.threshold == 1.0
+    assert (sol.threshold, rep.regime) == (1.0, "WTA")
     rep, sol = prizes.optimal_prizes(RED, 3, COST, threshold=1.0)
-    assert rep.threshold == 1.0
     assert rep.r_star == 1  # top-heavy wins at the high mode
     assert sol.threshold == 1.0
 
@@ -176,10 +174,9 @@ def test_joint_design_on_trimodal_noise(name, n, monkeypatch):
     # the best corner, ties to the smallest standard, then rank count
     top = max(c.marginal_benefit for c in corners)
     best = min((c.threshold, r) for r, c in zip(ranks, corners) if c.marginal_benefit >= top - eq.THRESHOLD_TIE_TOL)
-    assert (rep.threshold, rep.r_star, rep.regime) == best + ("WTA",)
-    assert rep.threshold == (gm if holds else 1.0)
-    assert rep.scores[rep.r_star - 1] == pytest.approx(top, abs=1e-12)
-    assert sol.threshold == rep.threshold
+    assert (sol.threshold, rep.r_star, rep.regime) == best + ("WTA",)
+    assert sol.threshold == (gm if holds else 1.0)
+    assert rep.rank_scores[rep.r_star - 1] == pytest.approx(top, abs=1e-12)
     assert sol.concavity_ok == ((name, n) not in NO_EQUILIBRIUM)
     if holds:
         # the standard given as the global mode gives the same bits (repr
@@ -187,4 +184,4 @@ def test_joint_design_on_trimodal_noise(name, n, monkeypatch):
         solved = []
         monkeypatch.setattr(prizes, "solve_design", lambda *args, **kwargs: solved.append((args, kwargs)) or sol)
         assert repr((rep, sol)) == repr(prizes.optimal_prizes(d, n, COST, threshold=gm))
-        assert solved == [((d, n, rep.schedule, COST), {"threshold": rep.threshold})]
+        assert solved == [((d, n, rep.schedule, COST), {"threshold": sol.threshold})]
