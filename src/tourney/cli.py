@@ -363,6 +363,16 @@ def cmd_verify(args) -> int:
     battery_draws = 10**5 if battery_draws is None else _number(int, battery_draws, "battery_draws")
 
     design = TournamentDesign(standard=solution.standard, schedule=schedule, cost=sc["cost"])
+    # the schemes are built, and a bad scheme spec rejected, before the scan
+    schemes = []
+    if opts.get("scheme") is not None:
+        schemes.append(payschemes.scheme_from_spec(opts["scheme"], design.n))
+    if n_battery > 0:
+        rng = np.random.Generator(np.random.Philox(key=seed + 1))
+        lo, hi = sc["dist"].truncated_support(1e-6)
+        schemes.extend(
+            payschemes.scheme_battery(design.n, n_battery, rng, e_check + lo, e_check + hi)
+        )
     report = mc.verify_best_response(sc["dist"], design, e_check, draws=draws, seed=seed)
     if args.tally_csv:
         mc.write_tally_csv(report, args.tally_csv)
@@ -381,15 +391,6 @@ def cmd_verify(args) -> int:
 
     battery_out = None
     battery_ok = True
-    schemes = []
-    if opts.get("scheme") is not None:
-        schemes.append(payschemes.scheme_from_spec(opts["scheme"], design.n))
-    if n_battery > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed + 1))
-        lo, hi = sc["dist"].truncated_support(1e-6)
-        schemes.extend(
-            payschemes.scheme_battery(design.n, n_battery, rng, e_check + lo, e_check + hi)
-        )
     if schemes:
         battery_out = []
         for k, scheme in enumerate(schemes):
@@ -484,7 +485,7 @@ def cmd_tullock(args) -> int:
     }
     out["foc_gap"] = abs(out["e_star"] - out["foc_effort"])
     if args.efforts:
-        efforts = [float(v) for v in args.efforts.split(",")]
+        efforts = [_number(float, v, "--efforts") for v in args.efforts.split(",")]
         rho = args.rho if args.rho is not None else rho_star
         out["csf"] = {
             "efforts": efforts,
@@ -497,7 +498,7 @@ def cmd_tullock(args) -> int:
 
 
 def cmd_fm(args) -> int:
-    ideas = _build_distribution(json.loads(args.ideas))
+    ideas = _build_distribution(_number(json.loads, args.ideas, "--ideas"))
     e_star, _ = contests.tullock_optimal(args.n)
     out = {
         "n": args.n,
@@ -514,7 +515,7 @@ def cmd_race(args) -> int:
         raise ConfigError("pass exactly one of --shock or --mode")
     mode = args.mode
     if mode is None:
-        mode = _build_distribution(json.loads(args.shock)).find_modes().global_mode
+        mode = _build_distribution(_number(json.loads, args.shock, "--shock")).find_modes().global_mode
     e_star, _ = contests.tullock_optimal(args.n)
     out = {
         "n": args.n,

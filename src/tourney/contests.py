@@ -13,21 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import NoiseDistribution, gumbel
-from .montecarlo import _certificate, _effort_grid, _require_draws, _require_effort, _require_seed, _scan
+from .distributions import NoiseDistribution
 
 __all__ = [
     "AllZeroEfforts",
     "tullock_csf_with_standard",
     "tullock_optimal",
     "tullock_selfconsistent_effort",
-    "tullock_best_response_gap",
     "fm_optimal_standard",
     "patent_race_deadline",
 ]
-
-# Evenly spaced efforts on [0, 1] of the Tullock best-response scan.
-TULLOCK_GRID_POINTS = 200
 
 
 class AllZeroEfforts(ValueError):
@@ -83,48 +78,6 @@ def tullock_selfconsistent_effort(n: int) -> float:
     return float(
         brentq(lambda e: _symmetric_foc(e, n, e), 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
     )
-
-
-def tullock_best_response_gap(
-    n: int,
-    e_star: float,
-    rho: float,
-    draws: int = 10**5,
-    seed: int | None = None,
-) -> dict:
-    """Monte-Carlo best-response scan for the Tullock contest with a standard.
-
-    Simulates the underlying Gumbel-noise tournament, the winner-take-all
-    case of ``montecarlo.verify_best_response`` in log-effort units: player 1
-    deviates over a multiplicative effort grid on [0, 1] (linear cost, unit
-    prize) while rivals sit at ``e_star``.  Common random numbers across the
-    grid.  Returns the ``gap``, ``gap_se``, ``grid_bias`` and ``certified``
-    of ``montecarlo._certificate``, named as in ``SimulationReport``: the
-    max payoff gap over playing ``e_star``, its paired standard error, the
-    grid-coarseness bias bound and the verdict.  An ``e_star`` that is not
-    a number in (0, 1], where the slope bound 1 / ((n - 1) e*) is finite, a
-    ``rho`` that is not a positive finite number, fewer than two players
-    and fewer than 1e4 draws raise ``ValueError``.
-    """
-    seed = _require_seed(seed)
-    draws = _require_draws(draws)
-    if n < 2:
-        raise ValueError(f"need at least two players, got n={n!r}")
-    e_star = _require_effort(e_star, 1.0)
-    if e_star == 0.0:
-        raise ValueError(f"checked effort {e_star!r} must be positive: the slope bound 1/((n-1) e*) is infinite")
-    if not 0.0 < rho < np.inf:
-        raise ValueError(f"standard rho={rho!r} is not a positive finite number")
-    grid, i_star = _effort_grid(1.0, TULLOCK_GRID_POINTS, e_star)
-    # additive units: effort 0 sits at log 0 = -inf and never wins
-    log_grid = np.log(grid, out=np.full(grid.size, -np.inf), where=grid > 0)
-    prizes = np.zeros(n)
-    prizes[0] = 1.0
-    sums, _ = _scan(gumbel(), n, draws, seed, log_grid, i_star, np.log(rho), prizes)
-    # payoff slope is bounded by the win-probability slope plus marginal cost
-    lipschitz = 1.0 / ((n - 1) * e_star) + 1.0 / rho + 1.0
-    cert = _certificate(sums, draws, grid, grid, i_star, lipschitz)
-    return {key: cert[key] for key in ("gap", "gap_se", "grid_bias", "certified")}
 
 
 def fm_optimal_standard(ideas: NoiseDistribution, n: int) -> float:

@@ -66,7 +66,8 @@ class SeedRequired(ValueError):
 @dataclass(frozen=True)
 class SimulationReport:
     """Player 1's rank tally; a best-response scan adds the payoffs on its
-    effort grid and the certificate of ``_certificate``, None otherwise."""
+    effort grid and the certificate of ``verify_best_response``, None
+    otherwise."""
 
     draws: int
     seed: int
@@ -92,14 +93,6 @@ def _require_draws(draws) -> int:
     if draws < 10**4:
         raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
     return int(draws)
-
-
-def _require_effort(e: float, e_max: float) -> float:
-    """The checked effort, which must be a number in [0, ``e_max``]: the grid
-    spans that interval, and an effort outside it widens the grid's step."""
-    if not 0.0 <= e <= e_max:
-        raise ValueError(f"checked effort {e!r} is not a number in [0, {e_max!r}]")
-    return float(e)
 
 
 def _effort_grid(e_max: float, points: int, e_star: float) -> tuple[np.ndarray, int]:
@@ -167,27 +160,24 @@ def _rank(x: np.ndarray, e: float, e_star: float, rho: float) -> np.ndarray:
 class _Cells:
     """The grid cell of each jump position, equal element for element to
     ``np.searchsorted(grid, pos, side="left")``: the first grid index whose
-    point is at or above the position, ``grid.size`` beyond the top and at
-    NaN.  ``grid`` must be ascending; a first point of -inf is allowed.
+    point is at or above the position, 0 at -inf, ``grid.size`` beyond the
+    top and at NaN.  ``grid`` must be finite and ascending.
 
-    Built once per grid.  The span of the grid's finite points is cut into
-    two buckets per grid point, and ``first`` holds, for each bucket, the
-    first grid index at or above its left edge; one more entry, ``grid.size``,
-    takes positions beyond the top and NaN.  A position starts at its
-    bucket's entry and then moves down while ``grid[k - 1] >= pos`` and up
-    while ``grid[k] < pos``, compared with the grid's own floats, until none
+    Built once per grid.  The grid's span is cut into two buckets per grid
+    point, and ``first`` holds, for each bucket, the first grid index at or
+    above its left edge; one more entry, ``grid.size``, takes positions
+    beyond the top and NaN.  A position starts at its bucket's entry and
+    then moves down while ``grid[k - 1] >= pos`` and up while
+    ``grid[k] < pos``, compared with the grid's own floats, until none
     moves.  The stop is searchsorted's answer whatever the bucket arithmetic
-    rounded to; the table only makes the moves few: at most one on an even
-    grid, more where a bucket holds many points, as on a log grid with one
-    point far below the rest.  Positions are clipped to the finite span
-    before the arithmetic, so none overflows, and a NaN pads the grid at
-    both ends, so no move leaves it.
+    rounded to; on an even grid it takes at most one move.  Positions are
+    clipped to the span before the arithmetic, so none overflows, and a NaN
+    pads the grid at both ends, so no move leaves it.
     """
 
     def __init__(self, grid: np.ndarray):
         self.grid = grid
-        finite = grid[np.isfinite(grid)]
-        self.lo, self.hi = float(finite[0]), float(finite[-1])
+        self.lo, self.hi = float(grid[0]), float(grid[-1])
         self.buckets = 2 * grid.size
         span = self.hi - self.lo
         # capped, so that no position's bucket arithmetic overflows on a span
@@ -261,53 +251,9 @@ def _grid_sums(x: np.ndarray, cells: _Cells, i_star: int, rho: float, prizes: np
     return out, rank_star
 
 
-def _scan(dist: NoiseDistribution, n: int, draws: int, seed: int, grid: np.ndarray, i_star: int,
-          rho: float, prizes: np.ndarray):
-    """``_grid_sums`` totalled over every batch of noise, with player 1's rank
-    tally at e* = ``grid[i_star]``.  The cell table of ``grid`` is built
-    once here and serves every batch."""
-    cells = _Cells(grid)
-    sums = np.zeros((3, grid.size))
-    rank_counts = np.zeros(n + 1, dtype=np.int64)
-    for x in noise_batches(dist, n, draws, seed):
-        batch, rank = _grid_sums(x, cells, i_star, rho, prizes)
-        sums += batch
-        rank_counts += np.bincount(rank, minlength=n + 1)
-    return sums, rank_counts
-
-
-def _certificate(sums: np.ndarray, draws: int, efforts: np.ndarray, costs: np.ndarray, i_star: int,
-                 lipschitz: float) -> dict:
-    """Payoffs at every effort from the totals of ``_scan``, as a tuple, and
-    the certificate of the best deviation from ``efforts[i_star]``: the
-    ``SimulationReport`` fields ``payoffs``, ``gap``, ``gap_se``,
-    ``grid_bias`` and ``certified``.
-
-    The gap is the largest estimated payoff improvement over that effort;
-    its standard error comes from the per-draw paired payoff differences
-    (common random numbers).  The gap is certified up to 3 standard errors
-    plus the grid-coarseness bias h L / 2, with h the widest grid step and
-    L a bound on the payoff's slope.
-    """
-    mean_w, mean_d, mean_dsq = sums / draws
-    payoffs = mean_w - costs
-    gaps = payoffs - payoffs[i_star]
-    i_best = int(np.argmax(gaps))
-    gap = float(gaps[i_best])
-    gap_se = float(np.sqrt(max(mean_dsq[i_best] - mean_d[i_best] ** 2, 0.0) / draws))
-    step = float(np.max(np.diff(efforts))) if efforts.size > 1 else 0.0
-    grid_bias = float(0.5 * lipschitz * step)
-    return {
-        "payoffs": tuple(payoffs),
-        "gap": gap,
-        "gap_se": gap_se,
-        "grid_bias": grid_bias,
-        "certified": bool(gap <= 3.0 * gap_se + grid_bias),
-    }
-
-
 def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray) -> SimulationReport:
-    at_least = np.cumsum(rank_counts[:n] / draws)
+    # cumulated in integers, so the last rank reads exactly 1 when every draw wins
+    at_least = np.cumsum(rank_counts[:n]) / draws
     se = np.sqrt(at_least * (1.0 - at_least) / draws)
     return SimulationReport(
         draws=int(draws),
@@ -355,7 +301,7 @@ def verify_best_response(
     draws: int = 10**6,
     seed: int | None = None,
 ) -> SimulationReport:
-    """Scan deviation payoffs over an effort grid and report the best gap.
+    """Scan deviation payoffs over an effort grid and certify the best gap.
 
     The grid is ``grid_size`` evenly spaced efforts on [0, max_effort] plus
     ``e_star``.  A single pass over the noise gives the payoff at every grid
@@ -366,23 +312,44 @@ def verify_best_response(
     in order, so the result is bit-identical to a serial scan of the same
     seed.
 
-    The gap over playing ``e_star`` is certified as in ``_certificate``,
-    with the payoff slope bounded by sup f + c'(max_effort).  Fewer than 1e4
-    draws, or an ``e_star`` that is not a number in [0, max_effort], raise
-    ``ValueError``.
+    The gap is the largest estimated payoff improvement over ``e_star``; its
+    standard error comes from the per-draw paired payoff differences (common
+    random numbers).  The gap is certified up to 3 standard errors plus the
+    grid-coarseness bias h L / 2, with h the widest grid step and
+    L = sup f + c'(max_effort) a bound on the payoff's slope.  Fewer than
+    1e4 draws, or an ``e_star`` that is not a number in [0, max_effort],
+    which would widen the grid's step, raise ``ValueError``.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
-    e_star = _require_effort(e_star, e_max)
-    grid, i_star = _effort_grid(e_max, grid_size, e_star)
-    sums, rank_counts = _scan(dist, n, draws, seed, grid, i_star, design.standard, prizes)
+    if not 0.0 <= e_star <= e_max:
+        raise ValueError(f"checked effort {e_star!r} is not a number in [0, {e_max!r}]")
+    grid, i_star = _effort_grid(e_max, grid_size, float(e_star))
+    cells = _Cells(grid)
+    sums = np.zeros((3, grid.size))
+    rank_counts = np.zeros(n + 1, dtype=np.int64)
+    for x in noise_batches(dist, n, draws, seed):
+        batch, rank = _grid_sums(x, cells, i_star, design.standard, prizes)
+        sums += batch
+        rank_counts += np.bincount(rank, minlength=n + 1)
+    mean_w, mean_d, mean_dsq = sums / draws
+    payoffs = mean_w - np.asarray(design.cost.c(grid))
+    gaps = payoffs - payoffs[i_star]
+    i_best = int(np.argmax(gaps))
+    gap = float(gaps[i_best])
+    gap_se = float(np.sqrt(max(mean_dsq[i_best] - mean_d[i_best] ** 2, 0.0) / draws))
+    step = float(np.max(np.diff(grid))) if grid.size > 1 else 0.0
     lipschitz = dist.find_modes().global_mode_density + float(design.cost.cprime(e_max))
-    cert = _certificate(sums, draws, grid, np.asarray(design.cost.c(grid)), i_star, lipschitz)
+    grid_bias = float(0.5 * lipschitz * step)
     return replace(
         _tally_report(draws, seed, n, rank_counts),
         effort_grid=tuple(grid),
-        **cert,
+        payoffs=tuple(payoffs),
+        gap=gap,
+        gap_se=gap_se,
+        grid_bias=grid_bias,
+        certified=bool(gap <= 3.0 * gap_se + grid_bias),
     )

@@ -180,7 +180,8 @@ def scheme_from_spec(spec: dict, n: int) -> PayScheme:
     Kinds: ``rank`` (prizes + optional standard), ``linear_share`` (cap),
     ``constant``, and ``mixture`` (two component specs and a weight).
     Anything beyond these families plugs in directly as a ``PayScheme``
-    around a payments callback.
+    around a payments callback.  A ``rank`` scheme whose prize count is not
+    ``n`` raises ``ValueError`` naming both, inside a ``mixture`` too.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("scheme spec must be an object with a 'kind' key")
@@ -188,6 +189,8 @@ def scheme_from_spec(spec: dict, n: int) -> PayScheme:
     if kind == "rank":
         prizes = spec.get("prizes")
         schedule = PrizeSchedule(tuple(prizes)) if prizes else PrizeSchedule.winner_take_all(n)
+        if schedule.n != n:
+            raise ValueError(f"rank scheme has {schedule.n} prizes but n={n}")
         return rank_payscheme(schedule, float(spec.get("standard", -np.inf)))
     if kind == "linear_share":
         return capped_linear_share(n, float(_field(spec, "cap")))

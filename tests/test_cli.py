@@ -118,6 +118,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("output", "out.json", "unknown keys in config: ['output']"),
         ("montecarlo", {"grid_size": 500}, "unknown keys in montecarlo: ['grid_size']"),
         ("verify", {"bounds_battery": 1, "battery_draws": 0}, "at least 1e4 draws"),
+        # a rank scheme of another size was priced for its own player count
+        ("verify", {"scheme": {"kind": "rank", "prizes": [0.6, 0.4]}}, "rank scheme has 2 prizes but n=3"),
+        ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "rank", "prizes": [0.6, 0.4]},
+                               "second": {"kind": "rank", "prizes": [1.0, 0.0]}, "weight": 0.5}},
+         "rank scheme has 2 prizes but n=3"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
@@ -620,11 +625,16 @@ def test_non_finite_knot_exits_2(tmp_path, capsys, knots, bad):
         (["tullock", "--n", "3", "--efforts", "0.1,0.2", "--rho=inf"], "rho=inf"),
         (["race", "--n", "3", "--mode=nan"], "mode nan"),
         (["race", "--n", "3", "--mode=inf"], "mode inf"),
+        (["tullock", "--n", "3", "--efforts", "0.1,x"], "bad '--efforts': "),
+        (["fm", "--n", "3", "--ideas", "nope"], "bad '--ideas': "),
+        (["race", "--n", "3", "--shock", "nope"], "bad '--shock': "),
     ],
-    ids=["negative-effort", "nan-effort", "nan-rho", "inf-rho", "nan-mode", "inf-mode"],
+    ids=["negative-effort", "nan-effort", "nan-rho", "inf-rho", "nan-mode", "inf-mode",
+         "unreadable-efforts", "unreadable-ideas", "unreadable-shock"],
 )
 def test_contest_adapter_rejects_impossible_number(capsys, argv, named):
-    # each used to exit 0, printing negative or NaN probabilities or deadlines
+    # the numbers used to exit 0, printing negative or NaN probabilities or
+    # deadlines; the unreadable flags printed only the parser's message
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and named in err

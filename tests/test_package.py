@@ -45,3 +45,24 @@ def test_traced_names_resolve():
         except (ImportError, AttributeError):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+# The underscore names each module imports from a sibling module; a new
+# private coupling between modules shows up here as a diff.
+PRIVATE_IMPORTS = {
+    "cli": {"_marginal_benefit"},
+    "prizes": {"_marginal_benefit", "_mode_values", "_unit"},
+    "payschemes": {"_rank", "_require_draws", "_require_seed"},
+    "equilibrium": {"_order_statistic_level_cdf"},
+}
+
+
+def test_private_imports_between_modules():
+    found = {}
+    for path in sorted(Path(tourney.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if private:
+                    found.setdefault(path.stem, set()).update(private)
+    assert found == PRIVATE_IMPORTS
