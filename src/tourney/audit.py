@@ -45,13 +45,15 @@ class PerformanceSample:
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
+        if obs.ndim != 1:
+            raise ValueError(f"observations must be one-dimensional, got shape {obs.shape}")
         if not np.all(np.isfinite(obs)):
             raise ValueError("observations must be finite")
         if self.declared_standard is not None and not np.isfinite(self.declared_standard):
             raise ValueError(f"declared standard {self.declared_standard!r} is not a finite number")
         if self.labels is not None and len(self.labels) != obs.size:
             raise ValueError("labels must align with observations")
-        object.__setattr__(self, "observations", tuple(float(v) for v in obs))
+        object.__setattr__(self, "observations", tuple(obs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,22 +114,18 @@ def kde_on_grid(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarr
     return centers, _smoothed(counts, bandwidth / binwidth) / (obs.size * binwidth)
 
 
-def _bootstrap_argmax(
-    rng: np.random.Generator, counts: np.ndarray, sigma: float, draws: int
-) -> np.ndarray:
+def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -> np.ndarray:
     """Bin of the smoothed maximum for each of ``draws`` multinomial resamples.
 
-    Equal, bin for bin, to drawing ``rng.multinomial`` once per resample and
-    taking the argmax of ``_smoothed``, and ``rng`` ends in the same state.
-    A block of resamples is one multinomial call over the occupied bins and
-    the last bin: numpy's multinomial takes no random word for a bin of
-    probability 0 and gives the last bin the remainder, so these are the
-    full grid's draws from the same Philox stream.  One worker thread draws
-    block k + 1 while this thread smooths block k by real FFT with scipy's
-    truncated, normalised kernel, zero-padded so nothing wraps around; both
-    release the GIL, and the stream is still drawn strictly in order.  A row
-    whose runner-up is within ``TIE_RTOL`` of its maximum, where rounding
-    could pick a different bin, is smoothed again by ``_smoothed``.
+    Block k, of ``BOOTSTRAP_BLOCK`` resamples, is drawn on one of two threads
+    from its own substream ``Philox(key=seed).jumped(k)``, so no bit depends
+    on the thread.  Its bins are those of one full-grid ``multinomial`` call
+    per resample: numpy takes no random word for an empty bin and gives the
+    last bin the remainder, so the call covers only the occupied bins and the
+    last.  Each block is smoothed by zero-padded real FFT with scipy's
+    truncated, normalised kernel; a row whose runner-up is within
+    ``TIE_RTOL`` of its maximum is smoothed again by ``_smoothed``, so every
+    bin is the direct filter's argmax.
     """
     n = int(counts.sum())
     cols = np.append(np.flatnonzero(counts[:-1]), counts.size - 1)
@@ -137,28 +135,23 @@ def _bootstrap_argmax(
     kernel /= kernel.sum()
     length = fft.next_fast_len(counts.size + 2 * radius, real=True)
     spectrum = fft.rfft(kernel, length)
+    root = np.random.Philox(key=seed)
 
-    def draw(start: int) -> np.ndarray:
+    def block_argmax(start: int) -> np.ndarray:
         size = min(BOOTSTRAP_BLOCK, draws - start)
+        rng = np.random.Generator(root.jumped(start // BOOTSTRAP_BLOCK))
         block = np.zeros((size, counts.size), dtype=np.int64)
         block[:, cols] = rng.multinomial(n, p, size=size)
-        return block
+        smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
+        best = np.argmax(smooth, axis=1)
+        top = smooth[np.arange(size), best]
+        tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
+        for row in np.flatnonzero(tied):
+            best[row] = np.argmax(_smoothed(block[row], sigma))
+        return best
 
-    out = np.empty(draws, dtype=np.intp)
-    with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(draw, 0)
-        for start in range(0, draws, BOOTSTRAP_BLOCK):
-            block = pending.result()
-            if start + BOOTSTRAP_BLOCK < draws:
-                pending = pool.submit(draw, start + BOOTSTRAP_BLOCK)
-            smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
-            best = np.argmax(smooth, axis=1)
-            top = smooth[np.arange(best.size), best]
-            tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
-            for row in np.flatnonzero(tied):
-                best[row] = np.argmax(_smoothed(block[row], sigma))
-            out[start:start + best.size] = best
-    return out
+    with ThreadPoolExecutor(2) as pool:
+        return np.concatenate(list(pool.map(block_argmax, range(0, draws, BOOTSTRAP_BLOCK))))
 
 
 def _grid_modes(f: np.ndarray, plateau_tol: float) -> list[int]:
@@ -224,11 +217,10 @@ def audit_sample(
     point estimate's Gaussian kernel; blocks of resamples go through one real
     FFT (Silverman, Applied Statistics AS 176, 1982), and a near-tied argmax
     is settled by the direct filter, so every resample's mode is the bin the
-    direct filter picks.  Each block draws only the occupied bins, and one
-    worker thread draws the next block from the same stream while this one
-    is smoothed; the bins are those of one full multinomial draw per
-    resample.  ``bandwidth`` None is Silverman's; one that is not
-    positive and finite raises ``ValueError``.
+    direct filter picks.  Block k of resamples draws from the substream
+    ``Philox(key=seed).jumped(k)``, so one seed gives one report.
+    ``bandwidth`` None is Silverman's; one that is not positive and finite
+    raises ``ValueError``.
     """
     obs = np.asarray(sample.observations, dtype=float)
     if obs.size < MIN_OBSERVATIONS:
@@ -247,8 +239,7 @@ def audit_sample(
     modes = kde_modes(grid, dens)
     modal = float(grid[int(np.argmax(dens))])
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    boot = grid[_bootstrap_argmax(rng, counts, sigma, bootstrap)]
+    boot = grid[_bootstrap_argmax(seed, counts, sigma, bootstrap)]
     ci = (float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5)))
 
     comparison = None

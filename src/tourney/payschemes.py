@@ -168,10 +168,15 @@ def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
     return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})", pay1)
 
 
-def _field(spec: dict, key: str):
+def _field(spec: dict, key: str, convert):
+    """``convert(spec[key])``; a missing key, or a value ``convert`` cannot
+    take, is a ``ValueError`` naming ``key``."""
     if key not in spec:
         raise ValueError(f"{spec['kind']} scheme spec needs a {key!r} key")
-    return spec[key]
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{spec['kind']} scheme spec: bad {key!r}: {exc}") from exc
 
 
 def scheme_from_spec(spec: dict, n: int) -> PayScheme:
@@ -181,26 +186,29 @@ def scheme_from_spec(spec: dict, n: int) -> PayScheme:
     ``constant``, and ``mixture`` (two component specs and a weight).
     Anything beyond these families plugs in directly as a ``PayScheme``
     around a payments callback.  A ``rank`` scheme whose prize count is not
-    ``n`` raises ``ValueError`` naming both, inside a ``mixture`` too.
+    ``n`` raises ``ValueError`` naming both, inside a ``mixture`` too; a
+    field of the wrong type raises ``ValueError`` naming the field.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("scheme spec must be an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "rank":
-        prizes = spec.get("prizes")
-        schedule = PrizeSchedule(tuple(prizes)) if prizes else PrizeSchedule.winner_take_all(n)
+        schedule = PrizeSchedule.winner_take_all(n)
+        if spec.get("prizes"):
+            schedule = _field(spec, "prizes", lambda v: PrizeSchedule(tuple(v)))
         if schedule.n != n:
             raise ValueError(f"rank scheme has {schedule.n} prizes but n={n}")
-        return rank_payscheme(schedule, float(spec.get("standard", -np.inf)))
+        standard = _field(spec, "standard", float) if "standard" in spec else -np.inf
+        return rank_payscheme(schedule, standard)
     if kind == "linear_share":
-        return capped_linear_share(n, float(_field(spec, "cap")))
+        return capped_linear_share(n, _field(spec, "cap", float))
     if kind == "constant":
         return constant_share(n)
     if kind == "mixture":
         return mixture(
-            scheme_from_spec(_field(spec, "first"), n),
-            scheme_from_spec(_field(spec, "second"), n),
-            float(_field(spec, "weight")),
+            _field(spec, "first", lambda first: scheme_from_spec(first, n)),
+            _field(spec, "second", lambda second: scheme_from_spec(second, n)),
+            _field(spec, "weight", float),
         )
     raise ValueError(f"unknown scheme kind {kind!r}")
 

@@ -1,4 +1,3 @@
-import json
 import threading
 
 import numpy as np
@@ -23,6 +22,8 @@ def test_sample_validation():
         audit.PerformanceSample((1.0, float("nan")))
     with pytest.raises(ValueError, match="labels"):
         audit.PerformanceSample((1.0, 2.0), labels=("a",))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        audit.PerformanceSample(((1.0,), (2.0,)))
 
 
 def test_silverman_bandwidth_scaling():
@@ -112,6 +113,17 @@ def _loop_argmax(rng, counts, sigma, draws):
     return out
 
 
+def _blocked_loop_argmax(seed, counts, sigma, draws):
+    """The loop reference run per block, block k on ``Philox(key=seed).jumped(k)``."""
+    root = np.random.Philox(key=seed)
+    starts = range(0, draws, audit.BOOTSTRAP_BLOCK)
+    return np.concatenate([
+        _loop_argmax(np.random.Generator(root.jumped(k)), counts, sigma,
+                     min(audit.BOOTSTRAP_BLOCK, draws - start))
+        for k, start in enumerate(starts)
+    ])
+
+
 def _binned_gamma_sample(size, seed=17):
     obs = 20.0 + _philox(seed).gamma(3.0, 7.0, size)
     bw = audit.silverman_bandwidth(obs)
@@ -122,8 +134,8 @@ def _binned_gamma_sample(size, seed=17):
 @pytest.mark.parametrize("size", [30, 1_000, 10_000])
 def test_bootstrap_matches_loop_reference(size):
     obs, counts, sigma = _binned_gamma_sample(size)
-    got = audit._bootstrap_argmax(_philox(5), counts, sigma, 150)
-    assert np.array_equal(got, _loop_argmax(_philox(5), counts, sigma, 150))
+    got = audit._bootstrap_argmax(5, counts, sigma, 150)
+    assert np.array_equal(got, _blocked_loop_argmax(5, counts, sigma, 150))
     grid, _ = audit.kde_on_grid(obs, audit.silverman_bandwidth(obs))
     rep = audit.audit_sample(audit.PerformanceSample(tuple(obs)), bootstrap=150, seed=5)
     boot = grid[got]
@@ -133,50 +145,43 @@ def test_bootstrap_matches_loop_reference(size):
 @pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
 def test_bootstrap_block_edges(draws):
     _, counts, sigma = _binned_gamma_sample(1_000)
-    got = audit._bootstrap_argmax(_philox(9), counts, sigma, draws)
-    assert np.array_equal(got, _loop_argmax(_philox(9), counts, sigma, draws))
-
-
-def _stream_state(rng):
-    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+    got = audit._bootstrap_argmax(9, counts, sigma, draws)
+    assert np.array_equal(got, _blocked_loop_argmax(9, counts, sigma, draws))
 
 
 @pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
 @pytest.mark.parametrize("last_bin", [False, True], ids=["last-bin-empty", "last-bin-occupied"])
 def test_bootstrap_consumes_the_stream_exactly(draws, last_bin):
+    # Within a block every resample after the first starts where the full
+    # grid's draw of the one before it left the substream, so equal bins
+    # show the occupied-bin draw consumes each substream as that draw does.
     if last_bin:  # the grid's last bin is then already among the occupied ones
         counts, sigma = np.zeros(4096, dtype=np.int64), 12.5
         counts[[700, 2048, 4095]] = [40, 25, 35]
     else:
         _, counts, sigma = _binned_gamma_sample(1_000)
         assert counts[-1] == 0
-    got_rng, ref_rng = _philox(13), _philox(13)
-    got = audit._bootstrap_argmax(got_rng, counts, sigma, draws)
-    assert np.array_equal(got, _loop_argmax(ref_rng, counts, sigma, draws))
-    assert _stream_state(got_rng) == _stream_state(ref_rng)
+    got = audit._bootstrap_argmax(13, counts, sigma, draws)
+    assert np.array_equal(got, _blocked_loop_argmax(13, counts, sigma, draws))
 
 
-class _FailingSecondDraw:
-    """A generator whose second ``multinomial`` call raises."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.calls = 0
-
-    def multinomial(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == 2:
-            raise RuntimeError("second block failed")
-        return self.rng.multinomial(*args, **kwargs)
-
-
-def test_bootstrap_draw_error_leaves_no_thread():
+def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
+    # 33 resamples are two blocks, and only the second has a single row
     _, counts, sigma = _binned_gamma_sample(1_000)
+    rows = []
+    irfft = audit.fft.irfft
+
+    def failing_second_block(x, *args, **kwargs):
+        rows.append(len(x))
+        if len(x) == 1:
+            raise RuntimeError("second block failed")
+        return irfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(audit.fft, "irfft", failing_second_block)
     before = threading.active_count()
-    rng = _FailingSecondDraw(_philox(3))
     with pytest.raises(RuntimeError, match="second block failed"):
-        audit._bootstrap_argmax(rng, counts, sigma, 100)
-    assert rng.calls == 2
+        audit._bootstrap_argmax(3, counts, sigma, 33)
+    assert sorted(rows) == [1, audit.BOOTSTRAP_BLOCK]
     assert threading.active_count() == before
 
 
@@ -188,9 +193,9 @@ def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
     direct = []
     smoothed = audit._smoothed
     monkeypatch.setattr(audit, "_smoothed", lambda c, s: direct.append(1) or smoothed(c, s))
-    got = audit._bootstrap_argmax(_philox(1), counts, 37.4, 64)
+    got = audit._bootstrap_argmax(1, counts, 37.4, 64)
     assert direct
-    assert np.array_equal(got, _loop_argmax(_philox(1), counts, 37.4, 64))
+    assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
 
 
 @pytest.mark.parametrize("bootstrap", [0, -1])

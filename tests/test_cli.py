@@ -123,6 +123,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "rank", "prizes": [0.6, 0.4]},
                                "second": {"kind": "rank", "prizes": [1.0, 0.0]}, "weight": 0.5}},
          "rank scheme has 2 prizes but n=3"),
+        # a field of the wrong type ended in a TypeError traceback and exit 1
+        ("verify", {"scheme": {"kind": "rank", "prizes": 3}}, "rank scheme spec: bad 'prizes'"),
+        ("verify", {"scheme": {"kind": "rank", "standard": None}}, "rank scheme spec: bad 'standard'"),
+        ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "constant"},
+                               "second": {"kind": "constant"}, "weight": None}},
+         "mixture scheme spec: bad 'weight'"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
