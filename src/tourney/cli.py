@@ -278,9 +278,9 @@ def plot_grid(dist: dists.NoiseDistribution) -> np.ndarray:
 def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
     os.makedirs(outdir, exist_ok=True)
     grid = plot_grid(dist_list[0][1])  # panel distributions share one support
-    keep = slice(None) if t_max is None else grid <= t_max
-    show = grid[keep]
-    t_cells = _csv_column(show)
+    if t_max is not None:
+        grid = grid[grid <= t_max]
+    t_cells = _csv_column(grid)
 
     def _panel(fname, columns, title, ylabel, ylim=None):
         header = ["t"] + [c[0] for c in columns]
@@ -291,7 +291,7 @@ def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
         ]
         _write_csv(os.path.join(outdir, f"{tag}_{fname}.csv"), header, cols, comments)
         svg = line_plot_svg(
-            [(label, show, vals) for label, vals in columns],
+            [(label, grid, vals) for label, vals in columns],
             title=title,
             xlabel="t",
             ylabel=ylabel,
@@ -304,21 +304,21 @@ def _figure_panels(outdir: str, tag: str, dist_list, t_max=None) -> None:
     d_rows = np.stack([PrizeSchedule.equal_top(s, 3).differentials for _, s in FIG1_SCHEDULES])
     for name, d in dist_list:
         f = np.asarray(d.pdf(grid))
-        dens_cols.append((name, f[keep]))
+        dens_cols.append((name, f))
 
         lam = np.full_like(grid, np.nan)
         pos = f > 1e-12
         lam[pos] = np.asarray(d.likelihood_ratio(grid[pos]))
-        lr_cols.append((name, lam[keep]))
+        lr_cols.append((name, lam))
 
         hz = np.full_like(grid, np.nan)
         alive = np.asarray(d.sf(grid)) > 1e-12
         hz[alive] = np.asarray(d.hazard(grid[alive]))
-        hz_cols.append((name, hz[keep]))
+        hz_cols.append((name, hz))
 
         curves = _marginal_benefit(d, 3, d_rows, grid)  # each row summed as for its schedule alone
         for (sched_name, _), curve in zip(FIG1_SCHEDULES, curves):
-            g_cols.append((f"{name}_{sched_name}", curve[keep]))
+            g_cols.append((f"{name}_{sched_name}", curve))
 
     _panel("density", dens_cols, "noise density", "f(t)")
     _panel("likelihood_ratio", lr_cols, "likelihood ratio -f'/f", "lambda(t)", ylim=(-2.0, 6.0))

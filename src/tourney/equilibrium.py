@@ -51,6 +51,10 @@ QUAD_TARGET = 1e-9  # absolute error target for every noise integral
 # Gauss-Legendre nodes per panel; its Gauss-Kronrod extension, with
 # 2 QUAD_ORDER + 1 nodes, gives the answer and the Gauss rule the check.
 QUAD_ORDER = 20
+# Node values in one block of the kernel's arrays, 512 KiB of doubles: a
+# block spans every panel of as many schedules as fit, or else as many
+# panels of every schedule.
+QUAD_BLOCK = 1 << 16
 THRESHOLD_TIE_TOL = 1e-9
 # Largest deviation gain over the first-order effort the concavity diagnostic
 # accepts, and the number of equal cells its refinement starts from and of
@@ -373,16 +377,20 @@ def _rank_sum(d: np.ndarray, term, shape: tuple) -> np.ndarray:
     return out.reshape(d.shape[:-1] + shape)
 
 
+@cache
 def _log_beta_norms(n: int) -> np.ndarray:
     """log of the Beta(n-r, r) normalizer 1 / B(n-r, r) = (n-1) C(n-2, r-1)
     for r = 1..n-1.  The binomials come exact from the integer recurrence
     C(n-2, b) = C(n-2, b-1) (n-1-b) / b, so each log is within an ulp
-    (``special.betaln`` is off by 1.8e-12 at n = 1000)."""
+    (``special.betaln`` is off by 1.8e-12 at n = 1000).  Cached, since each
+    block of the kernel needs them, and so read-only."""
     norms, c = [], 1
     for b in range(n - 1):
         c = c * (n - 1 - b) // b if b else 1
         norms.append(math.log((n - 1) * c))
-    return np.asarray(norms)
+    norms = np.asarray(norms)
+    norms.flags.writeable = False
+    return norms
 
 
 def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -439,6 +447,8 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
     (``_distinct_panels``); only ``integrand`` runs per row.  Every panel is
     evaluated once, at the nodes of ``_kronrod_rule``, and summed twice: by
     the ``QUAD_ORDER``-point Gauss rule and by its Gauss-Kronrod extension.
+    The panels' sums are made in blocks of about ``QUAD_BLOCK`` node values
+    and joined before the cumulative sums.
     The Gauss-Kronrod integrals are returned when the two agree on every
     integral to ``QUAD_TARGET``, and ``QuadratureFailure``, naming the ranks
     of the schedule that fails, is raised otherwise.
@@ -449,12 +459,28 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
     if not np.any(d[..., :-1]):
         return key, np.zeros(lead + bu.shape)
     ends, index = _distinct_panels(bu, bs)
-    u, s, kronrod, gauss = _nodes(*ends)
-    x = np.asarray(dist.ppf(u.ravel())).reshape(u.shape)
-    values = integrand(x[index]) * _rank_weight(n, d, u, s)[..., index, :]
+    rows = d.reshape(-1, n)
+    column = index[..., 0].size * (2 * QUAD_ORDER + 1)  # node values of one panel of every row
+    width = index.shape[-1]
+    if column * width > QUAD_BLOCK:
+        width = max(1, QUAD_BLOCK // (column * rows.shape[0]))
+    height = max(1, QUAD_BLOCK // (column * width))
+    sums = np.empty((2, rows.shape[0]) + index.shape)
+    for j in range(0, index.shape[-1], width):
+        block = index[..., j:j + width]
+        part = ends
+        if width < index.shape[-1]:
+            distinct, local = np.unique(block, return_inverse=True)
+            part, block = [e[distinct] for e in ends], local.reshape(block.shape)
+        u, s, kronrod, gauss = _nodes(*part)
+        x = np.asarray(dist.ppf(u.ravel())).reshape(u.shape)
+        f = integrand(x[block])
+        for i in range(0, rows.shape[0], height):
+            values = f * _rank_weight(n, rows[i:i + height], u, s)[..., block, :]
+            for rule, w in enumerate((gauss, kronrod)):
+                sums[rule, i:i + height, ..., j:j + width] = np.sum(values * w[block], axis=-1)
     rules = []
-    for w in (gauss, kronrod):
-        panels = np.sum(values * w[index], axis=-1)
+    for panels in sums.reshape((2,) + lead + index.shape):
         # accumulated in extended precision, each integral is rounded once
         above = np.cumsum(panels[..., ::-1].astype(np.longdouble), -1)[..., ::-1].astype(float)
         rules.append(np.append(above, np.zeros(above.shape[:-1] + (1,)), -1))

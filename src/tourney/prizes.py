@@ -75,8 +75,11 @@ def optimal_prizes(
     An explicit ``threshold`` fixes the standard instead, and the prizes
     maximize effort for it from one column of scores.  Ties within
     ``THRESHOLD_TIE_TOL`` go to the smallest threshold, which maximizes the
-    pass probability, then to the smallest rank count; a tie across ranks
-    is reported with regime ``tie``.
+    pass probability.  There, B_r is within ``THRESHOLD_TIE_TOL`` and so
+    B_r/r within ``THRESHOLD_TIE_TOL`` / r; a rank ties with the best when
+    their scores differ by at most the sum of those errors.  Ties go to the
+    smallest rank count, and a tie across ranks is reported with regime
+    ``tie``.
     """
     ranks = np.arange(1, n + 1)
     if threshold is None:
@@ -85,10 +88,12 @@ def optimal_prizes(
     else:
         modes = np.array([float(threshold)])
         table = rank_score(dist, n, ranks, threshold)[:, None]
-    best = np.max(table)
-    j = int(np.argmax(np.any(table >= best - THRESHOLD_TIE_TOL, axis=0)))
-    scores = tuple(float(s) for s in table[:, j])
-    tie_set = tuple(int(r) for r in ranks[table[:, j] >= best - THRESHOLD_TIE_TOL])
+    j = int(np.argmax(np.any(table >= np.max(table) - THRESHOLD_TIE_TOL, axis=0)))
+    column = table[:, j]
+    top = int(np.argmax(column))
+    tie = column >= column[top] - THRESHOLD_TIE_TOL * (1.0 / ranks + 1.0 / ranks[top])
+    scores = tuple(float(s) for s in column)
+    tie_set = tuple(int(r) for r in ranks[tie])
     r_star, t = tie_set[0], float(modes[j])
     regime = "tie" if len(tie_set) > 1 else {n: "EPS", 1: "WTA"}.get(r_star, "interior-check")
     schedule = PrizeSchedule.equal_top(r_star, n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -15,7 +16,7 @@ from scipy import special
 from tourney import distributions as dists
 from tourney import equilibrium as eq
 from tourney import prizes
-from tourney.cli import plot_grid
+from tourney.cli import FIG1_SCHEDULES, plot_grid
 
 RED = dists.trimodal_example("red")
 GREEN = dists.trimodal_example("green")
@@ -25,6 +26,7 @@ UNIF = dists.uniform(0.0, 1.0)
 GUMBEL = dists.gumbel()
 HEAVY = dists.erf_exponential()
 PARETO = dists.pareto(2.0)
+NEAR_VANISHING = dists.piecewise_linear([(0, 0.2), (1, 1), (1.5, 0.01), (2, 0.8), (3, 0)])
 QUAD_COST = eq.CostFunction()
 
 
@@ -302,6 +304,57 @@ def test_quadrature_failure_names_its_cause(monkeypatch):
         prizes.rank_score(PARETO, 3, np.array([3, 1]), 1.0)
 
 
+FIG1_ROWS = np.stack([eq.PrizeSchedule.equal_top(s, 3).differentials for _, s in FIG1_SCHEDULES])
+
+
+def _near_vanishing_failure():
+    with pytest.raises(eq.QuadratureFailure) as failure:
+        eq.optimal_threshold(NEAR_VANISHING, 3, eq.PrizeSchedule.winner_take_all(3))
+    return str(failure.value)
+
+
+# Each tiny block splits its call on the axis named: a fig1 curve the panels
+# of three schedules, a deviation curve's 65 effort rows one panel a block,
+# the scores of every rank at n = 300 the schedules.
+@pytest.mark.parametrize(
+    "tiny, compute",
+    [
+        (1 << 12, lambda: eq._marginal_benefit(RED, 3, FIG1_ROWS, plot_grid(RED))),
+        (1 << 12, lambda: eq.deviation_payoff_curve(
+            RED, eq.TournamentDesign(1.5, eq.PrizeSchedule.winner_take_all(3), QUAD_COST), 0.5,
+            np.linspace(0.0, QUAD_COST.max_effort, 65))),
+        (1 << 12, lambda: prizes.rank_score(GUMBEL, 300, np.arange(1, 301), GUMBEL.find_modes().global_mode)),
+        (1 << 8, _near_vanishing_failure),
+    ],
+    ids=["fig1-curve", "deviation-curve", "rank-scores-300", "failure-message"],
+)
+def test_panel_blocks_give_the_bits_of_one_block(tiny, compute, monkeypatch):
+    # every step is element-wise or a sum over one panel's nodes, so the
+    # blocks change no bit; a huge block is the unblocked kernel
+    weight, blocks = eq._rank_weight, []
+    monkeypatch.setattr(eq, "_rank_weight", lambda *args: blocks.append(1) or weight(*args))
+    monkeypatch.setattr(eq, "QUAD_BLOCK", 1 << 40)
+    whole = compute()
+    assert len(blocks) == 1
+    blocks.clear()
+    monkeypatch.setattr(eq, "QUAD_BLOCK", tiny)
+    assert np.array_equal(compute(), whole)
+    assert len(blocks) > 2
+
+
+def test_fig1_curve_memory_is_bounded():
+    # each block's arrays hold about QUAD_BLOCK doubles, not the whole grid's
+    grid = plot_grid(RED)
+    eq._marginal_benefit(RED, 3, FIG1_ROWS, grid[:2])  # builds the cached rules
+    tracemalloc.start()
+    try:
+        eq._marginal_benefit(RED, 3, FIG1_ROWS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 # -- prize probabilities ------------------------------------------------------
 
 
@@ -443,8 +496,7 @@ def test_mode_where_density_nearly_vanishes_at_knot():
     # density almost vanishes at the knot 1.5, and the 20-point Gauss and
     # 41-point Gauss-Kronrod rules for G at the global mode 1 differ by
     # 1.30e-6, most on x in [1.5, 2].
-    d = dists.piecewise_linear([(0, 0.2), (1, 1), (1.5, 0.01), (2, 0.8), (3, 0)])
-    eq.optimal_threshold(d, 3, eq.PrizeSchedule.winner_take_all(3))
+    eq.optimal_threshold(NEAR_VANISHING, 3, eq.PrizeSchedule.winner_take_all(3))
 
 
 def test_optimal_threshold_unimodal_is_global_mode():

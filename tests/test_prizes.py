@@ -121,6 +121,20 @@ def test_wta_dominates_under_ifr():
             assert eq.total_marginal_benefit(d, 3, v, t) <= g_wta + 1e-9
 
 
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize(
+    "dist", [GUMBEL, dists.logistic(), PARETO, HEAVY], ids=["gumbel", "logistic", "pareto", "erf_exponential"]
+)
+def test_regime_follows_hazard_class_at_many_players(dist, n):
+    # IFR noise above the mode gives winner-take-all, DFR noise equal prizes
+    # for all.  At n = 1000, B_999/999 and B_1000/1000 on erf-exponential
+    # noise are 5.0e-10 apart, within an absolute 1e-9 but far beyond each
+    # score's own error.
+    regime = {"IFR": "WTA", "DFR": "EPS"}[dist.classify_hazard(above=dist.find_modes().global_mode)]
+    rep, _ = prizes.optimal_prizes(dist, n, COST)
+    assert (rep.regime, rep.tie_set) == (regime, (1,) if regime == "WTA" else (n,))
+
+
 @pytest.mark.parametrize("d,t", [(GUMBEL, None), (HEAVY, None), (EXPO, None)])
 def test_corner_beats_random_simplex(d, t):
     n = 3
