@@ -30,6 +30,7 @@ KDE_GRID_POINTS = 4096  # bins of the KDE grid
 KDE_PAD = 3.0           # grid margin beyond the data, in bandwidths
 MODE_MIN_REL_HEIGHT = 0.01  # smallest KDE mode reported, relative to the highest
 BOOTSTRAP_BLOCK = 32    # resamples per FFT block; sets the block's memory
+ROWS_PER_BIN = 8        # at most this many rows per drawn bin: draw rows, not a multinomial
 TIE_RTOL = 2e-9         # runner-up this close to a row's maximum: use the direct filter
 
 
@@ -90,12 +91,23 @@ def silverman_bandwidth(x: np.ndarray) -> float:
 
 
 def _binned(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bin centres, counts and bin width of the grid the KDE is smoothed on."""
-    lo = obs.min() - KDE_PAD * bandwidth
-    hi = obs.max() + KDE_PAD * bandwidth
+    """Bin centres, counts and bin width of the grid the KDE is smoothed on.
+
+    A bandwidth that leaves the grid no finite, positive width, or whose
+    Gaussian weights exp(-x^2 / 2 sigma^2) overflow at sigma = bandwidth /
+    bin width, raises ``ValueError``.
+    """
+    lo = float(obs.min()) - KDE_PAD * bandwidth
+    hi = float(obs.max()) + KDE_PAD * bandwidth
+    if not (np.isfinite(hi - lo) and hi > lo):
+        raise ValueError(f"bandwidth leaves the KDE grid no finite, positive width, got {bandwidth!r}")
     edges = np.linspace(lo, hi, KDE_GRID_POINTS + 1)
+    binwidth = float(edges[1] - edges[0])
+    sigma = bandwidth / binwidth
+    if not sigma * sigma > 0.5 / np.finfo(float).max:
+        raise ValueError(f"bandwidth is too narrow for the KDE grid's Gaussian weights, got {bandwidth!r}")
     counts, _ = np.histogram(obs, bins=edges)
-    return 0.5 * (edges[:-1] + edges[1:]), counts, float(edges[1] - edges[0])
+    return 0.5 * (edges[:-1] + edges[1:]), counts, binwidth
 
 
 def _smoothed(counts: np.ndarray, sigma: float) -> np.ndarray:
@@ -114,22 +126,39 @@ def kde_on_grid(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarr
     return centers, _smoothed(counts, bandwidth / binwidth) / (obs.size * binwidth)
 
 
+def _resample_counts(rng: np.random.Generator, held: np.ndarray, size: int) -> np.ndarray:
+    """Counts in ``held``'s K bins of ``size`` resamples of its n rows, shape (size, K).
+
+    Every row is Multinomial(n, held / n).  At most ``ROWS_PER_BIN`` rows per
+    bin, each resample draws n row indices with ``integers(0, n)`` and counts
+    the bins they fall in: a row lands in bin b with probability held[b] / n,
+    independently of the others.  Above that, where a binomial per bin is
+    cheaper than a draw per row, it is one ``multinomial`` per resample.
+    """
+    n, K = int(held.sum()), held.size
+    if n > ROWS_PER_BIN * K:
+        return rng.multinomial(n, held / n, size=size)
+    rows = rng.integers(0, n, size=(size, n), dtype=np.int32)  # n <= ROWS_PER_BIN * KDE_GRID_POINTS
+    bins = np.repeat(np.arange(K), held)[rows]
+    bins += K * np.arange(size)[:, None]
+    return np.bincount(bins.ravel(), minlength=size * K).reshape(size, K)
+
+
 def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -> np.ndarray:
-    """Bin of the smoothed maximum for each of ``draws`` multinomial resamples.
+    """Bin of the smoothed maximum for each of ``draws`` bootstrap resamples.
 
     Block k, of ``BOOTSTRAP_BLOCK`` resamples, is drawn on one of two threads
     from its own substream ``Philox(key=seed).jumped(k)``, so no bit depends
-    on the thread.  Its bins are those of one full-grid ``multinomial`` call
-    per resample: numpy takes no random word for an empty bin and gives the
-    last bin the remainder, so the call covers only the occupied bins and the
-    last.  Each block is smoothed by zero-padded real FFT with scipy's
-    truncated, normalised kernel; a row whose runner-up is within
+    on the thread.  ``_resample_counts`` draws it over the K bins that a
+    full-grid ``multinomial`` takes random words for, the occupied ones and
+    the last: by row indices when n <= ``ROWS_PER_BIN`` * K, else by that
+    ``multinomial``.  Each block is smoothed by zero-padded real FFT with
+    scipy's truncated, normalised kernel; a row whose runner-up is within
     ``TIE_RTOL`` of its maximum is smoothed again by ``_smoothed``, so every
     bin is the direct filter's argmax.
     """
-    n = int(counts.sum())
     cols = np.append(np.flatnonzero(counts[:-1]), counts.size - 1)
-    p = counts[cols] / n
+    held = counts[cols]
     radius = int(4.0 * sigma + 0.5)
     kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     kernel /= kernel.sum()
@@ -141,7 +170,7 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
         size = min(BOOTSTRAP_BLOCK, draws - start)
         rng = np.random.Generator(root.jumped(start // BOOTSTRAP_BLOCK))
         block = np.zeros((size, counts.size), dtype=np.int64)
-        block[:, cols] = rng.multinomial(n, p, size=size)
+        block[:, cols] = _resample_counts(rng, held, size)
         smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
         best = np.argmax(smooth, axis=1)
         top = smooth[np.arange(size), best]
@@ -211,22 +240,27 @@ def audit_sample(
     """Estimate modal performance and judge the declared standard against it.
 
     The modal performance is the global KDE argmax; its bootstrap confidence
-    interval (percentile 2.5-97.5 over multinomial bin resamples) drives the
-    recommendation: a declared standard below the interval should be raised,
-    above it lowered, inside it kept.  Each resample is smoothed with the
-    point estimate's Gaussian kernel; blocks of resamples go through one real
-    FFT (Silverman, Applied Statistics AS 176, 1982), and a near-tied argmax
-    is settled by the direct filter, so every resample's mode is the bin the
-    direct filter picks.  Block k of resamples draws from the substream
+    interval (percentile 2.5-97.5 over resamples of the rows, binned) drives
+    the recommendation: a declared standard below the interval should be
+    raised, above it lowered, inside it kept.  A sample with at most
+    ``ROWS_PER_BIN`` rows per occupied bin (the grid's last bin counted as
+    occupied) is resampled by drawing row indices, a denser one by a
+    multinomial over the bins; both draw each resample's bin counts exactly.
+    Each resample is smoothed with the point estimate's Gaussian kernel;
+    blocks of resamples go through one real FFT (Silverman, Applied
+    Statistics AS 176, 1982), and a near-tied argmax is settled by the direct
+    filter, so every resample's mode is the bin the direct filter picks.
+    Block k of resamples draws from the substream
     ``Philox(key=seed).jumped(k)``, so one seed gives one report.
-    ``bandwidth`` None is Silverman's; one that is not positive and finite
-    raises ``ValueError``.
+    ``bandwidth`` None is Silverman's; one that is not positive and finite,
+    or breaks the grid (see ``_binned``), raises ``ValueError``, and so does
+    a ``bootstrap`` that is not a positive whole number.
     """
     obs = np.asarray(sample.observations, dtype=float)
     if obs.size < MIN_OBSERVATIONS:
         raise SampleTooSmall(f"need at least {MIN_OBSERVATIONS} observations, got {obs.size}")
-    if bootstrap < 1:
-        raise ValueError(f"bootstrap needs at least one resample, got {bootstrap}")
+    if not isinstance(bootstrap, (int, np.integer)) or bootstrap < 1:
+        raise ValueError(f"bootstrap needs a whole number of resamples, at least one, got {bootstrap!r}")
     if bandwidth is None:
         bw = silverman_bandwidth(obs)
     else:

@@ -1,8 +1,9 @@
+import re
 import threading
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage, stats
 
 from tourney import audit
 
@@ -104,12 +105,23 @@ def _philox(seed):
 
 
 def _loop_argmax(rng, counts, sigma, draws):
-    """Reference: one multinomial draw and one direct Gaussian filter per resample."""
-    p = counts / counts.sum()
+    """Reference: one draw and one direct Gaussian filter per resample.
+
+    A resample draws as ``_resample_counts`` draws each row of its block: n
+    row indices, counted per bin, at most ``ROWS_PER_BIN`` rows per drawn bin
+    (the occupied bins and the last), and one full-grid multinomial above.
+    """
+    n = int(counts.sum())
+    by_rows = n <= audit.ROWS_PER_BIN * (np.count_nonzero(counts[:-1]) + 1)
+    bin_of_row = np.repeat(np.arange(counts.size), counts)
+    p = counts / n
     out = np.empty(draws, dtype=np.intp)
     for b in range(draws):
-        resample = rng.multinomial(int(counts.sum()), p).astype(float)
-        out[b] = np.argmax(ndimage.gaussian_filter1d(resample, sigma=sigma, mode="constant"))
+        if by_rows:
+            resample = np.bincount(bin_of_row[rng.integers(0, n, n)], minlength=counts.size)
+        else:
+            resample = rng.multinomial(n, p)
+        out[b] = np.argmax(ndimage.gaussian_filter1d(resample.astype(float), sigma=sigma, mode="constant"))
     return out
 
 
@@ -131,8 +143,20 @@ def _binned_gamma_sample(size, seed=17):
     return obs, counts, bw / binwidth
 
 
-@pytest.mark.parametrize("size", [30, 1_000, 10_000])
+def _counts_at_the_switch(extra):
+    """The 1000-row gamma sample's bins, rescaled to ``ROWS_PER_BIN`` rows per
+    drawn bin plus ``extra`` rows, with the same occupied bins."""
+    _, counts, sigma = _binned_gamma_sample(1_000)
+    more = audit.ROWS_PER_BIN * (np.count_nonzero(counts[:-1]) + 1) + extra - counts.sum()
+    add = np.floor(counts * (more / counts.sum())).astype(np.int64)
+    add[np.argsort(-counts, kind="stable")[:more - add.sum()]] += 1  # fewer than the occupied bins
+    assert add.sum() == more
+    return counts + add, sigma
+
+
+@pytest.mark.parametrize("size", [30, 1_000, 10_000, 100_000])
 def test_bootstrap_matches_loop_reference(size):
+    # 10^5 rows are over ROWS_PER_BIN per drawn bin, the others under it
     obs, counts, sigma = _binned_gamma_sample(size)
     got = audit._bootstrap_argmax(5, counts, sigma, 150)
     assert np.array_equal(got, _blocked_loop_argmax(5, counts, sigma, 150))
@@ -144,25 +168,31 @@ def test_bootstrap_matches_loop_reference(size):
 
 @pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
 def test_bootstrap_block_edges(draws):
-    _, counts, sigma = _binned_gamma_sample(1_000)
-    got = audit._bootstrap_argmax(9, counts, sigma, draws)
-    assert np.array_equal(got, _blocked_loop_argmax(9, counts, sigma, draws))
+    # At n = ROWS_PER_BIN * drawn bins the blocks draw rows, one row above it
+    # the multinomial
+    for counts, sigma in (_counts_at_the_switch(0), _counts_at_the_switch(1)):
+        got = audit._bootstrap_argmax(9, counts, sigma, draws)
+        assert np.array_equal(got, _blocked_loop_argmax(9, counts, sigma, draws))
 
 
 @pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
 @pytest.mark.parametrize("last_bin", [False, True], ids=["last-bin-empty", "last-bin-occupied"])
 def test_bootstrap_consumes_the_stream_exactly(draws, last_bin):
-    # Within a block every resample after the first starts where the full
-    # grid's draw of the one before it left the substream, so equal bins
-    # show the occupied-bin draw consumes each substream as that draw does.
-    if last_bin:  # the grid's last bin is then already among the occupied ones
-        counts, sigma = np.zeros(4096, dtype=np.int64), 12.5
-        counts[[700, 2048, 4095]] = [40, 25, 35]
-    else:
-        _, counts, sigma = _binned_gamma_sample(1_000)
-        assert counts[-1] == 0
-    got = audit._bootstrap_argmax(13, counts, sigma, draws)
-    assert np.array_equal(got, _blocked_loop_argmax(13, counts, sigma, draws))
+    # Within a block every resample after the first starts where the draw of
+    # the one before it left the substream, so equal bins show the block's
+    # draw over the occupied bins consumes each substream as one draw per
+    # resample over the full grid does, on either sampler.
+    for path in ("rows", "multinomial"):
+        if last_bin:  # the grid's last bin is then already among the occupied ones
+            counts, sigma = np.zeros(4096, dtype=np.int64), 12.5
+            counts[[700, 2048, 4095]] = [4, 3, 2] if path == "rows" else [40, 25, 35]
+        else:
+            _, counts, sigma = _binned_gamma_sample(1_000 if path == "rows" else 100_000)
+            assert counts[-1] == 0
+        drawn = np.count_nonzero(counts[:-1]) + 1
+        assert (counts.sum() <= audit.ROWS_PER_BIN * drawn) == (path == "rows")
+        got = audit._bootstrap_argmax(13, counts, sigma, draws)
+        assert np.array_equal(got, _blocked_loop_argmax(13, counts, sigma, draws))
 
 
 def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
@@ -188,24 +218,54 @@ def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
 def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
     # Two equal spikes: a resample splitting the mass evenly has two exactly
     # equal smoothed maxima, where the direct filter takes the lower bin.
-    counts = np.zeros(4096, dtype=np.int64)
-    counts[[1000, 1257]] = 1
-    direct = []
+    # With the empty last bin three bins are drawn: one row per spike is
+    # drawn by rows, ROWS_PER_BIN * 3 / 2 + 1 by the multinomial.
     smoothed = audit._smoothed
-    monkeypatch.setattr(audit, "_smoothed", lambda c, s: direct.append(1) or smoothed(c, s))
-    got = audit._bootstrap_argmax(1, counts, 37.4, 64)
-    assert direct
-    assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
+    for spike in (1, 3 * audit.ROWS_PER_BIN // 2 + 1):
+        counts = np.zeros(4096, dtype=np.int64)
+        counts[[1000, 1257]] = spike
+        direct = []
+        monkeypatch.setattr(audit, "_smoothed", lambda c, s: direct.append(1) or smoothed(c, s))
+        got = audit._bootstrap_argmax(1, counts, 37.4, 64)
+        assert direct
+        assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
 
 
-@pytest.mark.parametrize("bootstrap", [0, -1])
+@pytest.mark.parametrize("path", ["rows", "multinomial"])
+def test_resample_counts_law(monkeypatch, path):
+    # Three occupied bins and the empty last one: every resample holds n
+    # rows, and its joint outcome follows Multinomial(n, held / n).
+    held = np.array([5, 3, 2, 0])
+    if path == "multinomial":
+        monkeypatch.setattr(audit, "ROWS_PER_BIN", 0)
+    assert (held.sum() <= audit.ROWS_PER_BIN * held.size) == (path == "rows")
+    draws = audit._resample_counts(_philox(29), held, 20_000)
+    assert draws.shape == (20_000, 4)
+    assert np.all(draws.sum(axis=1) == 10) and not draws[:, 3].any()
+    outcomes, seen = np.unique(draws[:, :3], axis=0, return_counts=True)
+    every = [(a, b, 10 - a - b) for a in range(11) for b in range(11 - a)]
+    expected = 20_000 * stats.multinomial.pmf(every, 10, held[:3] / 10)
+    observed = np.zeros(len(every))
+    observed[[every.index(tuple(o)) for o in outcomes.tolist()]] = seen
+    rare = expected < 5.0  # pooled into one cell
+    f_obs = np.append(observed[~rare], observed[rare].sum())
+    f_exp = np.append(expected[~rare], expected[rare].sum())
+    assert stats.chisquare(f_obs, f_exp * (f_obs.sum() / f_exp.sum())).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("bootstrap", [0, -1, 100.0])
 def test_bootstrap_count_validated(bootstrap):
-    with pytest.raises(ValueError, match=f"got {bootstrap}"):
+    # 100.0 used to raise a TypeError from range
+    with pytest.raises(ValueError, match=f"got {bootstrap}$"):
         audit.audit_sample(audit.PerformanceSample(tuple(_normal_sample(100))), bootstrap=bootstrap)
 
 
-@pytest.mark.parametrize("bandwidth", [0.0, -0.2, float("nan")])
+@pytest.mark.parametrize("bandwidth", [0.0, -0.2, float("nan"), 1e-160, 1e-300, 1e308])
 def test_bandwidth_validated(bandwidth):
-    # 0 used to fall back to Silverman's bandwidth; -0.2 and NaN died in scipy
-    with pytest.raises(ValueError, match=f"bandwidth .*got {bandwidth!r}$"):
-        audit.audit_sample(audit.PerformanceSample(tuple(_normal_sample(100))), bandwidth=bandwidth)
+    # 0 used to fall back to Silverman's bandwidth; -0.2 and NaN died in
+    # scipy.  On 500 rows of N(50, 5^2), 1e-160 overflowed the Gaussian
+    # weights to NaN and put the mode at the sample minimum, 1e-300 divided by
+    # zero in scipy's kernel, and 1e308 overflowed the grid's ends.
+    obs = tuple(_philox(3).normal(50.0, 5.0, 500))
+    with pytest.raises(ValueError, match=f"bandwidth .*got {re.escape(repr(bandwidth))}$"):
+        audit.audit_sample(audit.PerformanceSample(obs, declared_standard=50.0), bandwidth=bandwidth)

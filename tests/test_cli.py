@@ -554,6 +554,20 @@ def test_audit_rejects_bad_bandwidth(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1e-160", "1e-300", "1e308"])
+def test_audit_rejects_grid_breaking_bandwidth(tmp_path, capsys, value):
+    # 1e-160 used to exit 0 with the mode at the sample minimum, 1e-300 with
+    # a ZeroDivisionError traceback, and 1e308 with "cannot convert float NaN
+    # to integer"
+    path = tmp_path / "normal.csv"
+    obs = np.random.Generator(np.random.Philox(key=3)).normal(50.0, 5.0, 500)
+    path.write_text("performance\n" + "".join(f"{v!r}\n" for v in obs.tolist()))
+    argv = ["audit", "--input", str(path), "--standard", "50", "--bandwidth", value, "--seed", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bandwidth" in err and err.endswith(f"got {float(value)!r}\n")
+
+
 def test_audit_sample_reader(tmp_path, capsys):
     path = tmp_path / "sample.csv"
     path.write_text("group,performance\nb,2.5\n\na,-1\n")

@@ -66,3 +66,38 @@ def test_private_imports_between_modules():
                 if private:
                     found.setdefault(path.stem, set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+def _environment_reads(tree):
+    """Keys of ``os.environ`` and ``os.getenv`` reads; any other use as source."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"from os import {a.name}" for a in node.names if a.name in ("environ", "getenv")]
+        if not (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            continue
+        use = parents[node]
+        if isinstance(use, ast.Attribute) and use.attr == "get":  # os.environ.get(key)
+            use = parents[use]
+        key = None
+        if isinstance(use, ast.Call) and use.args:
+            key = use.args[0]
+        elif isinstance(use, ast.Subscript):
+            key = use.slice
+        elif isinstance(use, ast.Compare):
+            key = use.left
+        reads.append(key.value if isinstance(key, ast.Constant) else ast.unparse(use))
+    return reads
+
+
+def test_environment_reads_only_the_seed():
+    # Settings are options of the command line or the config; the seed's
+    # fallback is the one value read from the environment
+    found = {}
+    for path in sorted(Path(tourney.__file__).parent.glob("*.py")):
+        reads = _environment_reads(ast.parse(path.read_text()))
+        if reads:
+            found[path.stem] = set(reads)
+    assert found == {"cli": {"TOURNEY_SEED"}}
