@@ -78,6 +78,19 @@ def _number(convert, value, key: str):
         raise ConfigError(f"bad '{key}': {exc}") from exc
 
 
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    """``value`` as an int, exactly: a float must be finite and integral
+    (1e5 is 100000, while 2.9 is not truncated to 2 and 1e400 raises no
+    ``OverflowError``), and a count below ``minimum`` is refused.  Each is a
+    config error naming ``key``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"bad '{key}': {value!r} is not an integer")
+    number = _number(int, value, key)
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"bad '{key}': {number} is below {minimum}")
+    return number
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -105,7 +118,7 @@ def _resolve_seed(flag_seed, mc_cfg: dict, derived: int = 0):
     )
     for source, value in sources:
         if value is not None:
-            seed = _number(int, value, source)
+            seed = _integer(value, source)
             if not 0 <= seed < 2**128:
                 raise ConfigError(f"bad '{source}': seed {seed} is not in [0, 2**128)")
             if seed + derived >= 2**128:
@@ -148,7 +161,7 @@ def _build_schedule(spec, n: int) -> PrizeSchedule | None:
             _check_keys(spec, {"equal_top"}, "schedule")
             if "equal_top" not in spec:
                 raise ConfigError("schedule object needs an 'equal_top' count")
-            return PrizeSchedule.equal_top(_number(int, spec["equal_top"], "equal_top"), n)
+            return PrizeSchedule.equal_top(_integer(spec["equal_top"], "equal_top"), n)
         if isinstance(spec, (list, tuple)):
             if len(spec) != n:
                 raise ConfigError(f"schedule has {len(spec)} prizes but n={n}")
@@ -171,7 +184,7 @@ def _scenario_from(config: dict, args) -> dict:
             merged[key] = val
     if "n" not in merged:
         raise ConfigError("config needs the player count 'n'")
-    n = _number(int, merged["n"], "n")
+    n = _integer(merged["n"], "n")
     if n < 2:
         raise ConfigError("need at least two players")
     threshold = merged.get("threshold", "optimal")
@@ -349,18 +362,18 @@ def cmd_verify(args) -> int:
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
     mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed"}, "montecarlo")
-    n_battery = _number(int, opts.get("bounds_battery") or 0, "bounds_battery")
-    n_schemes = (opts.get("scheme") is not None) + max(n_battery, 0)
+    n_battery = _integer(opts.get("bounds_battery") or 0, "bounds_battery", minimum=0)
+    n_schemes = (opts.get("scheme") is not None) + n_battery
     # the schemes' streams are keyed seed + 1 (the battery) and seed + 2 + k
     seed = _resolve_seed(args.seed, mc_cfg, n_schemes + 1 if n_schemes else 0)
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
     draws = args.draws if args.draws is not None else mc_cfg.get("draws")
-    draws = 10**6 if draws is None else _number(int, draws, "draws")
+    draws = 10**6 if draws is None else _integer(draws, "draws")
     e_check = opts.get("force_effort")
     e_check = solution.effort if e_check is None else _number(float, e_check, "force_effort")
     battery_draws = opts.get("battery_draws")
-    battery_draws = 10**5 if battery_draws is None else _number(int, battery_draws, "battery_draws")
+    battery_draws = 10**5 if battery_draws is None else _integer(battery_draws, "battery_draws")
 
     design = TournamentDesign(standard=solution.standard, schedule=schedule, cost=sc["cost"])
     # the schemes are built, and a bad scheme spec rejected, before the scan

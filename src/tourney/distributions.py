@@ -188,21 +188,28 @@ class NoiseDistribution:
         """Inverse-CDF sampling, so identical uniforms give identical draws.
 
         The uniforms come from one ``rng.random(size)`` call, which takes
-        the stream's words in order.  The family's quantile function then
-        maps slabs of ``SLAB`` of them, 128 KiB that stay in cache, and each
-        slab is written back into the uniforms' own buffer, so the
-        temporaries are one slab's, not the whole draw's.  The slabs go to
-        the closed form ``_ppf`` directly: ``Generator.random`` returns
-        floats in [0, 1), so the range check and the split at the ends of
-        [0, 1] in ``ppf`` would never fire, and ``ppf`` hands such levels to
-        ``_ppf`` unchanged.  Every family's quantile function works value by
-        value, so the draws are bit-identical to ``ppf`` of the whole array.
+        the stream's words in order, and ``_ppf_in_place`` maps them.
         """
-        u = rng.random(size)
+        return self._ppf_in_place(rng.random(size))
+
+    def _ppf_in_place(self, u: np.ndarray) -> np.ndarray:
+        """Map the levels ``u``, drawn in [0, 1) as ``Generator.random``
+        draws them, to noise, in place where ``u`` is C-contiguous (else in
+        a copy), and return the noise.
+
+        The family's quantile function maps slabs of ``SLAB`` levels, 128
+        KiB that stay in cache, and each slab is written back into the
+        levels' own buffer, so the temporaries are one slab's, not the whole
+        array's.  The slabs go to the closed form ``_ppf`` directly: levels
+        in [0, 1) never fire the range check or the split at the ends of
+        [0, 1] in ``ppf``, which hands such levels to ``_ppf`` unchanged.
+        Every family's quantile function works value by value, so the noise
+        is bit-identical to ``ppf`` of the whole array.
+        """
         flat = u.reshape(-1)
         for start in range(0, flat.size, SLAB):
             flat[start:start + SLAB] = self._ppf(flat[start:start + SLAB])
-        return u
+        return flat.reshape(u.shape)
 
     def hazard(self, x):
         """Failure rate f(x) / (1 - F(x)); ``SurvivalUnderflow`` where 1 - F

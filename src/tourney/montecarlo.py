@@ -8,12 +8,14 @@ One routine ranks the simulated players.
 
 Reproducibility: draws come from counter-based Philox streams, one stream
 per fixed-size batch of draws, keyed by the caller's seed.  A batch is a
-function of its stream alone: two worker threads draw the two batches after
-the one in use, each maps its uniforms to noise in cache-sized slabs, value
-by value, and the batches reach the caller strictly in order, so every draw
-is bit-identical to a serial pass.  Every effort level on a verification
-grid reuses the same noise matrix, so payoff differences across efforts are
-common-random-number estimates with tiny variance.
+function of its stream alone: two worker threads draw the (m, n) uniforms
+of the two batches after the one in use and map what their caller reads
+through the family's quantile function, value by value; the batches reach
+the caller strictly in order, so every draw is bit-identical to a serial
+pass.  Simulations map every column; the best-response scan maps player
+1's and the rivals' order statistics it bins.  Every effort level on a
+verification grid reuses the same noise matrix, so payoff differences
+across efforts are common-random-number estimates with tiny variance.
 
 Best-response scan: write the prize as a sum of differentials,
 d_j = v_j - v_(j+1) for the rank j = 0, ..., n - 1 counted from the top, with
@@ -22,17 +24,23 @@ effort e is then w(e) = sum_j d_j 1[e >= P_j], with
 P_j = max(rho, e* + X_(j+1)) - x1: the deviator holds rank j or better once
 its score clears the standard and the (j+1)-th largest rival score.  All
 rivals play e*, so X_(j+1) is an order statistic of their noise, and a rival
-who misses the standard cannot lift P_j above rho.  Histograms of the jumps
-d_j at P_j on the effort grid, summed cumulatively, give the payoff sums at
-every grid point in one pass over the noise, with at most one sort of the
-rivals per draw, whatever the grid size; the rank tally at the checked
-effort comes from the same pass.  Only levels with d_j != 0 are binned:
-winner-take-all needs the best rival alone, equal prizes for all only the
-standard and no sort.  A jump finds its grid cell, the first grid point at
-or above P_j, from a bucket table built once per scan (``_Cells``): two
-buckets per grid point give the start, and comparisons with the grid's own
-floats finish the search, so the cells are ``np.searchsorted``'s exactly
-without its binary search over the whole grid for each of the m draws.
+who misses the standard cannot lift P_j above rho.  Since the quantile
+function is monotone, X_(j+1) = ppf(U_(j+1)): the rivals are ranked and
+reduced as uniforms, and only the order statistics a level needs are
+mapped.  Histograms of the jumps d_j at P_j on the effort grid, summed
+cumulatively, give the payoff sums at every grid point in one pass over the
+noise, with at most one sort of the rivals per draw, whatever the grid
+size; the rank tally at the checked effort comes from the same pass, and
+counts the rivals whose uniform exceeds player 1's, so a tie is one of the
+uniforms.  That differs from comparing the scores only where two distinct
+uniforms give scores that round to one float.  Only levels with d_j != 0
+are binned: winner-take-all maps the best rival alone, equal prizes for all
+only player 1 and no rival, with no sort.  A jump finds its grid cell, the
+first grid point at or above P_j, from a bucket table built once per scan
+(``_Cells``): two buckets per grid point give the start, and comparisons
+with the grid's own floats finish the search, so the cells are
+``np.searchsorted``'s exactly without its binary search over the whole
+grid for each of the m draws.
 """
 
 from __future__ import annotations
@@ -110,12 +118,12 @@ def _batch_sizes(draws: int):
     return sizes
 
 
-def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
-    """Yield (m, n) noise matrices from per-batch Philox substreams.
+def _batches(draw, n: int, draws: int, seed: int):
+    """Yield ``draw((m, n), rng)`` for each batch of ``draws``, in order.
 
-    Batch i is ``dist.sample`` on its own substream ``root.jumped(i)``, so
-    who draws it and when cannot change a bit of it.  Two worker threads
-    draw batches i + 1 and i + 2 while the caller works on batch i, and the
+    Batch i gets its own substream ``Philox(key=seed).jumped(i)``, so who
+    draws it and when cannot change a bit of it.  Two worker threads draw
+    batches i + 1 and i + 2 while the caller works on batch i, and the
     batches are yielded strictly in order; no batch further ahead is
     drawn.  The pool closes, its threads joined, when the batches run out,
     when a draw raises (the error reaches the caller), and when the caller
@@ -124,37 +132,98 @@ def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
     root = np.random.Philox(key=seed)
     sizes = _batch_sizes(draws)
 
-    def draw(pool, i):
-        return pool.submit(dist.sample, (sizes[i], n), np.random.Generator(root.jumped(i)))
+    def submit(pool, i):
+        return pool.submit(draw, (sizes[i], n), np.random.Generator(root.jumped(i)))
 
     with ThreadPoolExecutor(2) as pool:
-        pending = deque(draw(pool, i) for i in range(min(2, len(sizes))))
+        pending = deque(submit(pool, i) for i in range(min(2, len(sizes))))
         for i in range(len(sizes)):
-            x = pending.popleft().result()
+            batch = pending.popleft().result()
             if i + 2 < len(sizes):
-                pending.append(draw(pool, i + 2))
-            yield x
+                pending.append(submit(pool, i + 2))
+            yield batch
 
 
-def _rank(x: np.ndarray, e: float, e_star: float, rho: float) -> np.ndarray:
-    """Player 1's rank per draw at own effort ``e`` (0 = first, n = missed
-    the standard) against rivals at ``e_star``.
+def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
+    """Yield (m, n) noise matrices, every column mapped: batch i is
+    ``dist.sample`` on its substream ``Philox(key=seed).jumped(i)``, drawn
+    two ahead by ``_batches``.  Simulations and the pay-scheme bound rank
+    these scores, ties going to player 1 (``_rank``)."""
+    return _batches(dist.sample, n, draws, seed)
 
-    A rival outranks player 1 when it passes the standard and strictly beats
-    player 1's score; ties, a measure-zero event, go to player 1.  Player 1
-    is ranked only where it passes, and a rival that beats a passing score
-    passes too, so counting the rivals above player 1 needs no pass check.
-    The count adds one rival column at a time, so no (m, n - 1) block of
-    scores or comparisons is built, and the scores compared are the floats
-    e_star + x_j and e + x_1 of a dense comparison.  The ranks come in the
-    smallest unsigned integer type that holds n, which the count adds into
-    fastest; use them as indices or counts, not in arithmetic.
+
+def _scan_batches(dist: NoiseDistribution, n: int, draws: int, seed: int, levels: np.ndarray):
+    """Yield the best-response scan's batches: the (m, n) uniforms, player
+    1's noise ``dist._ppf(u[:, 0])`` and the rivals' order statistics at the
+    prize ``levels`` (``_order_statistics``), the only noise the workers
+    map; the scan ranks the rivals by their uniforms.  The uniforms are
+    those ``dist.sample`` maps on the same substream, so every mapped value
+    is the float that ``noise_batches`` gives."""
+
+    def draw(size, rng):
+        u = rng.random(size)
+        return u, dist._ppf(u[:, 0]), _order_statistics(u, levels, dist)
+
+    return _batches(draw, n, draws, seed)
+
+
+def _order_statistics(u: np.ndarray, levels: np.ndarray, dist: NoiseDistribution) -> np.ndarray:
+    """X_(j+1) per draw of the uniforms ``u`` for each prize level j of
+    ``levels`` (from ``_levels``): ``ppf`` of the rivals' (j+1)-th largest
+    uniform, the same float as the (j+1)-th largest mapped rival noise, as
+    the quantile function never decreases and maps value by value.  Level
+    n - 1 needs no rival and keeps -inf.  Winner-take-all maps a running
+    maximum over the rival columns; a many-level schedule sorts the rivals'
+    uniforms and maps the columns it bins, in slabs; equal prizes for all
+    map no rival.
     """
-    y1 = e + x[:, 0]
-    k = np.zeros(len(x), dtype=np.min_scalar_type(x.shape[1]))
-    for j in range(1, x.shape[1]):
-        k += e_star + x[:, j] > y1
-    return np.where(y1 >= rho, k, x.shape[1])
+    n = u.shape[1]
+    top = np.full((len(u), levels.size), -np.inf)
+    ranked = levels < n - 1
+    if np.array_equal(levels[ranked], [0]):  # only the best rival counts
+        best = u[:, 1].copy()
+        for j in range(2, n):
+            np.maximum(best, u[:, j], out=best)
+        top[:, ranked] = dist._ppf(best)[:, None]
+    elif ranked.any():
+        # take gathers C-ordered, so the columns are mapped in place
+        order = np.sort(u[:, 1:], axis=1).take(n - 2 - levels[ranked], axis=1)
+        top[:, ranked] = dist._ppf_in_place(order)
+    return top
+
+
+def _levels(prizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prizes v with v_n = 0 for missing the standard appended, and the
+    ranks j = 0, ..., n - 1 whose differential v_j - v_(j+1) is not zero:
+    the levels the best-response scan bins."""
+    v = np.append(prizes, 0.0)
+    return v, np.flatnonzero(v[:-1] != v[1:])
+
+
+def _rank(keys: np.ndarray, key1: np.ndarray, passed: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Player 1's rank per draw (0 = first, n = missed the standard): the
+    number of rivals j = 1, ..., n - 1 whose key ``shift + keys[:, j]``
+    strictly exceeds player 1's ``key1`` where ``passed``, and n elsewhere.
+
+    Simulations and rank pay schemes pass scores: the noise x_j, shifted by
+    the rivals' effort, against player 1's score.  The best-response scan
+    passes the uniforms the noise is mapped from, against player 1's own.
+    Either way ties go to player 1; on uniforms a tie is one of the
+    uniforms, so two distinct uniforms whose scores round to one float rank
+    by the uniforms.  Player 1 is ranked only where it passes, and a rival
+    that beats a passing player passes too (on uniforms because the
+    quantile function never decreases), so the count needs no pass check.
+    It adds one rival column at a time, so no (m, n - 1) block of keys or
+    comparisons is built; a zero shift adds nothing, as it changes no
+    comparison.  The ranks come in the smallest unsigned integer type that
+    holds n, which the count adds into fastest; use them as indices or
+    counts, not in arithmetic.
+    """
+    key1 = np.ascontiguousarray(key1)  # read once per rival; a column of keys is strided
+    k = np.zeros(len(keys), dtype=np.min_scalar_type(keys.shape[1]))
+    for j in range(1, keys.shape[1]):
+        k += (shift + keys[:, j] if shift else keys[:, j]) > key1
+    return np.where(passed, k, keys.shape[1])
 
 
 class _Cells:
@@ -200,41 +269,30 @@ class _Cells:
             k -= down
 
 
-def _grid_sums(x: np.ndarray, cells: _Cells, i_star: int, rho: float, prizes: np.ndarray):
+def _grid_sums(u: np.ndarray, x1: np.ndarray, top: np.ndarray, cells: _Cells, i_star: int,
+               rho: float, prizes: np.ndarray):
     """Sums over one batch of player 1's prize w at each point of
     ``cells.grid``.
 
-    Rivals sit at e* = ``grid[i_star]``; w* is player 1's prize there.
-    Returns the (3, grid.size) sums of w, w - w* and (w - w*)^2, and player
-    1's rank at e* per draw (from ``_rank``).
+    ``u`` holds the batch's (m, n) uniforms, ``x1`` player 1's noise
+    ``ppf(u[:, 0])`` and ``top`` the rivals' X_(j+1) at each level of
+    ``_levels(prizes)`` (``_order_statistics``).  Rivals sit at
+    e* = ``grid[i_star]``; w* is player 1's prize there.  Returns the
+    (3, grid.size) sums of w, w - w* and (w - w*)^2, and player 1's rank at
+    e* per draw: ``_rank`` of the uniforms, where e* + x_1 passes.
 
     Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
-    jump at P_j reaches every grid point g >= P_j, which keeps the rules of
-    ``_rank``; ``cells`` finds the first such point.  Winner-take-all's best
-    rival is a running maximum over the rival columns, added one column at a
-    time as ``_rank`` counts, which equals the row maximum bit for bit.
-    Across level j, (w - w*)^2 jumps by (v_j - w*)^2 - (v_(j+1) - w*)^2.
-    These jumps are summed outward from e*, where they vanish, so the paired
-    variance cannot cancel.
+    jump at P_j reaches every grid point g >= P_j; ``cells`` finds the first
+    such point.  Across level j, (w - w*)^2 jumps by
+    (v_j - w*)^2 - (v_(j+1) - w*)^2.  These jumps are summed outward from
+    e*, where they vanish, so the paired variance cannot cancel.
     """
     grid = cells.grid
-    n = x.shape[1]
     e_star = grid[i_star]
-    rank_star = _rank(x, e_star, e_star, rho)
-    v = np.append(prizes, 0.0)  # v[n] = 0: missed the standard
-    levels = np.flatnonzero(v[:-1] != v[1:])
+    rank_star = _rank(u, u[:, 0], e_star + x1 >= rho)
+    v, levels = _levels(prizes)
     hi, lo = v[levels], v[levels + 1]
-    # X_(j+1) of each level; level n - 1 needs no rival and keeps -inf
-    top = np.full((x.shape[0], levels.size), -np.inf)
-    ranked = levels < n - 1
-    if np.array_equal(levels[ranked], [0]):  # only the best rival counts
-        best = x[:, 1].copy()
-        for j in range(2, n):
-            np.maximum(best, x[:, j], out=best)
-        top[:, ranked] = best[:, None]
-    elif ranked.any():
-        top[:, ranked] = np.sort(x[:, 1:], axis=1)[:, n - 2 - levels[ranked]]
-    pos = np.maximum(rho, e_star + top) - x[:, :1]
+    pos = np.maximum(rho, e_star + top) - x1[:, None]
     bins = cells(pos.ravel())
     w_star = v[rank_star]
 
@@ -280,7 +338,8 @@ def simulate_prize_probabilities(
     n = design.n
     rank_counts = np.zeros(n + 1, dtype=np.int64)  # index n = no prize
     for x in noise_batches(dist, n, draws, seed):
-        rank_counts += np.bincount(_rank(x, e, e_star, design.standard), minlength=n + 1)
+        y1 = e + x[:, 0]
+        rank_counts += np.bincount(_rank(x, y1, y1 >= design.standard, e_star), minlength=n + 1)
     return _tally_report(draws, seed, n, rank_counts)
 
 
@@ -307,10 +366,12 @@ def verify_best_response(
     ``e_star``.  A single pass over the noise gives the payoff at every grid
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
-    The noise comes from ``noise_batches``: two threads draw ahead, in
-    slabs, while this thread bins the batch in hand, and the batches arrive
-    in order, so the result is bit-identical to a serial scan of the same
-    seed.
+    The batches come from ``_scan_batches``: two threads draw ahead the
+    uniforms and map player 1's noise and the rivals' order statistics,
+    while this thread ranks the batch in hand by its uniforms and bins it,
+    and the batches arrive in order, so the result is bit-identical to a
+    serial scan of the same seed.  Every binned position is the float that
+    the fully mapped noise gives; player 1's rank ties go by the uniforms.
 
     The gap is the largest estimated payoff improvement over ``e_star``; its
     standard error comes from the per-draw paired payoff differences (common
@@ -331,8 +392,8 @@ def verify_best_response(
     cells = _Cells(grid)
     sums = np.zeros((3, grid.size))
     rank_counts = np.zeros(n + 1, dtype=np.int64)
-    for x in noise_batches(dist, n, draws, seed):
-        batch, rank = _grid_sums(x, cells, i_star, design.standard, prizes)
+    for u, x1, top in _scan_batches(dist, n, draws, seed, _levels(prizes)[1]):
+        batch, rank = _grid_sums(u, x1, top, cells, i_star, design.standard, prizes)
         sums += batch
         rank_counts += np.bincount(rank, minlength=n + 1)
     mean_w, mean_d, mean_dsq = sums / draws

@@ -124,7 +124,7 @@ def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PaySch
         return np.where(passed, v[pos], 0.0)
 
     label = f"rank(v={schedule.prizes}, standard={standard:g})"
-    return PayScheme(n, pay, label, lambda y: v[_rank(y, 0.0, 0.0, standard)])
+    return PayScheme(n, pay, label, lambda y: v[_rank(y, y[:, 0], y[:, 0] >= standard)])
 
 
 def capped_linear_share(n: int, cap: float) -> PayScheme:

@@ -1,12 +1,16 @@
-"""The best-response batch sums with numpy's own search and row maximum.
+"""The best-response batch sums on the mapped noise, with numpy's own
+search and row maximum.
 
-``montecarlo._grid_sums`` finds each jump's grid cell from a bucket table
-(``montecarlo._Cells``) and takes winner-take-all's best rival as a running
-maximum over the rival columns.  This is the form it replaces: one
-``np.searchsorted`` of every jump position into the whole grid, and
-``max`` along the rows.  The cells and the maximum are the same numbers, and
-everything after them is the same arithmetic, so the two must agree bit for
-bit.
+``montecarlo._grid_sums`` takes the batch's uniforms u, ranks and reduces
+the rivals as uniforms and maps only the order statistics it bins; it finds
+each jump's grid cell from a bucket table (``montecarlo._Cells``) and takes
+winner-take-all's best rival as a running maximum over the rival columns.
+This is the form it replaces, on the noise x = ppf(u) mapped whole: player
+1 ranked by the scores e* + x, one ``np.searchsorted`` of every jump
+position into the whole grid, and ``max`` along the rows.  The quantile
+function never decreases, so the order statistics, cells and maximum are
+the same numbers, and everything after them is the same arithmetic; where
+no two distinct uniforms give tied scores, the two must agree bit for bit.
 """
 
 import numpy as np
@@ -17,7 +21,8 @@ from tourney import montecarlo as mc
 def grid_sums(x, grid, i_star, rho, prizes):
     n = x.shape[1]
     e_star = grid[i_star]
-    rank_star = mc._rank(x, e_star, e_star, rho)
+    y1 = e_star + x[:, 0]
+    rank_star = mc._rank(x, y1, y1 >= rho, e_star)
     v = np.append(prizes, 0.0)
     levels = np.flatnonzero(v[:-1] != v[1:])
     hi, lo = v[levels], v[levels + 1]

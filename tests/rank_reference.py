@@ -53,7 +53,8 @@ def finite_difference_marginals(
     counts_dn = np.zeros(n)
     for x in mc.noise_batches(dist, n, draws, seed):
         for sign, counts in ((+1.0, counts_up), (-1.0, counts_dn)):
-            rank = mc._rank(x, e_star + sign * step, e_star, rho)
+            y1 = e_star + sign * step + x[:, 0]
+            rank = mc._rank(x, y1, y1 >= rho, e_star)
             counts += np.bincount(rank, minlength=n + 1)[:n]
     at_least_up = np.cumsum(counts_up / draws)
     at_least_dn = np.cumsum(counts_dn / draws)

@@ -129,14 +129,45 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "constant"},
                                "second": {"kind": "constant"}, "weight": None}},
          "mixture scheme spec: bad 'weight'"),
+        # an integer is taken exactly: infinity (JSON's Infinity, or 1e400)
+        # ended in an OverflowError traceback and exit 1, and a fraction was
+        # truncated, as a negative battery was run as none
+        ("n", float("inf"), "bad 'n': inf is not an integer"),
+        ("n", 3.5, "bad 'n': 3.5 is not an integer"),
+        ("schedule", {"equal_top": float("inf")}, "bad 'equal_top': inf"),
+        ("schedule", {"equal_top": 1.5}, "bad 'equal_top': 1.5"),
+        ("montecarlo", {"draws": float("inf"), "seed": 1}, "bad 'draws': inf"),
+        ("montecarlo", {"draws": 10000.5, "seed": 1}, "bad 'draws': 10000.5"),
+        ("montecarlo", {"draws": 10000, "seed": float("-inf")}, "bad 'montecarlo.seed': -inf"),
+        ("montecarlo", {"draws": 10000, "seed": 2.9}, "bad 'montecarlo.seed': 2.9"),
+        ("verify", {"bounds_battery": float("inf")}, "bad 'bounds_battery': inf"),
+        ("verify", {"bounds_battery": 1.9}, "bad 'bounds_battery': 1.9"),
+        ("verify", {"bounds_battery": -2}, "bad 'bounds_battery': -2 is below 0"),
+        ("verify", {"bounds_battery": 1, "battery_draws": float("nan")}, "bad 'battery_draws': nan"),
+        ("verify", {"bounds_battery": 1, "battery_draws": 1e5 + 0.5}, "bad 'battery_draws': 100000.5"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
-    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta", section: value}
+    # the draws and the seed come from the config, so its own values are checked
+    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta",
+           "montecarlo": {"draws": 10000, "seed": 1}, section: value}
     cfg = _write(tmp_path, "cfg.json", doc)
-    assert cli.main(["verify", "--config", cfg, "--seed", "1", "--draws", "10000"]) == 2
+    assert cli.main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and named in err
+
+
+def test_integral_float_integers_accepted(tmp_path):
+    # JSON may write a whole number as 1e4 or 3.0; it means that integer
+    outs = []
+    for num in (int, float):
+        doc = {**GUMBEL_BATTERY, "n": num(3), "schedule": {"equal_top": num(1)},
+               "montecarlo": {"draws": num(10**4), "seed": num(5)},
+               "verify": {"bounds_battery": num(1), "battery_draws": num(10**4)}}
+        out = tmp_path / f"{num.__name__}.json"
+        assert cli.main(["verify", "--config", _write(tmp_path, "cfg.json", doc), "--out", str(out)]) in (0, 4)
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("config_draws, flags", [(0, []), (10**5, ["--draws", "0"])], ids=["config", "flag"])

@@ -559,6 +559,9 @@ def test_sample_by_slabs_is_ppf_of_the_uniforms(d):
             drawn = d.sample(size, np.random.Generator(np.random.Philox(key=5)))
             whole = d.ppf(np.random.Generator(np.random.Philox(key=5)).random(size))
             assert np.array_equal(drawn, whole), size
+            # levels that are not C-contiguous are mapped in a copy
+            strided = np.random.Generator(np.random.Philox(key=5)).random(size).T
+            assert np.array_equal(d._ppf_in_place(strided), whole.T), size
 
 
 def _both_branch_piecewise_ppf(d, q):
@@ -595,3 +598,34 @@ def test_piecewise_ppf_bits_match_both_branch_form(d):
     q = q[(q >= 0.0) & (q <= 1.0)]
     expected, _ = _both_branch_piecewise_ppf(d, q)
     assert np.array_equal(np.asarray(d.ppf(q)).view(np.uint64), expected.view(np.uint64))
+
+
+def _monotone_levels():
+    """Sorted levels as ``Generator.random`` draws them, multiples of
+    2^-53 in [0, 1): random ones, and runs of adjacent levels next to 0,
+    0.5 and 1."""
+    k = np.arange(1 << 12) * 2.0**-53
+    runs = [k, 0.5 - k, 0.5 + k, 1.0 - 2.0**-53 - k]
+    return np.unique(np.concatenate([np.random.default_rng(53).random(1 << 15), *runs]))
+
+
+def _random_piecewise_densities(count):
+    rng = np.random.default_rng(530)
+    for _ in range(count):
+        knots = int(rng.integers(3, 12))
+        xs = np.cumsum(rng.uniform(0.05, 2.0, knots))
+        fs = np.append(rng.uniform(0.0, 3.0, knots - 1) * (rng.random(knots - 1) < 0.8), 0.0)
+        fs[0] += 0.1  # some interior knots may have zero density, never all of them
+        yield dists.piecewise_linear(list(zip(xs, fs)))
+
+
+@pytest.mark.parametrize("d", [*SLAB_FAMILIES, *_random_piecewise_densities(4)],
+                         ids=lambda d: d.family + str(d.params.get("variant", "")))
+def test_ppf_never_decreases_on_sorted_levels(d):
+    # the best-response scan ranks and reduces rivals by their uniforms and
+    # maps only the order statistics it bins: X_(k) = ppf(U_(k)) needs a
+    # quantile function that never decreases; equal steps are allowed
+    with np.errstate(divide="ignore"):  # level 0 maps to -inf on an unbounded support
+        x = np.asarray(d._ppf(_monotone_levels()))
+    assert not np.isnan(x).any()
+    assert np.all(x[1:] >= x[:-1])

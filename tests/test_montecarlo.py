@@ -35,13 +35,23 @@ def _prize_values(x, efforts, e_star, rho, prizes):
     return out
 
 
-def _assert_grid_sums_match(x, grid, e_star, rho, prizes):
+def _scan_sums(dist, u, grid, i_star, rho, prizes):
+    """The scan's sums on the uniforms ``u``: the workers' mapped noise,
+    then ``_grid_sums``."""
+    top = mc._order_statistics(u, mc._levels(prizes)[1], dist)
+    return mc._grid_sums(u, dist._ppf(u[:, 0]), top, mc._Cells(grid), i_star, rho, prizes)
+
+
+def _assert_grid_sums_match(dist, u, grid, e_star, rho, prizes):
+    """The scan's sums on the uniforms ``u`` against the dense reference on
+    the noise ppf(u)."""
+    x = dist.ppf(u)
     grid = np.unique(np.append(grid, e_star))
     i_star = int(np.searchsorted(grid, e_star))
     w = _prize_values(x, grid, e_star, rho, prizes)
     d = w - w[:, i_star][:, None]
     dense = np.array([w.sum(axis=0), d.sum(axis=0), (d * d).sum(axis=0)])
-    sums, rank = mc._grid_sums(x, mc._Cells(grid), i_star, rho, prizes)
+    sums, rank = _scan_sums(dist, u, grid, i_star, rho, prizes)
     assert np.max(np.abs(sums - dense)) <= 1e-9
     assert np.array_equal(np.append(prizes, 0.0)[rank], w[:, i_star])
 
@@ -60,7 +70,7 @@ ORACLE_FAMILIES = {
 def test_grid_sums_match_dense_reference(family, n):
     dist = ORACLE_FAMILIES[family]
     rng = np.random.default_rng([n, sorted(ORACLE_FAMILIES).index(family)])
-    x = dist.sample((2000, n), rng)
+    u = rng.random((2000, n))
     schedules = [
         eq.PrizeSchedule.winner_take_all(n),
         eq.PrizeSchedule.equal_sharing(n),
@@ -72,25 +82,26 @@ def test_grid_sums_match_dense_reference(family, n):
         e_star = float(rng.uniform(0.2, 0.8))
         rho = e_star + float(dist.ppf(rng.uniform(0.2, 0.7)))
         grid = np.linspace(0.0, COST.max_effort, 301)
-        _assert_grid_sums_match(x, grid, e_star, rho, np.asarray(schedule.prizes))
+        _assert_grid_sums_match(dist, u, grid, e_star, rho, np.asarray(schedule.prizes))
 
 
 def test_grid_sums_edge_cases():
     rng = np.random.default_rng(4)
-    x = GUMBEL.sample((2000, 3), rng)
+    u = rng.random((2000, 3))
     prizes = np.asarray(eq.random_schedule(3, rng).prizes)
     # no standard: the first jump sits at -inf, below every grid point
-    _assert_grid_sums_match(x, np.linspace(0.0, 1.5, 101), 0.4, -np.inf, prizes)
+    _assert_grid_sums_match(GUMBEL, u, np.linspace(0.0, 1.5, 101), 0.4, -np.inf, prizes)
     # a narrow grid: many jumps fall below its start and beyond its end
     narrow = np.linspace(0.35, 0.45, 51)
-    _assert_grid_sums_match(x, narrow, 0.4, 0.4 + 0.3, prizes)
-    _assert_grid_sums_match(x, narrow, 0.4, -np.inf, prizes)
-    # lattice noise: jumps land on grid points and scores tie with rivals'
-    lattice = rng.integers(0, 8, size=(2000, 3)) / 4.0
-    _assert_grid_sums_match(lattice, np.arange(0.0, 3.0, 0.25), 0.5, 1.25, prizes)
+    _assert_grid_sums_match(GUMBEL, u, narrow, 0.4, 0.4 + 0.3, prizes)
+    _assert_grid_sums_match(GUMBEL, u, narrow, 0.4, -np.inf, prizes)
+    # lattice uniforms under the identity ppf: jumps land on grid points,
+    # and player 1's uniform, so its score, ties with rivals'
+    lattice = rng.integers(0, 8, size=(2000, 3)) / 8.0
+    _assert_grid_sums_match(UNIF, lattice, np.arange(0.0, 1.5, 0.125), 0.25, 0.625, prizes)
     # e* at either end of the grid
-    _assert_grid_sums_match(x, np.linspace(0.4, 1.0, 31), 0.4, 0.7, prizes)
-    _assert_grid_sums_match(x, np.linspace(-0.2, 0.4, 31), 0.4, 0.7, prizes)
+    _assert_grid_sums_match(GUMBEL, u, np.linspace(0.4, 1.0, 31), 0.4, 0.7, prizes)
+    _assert_grid_sums_match(GUMBEL, u, np.linspace(-0.2, 0.4, 31), 0.4, 0.7, prizes)
 
 
 E_MAX = COST.max_effort
@@ -123,7 +134,8 @@ def test_cells_equal_searchsorted():
 def test_grid_sums_bits_match_searchsorted_reference(family, n):
     dist = ORACLE_FAMILIES[family]
     rng = np.random.default_rng([n, 24])
-    x = dist.sample((4096, n), rng)
+    u = rng.random((4096, n))
+    x = dist.ppf(u)
     schedules = [
         eq.PrizeSchedule.winner_take_all(n),
         eq.PrizeSchedule.equal_sharing(n),
@@ -134,7 +146,7 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
     grid, i_star = mc._effort_grid(E_MAX, 10**4, e_star)
     for schedule in schedules:
         prizes = np.asarray(schedule.prizes)
-        sums, rank = mc._grid_sums(x, mc._Cells(grid), i_star, rho, prizes)
+        sums, rank = _scan_sums(dist, u, grid, i_star, rho, prizes)
         want, want_rank = reference_grid_sums(x, grid, i_star, rho, prizes)
         assert sums.tobytes() == want.tobytes()
         assert rank.tobytes() == want_rank.tobytes()
@@ -143,12 +155,13 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
 @pytest.mark.parametrize("n", [2, 3, 1000])
 def test_rank_matches_dense_comparison(n):
     rng = np.random.default_rng(n)
-    # lattice noise: player 1 ties rivals, and scores tie the standard
+    # lattice noise: player 1 ties rivals, and scores tie the standard; a
+    # zero shift compares the keys themselves, as the scan's uniforms are
     for x in (GUMBEL.sample((500, n), rng), rng.integers(0, 6, size=(500, n)) / 4.0):
-        for e, e_star, rho in ((0.5, 0.5, 0.75), (0.25, 0.5, 0.5), (0.5, 0.25, -np.inf)):
+        for e, e_star, rho in ((0.5, 0.5, 0.75), (0.25, 0.5, 0.5), (0.5, 0.25, -np.inf), (0.0, 0.0, 0.5)):
             y1 = e + x[:, 0]
             k = np.count_nonzero(e_star + x[:, 1:] > y1[:, None], axis=1)
-            assert np.array_equal(mc._rank(x, e, e_star, rho), np.where(y1 >= rho, k, n))
+            assert np.array_equal(mc._rank(x, y1, y1 >= rho, e_star), np.where(y1 >= rho, k, n))
 
 
 def test_best_response_tally_equals_simulation():
@@ -340,11 +353,19 @@ def test_noise_batches_match_serial_substreams(draws):
     root = np.random.Philox(key=9)
     full, rest = divmod(draws, mc.BATCH)
     sizes = [mc.BATCH] * full + ([rest] if rest else [])
-    serial = [GUMBEL.ppf(np.random.Generator(root.jumped(i)).random((m, 2))) for i, m in enumerate(sizes)]
+    uniforms = [np.random.Generator(root.jumped(i)).random((m, 2)) for i, m in enumerate(sizes)]
     batches = list(mc.noise_batches(GUMBEL, 2, draws, 9))
-    assert len(batches) == len(serial)
-    for got, want in zip(batches, serial):
-        assert np.array_equal(got, want)
+    assert len(batches) == len(uniforms)
+    for got, u in zip(batches, uniforms):
+        assert np.array_equal(got, GUMBEL.ppf(u))
+    # the scan's batches: the same uniforms, player 1's column mapped, and
+    # winner-take-all's best rival, the only rival at n = 2
+    scanned = list(mc._scan_batches(GUMBEL, 2, draws, 9, np.array([0])))
+    assert len(scanned) == len(uniforms)
+    for (got, x1, top), u in zip(scanned, uniforms):
+        assert np.array_equal(got, u)
+        assert np.array_equal(x1, GUMBEL.ppf(u)[:, 0])
+        assert np.array_equal(top, GUMBEL.ppf(u)[:, 1:])
 
 
 def _uniform_failing_at_batch(fail, seed, batches):
@@ -365,7 +386,7 @@ def _uniform_failing_at_batch(fail, seed, batches):
     return dist, drawn
 
 
-def test_noise_batch_error_reaches_caller_and_leaves_no_thread():
+def test_noise_batch_error_reaches_caller_and_leaves_no_thread(monkeypatch):
     assert dists.SLAB == mc.BATCH
     before = threading.active_count()
     dist, drawn = _uniform_failing_at_batch(1, 4, 6)
@@ -377,13 +398,25 @@ def test_noise_batch_error_reaches_caller_and_leaves_no_thread():
     assert sorted(drawn) == [0, 1, 2]  # two batches ahead of batch 0, none further
     assert threading.active_count() == before
 
+    # the scan's workers map player 1's column, whose first level is the
+    # batch's first; under equal prizes for all they map no rival
+    dist, drawn = _uniform_failing_at_batch(1, 4, 6)
+    grid_sums, seen = mc._grid_sums, []
+    monkeypatch.setattr(mc, "_grid_sums", lambda u, *rest: seen.append(u) or grid_sums(u, *rest))
+    design = _design(dist, 2, eq.PrizeSchedule.equal_sharing(2), 0.5)
+    with pytest.raises(RuntimeError, match="batch 1 failed"):
+        mc.verify_best_response(dist, design, 0.3, grid_size=50, draws=6 * mc.BATCH, seed=4)
+    assert len(seen) == 1
+    assert sorted(drawn) == [0, 1, 2]
+    assert threading.active_count() == before
+
 
 @pytest.mark.parametrize("stop", ["break", "raise", "close"])
 def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
     before = threading.active_count()
 
-    def consume():
-        batches = mc.noise_batches(UNIF, 1, 6 * mc.BATCH, 4)
+    def consume(stream):
+        batches = stream()
         for k, _ in enumerate(batches):
             if k == 1:
                 if stop == "raise":
@@ -393,9 +426,13 @@ def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
                     assert threading.active_count() == before
                 break
 
-    if stop == "raise":
-        with pytest.raises(RuntimeError, match="consumer failed"):
-            consume()
-    else:
-        consume()
-    assert threading.active_count() == before
+    # every column mapped, and the best-response scan's batches
+    streams = (lambda: mc.noise_batches(UNIF, 2, 6 * mc.BATCH, 4),
+               lambda: mc._scan_batches(UNIF, 2, 6 * mc.BATCH, 4, np.array([0])))
+    for stream in streams:
+        if stop == "raise":
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                consume(stream)
+        else:
+            consume(stream)
+        assert threading.active_count() == before
