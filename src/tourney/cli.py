@@ -357,11 +357,11 @@ def cmd_figures(args) -> int:
 
 def cmd_verify(args) -> int:
     sc = _scenario_from(_load_config(args.config), args)
-    payload, schedule, solution = _solve_scenario(sc)
     opts = sc["verify"]
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
     mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed"}, "montecarlo")
+    payload, schedule, solution = _solve_scenario(sc)
     n_battery = _integer(opts.get("bounds_battery") or 0, "bounds_battery", minimum=0)
     n_schemes = (opts.get("scheme") is not None) + n_battery
     # the schemes' streams are keyed seed + 1 (the battery) and seed + 2 + k

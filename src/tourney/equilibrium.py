@@ -150,8 +150,8 @@ def random_schedule(n: int, rng: np.random.Generator) -> PrizeSchedule:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Power effort cost c(e) = kappa e^beta / beta, with kappa > 0 and
-    beta > 1, and its closed forms.
+    """Power effort cost c(e) = kappa e^beta / beta, with finite kappa > 0
+    and beta > 1, and its closed forms.
 
     ``max_effort`` is the largest undominated effort level, the effort whose
     cost equals the entire unit prize budget.  ``min_curvature`` is the
@@ -163,8 +163,8 @@ class CostFunction:
     beta: float = 2.0
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.beta > 1):
-            raise ValueError("need kappa > 0 and beta > 1")
+        if not (0 < self.kappa < math.inf and 1 < self.beta < math.inf):
+            raise ValueError("need finite kappa > 0 and beta > 1")
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "beta", float(self.beta))
 

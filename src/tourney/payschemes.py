@@ -2,6 +2,9 @@
 
 Beyond rank-based prizes, a principal observing cardinal output could pay
 any anonymous, monotone, budget-feasible function of the output vector.
+Such a scheme is one function, player 1's payment p(y_1; y_2, ..., y_n) of
+its own output and its rivals'; it is anonymous exactly when p is symmetric
+in the rivals' outputs, and player i is paid p with its own output first.
 For such schemes the equilibrium marginal benefit of effort is bounded by a
 likelihood-ratio-weighted expected payment above the global mode; under
 log-concave noise that bound never exceeds the winner-take-all tournament's
@@ -60,71 +63,39 @@ class NoBoundAvailable(ValueError):
 
 
 class PayScheme:
-    """Anonymous, monotone, budget-feasible payments over output vectors.
+    """Player 1's payment under an anonymous, monotone, budget-feasible scheme.
 
-    ``payments`` maps an (m, n) block of output vectors to an (m, n) block
-    of nonnegative payments, row by row: a row's payments depend on that
-    row alone, so pricing a subset of the rows gives those rows' payments
-    bit for bit.  Any callable with that signature plugs in; declared
-    properties are verified by random spot-checks, not symbolically.
-
-    ``player1_payments`` gives column 0 of ``payments`` alone, which is all
-    the marginal incentive reads.  A scheme built here computes it without
-    pricing the other players, bit-equal to ``payments(y)[:, 0]``; for a
-    bare callable it falls back to ``payments(y)[:, 0]``, or to the
-    ``player1`` callable passed in.  ``check_properties`` checks that the
-    two agree.
+    ``pay`` maps an (m, n) block of outputs, player 1's own in column 0 and
+    its rivals' after it, to player 1's payment on each row, from that row
+    alone.  The scheme is anonymous exactly when ``pay`` is symmetric in the
+    rival columns; player i is then paid ``pay`` with its own output first.
+    Any such callable plugs in; ``check_properties`` spot-checks it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        payments: Callable[[np.ndarray], np.ndarray],
-        label: str = "custom",
-        player1: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, n: int, pay: Callable[[np.ndarray], np.ndarray], label: str = "custom"):
         self.n = int(n)
-        self._payments = payments
-        self._player1 = player1 if player1 is not None else lambda y: payments(y)[:, 0]
+        self._pay = pay
         self.label = label
 
-    def _outputs(self, y) -> np.ndarray:
+    def pay(self, y: np.ndarray) -> np.ndarray:
+        """Player 1's payment per output vector, its own output in column 0."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if y.shape[1] != self.n:
             raise ValueError(f"output vectors must have {self.n} columns")
-        return y
-
-    def payments(self, y: np.ndarray) -> np.ndarray:
-        return self._payments(self._outputs(y))
-
-    def player1_payments(self, y: np.ndarray) -> np.ndarray:
-        """Player 1's payment per output vector: ``payments(y)[:, 0]``."""
-        return self._player1(self._outputs(y))
+        return self._pay(y)
 
     def __repr__(self):
         return f"PayScheme({self.label}, n={self.n})"
 
 
 def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PayScheme:
-    """Pay by performance rank among those above the standard.
-
-    Ties (measure zero under continuous noise) give the better rank to the
-    lower player index.  Player 1's payment alone is the prize of its rank
-    from ``montecarlo._rank``, which counts the rivals strictly above it.
-    """
+    """Pay by performance rank among those above the standard: player 1 is
+    paid the prize of its rank from ``montecarlo._rank``, which counts the
+    rivals strictly above it, so ties (measure zero under continuous noise)
+    go to player 1."""
     v = np.append(np.asarray(schedule.prizes), 0.0)
-    n = schedule.n
-
-    def pay(y):
-        passed = y >= standard
-        masked = np.where(passed, y, -np.inf)
-        order = np.argsort(-masked, axis=1, kind="stable")
-        pos = np.empty_like(order)
-        np.put_along_axis(pos, order, np.broadcast_to(np.arange(n), y.shape).copy(), axis=1)
-        return np.where(passed, v[pos], 0.0)
-
     label = f"rank(v={schedule.prizes}, standard={standard:g})"
-    return PayScheme(n, pay, label, lambda y: v[_rank(y, y[:, 0], y[:, 0] >= standard)])
+    return PayScheme(schedule.n, lambda y: v[_rank(y, y[:, 0], y[:, 0] >= standard)], label)
 
 
 def capped_linear_share(n: int, cap: float) -> PayScheme:
@@ -133,23 +104,15 @@ def capped_linear_share(n: int, cap: float) -> PayScheme:
 
     def pay(y):
         a = np.maximum(y - cap, 0.0)
-        tot = a.sum(axis=1, keepdims=True)
-        return np.where(tot > 0, a / np.where(tot > 0, tot, 1.0), 0.0)
-
-    def pay1(y):
-        a = np.maximum(y - cap, 0.0)
         tot = a.sum(axis=1)
         return np.where(tot > 0, a[:, 0] / np.where(tot > 0, tot, 1.0), 0.0)
 
-    return PayScheme(n, pay, f"linear_share(cap={cap:g})", pay1)
+    return PayScheme(n, pay, f"linear_share(cap={cap:g})")
 
 
 def constant_share(n: int) -> PayScheme:
     """Unconditional equal split of the budget."""
-    return PayScheme(
-        n, lambda y: np.full_like(y, 1.0 / n), f"constant_share(1/{n})",
-        lambda y: np.full(len(y), 1.0 / n),
-    )
+    return PayScheme(n, lambda y: np.full(len(y), 1.0 / n), f"constant_share(1/{n})")
 
 
 def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
@@ -160,12 +123,9 @@ def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
         raise ValueError("mixture weight must lie in [0, 1]")
 
     def pay(y):
-        return w * first.payments(y) + (1.0 - w) * second.payments(y)
+        return w * first.pay(y) + (1.0 - w) * second.pay(y)
 
-    def pay1(y):
-        return w * first.player1_payments(y) + (1.0 - w) * second.player1_payments(y)
-
-    return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})", pay1)
+    return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})")
 
 
 def _field(spec: dict, key: str, convert):
@@ -179,29 +139,37 @@ def _field(spec: dict, key: str, convert):
         raise ValueError(f"{spec['kind']} scheme spec: bad {key!r}: {exc}") from exc
 
 
+def _finite(value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def scheme_from_spec(spec: dict, n: int) -> PayScheme:
     """Build a battery-family scheme from a config document.
 
     Kinds: ``rank`` (prizes + optional standard), ``linear_share`` (cap),
     ``constant``, and ``mixture`` (two component specs and a weight).
     Anything beyond these families plugs in directly as a ``PayScheme``
-    around a payments callback.  A ``rank`` scheme whose prize count is not
+    around player 1's payment callback.  A ``rank`` scheme whose prize count is not
     ``n`` raises ``ValueError`` naming both, inside a ``mixture`` too; a
-    field of the wrong type raises ``ValueError`` naming the field.
+    field of the wrong type, or a cap or standard that is not finite,
+    raises ``ValueError`` naming the field.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("scheme spec must be an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "rank":
         schedule = PrizeSchedule.winner_take_all(n)
-        if spec.get("prizes"):
+        if "prizes" in spec:
             schedule = _field(spec, "prizes", lambda v: PrizeSchedule(tuple(v)))
         if schedule.n != n:
             raise ValueError(f"rank scheme has {schedule.n} prizes but n={n}")
-        standard = _field(spec, "standard", float) if "standard" in spec else -np.inf
+        standard = _field(spec, "standard", _finite) if "standard" in spec else -np.inf
         return rank_payscheme(schedule, standard)
     if kind == "linear_share":
-        return capped_linear_share(n, _field(spec, "cap", float))
+        return capped_linear_share(n, _field(spec, "cap", _finite))
     if kind == "constant":
         return constant_share(n)
     if kind == "mixture":
@@ -235,32 +203,30 @@ def scheme_battery(
 
 
 def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator) -> None:
-    """Spot-check anonymity, monotonicity, the budget, and that player 1's
-    payment path gives column 0 of the payments, on sampled outputs.
+    """Spot-check the budget, nonnegativity, anonymity and monotonicity on
+    sampled outputs; raises ``PropertyViolation`` on the first failure.
 
-    Statistical by design: schemes are opaque callables.  Raises
-    ``PropertyViolation`` on the first failure.
+    Every player is priced by ``scheme.pay`` with its own output first, so
+    the budget is checked on whole rows.  Anonymity is checked as invariance
+    under permutations of the rival columns, monotonicity by raising player
+    1's own output.  Statistical by design: schemes are opaque callables.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = scheme.n
-    w = scheme.payments(y)
-    if not np.allclose(scheme.player1_payments(y), w[:, 0], atol=1e-8):
-        raise PropertyViolation(f"{scheme.label}: player 1's payment is not column 0 of the payments")
+    own_first = (np.arange(n)[:, None] + np.arange(n)) % n  # row i: player i, then the others
+    w = scheme.pay(y[:, own_first].reshape(-1, n)).reshape(len(y), n)
     if np.any(w < -PROPERTY_TOL):
         raise PropertyViolation(f"{scheme.label}: negative payments")
     totals = w.sum(axis=1)
     if np.any(totals > 1.0 + 1e-6):
         raise PropertyViolation(f"{scheme.label}: budget exceeded (max total {totals.max():.6g})")
     for _ in range(PROPERTY_TRIALS):
-        perm = rng.permutation(n)
-        wp = scheme.payments(y[:, perm])
-        if not np.allclose(wp, w[:, perm], atol=1e-8):
+        cols = np.append(0, 1 + rng.permutation(n - 1))
+        if not np.allclose(scheme.pay(y[:, cols]), w[:, 0], atol=1e-8):
             raise PropertyViolation(f"{scheme.label}: anonymity spot-check failed")
-        i = int(rng.integers(n))
         bump = y.copy()
-        bump[:, i] += rng.uniform(0.01, 1.0)
-        wb = scheme.payments(bump)
-        if np.any(wb[:, i] < w[:, i] - 1e-8):
+        bump[:, 0] += rng.uniform(0.01, 1.0)
+        if np.any(scheme.pay(bump) < w[:, 0] - 1e-8):
             raise PropertyViolation(f"{scheme.label}: payment decreased in own output")
 
 
@@ -288,12 +254,10 @@ def marginal_incentive(
     anonymous monotone budget-feasible scheme, provided the density vanishes
     at the upper support bound.
 
-    Per batch, only player 1 is priced (``PayScheme.player1_payments``), and
-    only on the draws whose noise x_1 lies above the mode x_m; the products
-    with the likelihood ratio are scattered into zeros of the batch's
-    length, so the sums run over the same values in the same order as when
-    every player is priced on every draw, and the result is the same to the
-    last bit.  The likelihood-ratio cap is still checked on every draw.
+    Per batch, player 1 is priced only on the draws whose noise x_1 lies
+    above the mode x_m; the products with the likelihood ratio are scattered
+    into zeros of the batch's length and summed.  The likelihood-ratio cap
+    is checked on every draw.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
@@ -317,7 +281,7 @@ def marginal_incentive(
         above = x[:, 0] > xm
         vals = np.zeros(len(x))
         if above.any():  # a short last batch may have none; a bare callable need not take 0 rows
-            vals[above] = scheme.player1_payments(effort + x[above]) * lam[above]
+            vals[above] = scheme.pay(effort + x[above]) * lam[above]
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
     mean = total / draws

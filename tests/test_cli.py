@@ -145,6 +145,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("verify", {"bounds_battery": -2}, "bad 'bounds_battery': -2 is below 0"),
         ("verify", {"bounds_battery": 1, "battery_draws": float("nan")}, "bad 'battery_draws': nan"),
         ("verify", {"bounds_battery": 1, "battery_draws": 1e5 + 0.5}, "bad 'battery_draws': 100000.5"),
+        # a scheme field that priced nothing was reported as a satisfied bound
+        ("verify", {"scheme": {"kind": "linear_share", "cap": float("nan")}},
+         "linear_share scheme spec: bad 'cap': nan is not finite"),
+        ("verify", {"scheme": {"kind": "rank", "standard": float("nan")}},
+         "rank scheme spec: bad 'standard': nan is not finite"),
+        # an empty prize list was priced as winner-take-all
+        ("verify", {"scheme": {"kind": "rank", "prizes": []}}, "rank scheme spec: bad 'prizes'"),
+        # an infinite cost solved to effort 0 (kappa) or 1 (beta)
+        ("cost", {"kappa": float("inf")}, "bad cost: need finite kappa > 0 and beta > 1"),
+        ("cost", {"beta": float("inf")}, "bad cost: need finite kappa > 0 and beta > 1"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
@@ -155,6 +165,17 @@ def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
     assert cli.main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and named in err
+
+
+@pytest.mark.parametrize("section, value", [("verify", {"draws": 10000}), ("montecarlo", {"grid_size": 500})])
+def test_verify_checks_sections_before_solving(tmp_path, capsys, monkeypatch, section, value):
+    def unreachable(sc):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(cli, "_solve_scenario", unreachable)
+    doc = {**EXP_SCENARIO, "distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta", section: value}
+    assert cli.main(["verify", "--config", _write(tmp_path, "cfg.json", doc), "--seed", "1"]) == 2
+    assert f"unknown keys in {section}" in capsys.readouterr().err
 
 
 def test_integral_float_integers_accepted(tmp_path):

@@ -1,4 +1,7 @@
+import copy
+
 import numpy as np
+import payment_reference as ref
 import pytest
 
 from tourney import distributions as dists
@@ -11,19 +14,14 @@ PARETO = dists.pareto(2.0)
 
 
 def test_tournament_payments():
+    # each row is one player of the outputs (3, 1, 2): its own, then its rivals'
+    players = [[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 1.0]]
     wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), -np.inf)
-    assert wta.payments([[3.0, 1.0, 2.0]]).tolist() == [[1.0, 0.0, 0.0]]
+    assert wta.pay(players).tolist() == [1.0, 0.0, 0.0]
     eps_high = ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(3), 2.5)
-    np.testing.assert_allclose(eps_high.payments([[3.0, 1.0, 2.0]]), [[1 / 3, 0.0, 0.0]])
+    np.testing.assert_allclose(eps_high.pay(players), [1 / 3, 0.0, 0.0])
     eps_low = ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(3), 0.0)
-    np.testing.assert_allclose(eps_low.payments([[3.0, 1.0, 2.0]]), [[1 / 3, 1 / 3, 1 / 3]])
-
-
-def test_tournament_tie_goes_to_lower_index():
-    wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), -np.inf)
-    pay = wta.payments([[2.0, 2.0, 1.0]])
-    assert pay.tolist() == [[1.0, 0.0, 0.0]]
-    assert pay.sum() == 1.0  # ties never double-pay
+    np.testing.assert_allclose(eps_low.pay(players), [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_property_checks_pass_for_battery():
@@ -36,21 +34,23 @@ def test_property_checks_pass_for_battery():
 def test_property_violations_detected():
     rng = np.random.default_rng(0)
     y = rng.normal(size=(100, 3))
-    pay_worst = ps.PayScheme(
-        3, lambda yy: np.where(yy <= np.min(yy, axis=1, keepdims=True), 1.0, 0.0), "pay-the-worst"
-    )
+    # each violator keeps every other property, so only its own check can raise
+    pay_worst = ps.PayScheme(3, lambda yy: np.where(yy[:, 0] <= yy.min(axis=1), 1.0, 0.0), "pay-the-worst")
     with pytest.raises(ps.PropertyViolation, match="decreased"):
         ps.check_properties(pay_worst, y, rng)
-    over_budget = ps.PayScheme(3, lambda yy: np.full_like(yy, 0.5), "half-each")
+    over_budget = ps.PayScheme(3, lambda yy: np.full(len(yy), 0.5), "half-each")
     with pytest.raises(ps.PropertyViolation, match="budget"):
         ps.check_properties(over_budget, y, rng)
-    biased = ps.PayScheme(3, lambda yy: np.column_stack([np.ones(len(yy)), np.zeros((len(yy), 2))]), "always-first")
+    second_rival = ps.PayScheme(3, lambda yy: np.where(yy[:, 1] > 0, 1 / 3, 0.0), "reads-rival-1")
     with pytest.raises(ps.PropertyViolation, match="anonymity"):
-        ps.check_properties(biased, y, rng)
+        ps.check_properties(second_rival, y, rng)
+    negative = ps.PayScheme(3, lambda yy: np.full(len(yy), -0.1), "negative")
+    with pytest.raises(ps.PropertyViolation, match="negative"):
+        ps.check_properties(negative, y, rng)
 
 
 def test_marginal_incentive_zero_scheme():
-    zero = ps.PayScheme(3, lambda y: np.zeros_like(y), "zero")
+    zero = ps.PayScheme(3, lambda y: np.zeros(len(y)), "zero")
     est, se = ps.marginal_incentive(GUMBEL, zero, 0.3, draws=20_000, seed=1)
     assert est == 0.0 and se == 0.0
 
@@ -122,80 +122,79 @@ def test_scheme_from_spec():
         {"kind": "mixture", "first": {"kind": "constant"}, "second": {"kind": "linear_share", "cap": 1.0}, "weight": 0.5},
         3,
     )
-    y = np.array([[2.0, 1.5, 0.5]])
-    assert mix.payments(y).sum() <= 1.0 + 1e-12
+    players = np.array([[2.0, 1.5, 0.5], [1.5, 0.5, 2.0], [0.5, 2.0, 1.5]])  # each own output first
+    assert mix.pay(players).sum() <= 1.0 + 1e-12
     with pytest.raises(ValueError, match="unknown scheme kind"):
         ps.scheme_from_spec({"kind": "??"}, 3)
 
 
 def _built_in_schemes(n):
-    """Every built-in kind, with and without a standard; a linear share's cap
-    is its standard, and -10 lies below every output drawn here."""
+    """Every built-in kind, with and without a standard, each with its full
+    payments from ``payment_reference``; a linear share's cap is its
+    standard, and -10 lies below every output drawn here."""
     wta, eps = eq.PrizeSchedule.winner_take_all(n), eq.PrizeSchedule.equal_sharing(n)
+    drawn = eq.random_schedule(n, np.random.default_rng(n))
     return [
-        ps.rank_payscheme(wta),
-        ps.rank_payscheme(wta, 0.4),
-        ps.rank_payscheme(eps, 0.4),
-        ps.rank_payscheme(eq.random_schedule(n, np.random.default_rng(n)), 0.2),
-        ps.capped_linear_share(n, -10.0),
-        ps.capped_linear_share(n, 0.6),
-        ps.constant_share(n),
-        ps.mixture(ps.rank_payscheme(wta, 0.4), ps.capped_linear_share(n, 0.6), 0.3),
-        ps.mixture(ps.constant_share(n), ps.rank_payscheme(eps), 0.8),
+        (ps.rank_payscheme(wta), ref.rank(wta)),
+        (ps.rank_payscheme(wta, 0.4), ref.rank(wta, 0.4)),
+        (ps.rank_payscheme(eps, 0.4), ref.rank(eps, 0.4)),
+        (ps.rank_payscheme(drawn, 0.2), ref.rank(drawn, 0.2)),
+        (ps.capped_linear_share(n, -10.0), ref.linear_share(-10.0)),
+        (ps.capped_linear_share(n, 0.6), ref.linear_share(0.6)),
+        (ps.constant_share(n), ref.constant(n)),
+        (ps.mixture(ps.rank_payscheme(wta, 0.4), ps.capped_linear_share(n, 0.6), 0.3),
+         ref.mixture(ref.rank(wta, 0.4), ref.linear_share(0.6), 0.3)),
+        (ps.mixture(ps.constant_share(n), ps.rank_payscheme(eps), 0.8),
+         ref.mixture(ref.constant(n), ref.rank(eps), 0.8)),
     ]
 
 
-def _assert_player1_is_column_0(scheme, y):
-    got, want = scheme.player1_payments(y), scheme.payments(y)[:, 0]
+def _battery(n, size, rng, y_low, y_high):
+    """``scheme_battery`` schemes, each with its full payments."""
+    twin = copy.deepcopy(rng)
+    schemes = ps.scheme_battery(n, size, rng, y_low, y_high)
+    return list(zip(schemes, ref.battery(n, size, twin, y_low, y_high)))
+
+
+def _assert_player1_is_column_0(scheme, payments, y):
+    got, want = scheme.pay(y), payments(y)[:, 0]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), scheme
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_player1_payments_are_column_0_for_built_in_kinds(n):
     y = np.random.default_rng(20 + n).normal(0.5, 1.0, size=(500, n))
-    for scheme in _built_in_schemes(n):
-        _assert_player1_is_column_0(scheme, y)
-        _assert_player1_is_column_0(scheme, y[:1])
-        _assert_player1_is_column_0(scheme, y[:0])
+    for scheme, payments in _built_in_schemes(n):
+        _assert_player1_is_column_0(scheme, payments, y)
+        _assert_player1_is_column_0(scheme, payments, y[:1])
+        _assert_player1_is_column_0(scheme, payments, y[:0])
 
 
 def test_player1_payments_on_tied_outputs():
     y = np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0, 2.0], [2.0, 3.0, 2.0], [2.0, 1.0, 2.0]])
-    for scheme in _built_in_schemes(3) + [ps.rank_payscheme(eq.PrizeSchedule((0.5, 0.3, 0.2)), 2.0)]:
-        _assert_player1_is_column_0(scheme, y)
+    prizes = eq.PrizeSchedule((0.5, 0.3, 0.2))
+    for scheme, payments in _built_in_schemes(3) + [(ps.rank_payscheme(prizes, 2.0), ref.rank(prizes, 2.0))]:
+        _assert_player1_is_column_0(scheme, payments, y)
     wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3))
-    assert wta.player1_payments([[2.0, 2.0, 1.0]]).tolist() == [1.0]  # the tie goes to player 1
+    assert wta.pay([[2.0, 2.0, 1.0]]).tolist() == [1.0]  # the tie goes to player 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 30])
 def test_player1_payments_are_column_0_for_battery(n):
     rng = np.random.default_rng(30 + n)
     y = rng.normal(0.5, 1.0, size=(400, n))
-    for scheme in ps.scheme_battery(n, 50, rng, -1.0, 2.0):
-        _assert_player1_is_column_0(scheme, y)
+    for scheme, payments in _battery(n, 50, rng, -1.0, 2.0):
+        _assert_player1_is_column_0(scheme, payments, y)
 
 
-def test_bare_callable_falls_back_to_column_0():
-    share = ps.PayScheme(3, lambda y: y / y.sum(axis=1, keepdims=True), "share")
-    y = np.random.default_rng(5).uniform(1.0, 2.0, size=(50, 3))
-    _assert_player1_is_column_0(share, y)
-
-
-def test_check_properties_rejects_a_player1_path_off_column_0():
-    rng = np.random.default_rng(0)
-    liar = ps.PayScheme(3, lambda y: np.full_like(y, 1 / 3), "liar", lambda y: np.full(len(y), 0.5))
-    with pytest.raises(ps.PropertyViolation, match="player 1's payment is not column 0"):
-        ps.check_properties(liar, rng.normal(size=(100, 3)), rng)
-
-
-def _full_payment_incentive(dist, scheme, effort, draws, seed):
+def _full_payment_incentive(dist, n, payments, effort, draws, seed):
     """Reference: the marginal incentive pricing every player on every draw
     and keeping player 1 above the mode, summed in the estimator's order."""
     xm = dist.find_modes().global_mode
     total = total_sq = 0.0
-    for x in mc.noise_batches(dist, scheme.n, draws, seed):
+    for x in mc.noise_batches(dist, n, draws, seed):
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
-        w1 = scheme.payments(effort + x)[:, 0]
+        w1 = payments(effort + x)[:, 0]
         vals = np.where(x[:, 0] > xm, w1 * lam, 0.0)
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
@@ -209,35 +208,10 @@ def _full_payment_incentive(dist, scheme, effort, draws, seed):
 def test_marginal_incentive_equals_full_payment_reference(dist, n):
     draws = mc.BATCH + 5  # a short last batch
     lo, hi = dist.truncated_support(1e-6)
-    rng = np.random.default_rng(n)
     schemes = _built_in_schemes(n) + [
-        ps.PayScheme(n, lambda y: np.full_like(y, 1 / n), "bare"),
-        *ps.scheme_battery(n, 2, rng, 0.3 + lo, 0.3 + min(hi, 30.0)),
+        (ps.PayScheme(n, lambda y: np.full(len(y), 1 / n), "bare"), ref.constant(n)),
+        *_battery(n, 2, np.random.default_rng(n), 0.3 + lo, 0.3 + min(hi, 30.0)),
     ]
-    for k, scheme in enumerate(schemes):
+    for k, (scheme, payments) in enumerate(schemes):
         got = ps.marginal_incentive(dist, scheme, 0.3, draws, seed=60 + k)
-        assert got == _full_payment_incentive(dist, scheme, 0.3, draws, 60 + k), scheme
-
-
-def test_marginal_incentive_prices_no_full_payments_outside_check(monkeypatch):
-    calls = []
-    checking = [False]
-    payments, check = ps.PayScheme.payments, ps.check_properties
-
-    def spy(self, y):
-        calls.append(checking[0])
-        return payments(self, y)
-
-    def checked(*args):
-        checking[0] = True
-        try:
-            check(*args)
-        finally:
-            checking[0] = False
-
-    monkeypatch.setattr(ps.PayScheme, "payments", spy)
-    monkeypatch.setattr(ps, "check_properties", checked)
-    for scheme in _built_in_schemes(3):
-        calls.clear()
-        ps.marginal_incentive(GUMBEL, scheme, 0.3, draws=mc.BATCH + 1, seed=7)
-        assert calls and all(calls), scheme
+        assert got == _full_payment_incentive(dist, n, payments, 0.3, draws, 60 + k), scheme
