@@ -47,6 +47,8 @@ LR_CAP = 1e6
 # properties, and the tolerance on a negative payment.
 PROPERTY_TRIALS = 16
 PROPERTY_TOL = 1e-9
+# Outputs per pay call when the budget check prices every player (8 MiB).
+PROPERTY_BLOCK = 1 << 20
 
 
 class PropertyViolation(ValueError):
@@ -69,7 +71,8 @@ class PayScheme:
     its rivals' after it, to player 1's payment on each row, from that row
     alone.  The scheme is anonymous exactly when ``pay`` is symmetric in the
     rival columns; player i is then paid ``pay`` with its own output first.
-    Any such callable plugs in; ``check_properties`` spot-checks it.
+    Any such callable plugs in; ``check_properties`` spot-checks it.  Rank
+    schemes keep the budget only up to ties (see ``rank_payscheme``).
     """
 
     def __init__(self, n: int, pay: Callable[[np.ndarray], np.ndarray], label: str = "custom"):
@@ -91,8 +94,9 @@ class PayScheme:
 def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PayScheme:
     """Pay by performance rank among those above the standard: player 1 is
     paid the prize of its rank from ``montecarlo._rank``, which counts the
-    rivals strictly above it, so ties (measure zero under continuous noise)
-    go to player 1."""
+    rivals strictly above it, so ties go to player 1.  On a tied row every
+    tied player is paid the prize, so the scheme keeps the budget only up
+    to ties, which have measure zero under continuous noise."""
     v = np.append(np.asarray(schedule.prizes), 0.0)
     label = f"rank(v={schedule.prizes}, standard={standard:g})"
     return PayScheme(schedule.n, lambda y: v[_rank(y, y[:, 0], y[:, 0] >= standard)], label)
@@ -206,27 +210,37 @@ def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator)
     """Spot-check the budget, nonnegativity, anonymity and monotonicity on
     sampled outputs; raises ``PropertyViolation`` on the first failure.
 
-    Every player is priced by ``scheme.pay`` with its own output first, so
-    the budget is checked on whole rows.  Anonymity is checked as invariance
-    under permutations of the rival columns, monotonicity by raising player
-    1's own output.  Statistical by design: schemes are opaque callables.
+    Every player is priced by ``scheme.pay`` with its own output first, a
+    block of at most ``PROPERTY_BLOCK`` outputs per call, so the budget is
+    checked on whole rows.  Anonymity is checked as invariance under
+    permutations of the rival columns, monotonicity by raising player 1's
+    own output.  Statistical by design: schemes are opaque callables.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n = scheme.n
-    own_first = (np.arange(n)[:, None] + np.arange(n)) % n  # row i: player i, then the others
-    w = scheme.pay(y[:, own_first].reshape(-1, n)).reshape(len(y), n)
-    if np.any(w < -PROPERTY_TOL):
-        raise PropertyViolation(f"{scheme.label}: negative payments")
-    totals = w.sum(axis=1)
+    n, m = scheme.n, len(y)
+    w1 = scheme.pay(y)
+    step = max(1, min(n, PROPERTY_BLOCK // y.size))  # players priced per call
+    yt = np.ascontiguousarray(y.T)
+    rows = np.empty((n, step * m))  # transposed, so a scheme reads each column contiguously
+    totals = np.zeros(m)
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        for j, i in enumerate(range(lo, lo + k)):  # player i's output, then the others'
+            rows[: n - i, j * m : (j + 1) * m] = yt[i:]
+            rows[n - i :, j * m : (j + 1) * m] = yt[:i]
+        w = scheme.pay(rows[:, : k * m].T)
+        if np.any(w < -PROPERTY_TOL):
+            raise PropertyViolation(f"{scheme.label}: negative payments")
+        totals += w.reshape(k, m).sum(axis=0)
     if np.any(totals > 1.0 + 1e-6):
         raise PropertyViolation(f"{scheme.label}: budget exceeded (max total {totals.max():.6g})")
     for _ in range(PROPERTY_TRIALS):
         cols = np.append(0, 1 + rng.permutation(n - 1))
-        if not np.allclose(scheme.pay(y[:, cols]), w[:, 0], atol=1e-8):
+        if not np.allclose(scheme.pay(y[:, cols]), w1, atol=1e-8):
             raise PropertyViolation(f"{scheme.label}: anonymity spot-check failed")
         bump = y.copy()
         bump[:, 0] += rng.uniform(0.01, 1.0)
-        if np.any(scheme.pay(bump) < w[:, 0] - 1e-8):
+        if np.any(scheme.pay(bump) < w1 - 1e-8):
             raise PropertyViolation(f"{scheme.label}: payment decreased in own output")
 
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import payment_reference as ref
@@ -47,6 +48,34 @@ def test_property_violations_detected():
     negative = ps.PayScheme(3, lambda yy: np.full(len(yy), -0.1), "negative")
     with pytest.raises(ps.PropertyViolation, match="negative"):
         ps.check_properties(negative, y, rng)
+
+
+def test_property_checks_at_large_n_price_every_player_in_bounded_memory():
+    # 16 rows at n = 1000 go to pay 65 players at a time, the last 25 in a
+    # block of their own; one block of every player's rows would take 128 MB
+    n = 1000
+    rng = np.random.default_rng(8)
+    y = rng.normal(0.5, 1.0, size=(16, n))
+    scheme = ps.scheme_battery(n, 1, rng, -1.0, 2.0)[0]
+    tracemalloc.start()
+    try:
+        ps.check_properties(scheme, y, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # a budget just over 1 is exceeded only once every player is added up
+    def share(c):
+        return ps.PayScheme(n, lambda yy: np.full(len(yy), c / n), f"{c}/n each")
+
+    ps.check_properties(share(1 - 1e-3), y, rng)
+    with pytest.raises(ps.PropertyViolation, match="budget"):
+        ps.check_properties(share(1 + 1e-3), y, rng)
+    # only the last player, in the last block, is paid a negative amount
+    y[:, -1] = -100.0
+    last = ps.PayScheme(n, lambda yy: np.where(yy[:, 0] == -100.0, -0.1, 0.0), "last-negative")
+    with pytest.raises(ps.PropertyViolation, match="negative"):
+        ps.check_properties(last, y, rng)
 
 
 def test_marginal_incentive_zero_scheme():
