@@ -30,7 +30,8 @@ KDE_GRID_POINTS = 4096  # bins of the KDE grid
 KDE_PAD = 3.0           # grid margin beyond the data, in bandwidths
 MODE_MIN_REL_HEIGHT = 0.01  # smallest KDE mode reported, relative to the highest
 BOOTSTRAP_BLOCK = 32    # resamples per FFT block; sets the block's memory
-ROWS_PER_BIN = 8        # at most this many rows per drawn bin: draw rows, not a multinomial
+ROWS_PER_BIN = 8        # at most this many rows per occupied bin: draw rows only, no Poisson counts
+POISSON_MARGIN = 3.0    # Poisson totals aim this many sqrt(n) below n; rows top up the rest
 TIE_RTOL = 2e-9         # runner-up this close to a row's maximum: use the direct filter
 
 
@@ -126,22 +127,36 @@ def kde_on_grid(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarr
     return centers, _smoothed(counts, bandwidth / binwidth) / (obs.size * binwidth)
 
 
-def _resample_counts(rng: np.random.Generator, held: np.ndarray, size: int) -> np.ndarray:
+def _resample_counts(
+    rng: np.random.Generator, held: np.ndarray, bin_of_row: np.ndarray, size: int
+) -> np.ndarray:
     """Counts in ``held``'s K bins of ``size`` resamples of its n rows, shape (size, K).
 
-    Every row is Multinomial(n, held / n).  At most ``ROWS_PER_BIN`` rows per
-    bin, each resample draws n row indices with ``integers(0, n)`` and counts
-    the bins they fall in: a row lands in bin b with probability held[b] / n,
-    independently of the others.  Above that, where a binomial per bin is
-    cheaper than a draw per row, it is one ``multinomial`` per resample.
+    Every row is Multinomial(n, held / n); ``bin_of_row`` maps each row to
+    its bin.  Above ``ROWS_PER_BIN`` rows per bin, a resample first draws a
+    Poisson count per bin with mean (1 - ``POISSON_MARGIN`` / sqrt(n)) *
+    held, drawn again while their total S exceeds n.  Every resample then
+    draws its n - S missing rows (all n at most ``ROWS_PER_BIN`` rows per
+    bin) as row indices.  Given S = s the Poisson counts are Multinomial(s,
+    held / n), and the rows add an independent Multinomial(n - s, held / n),
+    so the sum is Multinomial(n, held / n) (Devroye, Non-Uniform Random
+    Variate Generation, 1986).  The stream gives the block's Poisson counts,
+    then the redraws in order of resample, then the rows.
     """
-    n, K = int(held.sum()), held.size
+    n, K = bin_of_row.size, held.size
     if n > ROWS_PER_BIN * K:
-        return rng.multinomial(n, held / n, size=size)
-    rows = rng.integers(0, n, size=(size, n), dtype=np.int32)  # n <= ROWS_PER_BIN * KDE_GRID_POINTS
-    bins = np.repeat(np.arange(K), held)[rows]
-    bins += K * np.arange(size)[:, None]
-    return np.bincount(bins.ravel(), minlength=size * K).reshape(size, K)
+        mean = (1.0 - POISSON_MARGIN / np.sqrt(n)) * held
+        counts = rng.poisson(mean, size=(size, K))
+        for row in np.flatnonzero(counts.sum(axis=1) > n):
+            while counts[row].sum() > n:
+                counts[row] = rng.poisson(mean)
+    else:
+        counts = np.zeros((size, K), dtype=np.int64)
+    short = n - counts.sum(axis=1)
+    bins = bin_of_row[rng.integers(0, n, size=int(short.sum()), dtype=np.int32)]  # n < 2**31 rows in memory
+    for row, drawn in zip(counts, np.split(bins, np.cumsum(short)[:-1])):
+        row += np.bincount(drawn, minlength=K)
+    return counts
 
 
 def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -> np.ndarray:
@@ -149,35 +164,43 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
 
     Block k, of ``BOOTSTRAP_BLOCK`` resamples, is drawn on one of two threads
     from its own substream ``Philox(key=seed).jumped(k)``, so no bit depends
-    on the thread.  ``_resample_counts`` draws it over the K bins that a
-    full-grid ``multinomial`` takes random words for, the occupied ones and
-    the last: by row indices when n <= ``ROWS_PER_BIN`` * K, else by that
-    ``multinomial``.  Each block is smoothed by zero-padded real FFT with
-    scipy's truncated, normalised kernel; a row whose runner-up is within
-    ``TIE_RTOL`` of its maximum is smoothed again by ``_smoothed``, so every
-    bin is the direct filter's argmax.
+    on the thread.  ``_resample_counts`` draws it over the occupied bins, with
+    one row-to-bin map for the whole bootstrap.  Each block is smoothed by
+    zero-padded real FFT with scipy's truncated, normalised kernel, over the
+    span from the first to the last occupied bin only: a bin outside it is
+    farther than the span's nearer end from every occupied bin, and the
+    weights fall strictly with distance, so its value is below that end's.
+    A row whose runner-up is within ``TIE_RTOL`` of its maximum is smoothed
+    again over the whole grid by ``_smoothed``, so every bin is the direct
+    filter's argmax.
     """
-    cols = np.append(np.flatnonzero(counts[:-1]), counts.size - 1)
+    cols = np.flatnonzero(counts)
     held = counts[cols]
+    bin_of_row = np.repeat(np.arange(cols.size), held)
+    first = int(cols[0])
+    cols -= first
+    width = int(cols[-1]) + 1
     radius = int(4.0 * sigma + 0.5)
     kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     kernel /= kernel.sum()
-    length = fft.next_fast_len(counts.size + 2 * radius, real=True)
+    length = fft.next_fast_len(width + 2 * radius, real=True)
     spectrum = fft.rfft(kernel, length)
     root = np.random.Philox(key=seed)
 
     def block_argmax(start: int) -> np.ndarray:
         size = min(BOOTSTRAP_BLOCK, draws - start)
         rng = np.random.Generator(root.jumped(start // BOOTSTRAP_BLOCK))
-        block = np.zeros((size, counts.size), dtype=np.int64)
-        block[:, cols] = _resample_counts(rng, held, size)
-        smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + counts.size]
+        block = np.zeros((size, width), dtype=np.int64)
+        block[:, cols] = _resample_counts(rng, held, bin_of_row, size)
+        smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + width]
         best = np.argmax(smooth, axis=1)
         top = smooth[np.arange(size), best]
         tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
         for row in np.flatnonzero(tied):
-            best[row] = np.argmax(_smoothed(block[row], sigma))
-        return best
+            grid = np.zeros_like(counts)
+            grid[first:first + width] = block[row]
+            best[row] = np.argmax(_smoothed(grid, sigma)) - first
+        return best + first
 
     with ThreadPoolExecutor(2) as pool:
         return np.concatenate(list(pool.map(block_argmax, range(0, draws, BOOTSTRAP_BLOCK))))
@@ -243,13 +266,15 @@ def audit_sample(
     interval (percentile 2.5-97.5 over resamples of the rows, binned) drives
     the recommendation: a declared standard below the interval should be
     raised, above it lowered, inside it kept.  A sample with at most
-    ``ROWS_PER_BIN`` rows per occupied bin (the grid's last bin counted as
-    occupied) is resampled by drawing row indices, a denser one by a
-    multinomial over the bins; both draw each resample's bin counts exactly.
+    ``ROWS_PER_BIN`` rows per occupied bin is resampled by drawing row
+    indices; a denser one draws Poisson counts per bin, held below n in
+    total, and tops them up to n rows by row indices.  Both draw each
+    resample's bin counts exactly from Multinomial(n, counts / n).
     Each resample is smoothed with the point estimate's Gaussian kernel;
     blocks of resamples go through one real FFT (Silverman, Applied
-    Statistics AS 176, 1982), and a near-tied argmax is settled by the direct
-    filter, so every resample's mode is the bin the direct filter picks.
+    Statistics AS 176, 1982) over the span of occupied bins, outside which
+    the smoothed maximum cannot lie, and a near-tied argmax is settled by the
+    direct filter, so every resample's mode is the bin the direct filter picks.
     Block k of resamples draws from the substream
     ``Philox(key=seed).jumped(k)``, so one seed gives one report.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,

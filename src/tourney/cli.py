@@ -457,9 +457,12 @@ def _read_sample(path: str, declared_standard) -> audit_mod.PerformanceSample:
                 if len(row) < width:
                     raise ConfigError(f"sample line {rows.line_num} has {len(row)} of {width} columns")
                 try:
-                    obs.append(float(row[perf]))
+                    value = float(row[perf])
                 except ValueError as exc:
                     raise ConfigError(f"bad sample value on line {rows.line_num}: {exc}") from exc
+                if not -np.inf < value < np.inf:  # NaN fails both comparisons
+                    raise ConfigError(f"bad sample value on line {rows.line_num}: {row[perf]!r} is not finite")
+                obs.append(value)
                 if group is not None:
                     labels.append(row[group])
     except OSError as exc:

@@ -107,22 +107,32 @@ def _philox(seed):
 def _loop_argmax(rng, counts, sigma, draws):
     """Reference: one draw and one direct Gaussian filter per resample.
 
-    A resample draws as ``_resample_counts`` draws each row of its block: n
-    row indices, counted per bin, at most ``ROWS_PER_BIN`` rows per drawn bin
-    (the occupied bins and the last), and one full-grid multinomial above.
+    The resamples draw in the order ``_resample_counts`` draws a block.
+    Above ``ROWS_PER_BIN`` rows per occupied bin, each resample first draws
+    one Poisson count per occupied bin; then each resample whose total
+    exceeds n, in turn, draws all its counts again until it does not; then
+    each draws its missing rows as row indices, counted per bin.  At most
+    ``ROWS_PER_BIN`` rows per occupied bin, all n rows are drawn so.  Every
+    resample is smoothed over the whole grid.
     """
     n = int(counts.sum())
-    by_rows = n <= audit.ROWS_PER_BIN * (np.count_nonzero(counts[:-1]) + 1)
+    occupied = np.flatnonzero(counts)
     bin_of_row = np.repeat(np.arange(counts.size), counts)
-    p = counts / n
-    out = np.empty(draws, dtype=np.intp)
-    for b in range(draws):
-        if by_rows:
-            resample = np.bincount(bin_of_row[rng.integers(0, n, n)], minlength=counts.size)
-        else:
-            resample = rng.multinomial(n, p)
-        out[b] = np.argmax(ndimage.gaussian_filter1d(resample.astype(float), sigma=sigma, mode="constant"))
-    return out
+    resamples = np.zeros((draws, counts.size), dtype=np.int64)
+    if n > audit.ROWS_PER_BIN * occupied.size:
+        mean = (1.0 - audit.POISSON_MARGIN / np.sqrt(n)) * counts[occupied]
+        for resample in resamples:
+            resample[occupied] = rng.poisson(mean)
+        for resample in resamples:
+            while resample.sum() > n:
+                resample[occupied] = rng.poisson(mean)
+    for resample in resamples:
+        rows = rng.integers(0, n, n - resample.sum())
+        resample += np.bincount(bin_of_row[rows], minlength=counts.size)
+    return np.array([
+        np.argmax(ndimage.gaussian_filter1d(resample.astype(float), sigma=sigma, mode="constant"))
+        for resample in resamples
+    ], dtype=np.intp)
 
 
 def _blocked_loop_argmax(seed, counts, sigma, draws):
@@ -145,9 +155,9 @@ def _binned_gamma_sample(size, seed=17):
 
 def _counts_at_the_switch(extra):
     """The 1000-row gamma sample's bins, rescaled to ``ROWS_PER_BIN`` rows per
-    drawn bin plus ``extra`` rows, with the same occupied bins."""
+    occupied bin plus ``extra`` rows, with the same occupied bins."""
     _, counts, sigma = _binned_gamma_sample(1_000)
-    more = audit.ROWS_PER_BIN * (np.count_nonzero(counts[:-1]) + 1) + extra - counts.sum()
+    more = audit.ROWS_PER_BIN * np.count_nonzero(counts) + extra - counts.sum()
     add = np.floor(counts * (more / counts.sum())).astype(np.int64)
     add[np.argsort(-counts, kind="stable")[:more - add.sum()]] += 1  # fewer than the occupied bins
     assert add.sum() == more
@@ -156,7 +166,7 @@ def _counts_at_the_switch(extra):
 
 @pytest.mark.parametrize("size", [30, 1_000, 10_000, 100_000])
 def test_bootstrap_matches_loop_reference(size):
-    # 10^5 rows are over ROWS_PER_BIN per drawn bin, the others under it
+    # 10^5 rows are over ROWS_PER_BIN per occupied bin, the others under it
     obs, counts, sigma = _binned_gamma_sample(size)
     got = audit._bootstrap_argmax(5, counts, sigma, 150)
     assert np.array_equal(got, _blocked_loop_argmax(5, counts, sigma, 150))
@@ -168,8 +178,8 @@ def test_bootstrap_matches_loop_reference(size):
 
 @pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
 def test_bootstrap_block_edges(draws):
-    # At n = ROWS_PER_BIN * drawn bins the blocks draw rows, one row above it
-    # the multinomial
+    # At n = ROWS_PER_BIN * occupied bins the blocks draw rows, one row above
+    # it Poisson counts topped up by rows
     for counts, sigma in (_counts_at_the_switch(0), _counts_at_the_switch(1)):
         got = audit._bootstrap_argmax(9, counts, sigma, draws)
         assert np.array_equal(got, _blocked_loop_argmax(9, counts, sigma, draws))
@@ -177,20 +187,23 @@ def test_bootstrap_block_edges(draws):
 
 @pytest.mark.parametrize("draws", [1, 31, 32, 33, 100])
 @pytest.mark.parametrize("last_bin", [False, True], ids=["last-bin-empty", "last-bin-occupied"])
-def test_bootstrap_consumes_the_stream_exactly(draws, last_bin):
-    # Within a block every resample after the first starts where the draw of
-    # the one before it left the substream, so equal bins show the block's
-    # draw over the occupied bins consumes each substream as one draw per
-    # resample over the full grid does, on either sampler.
-    for path in ("rows", "multinomial"):
-        if last_bin:  # the grid's last bin is then already among the occupied ones
+def test_bootstrap_consumes_the_stream_exactly(monkeypatch, draws, last_bin):
+    # Within a block the reference draws every resample's Poisson counts,
+    # then the redraws in turn, then every resample's rows, each resample
+    # starting where the one before it left the substream.  Equal bins show
+    # the block's draw consumes the substream in that order, by rows, by
+    # Poisson counts, and when about half the totals overshoot n and are
+    # redrawn.  The occupied span ends inside the grid or at its last bin.
+    for path in ("rows", "dense", "redraw"):
+        if path == "redraw":
+            monkeypatch.setattr(audit, "POISSON_MARGIN", 0.0)
+        if last_bin:
             counts, sigma = np.zeros(4096, dtype=np.int64), 12.5
             counts[[700, 2048, 4095]] = [4, 3, 2] if path == "rows" else [40, 25, 35]
         else:
             _, counts, sigma = _binned_gamma_sample(1_000 if path == "rows" else 100_000)
             assert counts[-1] == 0
-        drawn = np.count_nonzero(counts[:-1]) + 1
-        assert (counts.sum() <= audit.ROWS_PER_BIN * drawn) == (path == "rows")
+        assert (counts.sum() <= audit.ROWS_PER_BIN * np.count_nonzero(counts)) == (path == "rows")
         got = audit._bootstrap_argmax(13, counts, sigma, draws)
         assert np.array_equal(got, _blocked_loop_argmax(13, counts, sigma, draws))
 
@@ -218,10 +231,9 @@ def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
 def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
     # Two equal spikes: a resample splitting the mass evenly has two exactly
     # equal smoothed maxima, where the direct filter takes the lower bin.
-    # With the empty last bin three bins are drawn: one row per spike is
-    # drawn by rows, ROWS_PER_BIN * 3 / 2 + 1 by the multinomial.
+    # One row per spike is drawn by rows, ROWS_PER_BIN + 1 by Poisson counts.
     smoothed = audit._smoothed
-    for spike in (1, 3 * audit.ROWS_PER_BIN // 2 + 1):
+    for spike in (1, audit.ROWS_PER_BIN + 1):
         counts = np.zeros(4096, dtype=np.int64)
         counts[[1000, 1257]] = spike
         direct = []
@@ -231,20 +243,46 @@ def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
         assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
 
 
-@pytest.mark.parametrize("path", ["rows", "multinomial"])
+def test_bootstrap_smooths_over_the_occupied_span():
+    # The argmax of the whole grid's direct filter, on samples whose maximum
+    # sits at an end of the occupied span or on a single bin
+    one_bin = np.zeros(4096, dtype=np.int64)
+    one_bin[2500] = 50
+    exponential = np.bincount(np.floor(_philox(31).exponential(1.0, 2_000)).astype(int) + 900,
+                              minlength=4096)
+    two_ends = np.zeros(4096, dtype=np.int64)
+    two_ends[[0, 1500]] = audit.ROWS_PER_BIN + 1
+    for counts, sigma in ((one_bin, 20.0), (exponential, 1.0), (two_ends, 30.0)):
+        got = audit._bootstrap_argmax(21, counts, sigma, 64)
+        assert np.array_equal(got, _blocked_loop_argmax(21, counts, sigma, 64))
+        occupied = np.flatnonzero(counts)
+        assert set(got.tolist()) & {occupied[0], occupied[-1]}
+
+
+@pytest.mark.parametrize("path", ["rows", "dense", "redraw", "poisson"])
 def test_resample_counts_law(monkeypatch, path):
-    # Three occupied bins and the empty last one: every resample holds n
-    # rows, and its joint outcome follows Multinomial(n, held / n).
-    held = np.array([5, 3, 2, 0])
-    if path == "multinomial":
+    # Three occupied bins: every resample holds n rows, and its joint outcome
+    # follows Multinomial(n, held / n).  At n = 10 the dense path's Poisson
+    # totals have mean 0.51, so the rows carry most of the resample; with
+    # the margin at -0.5 most totals overshoot n and are redrawn, and with
+    # it at 0 the Poisson counts carry most rows.
+    held = np.array([5, 3, 2])
+    if path != "rows":
         monkeypatch.setattr(audit, "ROWS_PER_BIN", 0)
+        if path != "dense":
+            monkeypatch.setattr(audit, "POISSON_MARGIN", -0.5 if path == "redraw" else 0.0)
+        mean = 10.0 - audit.POISSON_MARGIN * np.sqrt(10.0)
+        overshoot = stats.poisson.sf(10, mean)
+        poisson_share = sum(s * stats.poisson.pmf(s, mean) for s in range(11)) / (10.0 * (1 - overshoot))
+        assert {"dense": poisson_share < 0.5, "redraw": overshoot > 0.5,
+                "poisson": poisson_share > 0.5}[path]
     assert (held.sum() <= audit.ROWS_PER_BIN * held.size) == (path == "rows")
-    draws = audit._resample_counts(_philox(29), held, 20_000)
-    assert draws.shape == (20_000, 4)
-    assert np.all(draws.sum(axis=1) == 10) and not draws[:, 3].any()
-    outcomes, seen = np.unique(draws[:, :3], axis=0, return_counts=True)
+    draws = audit._resample_counts(_philox(29), held, np.repeat(np.arange(3), held), 10_000)
+    assert draws.shape == (10_000, 3)
+    assert np.all(draws.sum(axis=1) == 10)
+    outcomes, seen = np.unique(draws, axis=0, return_counts=True)
     every = [(a, b, 10 - a - b) for a in range(11) for b in range(11 - a)]
-    expected = 20_000 * stats.multinomial.pmf(every, 10, held[:3] / 10)
+    expected = 10_000 * stats.multinomial.pmf(every, 10, held / 10)
     observed = np.zeros(len(every))
     observed[[every.index(tuple(o)) for o in outcomes.tolist()]] = seen
     rare = expected < 5.0  # pooled into one cell

@@ -566,7 +566,9 @@ def _write_sample(tmp_path, loc=5.0, groups=False, size=50_000):
 def test_audit_command(tmp_path):
     sample = _write_sample(tmp_path, groups=True)
     out = tmp_path / "audit.json"
-    assert cli.main(["audit", "--input", sample, "--standard", "5.0", "--bootstrap", "200",
+    # The default 1000 resamples: at 200, the interval's lower end on this
+    # sample lies above 5.0 for one seed in four or five
+    assert cli.main(["audit", "--input", sample, "--standard", "5.0",
                      "--seed", "3", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["standard_comparison"]["recommendation"] == "keep"
@@ -628,6 +630,17 @@ def test_audit_sample_reader(tmp_path, capsys):
     path.write_text("performance\n1.0\nx\n")
     assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
+def test_audit_names_a_non_finite_observation(tmp_path, capsys, cell):
+    # these exited 2 with only "observations must be finite"
+    path = tmp_path / "sample.csv"
+    rows = [f"{v},a" for v in range(40)]
+    rows[6] = f"{cell},b"
+    path.write_text("performance,group\n" + "\n".join(rows) + "\n")
+    assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"invalid input: bad sample value on line 8: {cell!r} is not finite\n"
 
 
 def test_audit_rejects_bootstrap_count(tmp_path, capsys):
