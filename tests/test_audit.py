@@ -264,25 +264,25 @@ def test_resample_counts_law(monkeypatch, path):
     # Three occupied bins: every resample holds n rows, and its joint outcome
     # follows Multinomial(n, held / n).  At n = 10 the dense path's Poisson
     # totals have mean 0.51, so the rows carry most of the resample; with
-    # the margin at -0.5 most totals overshoot n and are redrawn, and with
+    # the margin at -0.3 most totals overshoot n and are redrawn, and with
     # it at 0 the Poisson counts carry most rows.
     held = np.array([5, 3, 2])
     if path != "rows":
         monkeypatch.setattr(audit, "ROWS_PER_BIN", 0)
         if path != "dense":
-            monkeypatch.setattr(audit, "POISSON_MARGIN", -0.5 if path == "redraw" else 0.0)
+            monkeypatch.setattr(audit, "POISSON_MARGIN", -0.3 if path == "redraw" else 0.0)
         mean = 10.0 - audit.POISSON_MARGIN * np.sqrt(10.0)
         overshoot = stats.poisson.sf(10, mean)
         poisson_share = sum(s * stats.poisson.pmf(s, mean) for s in range(11)) / (10.0 * (1 - overshoot))
         assert {"dense": poisson_share < 0.5, "redraw": overshoot > 0.5,
                 "poisson": poisson_share > 0.5}[path]
     assert (held.sum() <= audit.ROWS_PER_BIN * held.size) == (path == "rows")
-    draws = audit._resample_counts(_philox(29), held, np.repeat(np.arange(3), held), 10_000)
-    assert draws.shape == (10_000, 3)
+    draws = audit._resample_counts(_philox(29), held, np.repeat(np.arange(3), held), 20_000)
+    assert draws.shape == (20_000, 3)
     assert np.all(draws.sum(axis=1) == 10)
     outcomes, seen = np.unique(draws, axis=0, return_counts=True)
     every = [(a, b, 10 - a - b) for a in range(11) for b in range(11 - a)]
-    expected = 10_000 * stats.multinomial.pmf(every, 10, held / 10)
+    expected = 20_000 * stats.multinomial.pmf(every, 10, held / 10)
     observed = np.zeros(len(every))
     observed[[every.index(tuple(o)) for o in outcomes.tolist()]] = seen
     rare = expected < 5.0  # pooled into one cell
