@@ -249,7 +249,7 @@ def _grid_modes(f: np.ndarray, plateau_tol: float) -> list[int]:
 def kde_modes(grid: np.ndarray, density: np.ndarray) -> tuple[float, ...]:
     """Distinct local maxima of a density curve, largest location first."""
     fmax = float(density.max())
-    idx = _grid_modes(density, plateau_tol=1e-9 * max(fmax, 1.0))
+    idx = _grid_modes(density, plateau_tol=1e-9 * fmax)
     modes = [float(grid[i]) for i in idx if density[i] >= MODE_MIN_REL_HEIGHT * fmax]
     return tuple(sorted(modes, reverse=True))
 

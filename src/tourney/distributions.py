@@ -178,11 +178,12 @@ class NoiseDistribution:
         return _on_interval(self._sf, x, *self.support, 1.0, 0.0)
 
     def ppf(self, q):
-        """Quantile function on [0, 1]."""
+        """Quantile function on [0, 1]; 0 and 1 map to the support's ends
+        exactly, and the closed form sees only the levels between them."""
         levels = np.asarray(q, dtype=float)
         if ((levels < 0.0) | (levels > 1.0)).any():
             raise ValueError("quantile levels must lie in [0, 1]")
-        return _on_interval(self._ppf, levels, 0.0, 1.0, np.nan, np.nan)
+        return _on_interval(self._ppf, levels, math.ulp(0.0), math.nextafter(1.0, 0.0), *self.support)
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling, so identical uniforms give identical draws.
@@ -201,10 +202,11 @@ class NoiseDistribution:
         KiB that stay in cache, and each slab is written back into the
         levels' own buffer, so the temporaries are one slab's, not the whole
         array's.  The slabs go to the closed form ``_ppf`` directly: levels
-        in [0, 1) never fire the range check or the split at the ends of
-        [0, 1] in ``ppf``, which hands such levels to ``_ppf`` unchanged.
-        Every family's quantile function works value by value, so the noise
-        is bit-identical to ``ppf`` of the whole array.
+        in [0, 1) never fire the range check in ``ppf``, which hands the
+        levels above 0 to ``_ppf`` unchanged, and every closed form maps 0
+        to the lower support bound itself.  Every family's quantile function
+        works value by value, so the noise is bit-identical to ``ppf`` of
+        the whole array.
         """
         flat = u.reshape(-1)
         for start in range(0, flat.size, SLAB):
@@ -469,7 +471,7 @@ def inverse_exponential() -> NoiseDistribution:
         pdf=pdf,
         cdf=lambda x: np.exp(-1.0 / np.maximum(x, eps)),
         sf=lambda x: -np.expm1(-1.0 / np.maximum(x, eps)),
-        ppf=lambda q: -1.0 / np.log(np.maximum(q, eps)),
+        ppf=lambda q: 1.0 / np.abs(np.log(q)),
         likelihood_ratio=lambda x: (2.0 * x - 1.0) / np.square(x),
         shape=_unimodal(0.5, 4.0 * math.exp(-2.0), "neither", descent, (0.0, "IFR"), (peak, "DFR")),
     )
@@ -567,7 +569,7 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
     if mass <= 0:
         raise ValueError("density integrates to zero")
     kf = kf_raw / mass
-    if kf[-1] > 1e-8:
+    if kf[-1] > 1e-8 * kf.max():
         warnings.warn(
             f"density does not vanish at the upper support bound "
             f"(f({kx[-1]:g}) = {kf[-1]:.3g}); heavy-tail (DFR) results may "
@@ -581,52 +583,39 @@ def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistri
     mass_above = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     widths = np.diff(kx)
     slopes = np.diff(kf) / widths
-    # per-segment constants of ppf: the guarded divisors of its two branches
-    # and the segments flat enough for the linear one
-    kf_div = np.where(np.abs(kf[:-1]) > 1e-300, kf[:-1], 1.0)
-    slope_div = np.where(np.abs(slopes) > 1e-300, slopes, 1.0)
-    flat = np.abs(slopes) < 1e-12 * np.maximum(np.abs(kf[:-1]), 1.0)
-    any_flat = bool(flat.any())
+    # the segment of each point of the support, or of each level in [0, 1]:
+    # the count of the inner knots, or of their masses, at or below it
+    inner, inner_mass = kx[1:-1], seg_mass[1:-1]
 
     def pdf(x):
         return np.interp(x, kx, kf)
 
     def cdf(x):
-        i = np.clip(np.searchsorted(kx, x, side="right") - 1, 0, len(kx) - 2)
+        i = np.searchsorted(inner, x, side="right")
         s = x - kx[i]
         return seg_mass[i] + kf[i] * s + 0.5 * slopes[i] * s * s
 
     def sf(x):
         # the mass of [x, next knot] in the segment's own terms: with f >= 0
         # there, f(next) - slope * s / 2 >= f(next) / 2, so nothing cancels
-        i = np.clip(np.searchsorted(kx, x, side="right") - 1, 0, len(kx) - 2)
+        i = np.searchsorted(inner, x, side="right")
         s = kx[i + 1] - x
         return mass_above[i + 1] + s * (kf[i + 1] - 0.5 * slopes[i] * s)
 
     def ppf(q):
-        """Invert each segment's quadratic cdf, or its linear one on a flat
-        segment.
-
-        The guarded divisors, widths and flat mask are per-segment constants,
-        made once with the density.  The quadratic branch runs on every
-        element and the linear one only on the elements of flat segments,
-        overwriting theirs.  Each element thus meets exactly the IEEE
-        operations, in the same order, of the branch chosen for it, so the
-        bits equal those of evaluating both branches everywhere and picking
-        one per element.
-        """
-        i = np.clip(np.searchsorted(seg_mass, q, side="right") - 1, 0, len(kx) - 2)
+        # the root s >= 0 of resid = f s + slope s^2 / 2 in the form without
+        # cancellation, which is resid / f on a flat segment; s = 0 where the
+        # denominator vanishes, as it can only where f = 0
+        i = np.searchsorted(inner_mass, q, side="right")
         resid = q - seg_mass[i]
         a = kf[i]
-        s = (np.sqrt(np.maximum(a * a + 2.0 * slopes[i] * resid, 0.0)) - a) / slope_div[i]
-        if any_flat:
-            on = flat[i]
-            s[on] = resid[on] / kf_div[i[on]]
-        return kx[i] + np.clip(s, 0.0, widths[i])
+        root = a + np.sqrt(np.maximum(a * a + 2.0 * slopes[i] * resid, 0.0))
+        s = np.divide(2.0 * resid, root, out=np.zeros_like(resid), where=root > 0.0)
+        return kx[i] + np.minimum(s, widths[i])
 
     def lr(x):
         # right derivative at kinks; the final knot keeps its left segment
-        i = np.clip(np.searchsorted(kx, x, side="right") - 1, 0, len(kx) - 2)
+        i = np.searchsorted(inner, x, side="right")
         return -slopes[i] / pdf(x)
 
     return NoiseDistribution(

@@ -512,12 +512,13 @@ def _rank_cdf_sum(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.ndarr
 
 def _unit(n: int, r) -> np.ndarray:
     """Differentials of the schedule with one prize at rank r, (n,), or one
-    row per rank for an array of ranks."""
+    row per rank for an array of ranks, as a boolean mask: True multiplies
+    as 1.0."""
     r = np.asarray(r)
     bad = r[(r < 1) | (r > n)]
     if bad.size:
         raise ValueError(f"rank {bad.flat[0]} outside 1..{n}")
-    return (np.arange(1, n + 1) == r[..., None]).astype(float)
+    return np.arange(1, n + 1) == r[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def marginal_incentive(
     draws = _require_draws(draws)
     n = scheme.n
     shape = dist.find_modes()
-    if shape.top_drop > 1e-8:
+    if shape.top_drop > 1e-8 * shape.global_mode_density:
         raise ValueError("density must vanish at the upper support bound")
     xm = shape.global_mode
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))

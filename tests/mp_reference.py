@@ -11,10 +11,13 @@ import mpmath as mp
 from tourney import distributions as dists
 
 
-def _trimodal_red_mp():
-    """Trimodal red density and CDF in mpmath, and its knots."""
-    pts = [(mp.mpf(x), mp.mpf(f)) for x, f in dists._TRIMODAL_KNOTS["red"]]
-    mass = sum((x1 - x0) * (f0 + f1) / 2 for (x0, f0), (x1, f1) in zip(pts, pts[1:]))
+def piecewise_mp(knots, dps=40):
+    """Density, CDF and survival function in mpmath of the density through
+    the (x, f) knot pairs, normalized to unit mass, and its knots.  The mass
+    is summed at ``dps`` digits; evaluate at that precision too."""
+    pts = [(mp.mpf(x), mp.mpf(f)) for x, f in knots]
+    with mp.workdps(dps):
+        mass = mp.fsum((x1 - x0) * (f0 + f1) / 2 for (x0, f0), (x1, f1) in zip(pts, pts[1:]))
 
     def pdf(x):
         for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
@@ -68,7 +71,7 @@ def family_mp(name):
             [0, 0.1, 0.25, 0.5, 1, 4, 16, 100, 10**3, 10**4, 10**6, mp.inf],
         )
     if name == "red":
-        return _trimodal_red_mp()
+        return piecewise_mp(dists._TRIMODAL_KNOTS["red"])
     raise ValueError(name)
 
 

@@ -62,6 +62,18 @@ def test_bimodal_sample_reports_two_modes():
     assert abs(rep.modal_performance - 0.0) < 0.15  # the heavier component wins
 
 
+def test_modes_scale_with_the_unit():
+    # the plateau tolerance is relative to the peak density, so rescaling
+    # the data rescales the modes and changes nothing else
+    rng = np.random.default_rng(2701)
+    obs = np.concatenate([rng.normal(50.0, 7.5, 6500), rng.normal(70.0, 7.5, 3500)])
+    unit = audit.audit_sample(audit.PerformanceSample(tuple(obs)), bootstrap=1).modes
+    assert len(unit) == 2
+    for scale in (1e-6, 1e4, 1e6):
+        modes = audit.audit_sample(audit.PerformanceSample(tuple(obs * scale)), bootstrap=1).modes
+        np.testing.assert_allclose(np.array(modes) / scale, unit, rtol=1e-12)
+
+
 def test_group_pass_fractions():
     rng = np.random.Generator(np.random.Philox(key=2))
     obs = np.concatenate([rng.normal(0.0, 1.0, 2_000), rng.normal(1.0, 1.0, 2_000)])

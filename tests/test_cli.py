@@ -6,6 +6,7 @@ import pytest
 
 from mp_reference import coefficient_mp
 from tourney import cli, svgplot
+from tourney import equilibrium as eq
 from tourney.equilibrium import ConcavityWarning
 
 
@@ -713,9 +714,11 @@ def test_non_finite_knot_exits_2(tmp_path, capsys, knots, bad):
         (["tullock", "--n", "3", "--efforts", "0.1,x"], "bad '--efforts': "),
         (["fm", "--n", "3", "--ideas", "nope"], "bad '--ideas': "),
         (["race", "--n", "3", "--shock", "nope"], "bad '--shock': "),
+        (["tullock", "--n", "1"], "need at least two players"),
+        (["fm", "--n", "1", "--ideas", '{"family": "gumbel"}'], "need at least two players"),
     ],
     ids=["negative-effort", "nan-effort", "nan-rho", "inf-rho", "nan-mode", "inf-mode",
-         "unreadable-efforts", "unreadable-ideas", "unreadable-shock"],
+         "unreadable-efforts", "unreadable-ideas", "unreadable-shock", "one-player-tullock", "one-player-fm"],
 )
 def test_contest_adapter_rejects_impossible_number(capsys, argv, named):
     # the numbers used to exit 0, printing negative or NaN probabilities or
@@ -723,6 +726,92 @@ def test_contest_adapter_rejects_impossible_number(capsys, argv, named):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and named in err
+
+
+CHECKED_SCENARIO = {"distribution": {"family": "gumbel"}, "n": 3, "schedule": "wta",
+                    "montecarlo": {"draws": 10000, "seed": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, change, named",
+    [
+        ("solve", {"distribution": None}, "config needs a 'distribution' spec"),
+        ("solve", {"n": None}, "config needs the player count 'n'"),
+        ("solve", {"n": 1}, "need at least two players"),
+        ("solve", {"schedule": [0.5, 0.5]}, "schedule has 2 prizes but n=3"),
+        ("solve", {"schedule": "best"}, "cannot interpret schedule spec 'best'"),
+        ("solve", {"schedule": {"equal_top": 4}}, "bad prize schedule: need 1 <= s <= n"),
+        ("solve", {"schedule": {"equal_top": 0}}, "bad prize schedule: need 1 <= s <= n"),
+        ("solve", {"distribution": 3}, "distribution spec must be an object with a 'family' key"),
+        ("solve", {"distribution": {"params": {}}}, "distribution spec must be an object with a 'family' key"),
+        ("solve", {"distribution": {"family": "piecewise_linear"}}, "piecewise_linear spec needs a 'knots' list"),
+        ("solve", {"distribution": {"family": "exponential", "params": {"rate": 0}}}, "rate must be positive"),
+        ("solve", {"distribution": {"family": "gumbel", "params": {"scale": -1}}}, "scale must be positive"),
+        ("solve", {"distribution": {"family": "normal", "params": {"scale": 0}}}, "scale must be positive"),
+        ("solve", {"distribution": {"family": "logistic", "params": {"scale": 0}}}, "scale must be positive"),
+        ("solve", {"distribution": {"family": "uniform", "params": {"lo": 1, "hi": 1}}}, "need lo < hi"),
+        ("solve", {"distribution": {"family": "pareto", "params": {"alpha": 0}}},
+         "alpha and x_min must be positive"),
+        ("solve", {"distribution": {"family": "pareto", "params": {"x_min": -1}}},
+         "alpha and x_min must be positive"),
+        ("solve", {"distribution": {"family": "trimodal_example", "params": {"variant": "purple"}}},
+         "unknown variant 'purple'"),
+        ("solve", {"distribution": {"family": "piecewise_linear", "knots": [[0, 1]]}}, "need at least two knots"),
+        ("solve", {"distribution": {"family": "piecewise_linear", "knots": [[0, 1], [0, 0], [1, 0]]}},
+         "knot positions must be strictly increasing"),
+        ("solve", {"distribution": {"family": "piecewise_linear", "knots": [[0, 1], [1, -1], [2, 0]]}},
+         "densities must be nonnegative"),
+        ("solve", {"distribution": {"family": "piecewise_linear", "knots": [[0, 0], [1, 0]]}},
+         "density integrates to zero"),
+        ("verify", {"verify": {"scheme": 3}}, "scheme spec must be an object with a 'kind' key"),
+        ("verify", {"verify": {"scheme": {"kind": "mixture", "first": {"kind": "constant"},
+                                          "second": {"kind": "constant"}, "weight": 1.5}}},
+         "mixture weight must lie in [0, 1]"),
+    ],
+    ids=[
+        "no-distribution", "no-n", "one-player", "short-schedule", "unknown-schedule", "equal-top-above-n",
+        "equal-top-zero", "distribution-not-object", "distribution-without-family", "piecewise-without-knots",
+        "exponential-rate", "gumbel-scale", "normal-scale", "logistic-scale", "uniform-bounds",
+        "pareto-alpha", "pareto-x-min", "unknown-variant", "one-knot", "repeated-knot", "negative-density",
+        "zero-mass", "scheme-not-object", "mixture-weight",
+    ],
+)
+def test_scenario_check_exits_2(tmp_path, capsys, command, change, named):
+    # a None value leaves the key out of the config
+    doc = {key: value for key, value in {**CHECKED_SCENARIO, **change}.items() if value is not None}
+    assert cli.main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [(None, "cannot read config: "), ("{", "config is not valid JSON: "), ("[1, 2]", "config root must be a JSON object")],
+    ids=["unreadable", "invalid-json", "list-root"],
+)
+def test_unusable_config_file_exits_2(tmp_path, capsys, text, named):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and named in err
+
+
+def test_unreadable_sample_exits_2(tmp_path, capsys):
+    assert cli.main(["audit", "--input", str(tmp_path / "missing.csv"), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: cannot read sample: ")
+
+
+def test_quadrature_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # two Gauss points cannot resolve Pareto noise: the failure names the
+    # distribution and the rank
+    monkeypatch.setattr(eq, "QUAD_ORDER", 2)
+    doc = {"distribution": {"family": "pareto"}, "n": 3, "schedule": "wta"}
+    assert cli.main(["solve", "--config", _write(tmp_path, "cfg.json", doc)]) == cli.EXIT_NUMERIC == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: pareto ") and "n=3, rank 1:" in err
 
 
 SOLUTION_KEYS = {

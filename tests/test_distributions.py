@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mp_reference import family_mp
+from mp_reference import family_mp, piecewise_mp
 from rank_reference import RankOutOfRange, order_statistic_cdf
 from tourney import audit
 from tourney import distributions as dists
+from tourney import equilibrium as eq
 
 ALL_FAMILIES = [
     dists.exponential(1.0),
@@ -532,6 +533,16 @@ def test_unnormalized_inputs_warn_when_top_density_positive():
         dists.piecewise_linear([(0, 1.0), (1, 1.0)])
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_top_density_warning_is_relative_to_the_peak(scale):
+    # the verdict reads f at the top against the peak, not against 1
+    with pytest.warns(UserWarning, match="vanish"):
+        dists.piecewise_linear([(0, 1), (scale, 2), (2 * scale, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dists.piecewise_linear([(0, 1), (scale, 2), (2 * scale, 1e-9)])
+
+
 def _random_piecewise():
     rng = np.random.default_rng(21)
     xs = np.cumsum(rng.uniform(0.1, 1.0, 7))
@@ -564,40 +575,95 @@ def test_sample_by_slabs_is_ppf_of_the_uniforms(d):
             assert np.array_equal(d._ppf_in_place(strided), whole.T), size
 
 
-def _both_branch_piecewise_ppf(d, q):
-    """(quantiles, segment masses): the piecewise quantile with both
-    branches on every element and one picked by ``where``."""
+CLOSED_FORMS = [
+    dists.exponential(),
+    dists.gumbel(),
+    dists.normal(),
+    dists.logistic(),
+    dists.uniform(-2.2, 0.3),  # -2.2 + (0.3 + 2.2) rounds to 0.2999999999999998
+    dists.pareto(),
+    dists.erf_exponential(),
+    dists.inverse_exponential(),
+]
+
+
+@pytest.mark.parametrize("d", [*CLOSED_FORMS, dists.trimodal_example("red")], ids=lambda d: d.family)
+def test_ppf_maps_0_and_1_to_the_support_ends(d):
+    assert d.ppf(np.array([0.0, 1.0])).tolist() == list(d.support)
+    assert (d.ppf(0.0), d.ppf(1.0)) == d.support
+    # sampling hands level 0 to the closed form itself
+    with np.errstate(divide="ignore"):
+        assert d._ppf(np.zeros(1))[0] == d.support[0]
+
+
+def test_ppf_rejects_levels_outside_0_1():
+    for level in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"quantile levels must lie in \[0, 1\]"):
+            dists.gumbel().ppf([0.5, level])
+
+
+def test_inverse_exponential_ppf_rises_at_tiny_levels():
+    # the levels are not clipped: each level below 1e-300 has its own quantile
+    x = dists.inverse_exponential().ppf(np.array([5e-324, 1e-310, 1e-300, 1e-290]))
+    assert np.all(np.diff(x) > 0) and x[0] == 1.0 / abs(np.log(5e-324))
+
+
+def _triangle(w):
+    return dists.piecewise_linear([(0, 0), (w / 2, 1), (w, 0)])
+
+
+# densities whose segments the quantile inverts: flat, through a zero-density
+# knot, nearly flat relative to their density, and wide, where the density is
+# far below 1
+PIECEWISE_CASES = {
+    **{c: dists.trimodal_example(c) for c in ("red", "green", "blue")},
+    "flat_segment": dists.piecewise_linear([(0, 1), (1.5, 1), (2, 0.5), (3, 0)]),
+    "zero_knot": dists.piecewise_linear([(0, 0.5), (1, 0), (2, 1), (3, 0)]),
+    "rising_1e-11": dists.piecewise_linear([(0, 1), (1, 1 + 1e-11), (2, 0)]),
+    "falling_1e-9": dists.piecewise_linear([(0, 1), (1, 1 - 1e-9), (2, 0)]),
+    "wide_nearly_flat": dists.piecewise_linear([(0, 1), (1e6, 1 + 1e-7), (2e6, 0)]),
+    "triangle_1e7": _triangle(1e7),
+}
+
+
+@pytest.mark.parametrize("d", PIECEWISE_CASES.values(), ids=PIECEWISE_CASES)
+def test_piecewise_ppf_is_exact(d):
+    # backward error |F(Q(q)) - q| against the exact CDF of the same knots
+    cdf = piecewise_mp(d.params["knots"])[1]
+    q = np.concatenate([np.random.default_rng(17).random(300), d.cdf(np.asarray(d.knots))])
+    with mp.workdps(40):
+        worst = max(abs(cdf(mp.mpf(x)) - mp.mpf(level)) for x, level in zip(d.ppf(q), q))
+    assert worst <= 5e-16
+
+
+PLATEAU = dists.piecewise_linear([(0, 0), (1, 1), (2, 1), (3, 0)])
+
+
+@pytest.mark.parametrize("d", [PIECEWISE_CASES["flat_segment"], PLATEAU], ids=["flat_segment", "plateau"])
+def test_piecewise_ppf_on_a_flat_segment_is_the_linear_inverse(d):
     kx, kf_raw = np.array(d.params["knots"]).T
     kf = kf_raw / d.normalization
     seg_mass = np.concatenate([[0.0], np.cumsum((kf[1:] + kf[:-1]) / 2.0 * np.diff(kx))])
-    seg_mass[-1] = 1.0
-    slopes = np.diff(kf) / np.diff(kx)
-    i = np.clip(np.searchsorted(seg_mass, q, side="right") - 1, 0, len(kx) - 2)
-    resid = q - seg_mass[i]
-    a, b = kf[i], slopes[i]
-    lin = resid / np.where(np.abs(a) > 1e-300, a, 1.0)
-    disc = np.maximum(a * a + 2.0 * b * resid, 0.0)
-    quad = (np.sqrt(disc) - a) / np.where(np.abs(b) > 1e-300, b, 1.0)
-    s = np.where(np.abs(b) < 1e-12 * np.maximum(np.abs(a), 1.0), lin, quad)
-    return kx[i] + np.clip(s, 0.0, np.diff(kx)[i]), seg_mass
+    q = np.random.default_rng(19).random(10_000)
+    i = np.searchsorted(seg_mass[1:-1], q, side="right")
+    flat = kf[i] == kf[i + 1]
+    q, i = q[flat], i[flat]
+    assert q.size > 1000
+    expected = kx[i] + np.clip((q - seg_mass[i]) / kf[i], 0.0, np.diff(kx)[i])
+    assert np.array_equal(d.ppf(q).view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize(
-    "d",
-    [
-        *(dists.trimodal_example(c) for c in ("red", "green", "blue")),
-        dists.piecewise_linear([(0, 1), (1.5, 1), (2, 0.5), (3, 0)]),  # flat: the linear branch
-        dists.piecewise_linear([(0, 0.5), (1, 0), (2, 1), (3, 0)]),  # f = 0 at an interior knot
-    ],
-    ids=["red", "green", "blue", "flat_segment", "zero_knot"],
-)
-def test_piecewise_ppf_bits_match_both_branch_form(d):
-    _, seg_mass = _both_branch_piecewise_ppf(d, np.zeros(1))
-    edges = np.concatenate([seg_mass, np.nextafter(seg_mass, -1.0), np.nextafter(seg_mass, 2.0)])
-    q = np.concatenate([np.random.default_rng(11).random(100_000), edges, [0.0, 1.0]])
-    q = q[(q >= 0.0) & (q <= 1.0)]
-    expected, _ = _both_branch_piecewise_ppf(d, q)
-    assert np.array_equal(np.asarray(d.ppf(q)).view(np.uint64), expected.view(np.uint64))
+def test_piecewise_ppf_and_rank_coefficients_scale_with_the_unit():
+    # performance is effort plus noise, so stretching the noise by w scales
+    # every quantile by w and every marginal benefit by 1 / w
+    q = np.random.default_rng(23).random(300)
+    unit = _triangle(1.0)
+    b_unit = [eq.marginal_benefit_rank(unit, 3, r, 0.5) for r in (1, 2, 3)]
+    for w in (1e-4, 1.0, 1e4, 1e7):
+        d = _triangle(w)
+        np.testing.assert_allclose(d.ppf(q) / w, unit.ppf(q), rtol=1e-14, atol=0)
+        b = [eq.marginal_benefit_rank(d, 3, r, w / 2) * w for r in (1, 2, 3)]
+        np.testing.assert_allclose(b, b_unit, rtol=1e-9, atol=0)
 
 
 def _monotone_levels():

@@ -44,6 +44,8 @@ def test_schedule_validation():
     for prizes in ((float("nan"),) * 3, (float("inf"), 0.0)):
         with pytest.raises(ValueError, match="finite"):
             eq.PrizeSchedule(prizes)
+    with pytest.raises(ValueError, match="schedule is for 4 players, not 3"):
+        eq.total_marginal_benefit(dists.gumbel(), 3, eq.PrizeSchedule.winner_take_all(4), 0.0)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10))

@@ -32,6 +32,13 @@ def test_property_checks_pass_for_battery():
         ps.check_properties(scheme, y, rng)
 
 
+def test_scheme_shape_checks():
+    with pytest.raises(ValueError, match="output vectors must have 3 columns"):
+        ps.constant_share(3).pay(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="mixture components must share the player count"):
+        ps.mixture(ps.constant_share(2), ps.constant_share(3), 0.5)
+
+
 def test_property_violations_detected():
     rng = np.random.default_rng(0)
     y = rng.normal(size=(100, 3))
@@ -101,6 +108,19 @@ def test_marginal_incentive_requires_vanishing_top_density():
     u = dists.uniform(0.0, 1.0)
     with pytest.raises(ValueError, match="vanish"):
         ps.marginal_incentive(u, ps.constant_share(2), 0.3, draws=20_000, seed=2)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_vanishing_top_density_is_relative_to_the_peak(scale, monkeypatch):
+    # -f'/f grows as 1 / scale, so its cap is lifted to see this verdict alone
+    monkeypatch.setattr(ps, "LR_CAP", np.inf)
+    with pytest.warns(UserWarning, match="vanish"):
+        drop = dists.piecewise_linear([(0, 0), (scale, 1), (2 * scale, 1e-3)])
+    with pytest.raises(ValueError, match="vanish"):
+        ps.marginal_incentive(drop, ps.constant_share(2), 0.0, draws=10_000, seed=2)
+    tail = dists.piecewise_linear([(0, 0), (scale, 1), (2 * scale, 1e-9)])
+    est, _ = ps.marginal_incentive(tail, ps.constant_share(2), 0.0, draws=10_000, seed=2)
+    assert np.isfinite(est)
 
 
 def test_unbounded_likelihood_ratio():

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -199,3 +200,15 @@ def test_joint_design_on_trimodal_noise(name, n, monkeypatch):
         monkeypatch.setattr(prizes, "solve_design", lambda *args, **kwargs: solved.append((args, kwargs)) or sol)
         assert repr((rep, sol)) == repr(prizes.optimal_prizes(d, n, COST, threshold=gm))
         assert solved == [((d, n, rep.schedule, COST), {"threshold": sol.threshold})]
+
+
+def test_joint_table_at_many_players_keeps_no_dense_rank_table():
+    # the one-prize schedules are a boolean mask, not an n x n table of
+    # doubles (7.6 MiB at n = 1000)
+    tracemalloc.start()
+    try:
+        prizes.optimal_prizes(GUMBEL, 1000, COST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
