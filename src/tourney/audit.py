@@ -9,8 +9,10 @@ applies when noise is symmetric and unimodal.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy import fft, ndimage
@@ -170,9 +172,12 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     span from the first to the last occupied bin only: a bin outside it is
     farther than the span's nearer end from every occupied bin, and the
     weights fall strictly with distance, so its value is below that end's.
-    A row whose runner-up is within ``TIE_RTOL`` of its maximum is smoothed
-    again over the whole grid by ``_smoothed``, so every bin is the direct
-    filter's argmax.
+    The span of W bins and the kernel of radius r make a linear convolution
+    of W + 2r values, of which bins r .. r + W - 1 are kept; a circular one
+    of length L >= W + r wraps nothing into those, so the FFT is padded on
+    one side only.  A row whose runner-up is within ``TIE_RTOL`` of its
+    maximum is smoothed again over the whole grid by ``_smoothed``, so every
+    bin is the direct filter's argmax.
     """
     cols = np.flatnonzero(counts)
     held = counts[cols]
@@ -183,7 +188,7 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     radius = int(4.0 * sigma + 0.5)
     kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     kernel /= kernel.sum()
-    length = fft.next_fast_len(width + 2 * radius, real=True)
+    length = fft.next_fast_len(width + radius, real=True)
     spectrum = fft.rfft(kernel, length)
     root = np.random.Philox(key=seed)
 
@@ -305,19 +310,17 @@ def audit_sample(
     groups = None
     if sample.declared_standard is not None:
         std = float(sample.declared_standard)
+        passed = obs >= std
         comparison = {
             "declared_standard": sample.declared_standard,
             "modal_performance": modal,
             "mode_ci": list(ci),
             "recommendation": "raise" if std < ci[0] else "lower" if std > ci[1] else "keep",
-            "pass_fraction": float(np.mean(obs >= std)),
+            "pass_fraction": float(np.mean(passed)),
         }
         if sample.labels is not None:
-            labels = np.asarray(sample.labels)
-            groups = {
-                str(lab): float(np.mean(obs[labels == lab] >= std))
-                for lab in sorted(set(sample.labels))
-            }
+            above = Counter(compress(sample.labels, passed.tolist()))
+            groups = {str(lab): above[lab] / m for lab, m in sorted(Counter(sample.labels).items())}
     note = (
         "passing 50% of players is the benchmark under symmetric unimodal "
         "noise with the standard at the mode; skewed noise shifts it"

@@ -441,34 +441,85 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# numpy's float parser strips these as whitespace and ``float`` does not
+NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _sample_columns(rows) -> tuple[int, int | None]:
+    """The 'performance' and 'group' column indices, from the header row."""
+    columns = {name: i for i, name in enumerate(next(rows, []))}
+    if "performance" not in columns:
+        raise ConfigError("sample CSV needs a 'performance' header column")
+    return columns["performance"], columns.get("group")
+
+
+def _sample_rows(path: str) -> tuple[list[float], list[str]]:
+    """The sample read row by row with ``csv`` and ``float``: the diagnostic
+    pass.  It names the line of a short row and of a value that ``float``
+    rejects or that is not finite."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        perf, group = _sample_columns(rows)
+        width = max(perf, group or 0) + 1
+        obs, labels = [], []
+        for row in rows:
+            if not row:
+                continue
+            if len(row) < width:
+                raise ConfigError(f"sample line {rows.line_num} has {len(row)} of {width} columns")
+            try:
+                value = float(row[perf])
+            except ValueError as exc:
+                raise ConfigError(f"bad sample value on line {rows.line_num}: {exc}") from exc
+            if not -np.inf < value < np.inf:  # NaN fails both comparisons
+                raise ConfigError(f"bad sample value on line {rows.line_num}: {row[perf]!r} is not finite")
+            obs.append(value)
+            if group is not None:
+                labels.append(row[group])
+    return obs, labels
+
+
+def _parsed_sample(path: str):
+    """The performance column and the labels (a list, empty without a
+    'group' column) as numpy's C reader parses the rows after the header, or
+    None where ``_sample_rows`` could read them otherwise: the rest of the
+    file does not decode, a row does not parse, a value is not finite, or
+    the text holds a character of ``NUMPY_ONLY_SPACES``."""
+    with open(path, newline="") as fh:
+        perf, group = _sample_columns(csv.reader(fh))
+        try:
+            rest = fh.read()
+        except ValueError:  # a decoding error, whose position depends on how much is read at once
+            return None
+        if not rest.strip("\r\n"):  # only empty lines, which both readers skip
+            return [], []
+        if any(char in rest for char in NUMPY_ONLY_SPACES):
+            return None
+        del rest  # numpy reads the rows again from the file, without this copy
+        fh.seek(0)
+        next(csv.reader(fh))  # past the header again
+        cols, fields = ((perf,), [("p", float)]) if group is None else ((perf, group), [("p", float), ("g", object)])
+        try:
+            table = np.loadtxt(fh, delimiter=",", usecols=cols, dtype=fields, comments=None, quotechar='"', ndmin=1)
+        except ValueError:
+            return None
+    if not np.isfinite(table["p"]).all():
+        return None
+    return table["p"], [] if group is None else table["g"].tolist()
+
+
 def _read_sample(path: str, declared_standard) -> audit_mod.PerformanceSample:
+    """The sample in the CSV file at ``path``: its 'performance' column, with
+    the 'group' column as labels where the header has one.  numpy's parser
+    reads it, and ``_sample_rows`` wherever numpy's result could differ, so
+    a file gives the sample or the error that ``csv`` and ``float`` give."""
     try:
-        with open(path, newline="") as fh:
-            rows = csv.reader(fh)
-            columns = {name: i for i, name in enumerate(next(rows, []))}
-            if "performance" not in columns:
-                raise ConfigError("sample CSV needs a 'performance' header column")
-            perf, group = columns["performance"], columns.get("group")
-            width = max(perf, group or 0) + 1
-            obs, labels = [], []
-            for row in rows:
-                if not row:
-                    continue
-                if len(row) < width:
-                    raise ConfigError(f"sample line {rows.line_num} has {len(row)} of {width} columns")
-                try:
-                    value = float(row[perf])
-                except ValueError as exc:
-                    raise ConfigError(f"bad sample value on line {rows.line_num}: {exc}") from exc
-                if not -np.inf < value < np.inf:  # NaN fails both comparisons
-                    raise ConfigError(f"bad sample value on line {rows.line_num}: {row[perf]!r} is not finite")
-                obs.append(value)
-                if group is not None:
-                    labels.append(row[group])
+        parsed = _parsed_sample(path)
+        obs, labels = parsed if parsed is not None else _sample_rows(path)
     except OSError as exc:
         raise ConfigError(f"cannot read sample: {exc}") from exc
     return audit_mod.PerformanceSample(
-        observations=tuple(obs),
+        observations=obs,
         declared_standard=declared_standard,
         labels=tuple(labels) if labels else None,
     )

@@ -371,9 +371,11 @@ def _rank_sum(d: np.ndarray, term, shape: tuple) -> np.ndarray:
     starting from zero, so a row gets the same sum alone or in a batch."""
     rows = d.reshape(-1, d.shape[-1])
     out = np.zeros((rows.shape[0],) + shape)
-    for r in np.nonzero(np.any(rows, axis=0))[0] + 1:
-        k = np.nonzero(rows[:, r - 1])[0]
-        out[k] += rows[k, r - 1].reshape((-1,) + (1,) * len(shape)) * term(r)
+    ranks, k = np.nonzero(rows.T)  # by rank, then by row
+    weights = rows[k, ranks].reshape((-1,) + (1,) * len(shape))
+    bounds = np.flatnonzero(np.diff(ranks, prepend=-1, append=-1)).tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        out[k[a:b]] += weights[a:b] * term(ranks[a] + 1)
     return out.reshape(d.shape[:-1] + shape)
 
 

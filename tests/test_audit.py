@@ -86,6 +86,21 @@ def test_group_pass_fractions():
     assert rep.group_pass_fractions["a"] < rep.group_pass_fractions["b"]
 
 
+def test_group_pass_fractions_are_mask_means():
+    # Each is the mean of its label's pass mask, to the bit.  numpy's str
+    # arrays drop trailing NULs, so a mask taken there put the rows of "d"
+    # into the group "d\0" too
+    rng = _philox(4)
+    obs = rng.normal(0.0, 1.0, 3_001)
+    names = ["a", "b", "c", "d", "d\0"]
+    labels = tuple(names[i] for i in rng.integers(0, len(names), obs.size))
+    rep = audit.audit_sample(audit.PerformanceSample(tuple(obs), declared_standard=0.1, labels=labels),
+                             bootstrap=1, seed=3)
+    expected = {lab: float(np.mean(obs[[x == lab for x in labels]] >= 0.1)) for lab in names}
+    assert rep.group_pass_fractions == expected
+    assert list(rep.group_pass_fractions) == names
+
+
 def test_determinism():
     obs = tuple(_normal_sample(5_000))
     a = audit.audit_sample(audit.PerformanceSample(obs, declared_standard=0.0), bootstrap=100, seed=5)
@@ -252,6 +267,19 @@ def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
         monkeypatch.setattr(audit, "_smoothed", lambda c, s: direct.append(1) or smoothed(c, s))
         got = audit._bootstrap_argmax(1, counts, 37.4, 64)
         assert direct
+        assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
+
+
+def test_bootstrap_fft_pad_at_its_shortest(monkeypatch):
+    # The two equal spikes again, with the FFT at exactly W + r points, the
+    # shortest the one-sided pad allows.  One point fewer would wrap the
+    # lower spike's far tail into the last kept bin, the upper spike's, and
+    # break the exact ties toward it.
+    monkeypatch.setattr(audit.fft, "next_fast_len", lambda target, real: target)
+    for spike in (1, audit.ROWS_PER_BIN + 1):
+        counts = np.zeros(4096, dtype=np.int64)
+        counts[[1000, 1257]] = spike
+        got = audit._bootstrap_argmax(1, counts, 37.4, 64)
         assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
 
 

@@ -1,9 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import sample_reader_reference
 from mp_reference import coefficient_mp
 from tourney import cli, svgplot
 from tourney import equilibrium as eq
@@ -631,6 +633,68 @@ def test_audit_sample_reader(tmp_path, capsys):
     path.write_text("performance\n1.0\nx\n")
     assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+# (file bytes, whether numpy's parser reads them without the row pass)
+SAMPLE_FILES = {
+    "quoted-labels": (b'performance,group\n1.5,"a,b"\n2.5,"c ""d"""\n-3,e"f\n', True),
+    "crlf": (b"performance,group\r\n1.5,a\r\n2.5,b\r\n", True),
+    "cr": (b"performance\r1.5\r2.5", True),
+    "group-first": (b"group,performance\nb,2.5\na,-1\n", True),
+    "extra-column": (b"x,performance,group,y\n0,1.5,a,z\n0,2.5,b,z,w\n", True),
+    "blank-lines": (b"performance,group\n\n1.5,a\n\r\n\n2.5,b\n\n", True),
+    "non-ascii-label": ("performance,group\n1.5,é\n2.5,日本\n".encode(), True),
+    "one-row": (b"performance\n4.25", True),
+    "padded-cells": ('performance\n 2.5 \n\t3\n\xa04\n"5"\n'.encode(), True),
+    "underscores": (b"performance\n1_000\n2.5\n", False),
+    "non-ascii-digits": ("performance\n１２\n".encode(), False),
+    "numpy-only-space": (b"performance\n1\x1c\n", False),
+    "quoted-newline-in-cell": (b'performance\n"1\n"\n', True),
+    "short-row": (b"performance,group\n1.5,a\n2.5\n", False),
+    "undecodable": (b"performance\n" + b"1.5\n" * 5000 + b"\xff\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_FILES))
+def test_audit_sample_reader_matches_row_reader(tmp_path, monkeypatch, name):
+    data, parsed = SAMPLE_FILES[name]
+    path = tmp_path / "sample.csv"
+    path.write_bytes(data)
+    row_pass, row_passes = cli._sample_rows, []
+    monkeypatch.setattr(cli, "_sample_rows", lambda p: row_passes.append(p) or row_pass(p))
+    outcomes = []
+    for read in (cli._read_sample, sample_reader_reference.read_sample):
+        try:
+            sample = read(str(path), 1.0)
+            outcomes.append(([v.hex() for v in sample.observations], sample.labels))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert (not row_passes) == parsed
+
+
+@pytest.mark.parametrize("text", [b"performance,group\n", b"performance\n\r\n\n\r", b"performance"])
+def test_audit_header_only_sample(tmp_path, capsys, text):
+    # numpy's reader warns of a file with no rows, which would fail this test
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "invalid input: need at least 30 observations, got 0\n"
+
+
+def test_audit_well_formed_sample_takes_no_row_pass(tmp_path, monkeypatch):
+    path = _write_sample(tmp_path, groups=True)
+
+    def row_pass(path):
+        raise AssertionError("the row pass ran")
+
+    expected = sample_reader_reference.read_sample(path, 5.0)
+    monkeypatch.setattr(cli, "_sample_rows", row_pass)
+    assert cli._read_sample(path, 5.0) == expected
+    assert cli.main(["audit", "--input", path, "--standard", "5.0", "--bootstrap", "10", "--seed", "3",
+                     "--out", str(tmp_path / "audit.json")]) == 0
 
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
