@@ -9,6 +9,7 @@ applies when noise is symmetric and unimodal.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ MODE_MIN_REL_HEIGHT = 0.01  # smallest KDE mode reported, relative to the highes
 BOOTSTRAP_BLOCK = 32    # resamples per FFT block; sets the block's memory
 ROWS_PER_BIN = 8        # at most this many rows per occupied bin: draw rows only, no Poisson counts
 POISSON_MARGIN = 3.0    # Poisson totals aim this many sqrt(n) below n; rows top up the rest
+ROW_DRAW_CHUNK = 1 << 16  # most row indices one call draws, unless one resample needs more
 TIE_RTOL = 2e-9         # runner-up this close to a row's maximum: use the direct filter
 
 
@@ -143,7 +145,11 @@ def _resample_counts(
     held / n), and the rows add an independent Multinomial(n - s, held / n),
     so the sum is Multinomial(n, held / n) (Devroye, Non-Uniform Random
     Variate Generation, 1986).  The stream gives the block's Poisson counts,
-    then the redraws in order of resample, then the rows.
+    then the redraws in order of resample, then the rows.  The rows of
+    consecutive resamples are drawn in calls of at most ``ROW_DRAW_CHUNK``
+    indices, a longer resample in a call of its own, which bounds the
+    indices held at once; ``Generator.integers`` takes the stream in order,
+    so the counts do not depend on the chunk.
     """
     n, K = bin_of_row.size, held.size
     if n > ROWS_PER_BIN * K:
@@ -154,10 +160,15 @@ def _resample_counts(
                 counts[row] = rng.poisson(mean)
     else:
         counts = np.zeros((size, K), dtype=np.int64)
-    short = n - counts.sum(axis=1)
-    bins = bin_of_row[rng.integers(0, n, size=int(short.sum()), dtype=np.int32)]  # n < 2**31 rows in memory
-    for row, drawn in zip(counts, np.split(bins, np.cumsum(short)[:-1])):
-        row += np.bincount(drawn, minlength=K)
+    ends = np.concatenate(([0], np.cumsum(n - counts.sum(axis=1))))  # resample i's rows end at ends[i + 1]
+    start = 0
+    while start < size:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + ROW_DRAW_CHUNK, side="right")) - 1)
+        rows = rng.integers(0, n, size=int(ends[stop] - ends[start]), dtype=np.int32)  # n < 2**31 rows in memory
+        splits = ends[start + 1:stop] - ends[start]
+        for row, drawn in zip(counts[start:stop], np.split(bin_of_row[rows], splits)):
+            row += np.bincount(drawn, minlength=K)
+        start = stop
     return counts
 
 
@@ -175,9 +186,15 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     The span of W bins and the kernel of radius r make a linear convolution
     of W + 2r values, of which bins r .. r + W - 1 are kept; a circular one
     of length L >= W + r wraps nothing into those, so the FFT is padded on
-    one side only.  A row whose runner-up is within ``TIE_RTOL`` of its
-    maximum is smoothed again over the whole grid by ``_smoothed``, so every
-    bin is the direct filter's argmax.
+    one side only.  Each thread makes its buffers once per call: a float
+    block of ``BOOTSTRAP_BLOCK`` rows of L values, zeroed once, into whose
+    occupied columns every block writes its counts (the other columns and
+    the pad are never written, so they stay zero), and the spectra and the
+    smoothed rows, which numpy's ``rfft`` and ``irfft`` write through
+    ``out=``.  So no block maps or zero-fills a temporary of its own.  A row
+    whose runner-up is within ``TIE_RTOL`` of its maximum is smoothed again
+    over the whole grid by ``_smoothed``, so every bin is the direct filter's
+    argmax.
     """
     cols = np.flatnonzero(counts)
     held = counts[cols]
@@ -189,21 +206,28 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     kernel /= kernel.sum()
     length = fft.next_fast_len(width + radius, real=True)
-    spectrum = fft.rfft(kernel, length)
+    spectrum = np.fft.rfft(kernel, length)
     root = np.random.Philox(key=seed)
+    buffers = threading.local()
 
     def block_argmax(start: int) -> np.ndarray:
         size = min(BOOTSTRAP_BLOCK, draws - start)
         rng = np.random.Generator(root.jumped(start // BOOTSTRAP_BLOCK))
-        block = np.zeros((size, width), dtype=np.int64)
+        if not hasattr(buffers, "block"):
+            buffers.block = np.zeros((BOOTSTRAP_BLOCK, length))
+            buffers.spectra = np.empty((BOOTSTRAP_BLOCK, spectrum.size), dtype=complex)
+            buffers.smooth = np.empty((BOOTSTRAP_BLOCK, length))
+        block = buffers.block[:size]
         block[:, cols] = _resample_counts(rng, held, bin_of_row, size)
-        smooth = fft.irfft(fft.rfft(block, length) * spectrum, length)[:, radius:radius + width]
+        spectra = np.fft.rfft(block, out=buffers.spectra[:size])
+        spectra *= spectrum
+        smooth = np.fft.irfft(spectra, length, out=buffers.smooth[:size])[:, radius:radius + width]
         best = np.argmax(smooth, axis=1)
         top = smooth[np.arange(size), best]
         tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
         for row in np.flatnonzero(tied):
             grid = np.zeros_like(counts)
-            grid[first:first + width] = block[row]
+            grid[first:first + width] = block[row, :width]
             best[row] = np.argmax(_smoothed(grid, sigma)) - first
         return best + first
 
@@ -275,11 +299,13 @@ def audit_sample(
     indices; a denser one draws Poisson counts per bin, held below n in
     total, and tops them up to n rows by row indices.  Both draw each
     resample's bin counts exactly from Multinomial(n, counts / n).
-    Each resample is smoothed with the point estimate's Gaussian kernel;
-    blocks of resamples go through one real FFT (Silverman, Applied
-    Statistics AS 176, 1982) over the span of occupied bins, outside which
-    the smoothed maximum cannot lie, and a near-tied argmax is settled by the
-    direct filter, so every resample's mode is the bin the direct filter picks.
+    Row indices are drawn in calls of at most ``ROW_DRAW_CHUNK``, so few
+    are held at once.  Each resample is smoothed with the point estimate's
+    Gaussian kernel; blocks of resamples go through one real FFT (Silverman,
+    Applied Statistics AS 176, 1982) over the span of occupied bins, outside
+    which the smoothed maximum cannot lie, in buffers each thread reuses from
+    block to block, and a near-tied argmax is settled by the direct filter,
+    so every resample's mode is the bin the direct filter picks.
     Block k of resamples draws from the substream
     ``Philox(key=seed).jumped(k)``, so one seed gives one report.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,

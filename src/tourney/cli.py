@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -455,38 +456,46 @@ def _sample_columns(rows) -> tuple[int, int | None]:
 
 def _sample_rows(path: str) -> tuple[list[float], list[str]]:
     """The sample read row by row with ``csv`` and ``float``: the diagnostic
-    pass.  It names the line of a short row and of a value that ``float``
-    rejects or that is not finite."""
+    pass.  It names the line of a short row, of a value that ``float``
+    rejects or that is not finite, and of a row ``csv`` cannot read, such as
+    one with a field longer than ``csv.field_size_limit()``."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
-        perf, group = _sample_columns(rows)
-        width = max(perf, group or 0) + 1
-        obs, labels = [], []
-        for row in rows:
-            if not row:
-                continue
-            if len(row) < width:
-                raise ConfigError(f"sample line {rows.line_num} has {len(row)} of {width} columns")
-            try:
-                value = float(row[perf])
-            except ValueError as exc:
-                raise ConfigError(f"bad sample value on line {rows.line_num}: {exc}") from exc
-            if not -np.inf < value < np.inf:  # NaN fails both comparisons
-                raise ConfigError(f"bad sample value on line {rows.line_num}: {row[perf]!r} is not finite")
-            obs.append(value)
-            if group is not None:
-                labels.append(row[group])
+        try:
+            perf, group = _sample_columns(rows)
+            width = max(perf, group or 0) + 1
+            obs, labels = [], []
+            for row in rows:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ConfigError(f"sample line {rows.line_num} has {len(row)} of {width} columns")
+                try:
+                    value = float(row[perf])
+                except ValueError as exc:
+                    raise ConfigError(f"bad sample value on line {rows.line_num}: {exc}") from exc
+                if not -np.inf < value < np.inf:  # NaN fails both comparisons
+                    raise ConfigError(f"bad sample value on line {rows.line_num}: {row[perf]!r} is not finite")
+                obs.append(value)
+                if group is not None:
+                    labels.append(row[group])
+        except csv.Error as exc:
+            raise ConfigError(f"bad sample line {rows.line_num}: {exc}") from exc
     return obs, labels
 
 
 def _parsed_sample(path: str):
     """The performance column and the labels (a list, empty without a
     'group' column) as numpy's C reader parses the rows after the header, or
-    None where ``_sample_rows`` could read them otherwise: the rest of the
-    file does not decode, a row does not parse, a value is not finite, or
-    the text holds a character of ``NUMPY_ONLY_SPACES``."""
+    None where ``_sample_rows`` could read them otherwise: ``csv`` cannot
+    read the header, the rest of the file does not decode, a row does not
+    parse, a value is not finite, or the text holds a character of
+    ``NUMPY_ONLY_SPACES``."""
     with open(path, newline="") as fh:
-        perf, group = _sample_columns(csv.reader(fh))
+        try:
+            perf, group = _sample_columns(csv.reader(fh))
+        except csv.Error:  # a header ``csv`` cannot read, whose line the row pass names
+            return None
         try:
             rest = fh.read()
         except ValueError:  # a decoding error, whose position depends on how much is read at once
@@ -666,9 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as ``main`` prints it: its category and message, without
+    the file, line and source text that raised it."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except NUMERIC_ERRORS as exc:
@@ -677,6 +693,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,10 +237,11 @@ def test_bootstrap_consumes_the_stream_exactly(monkeypatch, draws, last_bin):
 
 
 def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
-    # 33 resamples are two blocks, and only the second has a single row
+    # 33 resamples are two blocks, and only the second has a single row; the
+    # blocks are smoothed by numpy's FFT, which writes into the thread's buffers
     _, counts, sigma = _binned_gamma_sample(1_000)
     rows = []
-    irfft = audit.fft.irfft
+    irfft = np.fft.irfft
 
     def failing_second_block(x, *args, **kwargs):
         rows.append(len(x))
@@ -247,12 +249,52 @@ def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
             raise RuntimeError("second block failed")
         return irfft(x, *args, **kwargs)
 
-    monkeypatch.setattr(audit.fft, "irfft", failing_second_block)
+    monkeypatch.setattr(audit.np.fft, "irfft", failing_second_block)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="second block failed"):
         audit._bootstrap_argmax(3, counts, sigma, 33)
     assert sorted(rows) == [1, audit.BOOTSTRAP_BLOCK]
     assert threading.active_count() == before
+
+
+def test_bootstrap_buffers_carry_nothing_between_calls():
+    # A wide span, then a narrow one: each call smooths in buffers of its own
+    # FFT length, and the short last block of 33 resamples reads only its row
+    _, wide, wide_sigma = _binned_gamma_sample(1_000)
+    narrow = np.zeros(4096, dtype=np.int64)
+    narrow[[2000, 2003, 2010]] = [20, 15, 5]
+    for counts, sigma in ((wide, wide_sigma), (narrow, 2.0)):
+        got = audit._bootstrap_argmax(7, counts, sigma, 33)
+        assert np.array_equal(got, _blocked_loop_argmax(7, counts, sigma, 33))
+
+
+@pytest.mark.parametrize("chunk", ["one", "inside-a-resample", "above-a-block"])
+def test_bootstrap_row_draws_in_chunks(monkeypatch, chunk):
+    # Rows drawn one index per call, in calls that end inside a resample's
+    # rows, and in one call per block give the same bins, by rows and by
+    # Poisson counts topped up by rows
+    for size in (1_000, 100_000):
+        _, counts, sigma = _binned_gamma_sample(size)
+        monkeypatch.setattr(audit, "ROW_DRAW_CHUNK", {
+            "one": 1, "inside-a-resample": 300, "above-a-block": audit.BOOTSTRAP_BLOCK * size + 1}[chunk])
+        got = audit._bootstrap_argmax(11, counts, sigma, 33)
+        assert np.array_equal(got, _blocked_loop_argmax(11, counts, sigma, 33))
+
+
+def test_bootstrap_row_draws_hold_little_memory():
+    # 24,000 uniform rows are about 7.1 per occupied bin, near the top of the
+    # row path; a whole block's row indices and bins held 21.4 MiB at peak
+    obs = _philox(37).uniform(0.0, 1.0, 24_000)
+    bw = audit.silverman_bandwidth(obs)
+    _, counts, binwidth = audit._binned(obs, bw)
+    assert 7.0 < counts.sum() / np.count_nonzero(counts) <= audit.ROWS_PER_BIN
+    tracemalloc.start()
+    try:
+        audit._bootstrap_argmax(1, counts, bw / binwidth, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):

@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -62,6 +65,22 @@ def test_solve_heavy_tail_eps(tmp_path):
     assert doc["regime"] == "EPS"
     assert doc["pass_probability"] == 1.0
     assert doc["effort"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_warning_printed_on_one_line(tmp_path):
+    # main prints a warning as its category and message; Python's default
+    # format led with the installed path and line of the code that raised
+    # it and followed with that source line.  In-process callers keep the
+    # format they had.
+    cfg = _write(tmp_path, "cfg.json", {**HEAVY_SCENARIO, "schedule": "eps"})
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "sol.json")]
+    run = subprocess.run([sys.executable, "-m", "tourney.cli", *argv], capture_output=True, text=True)
+    assert run.returncode == 0
+    assert re.fullmatch(r"ConcavityWarning: deviating to effort 0\.309359 gains [^\n]*\n", run.stderr)
+    formatwarning = warnings.formatwarning
+    with pytest.warns(ConcavityWarning, match="gains"):
+        assert cli.main(argv) == 0
+    assert warnings.formatwarning is formatwarning
 
 
 def test_prizes_normal_mode_at_median(tmp_path):
@@ -633,6 +652,25 @@ def test_audit_sample_reader(tmp_path, capsys):
     path.write_text("performance\n1.0\nx\n")
     assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_audit_names_a_field_csv_cannot_read(tmp_path, capsys, header):
+    # A field over csv.field_size_limit() (131072 characters), in a file that
+    # only the row pass reads for its '1_000' cell or that csv cannot read
+    # from the header on, ended in a _csv.Error traceback and exit 1
+    long = "x" * 140_000
+    rows = [f"{v}.5,b" for v in range(40)]
+    if header:
+        text = f"performance,{long}\n" + "\n".join(rows) + "\n"
+    else:
+        text = "performance,group\n1_000,a\n" + f"2.5,{long}\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    assert cli.main(["audit", "--input", str(path), "--seed", "1"]) == 2
+    line = 1 if header else 3
+    assert capsys.readouterr().err == (
+        f"invalid input: bad sample line {line}: field larger than field limit (131072)\n")
 
 
 # (file bytes, whether numpy's parser reads them without the row pass)
