@@ -5,8 +5,8 @@ fields.  All Monte-Carlo commands require a seed (flag, config, or the
 TOURNEY_SEED environment variable) and identical config + seed produces
 byte-identical artifacts.
 
-Exit codes: 0 success, 2 invalid config/input, 3 numeric failure,
-4 verification failure.
+Exit codes: 0 success, 2 invalid config/input or an output path that
+cannot be written, 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -684,17 +684,21 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
-    try:
-        return args.func(args)
-    except NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return EXIT_NUMERIC
-    except (ConfigError, ValueError) as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_CONFIG
-    finally:
-        warnings.formatwarning = formatwarning
+    with warnings.catch_warnings():  # each call shows its warnings, as a fresh process does
+        formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
+        try:
+            return args.func(args)
+        except NUMERIC_ERRORS as exc:
+            sys.stderr.write(f"numeric failure: {exc}\n")
+            return EXIT_NUMERIC
+        except (ConfigError, ValueError) as exc:
+            sys.stderr.write(f"invalid input: {exc}\n")
+            return EXIT_CONFIG
+        except OSError as exc:  # inputs that cannot be read are config errors
+            sys.stderr.write(f"invalid input: cannot write output: {exc}\n")
+            return EXIT_CONFIG
+        finally:
+            warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

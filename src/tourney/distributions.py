@@ -259,20 +259,6 @@ class NoiseDistribution:
 
 
 # ---------------------------------------------------------------------------
-# order statistics
-# ---------------------------------------------------------------------------
-
-
-def _order_statistic_level_cdf(j: int, n: int, u: np.ndarray) -> np.ndarray:
-    """CDF of the j-th lowest of n i.i.d. draws at the levels u = F(x); j = 0 is a draw at -inf."""
-    if j == 0:
-        return np.ones_like(u)
-    if j == n:
-        return u**n  # maximum of n draws, kept exact
-    return special.betainc(j, n - j + 1, u)
-
-
-# ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from functools import cache
 import numpy as np
 from scipy import special
 
-from .distributions import NoiseDistribution, _order_statistic_level_cdf
+from .distributions import NoiseDistribution
 
 __all__ = [
     "PrizeSchedule",
@@ -384,8 +384,10 @@ def _log_beta_norms(n: int) -> np.ndarray:
     """log of the Beta(n-r, r) normalizer 1 / B(n-r, r) = (n-1) C(n-2, r-1)
     for r = 1..n-1.  The binomials come exact from the integer recurrence
     C(n-2, b) = C(n-2, b-1) (n-1-b) / b, so each log is within an ulp
-    (``special.betaln`` is off by 1.8e-12 at n = 1000).  Cached, since each
-    block of the kernel needs them, and so read-only."""
+    (``special.betaln`` is off by 1.8e-12 at n = 1000).  One table serves
+    the rank weights, their peaks and, at n + 1, the rank CDFs: the
+    Beta(k+1, n-k) density is n times the Binomial(n-1, u) pmf at k.
+    Cached, since each block of the kernel needs them, and so read-only."""
     norms, c = [], 1
     for b in range(n - 1):
         c = c * (n - 1 - b) // b if b else 1
@@ -395,28 +397,28 @@ def _log_beta_norms(n: int) -> np.ndarray:
     return norms
 
 
+def _log_beta_density(n: int, r, log_u, log_s) -> np.ndarray:
+    """log of the Beta(n-r, r) density (n-1) C(n-2, r-1) u^(n-r-1) s^(r-1) at
+    rank r, or an array of ranks; a log whose power is 0 must be finite."""
+    return (n - r - 1) * log_u + (r - 1) * log_s + _log_beta_norms(n)[r - 1]
+
+
 def _rank_weight(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_r d_r times the density at level u of the (n-r)-th lowest of the
-    n-1 rivals' levels, a Beta(n-r, r) density.  xlogy(a, y) is a * log(y)
-    for a != 0 and 0 for a = 0, so log(u) and log(s) are each taken once for
-    all ranks, when first needed."""
+    n-1 rivals' levels: the Beta(n-r, r) density of ``_log_beta_density``,
+    n-1 times the Binomial(n-2, u) pmf at n-r-1.  log(u) and log(s) are each
+    taken once for all ranks, when first needed, by ``special.xlogy``."""
     log = cache(lambda i: special.xlogy(1, (u, s)[i]))
-    norms = _log_beta_norms(n)
-
-    def density(r):
-        a, b = n - r - 1, r - 1
-        return np.exp((a * log(0) if a else 0.0) + (b * log(1) if b else 0.0) + norms[b])
-
-    return _rank_sum(d[..., :-1], density, u.shape)
+    return _rank_sum(d[..., :-1], lambda r: np.exp(
+        _log_beta_density(n, r, log(0) if r < n - 1 else 0.0, log(1) if r > 1 else 0.0)), u.shape)
 
 
 def _rank_weight_peak(n: int, d: np.ndarray) -> float:
     """sum_r d_r times the largest Beta(n-r, r) density of ``_rank_weight``,
     each taken at its own mode (n-r-1) / (n-2)."""
     r = np.arange(1, n)
-    a, b = n - r - 1, r - 1
-    m = a / max(n - 2, 1)
-    density = np.exp(special.xlogy(a, m) + special.xlogy(b, 1.0 - m) + _log_beta_norms(n))
+    m = (n - r - 1) / max(n - 2, 1)
+    density = np.exp(_log_beta_density(n, r, special.xlogy(r < n - 1, m), special.xlogy(r > 1, 1.0 - m)))
     return float(np.sum(d[:-1] * density))
 
 
@@ -504,12 +506,18 @@ def _integrals_above(dist: NoiseDistribution, n: int, d: np.ndarray, integrand, 
     return key, rules[1]
 
 
-def _rank_cdf_sum(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.ndarray:
-    """sum_r d_r P(the (n-r)-th lowest of n-1 rival noises is at most t),
-    from one evaluation of the levels F(t)."""
-    shape = np.shape(t)
-    u = np.asarray(dist.cdf(np.atleast_1d(np.asarray(t, dtype=float))))
-    return _rank_sum(d, lambda r: _order_statistic_level_cdf(n - r, n - 1, u).reshape(shape), shape)
+def _rank_cdf_sum(n: int, d: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_r d_r P(the (n-r)-th lowest of n-1 rivals' levels is at most u)
+    at the levels (u, s).  That is P(Binomial(n-1, u) >= n-r) (David &
+    Nagaraja, ch. 2), a tail sum from the top, k = n-1, of the pmf at k: the
+    Beta(k+1, n-k) density over n, from the ``_log_beta_density`` table at
+    n + 1, made only when a middle rank has weight.  The top rank's u^(n-1)
+    and the last rank's 1 are exact."""
+    cdf = (u ** (n - 1))[None]
+    if np.any(d[..., 1:-1]):
+        pmf = np.exp(_log_beta_density(n + 1, np.arange(2, n)[:, None], *special.xlogy(1, (u, s)))) / n
+        cdf = np.cumsum(np.concatenate([cdf, pmf]), axis=0)
+    return _rank_sum(d, lambda r: cdf[r - 1] if r < n else 1.0, u.shape)
 
 
 def _unit(n: int, r) -> np.ndarray:
@@ -537,8 +545,9 @@ def _marginal_benefit(dist: NoiseDistribution, n: int, d: np.ndarray, t) -> np.n
         raise ValueError(f"schedule is for {d.shape[-1]} players, not {n}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     key, above = _integrals_above(dist, n, d, dist.pdf, t.min(), kinks=t)
-    at = np.searchsorted(key, _order_key(*_levels(dist, t)))
-    return np.asarray(dist.pdf(t)) * _rank_cdf_sum(dist, n, d, t) + above[..., at]
+    u, s = _levels(dist, t)
+    at = np.searchsorted(key, _order_key(u, s))
+    return np.asarray(dist.pdf(t)) * _rank_cdf_sum(n, d, u, s) + above[..., at]
 
 
 def marginal_benefit_rank(dist: NoiseDistribution, n: int, r: int, t: float) -> float:
@@ -588,7 +597,7 @@ def _prize_probabilities(
     _, above = _integrals_above(
         dist, n, d, lambda x: dist.sf(x + shift[:, None, None]), t, kinks[None, :] - shift[:, None]
     )
-    return own_pass * _rank_cdf_sum(dist, n, d, t)[..., None] + above[..., 0]
+    return own_pass * _rank_cdf_sum(n, d, *_levels(dist, t)) + above[..., 0]
 
 
 def prize_probability(dist: NoiseDistribution, n: int, r, e: float, e_star: float, rho: float):

@@ -1,14 +1,16 @@
 """Direct forms kept as references for the tests.
 
-``order_statistic_cdf`` takes one order statistic at a time, where
-``equilibrium._rank_cdf_sum`` takes the levels once for all ranks.
+``order_statistic_cdf`` takes one order statistic at a time from
+``scipy.special.betainc``, the independent reference for
+``equilibrium._rank_cdf_sum``, which takes the levels once for all ranks and
+sums the binomial pmf of ``equilibrium._log_beta_density`` instead.
 ``finite_difference_marginals`` differentiates prize probabilities
 numerically, against the closed rank marginal-benefit coefficients.
 """
 
 import numpy as np
+from scipy import special
 
-from tourney import distributions as dists
 from tourney import equilibrium as eq
 from tourney import montecarlo as mc
 
@@ -26,7 +28,12 @@ def order_statistic_cdf(dist, j: int, n: int, x):
     if not (0 <= j <= n):
         raise RankOutOfRange(f"rank {j} outside 0..{n}")
     u = np.asarray(dist.cdf(x))
-    out = dists._order_statistic_level_cdf(j, n, u)
+    if j == 0:
+        out = np.ones_like(u)
+    elif j == n:
+        out = u**n  # maximum of n draws, kept exact
+    else:
+        out = special.betainc(j, n - j + 1, u)
     return float(out) if u.ndim == 0 else out
 
 

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,71 @@ def test_warning_printed_on_one_line(tmp_path):
     with pytest.warns(ConcavityWarning, match="gains"):
         assert cli.main(argv) == 0
     assert warnings.formatwarning is formatwarning
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Python's own way to show a warning, which pytest's capture replaces."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def _outputs(cwd):
+    return {p.relative_to(cwd).as_posix(): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["solve", "prizes", "verify", "audit", "figures"])
+def test_main_gives_the_same_bytes_on_every_call(tmp_path, capsys, monkeypatch, command):
+    # three calls in one process and one in a fresh process write the same
+    # exit code, stdout, stderr and files; Python shows a warning once per
+    # place in a process, so calls after the first used to print none
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    argv = {
+        "solve": ["solve", "--config", _write(inputs, "heavy.json", {**HEAVY_SCENARIO, "schedule": "eps"})],
+        "prizes": ["prizes", "--config", _write(inputs, "gumbel.json", GUMBEL_BATTERY)],
+        "verify": ["verify", "--config", _write(inputs, "gumbel.json", GUMBEL_BATTERY), "--seed", "5",
+                   "--out", "verify.json", "--tally-csv", "tally.csv"],
+        "audit": ["audit", "--input", _write_sample(inputs, size=2000), "--standard", "5.0", "--seed", "3",
+                  "--bootstrap", "200"],
+        "figures": ["figures", "fig2", "--outdir", "panels"],
+    }[command]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])  # the tree under test, from any directory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "tourney.cli", *argv], capture_output=True, text=True, cwd=fresh,
+                         env=env)
+    want = (run.returncode, run.stdout, run.stderr, _outputs(fresh))
+    assert want[3] or want[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a fresh process's filters and printer
+        warnings.showwarning = _print_warning
+        for i in range(3):
+            cwd = tmp_path / f"call{i}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err, _outputs(cwd)) == want, i
+    assert ("ConcavityWarning: " in want[2]) == (command == "solve")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["figures", "fig2", "--outdir", "{cfg}"], "{cfg}"),
+        (["solve", "--config", "{cfg}", "--out", "{missing}/x.json"], "{missing}/x.json"),
+        (["verify", "--config", "{cfg}", "--seed", "5", "--out", "{dir}/v.json", "--tally-csv", "{missing}/t.csv"],
+         "{missing}/t.csv"),
+    ],
+    ids=["outdir-is-a-file", "out-in-missing-dir", "tally-in-missing-dir"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, path):
+    # the exit code and the path, not a traceback with exit 1
+    names = {"cfg": _write(tmp_path, "cfg.json", GUMBEL_BATTERY), "missing": str(tmp_path / "missing"),
+             "dir": str(tmp_path)}
+    assert cli.main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: cannot write output: ") and f"'{path.format(**names)}'" in err
 
 
 def test_prizes_normal_mode_at_median(tmp_path):

@@ -259,13 +259,21 @@ def test_kronrod_rule(m):
 
 
 def test_rank_cdf_sum_takes_levels_once(monkeypatch):
-    # the per-rank form, one order_statistic_cdf call per rank, is the reference
-    d = eq.random_schedule(30, np.random.default_rng(3)).differentials
-    for t in (0.3, np.array([-1.0, 0.0, 0.3, 2.0])):
-        loop = np.zeros(np.shape(t))
+    # the per-rank form, one betainc call per rank, is the reference: the
+    # winner-take-all and equal-sharing rows, whose CDFs are u^(n-1) and 1,
+    # equal it bit for bit, and a Dirichlet row is within 2e-13
+    v = eq.PrizeSchedule
+    rows = np.stack([v.winner_take_all(30).differentials, v.equal_sharing(30).differentials,
+                     eq.random_schedule(30, np.random.default_rng(3)).differentials])
+    for t in (np.array([0.3]), np.array([-1.0, 0.0, 0.3, 2.0])):
+        loop = np.zeros((3,) + t.shape)
         for r in range(1, 31):
-            loop = loop + d[r - 1] * order_statistic_cdf(GUMBEL, 30 - r, 29, t)
-        assert np.asarray(eq._rank_cdf_sum(GUMBEL, 30, d, t)).tobytes() == loop.tobytes()
+            loop = loop + rows[:, r - 1, None] * order_statistic_cdf(GUMBEL, 30 - r, 29, t)
+        levels = eq._levels(GUMBEL, t)
+        batch = eq._rank_cdf_sum(30, rows, *levels)
+        assert batch[:2].tobytes() == loop[:2].tobytes()
+        np.testing.assert_allclose(batch[2], loop[2], rtol=2e-13, atol=0)
+        assert batch.tobytes() == np.stack([eq._rank_cdf_sum(30, d, *levels) for d in rows]).tobytes()
     # an all-ranks marginal benefit at n=1000 takes F a fixed number of times
     noise = dists.gumbel()
     calls = []
@@ -274,7 +282,31 @@ def test_rank_cdf_sum_takes_levels_once(monkeypatch):
     d = eq.random_schedule(1000, np.random.default_rng(4)).differentials
     assert np.all(d > 0)
     eq._marginal_benefit(noise, 1000, d, np.array([0.0, 0.5]))
-    assert len(calls) <= 5
+    assert len(calls) <= 4
+
+
+def test_rank_cdf_sum_matches_mpmath():
+    # I_u(n-r, r) to 40 digits at levels from 1e-12 to 1 - 1e-9; at n = 1000
+    # only a few ranks, since mpmath takes about 0.7 ms per rank and level
+    u = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9])
+    s = 1.0 - u  # exact, so both sides take the same levels
+    v = eq.PrizeSchedule
+    with mp.workdps(40):
+        for n in (2, 3, 10, 100, 1000):
+            rows = [v.winner_take_all(n), v.equal_sharing(n), v.equal_top(max(1, n // 3), n)]
+            rows = np.stack([x.differentials for x in rows])
+            if n < 1000:
+                rows = np.vstack([rows, eq.random_schedule(n, np.random.default_rng(n)).differentials])
+            else:
+                rows = np.vstack([rows, eq._unit(n, [2, 17, 500, 998, 999])])
+            got = eq._rank_cdf_sum(n, rows, u, s)
+            for d, row in zip(rows, got):
+                want = [sum(mp.mpf(w) * mp.betainc(n - r, r, 0, mp.mpf(x), regularized=True) if r < n else w
+                            for r, w in zip(range(1, n + 1), d) if w) for x in u]
+                want = np.array([float(w) for w in want])
+                big = want >= 1e-290
+                assert np.max(np.abs(row[big] / want[big] - 1.0)) <= 2e-13, (n, d)
+                assert np.all(np.abs(row[~big]) < 1e-289), (n, d)
 
 
 def test_rank_cdf_sum_is_one_minus_rank_weight_above():
@@ -282,13 +314,14 @@ def test_rank_cdf_sum_is_one_minus_rank_weight_above():
     # P(the (n-r)-th lowest of n-1 levels <= F(t)) = 1 - the Beta(n-r, r)
     # mass above F(t).  Under uniform noise Q(u) = u, so the kernel
     # integrates the bare rank weight, and _rank_cdf_sum takes the left side
-    # from betainc.
+    # from the binomial pmf of the same Beta table at n + 1.
     t = np.array([0.0, 1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-9])
     for n in (2, 3, 10, 100, 1000):
         unit = eq._unit(n, np.arange(1, n + 1))
         key, above = eq._integrals_above(UNIF, n, unit, np.ones_like, 0.0, kinks=t)
-        at = np.searchsorted(key, eq._order_key(*eq._levels(UNIF, t)))
-        below = eq._rank_cdf_sum(UNIF, n, unit, t)
+        levels = eq._levels(UNIF, t)
+        at = np.searchsorted(key, eq._order_key(*levels))
+        below = eq._rank_cdf_sum(n, unit, *levels)
         assert np.max(np.abs(below - (1.0 - above[:, at]))) <= 1e-12, n
 
 

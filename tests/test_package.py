@@ -53,7 +53,15 @@ PRIVATE_IMPORTS = {
     "cli": {"_marginal_benefit"},
     "prizes": {"_marginal_benefit", "_mode_values", "_unit"},
     "payschemes": {"_rank", "_require_draws", "_require_seed"},
-    "equilibrium": {"_order_statistic_level_cdf"},
+}
+
+# The scipy submodules each module imports, at module level or inside a
+# function; moving an import, or adding one, shows up here as a diff.
+SCIPY_IMPORTS = {
+    "audit": {"fft", "ndimage"},
+    "contests": {"optimize"},
+    "distributions": {"special"},
+    "equilibrium": {"special"},
 }
 
 
@@ -66,6 +74,22 @@ def test_private_imports_between_modules():
                 if private:
                     found.setdefault(path.stem, set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+def test_scipy_submodules_each_module_imports():
+    found = {}
+    for path in sorted(Path(tourney.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "scipy":  # a bare ``import scipy`` shows as "scipy"
+                    found.setdefault(path.stem, set()).add(name.split(".")[1 if "." in name else 0])
+    assert found == SCIPY_IMPORTS
 
 
 def _environment_reads(tree):
