@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from scipy import fft, ndimage
+from scipy import fft
 
 __all__ = [
     "SampleTooSmall",
@@ -36,7 +36,6 @@ BOOTSTRAP_BLOCK = 32    # resamples per FFT block; sets the block's memory
 ROWS_PER_BIN = 8        # at most this many rows per occupied bin: draw rows only, no Poisson counts
 POISSON_MARGIN = 3.0    # Poisson totals aim this many sqrt(n) below n; rows top up the rest
 ROW_DRAW_CHUNK = 1 << 16  # most row indices one call draws, unless one resample needs more
-TIE_RTOL = 2e-9         # runner-up this close to a row's maximum: use the direct filter
 
 
 class SampleTooSmall(ValueError):
@@ -115,16 +114,37 @@ def _binned(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray, 
     return 0.5 * (edges[:-1] + edges[1:]), counts, binwidth
 
 
+def _gaussian_spectrum(sigma: float, width: int) -> tuple[int, int, np.ndarray]:
+    """Radius r, FFT length L and real spectrum of the smoothing kernel.
+
+    The kernel is exp(-x^2 / 2 sigma^2) at the integers |x| <= r =
+    int(4 sigma + 0.5), normalised to sum one.  Smoothing ``width`` bins
+    with zeros beyond them is a linear convolution of width + 2r values, of
+    which bins r .. r + width - 1 are kept; a circular one of length L >=
+    width + r wraps nothing into those, so the FFT is padded on one side
+    only.  A kernel longer than L is cut to its first L values, offsets
+    -r .. L - 1 - r, which hold every offset |x| < width the kept bins read.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    kernel /= kernel.sum()
+    length = fft.next_fast_len(width + radius, real=True)
+    return radius, length, np.fft.rfft(kernel, length)
+
+
 def _smoothed(counts: np.ndarray, sigma: float) -> np.ndarray:
-    return ndimage.gaussian_filter1d(counts.astype(float), sigma=sigma, mode="constant")
+    """``counts`` convolved with ``_gaussian_spectrum``'s kernel, zero beyond its ends."""
+    radius, length, spectrum = _gaussian_spectrum(sigma, counts.size)
+    return np.fft.irfft(np.fft.rfft(counts, length) * spectrum, length)[radius:radius + counts.size]
 
 
 def kde_on_grid(obs: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
     """Binned Gaussian kernel density estimate.
 
-    Observations are histogrammed onto a uniform grid and smoothed with a
-    Gaussian filter whose sigma is the bandwidth in bin units; O(n + grid)
-    instead of O(n * grid), which keeps the bootstrap cheap.
+    Observations are histogrammed onto a uniform grid and smoothed by FFT
+    with a Gaussian kernel whose sigma is the bandwidth in bin units
+    (``_smoothed``); O(n + grid log grid) instead of O(n * grid), which
+    keeps the bootstrap cheap.
     """
     obs = np.asarray(obs, dtype=float)
     centers, counts, binwidth = _binned(obs, bandwidth)
@@ -179,22 +199,17 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     from its own substream ``Philox(key=seed).jumped(k)``, so no bit depends
     on the thread.  ``_resample_counts`` draws it over the occupied bins, with
     one row-to-bin map for the whole bootstrap.  Each block is smoothed by
-    zero-padded real FFT with scipy's truncated, normalised kernel, over the
-    span from the first to the last occupied bin only: a bin outside it is
-    farther than the span's nearer end from every occupied bin, and the
-    weights fall strictly with distance, so its value is below that end's.
-    The span of W bins and the kernel of radius r make a linear convolution
-    of W + 2r values, of which bins r .. r + W - 1 are kept; a circular one
-    of length L >= W + r wraps nothing into those, so the FFT is padded on
-    one side only.  Each thread makes its buffers once per call: a float
-    block of ``BOOTSTRAP_BLOCK`` rows of L values, zeroed once, into whose
-    occupied columns every block writes its counts (the other columns and
-    the pad are never written, so they stay zero), and the spectra and the
-    smoothed rows, which numpy's ``rfft`` and ``irfft`` write through
-    ``out=``.  So no block maps or zero-fills a temporary of its own.  A row
-    whose runner-up is within ``TIE_RTOL`` of its maximum is smoothed again
-    over the whole grid by ``_smoothed``, so every bin is the direct filter's
-    argmax.
+    ``_gaussian_spectrum``'s kernel, as ``_smoothed`` smooths the point
+    estimate, over the span of W bins from the first to the last occupied
+    bin only: a bin outside it is farther than the span's nearer end from
+    every occupied bin, and the weights fall strictly with distance, so its
+    value is below that end's.  Each thread makes its buffers once per call:
+    a float block of ``BOOTSTRAP_BLOCK`` rows of the FFT's L values, zeroed
+    once, into whose occupied columns every block writes its counts (the
+    other columns and the pad are never written, so they stay zero), and
+    the spectra and the smoothed rows, which numpy's ``rfft`` and ``irfft``
+    write through ``out=``.  So no block maps or zero-fills a temporary of
+    its own.  Each row's mode is its ``np.argmax``.
     """
     cols = np.flatnonzero(counts)
     held = counts[cols]
@@ -202,11 +217,7 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     first = int(cols[0])
     cols -= first
     width = int(cols[-1]) + 1
-    radius = int(4.0 * sigma + 0.5)
-    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
-    kernel /= kernel.sum()
-    length = fft.next_fast_len(width + radius, real=True)
-    spectrum = np.fft.rfft(kernel, length)
+    radius, length, spectrum = _gaussian_spectrum(sigma, width)
     root = np.random.Philox(key=seed)
     buffers = threading.local()
 
@@ -222,14 +233,7 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
         spectra = np.fft.rfft(block, out=buffers.spectra[:size])
         spectra *= spectrum
         smooth = np.fft.irfft(spectra, length, out=buffers.smooth[:size])[:, radius:radius + width]
-        best = np.argmax(smooth, axis=1)
-        top = smooth[np.arange(size), best]
-        tied = np.count_nonzero(smooth >= (top * (1.0 - TIE_RTOL))[:, None], axis=1) > 1
-        for row in np.flatnonzero(tied):
-            grid = np.zeros_like(counts)
-            grid[first:first + width] = block[row, :width]
-            best[row] = np.argmax(_smoothed(grid, sigma)) - first
-        return best + first
+        return np.argmax(smooth, axis=1) + first
 
     with ThreadPoolExecutor(2) as pool:
         return np.concatenate(list(pool.map(block_argmax, range(0, draws, BOOTSTRAP_BLOCK))))
@@ -300,12 +304,11 @@ def audit_sample(
     total, and tops them up to n rows by row indices.  Both draw each
     resample's bin counts exactly from Multinomial(n, counts / n).
     Row indices are drawn in calls of at most ``ROW_DRAW_CHUNK``, so few
-    are held at once.  Each resample is smoothed with the point estimate's
-    Gaussian kernel; blocks of resamples go through one real FFT (Silverman,
-    Applied Statistics AS 176, 1982) over the span of occupied bins, outside
-    which the smoothed maximum cannot lie, in buffers each thread reuses from
-    block to block, and a near-tied argmax is settled by the direct filter,
-    so every resample's mode is the bin the direct filter picks.
+    are held at once.  The point estimate and every resample are smoothed
+    with one Gaussian kernel by real FFT (Silverman, Applied Statistics AS
+    176, 1982); blocks of resamples go through one FFT over the span of
+    occupied bins, outside which the smoothed maximum cannot lie, in
+    buffers each thread reuses from block to block.
     Block k of resamples draws from the substream
     ``Philox(key=seed).jumped(k)``, so one seed gives one report.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,

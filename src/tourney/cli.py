@@ -1,9 +1,10 @@
 """Command-line surface: scenario solving, figures, verification, audits.
 
 Configuration comes from a JSON document; command-line flags override config
-fields.  All Monte-Carlo commands require a seed (flag, config, or the
-TOURNEY_SEED environment variable) and identical config + seed produces
-byte-identical artifacts.
+fields.  The Monte-Carlo commands take a seed from a flag, the config, or
+the TOURNEY_SEED environment variable: ``verify`` requires one, and
+``audit`` bootstraps with seed 0 when none is given.  Identical config +
+seed produces byte-identical artifacts.
 
 Exit codes: 0 success, 2 invalid config/input or an output path that
 cannot be written, 3 numeric failure, 4 verification failure.
@@ -553,13 +554,7 @@ def cmd_audit(args) -> int:
 
 def cmd_tullock(args) -> int:
     e_star, rho_star = contests.tullock_optimal(args.n)
-    out = {
-        "n": args.n,
-        "e_star": e_star,
-        "rho_star": rho_star,
-        "foc_effort": contests.tullock_selfconsistent_effort(args.n),
-    }
-    out["foc_gap"] = abs(out["e_star"] - out["foc_effort"])
+    out = {"n": args.n, "e_star": e_star, "rho_star": rho_star}
     if args.efforts:
         efforts = [_number(float, v, "--efforts") for v in args.efforts.split(",")]
         rho = args.rho if args.rho is not None else rho_star
@@ -648,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard", type=float, help="declared standard to compare")
     p.add_argument("--bandwidth", type=float, help="KDE bandwidth (default: Silverman)")
     p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap resamples")
-    p.add_argument("--seed", type=int, help="bootstrap seed (or TOURNEY_SEED)")
+    p.add_argument("--seed", type=int, help="bootstrap seed (or TOURNEY_SEED; 0 when neither is set)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_audit)
 
@@ -694,7 +689,7 @@ def main(argv=None) -> int:
         except (ConfigError, ValueError) as exc:
             sys.stderr.write(f"invalid input: {exc}\n")
             return EXIT_CONFIG
-        except OSError as exc:  # inputs that cannot be read are config errors
+        except OSError as exc:  # an unreadable input raised ConfigError; this is an output
             sys.stderr.write(f"invalid input: cannot write output: {exc}\n")
             return EXIT_CONFIG
         finally:

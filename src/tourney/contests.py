@@ -19,7 +19,6 @@ __all__ = [
     "AllZeroEfforts",
     "tullock_csf_with_standard",
     "tullock_optimal",
-    "tullock_selfconsistent_effort",
     "fm_optimal_standard",
     "patent_race_deadline",
 ]
@@ -55,29 +54,13 @@ def tullock_optimal(n: int) -> tuple[float, float]:
 
     ``e* = (n-1)/n^2 + exp(-n)/n^2`` and the optimal multiplicative standard
     equals the effort itself (the additive threshold sits at the Gumbel
-    mode, zero).
+    mode, zero).  With rho = e the symmetric first-order condition reads
+    ((n-1) + exp(-n)) / (n^2 e) = 1, whose root is this e*.
     """
     if n < 2:
         raise ValueError("need at least two players")
     e_star = (n - 1.0) / n**2 + np.exp(-float(n)) / n**2
     return float(e_star), float(e_star)
-
-
-def _symmetric_foc(e: float, n: int, rho: float) -> float:
-    # marginal win probability at the symmetric profile minus marginal cost 1
-    s = n * e
-    expo = np.exp(-s / rho)
-    return (n - 1.0) * (1.0 - expo) / (n**2 * e) + expo / (n * rho) - 1.0
-
-
-def tullock_selfconsistent_effort(n: int) -> float:
-    """Solve the symmetric first-order condition with the standard tied to
-    the effort (rho = e); independent check of the closed form."""
-    from scipy.optimize import brentq  # off the import path of the other commands
-
-    return float(
-        brentq(lambda e: _symmetric_foc(e, n, e), 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
-    )
 
 
 def fm_optimal_standard(ideas: NoiseDistribution, n: int) -> float:

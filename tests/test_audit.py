@@ -132,8 +132,8 @@ def _philox(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _loop_argmax(rng, counts, sigma, draws):
-    """Reference: one draw and one direct Gaussian filter per resample.
+def _loop_resamples(rng, counts, draws):
+    """Reference: the counts of ``draws`` resamples, one resample at a time.
 
     The resamples draw in the order ``_resample_counts`` draws a block.
     Above ``ROWS_PER_BIN`` rows per occupied bin, each resample first draws
@@ -157,21 +157,26 @@ def _loop_argmax(rng, counts, sigma, draws):
     for resample in resamples:
         rows = rng.integers(0, n, n - resample.sum())
         resample += np.bincount(bin_of_row[rows], minlength=counts.size)
-    return np.array([
-        np.argmax(ndimage.gaussian_filter1d(resample.astype(float), sigma=sigma, mode="constant"))
-        for resample in resamples
-    ], dtype=np.intp)
+    return resamples
 
 
-def _blocked_loop_argmax(seed, counts, sigma, draws):
+def _blocked_loop_resamples(seed, counts, draws):
     """The loop reference run per block, block k on ``Philox(key=seed).jumped(k)``."""
     root = np.random.Philox(key=seed)
     starts = range(0, draws, audit.BOOTSTRAP_BLOCK)
     return np.concatenate([
-        _loop_argmax(np.random.Generator(root.jumped(k)), counts, sigma,
-                     min(audit.BOOTSTRAP_BLOCK, draws - start))
+        _loop_resamples(np.random.Generator(root.jumped(k)), counts,
+                        min(audit.BOOTSTRAP_BLOCK, draws - start))
         for k, start in enumerate(starts)
     ])
+
+
+def _blocked_loop_argmax(seed, counts, sigma, draws):
+    """Each reference resample's mode, by scipy's direct Gaussian filter."""
+    return np.array([
+        np.argmax(ndimage.gaussian_filter1d(resample.astype(float), sigma=sigma, mode="constant"))
+        for resample in _blocked_loop_resamples(seed, counts, draws)
+    ], dtype=np.intp)
 
 
 def _binned_gamma_sample(size, seed=17):
@@ -297,26 +302,48 @@ def test_bootstrap_row_draws_hold_little_memory():
     assert peak <= 12 * 2**20
 
 
-def test_bootstrap_tie_goes_to_direct_filter(monkeypatch):
+def test_bootstrap_exact_tie_resolves_to_a_tied_bin():
     # Two equal spikes: a resample splitting the mass evenly has two exactly
-    # equal smoothed maxima, where the direct filter takes the lower bin.
-    # One row per spike is drawn by rows, ROWS_PER_BIN + 1 by Poisson counts.
-    smoothed = audit._smoothed
+    # equal smoothed maxima, and its mode is one of the two spikes; any other
+    # resample's mode is its heavier spike.  One row per spike is drawn by
+    # rows, ROWS_PER_BIN + 1 by Poisson counts.
     for spike in (1, audit.ROWS_PER_BIN + 1):
         counts = np.zeros(4096, dtype=np.int64)
         counts[[1000, 1257]] = spike
-        direct = []
-        monkeypatch.setattr(audit, "_smoothed", lambda c, s: direct.append(1) or smoothed(c, s))
         got = audit._bootstrap_argmax(1, counts, 37.4, 64)
-        assert direct
-        assert np.array_equal(got, _blocked_loop_argmax(1, counts, 37.4, 64))
+        resamples = _blocked_loop_resamples(1, counts, 64)
+        low, high = resamples[:, 1000], resamples[:, 1257]
+        tied = low == high
+        assert 0 < np.count_nonzero(tied) < tied.size
+        assert set(got[tied].tolist()) <= {1000, 1257}
+        assert np.array_equal(got[~tied], np.where(low > high, 1000, 1257)[~tied])
+
+
+@pytest.mark.parametrize("pad", ["fast", "shortest"])
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 1.7, 37.4, 400.0, 2000.0])
+def test_smoothed_matches_direct_filter(monkeypatch, sigma, pad):
+    # The FFT smoother against scipy's direct filter with zeros beyond the
+    # grid, from a kernel of radius 0 (sigma 0.1) to one longer than the
+    # 4096-bin grid (2000), with the FFT at scipy's fast length and at
+    # exactly 4096 + r points, the shortest its one-sided pad allows
+    if pad == "shortest":
+        monkeypatch.setattr(audit.fft, "next_fast_len", lambda target, real: target)
+    spikes = np.zeros(4096, dtype=np.int64)
+    spikes[[3, 1000, 1257, 4093]] = [2, 1, 7, 3]
+    both_ends = np.zeros(4096, dtype=np.int64)
+    both_ends[:5], both_ends[-3:] = 4, 9
+    for counts in (spikes, _philox(43).poisson(20.0, 4096), both_ends):
+        direct = ndimage.gaussian_filter1d(counts.astype(float), sigma=sigma, mode="constant")
+        got = audit._smoothed(counts, sigma)
+        assert got.shape == direct.shape
+        assert np.max(np.abs(got - direct)) <= 1e-14 * direct.max()
 
 
 def test_bootstrap_fft_pad_at_its_shortest(monkeypatch):
     # The two equal spikes again, with the FFT at exactly W + r points, the
     # shortest the one-sided pad allows.  One point fewer would wrap the
-    # lower spike's far tail into the last kept bin, the upper spike's, and
-    # break the exact ties toward it.
+    # upper spike's far tail into the first kept bin, the lower spike's, and
+    # leave the last kept bin, the upper spike's, out of the smoothed rows.
     monkeypatch.setattr(audit.fft, "next_fast_len", lambda target, real: target)
     for spike in (1, audit.ROWS_PER_BIN + 1):
         counts = np.zeros(4096, dtype=np.int64)

@@ -825,7 +825,8 @@ def test_tullock_command(tmp_path):
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["e_star"] == pytest.approx(0.2838338208091532, abs=1e-12)
-    assert doc["foc_gap"] < 1e-9
+    assert doc["rho_star"] == doc["e_star"]
+    assert set(doc) == {"n", "e_star", "rho_star", "csf"}
     assert doc["csf"]["win_probabilities"][0] == pytest.approx(0.5 * (1 - np.exp(-1)), abs=1e-12)
 
 

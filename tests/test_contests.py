@@ -44,11 +44,23 @@ def test_csf_matches_additive_gumbel_tournament():
         assert p_additive == pytest.approx(p_csf, abs=1e-6)
 
 
+def _symmetric_foc(e: float, n: int, rho: float) -> float:
+    """Marginal win probability at the symmetric profile minus marginal cost 1.
+
+    At rho = e it is ((n - 1) + exp(-n)) / (n^2 e) - 1, whose root is
+    ``tullock_optimal``'s closed form."""
+    s = n * e
+    expo = np.exp(-s / rho)
+    return (n - 1.0) * (1.0 - expo) / (n**2 * e) + expo / (n * rho) - 1.0
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_closed_form_matches_self_consistent_foc(n):
+    # the root of the first-order condition with the standard tied to the effort
     e_cf, rho = contests.tullock_optimal(n)
     assert rho == e_cf
-    assert abs(e_cf - contests.tullock_selfconsistent_effort(n)) < 1e-9
+    root = brentq(lambda e: _symmetric_foc(e, n, e), 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
+    assert e_cf == pytest.approx(root, rel=1e-13)
 
 
 def test_optimal_effort_value_n2():
@@ -66,7 +78,7 @@ def test_standard_scan_peaks_at_optimum():
     e_star, rho_star = contests.tullock_optimal(n)
     rhos = np.linspace(0.5 * rho_star, 1.5 * rho_star, 81)
     # the symmetric equilibrium effort at each fixed standard, linear cost
-    efforts = [brentq(contests._symmetric_foc, 1e-12, 1.0, args=(n, r), xtol=1e-15, rtol=1e-15) for r in rhos]
+    efforts = [brentq(_symmetric_foc, 1e-12, 1.0, args=(n, r), xtol=1e-15, rtol=1e-15) for r in rhos]
     assert abs(rhos[int(np.argmax(efforts))] - rho_star) <= rhos[1] - rhos[0]
 
 

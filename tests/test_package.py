@@ -58,8 +58,7 @@ PRIVATE_IMPORTS = {
 # The scipy submodules each module imports, at module level or inside a
 # function; moving an import, or adding one, shows up here as a diff.
 SCIPY_IMPORTS = {
-    "audit": {"fft", "ndimage"},
-    "contests": {"optimize"},
+    "audit": {"fft"},
     "distributions": {"special"},
     "equilibrium": {"special"},
 }
