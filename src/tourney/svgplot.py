@@ -18,18 +18,25 @@ _WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data, as ``xml.sax.saxutils.escape`` gives it
+    (importing which loads ``urllib.request`` and ``ssl``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
     raw = (hi - lo) / (count - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw) * mag
-    first = math.ceil(lo / step) * step
+    first = max(math.ceil(lo / step) * step, lo)  # the product can round below lo
     out = []
-    t = first
-    while t <= hi + 1e-12 * step:
+    for k in range(count + 1):  # step >= (hi - lo) / (count - 1): at most count ticks
+        t = first + k * step
+        if t > hi + 1e-12 * step or (out and t == out[-1]):  # past hi, or below an ulp
+            break
         out.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
     return out or [lo]
 
 
@@ -45,16 +52,18 @@ def line_plot_svg(
     Non-finite points break the polyline; pass ``ylim`` to clip spiky series
     (values outside are dropped from the path).
 
-    Each number is formatted once: the x pixels once for each distinct x
-    array (the series of a panel share one grid), and the y pixels of the
-    drawn points once per series.  A run of drawn points is a contiguous
-    index range, so its x text is a slice of its array's.  Each pixel is the
-    same float, formatted alike, as when each point is scaled and formatted
-    on its own, so the bytes are those of that form.
+    Each polyline is drawn at the plot's pixel resolution by the M4 rule
+    (Jugel et al., PVLDB 2014): of each group of consecutive points in one
+    pixel column, only the first, the last, the lowest and the highest are
+    kept (the first of equals), which draws the same line at this width.
+    A series with fewer points than columns keeps them all; callers that
+    need every point write it elsewhere (the figures' CSVs keep the grid).
     """
     xs_all = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys_all = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     finite = np.isfinite(xs_all) & np.isfinite(ys_all)
+    if not finite.any():
+        raise ValueError("line_plot_svg: no series has a point with finite x and y")
     x_lo, x_hi = float(xs_all[finite].min()), float(xs_all[finite].max())
     if ylim is None:
         y_lo, y_hi = float(ys_all[finite].min()), float(ys_all[finite].max())
@@ -85,7 +94,7 @@ def line_plot_svg(
     ]
     if title:
         out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>'
         )
     for t in _ticks(x_lo, x_hi):
         out.append(
@@ -104,34 +113,40 @@ def line_plot_svg(
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:
         out.append(
             f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
         )
-    x_text = {}  # id of an x array -> its pixels, formatted
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        key = id(x)
         x = np.asarray(x, dtype=float)
-        if key not in x_text:
-            x_text[key] = [f"{v:.2f}" for v in px(x).tolist()]
-        xs = x_text[key]
         y = np.asarray(y, dtype=float)
         ok = np.flatnonzero(np.isfinite(x) & np.isfinite(y) & (y >= y_lo) & (y <= y_hi))
-        ys = [f"{v:.2f}" for v in py(y[ok]).tolist()]
-        ends = np.flatnonzero(np.diff(ok) > 1) + 1
-        for j0, j1 in zip([0, *ends.tolist()], [*ends.tolist(), ok.size]):
-            if j1 - j0 > 1:  # ok[j0:j1] is the index range ok[j0] .. ok[j1 - 1]
-                points = " ".join(f"{a},{b}" for a, b in zip(xs[ok[j0]:ok[j1 - 1] + 1], ys[j0:j1]))
-                out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>')
+        n = ok.size
+        ends = np.flatnonzero(np.diff(ok) > 1) + 1  # the runs of drawn points start at 0 and ends
+        xy = np.column_stack([px(x[ok]), py(y[ok])])
+        new = np.diff(np.floor(xy[:, 0]), prepend=np.nan) != 0
+        new[ends] = True  # groups: consecutive points of a run in one pixel column
+        starts, group = np.flatnonzero(new), np.cumsum(new) - 1
+        keep = new | np.append(new[1:], True)  # each group's first and last point
+        for extreme in (np.minimum, np.maximum):  # each group's first lowest and first highest
+            at = np.where(xy[:, 1] == extreme.reduceat(xy[:, 1], starts)[group], np.arange(n), n)
+            keep[np.minimum.reduceat(at, starts)] = True
+        kept = np.concatenate([[0], np.cumsum(keep)])  # run ok[j0:j1] keeps points kept[j0]:kept[j1]
+        xy = xy[keep]
+        for j0, j1 in zip([0, *ends.tolist()], [*ends.tolist(), n]):
+            if j1 - j0 > 1:
+                points = xy[kept[j0]:kept[j1]]
+                text = " ".join(["%.2f,%.2f"] * len(points)) % tuple(points.ravel().tolist())
+                out.append(f'<polyline points="{text}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = _MARGIN_T + 14 + 16 * k
         out.append(
             f'<line x1="{_WIDTH - _MARGIN_R - 120}" y1="{ly - 4}" x2="{_WIDTH - _MARGIN_R - 96}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        out.append(f'<text x="{_WIDTH - _MARGIN_R - 90}" y="{ly}">{label}</text>')
+        out.append(f'<text x="{_WIDTH - _MARGIN_R - 90}" y="{ly}">{_escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

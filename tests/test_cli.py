@@ -2,9 +2,12 @@ import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 from pathlib import Path
 
 import numpy as np
@@ -395,19 +398,25 @@ def test_figures_fig2(tmp_path):
     # hazard panel starts at 2 and decays toward 1
     h_header, h_data = _read_panel(tmp_path / "fig2_hazard.csv")
     assert h_data[0, 1] == pytest.approx(2.0, abs=1e-9)
+    for panel in ("density", "likelihood_ratio", "hazard", "marginal_benefit"):
+        root = ET.parse(tmp_path / f"fig2_{panel}.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_figures_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     cli.main(["figures", "fig2", "--outdir", str(d1)])
     cli.main(["figures", "fig2", "--outdir", str(d2)])
-    for name in ("fig2_density.csv", "fig2_marginal_benefit.csv", "fig2_density.svg"):
+    names = sorted(p.name for p in d1.iterdir())
+    assert len(names) == 8 and names == sorted(p.name for p in d2.iterdir())
+    for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def _per_point_polylines(series, ylim, width=720, height=460):
-    """The polylines of ``line_plot_svg``, each point scaled and formatted
-    as a numpy scalar on its own."""
+def _per_point_runs(series, ylim, width=720, height=460):
+    """The runs of drawn points of each series of ``line_plot_svg``, each
+    point scaled and formatted as a numpy scalar on its own: per series, a
+    list of runs, each a list of (x pixel, y pixel, "x,y" text)."""
     xs = np.concatenate([x for _, x, _ in series])
     ys = np.concatenate([y for _, _, y in series])
     finite = np.isfinite(xs) & np.isfinite(ys)
@@ -417,25 +426,33 @@ def _per_point_polylines(series, ylim, width=720, height=460):
     y_lo, y_hi = y_lo - pad, y_hi + pad
     plot_w = width - svgplot._MARGIN_L - svgplot._MARGIN_R
     plot_h = height - svgplot._MARGIN_T - svgplot._MARGIN_B
-    lines = []
-    for k, (_, x, y) in enumerate(series):
+    per_series = []
+    for _, x, y in series:
         runs, run = [], []
         for xi, yi in zip(x, y):
             if np.isfinite(xi) and np.isfinite(yi) and y_lo <= yi <= y_hi:
                 px = svgplot._MARGIN_L + (xi - x_lo) / (x_hi - x_lo) * plot_w
                 py = svgplot._MARGIN_T + (y_hi - yi) / (y_hi - y_lo) * plot_h
-                run.append(f"{px:.2f},{py:.2f}")
+                run.append((px, py, f"{px:.2f},{py:.2f}"))
             elif run:
                 runs.append(run)
                 run = []
         runs.append(run)
-        color = svgplot.PALETTE[k]
-        lines += [
-            f'<polyline points="{" ".join(r)}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-            for r in runs
-            if len(r) > 1
-        ]
-    return lines
+        per_series.append([r for r in runs if len(r) > 1])
+    return per_series
+
+
+def _polyline(k, texts):
+    return f'<polyline points="{" ".join(texts)}" fill="none" stroke="{svgplot.PALETTE[k]}" stroke-width="1.6"/>'
+
+
+def _per_point_polylines(series, ylim):
+    """The polylines of ``line_plot_svg`` when every drawn point is kept."""
+    return [
+        _polyline(k, [t for _, _, t in run])
+        for k, runs in enumerate(_per_point_runs(series, ylim))
+        for run in runs
+    ]
 
 
 def test_figure_writers_match_per_point_form(tmp_path):
@@ -464,6 +481,91 @@ def test_figure_writers_match_per_point_form(tmp_path):
     cli._write_csv(str(tmp_path / "t.csv"), ["x", "y", "z", "w"], [cli._csv_column(c) for c in cols], ["note"])
     rows = [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
     assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "x,y,z,w", *rows]) + "\n"
+
+
+def test_line_plot_keeps_m4_points_of_each_pixel_column():
+    """Of each group of consecutive same-column points of a run, the SVG
+    keeps exactly the first, the last, the lowest and the highest (the
+    first of equals), each as the per-point form writes it."""
+    rng = np.random.default_rng(5)
+    x = np.linspace(-1.0, 3.0, 12001)
+    noisy = np.sin(3.0 * x) + 0.3 * rng.standard_normal(x.size)  # clipped by ylim at the peaks
+    noisy[[7, 8, 3000, 10345]] = np.nan
+    noisy[6000:6400] = np.nan
+    noisy[9000:9010] = np.inf
+    x2 = x[::3]
+    steps = np.round(np.cos(2.0 * x2) + 0.2 * rng.standard_normal(x2.size), 1)  # ties in each column
+    t = np.linspace(0.0, 2.0 * np.pi, 4001)
+    series = [
+        ("noisy", x, noisy),
+        ("steps", x2, steps),
+        ("circle", 1.0 + 1.5 * np.cos(t), 0.5 * np.sin(t)),  # x not monotone: columns revisited
+    ]
+    svg = svgplot.line_plot_svg(series, ylim=(-1.0, 1.2))
+    got = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    want, dense = [], 0
+    for k, runs in enumerate(_per_point_runs(series, (-1.0, 1.2))):
+        for run in runs:
+            px = np.array([p[0] for p in run])
+            py = np.array([p[1] for p in run])
+            starts = np.flatnonzero(np.diff(np.floor(px), prepend=np.nan) != 0)
+            kept = []
+            for a, b in zip(starts, [*starts[1:], len(run)]):
+                dense += b - a > 4
+                kept += sorted({a, b - 1, a + int(np.argmin(py[a:b])), a + int(np.argmax(py[a:b]))})
+            want.append(_polyline(k, [run[i][2] for i in kept]))
+    assert got == want and len(got) > 10 and dense > 1000
+    circle = [line for line in got if svgplot.PALETTE[2] in line]
+    cols = [np.floor(float(p.split(",")[0])) for p in re.search(r'points="([^"]*)"', circle[0])[1].split()]
+    assert max(np.unique(cols, return_counts=True)[1]) > 4  # a column is a group on either half
+
+
+def _returns_within(seconds, fn, *args):
+    """fn(*args), or a failure if it has not returned in ``seconds``."""
+
+    def timeout(signum, frame):
+        raise AssertionError(f"{fn.__name__} did not return in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ticks_stop_below_an_ulp():
+    ticks = _returns_within(10, svgplot._ticks, 1.0, 1.0000000000000002)
+    assert 1 <= len(ticks) <= 5 and np.all(np.diff(ticks) > 0)
+    assert all(1.0 <= t <= 1.0000000000000002 for t in ticks)
+    assert svgplot._ticks(0.0, 1.0) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert svgplot._ticks(-0.3, 0.3) == pytest.approx([-0.2, 0.0, 0.2])
+    svg = _returns_within(10, svgplot.line_plot_svg, [("a", [0, 1, 2], [1.0, 1.0 + 2.2e-16, 1.0])])
+    assert svg.endswith("</svg>\n") and len(ET.fromstring(svg).findall("{*}polyline")) == 1
+    for tick in ET.fromstring(svg).findall("{*}line")[:-1]:  # the last is the legend's
+        for y in (float(tick.get("y1")), float(tick.get("y2"))):
+            assert svgplot._MARGIN_T <= y <= svgplot._HEIGHT - svgplot._MARGIN_B + 4
+
+
+def test_line_plot_without_a_finite_point_is_an_error():
+    with pytest.raises(ValueError, match="no series has a point with finite x and y"):
+        svgplot.line_plot_svg([("a", [0.0, 1.0], [np.nan, np.inf]), ("b", [np.nan], [1.0])])
+
+
+def test_line_plot_escapes_its_text():
+    labels = ["a & b", "x < y > z", "-f'/f"]
+    svg = svgplot.line_plot_svg(
+        [(label, [0.0, 1.0], [0.0, 1.0]) for label in labels[:2]],
+        title=labels[0],
+        xlabel=labels[1],
+        ylabel=labels[2],
+    )
+    texts = [e.text for e in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == labels[0] and labels[1] in texts and texts[-3:] == labels[2:] + labels[:2]
+    assert ">-f'/f</text>" in svg  # the apostrophe stays as it is
+    for text in [*labels, "&amp; &lt;&gt;", '"q"', ""]:
+        assert svgplot._escape(text) == saxutils.escape(text)
 
 
 def test_verify_ok_and_forced_effort(tmp_path):

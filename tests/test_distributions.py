@@ -442,13 +442,15 @@ def test_declared_shapes_match_dense_reference():
 
 
 def test_import_leaves_out_scipy_optimize():
-    # nor scipy.ndimage: the audit smooths by FFT
+    # nor scipy.ndimage: the audit smooths by FFT; nor urllib.request, which
+    # xml.sax.saxutils loads (with ssl and http.client) for the SVG escapes
     code = (
         "import sys, tourney.distributions; print('scipy.optimize' in sys.modules); "
-        "import tourney.cli; print('scipy.optimize' in sys.modules, 'scipy.ndimage' in sys.modules)"
+        "import tourney.cli; print('scipy.optimize' in sys.modules, 'scipy.ndimage' in sys.modules, "
+        "'urllib.request' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["False", "False", "False", "False"]
 
 
 def test_order_statistics():
