@@ -358,6 +358,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """``verify``: the best-response scan, and each scheme's bound at ``battery_draws``
+    noise draws (1e5 by default), of which only those above the mode are drawn."""
     sc = _scenario_from(_load_config(args.config), args)
     opts = sc["verify"]
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")

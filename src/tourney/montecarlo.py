@@ -7,15 +7,11 @@ independent of the quadrature code paths and certify them statistically.
 One routine ranks the simulated players.
 
 Reproducibility: draws come from counter-based Philox streams, one stream
-per fixed-size batch of draws, keyed by the caller's seed.  A batch is a
-function of its stream alone: two worker threads draw the (m, n) uniforms
-of the two batches after the one in use and map what their caller reads
-through the family's quantile function, value by value; the batches reach
-the caller strictly in order, so every draw is bit-identical to a serial
-pass.  Simulations map every column; the best-response scan maps player
-1's and the rivals' order statistics it bins.  Every effort level on a
-verification grid reuses the same noise matrix, so payoff differences
-across efforts are common-random-number estimates with tiny variance.
+per fixed-size batch of draws, keyed by the caller's seed, drawn ahead on
+two worker threads (``_batches``), so every draw is bit-identical to a
+serial pass.  Every effort level on a verification grid reuses the same
+draws, so payoff differences across efforts are common-random-number
+estimates with tiny variance.
 
 Best-response scan: write the prize as a sum of differentials,
 d_j = v_j - v_(j+1) for the rank j = 0, ..., n - 1 counted from the top, with
@@ -25,22 +21,22 @@ P_j = max(rho, e* + X_(j+1)) - x1: the deviator holds rank j or better once
 its score clears the standard and the (j+1)-th largest rival score.  All
 rivals play e*, so X_(j+1) is an order statistic of their noise, and a rival
 who misses the standard cannot lift P_j above rho.  Since the quantile
-function is monotone, X_(j+1) = ppf(U_(j+1)): the rivals are ranked and
-reduced as uniforms, and only the order statistics a level needs are
-mapped.  Histograms of the jumps d_j at P_j on the effort grid, summed
-cumulatively, give the payoff sums at every grid point in one pass over the
-noise, with at most one sort of the rivals per draw, whatever the grid
-size; the rank tally at the checked effort comes from the same pass, and
-counts the rivals whose uniform exceeds player 1's, so a tie is one of the
-uniforms.  That differs from comparing the scores only where two distinct
-uniforms give scores that round to one float.  Only levels with d_j != 0
-are binned: winner-take-all maps the best rival alone, equal prizes for all
-only player 1 and no rival, with no sort.  A jump finds its grid cell, the
-first grid point at or above P_j, from a bucket table built once per scan
-(``_Cells``): two buckets per grid point give the start, and comparisons
-with the grid's own floats finish the search, so the cells are
-``np.searchsorted``'s exactly without its binary search over the whole
-grid for each of the m draws.
+function is monotone, X_(j+1) = ppf(U_(j+1)), and player 1's rank at e* is
+the count K of rivals whose uniform exceeds its own u_1.  Equal prizes for
+all bin no rival and winner-take-all the best one alone, so these draw
+u_1, K and the best rival's uniform M from their joint law, in two or
+three variates, not n (David & Nagaraja, Order Statistics, ch. 2; Devroye,
+Non-Uniform Random Variate Generation, ch. V): each rival lies above u_1
+with chance 1 - u_1, independently, so K ~ Binomial(n - 1, 1 - u_1);
+M = V^(1/(n - 1)) is the largest of n - 1 uniforms, and given M the other
+rivals are iid U(0, M), so K is 0 where M <= u_1 and
+1 + Binomial(n - 2, 1 - u_1 / M) elsewhere.  Other schedules draw the
+n uniforms, count K and sort the rivals.  Histograms of the jumps d_j at
+P_j on the effort grid, summed cumulatively, give the payoff sums at every
+grid point in one pass over the draws, whatever the grid size; the rank
+tally at the checked effort is K where player 1 passes.  A jump finds its
+grid cell, the first grid point at or above P_j, from a bucket table built
+once per scan (``_Cells``).
 """
 
 from __future__ import annotations
@@ -64,6 +60,8 @@ __all__ = [
 ]
 
 BATCH = 1 << 14
+INVERSION_MAX = 64  # rival counts whose rank count K is drawn by inversion
+UNIT_MAX = 1.0 - 2.0**-53  # the largest uniform ``Generator.random`` draws
 
 
 class SeedRequired(ValueError):
@@ -144,27 +142,70 @@ def _batches(draw, n: int, draws: int, seed: int):
             yield batch
 
 
-def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int):
-    """Yield (m, n) noise matrices, every column mapped: batch i is
-    ``dist.sample`` on its substream ``Philox(key=seed).jumped(i)``, drawn
-    two ahead by ``_batches``.  Simulations and the pay-scheme bound rank
-    these scores, ties going to player 1 (``_rank``)."""
-    return _batches(dist.sample, n, draws, seed)
-
-
-def _scan_batches(dist: NoiseDistribution, n: int, draws: int, seed: int, levels: np.ndarray):
-    """Yield the best-response scan's batches: the (m, n) uniforms, player
-    1's noise ``dist._ppf(u[:, 0])`` and the rivals' order statistics at the
-    prize ``levels`` (``_order_statistics``), the only noise the workers
-    map; the scan ranks the rivals by their uniforms.  The uniforms are
-    those ``dist.sample`` maps on the same substream, so every mapped value
-    is the float that ``noise_batches`` gives."""
+def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int, floor: float = 0.0):
+    """Yield (m, n) noise matrices, every column mapped, drawn two ahead by
+    ``_batches``: batch i maps the levels ``Generator.random`` draws on its
+    substream ``Philox(key=seed).jumped(i)``, as ``dist.sample`` does.  A
+    ``floor`` above 0 moves player 1's levels u to floor + (1 - floor) u,
+    uniform on [floor, 1) and kept below 1.  Simulations rank these scores,
+    ties going to player 1 (``_rank``)."""
 
     def draw(size, rng):
         u = rng.random(size)
-        return u, dist._ppf(u[:, 0]), _order_statistics(u, levels, dist)
+        if floor:
+            u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
+        return dist._ppf_in_place(u)
 
     return _batches(draw, n, draws, seed)
+
+
+def _scan_batches(dist: NoiseDistribution, n: int, draws: int, seed: int, levels: np.ndarray):
+    """Yield the best-response scan's batches: player 1's noise x_1, its
+    rank count K and the rivals' X_(j+1) at each prize level j of
+    ``levels`` (from ``_levels``; -inf at level n - 1).  Equal prizes for
+    all and winner-take-all draw u_1, then the best rival's uniform M, kept
+    below 1 as ``Generator.random``'s are, then K (``_rank_count``; see the
+    module docstring); other schedules count and sort n uniforms."""
+    rivals = levels < n - 1
+    direct = set(levels[rivals].tolist()) <= {0}  # no rival binned, or the best alone
+
+    def draw(size, rng):
+        if not direct:
+            u = rng.random(size)
+            return dist._ppf(u[:, 0]), _rank(u, u[:, 0], True), _order_statistics(u, levels, dist)
+        u1 = rng.random(size[0])
+        top = np.full((size[0], levels.size), -np.inf)
+        if rivals.any():
+            best = rng.random(size[0]) ** (1.0 / (n - 1))
+            k = (best > u1) * (1 + _rank_count(u1 / np.maximum(best, u1), n - 1, rng))
+            top[:, rivals] = dist._ppf(np.minimum(best, UNIT_MAX))[:, None]
+        else:
+            k = _rank_count(u1, n, rng)
+        return dist._ppf(u1), k, top
+
+    return _batches(draw, n, draws, seed)
+
+
+def _rank_count(u1: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """K ~ Binomial(n - 1, 1 - u_1) per level u_1: by ``Generator.binomial``
+    where n - 1 > ``INVERSION_MAX``, and below, where that costs more than n
+    passes, by inverting one more uniform v from the likelier end, where no
+    pmf underflows: with w = max(u_1, 1 - u_1), K' ~ Binomial(n - 1, 1 - w)
+    is n - 1 less the number of k < n - 1 with P(K' <= k) > v, from
+    w^(n - 1) >= 2^(1 - n) up, and K is K' where u_1 >= 1/2, n - 1 - K' below."""
+    if n - 1 > INVERSION_MAX:
+        return rng.binomial(n - 1, 1.0 - u1)
+    v = rng.random(u1.size)
+    w = np.maximum(u1, 1.0 - u1)
+    k = np.full(u1.size, n - 1)
+    ratio = (1.0 - w) / w
+    pmf = w ** (n - 1)
+    for j in range(n - 1):
+        v -= pmf  # v - P(K' <= j)
+        k -= v < 0
+        pmf *= ratio
+        pmf *= (n - 1 - j) / (j + 1)
+    return np.where(u1 < 0.5, n - 1 - k, k)
 
 
 def _order_statistics(u: np.ndarray, levels: np.ndarray, dist: NoiseDistribution) -> np.ndarray:
@@ -172,20 +213,13 @@ def _order_statistics(u: np.ndarray, levels: np.ndarray, dist: NoiseDistribution
     ``levels`` (from ``_levels``): ``ppf`` of the rivals' (j+1)-th largest
     uniform, the same float as the (j+1)-th largest mapped rival noise, as
     the quantile function never decreases and maps value by value.  Level
-    n - 1 needs no rival and keeps -inf.  Winner-take-all maps a running
-    maximum over the rival columns; a many-level schedule sorts the rivals'
-    uniforms and maps the columns it bins, in slabs; equal prizes for all
-    map no rival.
+    n - 1 needs no rival and keeps -inf.  The rivals' uniforms are sorted,
+    and the columns binned are mapped in slabs.
     """
     n = u.shape[1]
     top = np.full((len(u), levels.size), -np.inf)
     ranked = levels < n - 1
-    if np.array_equal(levels[ranked], [0]):  # only the best rival counts
-        best = u[:, 1].copy()
-        for j in range(2, n):
-            np.maximum(best, u[:, j], out=best)
-        top[:, ranked] = dist._ppf(best)[:, None]
-    elif ranked.any():
+    if ranked.any():
         # take gathers C-ordered, so the columns are mapped in place
         order = np.sort(u[:, 1:], axis=1).take(n - 2 - levels[ranked], axis=1)
         top[:, ranked] = dist._ppf_in_place(order)
@@ -269,17 +303,17 @@ class _Cells:
             k -= down
 
 
-def _grid_sums(u: np.ndarray, x1: np.ndarray, top: np.ndarray, cells: _Cells, i_star: int,
+def _grid_sums(x1: np.ndarray, k: np.ndarray, top: np.ndarray, cells: _Cells, i_star: int,
                rho: float, prizes: np.ndarray):
     """Sums over one batch of player 1's prize w at each point of
     ``cells.grid``.
 
-    ``u`` holds the batch's (m, n) uniforms, ``x1`` player 1's noise
-    ``ppf(u[:, 0])`` and ``top`` the rivals' X_(j+1) at each level of
-    ``_levels(prizes)`` (``_order_statistics``).  Rivals sit at
+    ``x1`` holds player 1's noise per draw, ``k`` the count of rivals whose
+    uniform exceeds player 1's, and ``top`` the rivals' X_(j+1) at each
+    level of ``_levels(prizes)`` (``_scan_batches``).  Rivals sit at
     e* = ``grid[i_star]``; w* is player 1's prize there.  Returns the
     (3, grid.size) sums of w, w - w* and (w - w*)^2, and player 1's rank at
-    e* per draw: ``_rank`` of the uniforms, where e* + x_1 passes.
+    e* per draw: ``k`` where e* + x_1 passes, n elsewhere.
 
     Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
     jump at P_j reaches every grid point g >= P_j; ``cells`` finds the first
@@ -289,7 +323,7 @@ def _grid_sums(u: np.ndarray, x1: np.ndarray, top: np.ndarray, cells: _Cells, i_
     """
     grid = cells.grid
     e_star = grid[i_star]
-    rank_star = _rank(u, u[:, 0], e_star + x1 >= rho)
+    rank_star = np.where(e_star + x1 >= rho, k, prizes.size)
     v, levels = _levels(prizes)
     hi, lo = v[levels], v[levels + 1]
     pos = np.maximum(rho, e_star + top) - x1[:, None]
@@ -363,15 +397,12 @@ def verify_best_response(
     """Scan deviation payoffs over an effort grid and certify the best gap.
 
     The grid is ``grid_size`` evenly spaced efforts on [0, max_effort] plus
-    ``e_star``.  A single pass over the noise gives the payoff at every grid
+    ``e_star``.  A single pass over the draws gives the payoff at every grid
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
-    The batches come from ``_scan_batches``: two threads draw ahead the
-    uniforms and map player 1's noise and the rivals' order statistics,
-    while this thread ranks the batch in hand by its uniforms and bins it,
-    and the batches arrive in order, so the result is bit-identical to a
-    serial scan of the same seed.  Every binned position is the float that
-    the fully mapped noise gives; player 1's rank ties go by the uniforms.
+    The batches come from ``_scan_batches``, drawn ahead on two threads
+    while this thread bins the batch in hand, and in order, so the result is
+    bit-identical to a serial scan of the same seed.
 
     The gap is the largest estimated payoff improvement over ``e_star``; its
     standard error comes from the per-draw paired payoff differences (common
@@ -392,8 +423,8 @@ def verify_best_response(
     cells = _Cells(grid)
     sums = np.zeros((3, grid.size))
     rank_counts = np.zeros(n + 1, dtype=np.int64)
-    for u, x1, top in _scan_batches(dist, n, draws, seed, _levels(prizes)[1]):
-        batch, rank = _grid_sums(u, x1, top, cells, i_star, design.standard, prizes)
+    for x1, k, top in _scan_batches(dist, n, draws, seed, _levels(prizes)[1]):
+        batch, rank = _grid_sums(x1, k, top, cells, i_star, design.standard, prizes)
         sums += batch
         rank_counts += np.bincount(rank, minlength=n + 1)
     mean_w, mean_d, mean_dsq = sums / draws
@@ -407,8 +438,8 @@ def verify_best_response(
     grid_bias = float(0.5 * lipschitz * step)
     return replace(
         _tally_report(draws, seed, n, rank_counts),
-        effort_grid=tuple(grid),
-        payoffs=tuple(payoffs),
+        effort_grid=tuple(grid.tolist()),
+        payoffs=tuple(payoffs.tolist()),
         gap=gap,
         gap_se=gap_se,
         grid_bias=grid_bias,

@@ -234,14 +234,19 @@ def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator)
         totals += w.reshape(k, m).sum(axis=0)
     if np.any(totals > 1.0 + 1e-6):
         raise PropertyViolation(f"{scheme.label}: budget exceeded (max total {totals.max():.6g})")
-    for _ in range(PROPERTY_TRIALS):
-        cols = np.append(0, 1 + rng.permutation(n - 1))
-        if not np.allclose(scheme.pay(y[:, cols]), w1, atol=1e-8):
-            raise PropertyViolation(f"{scheme.label}: anonymity spot-check failed")
-        bump = y.copy()
-        bump[:, 0] += rng.uniform(0.01, 1.0)
-        if np.any(scheme.pay(bump) < w1 - 1e-8):
-            raise PropertyViolation(f"{scheme.label}: payment decreased in own output")
+    # the trials' permutations and bumps are drawn in turn, and the trials
+    # priced in blocks of at most PROPERTY_BLOCK outputs per pay call
+    trials = [(np.append(0, 1 + rng.permutation(n - 1)), rng.uniform(0.01, 1.0)) for _ in range(PROPERTY_TRIALS)]
+    per = max(1, PROPERTY_BLOCK // y.size)
+    for block in (trials[lo:lo + per] for lo in range(0, PROPERTY_TRIALS, per)):
+        bumped = np.tile(y, (len(block), 1))
+        bumped[:, 0] += np.repeat([bump for _, bump in block], m)
+        permuted = scheme.pay(np.concatenate([y[:, cols] for cols, _ in block])).reshape(-1, m)
+        for w_perm, w_bump in zip(permuted, scheme.pay(bumped).reshape(-1, m)):
+            if not np.allclose(w_perm, w1, atol=1e-8):
+                raise PropertyViolation(f"{scheme.label}: anonymity spot-check failed")
+            if np.any(w_bump < w1 - 1e-8):
+                raise PropertyViolation(f"{scheme.label}: payment decreased in own output")
 
 
 @dataclass(frozen=True)
@@ -268,10 +273,13 @@ def marginal_incentive(
     anonymous monotone budget-feasible scheme, provided the density vanishes
     at the upper support bound.
 
-    Per batch, player 1 is priced only on the draws whose noise x_1 lies
-    above the mode x_m; the products with the likelihood ratio are scattered
-    into zeros of the batch's length and summed.  The likelihood-ratio cap
-    is checked on every draw.
+    Only draws above the mode x_m count, so only they are drawn: round(draws
+    S(x_m)) rows, with player 1's level uniform on [F(x_m), 1), its law given
+    x_1 > x_m, and the rivals' on [0, 1).  The estimate and its standard
+    error are S(x_m) times the rows'; (0, 0) where no row is drawn.  With the
+    mode at the lower support bound, F(x_m) = 0 and the rows are the noise
+    ``dist.sample`` draws.  The likelihood ratio is capped on every row at
+    ``LR_CAP`` times the mode's density, which has its units.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
@@ -283,24 +291,23 @@ def marginal_incentive(
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
     probe = dist.sample((256, n), rng) + effort
     check_properties(scheme, probe, rng)
-
-    total = 0.0
-    total_sq = 0.0
-    for x in noise_batches(dist, n, draws, seed):
+    above = float(dist.sf(xm))
+    rows = round(draws * above)
+    if rows == 0:
+        return 0.0, 0.0
+    total = total_sq = 0.0
+    for x in noise_batches(dist, n, rows, seed, float(dist.cdf(xm))):
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
-        if np.max(np.abs(lam)) > LR_CAP:
+        if np.max(np.abs(lam)) > LR_CAP * shape.global_mode_density:
             raise UnboundedLikelihoodRatio(
-                f"|likelihood ratio| exceeded {LR_CAP:g} on sampled points"
+                f"|likelihood ratio| exceeded {LR_CAP:g} times the mode density on sampled points"
             )
-        above = x[:, 0] > xm
-        vals = np.zeros(len(x))
-        if above.any():  # a short last batch may have none; a bare callable need not take 0 rows
-            vals[above] = scheme.pay(effort + x[above]) * lam[above]
+        vals = scheme.pay(effort + x) * lam
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
-    mean = total / draws
-    var = max(total_sq / draws - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / draws))
+    mean = total / rows
+    var = max(total_sq / rows - mean * mean, 0.0)
+    return above * mean, above * float(np.sqrt(var / rows))
 
 
 def check_incentive_bound(

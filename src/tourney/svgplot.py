@@ -25,9 +25,9 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
-        return [lo]
     raw = (hi - lo) / (count - 1)
+    if not np.finfo(float).tiny <= raw < math.inf:  # a step that is NaN, infinite, 0 or subnormal: flat
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw) * mag
     first = max(math.ceil(lo / step) * step, lo)  # the product can round below lo

@@ -1,16 +1,17 @@
 """The best-response batch sums on the mapped noise, with numpy's own
 search and row maximum.
 
-``montecarlo._grid_sums`` takes the batch's uniforms u, ranks and reduces
-the rivals as uniforms and maps only the order statistics it bins; it finds
-each jump's grid cell from a bucket table (``montecarlo._Cells``) and takes
-winner-take-all's best rival as a running maximum over the rival columns.
-This is the form it replaces, on the noise x = ppf(u) mapped whole: player
-1 ranked by the scores e* + x, one ``np.searchsorted`` of every jump
-position into the whole grid, and ``max`` along the rows.  The quantile
-function never decreases, so the order statistics, cells and maximum are
-the same numbers, and everything after them is the same arithmetic; where
-no two distinct uniforms give tied scores, the two must agree bit for bit.
+``montecarlo._grid_sums`` takes a batch as player 1's noise x_1, its rank
+count K (the rivals whose uniform exceeds its own) and the rival order
+statistics it bins, and finds each jump's grid cell from a bucket table
+(``montecarlo._Cells``).  This is the form it replaces, on the noise
+x = ppf(u) mapped whole: player 1 ranked by the scores e* + x, the order
+statistics from a sort or a row maximum, and one ``np.searchsorted`` of
+every jump position into the whole grid.  The quantile function never
+decreases, so given the (x_1, K, order statistics) of the same uniforms,
+the cells are the same numbers and everything after them the same
+arithmetic; where no two distinct uniforms give tied scores, the two must
+agree bit for bit.
 """
 
 import numpy as np

@@ -355,6 +355,33 @@ def test_verify_has_no_cap_for_inverse_exponential(tmp_path, capsys):
     assert "noise is neither" in capsys.readouterr().err
 
 
+# The eight designs of the benchmark's certify workload, with its seed's
+# draws fixed: (family, params, n, schedule, cost, verify section).
+CERTIFY_DESIGNS = [
+    ("gumbel", {"loc": 0.7}, 3, "wta", (1.0, 2.0), {"scheme": {"kind": "constant"}}),
+    ("erf_exponential", {}, 3, "eps", (3.0, 2.0), {}),
+    ("pareto", {"alpha": 2.0, "x_min": 1.2}, 3, "eps", (3.0, 2.0), {"scheme": {"kind": "linear_share", "cap": 3.6}}),
+    ("trimodal_example", {"variant": "red"}, 3, "wta", (1.0, 2.0), {}),
+    ("gumbel", {"loc": 0.7}, 10, "wta", (1.0, 2.0), {"bounds_battery": 2}),
+    ("erf_exponential", {}, 10, "eps", (3.0, 2.0), {}),
+    ("pareto", {"alpha": 2.0, "x_min": 1.2}, 10, "eps", (3.0, 2.0), {"scheme": {"kind": "rank"}}),
+    ("trimodal_example", {"variant": "red"}, 10, "eps", (1.0, 2.0), {}),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_certifies_the_benchmark_designs(tmp_path, seed):
+    for k, (family, params, n, schedule, (kappa, beta), verify) in enumerate(CERTIFY_DESIGNS):
+        scenario = {
+            "distribution": {"family": family, "params": params}, "n": n, "schedule": schedule,
+            "cost": {"kappa": kappa, "beta": beta}, "montecarlo": {"draws": 20_000, "seed": 100 * seed + k},
+            "verify": {**verify, "battery_draws": 20_000},
+        }
+        out = tmp_path / f"{seed}-{k}.json"
+        assert cli.main(["verify", "--config", _write(tmp_path, "cfg.json", scenario), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verified"] is True
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = _write(tmp_path, "cfg.json", EXP_SCENARIO)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -544,6 +571,21 @@ def test_ticks_stop_below_an_ulp():
     svg = _returns_within(10, svgplot.line_plot_svg, [("a", [0, 1, 2], [1.0, 1.0 + 2.2e-16, 1.0])])
     assert svg.endswith("</svg>\n") and len(ET.fromstring(svg).findall("{*}polyline")) == 1
     for tick in ET.fromstring(svg).findall("{*}line")[:-1]:  # the last is the legend's
+        for y in (float(tick.get("y1")), float(tick.get("y2"))):
+            assert svgplot._MARGIN_T <= y <= svgplot._HEIGHT - svgplot._MARGIN_B + 4
+
+
+@pytest.mark.parametrize("top", [5e-324, 4e-323, 1e-310])
+def test_line_plot_of_a_subnormal_span_is_flat(top):
+    # a quarter of the span is 0 or subnormal, and the power of ten below
+    # a subnormal step can underflow to 0 (at 4e-323)
+    assert svgplot._ticks(0.0, top) == [0.0]
+    svg = svgplot.line_plot_svg([("a", [0.0, 1.0], [0.0, top])])
+    root = ET.fromstring(svg)
+    assert svg.endswith("</svg>\n") and len(root.findall("{*}polyline")) == 1
+    for tick in root.findall("{*}line")[:-1]:  # the last is the legend's
+        for x in (float(tick.get("x1")), float(tick.get("x2"))):
+            assert svgplot._MARGIN_L - 4 <= x <= svgplot._WIDTH - svgplot._MARGIN_R
         for y in (float(tick.get("y1")), float(tick.get("y2"))):
             assert svgplot._MARGIN_T <= y <= svgplot._HEIGHT - svgplot._MARGIN_B + 4
 

@@ -36,10 +36,12 @@ def _prize_values(x, efforts, e_star, rho, prizes):
 
 
 def _scan_sums(dist, u, grid, i_star, rho, prizes):
-    """The scan's sums on the uniforms ``u``: the workers' mapped noise,
-    then ``_grid_sums``."""
+    """``_grid_sums`` on the draws the uniforms ``u`` give: player 1's
+    noise, the count of rivals whose uniform exceeds its own, and the
+    rivals' order statistics from a sort."""
     top = mc._order_statistics(u, mc._levels(prizes)[1], dist)
-    return mc._grid_sums(u, dist._ppf(u[:, 0]), top, mc._Cells(grid), i_star, rho, prizes)
+    k = np.count_nonzero(u[:, 1:] > u[:, :1], axis=1)
+    return mc._grid_sums(dist._ppf(u[:, 0]), k, top, mc._Cells(grid), i_star, rho, prizes)
 
 
 def _assert_grid_sums_match(dist, u, grid, e_star, rho, prizes):
@@ -149,7 +151,47 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
         sums, rank = _scan_sums(dist, u, grid, i_star, rho, prizes)
         want, want_rank = reference_grid_sums(x, grid, i_star, rho, prizes)
         assert sums.tobytes() == want.tobytes()
-        assert rank.tobytes() == want_rank.tobytes()
+        assert np.array_equal(rank, want_rank)
+
+
+def _direct_and_dense(n, draws, seed):
+    """(u_1, K, best rival's uniform) drawn directly for winner-take-all and
+    (u_1, K) for equal prizes for all, and the same from n uniforms per
+    draw, counted and reduced."""
+    wta, eps = ([np.concatenate(col) for col in zip(*mc._scan_batches(UNIF, n, draws, seed + j, np.array([level])))]
+                for j, level in enumerate((0, n - 1)))
+    rng = np.random.default_rng(seed)
+    dense = []
+    for m in mc._batch_sizes(draws):
+        u = rng.random((m, n))
+        dense.append((u[:, 0], np.count_nonzero(u[:, 1:] > u[:, :1], axis=1), u[:, 1:].max(axis=1)))
+    return (wta[0], wta[1], wta[2][:, 0]), (eps[0], eps[1]), [np.concatenate(col) for col in zip(*dense)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, mc.INVERSION_MAX + 1, 300])
+def test_direct_draws_follow_the_dense_law(n):
+    # K ~ Binomial(n - 1, 1 - u_1), by inversion up to INVERSION_MAX + 1
+    # players and by numpy's binomial above: chi-square on K jointly with
+    # u_1's quartile, and KS on the best rival, against the dense draw
+    stats = pytest.importorskip("scipy.stats")
+    wta, eps, dense = _direct_and_dense(n, 40_000 if n < 300 else 20_000, 30 + n)
+    bins = min(n, 10)
+
+    def cells(u1, k, *best):
+        return np.bincount(np.minimum((4 * u1).astype(int), 3) * bins + k * bins // n, minlength=4 * bins)
+
+    for direct in (wta, eps):
+        table = np.array([cells(*direct), cells(*dense)])
+        assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 1e-3
+    assert stats.ks_2samp(wta[2], dense[2]).pvalue > 1e-3
+    below = wta[1] == 0  # the best rival lies below player 1 exactly when K = 0
+    assert np.all(wta[2][below] <= wta[0][below]) and np.all(wta[2][~below] > wta[0][~below])
+
+
+def test_rank_count_at_the_ends_of_u1():
+    rng = np.random.default_rng(5)
+    for n in (2, 10, mc.INVERSION_MAX + 1, mc.INVERSION_MAX + 2, 1000):
+        assert mc._rank_count(np.array([0.0, mc.UNIT_MAX]), n, rng).tolist() == [n - 1, 0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 1000])
@@ -175,24 +217,31 @@ def test_best_response_tally_equals_simulation():
 
 
 @pytest.mark.parametrize(
-    "noise, schedule, rho, gap, gap_se, payoffs",
+    "noise, schedule, rho, gap, gap_se, payoffs, counts",
     [
-        (GUMBEL, eq.PrizeSchedule.winner_take_all(10), 0.4, "0x1.a93e7d37ab204p-5", "0x1.0a3eaa0b202f3p-11",
-         "2d7d0d8e70106a466b03f8f2651b431f0d90ae052a88d139da1d71a9d35dfe23"),
-        (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.a1ca14b00240fp-5",
-         "0x1.27c87fafa4acep-13", "5de46225d35a8d5c967061928d214089a0b1b3af3cab447e377ff2d720686611"),
+        (GUMBEL, eq.PrizeSchedule.winner_take_all(10), 0.4, "0x1.ab7756855fccep-5", "0x1.0120067925305p-11",
+         "7e4ade7410f24545216ea5a366b6c7df851fd9fa6b7cfc9644528607b048dbd4",
+         (9786, 9883, 9885, 9700, 8822, 7198, 4778, 2259, 698, 107, 36884)),
+        (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.9eb8bddc6633fp-5",
+         "0x1.29360375ad053p-13", "d3541c1da9f19c0b990a1658a140ff411e989675a3dcdc424d4ce2a05ee11fa5",
+         (9785, 9869, 9894, 9916, 9686, 8518, 6303, 3752, 1443, 242, 30592)),
         # ten distinct prizes: every level is binned, from a sort of the rivals
         (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f820768c2c6c6p-5",
-         "0x1.9c740ecbb13fap-14", "fb9df627b969a21e1376311f4b5f0dba6cc71c4a6bdcc82ba248e15a0e81b6f6"),
+         "0x1.9c740ecbb13fap-14", "fb9df627b969a21e1376311f4b5f0dba6cc71c4a6bdcc82ba248e15a0e81b6f6",
+         (9969, 9990, 10013, 9646, 8680, 7138, 4845, 2282, 657, 93, 36687)),
     ],
     ids=["gumbel-wta", "pareto-eps", "gumbel-dirichlet"],
 )
-def test_best_response_pinned_bits_at_n10(noise, schedule, rho, gap, gap_se, payoffs):
-    # pinned bits at this seed
+def test_best_response_pinned_bits_at_n10(noise, schedule, rho, gap, gap_se, payoffs, counts):
+    # pinned bits at this seed: winner-take-all and equal prizes for all
+    # draw u_1, K and the best rival directly, the ten-prize schedule n
+    # uniforms; their payoffs read K only as K = 0 (winner-take-all) or not
+    # at all (equal prizes), so the rank tally pins K's draws
     rep = mc.verify_best_response(noise, _design(noise, 10, schedule, rho), 0.4, draws=10**5, seed=1505)
     assert rep.gap == float.fromhex(gap)
     assert rep.gap_se == float.fromhex(gap_se)
     assert hashlib.sha256(np.asarray(rep.payoffs).tobytes()).hexdigest() == payoffs
+    assert rep.rank_counts == counts
 
 
 def test_seed_required_and_min_draws():
@@ -307,8 +356,8 @@ def test_best_response_flags_disequilibrium():
     assert not rep.certified
     assert rep.gap > 5 * rep.gap_se
     # pinned bits at this seed
-    assert rep.gap == float.fromhex("0x1.33c54bed07edep-3")
-    assert rep.gap_se == float.fromhex("0x1.f6957b807ae4bp-11")
+    assert rep.gap == float.fromhex("0x1.35baed5d62fefp-3")
+    assert rep.gap_se == float.fromhex("0x1.fa0a007798c31p-11")
 
 
 def test_grid_bias_uses_mode_density():
@@ -358,14 +407,25 @@ def test_noise_batches_match_serial_substreams(draws):
     assert len(batches) == len(uniforms)
     for got, u in zip(batches, uniforms):
         assert np.array_equal(got, GUMBEL.ppf(u))
-    # the scan's batches: the same uniforms, player 1's column mapped, and
-    # winner-take-all's best rival, the only rival at n = 2
+    # the scan's batches under a many-level schedule: the same uniforms,
+    # player 1's column mapped, its rank count and the rivals' sorted
+    scanned = list(mc._scan_batches(GUMBEL, 3, draws, 9, np.array([1])))
+    assert len(scanned) == len(uniforms)
+    for i, ((x1, k, top), m) in enumerate(zip(scanned, sizes)):
+        u = np.random.Generator(root.jumped(i)).random((m, 3))
+        assert np.array_equal(x1, GUMBEL.ppf(u[:, 0]))
+        assert np.array_equal(k, np.count_nonzero(u[:, 1:] > u[:, :1], axis=1))
+        assert np.array_equal(top[:, 0], GUMBEL.ppf(np.min(u[:, 1:], axis=1)))
+    # and under winner-take-all at n = 2: u_1, then the best rival's
+    # uniform, above u_1 exactly when K = 1
     scanned = list(mc._scan_batches(GUMBEL, 2, draws, 9, np.array([0])))
     assert len(scanned) == len(uniforms)
-    for (got, x1, top), u in zip(scanned, uniforms):
-        assert np.array_equal(got, u)
-        assert np.array_equal(x1, GUMBEL.ppf(u)[:, 0])
-        assert np.array_equal(top, GUMBEL.ppf(u)[:, 1:])
+    for i, ((x1, k, top), m) in enumerate(zip(scanned, sizes)):
+        rng = np.random.Generator(root.jumped(i))
+        u1, best = rng.random(m), rng.random(m)
+        assert np.array_equal(x1, GUMBEL.ppf(u1))
+        assert np.array_equal(k, best > u1)
+        assert np.array_equal(top[:, 0], GUMBEL.ppf(best))
 
 
 def _uniform_failing_at_batch(fail, seed, batches):

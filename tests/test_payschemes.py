@@ -57,6 +57,25 @@ def test_property_violations_detected():
         ps.check_properties(negative, y, rng)
 
 
+def test_property_trials_price_the_rows_of_a_loop_over_trials():
+    # the trials are priced in one pay call for the permutations and one for
+    # the bumps, on the rows a loop over trials draws, in the same rng order
+    rng = np.random.default_rng(6)
+    y = rng.normal(size=(50, 4))
+    seen = []
+    recorder = ps.PayScheme(4, lambda yy: seen.append(yy.copy()) or np.full(len(yy), 0.25), "recorder")
+    twin = copy.deepcopy(rng)
+    ps.check_properties(recorder, y, rng)
+    permuted, bumped = [], []
+    for _ in range(ps.PROPERTY_TRIALS):
+        permuted.append(y[:, np.append(0, 1 + twin.permutation(3))])
+        bumped.append(y.copy())
+        bumped[-1][:, 0] += twin.uniform(0.01, 1.0)
+    assert np.array_equal(seen[-2], np.concatenate(permuted))
+    assert np.array_equal(seen[-1], np.concatenate(bumped))
+    assert rng.random() == twin.random()
+
+
 def test_property_checks_at_large_n_price_every_player_in_bounded_memory():
     # 16 rows at n = 1000 go to pay 65 players at a time, the last 25 in a
     # block of their own; one block of every player's rows would take 128 MB
@@ -111,9 +130,7 @@ def test_marginal_incentive_requires_vanishing_top_density():
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-def test_vanishing_top_density_is_relative_to_the_peak(scale, monkeypatch):
-    # -f'/f grows as 1 / scale, so its cap is lifted to see this verdict alone
-    monkeypatch.setattr(ps, "LR_CAP", np.inf)
+def test_vanishing_top_density_is_relative_to_the_peak(scale):
     with pytest.warns(UserWarning, match="vanish"):
         drop = dists.piecewise_linear([(0, 0), (scale, 1), (2 * scale, 1e-3)])
     with pytest.raises(ValueError, match="vanish"):
@@ -123,10 +140,42 @@ def test_vanishing_top_density_is_relative_to_the_peak(scale, monkeypatch):
     assert np.isfinite(est)
 
 
+def test_likelihood_ratio_cap_is_relative_to_the_mode_density():
+    # stretched by w, -f'/f and the estimate scale as 1 / w, and the cap's
+    # verdict stays; an absolute cap of 1e6 raised on the 1e-6-wide ones
+    def triangle(w):
+        return dists.piecewise_linear([(0, 0), (w, 1), (2 * w, 1e-9)])
+
+    for family, tol in ((lambda w: dists.gumbel(0.0, w), 1e-12), (triangle, 1e-11)):
+        est, se = ps.marginal_incentive(family(1.0), ps.constant_share(2), 0.0, draws=10**4, seed=1)
+        assert est > 0.0 and se > 0.0
+        for w in (1e-6, 1e6):
+            got = ps.marginal_incentive(family(w), ps.constant_share(2), 0.0, draws=10**4, seed=1)
+            np.testing.assert_allclose(np.multiply(got, w), (est, se), rtol=tol, atol=0.0)
+    # the triangle's quantile and -f'/f round at 1e-14 relative where f is
+    # 1e-2 of its peak, near its top, whose rows dominate the standard error
+
+
+def _sawtooth(teeth, cliff):
+    """A mode of height 2 at x = 1, then ``teeth`` teeth on [2, 4], each
+    rising from 0.5 to 1 and falling back to 0.5 over a cliff ``cliff``
+    wide, where -f'/f is at least 1 / cliff times the mode's density."""
+    width = 2.0 / teeth
+    ends = 2.0 + width * np.arange(1, teeth + 1)
+    xs = np.column_stack([ends - cliff, ends]).ravel().tolist()
+    return dists.piecewise_linear([(0, 0), (1, 2), (2, 0.5), *zip(xs, [1.0, 0.5] * teeth), (5, 0)])
+
+
 def test_unbounded_likelihood_ratio():
-    spiky = dists.pareto(alpha=2e6)  # likelihood ratio (alpha+1)/x blows past the cap
-    with pytest.raises(ps.UnboundedLikelihoodRatio):
-        ps.marginal_incentive(spiky, ps.constant_share(2), 0.1, draws=20_000, seed=3)
+    # 4000 cliffs hold about 1e-3 of the mass, where -f'/f exceeds 2e6
+    # times the mode's density
+    with pytest.raises(ps.UnboundedLikelihoodRatio, match="times the mode density"):
+        ps.marginal_incentive(_sawtooth(4000, 5e-7), ps.constant_share(2), 0.1, draws=20_000, seed=3)
+    # Pareto(alpha) has -f'/f = (alpha + 1) / x, at most (1 + 1 / alpha)
+    # times its mode density alpha / x_min, so a narrow one is not spiky
+    narrow = dists.pareto(alpha=2e6)
+    est, se = ps.marginal_incentive(narrow, ps.constant_share(2), 0.1, draws=20_000, seed=3)
+    assert abs(est - float(narrow.pdf(1.0)) / 2) <= 4 * se
 
 
 def test_check_bound_battery_gumbel():
@@ -255,6 +304,10 @@ def _full_payment_incentive(dist, n, payments, effort, draws, seed):
 @pytest.mark.parametrize("n", [3, 10])
 @pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
 def test_marginal_incentive_equals_full_payment_reference(dist, n):
+    # Pareto's mode is its lower bound: every draw lies above it, so the
+    # estimator draws the reference's noise and must match it bit for bit.
+    # Gumbel's has 1 - 1/e of the mass above it: the estimator draws only
+    # those rows, so it agrees with the reference in law, within 4 SE.
     draws = mc.BATCH + 5  # a short last batch
     lo, hi = dist.truncated_support(1e-6)
     schemes = _built_in_schemes(n) + [
@@ -263,4 +316,21 @@ def test_marginal_incentive_equals_full_payment_reference(dist, n):
     ]
     for k, (scheme, payments) in enumerate(schemes):
         got = ps.marginal_incentive(dist, scheme, 0.3, draws, seed=60 + k)
-        assert got == _full_payment_incentive(dist, n, payments, 0.3, draws, 60 + k), scheme
+        if dist is PARETO:
+            assert got == _full_payment_incentive(dist, n, payments, 0.3, draws, 60 + k), scheme
+        else:
+            want = _full_payment_incentive(dist, n, payments, 0.3, draws, 160 + k)
+            assert abs(got[0] - want[0]) <= 4.0 * np.hypot(got[1], want[1]), scheme
+
+
+def test_marginal_incentive_draws_rows_above_the_mode_only():
+    # round(draws * S(x_m)) rows: player 1 above the mode on every row
+    xm = GUMBEL.find_modes().global_mode
+    drawn = []
+    zero_rows = ps.PayScheme(3, lambda y: drawn.append(y.copy()) or np.zeros(len(y)), "records")
+    assert ps.marginal_incentive(GUMBEL, zero_rows, 0.0, draws=50_000, seed=4) == (0.0, 0.0)
+    want = round(50_000 * float(GUMBEL.sf(xm)))
+    rows = np.concatenate(drawn[-want // mc.BATCH:])  # the property check's calls come first
+    assert len(rows) == want
+    assert np.all(rows[:, 0] > xm)
+    assert abs(np.mean(rows[:, 1:] > xm) - GUMBEL.sf(xm)) < 0.01  # the rivals are not conditioned
