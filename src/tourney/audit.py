@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 from scipy import fft
+
+from .montecarlo import _blocks
 
 __all__ = [
     "SampleTooSmall",
@@ -195,21 +196,18 @@ def _resample_counts(
 def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -> np.ndarray:
     """Bin of the smoothed maximum for each of ``draws`` bootstrap resamples.
 
-    Block k, of ``BOOTSTRAP_BLOCK`` resamples, is drawn on one of two threads
-    from its own substream ``Philox(key=seed).jumped(k)``, so no bit depends
-    on the thread.  ``_resample_counts`` draws it over the occupied bins, with
-    one row-to-bin map for the whole bootstrap.  Each block is smoothed by
-    ``_gaussian_spectrum``'s kernel, as ``_smoothed`` smooths the point
-    estimate, over the span of W bins from the first to the last occupied
-    bin only: a bin outside it is farther than the span's nearer end from
-    every occupied bin, and the weights fall strictly with distance, so its
-    value is below that end's.  Each thread makes its buffers once per call:
-    a float block of ``BOOTSTRAP_BLOCK`` rows of the FFT's L values, zeroed
-    once, into whose occupied columns every block writes its counts (the
-    other columns and the pad are never written, so they stay zero), and
-    the spectra and the smoothed rows, which numpy's ``rfft`` and ``irfft``
-    write through ``out=``.  So no block maps or zero-fills a temporary of
-    its own.  Each row's mode is its ``np.argmax``.
+    ``montecarlo._blocks`` runs blocks of ``BOOTSTRAP_BLOCK`` resamples, each
+    drawn from its own substream by ``_resample_counts`` over the occupied
+    bins, with one row-to-bin map for the whole bootstrap.  Each block is
+    smoothed by ``_gaussian_spectrum``'s kernel, as ``_smoothed`` smooths
+    the point estimate, over the span of W bins from the first to the last
+    occupied bin only: a bin outside it is farther than the span's nearer
+    end from every occupied bin, and the weights fall strictly with
+    distance, so its value is below that end's.  Each worker thread makes
+    its buffers once per call: a block of the FFT's L values per resample,
+    zeroed once, into whose occupied columns every block writes its counts,
+    and the spectra and smoothed rows that ``rfft`` and ``irfft`` write
+    through ``out=``.  Each row's mode is its ``np.argmax``.
     """
     cols = np.flatnonzero(counts)
     held = counts[cols]
@@ -218,12 +216,9 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     cols -= first
     width = int(cols[-1]) + 1
     radius, length, spectrum = _gaussian_spectrum(sigma, width)
-    root = np.random.Philox(key=seed)
     buffers = threading.local()
 
-    def block_argmax(start: int) -> np.ndarray:
-        size = min(BOOTSTRAP_BLOCK, draws - start)
-        rng = np.random.Generator(root.jumped(start // BOOTSTRAP_BLOCK))
+    def block_argmax(size: int, rng: np.random.Generator) -> np.ndarray:
         if not hasattr(buffers, "block"):
             buffers.block = np.zeros((BOOTSTRAP_BLOCK, length))
             buffers.spectra = np.empty((BOOTSTRAP_BLOCK, spectrum.size), dtype=complex)
@@ -235,8 +230,7 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
         smooth = np.fft.irfft(spectra, length, out=buffers.smooth[:size])[:, radius:radius + width]
         return np.argmax(smooth, axis=1) + first
 
-    with ThreadPoolExecutor(2) as pool:
-        return np.concatenate(list(pool.map(block_argmax, range(0, draws, BOOTSTRAP_BLOCK))))
+    return np.concatenate(list(_blocks(block_argmax, draws, BOOTSTRAP_BLOCK, seed)))
 
 
 def _grid_modes(f: np.ndarray, plateau_tol: float) -> list[int]:
@@ -307,10 +301,9 @@ def audit_sample(
     are held at once.  The point estimate and every resample are smoothed
     with one Gaussian kernel by real FFT (Silverman, Applied Statistics AS
     176, 1982); blocks of resamples go through one FFT over the span of
-    occupied bins, outside which the smoothed maximum cannot lie, in
-    buffers each thread reuses from block to block.
-    Block k of resamples draws from the substream
-    ``Philox(key=seed).jumped(k)``, so one seed gives one report.
+    occupied bins, outside which the smoothed maximum cannot lie.  Block k
+    of resamples draws from the substream ``Philox(key=seed).jumped(k)`` on
+    a worker thread of ``montecarlo._blocks``, so one seed gives one report.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,
     or breaks the grid (see ``_binned``), raises ``ValueError``, and so does
     a ``bootstrap`` that is not a positive whole number.

@@ -129,10 +129,10 @@ class NoiseDistribution:
     ``pdf``, ``cdf``, ``sf``, ``ppf``, ``likelihood_ratio`` and ``shape``
     are required; every family has them in closed form, ``sf`` without the
     cancellation of 1 - F, and ``shape`` is the :class:`ShapeReport` that
-    ``find_modes`` returns and ``classify_hazard`` reads.  The closed forms
-    are evaluated on the support only: beyond it the density is 0 and F is
-    0 or 1, and every method gives NaN at NaN and a float for a scalar.  The
-    hazard rate is always f / (1 - F), formed from ``pdf`` and ``sf``.
+    ``find_modes`` returns.  The closed forms are evaluated on the support
+    only: beyond it the density is 0 and F is 0 or 1, and every method gives
+    NaN at NaN and a float for a scalar.  The hazard rate is always
+    f / (1 - F), formed from ``pdf`` and ``sf``.
     """
 
     def __init__(
@@ -243,15 +243,6 @@ class NoiseDistribution:
     def find_modes(self) -> ShapeReport:
         """The shape declared at construction."""
         return self._shape
-
-    def classify_hazard(self, above: float | None = None) -> str:
-        """Classify the hazard rate as IFR/DFR/constant/mixed on {x > above}."""
-        pieces = self._shape.hazard
-        ends = [start for start, _ in pieces[1:]] + [self.support[1]]
-        tags = {tag for (_, tag), end in zip(pieces, ends) if above is None or end > above} - {"constant"}
-        if len(tags) > 1:
-            return "mixed"
-        return tags.pop() if tags else "constant"
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())

@@ -6,12 +6,14 @@ probabilities, deviation payoffs, and best-response gaps estimated here are
 independent of the quadrature code paths and certify them statistically.
 One routine ranks the simulated players.
 
-Reproducibility: draws come from counter-based Philox streams, one stream
-per fixed-size batch of draws, keyed by the caller's seed, drawn ahead on
-two worker threads (``_batches``), so every draw is bit-identical to a
-serial pass.  Every effort level on a verification grid reuses the same
-draws, so payoff differences across efforts are common-random-number
-estimates with tiny variance.
+Reproducibility: draws come in blocks of ``BATCH``, block i from its own
+counter-based substream ``Philox(key=seed).jumped(i)`` (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``_blocks`` runs
+the blocks on two worker threads, each drawing its block and reducing it,
+and the caller adds the results in block order, so one seed gives one
+result.  Every effort level on a verification grid reuses the same draws,
+so payoff differences across efforts are common-random-number estimates
+with tiny variance.
 
 Best-response scan: write the prize as a sum of differentials,
 d_j = v_j - v_(j+1) for the rank j = 0, ..., n - 1 counted from the top, with
@@ -42,7 +44,6 @@ once per scan (``_Cells``).
 from __future__ import annotations
 
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -108,82 +109,58 @@ def _effort_grid(e_max: float, points: int, e_star: float) -> tuple[np.ndarray, 
     return grid, int(np.searchsorted(grid, e_star))
 
 
-def _batch_sizes(draws: int):
-    full, rest = divmod(int(draws), BATCH)
-    sizes = [BATCH] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+def _blocks(work, total: int, block: int, seed: int):
+    """Yield ``work(m, rng)`` for each block of ``total`` draws, in order.
 
-
-def _batches(draw, n: int, draws: int, seed: int):
-    """Yield ``draw((m, n), rng)`` for each batch of ``draws``, in order.
-
-    Batch i gets its own substream ``Philox(key=seed).jumped(i)``, so who
-    draws it and when cannot change a bit of it.  Two worker threads draw
-    batches i + 1 and i + 2 while the caller works on batch i, and the
-    batches are yielded strictly in order; no batch further ahead is
-    drawn.  The pool closes, its threads joined, when the batches run out,
-    when a draw raises (the error reaches the caller), and when the caller
-    stops or raises mid-stream and the generator is closed.
+    Block i holds ``block`` draws, the last one the rest, and ``rng`` is its
+    own substream ``Generator(Philox(key=seed).jumped(i))``, so which thread
+    runs it and when cannot change a bit of it.  Two worker threads run the
+    blocks, and each ``work`` draws its block and reduces it to a small
+    result, so no drawn block leaves its worker.  An error in a block
+    reaches the caller after the results before it and cancels the blocks
+    not yet started, as closing the generator mid-stream does; either way
+    the pool's threads are joined before the generator ends.
     """
-    root = np.random.Philox(key=seed)
-    sizes = _batch_sizes(draws)
 
-    def submit(pool, i):
-        return pool.submit(draw, (sizes[i], n), np.random.Generator(root.jumped(i)))
+    def run(i):
+        return work(min(block, total - i * block), np.random.Generator(np.random.Philox(key=seed).jumped(i)))
 
     with ThreadPoolExecutor(2) as pool:
-        pending = deque(submit(pool, i) for i in range(min(2, len(sizes))))
-        for i in range(len(sizes)):
-            batch = pending.popleft().result()
-            if i + 2 < len(sizes):
-                pending.append(submit(pool, i + 2))
-            yield batch
+        yield from pool.map(run, range(-(-total // block)))
 
 
-def noise_batches(dist: NoiseDistribution, n: int, draws: int, seed: int, floor: float = 0.0):
-    """Yield (m, n) noise matrices, every column mapped, drawn two ahead by
-    ``_batches``: batch i maps the levels ``Generator.random`` draws on its
-    substream ``Philox(key=seed).jumped(i)``, as ``dist.sample`` does.  A
-    ``floor`` above 0 moves player 1's levels u to floor + (1 - floor) u,
-    uniform on [floor, 1) and kept below 1.  Simulations rank these scores,
-    ties going to player 1 (``_rank``)."""
-
-    def draw(size, rng):
-        u = rng.random(size)
-        if floor:
-            u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
-        return dist._ppf_in_place(u)
-
-    return _batches(draw, n, draws, seed)
+def noise_block(dist: NoiseDistribution, n: int, m: int, rng: np.random.Generator, floor: float = 0.0):
+    """An (m, n) noise matrix, every column mapped from the levels
+    ``rng.random((m, n))`` draws, as ``dist.sample`` does.  A ``floor`` above
+    0 moves player 1's levels u to floor + (1 - floor) u, uniform on
+    [floor, 1) and kept below 1.  Simulations rank these scores, ties going
+    to player 1 (``_rank``)."""
+    u = rng.random((m, n))
+    if floor:
+        u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
+    return dist._ppf_in_place(u)
 
 
-def _scan_batches(dist: NoiseDistribution, n: int, draws: int, seed: int, levels: np.ndarray):
-    """Yield the best-response scan's batches: player 1's noise x_1, its
-    rank count K and the rivals' X_(j+1) at each prize level j of
+def _scan_block(dist: NoiseDistribution, n: int, levels: np.ndarray, m: int, rng: np.random.Generator):
+    """One block of m draws of the best-response scan: player 1's noise x_1,
+    its rank count K and the rivals' X_(j+1) at each prize level j of
     ``levels`` (from ``_levels``; -inf at level n - 1).  Equal prizes for
     all and winner-take-all draw u_1, then the best rival's uniform M, kept
     below 1 as ``Generator.random``'s are, then K (``_rank_count``; see the
     module docstring); other schedules count and sort n uniforms."""
     rivals = levels < n - 1
-    direct = set(levels[rivals].tolist()) <= {0}  # no rival binned, or the best alone
-
-    def draw(size, rng):
-        if not direct:
-            u = rng.random(size)
-            return dist._ppf(u[:, 0]), _rank(u, u[:, 0], True), _order_statistics(u, levels, dist)
-        u1 = rng.random(size[0])
-        top = np.full((size[0], levels.size), -np.inf)
-        if rivals.any():
-            best = rng.random(size[0]) ** (1.0 / (n - 1))
-            k = (best > u1) * (1 + _rank_count(u1 / np.maximum(best, u1), n - 1, rng))
-            top[:, rivals] = dist._ppf(np.minimum(best, UNIT_MAX))[:, None]
-        else:
-            k = _rank_count(u1, n, rng)
-        return dist._ppf(u1), k, top
-
-    return _batches(draw, n, draws, seed)
+    if not set(levels[rivals].tolist()) <= {0}:  # a rival binned below the best
+        u = rng.random((m, n))
+        return dist._ppf(u[:, 0]), _rank(u, u[:, 0], True), _order_statistics(u, levels, dist)
+    u1 = rng.random(m)
+    top = np.full((m, levels.size), -np.inf)
+    if rivals.any():
+        best = rng.random(m) ** (1.0 / (n - 1))
+        k = (best > u1) * (1 + _rank_count(u1 / np.maximum(best, u1), n - 1, rng))
+        top[:, rivals] = dist._ppf(np.minimum(best, UNIT_MAX))[:, None]
+    else:
+        k = _rank_count(u1, n, rng)
+    return dist._ppf(u1), k, top
 
 
 def _rank_count(u1: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -305,12 +282,12 @@ class _Cells:
 
 def _grid_sums(x1: np.ndarray, k: np.ndarray, top: np.ndarray, cells: _Cells, i_star: int,
                rho: float, prizes: np.ndarray):
-    """Sums over one batch of player 1's prize w at each point of
+    """Sums over one block of player 1's prize w at each point of
     ``cells.grid``.
 
     ``x1`` holds player 1's noise per draw, ``k`` the count of rivals whose
     uniform exceeds player 1's, and ``top`` the rivals' X_(j+1) at each
-    level of ``_levels(prizes)`` (``_scan_batches``).  Rivals sit at
+    level of ``_levels(prizes)`` (``_scan_block``).  Rivals sit at
     e* = ``grid[i_star]``; w* is player 1's prize there.  Returns the
     (3, grid.size) sums of w, w - w* and (w - w*)^2, and player 1's rank at
     e* per draw: ``k`` where e* + x_1 passes, n elsewhere.
@@ -370,10 +347,13 @@ def simulate_prize_probabilities(
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
-    rank_counts = np.zeros(n + 1, dtype=np.int64)  # index n = no prize
-    for x in noise_batches(dist, n, draws, seed):
+
+    def work(m, rng):
+        x = noise_block(dist, n, m, rng)
         y1 = e + x[:, 0]
-        rank_counts += np.bincount(_rank(x, y1, y1 >= design.standard, e_star), minlength=n + 1)
+        return np.bincount(_rank(x, y1, y1 >= design.standard, e_star), minlength=n + 1)
+
+    rank_counts = sum(_blocks(work, draws, BATCH, seed), np.zeros(n + 1, dtype=np.int64))  # index n = no prize
     return _tally_report(draws, seed, n, rank_counts)
 
 
@@ -400,9 +380,8 @@ def verify_best_response(
     ``e_star``.  A single pass over the draws gives the payoff at every grid
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
-    The batches come from ``_scan_batches``, drawn ahead on two threads
-    while this thread bins the batch in hand, and in order, so the result is
-    bit-identical to a serial scan of the same seed.
+    Each block of draws is drawn by ``_scan_block`` and binned by
+    ``_grid_sums`` on a worker thread of ``_blocks``.
 
     The gap is the largest estimated payoff improvement over ``e_star``; its
     standard error comes from the per-draw paired payoff differences (common
@@ -421,12 +400,17 @@ def verify_best_response(
         raise ValueError(f"checked effort {e_star!r} is not a number in [0, {e_max!r}]")
     grid, i_star = _effort_grid(e_max, grid_size, float(e_star))
     cells = _Cells(grid)
+    levels = _levels(prizes)[1]
+
+    def work(m, rng):
+        block, rank = _grid_sums(*_scan_block(dist, n, levels, m, rng), cells, i_star, design.standard, prizes)
+        return block, np.bincount(rank, minlength=n + 1)
+
     sums = np.zeros((3, grid.size))
     rank_counts = np.zeros(n + 1, dtype=np.int64)
-    for x1, k, top in _scan_batches(dist, n, draws, seed, _levels(prizes)[1]):
-        batch, rank = _grid_sums(x1, k, top, cells, i_star, design.standard, prizes)
-        sums += batch
-        rank_counts += np.bincount(rank, minlength=n + 1)
+    for block, counts in _blocks(work, draws, BATCH, seed):
+        sums += block
+        rank_counts += counts
     mean_w, mean_d, mean_dsq = sums / draws
     payoffs = mean_w - np.asarray(design.cost.c(grid))
     gaps = payoffs - payoffs[i_star]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
-from .montecarlo import _rank, _require_draws, _require_seed, noise_batches
+from .montecarlo import BATCH, _blocks, _rank, _require_draws, _require_seed, noise_block
 
 __all__ = [
     "PayScheme",
@@ -73,6 +73,9 @@ class PayScheme:
     rival columns; player i is then paid ``pay`` with its own output first.
     Any such callable plugs in; ``check_properties`` spot-checks it.  Rank
     schemes keep the budget only up to ties (see ``rank_payscheme``).
+    ``marginal_incentive`` calls ``pay`` from two threads at once, so it
+    must not mutate shared state; the built-in schemes are pure functions
+    of the rows.
     """
 
     def __init__(self, n: int, pay: Callable[[np.ndarray], np.ndarray], label: str = "custom"):
@@ -217,6 +220,8 @@ def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator)
     own output.  Statistical by design: schemes are opaque callables.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    if y.size == 0:
+        raise ValueError(f"{scheme.label}: no outputs to check, got an empty block of shape {y.shape}")
     n, m = scheme.n, len(y)
     w1 = scheme.pay(y)
     step = max(1, min(n, PROPERTY_BLOCK // y.size))  # players priced per call
@@ -295,16 +300,22 @@ def marginal_incentive(
     rows = round(draws * above)
     if rows == 0:
         return 0.0, 0.0
-    total = total_sq = 0.0
-    for x in noise_batches(dist, n, rows, seed, float(dist.cdf(xm))):
+    floor = float(dist.cdf(xm))
+
+    def work(m, rng):
+        x = noise_block(dist, n, m, rng, floor)
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
         if np.max(np.abs(lam)) > LR_CAP * shape.global_mode_density:
             raise UnboundedLikelihoodRatio(
                 f"|likelihood ratio| exceeded {LR_CAP:g} times the mode density on sampled points"
             )
         vals = scheme.pay(effort + x) * lam
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        return float(vals.sum()), float(np.dot(vals, vals))
+
+    total = total_sq = 0.0
+    for block_sum, block_sq in _blocks(work, rows, BATCH, seed):
+        total += block_sum
+        total_sq += block_sq
     mean = total / rows
     var = max(total_sq / rows - mean * mean, 0.0)
     return above * mean, above * float(np.sqrt(var / rows))

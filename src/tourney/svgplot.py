@@ -74,6 +74,9 @@ def line_plot_svg(
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     pad = 0.04 * (y_hi - y_lo)
+    for axis, lo, hi, width in (("x", x_lo, x_hi, x_hi - x_lo), ("y", y_lo, y_hi, (y_hi + pad) - (y_lo - pad))):
+        if not math.isfinite(width):  # the pixel arithmetic divides by it
+            raise ValueError(f"line_plot_svg: the {axis} axis spans [{lo!r}, {hi!r}], too wide for a float")
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R

@@ -56,13 +56,16 @@ def finite_difference_marginals(
     if method != "simulate":
         raise ValueError("method must be 'quadrature' or 'simulate'")
     seed = mc._require_seed(seed)
-    counts_up = np.zeros(n)
-    counts_dn = np.zeros(n)
-    for x in mc.noise_batches(dist, n, draws, seed):
-        for sign, counts in ((+1.0, counts_up), (-1.0, counts_dn)):
+
+    def work(m, rng):
+        x = mc.noise_block(dist, n, m, rng)
+        counts = []
+        for sign in (+1.0, -1.0):
             y1 = e_star + sign * step + x[:, 0]
-            rank = mc._rank(x, y1, y1 >= rho, e_star)
-            counts += np.bincount(rank, minlength=n + 1)[:n]
+            counts.append(np.bincount(mc._rank(x, y1, y1 >= rho, e_star), minlength=n + 1)[:n])
+        return np.array(counts, dtype=float)
+
+    counts_up, counts_dn = sum(mc._blocks(work, draws, mc.BATCH, seed), np.zeros((2, n)))
     at_least_up = np.cumsum(counts_up / draws)
     at_least_dn = np.cumsum(counts_dn / draws)
     return (at_least_up - at_least_dn) / (2.0 * step)

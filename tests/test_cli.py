@@ -595,6 +595,18 @@ def test_line_plot_without_a_finite_point_is_an_error():
         svgplot.line_plot_svg([("a", [0.0, 1.0], [np.nan, np.inf]), ("b", [np.nan], [1.0])])
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, 1.797e308)])
+def test_line_plot_of_a_y_span_beyond_the_float_range_is_an_error(lo, hi):
+    # the span itself overflows, or a finite span does once padded by 4%
+    with pytest.raises(ValueError, match=re.escape(f"the y axis spans [{lo!r}, {hi!r}]")):
+        svgplot.line_plot_svg([("a", [0.0, 1.0], [lo, hi])])
+
+
+def test_line_plot_of_an_x_span_beyond_the_float_range_is_an_error():
+    with pytest.raises(ValueError, match=re.escape("the x axis spans [-1e+308, 1e+308]")):
+        svgplot.line_plot_svg([("a", [-1e308, 1e308], [0.0, 1.0])])
+
+
 def test_line_plot_escapes_its_text():
     labels = ["a & b", "x < y > z", "-f'/f"]
     svg = svgplot.line_plot_svg(

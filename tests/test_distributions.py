@@ -249,19 +249,18 @@ def test_too_many_modes():
 
 
 def test_classify_hazard():
-    assert dists.exponential(1.3).classify_hazard() == "constant"
-    assert dists.erf_exponential().classify_hazard() == "DFR"
-    assert dists.pareto(2.0).classify_hazard() == "DFR"
-    red = dists.trimodal_example("red")
-    assert red.classify_hazard() == "mixed"
-    assert red.classify_hazard(above=1.0) == "IFR"
-    assert dists.normal().classify_hazard() == "IFR"
+    # the monotone pieces of the hazard rate, each from where it starts
+    assert dists.exponential(1.3).find_modes().hazard == ((0.0, "constant"),)
+    assert dists.erf_exponential().find_modes().hazard == ((0.0, "DFR"),)
+    assert dists.pareto(2.0).find_modes().hazard == ((1.0, "DFR"),)
+    assert dists.trimodal_example("red").find_modes().hazard == ((0.0, "DFR"), (0.25, "IFR"))
+    assert dists.normal().find_modes().hazard == ((-np.inf, "IFR"),)
 
 
 def test_log_class_and_ifr_consistency():
     for d in (dists.gumbel(), dists.normal(), dists.logistic()):
         assert d.find_modes().log_class == "log-concave"
-        assert d.classify_hazard() == "IFR"
+        assert d.find_modes().hazard == ((-np.inf, "IFR"),)
     assert dists.pareto(2.0).find_modes().log_class == "log-convex"
     assert dists.erf_exponential().find_modes().log_class == "neither"
     assert dists.exponential(1.0).find_modes().log_class == "neither"  # log-linear boundary case
@@ -275,9 +274,6 @@ def test_inverse_exponential_shape():
     (_, rising), (peak, falling) = d.find_modes().hazard
     assert (rising, falling) == ("IFR", "DFR") and peak == pytest.approx(0.62750048745798, rel=1e-13)
     assert d.hazard(peak) > max(d.hazard(peak - 1e-4), d.hazard(peak + 1e-4))
-    assert d.classify_hazard(above=0.3) == "mixed"
-    assert d.classify_hazard(above=1.0) == "DFR"
-    assert d.classify_hazard(above=-1.0) == d.classify_hazard() == "mixed"
 
 
 def test_piecewise_shape_from_knots():
@@ -331,20 +327,21 @@ def _windows(start, stop, overlap):
 
 
 def _dense_shape(d):
-    """Global mode, hazard class, log class, sup(-f') on the smooth pieces
-    (0 where f never falls) and the drop of f at the upper support bound,
-    read off 2e5 points.  Over a finite support the points are uniform with
-    the knots added, f interpolates its knot values and 1 - F sums
-    trapezoids from the top, which is exact for a piecewise-linear f; its
-    slopes are the first differences on the uniform points, exact on every
-    step within a segment and a weighted mean of two segments' slopes on a
-    step across a knot; f at the upper bound is the drop.  Otherwise the
-    points sit at evenly spaced quantiles, f' is taken by second-order
-    differences, and there is no drop.
+    """Global mode, the hazard's directions (the set of "IFR" and "DFR"
+    seen), log class, sup(-f') on the smooth pieces (0 where f never falls)
+    and the drop of f at the upper support bound, read off 2e5 points.  Over
+    a finite support the points are uniform with the knots added, f
+    interpolates its knot values and 1 - F sums trapezoids from the top,
+    which is exact for a piecewise-linear f; its slopes are the first
+    differences on the uniform points, exact on every step within a segment
+    and a weighted mean of two segments' slopes on a step across a knot; f
+    at the upper bound is the drop.  Otherwise the points sit at evenly
+    spaced quantiles, f' is taken by second-order differences, and there is
+    no drop.
 
     The local passes run window by window (``_windows``) on the same floats
     as whole-array passes, and a class pass stops once its verdict is
-    settled: hazard at "mixed", log class at "neither"."""
+    settled: hazard once it both rises and falls, log class at "neither"."""
     lo, hi = d.support
     if np.isfinite(hi):
         kx, kf = np.asarray(d.knots), d.pdf(np.asarray(d.knots))
@@ -383,7 +380,7 @@ def _dense_shape(d):
         h_prev = h[-1:]
         if rising and falling:
             break
-    hazard = "mixed" if rising and falling else "IFR" if rising else "DFR" if falling else "constant"
+    hazard = {tag for tag, seen in (("IFR", rising), ("DFR", falling)) if seen}
 
     pos = f > 0
     a, b = int(np.argmax(pos)), pos.size - int(np.argmax(pos[::-1]))
@@ -437,7 +434,7 @@ def test_declared_shapes_match_dense_reference():
         assert shape.steepest_descent == pytest.approx(descent, rel=1e-8), d
         assert shape.top_drop == pytest.approx(drop, rel=1e-12), d
         assert abs(shape.global_mode - x_max) <= step, d
-        assert d.classify_hazard() == hazard, d
+        assert {tag for _, tag in shape.hazard} - {"constant"} == hazard, d
         assert d.find_modes().log_class == log_class, d
 
 

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -154,15 +156,30 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
         assert np.array_equal(rank, want_rank)
 
 
+def _block_sizes(draws):
+    full, rest = divmod(draws, mc.BATCH)
+    return [mc.BATCH] * full + ([rest] if rest else [])
+
+
+def _noise_blocks(dist, n, draws, seed):
+    """Every block of ``noise_block`` draws, unreduced, as ``_blocks`` runs them."""
+    return mc._blocks(functools.partial(mc.noise_block, dist, n), draws, mc.BATCH, seed)
+
+
+def _scan_blocks(dist, n, levels, draws, seed):
+    """Every block of the best-response scan's draws, unbinned."""
+    return mc._blocks(functools.partial(mc._scan_block, dist, n, levels), draws, mc.BATCH, seed)
+
+
 def _direct_and_dense(n, draws, seed):
     """(u_1, K, best rival's uniform) drawn directly for winner-take-all and
     (u_1, K) for equal prizes for all, and the same from n uniforms per
     draw, counted and reduced."""
-    wta, eps = ([np.concatenate(col) for col in zip(*mc._scan_batches(UNIF, n, draws, seed + j, np.array([level])))]
+    wta, eps = ([np.concatenate(col) for col in zip(*_scan_blocks(UNIF, n, np.array([level]), draws, seed + j))]
                 for j, level in enumerate((0, n - 1)))
     rng = np.random.default_rng(seed)
     dense = []
-    for m in mc._batch_sizes(draws):
+    for m in _block_sizes(draws):
         u = rng.random((m, n))
         dense.append((u[:, 0], np.count_nonzero(u[:, 1:] > u[:, :1], axis=1), u[:, 1:].max(axis=1)))
     return (wta[0], wta[1], wta[2][:, 0]), (eps[0], eps[1]), [np.concatenate(col) for col in zip(*dense)]
@@ -398,18 +415,17 @@ def test_tally_csv(tmp_path):
 
 
 @pytest.mark.parametrize("draws", [mc.BATCH - 1, mc.BATCH, mc.BATCH + 1, 3 * mc.BATCH + 5])
-def test_noise_batches_match_serial_substreams(draws):
+def test_blocks_match_serial_substreams(draws):
     root = np.random.Philox(key=9)
-    full, rest = divmod(draws, mc.BATCH)
-    sizes = [mc.BATCH] * full + ([rest] if rest else [])
+    sizes = _block_sizes(draws)
     uniforms = [np.random.Generator(root.jumped(i)).random((m, 2)) for i, m in enumerate(sizes)]
-    batches = list(mc.noise_batches(GUMBEL, 2, draws, 9))
-    assert len(batches) == len(uniforms)
-    for got, u in zip(batches, uniforms):
+    blocks = list(_noise_blocks(GUMBEL, 2, draws, 9))
+    assert len(blocks) == len(uniforms)
+    for got, u in zip(blocks, uniforms):
         assert np.array_equal(got, GUMBEL.ppf(u))
-    # the scan's batches under a many-level schedule: the same uniforms,
+    # the scan's blocks under a many-level schedule: the same uniforms,
     # player 1's column mapped, its rank count and the rivals' sorted
-    scanned = list(mc._scan_batches(GUMBEL, 3, draws, 9, np.array([1])))
+    scanned = list(_scan_blocks(GUMBEL, 3, np.array([1]), draws, 9))
     assert len(scanned) == len(uniforms)
     for i, ((x1, k, top), m) in enumerate(zip(scanned, sizes)):
         u = np.random.Generator(root.jumped(i)).random((m, 3))
@@ -418,7 +434,7 @@ def test_noise_batches_match_serial_substreams(draws):
         assert np.array_equal(top[:, 0], GUMBEL.ppf(np.min(u[:, 1:], axis=1)))
     # and under winner-take-all at n = 2: u_1, then the best rival's
     # uniform, above u_1 exactly when K = 1
-    scanned = list(mc._scan_batches(GUMBEL, 2, draws, 9, np.array([0])))
+    scanned = list(_scan_blocks(GUMBEL, 2, np.array([0]), draws, 9))
     assert len(scanned) == len(uniforms)
     for i, ((x1, k, top), m) in enumerate(zip(scanned, sizes)):
         rng = np.random.Generator(root.jumped(i))
@@ -428,46 +444,54 @@ def test_noise_batches_match_serial_substreams(draws):
         assert np.array_equal(top[:, 0], GUMBEL.ppf(best))
 
 
-def _uniform_failing_at_batch(fail, seed, batches):
-    """Uniform noise, one slab per batch at n = 1, whose ``ppf`` records
-    which batch it maps and raises on batch ``fail``."""
-    firsts = [np.random.Generator(np.random.Philox(key=seed).jumped(i)).random() for i in range(batches)]
-    drawn = []
+def _first_uniforms(seed, blocks):
+    """The first uniform of each block's substream, which names the block."""
+    return [np.random.Generator(np.random.Philox(key=seed).jumped(i)).random() for i in range(blocks)]
+
+
+def test_block_error_reaches_caller_and_cancels_the_rest():
+    # Block 1 of 64 raises; the blocks after it take 10 ms each, so the
+    # caller's cancel comes long before the last of them starts.  Which of
+    # them ran before it is not pinned.
+    before = threading.active_count()
+    firsts, started, seen = _first_uniforms(4, 64), [], []
+
+    def work(m, rng):
+        block = firsts.index(rng.random())
+        started.append(block)
+        if block == 1:
+            raise RuntimeError("block 1 failed")
+        if block > 1:
+            time.sleep(0.01)
+        return block
+
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        for block in mc._blocks(work, 64, 1, 4):
+            seen.append(block)
+    assert seen == [0]
+    assert {0, 1} <= set(started) and len(started) < 64
+    assert threading.active_count() == before
+
+
+def test_scan_error_reaches_caller_and_leaves_no_thread():
+    # a uniform whose ppf raises on block 1: the scan's workers map player
+    # 1's column, whose first level is the block's first; under equal
+    # prizes for all they map no rival
+    before = threading.active_count()
+    firsts, drawn = _first_uniforms(4, 6), []
 
     def ppf(q):
-        batch = firsts.index(q[0])
-        drawn.append(batch)
-        if batch == fail:
-            raise RuntimeError(f"batch {batch} failed")
+        drawn.append(firsts.index(q[0]))
+        if drawn[-1] == 1:
+            raise RuntimeError("block 1 failed")
         return q
 
     dist = dists.NoiseDistribution("uniform", {}, (0.0, 1.0), np.ones_like, lambda x: x, lambda x: 1.0 - x,
                                    ppf, np.zeros_like, UNIF.find_modes())
-    return dist, drawn
-
-
-def test_noise_batch_error_reaches_caller_and_leaves_no_thread(monkeypatch):
-    assert dists.SLAB == mc.BATCH
-    before = threading.active_count()
-    dist, drawn = _uniform_failing_at_batch(1, 4, 6)
-    seen = []
-    with pytest.raises(RuntimeError, match="batch 1 failed"):
-        for x in mc.noise_batches(dist, 1, 6 * mc.BATCH, 4):
-            seen.append(x)
-    assert len(seen) == 1
-    assert sorted(drawn) == [0, 1, 2]  # two batches ahead of batch 0, none further
-    assert threading.active_count() == before
-
-    # the scan's workers map player 1's column, whose first level is the
-    # batch's first; under equal prizes for all they map no rival
-    dist, drawn = _uniform_failing_at_batch(1, 4, 6)
-    grid_sums, seen = mc._grid_sums, []
-    monkeypatch.setattr(mc, "_grid_sums", lambda u, *rest: seen.append(u) or grid_sums(u, *rest))
     design = _design(dist, 2, eq.PrizeSchedule.equal_sharing(2), 0.5)
-    with pytest.raises(RuntimeError, match="batch 1 failed"):
+    with pytest.raises(RuntimeError, match="block 1 failed"):
         mc.verify_best_response(dist, design, 0.3, grid_size=50, draws=6 * mc.BATCH, seed=4)
-    assert len(seen) == 1
-    assert sorted(drawn) == [0, 1, 2]
+    assert 1 in drawn
     assert threading.active_count() == before
 
 
@@ -476,19 +500,20 @@ def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
     before = threading.active_count()
 
     def consume(stream):
-        batches = stream()
-        for k, _ in enumerate(batches):
+        blocks = stream()
+        for k, _ in enumerate(blocks):
             if k == 1:
                 if stop == "raise":
                     raise RuntimeError("consumer failed")
                 if stop == "close":
-                    batches.close()
+                    blocks.close()
                     assert threading.active_count() == before
                 break
 
-    # every column mapped, and the best-response scan's batches
-    streams = (lambda: mc.noise_batches(UNIF, 2, 6 * mc.BATCH, 4),
-               lambda: mc._scan_batches(UNIF, 2, 6 * mc.BATCH, 4, np.array([0])))
+    # every column mapped, as the bound check draws, and the best-response
+    # scan's blocks
+    streams = (lambda: _noise_blocks(UNIF, 2, 6 * mc.BATCH, 4),
+               lambda: _scan_blocks(UNIF, 2, np.array([0]), 6 * mc.BATCH, 4))
     for stream in streams:
         if stop == "raise":
             with pytest.raises(RuntimeError, match="consumer failed"):

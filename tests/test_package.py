@@ -50,10 +50,15 @@ def test_traced_names_resolve():
 # The underscore names each module imports from a sibling module; a new
 # private coupling between modules shows up here as a diff.
 PRIVATE_IMPORTS = {
+    "audit": {"_blocks"},
     "cli": {"_marginal_benefit"},
     "prizes": {"_marginal_benefit", "_mode_values", "_unit"},
-    "payschemes": {"_rank", "_require_draws", "_require_seed"},
+    "payschemes": {"_blocks", "_rank", "_require_draws", "_require_seed"},
 }
+
+# The calls that make worker threads and substreams, and the modules that
+# make them: one block runner, ``montecarlo._blocks``, holds both.
+RUNNER_CALLS = {"ThreadPoolExecutor": {"montecarlo"}, "jumped": {"montecarlo"}}
 
 # The scipy submodules each module imports, at module level or inside a
 # function; moving an import, or adding one, shows up here as a diff.
@@ -73,6 +78,17 @@ def test_private_imports_between_modules():
                 if private:
                     found.setdefault(path.stem, set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+def test_threads_and_substreams_are_made_in_one_place():
+    found = {}
+    for path in sorted(Path(tourney.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in RUNNER_CALLS:
+                    found.setdefault(name, set()).add(path.stem)
+    assert found == RUNNER_CALLS
 
 
 def test_scipy_submodules_each_module_imports():

@@ -1,4 +1,5 @@
 import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,11 @@ def test_scheme_shape_checks():
         ps.constant_share(3).pay(np.zeros((2, 4)))
     with pytest.raises(ValueError, match="mixture components must share the player count"):
         ps.mixture(ps.constant_share(2), ps.constant_share(3), 0.5)
+
+
+def test_property_check_of_no_outputs_is_an_error():
+    with pytest.raises(ValueError, match=r"no outputs to check, got an empty block of shape \(0, 3\)"):
+        ps.check_properties(ps.constant_share(3), np.zeros((0, 3)), np.random.default_rng(0))
 
 
 def test_property_violations_detected():
@@ -168,14 +174,31 @@ def _sawtooth(teeth, cliff):
 
 def test_unbounded_likelihood_ratio():
     # 4000 cliffs hold about 1e-3 of the mass, where -f'/f exceeds 2e6
-    # times the mode's density
+    # times the mode's density; the cap is checked on the worker threads
+    before = threading.active_count()
     with pytest.raises(ps.UnboundedLikelihoodRatio, match="times the mode density"):
         ps.marginal_incentive(_sawtooth(4000, 5e-7), ps.constant_share(2), 0.1, draws=20_000, seed=3)
+    assert threading.active_count() == before
     # Pareto(alpha) has -f'/f = (alpha + 1) / x, at most (1 + 1 / alpha)
     # times its mode density alpha / x_min, so a narrow one is not spiky
     narrow = dists.pareto(alpha=2e6)
     est, se = ps.marginal_incentive(narrow, ps.constant_share(2), 0.1, draws=20_000, seed=3)
     assert abs(est - float(narrow.pdf(1.0)) / 2) <= 4 * se
+
+
+def test_bound_check_error_reaches_caller_and_leaves_no_thread():
+    # Pareto's rows all lie above its mode, so the short last block has 5
+    # rows, and only there does the scheme raise
+    before = threading.active_count()
+
+    def pay(y):
+        if len(y) == 5:
+            raise RuntimeError("last block failed")
+        return np.full(len(y), 0.5)
+
+    with pytest.raises(RuntimeError, match="last block failed"):
+        ps.marginal_incentive(PARETO, ps.PayScheme(2, pay), 0.3, draws=3 * mc.BATCH + 5, seed=1)
+    assert threading.active_count() == before
 
 
 def test_check_bound_battery_gumbel():
@@ -289,13 +312,18 @@ def _full_payment_incentive(dist, n, payments, effort, draws, seed):
     """Reference: the marginal incentive pricing every player on every draw
     and keeping player 1 above the mode, summed in the estimator's order."""
     xm = dist.find_modes().global_mode
-    total = total_sq = 0.0
-    for x in mc.noise_batches(dist, n, draws, seed):
+
+    def work(m, rng):
+        x = mc.noise_block(dist, n, m, rng)
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
         w1 = payments(effort + x)[:, 0]
         vals = np.where(x[:, 0] > xm, w1 * lam, 0.0)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        return float(vals.sum()), float(np.dot(vals, vals))
+
+    total = total_sq = 0.0
+    for block_sum, block_sq in mc._blocks(work, draws, mc.BATCH, seed):
+        total += block_sum
+        total_sq += block_sq
     mean = total / draws
     var = max(total_sq / draws - mean * mean, 0.0)
     return mean, float(np.sqrt(var / draws))

@@ -115,7 +115,8 @@ def test_wta_dominates_under_ifr():
     cases = [(GUMBEL, GUMBEL.find_modes().global_mode), (RED, 1.0)]
     rng = np.random.default_rng(11)
     for d, t in cases:
-        assert d.classify_hazard(above=t) == "IFR"
+        start, hazard = d.find_modes().hazard[-1]
+        assert hazard == "IFR" and start <= t
         g_wta = eq.total_marginal_benefit(d, 3, eq.PrizeSchedule.winner_take_all(3), t)
         for _ in range(100):
             v = eq.random_schedule(3, rng)
@@ -131,7 +132,8 @@ def test_regime_follows_hazard_class_at_many_players(dist, n):
     # for all.  At n = 1000, B_999/999 and B_1000/1000 on erf-exponential
     # noise are 5.0e-10 apart, within an absolute 1e-9 but far beyond each
     # score's own error.
-    regime = {"IFR": "WTA", "DFR": "EPS"}[dist.classify_hazard(above=dist.find_modes().global_mode)]
+    ((_, hazard),) = dist.find_modes().hazard  # one monotone piece over the support
+    regime = {"IFR": "WTA", "DFR": "EPS"}[hazard]
     rep, _ = prizes.optimal_prizes(dist, n, COST)
     assert (rep.regime, rep.tie_set) == (regime, (1,) if regime == "WTA" else (n,))
 
