@@ -368,7 +368,8 @@ def cmd_verify(args) -> int:
     payload, schedule, solution = _solve_scenario(sc)
     n_battery = _integer(opts.get("bounds_battery") or 0, "bounds_battery", minimum=0)
     n_schemes = (opts.get("scheme") is not None) + n_battery
-    # the schemes' streams are keyed seed + 1 (the battery) and seed + 2 + k
+    # the battery is drawn from key seed + 1, the bound check's rows from
+    # seed + 2 and scheme k's property checks from key seed + 2 + k
     seed = _resolve_seed(args.seed, mc_cfg, n_schemes + 1 if n_schemes else 0)
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
@@ -407,23 +408,14 @@ def cmd_verify(args) -> int:
         ranks.append({"rank": r, "montecarlo": est, "quadrature": quad, "se": se, "z": z})
 
     battery_out = None
-    battery_ok = True
     if schemes:
-        battery_out = []
-        for k, scheme in enumerate(schemes):
-            chk = payschemes.check_incentive_bound(
-                sc["dist"], scheme, e_check, battery_draws, seed + 2 + k
-            )
-            battery_ok &= chk.satisfied
-            battery_out.append(
-                {
-                    "scheme": scheme.label,
-                    "estimate": chk.estimate,
-                    "se": chk.se,
-                    "bound": chk.bound,
-                    "satisfied": chk.satisfied,
-                }
-            )
+        checks = payschemes.check_incentive_bound(sc["dist"], schemes, e_check, battery_draws, seed + 2)
+        battery_out = [
+            {"scheme": scheme.label, "estimate": chk.estimate, "se": chk.se, "bound": chk.bound,
+             "satisfied": chk.satisfied}
+            for scheme, chk in zip(schemes, checks)
+        ]
+    battery_ok = all(chk["satisfied"] for chk in battery_out or ())
 
     verified = bool(report.certified and ok_ranks and battery_ok)
     out = {

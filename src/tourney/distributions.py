@@ -196,17 +196,9 @@ class NoiseDistribution:
     def _ppf_in_place(self, u: np.ndarray) -> np.ndarray:
         """Map the levels ``u``, drawn in [0, 1) as ``Generator.random``
         draws them, to noise, in place where ``u`` is C-contiguous (else in
-        a copy), and return the noise.
-
-        The family's quantile function maps slabs of ``SLAB`` levels, 128
-        KiB that stay in cache, and each slab is written back into the
-        levels' own buffer, so the temporaries are one slab's, not the whole
-        array's.  The slabs go to the closed form ``_ppf`` directly: levels
-        in [0, 1) never fire the range check in ``ppf``, which hands the
-        levels above 0 to ``_ppf`` unchanged, and every closed form maps 0
-        to the lower support bound itself.  Every family's quantile function
-        works value by value, so the noise is bit-identical to ``ppf`` of
-        the whole array.
+        a copy), and return the noise, equal to ``ppf(u)``.  The closed form
+        ``_ppf`` maps slabs of ``SLAB`` levels (128 KiB, in cache) and each
+        slab is written back, so the temporaries are one slab's.
         """
         flat = u.reshape(-1)
         for start in range(0, flat.size, SLAB):

@@ -129,13 +129,15 @@ def _blocks(work, total: int, block: int, seed: int):
         yield from pool.map(run, range(-(-total // block)))
 
 
-def noise_block(dist: NoiseDistribution, n: int, m: int, rng: np.random.Generator, floor: float = 0.0):
+def noise_block(dist: NoiseDistribution, n: int, m: int, rng: np.random.Generator, floor: float = 0.0,
+                out: np.ndarray | None = None):
     """An (m, n) noise matrix, every column mapped from the levels
-    ``rng.random((m, n))`` draws, as ``dist.sample`` does.  A ``floor`` above
+    ``rng.random((m, n))`` draws, as ``dist.sample`` does; with ``out``, a
+    C-contiguous (m, n) array, drawn from the same words into it.  A ``floor`` above
     0 moves player 1's levels u to floor + (1 - floor) u, uniform on
     [floor, 1) and kept below 1.  Simulations rank these scores, ties going
     to player 1 (``_rank``)."""
-    u = rng.random((m, n))
+    u = rng.random((m, n)) if out is None else rng.random(out=out)
     if floor:
         u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
     return dist._ppf_in_place(u)
@@ -243,16 +245,10 @@ class _Cells:
     point is at or above the position, 0 at -inf, ``grid.size`` beyond the
     top and at NaN.  ``grid`` must be finite and ascending.
 
-    Built once per grid.  The grid's span is cut into two buckets per grid
-    point, and ``first`` holds, for each bucket, the first grid index at or
-    above its left edge; one more entry, ``grid.size``, takes positions
-    beyond the top and NaN.  A position starts at its bucket's entry and
-    then moves down while ``grid[k - 1] >= pos`` and up while
-    ``grid[k] < pos``, compared with the grid's own floats, until none
-    moves.  The stop is searchsorted's answer whatever the bucket arithmetic
-    rounded to; on an even grid it takes at most one move.  Positions are
-    clipped to the span before the arithmetic, so none overflows, and a NaN
-    pads the grid at both ends, so no move leaves it.
+    Built once per grid: the span is cut into two buckets per grid point,
+    and a position starts at the first grid index at or above its bucket's
+    left edge, then moves down or up by comparison with the grid's own
+    floats until it stops; on an even grid it takes at most one move.
     """
 
     def __init__(self, grid: np.ndarray):

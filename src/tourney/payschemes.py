@@ -16,8 +16,9 @@ to the closed-form caps.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,7 +76,8 @@ class PayScheme:
     schemes keep the budget only up to ties (see ``rank_payscheme``).
     ``marginal_incentive`` calls ``pay`` from two threads at once, so it
     must not mutate shared state; the built-in schemes are pure functions
-    of the rows.
+    of the rows.  There the rows are read-only and shared by every scheme
+    of the call, and refilled by the next block: ``pay`` must not keep them.
     """
 
     def __init__(self, n: int, pay: Callable[[np.ndarray], np.ndarray], label: str = "custom"):
@@ -110,7 +112,8 @@ def capped_linear_share(n: int, cap: float) -> PayScheme:
     when nobody clears it."""
 
     def pay(y):
-        a = np.maximum(y - cap, 0.0)
+        a = y - cap
+        np.maximum(a, 0.0, out=a)
         tot = a.sum(axis=1)
         return np.where(tot > 0, a[:, 0] / np.where(tot > 0, tot, 1.0), 0.0)
 
@@ -247,11 +250,20 @@ def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator)
         bumped = np.tile(y, (len(block), 1))
         bumped[:, 0] += np.repeat([bump for _, bump in block], m)
         permuted = scheme.pay(np.concatenate([y[:, cols] for cols, _ in block])).reshape(-1, m)
-        for w_perm, w_bump in zip(permuted, scheme.pay(bumped).reshape(-1, m)):
-            if not np.allclose(w_perm, w1, atol=1e-8):
+        moved = ~np.isclose(permuted, w1, atol=1e-8).all(axis=1)
+        fell = (scheme.pay(bumped).reshape(-1, m) < w1 - 1e-8).any(axis=1)
+        if (moved | fell).any():  # the first failing trial, anonymity first
+            if moved[np.argmax(moved | fell)]:
                 raise PropertyViolation(f"{scheme.label}: anonymity spot-check failed")
-            if np.any(w_bump < w1 - 1e-8):
-                raise PropertyViolation(f"{scheme.label}: payment decreased in own output")
+            raise PropertyViolation(f"{scheme.label}: payment decreased in own output")
+
+
+def _player_count(schemes: Sequence[PayScheme]) -> int:
+    """The n that every scheme shares; ``ValueError`` for none or several."""
+    counts = {scheme.n for scheme in schemes}
+    if len(counts) != 1:
+        raise ValueError(f"pass at least one scheme, all with one player count; got counts {sorted(counts)}")
+    return counts.pop()
 
 
 @dataclass(frozen=True)
@@ -265,14 +277,14 @@ class BoundCheck:
 
 def marginal_incentive(
     dist: NoiseDistribution,
-    scheme: PayScheme,
+    schemes: Sequence[PayScheme],
     effort: float,
     draws: int = 10**5,
     seed: int | None = None,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (value, standard error) of the marginal-incentive
-    integrand: expected own payment weighted by the likelihood ratio, over
-    noise realizations above the global mode.
+) -> list[tuple[float, float]]:
+    """Monte-Carlo estimates (value, standard error), one per scheme, of the
+    marginal-incentive integrand: expected own payment weighted by the
+    likelihood ratio, over noise realizations above the global mode.
 
     In equilibrium this expression caps the marginal cost of effort for any
     anonymous monotone budget-feasible scheme, provided the density vanishes
@@ -280,65 +292,81 @@ def marginal_incentive(
 
     Only draws above the mode x_m count, so only they are drawn: round(draws
     S(x_m)) rows, with player 1's level uniform on [F(x_m), 1), its law given
-    x_1 > x_m, and the rivals' on [0, 1).  The estimate and its standard
-    error are S(x_m) times the rows'; (0, 0) where no row is drawn.  With the
+    x_1 > x_m, and the rivals' on [0, 1).  The estimates and their standard
+    errors are S(x_m) times the rows'; (0, 0) where no row is drawn.  With the
     mode at the lower support bound, F(x_m) = 0 and the rows are the noise
     ``dist.sample`` draws.  The likelihood ratio is capped on every row at
     ``LR_CAP`` times the mode's density, which has its units.
+
+    Streams: the rows come from the ``_blocks`` substreams of ``seed``, and
+    every scheme is priced on the same rows (common random numbers), so a
+    one-scheme call gives what scheme 0 gets in a longer one.  Scheme k is
+    spot-checked by ``check_properties`` on 256 rows of ``dist.sample``
+    from ``Philox(key=(seed + k) ^ 0x9E3779B97F4A7C15)``, which then draws
+    the check's trials, before any row is drawn.  The schemes must share n.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
-    n = scheme.n
+    n = _player_count(schemes)
     shape = dist.find_modes()
     if shape.top_drop > 1e-8 * shape.global_mode_density:
         raise ValueError("density must vanish at the upper support bound")
     xm = shape.global_mode
-    rng = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
-    probe = dist.sample((256, n), rng) + effort
-    check_properties(scheme, probe, rng)
+    for k, scheme in enumerate(schemes):
+        rng = np.random.Generator(np.random.Philox(key=(seed + k) ^ 0x9E3779B97F4A7C15))
+        check_properties(scheme, dist.sample((256, n), rng) + effort, rng)
     above = float(dist.sf(xm))
     rows = round(draws * above)
     if rows == 0:
-        return 0.0, 0.0
+        return [(0.0, 0.0)] * len(schemes)
     floor = float(dist.cdf(xm))
+    buffers = threading.local()
 
     def work(m, rng):
-        x = noise_block(dist, n, m, rng, floor)
+        if not hasattr(buffers, "rows"):
+            buffers.rows = np.empty((BATCH, n))
+        x = noise_block(dist, n, m, rng, floor, out=buffers.rows[:m])
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
         if np.max(np.abs(lam)) > LR_CAP * shape.global_mode_density:
             raise UnboundedLikelihoodRatio(
                 f"|likelihood ratio| exceeded {LR_CAP:g} times the mode density on sampled points"
             )
-        vals = scheme.pay(effort + x) * lam
-        return float(vals.sum()), float(np.dot(vals, vals))
+        x += effort
+        y = x.view()
+        y.flags.writeable = False  # shared by every scheme: one that writes raises
+        sums = np.empty((len(schemes), 2))
+        for k, scheme in enumerate(schemes):
+            vals = scheme.pay(y) * lam
+            sums[k] = vals.sum(), np.dot(vals, vals)
+        return sums
 
-    total = total_sq = 0.0
-    for block_sum, block_sq in _blocks(work, rows, BATCH, seed):
-        total += block_sum
-        total_sq += block_sq
-    mean = total / rows
-    var = max(total_sq / rows - mean * mean, 0.0)
-    return above * mean, above * float(np.sqrt(var / rows))
+    total = sum(_blocks(work, rows, BATCH, seed), np.zeros((len(schemes), 2)))
+    mean = total[:, 0] / rows
+    var = np.maximum(total[:, 1] / rows - mean * mean, 0.0)
+    return list(zip((above * mean).tolist(), (above * np.sqrt(var / rows)).tolist()))
 
 
 def check_incentive_bound(
     dist: NoiseDistribution,
-    scheme: PayScheme,
+    schemes: Sequence[PayScheme],
     effort: float,
     draws: int = 10**5,
     seed: int | None = None,
-) -> BoundCheck:
-    """Compare the estimated marginal incentive against its closed-form cap.
+) -> list[BoundCheck]:
+    """Compare each scheme's estimated marginal incentive against the
+    closed-form cap, one check per scheme.
 
     Log-concave noise caps it at the winner-take-all marginal benefit at the
     global mode; log-convex noise caps it at f(lower bound)/n.  Satisfied
-    means the estimate stays within four standard errors of the cap.
+    means the estimate stays within four standard errors of the cap.  The
+    cap is computed once, and the estimates come from one
+    ``marginal_incentive`` call on the streams of ``seed`` it names.
     """
     shape = dist.find_modes()
     log_class = shape.log_class
-    n = scheme.n
+    n = _player_count(schemes)
     if log_class == "log-concave":
-        bound = marginal_benefit_rank(dist, n, 1, shape.global_mode)
+        bound = float(marginal_benefit_rank(dist, n, 1, shape.global_mode))
         kind = "top-prize-at-mode"
     elif log_class == "log-convex":
         bound = float(dist.pdf(dist.support[0])) / n
@@ -347,11 +375,7 @@ def check_incentive_bound(
         raise NoBoundAvailable(
             f"noise is {log_class}; closed-form caps need log-concave or log-convex noise"
         )
-    est, se = marginal_incentive(dist, scheme, effort, draws, seed)
-    return BoundCheck(
-        bound=float(bound),
-        bound_kind=kind,
-        estimate=float(est),
-        se=float(se),
-        satisfied=bool(est <= bound + 4.0 * se),
-    )
+    return [
+        BoundCheck(bound=bound, bound_kind=kind, estimate=est, se=se, satisfied=bool(est <= bound + 4.0 * se))
+        for est, se in marginal_incentive(dist, schemes, effort, draws, seed)
+    ]

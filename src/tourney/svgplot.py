@@ -69,10 +69,10 @@ def line_plot_svg(
         y_lo, y_hi = float(ys_all[finite].min()), float(ys_all[finite].max())
     else:
         y_lo, y_hi = ylim
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    if y_hi <= y_lo:  # flat: widened by max(1, 1e-3 |value|), which moves a value of any size
+        y_hi = y_lo + max(1.0, 1e-3 * abs(y_lo))
     if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, 1e-3 * abs(x_lo))
     pad = 0.04 * (y_hi - y_lo)
     for axis, lo, hi, width in (("x", x_lo, x_hi, x_hi - x_lo), ("y", y_lo, y_hi, (y_hi + pad) - (y_lo - pad))):
         if not math.isfinite(width):  # the pixel arithmetic divides by it

@@ -15,7 +15,7 @@ import pytest
 
 import sample_reader_reference
 from mp_reference import coefficient_mp
-from tourney import cli, svgplot
+from tourney import cli, payschemes, svgplot
 from tourney import equilibrium as eq
 from tourney.equilibrium import ConcavityWarning
 
@@ -590,6 +590,27 @@ def test_line_plot_of_a_subnormal_span_is_flat(top):
             assert svgplot._MARGIN_T <= y <= svgplot._HEIGHT - svgplot._MARGIN_B + 4
 
 
+def _plotted_points(svg):
+    """The (x, y) pixel points of every polyline of an SVG document."""
+    root = ET.fromstring(svg)
+    return [tuple(map(float, point.split(","))) for line in root.findall("{*}polyline")
+            for point in line.get("points").split()]
+
+
+def test_line_plot_of_a_flat_x_span_beyond_2_53():
+    # x_lo + 1 rounds back to x_lo there, and the pixel arithmetic divided by 0
+    points = _plotted_points(svgplot.line_plot_svg([("a", [5e20, 5e20], [0.0, 1.0])]))
+    assert len(points) == 2 and all(np.isfinite(points).ravel())
+    assert {x for x, _ in points} == {float(svgplot._MARGIN_L)}
+
+
+def test_line_plot_of_a_flat_y_span_beyond_2_53():
+    points = _plotted_points(svgplot.line_plot_svg([("a", [0.0, 1.0], [5e20, 5e20])]))
+    assert len(points) == 2 and all(np.isfinite(points).ravel())
+    assert len({y for _, y in points}) == 1
+    assert svgplot._MARGIN_T <= points[0][1] <= svgplot._HEIGHT - svgplot._MARGIN_B
+
+
 def test_line_plot_without_a_finite_point_is_an_error():
     with pytest.raises(ValueError, match="no series has a point with finite x and y"):
         svgplot.line_plot_svg([("a", [0.0, 1.0], [np.nan, np.inf]), ("b", [np.nan], [1.0])])
@@ -795,6 +816,21 @@ def test_seed_whose_largest_derived_key_fits_runs(tmp_path):
     doc = {**GUMBEL_BATTERY, "verify": {"scheme": {"kind": "constant"}, "battery_draws": 10000}}
     argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc), "--seed", str(2**128 - 3)]
     assert cli.main(argv) == 0
+
+
+def test_verify_prices_its_battery_in_one_bound_check(tmp_path, monkeypatch):
+    calls = []
+    check = payschemes.check_incentive_bound
+
+    def counted(dist, schemes, *args):
+        calls.append(len(schemes))
+        return check(dist, schemes, *args)
+
+    monkeypatch.setattr(payschemes, "check_incentive_bound", counted)
+    doc = {**GUMBEL_BATTERY, "verify": {"bounds_battery": 3, "battery_draws": 10000}}
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", _write(tmp_path, "cfg.json", doc), "--seed", "3", "--out", str(out)]) == 0
+    assert calls == [3] and len(json.loads(out.read_text())["bounds_battery"]) == 3
 
 
 def _write_sample(tmp_path, loc=5.0, groups=False, size=50_000):

@@ -80,15 +80,29 @@ def test_private_imports_between_modules():
     assert found == PRIVATE_IMPORTS
 
 
-def test_threads_and_substreams_are_made_in_one_place():
+# The modules whose block work keeps a buffer per worker thread, made by
+# ``threading.local()``.
+BUFFER_CALLS = {"local": {"audit", "payschemes"}}
+
+
+def _call_sites(names):
+    """The modules of ``tourney`` that call each of ``names``, by name."""
     found = {}
     for path in sorted(Path(tourney.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in RUNNER_CALLS:
+                if name in names:
                     found.setdefault(name, set()).add(path.stem)
-    assert found == RUNNER_CALLS
+    return found
+
+
+def test_threads_and_substreams_are_made_in_one_place():
+    assert _call_sites(RUNNER_CALLS) == RUNNER_CALLS
+
+
+def test_worker_buffers_are_made_where_blocks_are_worked():
+    assert _call_sites(BUFFER_CALLS) == BUFFER_CALLS
 
 
 def test_scipy_submodules_each_module_imports():

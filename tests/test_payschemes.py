@@ -63,6 +63,19 @@ def test_property_violations_detected():
         ps.check_properties(negative, y, rng)
 
 
+@pytest.mark.parametrize("seed", [0, 4])  # the first trial keeps the rivals' order, then swaps it
+def test_property_check_names_the_first_failing_trial(seed):
+    # the scheme falls in its own output, which every trial's bump shows,
+    # and reads rival 1 alone, which the trials that swap the rivals show;
+    # the first trial decides, its anonymity check first
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(100, 3))
+    scheme = ps.PayScheme(3, lambda yy: 0.1 + 0.05 * np.tanh(yy[:, 1] - 2.0 * yy[:, 0]), "both")
+    swapped = copy.deepcopy(rng).permutation(2)[0] == 1
+    with pytest.raises(ps.PropertyViolation, match="anonymity" if swapped else "decreased"):
+        ps.check_properties(scheme, y, rng)
+
+
 def test_property_trials_price_the_rows_of_a_loop_over_trials():
     # the trials are priced in one pay call for the permutations and one for
     # the bumps, on the rows a loop over trials draws, in the same rng order
@@ -112,27 +125,27 @@ def test_property_checks_at_large_n_price_every_player_in_bounded_memory():
 
 def test_marginal_incentive_zero_scheme():
     zero = ps.PayScheme(3, lambda y: np.zeros(len(y)), "zero")
-    est, se = ps.marginal_incentive(GUMBEL, zero, 0.3, draws=20_000, seed=1)
+    [(est, se)] = ps.marginal_incentive(GUMBEL, [zero], 0.3, draws=20_000, seed=1)
     assert est == 0.0 and se == 0.0
 
 
 def test_marginal_incentive_attains_wta_bound():
     xm = GUMBEL.find_modes().global_mode
     scheme = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), 0.3 + xm)
-    est, se = ps.marginal_incentive(GUMBEL, scheme, 0.3, draws=300_000, seed=5)
+    [(est, se)] = ps.marginal_incentive(GUMBEL, [scheme], 0.3, draws=300_000, seed=5)
     ref = eq.marginal_benefit_rank(GUMBEL, 3, 1, xm)
     assert abs(est - ref) <= 4 * se
 
 
 def test_marginal_incentive_constant_share_pareto():
-    est, se = ps.marginal_incentive(PARETO, ps.constant_share(2), 0.5, draws=300_000, seed=6)
+    [(est, se)] = ps.marginal_incentive(PARETO, [ps.constant_share(2)], 0.5, draws=300_000, seed=6)
     assert abs(est - float(PARETO.pdf(1.0)) / 2) <= 4 * se
 
 
 def test_marginal_incentive_requires_vanishing_top_density():
     u = dists.uniform(0.0, 1.0)
     with pytest.raises(ValueError, match="vanish"):
-        ps.marginal_incentive(u, ps.constant_share(2), 0.3, draws=20_000, seed=2)
+        ps.marginal_incentive(u, [ps.constant_share(2)], 0.3, draws=20_000, seed=2)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -140,9 +153,9 @@ def test_vanishing_top_density_is_relative_to_the_peak(scale):
     with pytest.warns(UserWarning, match="vanish"):
         drop = dists.piecewise_linear([(0, 0), (scale, 1), (2 * scale, 1e-3)])
     with pytest.raises(ValueError, match="vanish"):
-        ps.marginal_incentive(drop, ps.constant_share(2), 0.0, draws=10_000, seed=2)
+        ps.marginal_incentive(drop, [ps.constant_share(2)], 0.0, draws=10_000, seed=2)
     tail = dists.piecewise_linear([(0, 0), (scale, 1), (2 * scale, 1e-9)])
-    est, _ = ps.marginal_incentive(tail, ps.constant_share(2), 0.0, draws=10_000, seed=2)
+    [(est, _)] = ps.marginal_incentive(tail, [ps.constant_share(2)], 0.0, draws=10_000, seed=2)
     assert np.isfinite(est)
 
 
@@ -153,10 +166,10 @@ def test_likelihood_ratio_cap_is_relative_to_the_mode_density():
         return dists.piecewise_linear([(0, 0), (w, 1), (2 * w, 1e-9)])
 
     for family, tol in ((lambda w: dists.gumbel(0.0, w), 1e-12), (triangle, 1e-11)):
-        est, se = ps.marginal_incentive(family(1.0), ps.constant_share(2), 0.0, draws=10**4, seed=1)
+        [(est, se)] = ps.marginal_incentive(family(1.0), [ps.constant_share(2)], 0.0, draws=10**4, seed=1)
         assert est > 0.0 and se > 0.0
         for w in (1e-6, 1e6):
-            got = ps.marginal_incentive(family(w), ps.constant_share(2), 0.0, draws=10**4, seed=1)
+            [got] = ps.marginal_incentive(family(w), [ps.constant_share(2)], 0.0, draws=10**4, seed=1)
             np.testing.assert_allclose(np.multiply(got, w), (est, se), rtol=tol, atol=0.0)
     # the triangle's quantile and -f'/f round at 1e-14 relative where f is
     # 1e-2 of its peak, near its top, whose rows dominate the standard error
@@ -177,12 +190,12 @@ def test_unbounded_likelihood_ratio():
     # times the mode's density; the cap is checked on the worker threads
     before = threading.active_count()
     with pytest.raises(ps.UnboundedLikelihoodRatio, match="times the mode density"):
-        ps.marginal_incentive(_sawtooth(4000, 5e-7), ps.constant_share(2), 0.1, draws=20_000, seed=3)
+        ps.marginal_incentive(_sawtooth(4000, 5e-7), [ps.constant_share(2)], 0.1, draws=20_000, seed=3)
     assert threading.active_count() == before
     # Pareto(alpha) has -f'/f = (alpha + 1) / x, at most (1 + 1 / alpha)
     # times its mode density alpha / x_min, so a narrow one is not spiky
     narrow = dists.pareto(alpha=2e6)
-    est, se = ps.marginal_incentive(narrow, ps.constant_share(2), 0.1, draws=20_000, seed=3)
+    [(est, se)] = ps.marginal_incentive(narrow, [ps.constant_share(2)], 0.1, draws=20_000, seed=3)
     assert abs(est - float(narrow.pdf(1.0)) / 2) <= 4 * se
 
 
@@ -197,15 +210,18 @@ def test_bound_check_error_reaches_caller_and_leaves_no_thread():
         return np.full(len(y), 0.5)
 
     with pytest.raises(RuntimeError, match="last block failed"):
-        ps.marginal_incentive(PARETO, ps.PayScheme(2, pay), 0.3, draws=3 * mc.BATCH + 5, seed=1)
+        ps.marginal_incentive(PARETO, [ps.PayScheme(2, pay)], 0.3, draws=3 * mc.BATCH + 5, seed=1)
     assert threading.active_count() == before
 
 
 def test_check_bound_battery_gumbel():
+    # one pass prices the ten schemes on shared rows, as ``verify`` does
     rng = np.random.default_rng(10)
     lo, hi = GUMBEL.truncated_support(1e-6)
-    for k, scheme in enumerate(ps.scheme_battery(3, 10, rng, 0.3 + lo, 0.3 + hi)):
-        chk = ps.check_incentive_bound(GUMBEL, scheme, 0.3, draws=50_000, seed=40 + k)
+    schemes = ps.scheme_battery(3, 10, rng, 0.3 + lo, 0.3 + hi)
+    checks = ps.check_incentive_bound(GUMBEL, schemes, 0.3, draws=50_000, seed=40)
+    assert len(checks) == 10
+    for chk in checks:
         assert chk.bound_kind == "top-prize-at-mode"
         assert chk.satisfied
 
@@ -213,8 +229,10 @@ def test_check_bound_battery_gumbel():
 def test_check_bound_battery_pareto():
     rng = np.random.default_rng(12)
     lo, hi = PARETO.truncated_support(1e-6)
-    for k, scheme in enumerate(ps.scheme_battery(3, 10, rng, 0.5 + lo, 0.5 + min(hi, 30.0))):
-        chk = ps.check_incentive_bound(PARETO, scheme, 0.5, draws=50_000, seed=80 + k)
+    schemes = ps.scheme_battery(3, 10, rng, 0.5 + lo, 0.5 + min(hi, 30.0))
+    checks = ps.check_incentive_bound(PARETO, schemes, 0.5, draws=50_000, seed=80)
+    assert len(checks) == 10
+    for chk in checks:
         assert chk.bound_kind == "lower-bound-density"
         assert chk.bound == pytest.approx(float(PARETO.pdf(1.0)) / 3, abs=1e-12)
         assert chk.satisfied
@@ -223,17 +241,17 @@ def test_check_bound_battery_pareto():
 def test_check_bound_attained_by_optimal_schemes():
     xm = GUMBEL.find_modes().global_mode
     wta = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3), 0.3 + xm)
-    chk = ps.check_incentive_bound(GUMBEL, wta, 0.3, draws=300_000, seed=90)
+    [chk] = ps.check_incentive_bound(GUMBEL, [wta], 0.3, draws=300_000, seed=90)
     assert chk.satisfied and abs(chk.estimate - chk.bound) <= 4 * chk.se
 
     eps = ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(2), 0.5 + 1.0)
-    chk2 = ps.check_incentive_bound(PARETO, eps, 0.5, draws=300_000, seed=91)
+    [chk2] = ps.check_incentive_bound(PARETO, [eps], 0.5, draws=300_000, seed=91)
     assert chk2.satisfied and abs(chk2.estimate - chk2.bound) <= 4 * chk2.se
 
 
 def test_no_bound_for_other_shapes():
     with pytest.raises(ps.NoBoundAvailable):
-        ps.check_incentive_bound(dists.erf_exponential(), ps.constant_share(3), 0.3, draws=10_000, seed=1)
+        ps.check_incentive_bound(dists.erf_exponential(), [ps.constant_share(3)], 0.3, draws=10_000, seed=1)
 
 
 def test_scheme_from_spec():
@@ -333,19 +351,20 @@ def _full_payment_incentive(dist, n, payments, effort, draws, seed):
 @pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
 def test_marginal_incentive_equals_full_payment_reference(dist, n):
     # Pareto's mode is its lower bound: every draw lies above it, so the
-    # estimator draws the reference's noise and must match it bit for bit.
-    # Gumbel's has 1 - 1/e of the mass above it: the estimator draws only
-    # those rows, so it agrees with the reference in law, within 4 SE.
+    # estimator draws the reference's noise and must match it bit for bit,
+    # every scheme on the same rows of seed 60.  Gumbel's has 1 - 1/e of the
+    # mass above it: the estimator draws only those rows, so it agrees with
+    # the reference in law, within 4 SE.
     draws = mc.BATCH + 5  # a short last batch
     lo, hi = dist.truncated_support(1e-6)
     schemes = _built_in_schemes(n) + [
         (ps.PayScheme(n, lambda y: np.full(len(y), 1 / n), "bare"), ref.constant(n)),
         *_battery(n, 2, np.random.default_rng(n), 0.3 + lo, 0.3 + min(hi, 30.0)),
     ]
-    for k, (scheme, payments) in enumerate(schemes):
-        got = ps.marginal_incentive(dist, scheme, 0.3, draws, seed=60 + k)
+    estimates = ps.marginal_incentive(dist, [scheme for scheme, _ in schemes], 0.3, draws, seed=60)
+    for k, ((scheme, payments), got) in enumerate(zip(schemes, estimates)):
         if dist is PARETO:
-            assert got == _full_payment_incentive(dist, n, payments, 0.3, draws, 60 + k), scheme
+            assert got == _full_payment_incentive(dist, n, payments, 0.3, draws, 60), scheme
         else:
             want = _full_payment_incentive(dist, n, payments, 0.3, draws, 160 + k)
             assert abs(got[0] - want[0]) <= 4.0 * np.hypot(got[1], want[1]), scheme
@@ -356,9 +375,71 @@ def test_marginal_incentive_draws_rows_above_the_mode_only():
     xm = GUMBEL.find_modes().global_mode
     drawn = []
     zero_rows = ps.PayScheme(3, lambda y: drawn.append(y.copy()) or np.zeros(len(y)), "records")
-    assert ps.marginal_incentive(GUMBEL, zero_rows, 0.0, draws=50_000, seed=4) == (0.0, 0.0)
+    assert ps.marginal_incentive(GUMBEL, [zero_rows], 0.0, draws=50_000, seed=4) == [(0.0, 0.0)]
     want = round(50_000 * float(GUMBEL.sf(xm)))
     rows = np.concatenate(drawn[-want // mc.BATCH:])  # the property check's calls come first
     assert len(rows) == want
     assert np.all(rows[:, 0] > xm)
     assert abs(np.mean(rows[:, 1:] > xm) - GUMBEL.sf(xm)) < 0.01  # the rivals are not conditioned
+
+
+@pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
+def test_shared_pass_gives_scheme_0_the_one_scheme_result(dist):
+    lo, hi = dist.truncated_support(1e-6)
+    schemes = ps.scheme_battery(3, 4, np.random.default_rng(3), 0.3 + lo, 0.3 + min(hi, 30.0))
+    draws = 2 * mc.BATCH + 5
+    assert ps.marginal_incentive(dist, schemes, 0.3, draws, seed=7)[0] == \
+        ps.marginal_incentive(dist, schemes[:1], 0.3, draws, seed=7)[0]
+    assert ps.check_incentive_bound(dist, schemes, 0.3, draws, seed=7)[0] == \
+        ps.check_incentive_bound(dist, schemes[:1], 0.3, draws, seed=7)[0]
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
+def test_shared_pass_agrees_in_law_with_each_schemes_own_stream(dist, n):
+    # scheme k's own stream is seed + k, the key a one-scheme call gave it
+    # when each scheme was priced on rows of its own
+    lo, hi = dist.truncated_support(1e-6)
+    schemes = ps.scheme_battery(n, 4, np.random.default_rng(n), 0.3 + lo, 0.3 + min(hi, 30.0))
+    shared = ps.marginal_incentive(dist, schemes, 0.3, draws=20_000, seed=50)
+    for k in range(1, len(schemes)):
+        [own] = ps.marginal_incentive(dist, schemes[k:k + 1], 0.3, draws=20_000, seed=50 + k)
+        assert abs(shared[k][0] - own[0]) <= 4.0 * np.hypot(shared[k][1], own[1]), schemes[k]
+
+
+def test_shared_pass_checks_each_scheme_under_its_own_label():
+    schemes = [ps.constant_share(3), ps.PayScheme(3, lambda y: np.full(len(y), 0.5), "half-each")]
+    with pytest.raises(ps.PropertyViolation, match="^half-each: budget exceeded"):
+        ps.marginal_incentive(GUMBEL, schemes, 0.3, draws=10_000, seed=1)
+    with pytest.raises(ValueError, match="one player count; got counts \\[2, 3\\]"):
+        ps.check_incentive_bound(GUMBEL, [ps.constant_share(3), ps.constant_share(2)], 0.3, 10_000, seed=1)
+    with pytest.raises(ValueError, match="at least one scheme"):
+        ps.check_incentive_bound(GUMBEL, [], 0.3, draws=10_000, seed=1)
+
+
+def test_pay_that_writes_into_its_rows_raises_and_leaves_no_thread():
+    # the rows are shared by every scheme of the call, so they are read-only;
+    # the property check's rows are the scheme's own, and it passes there
+    def pay(y):
+        y[:, 0] += 0.0
+        return np.full(len(y), 1 / 3)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="read-only"):
+        ps.marginal_incentive(PARETO, [ps.constant_share(3), ps.PayScheme(3, pay, "writer")], 0.3, draws=10_000, seed=1)
+    assert threading.active_count() == before
+
+
+def test_each_worker_prices_every_block_from_one_buffer():
+    # Pareto's rows all lie above its mode: 4 full blocks and a short one,
+    # drawn by two workers into one buffer each
+    seen = []
+
+    def pay(y):
+        if not y.flags.writeable:  # the shared pass, not the property check
+            seen.append((len(y), y.__array_interface__["data"][0]))
+        return np.full(len(y), 1 / 3)
+
+    ps.marginal_incentive(PARETO, [ps.PayScheme(3, pay, "recorder")], 0.3, draws=4 * mc.BATCH + 5, seed=2)
+    assert sorted(m for m, _ in seen) == [5] + [mc.BATCH] * 4
+    assert len({pointer for _, pointer in seen}) <= 2
