@@ -302,8 +302,9 @@ def audit_sample(
     with one Gaussian kernel by real FFT (Silverman, Applied Statistics AS
     176, 1982); blocks of resamples go through one FFT over the span of
     occupied bins, outside which the smoothed maximum cannot lie.  Block k
-    of resamples draws from the substream ``Philox(key=seed).jumped(k)`` on
-    a worker thread of ``montecarlo._blocks``, so one seed gives one report.
+    of resamples draws from ``PCG64DXSM(seed).jumped(k)`` (O'Neill, "PCG",
+    HMC-CS-2014-0905) on a worker thread of ``montecarlo._blocks``, so one
+    seed gives one report.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,
     or breaks the grid (see ``_binned``), raises ``ValueError``, and so does
     a ``bootstrap`` that is not a positive whole number.

@@ -110,9 +110,10 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve_seed(flag_seed, mc_cfg: dict, derived: int = 0):
     """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's.
-    A seed outside [0, 2**128), the keys of a Philox stream, is a config
-    error naming where it came from, and so is a seed whose largest derived
-    key, ``seed + derived``, lies outside."""
+    A seed outside [0, 2**128), keys as wide as the state of a PCG64DXSM
+    stream (O'Neill, "PCG", HMC-CS-2014-0905), is a config error naming
+    where it came from, and so is a seed whose largest derived key,
+    ``seed + derived``, lies outside."""
     sources = (
         ("--seed", flag_seed),
         ("montecarlo.seed", mc_cfg.get("seed")),
@@ -386,7 +387,7 @@ def cmd_verify(args) -> int:
     if opts.get("scheme") is not None:
         schemes.append(payschemes.scheme_from_spec(opts["scheme"], design.n))
     if n_battery > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed + 1))
+        rng = mc._substreams(seed + 1, 1)[0]
         lo, hi = sc["dist"].truncated_support(1e-6)
         schemes.extend(
             payschemes.scheme_battery(design.n, n_battery, rng, e_check + lo, e_check + hi)

@@ -7,8 +7,8 @@ independent of the quadrature code paths and certify them statistically.
 One routine ranks the simulated players.
 
 Reproducibility: draws come in blocks of ``BATCH``, block i from its own
-counter-based substream ``Philox(key=seed).jumped(i)`` (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``_blocks`` runs
+substream ``PCG64DXSM(seed).jumped(i)`` (O'Neill, "PCG", HMC-CS-2014-0905),
+and ``_substreams`` makes every stream of the package.  ``_blocks`` runs
 the blocks on two worker threads, each drawing its block and reducing it,
 and the caller adds the results in block order, so one seed gives one
 result.  Every effort level on a verification grid reuses the same draws,
@@ -38,7 +38,7 @@ P_j on the effort grid, summed cumulatively, give the payoff sums at every
 grid point in one pass over the draws, whatever the grid size; the rank
 tally at the checked effort is K where player 1 passes.  A jump finds its
 grid cell, the first grid point at or above P_j, from a bucket table built
-once per scan (``_Cells``).
+once per scan (``_Cells``); two-valued prizes count them (``_grid_counts``).
 """
 
 from __future__ import annotations
@@ -109,24 +109,29 @@ def _effort_grid(e_max: float, points: int, e_star: float) -> tuple[np.ndarray, 
     return grid, int(np.searchsorted(grid, e_star))
 
 
+def _substreams(key: int, count: int) -> list[np.random.Generator]:
+    """Substreams 0, ..., ``count`` - 1 of ``key``, substream i on
+    ``PCG64DXSM(key).jumped(i)`` and 0 on the stream of ``key`` itself."""
+    root = np.random.PCG64DXSM(key)
+    return [np.random.Generator(root.jumped(i)) for i in range(count)]
+
+
 def _blocks(work, total: int, block: int, seed: int):
     """Yield ``work(m, rng)`` for each block of ``total`` draws, in order.
 
-    Block i holds ``block`` draws, the last one the rest, and ``rng`` is its
-    own substream ``Generator(Philox(key=seed).jumped(i))``, so which thread
-    runs it and when cannot change a bit of it.  Two worker threads run the
-    blocks, and each ``work`` draws its block and reduces it to a small
-    result, so no drawn block leaves its worker.  An error in a block
-    reaches the caller after the results before it and cancels the blocks
-    not yet started, as closing the generator mid-stream does; either way
-    the pool's threads are joined before the generator ends.
+    Block i holds ``block`` draws, the last one the rest, and ``rng`` is
+    substream i of ``seed``, ``PCG64DXSM(seed).jumped(i)`` (O'Neill, "PCG",
+    HMC-CS-2014-0905), so which thread runs it and when cannot change a bit
+    of it.  Two worker threads run the blocks, and each ``work`` draws its
+    block and reduces it to a small result, so no drawn block leaves its
+    worker.  An error in a block reaches the caller after the results before
+    it and cancels the blocks not yet started, as closing the generator
+    mid-stream does; either way the pool's threads are joined before the
+    generator ends.
     """
-
-    def run(i):
-        return work(min(block, total - i * block), np.random.Generator(np.random.Philox(key=seed).jumped(i)))
-
+    sizes = [min(block, total - start) for start in range(0, total, block)]
     with ThreadPoolExecutor(2) as pool:
-        yield from pool.map(run, range(-(-total // block)))
+        yield from pool.map(work, sizes, _substreams(seed, len(sizes)))
 
 
 def noise_block(dist: NoiseDistribution, n: int, m: int, rng: np.random.Generator, floor: float = 0.0,
@@ -286,7 +291,7 @@ def _grid_sums(x1: np.ndarray, k: np.ndarray, top: np.ndarray, cells: _Cells, i_
     level of ``_levels(prizes)`` (``_scan_block``).  Rivals sit at
     e* = ``grid[i_star]``; w* is player 1's prize there.  Returns the
     (3, grid.size) sums of w, w - w* and (w - w*)^2, and player 1's rank at
-    e* per draw: ``k`` where e* + x_1 passes, n elsewhere.
+    e* per draw (``_jump_cells``).
 
     Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
     jump at P_j reaches every grid point g >= P_j; ``cells`` finds the first
@@ -295,16 +300,13 @@ def _grid_sums(x1: np.ndarray, k: np.ndarray, top: np.ndarray, cells: _Cells, i_
     e*, where they vanish, so the paired variance cannot cancel.
     """
     grid = cells.grid
-    e_star = grid[i_star]
-    rank_star = np.where(e_star + x1 >= rho, k, prizes.size)
+    rank_star, bins = _jump_cells(x1, k, top, cells, i_star, rho, prizes.size)
     v, levels = _levels(prizes)
     hi, lo = v[levels], v[levels + 1]
-    pos = np.maximum(rho, e_star + top) - x1[:, None]
-    bins = cells(pos.ravel())
     w_star = v[rank_star]
 
     def hist(jumps):
-        return np.bincount(bins, np.broadcast_to(jumps, pos.shape).ravel(), grid.size + 1)[: grid.size]
+        return np.bincount(bins, np.broadcast_to(jumps, top.shape).ravel(), grid.size + 1)[: grid.size]
 
     out = np.empty((3, grid.size))
     out[0] = np.cumsum(hist(hi - lo))
@@ -314,6 +316,31 @@ def _grid_sums(x1: np.ndarray, k: np.ndarray, top: np.ndarray, cells: _Cells, i_
     out[2, i_star + 1:] = np.cumsum(jumps[i_star + 1:])
     out[2, :i_star] = -np.cumsum(jumps[i_star:0:-1])[::-1]
     return out, rank_star
+
+
+def _jump_cells(x1, k, top, cells: _Cells, i_star: int, rho: float, n: int):
+    """Player 1's rank at e* = ``cells.grid[i_star]`` per draw, n where it
+    misses the standard, and the grid cell of each jump position P_j."""
+    e_star = cells.grid[i_star]
+    return np.where(e_star + x1 >= rho, k, n), cells((np.maximum(rho, e_star + top) - x1[:, None]).ravel())
+
+
+def _grid_counts(x1, k, top, cells: _Cells, i_star: int, rho: float, prizes: np.ndarray):
+    """``_grid_sums`` for a two-valued prize: one block's jump counts per grid
+    cell 0, ..., G, offset by G + 1 on draws won at e*, and the ranks at e*."""
+    rank_star, bins = _jump_cells(x1, k, top, cells, i_star, rho, prizes.size)
+    offset = cells.grid.size + 1
+    return np.bincount(bins + offset * (rank_star <= _levels(prizes)[1][0]), minlength=2 * offset), rank_star
+
+
+def _count_sums(counts: np.ndarray, i_star: int, prize: float) -> np.ndarray:
+    """``_grid_sums``'s sums over all draws from the totals ``counts`` of
+    ``_grid_counts``, in integers, then scaled once: w jumps by ``prize``
+    (0 below), (w - w*)^2 by -prize^2 on draws won at e*, prize^2 elsewhere."""
+    lost, won = counts.reshape(2, -1)[:, :-1]
+    w, squares = prize * np.cumsum(lost + won), np.cumsum(lost - won)
+    w_star = prize * counts[counts.size // 2:].sum()
+    return np.array([w, w - w_star, prize * prize * (squares - squares[i_star])])
 
 
 def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray) -> SimulationReport:
@@ -377,7 +404,8 @@ def verify_best_response(
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
     Each block of draws is drawn by ``_scan_block`` and binned by
-    ``_grid_sums`` on a worker thread of ``_blocks``.
+    ``_grid_sums`` (``_grid_counts`` under a two-valued prize) on a worker
+    thread of ``_blocks``.
 
     The gap is the largest estimated payoff improvement over ``e_star``; its
     standard error comes from the per-draw paired payoff differences (common
@@ -397,16 +425,20 @@ def verify_best_response(
     grid, i_star = _effort_grid(e_max, grid_size, float(e_star))
     cells = _Cells(grid)
     levels = _levels(prizes)[1]
+    two_valued = levels.size == 1
+    bin_block = _grid_counts if two_valued else _grid_sums
 
     def work(m, rng):
-        block, rank = _grid_sums(*_scan_block(dist, n, levels, m, rng), cells, i_star, design.standard, prizes)
+        block, rank = bin_block(*_scan_block(dist, n, levels, m, rng), cells, i_star, design.standard, prizes)
         return block, np.bincount(rank, minlength=n + 1)
 
-    sums = np.zeros((3, grid.size))
+    sums = np.zeros(2 * grid.size + 2, dtype=np.int64) if two_valued else np.zeros((3, grid.size))
     rank_counts = np.zeros(n + 1, dtype=np.int64)
     for block, counts in _blocks(work, draws, BATCH, seed):
         sums += block
         rank_counts += counts
+    if two_valued:
+        sums = _count_sums(sums, i_star, prizes[0])
     mean_w, mean_d, mean_dsq = sums / draws
     payoffs = mean_w - np.asarray(design.cost.c(grid))
     gaps = payoffs - payoffs[i_star]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
-from .montecarlo import BATCH, _blocks, _rank, _require_draws, _require_seed, noise_block
+from .montecarlo import BATCH, _blocks, _rank, _require_draws, _require_seed, _substreams, noise_block
 
 __all__ = [
     "PayScheme",
@@ -302,8 +302,9 @@ def marginal_incentive(
     every scheme is priced on the same rows (common random numbers), so a
     one-scheme call gives what scheme 0 gets in a longer one.  Scheme k is
     spot-checked by ``check_properties`` on 256 rows of ``dist.sample``
-    from ``Philox(key=(seed + k) ^ 0x9E3779B97F4A7C15)``, which then draws
-    the check's trials, before any row is drawn.  The schemes must share n.
+    from the PCG64DXSM stream (O'Neill, "PCG", HMC-CS-2014-0905) of key
+    ``(seed + k) ^ 0x9E3779B97F4A7C15``, which then draws the check's
+    trials, before any row is drawn.  The schemes must share n.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
@@ -313,7 +314,7 @@ def marginal_incentive(
         raise ValueError("density must vanish at the upper support bound")
     xm = shape.global_mode
     for k, scheme in enumerate(schemes):
-        rng = np.random.Generator(np.random.Philox(key=(seed + k) ^ 0x9E3779B97F4A7C15))
+        rng = _substreams((seed + k) ^ 0x9E3779B97F4A7C15, 1)[0]
         check_properties(scheme, dist.sample((256, n), rng) + effort, rng)
     above = float(dist.sf(xm))
     rows = round(draws * above)

@@ -7,6 +7,7 @@ import pytest
 from scipy import ndimage, stats
 
 from tourney import audit
+from tourney import montecarlo as mc
 
 
 def _normal_sample(size=100_000, loc=0.0, seed=42):
@@ -161,13 +162,11 @@ def _loop_resamples(rng, counts, draws):
 
 
 def _blocked_loop_resamples(seed, counts, draws):
-    """The loop reference run per block, block k on ``Philox(key=seed).jumped(k)``."""
-    root = np.random.Philox(key=seed)
+    """The loop reference run per block, block k on substream k of ``seed``."""
     starts = range(0, draws, audit.BOOTSTRAP_BLOCK)
     return np.concatenate([
-        _loop_resamples(np.random.Generator(root.jumped(k)), counts,
-                        min(audit.BOOTSTRAP_BLOCK, draws - start))
-        for k, start in enumerate(starts)
+        _loop_resamples(rng, counts, min(audit.BOOTSTRAP_BLOCK, draws - start))
+        for rng, start in zip(mc._substreams(seed, len(starts)), starts)
     ])
 
 

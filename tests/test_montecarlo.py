@@ -156,6 +156,92 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
         assert np.array_equal(rank, want_rank)
 
 
+def _count_and_grid_sums(dist, n, prizes, draws, e_star, rho, seed):
+    """The scan's blocks of ``draws`` draws reduced both ways: the totals of
+    ``_grid_counts`` turned into sums by ``_count_sums``, and the block sums
+    of ``_grid_sums``, with the two paths' rank tallies checked equal block
+    by block; and the count totals."""
+    levels = mc._levels(prizes)[1]
+    grid, i_star = mc._effort_grid(E_MAX, 10**4, e_star)
+    cells = mc._Cells(grid)
+    sums = np.zeros((3, grid.size))
+    counts = np.zeros(2 * grid.size + 2, dtype=np.int64)
+    for drawn in _scan_blocks(dist, n, levels, draws, seed):
+        block, rank = mc._grid_sums(*drawn, cells, i_star, rho, prizes)
+        tally, rank_counted = mc._grid_counts(*drawn, cells, i_star, rho, prizes)
+        assert np.array_equal(rank_counted, rank)
+        sums += block
+        counts += tally
+    return mc._count_sums(counts, i_star, prizes[0]), sums, counts
+
+
+TWO_VALUED = {
+    "wta-2": eq.PrizeSchedule.winner_take_all(2),
+    "wta-3": eq.PrizeSchedule.winner_take_all(3),
+    "wta-10": eq.PrizeSchedule.winner_take_all(10),
+    "eps-10": eq.PrizeSchedule.equal_sharing(10),
+    "top-2-of-5": eq.PrizeSchedule.equal_top(2, 5),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(TWO_VALUED))
+@pytest.mark.parametrize("family", ["gumbel", "pareto", "red"])
+def test_count_path_matches_grid_sums(family, schedule):
+    # winner-take-all's jumps and squared jumps are whole numbers, so every
+    # sum is exact both ways; a prize such as 1/10 rounds, and the count
+    # path scales each integer total once, where the block sums round at
+    # every bin and cell
+    dist = ORACLE_FAMILIES[family]
+    prizes = np.asarray(TWO_VALUED[schedule].prizes)
+    n, hi = prizes.size, prizes.max()
+    draws = 2 * mc.BATCH + 77  # a short last block
+    got, want, counts = _count_and_grid_sums(dist, n, prizes, draws, 0.4, 0.4 + float(dist.ppf(0.4)), 17)
+    if schedule.startswith("wta"):
+        assert got.tobytes() == want.tobytes()
+        # a rival far above puts the jump beyond the grid's top, in cell G
+        assert counts[counts.size // 2 - 1] + counts[-1] > 0
+    else:
+        scale = np.array([[hi], [hi], [hi * hi]]) * draws  # the largest each sum can be
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_count_path_edge_cases():
+    prizes = np.asarray(eq.PrizeSchedule.winner_take_all(3).prizes)
+    # no draw passes the standard: every jump lies beyond the grid, and no
+    # draw is won at e*
+    got, want, counts = _count_and_grid_sums(GUMBEL, 3, prizes, mc.BATCH + 5, 0.4, 1e6, 3)
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(got) and counts[counts.size // 2 - 1] == mc.BATCH + 5
+    # e* at the first and at the last grid point
+    for e_star in (0.0, E_MAX):
+        got, want, counts = _count_and_grid_sums(GUMBEL, 3, prizes, mc.BATCH + 5, e_star, e_star + 0.3, 3)
+        assert got.tobytes() == want.tobytes()
+        assert counts[counts.size // 2:].sum() > 0
+    # a draw won at e*, the grid's top, whose jump rho - x_1 rounds just
+    # above it, into cell G; equal prizes for all at n = 2.  Equal in value:
+    # where no jump lies between a point and e*, the block sums negate a
+    # zero sum into -0.0
+    grid, i_star = mc._effort_grid(E_MAX, 50, E_MAX)
+    x1, rho = np.array([0.13, 0.4, 0.9, -1.0]), E_MAX + 0.13
+    assert rho - x1[0] > grid[-1]
+    drawn = x1, np.zeros(4, dtype=np.int64), np.full((4, 1), -np.inf)
+    want, rank = mc._grid_sums(*drawn, mc._Cells(grid), i_star, rho, np.array([0.5, 0.5]))
+    counts, rank_counted = mc._grid_counts(*drawn, mc._Cells(grid), i_star, rho, np.array([0.5, 0.5]))
+    assert counts[-1] == 1 and np.array_equal(rank_counted, rank)
+    assert np.array_equal(mc._count_sums(counts, i_star, 0.5), want)
+
+
+def test_substreams_are_independent_in_law():
+    # Kolmogorov-Smirnov against U(0, 1): sqrt(256) D exceeds 1.95 with
+    # chance 1e-3
+    firsts = np.sort([rng.random() for rng in mc._substreams(61, 256)])
+    steps = np.arange(257) / 256
+    assert 16 * max(np.max(steps[1:] - firsts), np.max(firsts - steps[:-1])) < 1.95
+    # the derived keys seed, seed + 1 and seed + 2 share no first draw
+    drawn = [mc._substreams(61 + j, 1)[0].random(4096) for j in range(3)]
+    assert np.unique(np.concatenate(drawn)).size == 3 * 4096
+
+
 def _block_sizes(draws):
     full, rest = divmod(draws, mc.BATCH)
     return [mc.BATCH] * full + ([rest] if rest else [])
@@ -236,16 +322,16 @@ def test_best_response_tally_equals_simulation():
 @pytest.mark.parametrize(
     "noise, schedule, rho, gap, gap_se, payoffs, counts",
     [
-        (GUMBEL, eq.PrizeSchedule.winner_take_all(10), 0.4, "0x1.ab7756855fccep-5", "0x1.0120067925305p-11",
-         "7e4ade7410f24545216ea5a366b6c7df851fd9fa6b7cfc9644528607b048dbd4",
-         (9786, 9883, 9885, 9700, 8822, 7198, 4778, 2259, 698, 107, 36884)),
-        (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.9eb8bddc6633fp-5",
-         "0x1.29360375ad053p-13", "d3541c1da9f19c0b990a1658a140ff411e989675a3dcdc424d4ce2a05ee11fa5",
-         (9785, 9869, 9894, 9916, 9686, 8518, 6303, 3752, 1443, 242, 30592)),
+        (GUMBEL, eq.PrizeSchedule.winner_take_all(10), 0.4, "0x1.a89656e4aaf06p-5", "0x1.0633b1e4bd65cp-11",
+         "09de0649cfe9a55930b98b46c20f7aa1efeb4965889aa9f234d968d2888ebdd2",
+         (9913, 9888, 9921, 9721, 8916, 7008, 4686, 2180, 725, 104, 36938)),
+        (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.a1fd63489e171p-5",
+         "0x1.281f246e79054p-13", "fb81bbf84cc30360f196e8423041eb8adae58e8397a65d125a76853537eff24c",
+         (9913, 10003, 9903, 9959, 9456, 8421, 6312, 3739, 1364, 238, 30692)),
         # ten distinct prizes: every level is binned, from a sort of the rivals
-        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f820768c2c6c6p-5",
-         "0x1.9c740ecbb13fap-14", "fb9df627b969a21e1376311f4b5f0dba6cc71c4a6bdcc82ba248e15a0e81b6f6",
-         (9969, 9990, 10013, 9646, 8680, 7138, 4845, 2282, 657, 93, 36687)),
+        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f6f6ebd19b68cp-5",
+         "0x1.a03a4fe54e5c8p-14", "5023e5fc86f57f609da64f1a7ecbd435628f7b7096b7dad47e0d9f15f10753a9",
+         (9991, 10180, 9886, 9628, 8739, 7043, 4637, 2255, 720, 92, 36829)),
     ],
     ids=["gumbel-wta", "pareto-eps", "gumbel-dirichlet"],
 )
@@ -373,8 +459,8 @@ def test_best_response_flags_disequilibrium():
     assert not rep.certified
     assert rep.gap > 5 * rep.gap_se
     # pinned bits at this seed
-    assert rep.gap == float.fromhex("0x1.35baed5d62fefp-3")
-    assert rep.gap_se == float.fromhex("0x1.fa0a007798c31p-11")
+    assert rep.gap == float.fromhex("0x1.31ae85d7e5470p-3")
+    assert rep.gap_se == float.fromhex("0x1.f74cbc6ed5324p-11")
 
 
 def test_grid_bias_uses_mode_density():
@@ -416,9 +502,8 @@ def test_tally_csv(tmp_path):
 
 @pytest.mark.parametrize("draws", [mc.BATCH - 1, mc.BATCH, mc.BATCH + 1, 3 * mc.BATCH + 5])
 def test_blocks_match_serial_substreams(draws):
-    root = np.random.Philox(key=9)
     sizes = _block_sizes(draws)
-    uniforms = [np.random.Generator(root.jumped(i)).random((m, 2)) for i, m in enumerate(sizes)]
+    uniforms = [rng.random((m, 2)) for rng, m in zip(mc._substreams(9, len(sizes)), sizes)]
     blocks = list(_noise_blocks(GUMBEL, 2, draws, 9))
     assert len(blocks) == len(uniforms)
     for got, u in zip(blocks, uniforms):
@@ -427,8 +512,8 @@ def test_blocks_match_serial_substreams(draws):
     # player 1's column mapped, its rank count and the rivals' sorted
     scanned = list(_scan_blocks(GUMBEL, 3, np.array([1]), draws, 9))
     assert len(scanned) == len(uniforms)
-    for i, ((x1, k, top), m) in enumerate(zip(scanned, sizes)):
-        u = np.random.Generator(root.jumped(i)).random((m, 3))
+    for (x1, k, top), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
+        u = rng.random((m, 3))
         assert np.array_equal(x1, GUMBEL.ppf(u[:, 0]))
         assert np.array_equal(k, np.count_nonzero(u[:, 1:] > u[:, :1], axis=1))
         assert np.array_equal(top[:, 0], GUMBEL.ppf(np.min(u[:, 1:], axis=1)))
@@ -436,8 +521,7 @@ def test_blocks_match_serial_substreams(draws):
     # uniform, above u_1 exactly when K = 1
     scanned = list(_scan_blocks(GUMBEL, 2, np.array([0]), draws, 9))
     assert len(scanned) == len(uniforms)
-    for i, ((x1, k, top), m) in enumerate(zip(scanned, sizes)):
-        rng = np.random.Generator(root.jumped(i))
+    for (x1, k, top), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
         u1, best = rng.random(m), rng.random(m)
         assert np.array_equal(x1, GUMBEL.ppf(u1))
         assert np.array_equal(k, best > u1)
@@ -446,7 +530,7 @@ def test_blocks_match_serial_substreams(draws):
 
 def _first_uniforms(seed, blocks):
     """The first uniform of each block's substream, which names the block."""
-    return [np.random.Generator(np.random.Philox(key=seed).jumped(i)).random() for i in range(blocks)]
+    return [rng.random() for rng in mc._substreams(seed, blocks)]
 
 
 def test_block_error_reaches_caller_and_cancels_the_rest():

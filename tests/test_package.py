@@ -53,12 +53,18 @@ PRIVATE_IMPORTS = {
     "audit": {"_blocks"},
     "cli": {"_marginal_benefit"},
     "prizes": {"_marginal_benefit", "_mode_values", "_unit"},
-    "payschemes": {"_blocks", "_rank", "_require_draws", "_require_seed"},
+    "payschemes": {"_blocks", "_rank", "_require_draws", "_require_seed", "_substreams"},
 }
 
-# The calls that make worker threads and substreams, and the modules that
-# make them: one block runner, ``montecarlo._blocks``, holds both.
-RUNNER_CALLS = {"ThreadPoolExecutor": {"montecarlo"}, "jumped": {"montecarlo"}}
+# The calls that make worker threads, bit generators and substreams, and
+# the modules that make them: the block runner, ``montecarlo._blocks``, and
+# ``montecarlo._substreams``, which makes every stream of the package.
+RUNNER_CALLS = {
+    "ThreadPoolExecutor": {"montecarlo"},
+    "Generator": {"montecarlo"},
+    "PCG64DXSM": {"montecarlo"},
+    "jumped": {"montecarlo"},
+}
 
 # The scipy submodules each module imports, at module level or inside a
 # function; moving an import, or adding one, shows up here as a diff.
@@ -99,6 +105,7 @@ def _call_sites(names):
 
 def test_threads_and_substreams_are_made_in_one_place():
     assert _call_sites(RUNNER_CALLS) == RUNNER_CALLS
+    assert _call_sites({"Philox"}) == {}
 
 
 def test_worker_buffers_are_made_where_blocks_are_worked():
