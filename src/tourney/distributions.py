@@ -269,8 +269,8 @@ def gumbel(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
     if beta <= 0:
         raise ValueError("scale must be positive")
 
-    def z(x):
-        return (x - mu) / beta
+    def log_w(x):  # -z, capped where w = exp(-z) would overflow, so that f(-inf) reads 0, not inf - inf
+        return np.minimum((mu - x) / beta, 709.0)
 
     # with w = exp(-z), -f' = w (1 - w) exp(-w) / beta^2, largest where
     # w^2 - 3w + 1 = 0 on (0, 1)
@@ -280,11 +280,11 @@ def gumbel(loc: float = 0.0, scale: float = 1.0) -> NoiseDistribution:
         family="gumbel",
         params={"loc": mu, "scale": beta},
         support=(-np.inf, np.inf),
-        pdf=lambda x: np.exp(-z(x) - np.exp(-z(x))) / beta,
-        cdf=lambda x: np.exp(-np.exp(-z(x))),
-        sf=lambda x: -np.expm1(-np.exp(-z(x))),
+        pdf=lambda x: np.exp(log_w(x) - np.exp(log_w(x))) / beta,
+        cdf=lambda x: np.exp(-np.exp(log_w(x))),
+        sf=lambda x: -np.expm1(-np.exp(log_w(x))),
         ppf=lambda q: mu - beta * np.log(-np.log(q)),
-        likelihood_ratio=lambda x: (1.0 - np.exp(-z(x))) / beta,
+        likelihood_ratio=lambda x: (1.0 - np.exp(log_w(x))) / beta,
         shape=_unimodal(mu, math.exp(-1.0) / beta, "log-concave", descent / beta**2, (-np.inf, "IFR")),
     )
 

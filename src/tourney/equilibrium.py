@@ -697,6 +697,8 @@ def _deviation_payoffs(
 
 def _effort(g: float, cost: CostFunction) -> float:
     """Effort at which marginal cost equals the marginal benefit g."""
+    if not math.isfinite(g):
+        raise EffortOutOfRange(f"marginal benefit {g!r} is not a finite number")
     top = cost.cprime(cost.max_effort)
     if g > top * (1.0 + 1e-12):
         raise EffortOutOfRange(

@@ -24,21 +24,20 @@ its score clears the standard and the (j+1)-th largest rival score.  All
 rivals play e*, so X_(j+1) is an order statistic of their noise, and a rival
 who misses the standard cannot lift P_j above rho.  Since the quantile
 function is monotone, X_(j+1) = ppf(U_(j+1)), and player 1's rank at e* is
-the count K of rivals whose uniform exceeds its own u_1.  Equal prizes for
-all bin no rival and winner-take-all the best one alone, so these draw
-u_1, K and the best rival's uniform M from their joint law, in two or
-three variates, not n (David & Nagaraja, Order Statistics, ch. 2; Devroye,
-Non-Uniform Random Variate Generation, ch. V): each rival lies above u_1
-with chance 1 - u_1, independently, so K ~ Binomial(n - 1, 1 - u_1);
-M = V^(1/(n - 1)) is the largest of n - 1 uniforms, and given M the other
-rivals are iid U(0, M), so K is 0 where M <= u_1 and
-1 + Binomial(n - 2, 1 - u_1 / M) elsewhere.  Other schedules draw the
-n uniforms, count K and sort the rivals.  Histograms of the jumps d_j at
-P_j on the effort grid, summed cumulatively, give the payoff sums at every
-grid point in one pass over the draws, whatever the grid size; the rank
-tally at the checked effort is K where player 1 passes.  A jump finds its
-grid cell, the first grid point at or above P_j, from a bucket table built
-once per scan (``_Cells``); two-valued prizes count them (``_grid_counts``).
+the count K of rivals whose uniform exceeds its own u_1.  So each block
+draws u_1, the rivals' top L uniforms, with L the deepest rival level the
+prizes bin (0 under equal prizes for all, 1 under winner-take-all), and K
+(David & Nagaraja, Order Statistics, ch. 2; Devroye, Non-Uniform Random
+Variate Generation, ch. V): the largest of k iid uniforms is V^(1/k), and
+the others are iid uniform below it, so U_(1) = V_1^(1/(n - 1)) and
+U_(j+1) = U_(j) V_(j+1)^(1/(n - 1 - j)); K is the number of these above
+u_1, plus, where all L are, Binomial(n - 1 - L, 1 - u_1 / U_(L)) for the
+rivals below U_(L).  Histograms of the jumps d_j at P_j on the effort
+grid, summed cumulatively, give the payoff sums at every grid point in one
+pass over the draws, whatever the grid size; the rank tally at the checked
+effort is K where player 1 passes.  A jump finds its grid cell, the first
+grid point at or above P_j, from a bucket table built once per scan
+(``_Cells``); two-valued prizes count them (``_grid_counts``).
 """
 
 from __future__ import annotations
@@ -151,22 +150,27 @@ def noise_block(dist: NoiseDistribution, n: int, m: int, rng: np.random.Generato
 def _scan_block(dist: NoiseDistribution, n: int, levels: np.ndarray, m: int, rng: np.random.Generator):
     """One block of m draws of the best-response scan: player 1's noise x_1,
     its rank count K and the rivals' X_(j+1) at each prize level j of
-    ``levels`` (from ``_levels``; -inf at level n - 1).  Equal prizes for
-    all and winner-take-all draw u_1, then the best rival's uniform M, kept
-    below 1 as ``Generator.random``'s are, then K (``_rank_count``; see the
-    module docstring); other schedules count and sort n uniforms."""
-    rivals = levels < n - 1
-    if not set(levels[rivals].tolist()) <= {0}:  # a rival binned below the best
-        u = rng.random((m, n))
-        return dist._ppf(u[:, 0]), _rank(u, u[:, 0], True), _order_statistics(u, levels, dist)
+    ``levels`` (from ``_levels``; -inf at level n - 1): u_1, the top L
+    rival uniforms walked down one row at a time, and the rest of K
+    (``_rank_count``), 0 where U_(L) <= u_1 (see the module docstring).  The
+    binned rows are kept below 1, as ``Generator.random``'s are, and mapped."""
+    binned = levels < n - 1
+    depth = int(levels[binned].max(initial=-1)) + 1
     u1 = rng.random(m)
+    walk = np.empty((depth, m))
+    for j in range(depth):
+        rng.random(out=walk[j])
+        walk[j] **= 1.0 / (n - 1 - j)
+        if j:
+            walk[j] *= walk[j - 1]
+    k = 0
+    if depth < n - 1:
+        k = _rank_count(u1 / np.maximum(walk[-1], u1) if depth else u1, n - depth, rng)
+    for row in walk:
+        k += row > u1
     top = np.full((m, levels.size), -np.inf)
-    if rivals.any():
-        best = rng.random(m) ** (1.0 / (n - 1))
-        k = (best > u1) * (1 + _rank_count(u1 / np.maximum(best, u1), n - 1, rng))
-        top[:, rivals] = dist._ppf(np.minimum(best, UNIT_MAX))[:, None]
-    else:
-        k = _rank_count(u1, n, rng)
+    for i, j in enumerate(levels[binned]):  # levels ascend, so the binned ones come first
+        top[:, i] = dist._ppf_in_place(np.minimum(walk[j], UNIT_MAX, out=walk[j]))
     return dist._ppf(u1), k, top
 
 
@@ -192,24 +196,6 @@ def _rank_count(u1: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.where(u1 < 0.5, n - 1 - k, k)
 
 
-def _order_statistics(u: np.ndarray, levels: np.ndarray, dist: NoiseDistribution) -> np.ndarray:
-    """X_(j+1) per draw of the uniforms ``u`` for each prize level j of
-    ``levels`` (from ``_levels``): ``ppf`` of the rivals' (j+1)-th largest
-    uniform, the same float as the (j+1)-th largest mapped rival noise, as
-    the quantile function never decreases and maps value by value.  Level
-    n - 1 needs no rival and keeps -inf.  The rivals' uniforms are sorted,
-    and the columns binned are mapped in slabs.
-    """
-    n = u.shape[1]
-    top = np.full((len(u), levels.size), -np.inf)
-    ranked = levels < n - 1
-    if ranked.any():
-        # take gathers C-ordered, so the columns are mapped in place
-        order = np.sort(u[:, 1:], axis=1).take(n - 2 - levels[ranked], axis=1)
-        top[:, ranked] = dist._ppf_in_place(order)
-    return top
-
-
 def _levels(prizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The prizes v with v_n = 0 for missing the standard appended, and the
     ranks j = 0, ..., n - 1 whose differential v_j - v_(j+1) is not zero:
@@ -224,14 +210,10 @@ def _rank(keys: np.ndarray, key1: np.ndarray, passed: np.ndarray, shift: float =
     strictly exceeds player 1's ``key1`` where ``passed``, and n elsewhere.
 
     Simulations and rank pay schemes pass scores: the noise x_j, shifted by
-    the rivals' effort, against player 1's score.  The best-response scan
-    passes the uniforms the noise is mapped from, against player 1's own.
-    Either way ties go to player 1; on uniforms a tie is one of the
-    uniforms, so two distinct uniforms whose scores round to one float rank
-    by the uniforms.  Player 1 is ranked only where it passes, and a rival
-    that beats a passing player passes too (on uniforms because the
-    quantile function never decreases), so the count needs no pass check.
-    It adds one rival column at a time, so no (m, n - 1) block of keys or
+    the rivals' effort, against player 1's score.  Ties go to player 1.
+    Player 1 is ranked only where it passes, and a rival that beats a
+    passing player passes too, so the count needs no pass check.  It adds
+    one rival column at a time, so no (m, n - 1) block of keys or
     comparisons is built; a zero shift adds nothing, as it changes no
     comparison.  The ranks come in the smallest unsigned integer type that
     holds n, which the count adds into fastest; use them as indices or
@@ -403,7 +385,8 @@ def verify_best_response(
     ``e_star``.  A single pass over the draws gives the payoff at every grid
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
-    Each block of draws is drawn by ``_scan_block`` and binned by
+    Each block draws u_1, the rivals' uniforms down to the deepest level
+    the prizes bin and the rank count K (``_scan_block``), and is binned by
     ``_grid_sums`` (``_grid_counts`` under a two-valued prize) on a worker
     thread of ``_blocks``.
 

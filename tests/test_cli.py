@@ -175,6 +175,18 @@ def test_prizes_puts_the_standard_at_a_higher_mode(tmp_path):
     assert (doc["threshold"], doc["regime"]) == (1.0, "WTA")
 
 
+@pytest.mark.parametrize("command", [["solve", "--schedule", "wta"], ["prizes"]])
+def test_threshold_below_gumbel_cdf_underflow_is_finite(tmp_path, command):
+    # F(-10) underflows to 0; solve printed NaN and prizes raised IndexError
+    cfg = _write(tmp_path, "cfg.json", {"distribution": {"family": "gumbel"}, "n": 3})
+    out = tmp_path / "sol.json"
+    assert cli.main([*command, "--config", cfg, "--threshold", "-10", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    numbers = [doc["effort"], doc["marginal_benefit"], doc["standard"], *doc.get("rank_scores", ())]
+    assert np.all(np.isfinite(numbers))
+    assert doc["marginal_benefit"] == pytest.approx(2 / 9, abs=1e-12)
+
+
 def test_solve_inverse_exponential_at_mode(tmp_path):
     scenario = {"distribution": {"family": "inverse_exponential"}, "n": 3, "schedule": "wta"}
     out = tmp_path / "sol.json"

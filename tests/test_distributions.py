@@ -87,6 +87,15 @@ def test_fixed_values_beyond_the_support(d):
                 assert np.all(method(x) == want), (name, end)
 
 
+@pytest.mark.parametrize("d", ALL_FAMILIES + [dists.inverse_exponential()],
+                         ids=lambda d: d.family + str(d.params.get("variant", "")))
+def test_density_at_an_infinite_end_is_zero(d):
+    # Gumbel's closed form reads inf - inf at -inf
+    ends = [end for end in d.support if np.isinf(end)]
+    assert all(d.pdf(end) == 0.0 for end in ends)
+    assert np.all(d.pdf(np.array(ends + ends)) == 0.0)
+
+
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.family + str(d.params.get("variant", "")))
 def test_array_equals_scalar_calls(d):
     lo, hi = d.truncated_support()

@@ -460,6 +460,22 @@ def test_effort_out_of_range():
     wta = eq.PrizeSchedule.winner_take_all(2)
     with pytest.raises(eq.EffortOutOfRange):
         eq._effort(eq.total_marginal_benefit(EXPO, 2, wta, 0.0), weak)
+    for g in (np.nan, np.inf):
+        with pytest.raises(eq.EffortOutOfRange, match="not a finite number"):
+            eq._effort(g, QUAD_COST)
+
+
+@pytest.mark.parametrize("schedule", [eq.PrizeSchedule.winner_take_all(3), eq.PrizeSchedule.equal_top(2, 3)],
+                         ids=["wta", "top-2"])
+def test_gumbel_threshold_below_cdf_underflow(schedule):
+    # F(t) underflows to 0 below t = -6.62, so the kernel's panel at t has
+    # zero width and its nodes map to -inf, where the density reads 0: G
+    # keeps its value from t = -5 (2/9 and 5/36), not NaN
+    want = eq.total_marginal_benefit(GUMBEL, 3, schedule, -5.0)
+    for t in (-10.0, -40.0, -1000.0):
+        assert eq.total_marginal_benefit(GUMBEL, 3, schedule, t) == pytest.approx(want, abs=1e-12)
+    sol = eq.solve_design(GUMBEL, 3, schedule, QUAD_COST, threshold=-10.0)
+    assert sol.marginal_benefit == pytest.approx(want, abs=1e-12) and np.isfinite(sol.effort)
 
 
 def _assert_grid_scan_agrees(d, n, v):

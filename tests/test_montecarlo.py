@@ -40,8 +40,13 @@ def _prize_values(x, efforts, e_star, rho, prizes):
 def _scan_sums(dist, u, grid, i_star, rho, prizes):
     """``_grid_sums`` on the draws the uniforms ``u`` give: player 1's
     noise, the count of rivals whose uniform exceeds its own, and the
-    rivals' order statistics from a sort."""
-    top = mc._order_statistics(u, mc._levels(prizes)[1], dist)
+    rivals' order statistics from a sort, where the scan walks them down
+    from the best (``_scan_block``)."""
+    n = u.shape[1]
+    levels = mc._levels(prizes)[1]
+    top = np.full((len(u), levels.size), -np.inf)
+    ranked = levels < n - 1
+    top[:, ranked] = dist._ppf(np.sort(u[:, 1:], axis=1)[:, n - 2 - levels[ranked]])
     k = np.count_nonzero(u[:, 1:] > u[:, :1], axis=1)
     return mc._grid_sums(dist._ppf(u[:, 0]), k, top, mc._Cells(grid), i_star, rho, prizes)
 
@@ -257,38 +262,60 @@ def _scan_blocks(dist, n, levels, draws, seed):
     return mc._blocks(functools.partial(mc._scan_block, dist, n, levels), draws, mc.BATCH, seed)
 
 
-def _direct_and_dense(n, draws, seed):
-    """(u_1, K, best rival's uniform) drawn directly for winner-take-all and
-    (u_1, K) for equal prizes for all, and the same from n uniforms per
-    draw, counted and reduced."""
-    wta, eps = ([np.concatenate(col) for col in zip(*_scan_blocks(UNIF, n, np.array([level]), draws, seed + j))]
-                for j, level in enumerate((0, n - 1)))
+def _walked(n, levels, draws, seed):
+    """(u_1, K, the rivals' uniforms at ``levels``) from the scan's blocks:
+    uniform noise maps each level to itself."""
+    return [np.concatenate(col) for col in zip(*_scan_blocks(UNIF, n, np.asarray(levels), draws, seed))]
+
+
+def _dense(n, draws, seed, ranks):
+    """(u_1, K, the rivals' uniforms at ``ranks`` from the top) from n
+    uniforms per draw, counted and sorted."""
     rng = np.random.default_rng(seed)
-    dense = []
+    blocks = []
     for m in _block_sizes(draws):
         u = rng.random((m, n))
-        dense.append((u[:, 0], np.count_nonzero(u[:, 1:] > u[:, :1], axis=1), u[:, 1:].max(axis=1)))
-    return (wta[0], wta[1], wta[2][:, 0]), (eps[0], eps[1]), [np.concatenate(col) for col in zip(*dense)]
+        blocks.append((u[:, 0], np.count_nonzero(u[:, 1:] > u[:, :1], axis=1),
+                       np.sort(u[:, 1:], axis=1)[:, n - 2 - ranks]))
+    return [np.concatenate(col) for col in zip(*blocks)]
+
+
+def _walk_rows(depth):
+    """The first, middle and last of ``depth`` walked rows."""
+    return np.unique([0, (depth - 1) // 2, depth - 1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, mc.INVERSION_MAX + 1, 300])
 def test_direct_draws_follow_the_dense_law(n):
-    # K ~ Binomial(n - 1, 1 - u_1), by inversion up to INVERSION_MAX + 1
-    # players and by numpy's binomial above: chi-square on K jointly with
-    # u_1's quartile, and KS on the best rival, against the dense draw
+    # the scan walks the rivals' top L uniforms down from the best, and
+    # draws the rest of K ~ Binomial(n - 1, 1 - u_1) by inversion up to
+    # INVERSION_MAX + 1 players and by numpy's binomial above: at depth 0
+    # (equal prizes for all), 1 (winner-take-all), 2, 3 and n - 1,
+    # chi-square on K jointly with u_1's quartile, and KS on the first,
+    # middle and last walked rows, against the dense draw; and in one
+    # block with every row kept, each row weakly below the one before, and
+    # K the count of rows above u_1 wherever that count is below L
     stats = pytest.importorskip("scipy.stats")
-    wta, eps, dense = _direct_and_dense(n, 40_000 if n < 300 else 20_000, 30 + n)
+    draws = 40_000 if n < 300 else 20_000
+    depths = sorted({0, 1, 2, 3, n - 1} & set(range(n)))
+    ranks = np.unique(np.concatenate([_walk_rows(depth) for depth in depths if depth]))
+    u1, k, top = _dense(n, draws, 30 + n, ranks)
     bins = min(n, 10)
 
-    def cells(u1, k, *best):
+    def cells(u1, k):
         return np.bincount(np.minimum((4 * u1).astype(int), 3) * bins + k * bins // n, minlength=4 * bins)
 
-    for direct in (wta, eps):
-        table = np.array([cells(*direct), cells(*dense)])
-        assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 1e-3
-    assert stats.ks_2samp(wta[2], dense[2]).pvalue > 1e-3
-    below = wta[1] == 0  # the best rival lies below player 1 exactly when K = 0
-    assert np.all(wta[2][below] <= wta[0][below]) and np.all(wta[2][~below] > wta[0][~below])
+    for j, depth in enumerate(depths):
+        rows = _walk_rows(depth) if depth else np.array([n - 1])  # equal prizes for all bin level n - 1
+        walked = _walked(n, rows, draws, 31 + n + j)
+        table = np.array([cells(*walked[:2]), cells(u1, k)])
+        assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 1e-3, depth
+        for i, rank in enumerate(rows if depth else ()):
+            assert stats.ks_2samp(walked[2][:, i], top[:, np.searchsorted(ranks, rank)]).pvalue > 1e-3, (depth, rank)
+        x1, kk, every = mc._scan_block(UNIF, n, np.arange(depth), 2000, np.random.default_rng(j))
+        assert np.all(np.diff(every, axis=1) <= 0)
+        above = np.count_nonzero(every > x1[:, None], axis=1)
+        assert np.array_equal(kk[above < depth], above[above < depth]) and np.all(kk[above == depth] >= depth)
 
 
 def test_rank_count_at_the_ends_of_u1():
@@ -310,13 +337,17 @@ def test_rank_matches_dense_comparison(n):
 
 
 def test_best_response_tally_equals_simulation():
+    # the scan walks the rivals down from the best, where the simulation
+    # ranks n mapped scores, so the two tallies agree in law: within 4
+    # combined standard errors per rank
     red = dists.trimodal_example("red")
     v = eq.PrizeSchedule.equal_top(2, 3)
     design = _design(red, 3, v, 1.4)
     rep = mc.verify_best_response(red, design, 0.4, grid_size=500, draws=40_000, seed=13)
     sim = mc.simulate_prize_probabilities(red, design, 0.4, 0.4, 40_000, 13)
-    assert rep.rank_counts == sim.rank_counts
-    assert rep.at_least_prob == sim.at_least_prob
+    assert sum(rep.rank_counts) == sum(sim.rank_counts) == 40_000
+    for p, se, q, se_q in zip(rep.at_least_prob, rep.at_least_se, sim.at_least_prob, sim.at_least_se):
+        assert abs(p - q) <= 4 * np.hypot(se, se_q)
 
 
 @pytest.mark.parametrize(
@@ -328,18 +359,19 @@ def test_best_response_tally_equals_simulation():
         (dists.pareto(2.0), eq.PrizeSchedule.equal_sharing(10), 1.6, "0x1.a1fd63489e171p-5",
          "0x1.281f246e79054p-13", "fb81bbf84cc30360f196e8423041eb8adae58e8397a65d125a76853537eff24c",
          (9913, 10003, 9903, 9959, 9456, 8421, 6312, 3739, 1364, 238, 30692)),
-        # ten distinct prizes: every level is binned, from a sort of the rivals
-        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f6f6ebd19b68cp-5",
-         "0x1.a03a4fe54e5c8p-14", "5023e5fc86f57f609da64f1a7ecbd435628f7b7096b7dad47e0d9f15f10753a9",
-         (9991, 10180, 9886, 9628, 8739, 7043, 4637, 2255, 720, 92, 36829)),
+        # ten distinct prizes: every level is binned, walked down from the best rival
+        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f7e1c5a58e883p-5",
+         "0x1.9e7552df0a386p-14", "a973d6a8f93a420b4bf0f56b90d7704b570c81e6fc15b7954eef25cb65164055",
+         (9913, 9881, 10032, 9638, 8784, 7207, 4633, 2207, 661, 106, 36938)),
     ],
     ids=["gumbel-wta", "pareto-eps", "gumbel-dirichlet"],
 )
 def test_best_response_pinned_bits_at_n10(noise, schedule, rho, gap, gap_se, payoffs, counts):
     # pinned bits at this seed: winner-take-all and equal prizes for all
-    # draw u_1, K and the best rival directly, the ten-prize schedule n
-    # uniforms; their payoffs read K only as K = 0 (winner-take-all) or not
-    # at all (equal prizes), so the rank tally pins K's draws
+    # draw u_1, K and the best rival, the ten-prize schedule u_1 and all nine
+    # rivals walked down; the first two read K only as K = 0
+    # (winner-take-all) or not at all (equal prizes), so the rank tally pins
+    # K's draws
     rep = mc.verify_best_response(noise, _design(noise, 10, schedule, rho), 0.4, draws=10**5, seed=1505)
     assert rep.gap == float.fromhex(gap)
     assert rep.gap_se == float.fromhex(gap_se)
@@ -508,15 +540,20 @@ def test_blocks_match_serial_substreams(draws):
     assert len(blocks) == len(uniforms)
     for got, u in zip(blocks, uniforms):
         assert np.array_equal(got, GUMBEL.ppf(u))
-    # the scan's blocks under a many-level schedule: the same uniforms,
-    # player 1's column mapped, its rank count and the rivals' sorted
-    scanned = list(_scan_blocks(GUMBEL, 3, np.array([1]), draws, 9))
+    # the scan's blocks under three prize levels at n = 3: u_1, then V_1
+    # and V_2, walked down to the rivals' U_(1) = V_1^(1/2) and
+    # U_(2) = U_(1) V_2, K the count of them above u_1, and no rival at
+    # level 2
+    scanned = list(_scan_blocks(GUMBEL, 3, np.array([0, 1, 2]), draws, 9))
     assert len(scanned) == len(uniforms)
     for (x1, k, top), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
-        u = rng.random((m, 3))
-        assert np.array_equal(x1, GUMBEL.ppf(u[:, 0]))
-        assert np.array_equal(k, np.count_nonzero(u[:, 1:] > u[:, :1], axis=1))
-        assert np.array_equal(top[:, 0], GUMBEL.ppf(np.min(u[:, 1:], axis=1)))
+        u1, best = rng.random(m), rng.random(m) ** (1.0 / 2)
+        second = best * rng.random(m) ** 1.0
+        assert np.array_equal(x1, GUMBEL.ppf(u1))
+        assert np.array_equal(k, (best > u1) + (second > u1).astype(int))
+        assert np.array_equal(top[:, 0], GUMBEL.ppf(np.minimum(best, mc.UNIT_MAX)))
+        assert np.array_equal(top[:, 1], GUMBEL.ppf(np.minimum(second, mc.UNIT_MAX)))
+        assert np.all(top[:, 2] == -np.inf)
     # and under winner-take-all at n = 2: u_1, then the best rival's
     # uniform, above u_1 exactly when K = 1
     scanned = list(_scan_blocks(GUMBEL, 2, np.array([0]), draws, 9))
