@@ -1,10 +1,10 @@
 """Command-line surface: scenario solving, figures, verification, audits.
 
 Configuration comes from a JSON document; command-line flags override config
-fields.  The Monte-Carlo commands take a seed from a flag, the config, or
-the TOURNEY_SEED environment variable: ``verify`` requires one, and
-``audit`` bootstraps with seed 0 when none is given.  Identical config +
-seed produces byte-identical artifacts.
+fields.  The Monte-Carlo commands take a seed, any nonnegative integer,
+from a flag, the config, or the TOURNEY_SEED environment variable:
+``verify`` requires one, and ``audit`` bootstraps with seed 0 when none
+is given.  Identical config + seed produces byte-identical artifacts.
 
 Exit codes: 0 success, 2 invalid config/input or an output path that
 cannot be written, 3 numeric failure, 4 verification failure.
@@ -73,7 +73,10 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(convert, value, key: str):
-    """``convert(value)``; a value it cannot take is a config error naming ``key``."""
+    """``convert(value)``; a value it cannot take, and a JSON ``true`` or
+    ``false``, which Python would take as 1 or 0, is a config error naming ``key``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"bad '{key}': {json.dumps(value)} is not a number")
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
@@ -108,12 +111,11 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve_seed(flag_seed, mc_cfg: dict, derived: int = 0):
-    """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's.
-    A seed outside [0, 2**128), keys as wide as the state of a PCG64DXSM
-    stream (O'Neill, "PCG", HMC-CS-2014-0905), is a config error naming
-    where it came from, and so is a seed whose largest derived key,
-    ``seed + derived``, lies outside."""
+def _resolve_seed(flag_seed, mc_cfg: dict):
+    """The flag's seed, else the ``montecarlo`` config's, else TOURNEY_SEED's:
+    any nonnegative integer, as ``numpy.random.SeedSequence`` takes.  A
+    negative or non-integer seed is a config error naming where it came
+    from."""
     sources = (
         ("--seed", flag_seed),
         ("montecarlo.seed", mc_cfg.get("seed")),
@@ -121,14 +123,7 @@ def _resolve_seed(flag_seed, mc_cfg: dict, derived: int = 0):
     )
     for source, value in sources:
         if value is not None:
-            seed = _integer(value, source)
-            if not 0 <= seed < 2**128:
-                raise ConfigError(f"bad '{source}': seed {seed} is not in [0, 2**128)")
-            if seed + derived >= 2**128:
-                raise ConfigError(
-                    f"bad '{source}': seed {seed} derives key {seed + derived}, not in [0, 2**128)"
-                )
-            return seed
+            return _integer(value, source, minimum=0)
     return None
 
 
@@ -145,9 +140,11 @@ def _build_cost(spec) -> CostFunction:
     if spec is None:
         return CostFunction()
     _check_keys(spec, {"kappa", "beta"}, "cost")
+    kappa = _number(float, spec.get("kappa", 1.0), "cost.kappa")
+    beta = _number(float, spec.get("beta", 2.0), "cost.beta")
     try:
-        return CostFunction(float(spec.get("kappa", 1.0)), float(spec.get("beta", 2.0)))
-    except (TypeError, ValueError) as exc:
+        return CostFunction(kappa, beta)
+    except ValueError as exc:
         raise ConfigError(f"bad cost: {exc}") from exc
 
 
@@ -367,11 +364,9 @@ def cmd_verify(args) -> int:
     mc_cfg = sc["montecarlo"]
     _check_keys(mc_cfg, {"draws", "seed"}, "montecarlo")
     payload, schedule, solution = _solve_scenario(sc)
-    n_battery = _integer(opts.get("bounds_battery") or 0, "bounds_battery", minimum=0)
-    n_schemes = (opts.get("scheme") is not None) + n_battery
-    # the battery is drawn from key seed + 1, the bound check's rows from
-    # seed + 2 and scheme k's property checks from key seed + 2 + k
-    seed = _resolve_seed(args.seed, mc_cfg, n_schemes + 1 if n_schemes else 0)
+    n_battery = opts.get("bounds_battery")
+    n_battery = 0 if n_battery is None else _integer(n_battery, "bounds_battery", minimum=0)
+    seed = _resolve_seed(args.seed, mc_cfg)
     if seed is None:
         raise ConfigError("verification needs a seed (flag, config, or TOURNEY_SEED)")
     draws = args.draws if args.draws is not None else mc_cfg.get("draws")

@@ -520,8 +520,12 @@ def piecewise_linear(knots: Sequence[Sequence[float]]) -> NoiseDistribution:
 
 def _piecewise_linear(knots: Sequence[Sequence[float]], **labels) -> NoiseDistribution:
     """``piecewise_linear`` with ``labels`` appended to its ``params``.  A
-    knot with a NaN or infinite entry raises ``ValueError`` naming the first."""
-    pts = [(float(x), float(f)) for x, f in knots]
+    knot with a NaN, infinite or boolean entry raises ``ValueError`` naming the first."""
+    pts = []
+    for x, f in knots:
+        if isinstance(x, bool) or isinstance(f, bool):  # JSON's true and false
+            raise ValueError(f"'knots' entry {json.dumps([x, f], default=repr)} is not a pair of numbers")
+        pts.append((float(x), float(f)))
     for x, f in pts:
         if not (math.isfinite(x) and math.isfinite(f)):
             raise ValueError(f"knot [{x!r}, {f!r}] is not a pair of finite numbers")
@@ -644,8 +648,9 @@ def from_spec(spec: dict | str) -> NoiseDistribution:
         {"family": "exponential", "params": {"rate": 1.0}}
         {"family": "piecewise_linear", "knots": [[x, f], ...]}
 
-    A parameter that is NaN or infinite raises ``ValueError`` naming the
-    family and the key.
+    A parameter that is NaN, infinite, ``true`` or ``false`` raises
+    ``ValueError`` naming the family and the key, and a knot entry that is
+    ``true`` or ``false`` one naming 'knots'.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -661,7 +666,11 @@ def from_spec(spec: dict | str) -> NoiseDistribution:
         return piecewise_linear(spec["knots"])
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    dist = _FAMILIES[family](**spec.get("params", {}))
+    params = spec.get("params", {})
+    for key, value in params.items() if isinstance(params, dict) else ():
+        if isinstance(value, bool):
+            raise ValueError(f"{family} parameter {key!r} must be a number, got {json.dumps(value)}")
+    dist = _FAMILIES[family](**params)
     for key, value in dist.params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{family} parameter {key!r} must be finite, got {value}")

@@ -133,20 +133,6 @@ def _blocks(work, total: int, block: int, seed: int):
         yield from pool.map(work, sizes, _substreams(seed, len(sizes)))
 
 
-def noise_block(dist: NoiseDistribution, n: int, m: int, rng: np.random.Generator, floor: float = 0.0,
-                out: np.ndarray | None = None):
-    """An (m, n) noise matrix, every column mapped from the levels
-    ``rng.random((m, n))`` draws, as ``dist.sample`` does; with ``out``, a
-    C-contiguous (m, n) array, drawn from the same words into it.  A ``floor`` above
-    0 moves player 1's levels u to floor + (1 - floor) u, uniform on
-    [floor, 1) and kept below 1.  Simulations rank these scores, ties going
-    to player 1 (``_rank``)."""
-    u = rng.random((m, n)) if out is None else rng.random(out=out)
-    if floor:
-        u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
-    return dist._ppf_in_place(u)
-
-
 def _scan_block(dist: NoiseDistribution, n: int, levels: np.ndarray, m: int, rng: np.random.Generator):
     """One block of m draws of the best-response scan: player 1's noise x_1,
     its rank count K and the rivals' X_(j+1) at each prize level j of
@@ -354,7 +340,7 @@ def simulate_prize_probabilities(
     n = design.n
 
     def work(m, rng):
-        x = noise_block(dist, n, m, rng)
+        x = dist.sample((m, n), rng)
         y1 = e + x[:, 0]
         return np.bincount(_rank(x, y1, y1 >= design.standard, e_star), minlength=n + 1)
 

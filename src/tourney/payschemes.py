@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
-from .montecarlo import BATCH, _blocks, _rank, _require_draws, _require_seed, _substreams, noise_block
+from .montecarlo import BATCH, UNIT_MAX, _blocks, _rank, _require_draws, _require_seed, _substreams
 
 __all__ = [
     "PayScheme",
@@ -50,6 +50,9 @@ PROPERTY_TRIALS = 16
 PROPERTY_TOL = 1e-9
 # Outputs per pay call when the budget check prices every player (8 MiB).
 PROPERTY_BLOCK = 1 << 20
+# The keys each kind of ``scheme_from_spec`` reads besides 'kind'.
+SCHEME_KEYS = {"rank": {"prizes", "standard"}, "linear_share": {"cap"}, "constant": set(),
+               "mixture": {"first", "second", "weight"}}
 
 
 class PropertyViolation(ValueError):
@@ -149,8 +152,15 @@ def _field(spec: dict, key: str, convert):
         raise ValueError(f"{spec['kind']} scheme spec: bad {key!r}: {exc}") from exc
 
 
+def _real(value) -> float:
+    """``float(value)``; a JSON ``true`` or ``false`` is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is not a number")
+    return float(value)
+
+
 def _finite(value) -> float:
-    value = float(value)
+    value = _real(value)
     if not np.isfinite(value):
         raise ValueError(f"{value} is not finite")
     return value
@@ -164,16 +174,22 @@ def scheme_from_spec(spec: dict, n: int) -> PayScheme:
     Anything beyond these families plugs in directly as a ``PayScheme``
     around player 1's payment callback.  A ``rank`` scheme whose prize count is not
     ``n`` raises ``ValueError`` naming both, inside a ``mixture`` too; a
-    field of the wrong type, or a cap or standard that is not finite,
-    raises ``ValueError`` naming the field.
+    key the kind does not read, a field of the wrong type (``true`` and
+    ``false`` are not numbers), or a cap or standard that is not finite,
+    raises ``ValueError`` naming it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("scheme spec must be an object with a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in SCHEME_KEYS:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    unknown = sorted(set(spec) - SCHEME_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown keys in {kind} scheme spec: {unknown}")
     if kind == "rank":
         schedule = PrizeSchedule.winner_take_all(n)
         if "prizes" in spec:
-            schedule = _field(spec, "prizes", lambda v: PrizeSchedule(tuple(v)))
+            schedule = _field(spec, "prizes", lambda v: PrizeSchedule(tuple(map(_real, v))))
         if schedule.n != n:
             raise ValueError(f"rank scheme has {schedule.n} prizes but n={n}")
         standard = _field(spec, "standard", _finite) if "standard" in spec else -np.inf
@@ -182,13 +198,11 @@ def scheme_from_spec(spec: dict, n: int) -> PayScheme:
         return capped_linear_share(n, _field(spec, "cap", _finite))
     if kind == "constant":
         return constant_share(n)
-    if kind == "mixture":
-        return mixture(
-            _field(spec, "first", lambda first: scheme_from_spec(first, n)),
-            _field(spec, "second", lambda second: scheme_from_spec(second, n)),
-            _field(spec, "weight", float),
-        )
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    return mixture(
+        _field(spec, "first", lambda first: scheme_from_spec(first, n)),
+        _field(spec, "second", lambda second: scheme_from_spec(second, n)),
+        _field(spec, "weight", _real),
+    )
 
 
 def scheme_battery(
@@ -291,8 +305,9 @@ def marginal_incentive(
     at the upper support bound.
 
     Only draws above the mode x_m count, so only they are drawn: round(draws
-    S(x_m)) rows, with player 1's level uniform on [F(x_m), 1), its law given
-    x_1 > x_m, and the rivals' on [0, 1).  The estimates and their standard
+    S(x_m)) rows of levels u from ``rng.random``, player 1's moved to
+    F(x_m) + (1 - F(x_m)) u and kept below 1, so that x_1 has its law given
+    x_1 > x_m, each row then mapped by ``ppf``.  The estimates and their standard
     errors are S(x_m) times the rows'; (0, 0) where no row is drawn.  With the
     mode at the lower support bound, F(x_m) = 0 and the rows are the noise
     ``dist.sample`` draws.  The likelihood ratio is capped on every row at
@@ -326,7 +341,10 @@ def marginal_incentive(
     def work(m, rng):
         if not hasattr(buffers, "rows"):
             buffers.rows = np.empty((BATCH, n))
-        x = noise_block(dist, n, m, rng, floor, out=buffers.rows[:m])
+        u = rng.random(out=buffers.rows[:m])
+        if floor:
+            u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
+        x = dist._ppf_in_place(u)
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
         if np.max(np.abs(lam)) > LR_CAP * shape.global_mode_density:
             raise UnboundedLikelihoodRatio(

@@ -58,7 +58,7 @@ def finite_difference_marginals(
     seed = mc._require_seed(seed)
 
     def work(m, rng):
-        x = mc.noise_block(dist, n, m, rng)
+        x = dist.sample((m, n), rng)
         counts = []
         for sign in (+1.0, -1.0):
             y1 = e_star + sign * step + x[:, 0]

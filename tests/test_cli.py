@@ -259,6 +259,33 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         # an infinite cost solved to effort 0 (kappa) or 1 (beta)
         ("cost", {"kappa": float("inf")}, "bad cost: need finite kappa > 0 and beta > 1"),
         ("cost", {"beta": float("inf")}, "bad cost: need finite kappa > 0 and beta > 1"),
+        # a misspelled scheme key was dropped: this priced winner-take-all with no standard
+        ("verify", {"scheme": {"kind": "rank", "prize": [0.5, 0.5, 0.0], "standrd": 2.0}},
+         "unknown keys in rank scheme spec: ['prize', 'standrd']"),
+        ("verify", {"scheme": {"kind": "constant", "cap": 3}}, "unknown keys in constant scheme spec: ['cap']"),
+        ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "constant"}, "second": {"kind": "constant"},
+                               "weight": 0.5, "wieght": 0.25}},
+         "unknown keys in mixture scheme spec: ['wieght']"),
+        ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "linear_share", "cap": 2.0, "standard": 1.0},
+                               "second": {"kind": "constant"}, "weight": 0.5}},
+         "mixture scheme spec: bad 'first': unknown keys in linear_share scheme spec: ['standard']"),
+        # a JSON true or false was read as the number 1 or 0
+        ("schedule", {"equal_top": True}, "bad 'equal_top': true is not a number"),
+        ("schedule", [True, False, False], "bad 'schedule': true is not a number"),
+        ("threshold", True, "bad 'threshold': true is not a number"),
+        ("cost", {"kappa": True}, "bad 'cost.kappa': true is not a number"),
+        ("montecarlo", {"draws": 10000, "seed": True}, "bad 'montecarlo.seed': true is not a number"),
+        ("verify", {"scheme": {"kind": "linear_share", "cap": True}},
+         "linear_share scheme spec: bad 'cap': true is not a number"),
+        ("verify", {"scheme": {"kind": "mixture", "first": {"kind": "constant"}, "second": {"kind": "constant"},
+                               "weight": True}},
+         "mixture scheme spec: bad 'weight': true is not a number"),
+        ("verify", {"scheme": {"kind": "rank", "prizes": [True, False, False]}},
+         "rank scheme spec: bad 'prizes': true is not a number"),
+        ("distribution", {"family": "gumbel", "params": {"scale": True}},
+         "gumbel parameter 'scale' must be a number, got true"),
+        ("distribution", {"family": "piecewise_linear", "knots": [[0, True], [1, False]]},
+         "'knots' entry [0, true] is not a pair of numbers"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
@@ -779,7 +806,7 @@ def test_bad_seed_env_is_named(tmp_path, capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "command, source, value",
     [("verify", "--seed", -1), ("verify", "TOURNEY_SEED", -5), ("verify", "montecarlo.seed", -1),
-     ("audit", "--seed", -1), ("audit", "TOURNEY_SEED", 2**128)],
+     ("audit", "--seed", -1), ("audit", "TOURNEY_SEED", -5)],
 )
 def test_out_of_range_seed_is_named(tmp_path, capsys, monkeypatch, command, source, value):
     monkeypatch.delenv("TOURNEY_SEED", raising=False)
@@ -797,37 +824,38 @@ def test_out_of_range_seed_is_named(tmp_path, capsys, monkeypatch, command, sour
         monkeypatch.setenv("TOURNEY_SEED", str(value))
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"invalid input: bad '{source}': seed {value} is not in [0, 2**128)\n"
+    assert err == f"invalid input: bad '{source}': {value} is below 0\n"
 
 
-@pytest.mark.parametrize("source", ["--seed", "montecarlo.seed", "TOURNEY_SEED"])
-@pytest.mark.parametrize(
-    "verify, derived",
-    [({"scheme": {"kind": "constant"}}, 2), ({"bounds_battery": 1}, 2),
-     ({"scheme": {"kind": "constant"}, "bounds_battery": 2}, 4)],
-)
-def test_seed_whose_derived_key_overflows_is_named(tmp_path, capsys, monkeypatch, source, verify,
-                                                   derived):
-    # the schemes' streams are keyed seed + 1 and seed + 2 + k
-    seed = 2**128 - 1
-    monkeypatch.delenv("TOURNEY_SEED", raising=False)
-    mc_cfg = {"draws": 10000, "seed": seed} if source == "montecarlo.seed" else {"draws": 10000}
-    doc = {**GUMBEL_BATTERY, "verify": verify, "montecarlo": mc_cfg}
-    argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc)]
-    if source == "--seed":
-        argv += ["--seed", str(seed)]
-    elif source == "TOURNEY_SEED":
-        monkeypatch.setenv("TOURNEY_SEED", str(seed))
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == (f"invalid input: bad '{source}': seed {seed} derives key {seed + derived}, "
-                   "not in [0, 2**128)\n")
-
-
-def test_seed_whose_largest_derived_key_fits_runs(tmp_path):
-    doc = {**GUMBEL_BATTERY, "verify": {"scheme": {"kind": "constant"}, "battery_draws": 10000}}
-    argv = ["verify", "--config", _write(tmp_path, "cfg.json", doc), "--seed", str(2**128 - 3)]
-    assert cli.main(argv) == 0
+@pytest.mark.parametrize("command", ["verify", "audit"])
+@pytest.mark.parametrize("seed", [2**128, 2**200], ids=["2**128", "2**200"])
+def test_seed_beyond_128_bits_runs(tmp_path, monkeypatch, command, seed):
+    # a seed is any nonnegative integer: from each source it gives the same
+    # bytes, and the streams of the scheme and the battery take keys above it
+    if command == "audit":
+        path = tmp_path / "perf.csv"
+        path.write_text("performance\n" + "\n".join(str(v % 7) for v in range(40)) + "\n")
+        base = ["audit", "--input", str(path), "--bootstrap", "200"]
+        sources = ["--seed", "TOURNEY_SEED"]
+    else:
+        doc = {**GUMBEL_BATTERY, "verify": {"scheme": {"kind": "constant"}, "bounds_battery": 2,
+                                           "battery_draws": 10000}}
+        base = ["verify", "--config", _write(tmp_path, "cfg.json", doc)]
+        seeded = {**doc, "montecarlo": {"draws": 10000, "seed": seed}}
+        sources = ["--seed", "TOURNEY_SEED", "montecarlo.seed"]
+    outputs = []
+    for source in sources:
+        monkeypatch.delenv("TOURNEY_SEED", raising=False)
+        argv = base + ["--out", str(tmp_path / "out.json")]
+        if source == "--seed":
+            argv += ["--seed", str(seed)]
+        elif source == "TOURNEY_SEED":
+            monkeypatch.setenv("TOURNEY_SEED", str(seed))
+        else:
+            argv[2] = _write(tmp_path, "seeded.json", seeded)
+        assert cli.main(argv) == 0
+        outputs.append((tmp_path / "out.json").read_bytes())
+    assert len(set(outputs)) == 1 and str(seed).encode() in outputs[0]
 
 
 def test_verify_prices_its_battery_in_one_bound_check(tmp_path, monkeypatch):

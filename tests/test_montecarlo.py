@@ -253,8 +253,8 @@ def _block_sizes(draws):
 
 
 def _noise_blocks(dist, n, draws, seed):
-    """Every block of ``noise_block`` draws, unreduced, as ``_blocks`` runs them."""
-    return mc._blocks(functools.partial(mc.noise_block, dist, n), draws, mc.BATCH, seed)
+    """Every (m, n) block of noise ``dist.sample`` draws, unreduced, as ``_blocks`` runs them."""
+    return mc._blocks(lambda m, rng: dist.sample((m, n), rng), draws, mc.BATCH, seed)
 
 
 def _scan_blocks(dist, n, levels, draws, seed):

@@ -332,7 +332,7 @@ def _full_payment_incentive(dist, n, payments, effort, draws, seed):
     xm = dist.find_modes().global_mode
 
     def work(m, rng):
-        x = mc.noise_block(dist, n, m, rng)
+        x = dist.sample((m, n), rng)
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
         w1 = payments(effort + x)[:, 0]
         vals = np.where(x[:, 0] > xm, w1 * lam, 0.0)
