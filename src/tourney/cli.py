@@ -198,8 +198,8 @@ def _scenario_from(config: dict, args) -> dict:
         "schedule": _build_schedule(merged.get("schedule"), n),
         "threshold": None if threshold == "optimal" else threshold,
         "cost": _build_cost(merged.get("cost")),
-        "montecarlo": merged.get("montecarlo", {}) or {},
-        "verify": merged.get("verify", {}) or {},
+        "montecarlo": {} if merged.get("montecarlo") is None else merged["montecarlo"],
+        "verify": {} if merged.get("verify") is None else merged["verify"],
     }
 
 
@@ -357,7 +357,7 @@ def cmd_figures(args) -> int:
 
 def cmd_verify(args) -> int:
     """``verify``: the best-response scan, and each scheme's bound at ``battery_draws``
-    noise draws (1e5 by default), of which only those above the mode are drawn."""
+    noise draws (1e5 by default), only those above the mode drawn; ``verified`` needs ``concavity_ok``."""
     sc = _scenario_from(_load_config(args.config), args)
     opts = sc["verify"]
     _check_keys(opts, {"force_effort", "bounds_battery", "battery_draws", "scheme"}, "verify")
@@ -413,7 +413,7 @@ def cmd_verify(args) -> int:
         ]
     battery_ok = all(chk["satisfied"] for chk in battery_out or ())
 
-    verified = bool(report.certified and ok_ranks and battery_ok)
+    verified = bool(solution.concavity_ok and report.certified and ok_ranks and battery_ok)
     out = {
         "scenario": payload,
         "checked_effort": e_check,

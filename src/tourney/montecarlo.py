@@ -72,8 +72,8 @@ class SeedRequired(ValueError):
 @dataclass(frozen=True)
 class SimulationReport:
     """Player 1's rank tally; a best-response scan adds the payoffs on its
-    effort grid and the certificate of ``verify_best_response``, None
-    otherwise."""
+    effort grid as read-only arrays, so that its report neither hashes nor compares by
+    ``==``, and the certificate of ``verify_best_response``; None otherwise."""
 
     draws: int
     seed: int
@@ -81,8 +81,8 @@ class SimulationReport:
     rank_counts: tuple[int, ...]           # raw tallies, last slot = no prize
     at_least_prob: tuple[float, ...]       # chance of rank r or better
     at_least_se: tuple[float, ...]
-    effort_grid: tuple[float, ...] | None = None
-    payoffs: tuple[float, ...] | None = None
+    effort_grid: np.ndarray | None = None
+    payoffs: np.ndarray | None = None
     gap: float | None = None               # best payoff gain over e*
     gap_se: float | None = None
     grid_bias: float | None = None
@@ -417,10 +417,11 @@ def verify_best_response(
     step = float(np.max(np.diff(grid))) if grid.size > 1 else 0.0
     lipschitz = dist.find_modes().global_mode_density + float(design.cost.cprime(e_max))
     grid_bias = float(0.5 * lipschitz * step)
+    grid.flags.writeable = payoffs.flags.writeable = False
     return replace(
         _tally_report(draws, seed, n, rank_counts),
-        effort_grid=tuple(grid.tolist()),
-        payoffs=tuple(payoffs.tolist()),
+        effort_grid=grid,
+        payoffs=payoffs,
         gap=gap,
         gap_se=gap_se,
         grid_bias=grid_bias,

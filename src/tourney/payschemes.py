@@ -10,8 +10,8 @@ likelihood-ratio-weighted expected payment above the global mode; under
 log-concave noise that bound never exceeds the winner-take-all tournament's
 marginal benefit at the mode, and under log-convex noise it never exceeds
 ``f(lower bound)/n``.  This module estimates the bound integrand by Monte
-Carlo, spot-checks scheme properties statistically, and compares estimates
-to the closed-form caps.
+Carlo and compares estimates to the closed-form caps.  Its kinds' constructors
+check the properties exactly; a user's callable is spot-checked statistically.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
-from .montecarlo import BATCH, UNIT_MAX, _blocks, _rank, _require_draws, _require_seed, _substreams
+from .montecarlo import BATCH, UNIT_MAX, _blocks, _rank, _rank_count, _require_draws, _require_seed, _substreams
 
 __all__ = [
     "PayScheme",
@@ -81,7 +81,12 @@ class PayScheme:
     must not mutate shared state; the built-in schemes are pure functions
     of the rows.  There the rows are read-only and shared by every scheme
     of the call, and refilled by the next block: ``pay`` must not keep them.
+    The library's constructors set ``_checked`` on the kinds whose properties
+    they check exactly and, on those that pay by rank alone, ``_rank_form``:
+    the payment from player 1's outputs x_1 and the counts k of rivals above.
     """
+
+    _checked, _rank_form = False, None
 
     def __init__(self, n: int, pay: Callable[[np.ndarray], np.ndarray], label: str = "custom"):
         self.n = int(n)
@@ -99,20 +104,28 @@ class PayScheme:
         return f"PayScheme({self.label}, n={self.n})"
 
 
+def _built(scheme: PayScheme, rank_form=None, checked: bool = True) -> PayScheme:
+    """``scheme`` with the private attributes of a library kind set."""
+    scheme._rank_form, scheme._checked = rank_form, checked
+    return scheme
+
+
 def rank_payscheme(schedule: PrizeSchedule, standard: float = -np.inf) -> PayScheme:
     """Pay by performance rank among those above the standard: player 1 is
     paid the prize of its rank from ``montecarlo._rank``, which counts the
     rivals strictly above it, so ties go to player 1.  On a tied row every
     tied player is paid the prize, so the scheme keeps the budget only up
-    to ties, which have measure zero under continuous noise."""
+    to ties, which have measure zero under continuous noise.  ``PrizeSchedule`` checks the prizes."""
     v = np.append(np.asarray(schedule.prizes), 0.0)
     label = f"rank(v={schedule.prizes}, standard={standard:g})"
-    return PayScheme(schedule.n, lambda y: v[_rank(y, y[:, 0], y[:, 0] >= standard)], label)
+    return _built(PayScheme(schedule.n, lambda y: v[_rank(y, y[:, 0], y[:, 0] >= standard)], label),
+                  lambda x1, k: v[np.where(x1 >= standard, k, schedule.n)])
 
 
 def capped_linear_share(n: int, cap: float) -> PayScheme:
     """Split the budget in proportion to output above a cap; pay nothing
-    when nobody clears it."""
+    when nobody clears it.  A cap that is not finite raises ``ValueError``."""
+    cap = _finite(cap)
 
     def pay(y):
         a = y - cap
@@ -120,25 +133,32 @@ def capped_linear_share(n: int, cap: float) -> PayScheme:
         tot = a.sum(axis=1)
         return np.where(tot > 0, a[:, 0] / np.where(tot > 0, tot, 1.0), 0.0)
 
-    return PayScheme(n, pay, f"linear_share(cap={cap:g})")
+    return _built(PayScheme(n, pay, f"linear_share(cap={cap:g})"))
 
 
 def constant_share(n: int) -> PayScheme:
     """Unconditional equal split of the budget."""
-    return PayScheme(n, lambda y: np.full(len(y), 1.0 / n), f"constant_share(1/{n})")
+    return _built(PayScheme(n, lambda y: np.full(len(y), 1.0 / n), f"constant_share(1/{n})"),
+                  lambda x1, k: np.full(len(x1), 1.0 / n))
 
 
 def mixture(first: PayScheme, second: PayScheme, weight: float) -> PayScheme:
+    """``weight`` times ``first``'s payment plus the rest times ``second``'s, with a rank
+    form and checked where both are; a weight not a number in [0, 1] raises ``ValueError``."""
     if first.n != second.n:
         raise ValueError("mixture components must share the player count")
-    w = float(weight)
+    w = _real(weight)
     if not 0.0 <= w <= 1.0:
         raise ValueError("mixture weight must lie in [0, 1]")
 
     def pay(y):
         return w * first.pay(y) + (1.0 - w) * second.pay(y)
 
-    return PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})")
+    def rank_form(x1, k):
+        return w * first._rank_form(x1, k) + (1.0 - w) * second._rank_form(x1, k)
+
+    return _built(PayScheme(first.n, pay, f"mix({w:.3f}*{first.label} + {1-w:.3f}*{second.label})"),
+                  rank_form if first._rank_form and second._rank_form else None, first._checked and second._checked)
 
 
 def _field(spec: dict, key: str, convert):
@@ -234,7 +254,8 @@ def check_properties(scheme: PayScheme, y: np.ndarray, rng: np.random.Generator)
     block of at most ``PROPERTY_BLOCK`` outputs per call, so the budget is
     checked on whole rows.  Anonymity is checked as invariance under
     permutations of the rival columns, monotonicity by raising player 1's
-    own output.  Statistical by design: schemes are opaque callables.
+    own output.  Statistical: ``marginal_incentive`` runs it on the schemes
+    not built by the library's constructors, which check theirs exactly.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if y.size == 0:
@@ -305,21 +326,25 @@ def marginal_incentive(
     at the upper support bound.
 
     Only draws above the mode x_m count, so only they are drawn: round(draws
-    S(x_m)) rows of levels u from ``rng.random``, player 1's moved to
+    S(x_m)) rows, player 1's level u from ``rng.random`` moved to
     F(x_m) + (1 - F(x_m)) u and kept below 1, so that x_1 has its law given
-    x_1 > x_m, each row then mapped by ``ppf``.  The estimates and their standard
-    errors are S(x_m) times the rows'; (0, 0) where no row is drawn.  With the
-    mode at the lower support bound, F(x_m) = 0 and the rows are the noise
-    ``dist.sample`` draws.  The likelihood ratio is capped on every row at
-    ``LR_CAP`` times the mode's density, which has its units.
+    x_1 > x_m.  The estimates and their standard errors are S(x_m) times the
+    rows'; (0, 0) where no row is drawn.  The likelihood ratio is capped on
+    every row at ``LR_CAP`` times the mode's density, which has its units.
 
-    Streams: the rows come from the ``_blocks`` substreams of ``seed``, and
-    every scheme is priced on the same rows (common random numbers), so a
-    one-scheme call gives what scheme 0 gets in a longer one.  Scheme k is
-    spot-checked by ``check_properties`` on 256 rows of ``dist.sample``
-    from the PCG64DXSM stream (O'Neill, "PCG", HMC-CS-2014-0905) of key
-    ``(seed + k) ^ 0x9E3779B97F4A7C15``, which then draws the check's
-    trials, before any row is drawn.  The schemes must share n.
+    Streams: the rows come from the ``_blocks`` substreams of ``seed``.  Where
+    every scheme has a ``_rank_form``, a row is u and the count K ~
+    Binomial(n - 1, 1 - u) of rivals above it (David & Nagaraja, Order
+    Statistics, ch. 2), priced by ``_rank_form``; else all n levels from
+    ``rng.random`` in blocks of at most 2^20 (``BATCH`` rows for n <= 64),
+    priced by ``pay``; each row mapped by ``ppf``.  Every scheme is priced on
+    the same rows (common random numbers), so a one-scheme call gives what
+    scheme 0 gets in a longer one priced the same way.  Scheme k, unless
+    ``_checked``, is spot-checked by ``check_properties`` on 256 rows of
+    ``dist.sample`` from the PCG64DXSM stream (O'Neill, "PCG",
+    HMC-CS-2014-0905) of key ``(seed + k) ^ 0x9E3779B97F4A7C15``, which then
+    draws the check's trials, before any row is drawn.  The schemes must
+    share n.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
@@ -329,21 +354,25 @@ def marginal_incentive(
         raise ValueError("density must vanish at the upper support bound")
     xm = shape.global_mode
     for k, scheme in enumerate(schemes):
-        rng = _substreams((seed + k) ^ 0x9E3779B97F4A7C15, 1)[0]
-        check_properties(scheme, dist.sample((256, n), rng) + effort, rng)
+        if not scheme._checked:
+            rng = _substreams((seed + k) ^ 0x9E3779B97F4A7C15, 1)[0]
+            check_properties(scheme, dist.sample((256, n), rng) + effort, rng)
     above = float(dist.sf(xm))
     rows = round(draws * above)
     if rows == 0:
         return [(0.0, 0.0)] * len(schemes)
     floor = float(dist.cdf(xm))
+    ranked = all(scheme._rank_form is not None for scheme in schemes)
+    block = BATCH if ranked else max(1, min(BATCH, 2**20 // n))
     buffers = threading.local()
 
     def work(m, rng):
         if not hasattr(buffers, "rows"):
-            buffers.rows = np.empty((BATCH, n))
+            buffers.rows = np.empty((block, 1 if ranked else n))
         u = rng.random(out=buffers.rows[:m])
         if floor:
             u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
+        rivals_above = _rank_count(u[:, 0], n, rng) if ranked else None
         x = dist._ppf_in_place(u)
         lam = np.asarray(dist.likelihood_ratio(x[:, 0]))
         if np.max(np.abs(lam)) > LR_CAP * shape.global_mode_density:
@@ -355,11 +384,11 @@ def marginal_incentive(
         y.flags.writeable = False  # shared by every scheme: one that writes raises
         sums = np.empty((len(schemes), 2))
         for k, scheme in enumerate(schemes):
-            vals = scheme.pay(y) * lam
+            vals = (scheme._rank_form(y[:, 0], rivals_above) if ranked else scheme.pay(y)) * lam
             sums[k] = vals.sum(), np.dot(vals, vals)
         return sums
 
-    total = sum(_blocks(work, rows, BATCH, seed), np.zeros((len(schemes), 2)))
+    total = sum(_blocks(work, rows, block, seed), np.zeros((len(schemes), 2)))
     mean = total[:, 0] / rows
     var = np.maximum(total[:, 1] / rows - mean * mean, 0.0)
     return list(zip((above * mean).tolist(), (above * np.sqrt(var / rows)).tolist()))

@@ -286,6 +286,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
          "gumbel parameter 'scale' must be a number, got true"),
         ("distribution", {"family": "piecewise_linear", "knots": [[0, True], [1, False]]},
          "'knots' entry [0, true] is not a pair of numbers"),
+        # a falsy section that is not an object was read as an empty one
+        ("montecarlo", False, "montecarlo must be a JSON object, not bool"),
+        ("montecarlo", [], "montecarlo must be a JSON object, not list"),
+        ("verify", 0, "verify must be a JSON object, not int"),
     ],
 )
 def test_malformed_section_exits_2(tmp_path, capsys, section, value, named):
@@ -753,6 +757,20 @@ def test_verify_rejects_pareto_eps_at_unit_cost(tmp_path):
     assert abs(br["gap"] - 0.0239618) <= 4 * br["gap_se"] + br["grid_bias"]
     assert all(abs(r["z"]) <= 4 for r in rep["prize_probabilities"])
     assert rep["bounds_battery"][0]["satisfied"]
+
+
+@pytest.mark.parametrize("draws", [10**5, 10**6])
+def test_verify_never_certifies_a_design_its_quadrature_refutes(tmp_path, draws):
+    # red WTA at n = 10: solve finds that deviating to 0.176777 gains 0.00119
+    # over e* = 0.420509, and at seed 2 the scan's rule passes that gain
+    doc = {"distribution": {"family": "trimodal_example", "params": {"variant": "red"}}, "n": 10,
+           "schedule": "wta", "montecarlo": {"draws": draws, "seed": 2}}
+    out = tmp_path / "verify.json"
+    with pytest.warns(ConcavityWarning, match="gains 0.00119"):
+        assert cli.main(["verify", "--config", _write(tmp_path, "cfg.json", doc), "--out", str(out)]) == 4
+    rep = json.loads(out.read_text())
+    assert rep["best_response"]["certified"] and not rep["scenario"]["concavity_ok"]
+    assert rep["verified"] is False
 
 
 def test_verify_rejects_erf_exponential_eps_at_unit_cost(tmp_path):

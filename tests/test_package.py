@@ -53,7 +53,7 @@ PRIVATE_IMPORTS = {
     "audit": {"_blocks"},
     "cli": {"_marginal_benefit"},
     "prizes": {"_marginal_benefit", "_mode_values", "_unit"},
-    "payschemes": {"_blocks", "_rank", "_require_draws", "_require_seed", "_substreams"},
+    "payschemes": {"_blocks", "_rank", "_rank_count", "_require_draws", "_require_seed", "_substreams"},
 }
 
 # The calls that make worker threads, bit generators and substreams, and

@@ -443,3 +443,147 @@ def test_each_worker_prices_every_block_from_one_buffer():
     ps.marginal_incentive(PARETO, [ps.PayScheme(3, pay, "recorder")], 0.3, draws=4 * mc.BATCH + 5, seed=2)
     assert sorted(m for m, _ in seen) == [5] + [mc.BATCH] * 4
     assert len({pointer for _, pointer in seen}) <= 2
+
+
+def _rivals_above(y):
+    """The count of rivals strictly above player 1 on each row."""
+    return np.sum(y[:, 1:] > y[:, :1], axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_rank_form_is_the_payment_from_own_output_and_rivals_above(n):
+    # on random rows and on tied ones, every kind with a rank form pays from
+    # (x_1, K) what it pays from the whole row, bit for bit
+    rng = np.random.default_rng(40 + n)
+    y = np.concatenate([rng.normal(0.5, 1.0, size=(500, n)), rng.integers(0, 3, size=(200, n)) * 0.25])
+    schemes = [scheme for scheme, _ in _built_in_schemes(n) + _battery(n, 20, rng, -1.0, 2.0)]
+    ranked = [scheme for scheme in schemes if scheme._rank_form is not None]
+    assert len(ranked) == 6  # four rank schemes, the constant and the constant-rank mixture
+    for scheme in ranked:
+        got, want = scheme._rank_form(y[:, 0], _rivals_above(y)), scheme.pay(y)
+        assert got.tobytes() == want.tobytes(), scheme
+    assert all(scheme._checked for scheme in schemes)
+
+
+def test_library_kinds_have_the_properties_their_constructors_check():
+    # what the spot-check tested on every call before: each kind passes it
+    # at every n here, and the constructors refuse what would break it
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 10, 30):
+        y = rng.normal(0.5, 1.0, size=(256, n))
+        for scheme, _ in _built_in_schemes(n) + _battery(n, 10, rng, -1.0, 2.0):
+            ps.check_properties(scheme, y, rng)
+    for cap in (np.inf, -np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="not finite|not a number"):
+            ps.capped_linear_share(3, cap)
+    for weight in (-0.1, 1.1, np.nan):
+        with pytest.raises(ValueError, match=r"mixture weight must lie in \[0, 1\]"):
+            ps.mixture(ps.constant_share(3), ps.constant_share(3), weight)
+    with pytest.raises(ValueError, match="true is not a number"):
+        ps.mixture(ps.constant_share(3), ps.constant_share(3), True)
+    for prizes, named in [((0.5, 0.6, -0.1), "nonnegative"), ((0.2, 0.5, 0.3), "weakly decreasing"),
+                          ((0.6, 0.3, 0.0), "sum to 1"), ((np.nan, 0.5, 0.5), "finite")]:
+        with pytest.raises(ValueError, match=named):
+            ps.rank_payscheme(eq.PrizeSchedule(prizes))
+    # a user's scheme is neither checked nor priced by rank, and a mixture is
+    # checked, and has a rank form, only where both parts do
+    custom = ps.PayScheme(3, lambda y: np.full(len(y), 1 / 3), "custom")
+    assert not custom._checked and custom._rank_form is None
+    mixed = ps.mixture(custom, ps.constant_share(3), 0.5)
+    assert not mixed._checked and mixed._rank_form is None
+    linear = ps.mixture(ps.constant_share(3), ps.capped_linear_share(3, 0.0), 0.5)
+    assert linear._checked and linear._rank_form is None
+    ranked = ps.mixture(ps.constant_share(3), ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(3)), 0.5)
+    assert ranked._checked and ranked._rank_form is not None
+
+
+def test_a_custom_scheme_that_breaks_a_property_still_raises():
+    # not checked, so spot-checked before any row is drawn, alone, beside or
+    # mixed with a library kind
+    def over(y):
+        return np.full(len(y), 0.6)
+
+    for schemes in ([ps.PayScheme(3, over, "over")],
+                    [ps.constant_share(3), ps.PayScheme(3, over, "over")],
+                    [ps.mixture(ps.PayScheme(3, over, "over"), ps.constant_share(3), 0.9)]):
+        with pytest.raises(ps.PropertyViolation, match="budget exceeded"):
+            ps.marginal_incentive(GUMBEL, schemes, 0.3, draws=10_000, seed=1)
+
+
+def test_a_custom_scheme_is_priced_by_the_payment_it_was_checked_on():
+    # a user cannot hand in a rank form beside ``pay``: one paying 0.9 from
+    # (x_1, K) and 1/3 from the rows passed the spot-check and was priced
+    # at 0.329 from the rank form, over the budget
+    third = ps.PayScheme(3, lambda y: np.full(len(y), 1 / 3), "third")
+    with pytest.raises(TypeError):
+        ps.PayScheme(3, third.pay, "third", lambda x1, k: np.full(len(x1), 0.9))
+    # priced from the dense rows, as the constant share is beside it
+    [alone] = ps.marginal_incentive(GUMBEL, [third], 0.3, draws=10_000, seed=1)
+    beside = ps.marginal_incentive(GUMBEL, [third, ps.constant_share(3)], 0.3, draws=10_000, seed=1)
+    assert alone == beside[0] == beside[1]
+    assert abs(alone[0]) < 0.329 / 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 10, 300])
+@pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
+def test_rank_form_estimate_agrees_with_dense_pricing(dist, n, seed):
+    # the rank schemes priced from (x_1, K) against the same payments priced
+    # on dense rows, on a stream of their own: within 4 combined SE
+    rng = np.random.default_rng(seed)
+    lo, hi = dist.truncated_support(1e-6)
+    standard = 0.3 + rng.uniform(lo, min(hi, 10.0))
+    schemes = [ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(n)),
+               ps.rank_payscheme(eq.random_schedule(n, rng), standard),
+               ps.mixture(ps.constant_share(n), ps.rank_payscheme(eq.PrizeSchedule.equal_sharing(n), standard), 0.4)]
+    dense = [ps._built(ps.PayScheme(n, scheme.pay, scheme.label)) for scheme in schemes]
+    ranked = ps.marginal_incentive(dist, schemes, 0.3, draws=20_000, seed=seed)
+    priced = ps.marginal_incentive(dist, dense, 0.3, draws=20_000, seed=100 + seed)
+    for scheme, (est, se), (want, want_se) in zip(schemes, ranked, priced):
+        assert se > 0.0
+        assert abs(est - want) <= 4.0 * np.hypot(se, want_se), scheme
+
+
+@pytest.mark.parametrize("dist", [GUMBEL, PARETO], ids=["gumbel", "pareto"])
+def test_rank_scheme_alone_agrees_with_it_beside_a_dense_scheme(dist):
+    # beside a linear share the call prices it on dense rows, alone from
+    # (x_1, K): the two agree in law
+    rank = ps.rank_payscheme(eq.PrizeSchedule.winner_take_all(10))
+    [alone] = ps.marginal_incentive(dist, [rank], 0.3, draws=50_000, seed=8)
+    beside = ps.marginal_incentive(dist, [rank, ps.capped_linear_share(10, 2.0)], 0.3, draws=50_000, seed=8)[0]
+    assert alone != beside
+    assert abs(alone[0] - beside[0]) <= 4.0 * np.hypot(alone[1], beside[1])
+
+
+def test_rank_count_has_its_law_given_own_output():
+    # a rank form sees x_1 and K alone; given x_1, K ~ Binomial(n - 1, S(x_1))
+    n, seen = 10, []
+
+    def record(x1, k):
+        seen.append((x1.copy(), np.asarray(k).copy()))
+        return np.zeros(len(x1))
+
+    scheme = ps._built(ps.PayScheme(n, lambda y: np.zeros(len(y)), "records"), record)
+    ps.marginal_incentive(GUMBEL, [scheme], 0.3, draws=50_000, seed=9)
+    x1, k = (np.concatenate(part) for part in zip(*seen))
+    assert len(x1) == round(50_000 * float(GUMBEL.sf(GUMBEL.find_modes().global_mode)))
+    assert k.min() >= 0 and k.max() <= n - 1
+    p = GUMBEL.sf(x1 - 0.3)
+    resid = k - (n - 1) * p
+    assert abs(resid.mean()) <= 4.0 * np.sqrt(np.mean((n - 1) * p * (1 - p)) / len(k))
+
+
+def test_dense_rows_at_large_n_come_in_bounded_blocks():
+    # at n = 1000 a block of BATCH rows would hold 16.4 million outputs
+    n, seen = 1000, []
+
+    def record(y):
+        if not y.flags.writeable:
+            seen.append(y.shape)
+        return np.zeros(len(y))
+
+    scheme = ps._built(ps.PayScheme(n, record, "records"))
+    ps.marginal_incentive(PARETO, [scheme], 0.3, draws=10_000, seed=3)
+    assert sum(m for m, _ in seen) == 10_000
+    assert max(m for m, _ in seen) * n <= 2**20
+    assert {cols for _, cols in seen} == {n}
