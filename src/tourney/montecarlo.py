@@ -32,12 +32,13 @@ Variate Generation, ch. V): the largest of k iid uniforms is V^(1/k), and
 the others are iid uniform below it, so U_(1) = V_1^(1/(n - 1)) and
 U_(j+1) = U_(j) V_(j+1)^(1/(n - 1 - j)); K is the number of these above
 u_1, plus, where all L are, Binomial(n - 1 - L, 1 - u_1 / U_(L)) for the
-rivals below U_(L).  Histograms of the jumps d_j at P_j on the effort
-grid, summed cumulatively, give the payoff sums at every grid point in one
-pass over the draws, whatever the grid size; the rank tally at the checked
-effort is K where player 1 passes.  A jump finds its grid cell, the first
-grid point at or above P_j, from a bucket table built once per scan
-(``_Cells``); two-valued prizes count them (``_grid_counts``).
+rivals below U_(L).  Each block then maps its walked rows one level at a
+time and bins each row's jumps d_j at P_j on the effort grid; the blocks'
+histograms, summed cumulatively, give the payoff sums at every grid point
+in one pass over the draws, whatever the grid size, and the rank tally at
+the checked effort is K where player 1 passes.  A jump finds its grid cell,
+the first grid point at or above P_j, from a bucket table built once per
+scan (``_Cells``); a two-valued prize counts its jumps in integers.
 """
 
 from __future__ import annotations
@@ -133,15 +134,12 @@ def _blocks(work, total: int, block: int, seed: int):
         yield from pool.map(work, sizes, _substreams(seed, len(sizes)))
 
 
-def _scan_block(dist: NoiseDistribution, n: int, levels: np.ndarray, m: int, rng: np.random.Generator):
-    """One block of m draws of the best-response scan: player 1's noise x_1,
-    its rank count K and the rivals' X_(j+1) at each prize level j of
-    ``levels`` (from ``_levels``; -inf at level n - 1): u_1, the top L
-    rival uniforms walked down one row at a time, and the rest of K
-    (``_rank_count``), 0 where U_(L) <= u_1 (see the module docstring).  The
-    binned rows are kept below 1, as ``Generator.random``'s are, and mapped."""
-    binned = levels < n - 1
-    depth = int(levels[binned].max(initial=-1)) + 1
+def _scan_block(n: int, depth: int, m: int, rng: np.random.Generator):
+    """One block of m draws of the best-response scan, unmapped: player 1's
+    uniform u_1, its rank count K and the (depth, m) walk, whose row j holds
+    the rivals' U_(j+1): u_1, the top ``depth`` rival uniforms walked down
+    one row at a time, and the rest of K (``_rank_count``), 0 where
+    U_(depth) <= u_1 (see the module docstring)."""
     u1 = rng.random(m)
     walk = np.empty((depth, m))
     for j in range(depth):
@@ -154,10 +152,7 @@ def _scan_block(dist: NoiseDistribution, n: int, levels: np.ndarray, m: int, rng
         k = _rank_count(u1 / np.maximum(walk[-1], u1) if depth else u1, n - depth, rng)
     for row in walk:
         k += row > u1
-    top = np.full((m, levels.size), -np.inf)
-    for i, j in enumerate(levels[binned]):  # levels ascend, so the binned ones come first
-        top[:, i] = dist._ppf_in_place(np.minimum(walk[j], UNIT_MAX, out=walk[j]))
-    return dist._ppf(u1), k, top
+    return u1, k, walk
 
 
 def _rank_count(u1: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,66 +244,62 @@ class _Cells:
             k -= down
 
 
-def _grid_sums(x1: np.ndarray, k: np.ndarray, top: np.ndarray, cells: _Cells, i_star: int,
-               rho: float, prizes: np.ndarray):
-    """Sums over one block of player 1's prize w at each point of
-    ``cells.grid``.
+def _bin_block(dist, u1, k, walk, cells: _Cells, i_star: int, rho: float, prizes: np.ndarray):
+    """One block's jumps of player 1's prize w on ``cells.grid``, from the
+    draws of ``_scan_block``, and its tally of player 1's rank at
+    e* = ``grid[i_star]``, n where it misses the standard.
 
-    ``x1`` holds player 1's noise per draw, ``k`` the count of rivals whose
-    uniform exceeds player 1's, and ``top`` the rivals' X_(j+1) at each
-    level of ``_levels(prizes)`` (``_scan_block``).  Rivals sit at
-    e* = ``grid[i_star]``; w* is player 1's prize there.  Returns the
-    (3, grid.size) sums of w, w - w* and (w - w*)^2, and player 1's rank at
-    e* per draw (``_jump_cells``).
-
-    Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring), and the
-    jump at P_j reaches every grid point g >= P_j; ``cells`` finds the first
-    such point.  Across level j, (w - w*)^2 jumps by
-    (v_j - w*)^2 - (v_(j+1) - w*)^2.  These jumps are summed outward from
-    e*, where they vanish, so the paired variance cannot cancel.
+    Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring).  Each
+    binned level j maps its row of the walk in place to X_(j+1), its
+    uniforms kept below 1 as ``Generator.random``'s are (the standard's
+    level n - 1 maps none), and ``cells`` finds the first grid
+    point at or above each P_j, G = grid.size beyond the top.  The table
+    has G + 1 cells per row: under a two-valued prize, the counts of jumps
+    on draws lost and won at e*; otherwise the jumps of w, and those of
+    (w - w*)^2, which jumps by (v_j - w*)^2 - (v_(j+1) - w*)^2 across level
+    j, with w* player 1's prize at e*.
     """
-    grid = cells.grid
-    rank_star, bins = _jump_cells(x1, k, top, cells, i_star, rho, prizes.size)
     v, levels = _levels(prizes)
-    hi, lo = v[levels], v[levels + 1]
-    w_star = v[rank_star]
-
-    def hist(jumps):
-        return np.bincount(bins, np.broadcast_to(jumps, top.shape).ravel(), grid.size + 1)[: grid.size]
-
-    out = np.empty((3, grid.size))
-    out[0] = np.cumsum(hist(hi - lo))
-    out[1] = out[0] - w_star.sum()
-    jumps = hist((hi - w_star[:, None]) ** 2 - (lo - w_star[:, None]) ** 2)
-    out[2, i_star] = 0.0
-    out[2, i_star + 1:] = np.cumsum(jumps[i_star + 1:])
-    out[2, :i_star] = -np.cumsum(jumps[i_star:0:-1])[::-1]
-    return out, rank_star
-
-
-def _jump_cells(x1, k, top, cells: _Cells, i_star: int, rho: float, n: int):
-    """Player 1's rank at e* = ``cells.grid[i_star]`` per draw, n where it
-    misses the standard, and the grid cell of each jump position P_j."""
+    n, size = prizes.size, cells.grid.size + 1
     e_star = cells.grid[i_star]
-    return np.where(e_star + x1 >= rho, k, n), cells((np.maximum(rho, e_star + top) - x1[:, None]).ravel())
+    x1 = dist._ppf(u1)
+    rank = np.where(e_star + x1 >= rho, k, n)
+
+    def cells_of(j):
+        top = dist._ppf_in_place(np.minimum(walk[j], UNIT_MAX, out=walk[j])) if j < n - 1 else -np.inf
+        return cells(np.maximum(rho, e_star + top) - x1)
+
+    if levels.size == 1:
+        j = levels[0]
+        table = np.bincount(cells_of(j) + size * (rank <= j), minlength=2 * size).reshape(2, size)
+    else:
+        w_star, table = v[rank], np.zeros((2, size))
+        for j in levels:
+            cell, d = cells_of(j), v[j] - v[j + 1]
+            hits = np.bincount(cell, minlength=size)
+            table += d * hits, (v[j] ** 2 - v[j + 1] ** 2) * hits - 2.0 * d * np.bincount(cell, w_star, size)
+    return table, np.bincount(rank, minlength=n + 1)
 
 
-def _grid_counts(x1, k, top, cells: _Cells, i_star: int, rho: float, prizes: np.ndarray):
-    """``_grid_sums`` for a two-valued prize: one block's jump counts per grid
-    cell 0, ..., G, offset by G + 1 on draws won at e*, and the ranks at e*."""
-    rank_star, bins = _jump_cells(x1, k, top, cells, i_star, rho, prizes.size)
-    offset = cells.grid.size + 1
-    return np.bincount(bins + offset * (rank_star <= _levels(prizes)[1][0]), minlength=2 * offset), rank_star
+def _finish(table: np.ndarray, tally: np.ndarray, i_star: int, prizes: np.ndarray) -> np.ndarray:
+    """The (3, G) sums over all draws of w, w - w* and (w - w*)^2 at each
+    grid point, from the blocks' summed tables and rank tallies
+    (``_bin_block``).  The jumps of (w - w*)^2 are summed outward from e*,
+    where they vanish, so the paired variance cannot cancel.
 
-
-def _count_sums(counts: np.ndarray, i_star: int, prize: float) -> np.ndarray:
-    """``_grid_sums``'s sums over all draws from the totals ``counts`` of
-    ``_grid_counts``, in integers, then scaled once: w jumps by ``prize``
-    (0 below), (w - w*)^2 by -prize^2 on draws won at e*, prize^2 elsewhere."""
-    lost, won = counts.reshape(2, -1)[:, :-1]
-    w, squares = prize * np.cumsum(lost + won), np.cumsum(lost - won)
-    w_star = prize * counts[counts.size // 2:].sum()
-    return np.array([w, w - w_star, prize * prize * (squares - squares[i_star])])
+    Under a two-valued prize the table counts the jumps on draws lost and
+    won at e*.  In units of the prize, w jumps by 1 on both and (w - w*)^2
+    by 1 on draws lost and -1 on draws won, so these sums stay integers and
+    are scaled once, by the prize and its square.  The prizes in these units
+    are 1 and 0, so sum w* is the prize times the count of draws won at e*.
+    """
+    v, levels = _levels(prizes)
+    scale = 1.0
+    if levels.size == 1:
+        scale, table = v[levels[0]], np.array([[1, 1], [1, -1]]) @ table
+    w, jumps = scale * np.cumsum(table[0, :-1]), table[1, :-1]
+    squares = np.concatenate([-np.cumsum(jumps[i_star:0:-1])[::-1], [0], np.cumsum(jumps[i_star + 1:])])
+    return np.array([w, w - scale * ((v / scale) @ tally), scale * scale * squares])
 
 
 def _tally_report(draws: int, seed: int, n: int, rank_counts: np.ndarray) -> SimulationReport:
@@ -372,49 +363,47 @@ def verify_best_response(
     point, from histograms of the prize's jumps (see the module docstring),
     and the rank tally at ``e_star`` that fills the report's rank fields.
     Each block draws u_1, the rivals' uniforms down to the deepest level
-    the prizes bin and the rank count K (``_scan_block``), and is binned by
-    ``_grid_sums`` (``_grid_counts`` under a two-valued prize) on a worker
-    thread of ``_blocks``.
+    the prizes bin and the rank count K (``_scan_block``), and bins them
+    row by row (``_bin_block``) on a worker thread of ``_blocks``;
+    ``_finish`` turns the summed histograms into payoff sums.
 
     The gap is the largest estimated payoff improvement over ``e_star``; its
     standard error comes from the per-draw paired payoff differences (common
     random numbers).  The gap is certified up to 3 standard errors plus the
     grid-coarseness bias h L / 2, with h the widest grid step and
     L = sup f + c'(max_effort) a bound on the payoff's slope.  Fewer than
-    1e4 draws, or an ``e_star`` that is not a number in [0, max_effort],
-    which would widen the grid's step, raise ``ValueError``.
+    1e4 draws, a ``grid_size`` below 2, or an ``e_star`` that is not a
+    number in [0, max_effort], which would widen the grid's step, raise
+    ``ValueError``.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
+    if grid_size < 2:
+        raise ValueError(f"grid_size {grid_size!r} is below 2, so the grid would not reach from 0 to max_effort")
     if not 0.0 <= e_star <= e_max:
         raise ValueError(f"checked effort {e_star!r} is not a number in [0, {e_max!r}]")
     grid, i_star = _effort_grid(e_max, grid_size, float(e_star))
     cells = _Cells(grid)
     levels = _levels(prizes)[1]
-    two_valued = levels.size == 1
-    bin_block = _grid_counts if two_valued else _grid_sums
+    depth = int(levels[levels < n - 1].max(initial=-1)) + 1
 
     def work(m, rng):
-        block, rank = bin_block(*_scan_block(dist, n, levels, m, rng), cells, i_star, design.standard, prizes)
-        return block, np.bincount(rank, minlength=n + 1)
+        return _bin_block(dist, *_scan_block(n, depth, m, rng), cells, i_star, design.standard, prizes)
 
-    sums = np.zeros(2 * grid.size + 2, dtype=np.int64) if two_valued else np.zeros((3, grid.size))
-    rank_counts = np.zeros(n + 1, dtype=np.int64)
+    table = rank_counts = 0
     for block, counts in _blocks(work, draws, BATCH, seed):
-        sums += block
+        table += block
         rank_counts += counts
-    if two_valued:
-        sums = _count_sums(sums, i_star, prizes[0])
-    mean_w, mean_d, mean_dsq = sums / draws
+    mean_w, mean_d, mean_dsq = _finish(table, rank_counts, i_star, prizes) / draws
     payoffs = mean_w - np.asarray(design.cost.c(grid))
     gaps = payoffs - payoffs[i_star]
     i_best = int(np.argmax(gaps))
     gap = float(gaps[i_best])
     gap_se = float(np.sqrt(max(mean_dsq[i_best] - mean_d[i_best] ** 2, 0.0) / draws))
-    step = float(np.max(np.diff(grid))) if grid.size > 1 else 0.0
+    step = float(np.max(np.diff(grid)))
     lipschitz = dist.find_modes().global_mode_density + float(design.cost.cprime(e_max))
     grid_bias = float(0.5 * lipschitz * step)
     grid.flags.writeable = payoffs.flags.writeable = False

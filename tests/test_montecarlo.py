@@ -3,6 +3,7 @@ import functools
 import hashlib
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,31 +40,31 @@ def _prize_values(x, efforts, e_star, rho, prizes):
 
 
 def _scan_sums(dist, u, grid, i_star, rho, prizes):
-    """``_grid_sums`` on the draws the uniforms ``u`` give: player 1's
-    noise, the count of rivals whose uniform exceeds its own, and the
-    rivals' order statistics from a sort, where the scan walks them down
-    from the best (``_scan_block``)."""
-    n = u.shape[1]
-    levels = mc._levels(prizes)[1]
-    top = np.full((len(u), levels.size), -np.inf)
-    ranked = levels < n - 1
-    top[:, ranked] = dist._ppf(np.sort(u[:, 1:], axis=1)[:, n - 2 - levels[ranked]])
+    """``_bin_block`` and ``_finish`` on the draws the uniforms ``u`` give:
+    player 1's uniform, the count of rivals whose uniform exceeds its own,
+    and the rivals' uniforms sorted from the best down, where the scan walks
+    them (``_scan_block``); the sums, the rank tally and the block's table."""
+    walk = np.ascontiguousarray(np.sort(u[:, 1:], axis=1)[:, ::-1].T)  # row j holds U_(j+1)
     k = np.count_nonzero(u[:, 1:] > u[:, :1], axis=1)
-    return mc._grid_sums(dist._ppf(u[:, 0]), k, top, mc._Cells(grid), i_star, rho, prizes)
+    table, tally = mc._bin_block(dist, u[:, 0], k, walk, mc._Cells(grid), i_star, rho, prizes)
+    return mc._finish(table, tally, i_star, prizes), tally, table
 
 
 def _assert_grid_sums_match(dist, u, grid, e_star, rho, prizes):
-    """The scan's sums on the uniforms ``u`` against the dense reference on
-    the noise ppf(u)."""
-    x = dist.ppf(u)
+    """The scan's sums and rank tally on the uniforms ``u`` against the
+    dense reference on the noise ppf(u), a uniform of 1 taken as the largest
+    that ``Generator.random`` draws, as the scan maps it."""
+    x = dist.ppf(np.minimum(u, mc.UNIT_MAX))
     grid = np.unique(np.append(grid, e_star))
     i_star = int(np.searchsorted(grid, e_star))
     w = _prize_values(x, grid, e_star, rho, prizes)
     d = w - w[:, i_star][:, None]
     dense = np.array([w.sum(axis=0), d.sum(axis=0), (d * d).sum(axis=0)])
-    sums, rank = _scan_sums(dist, u, grid, i_star, rho, prizes)
+    sums, tally, _ = _scan_sums(dist, u, grid, i_star, rho, prizes)
     assert np.max(np.abs(sums - dense)) <= 1e-9
-    assert np.array_equal(np.append(prizes, 0.0)[rank], w[:, i_star])
+    rivals, y1 = e_star + x[:, 1:], e_star + x[:, 0]
+    rank = np.where(y1 >= rho, np.sum((rivals >= rho) & (rivals > y1[:, None]), axis=1), len(prizes))
+    assert np.array_equal(tally, np.bincount(rank, minlength=len(prizes) + 1))
 
 
 ORACLE_FAMILIES = {
@@ -112,6 +113,10 @@ def test_grid_sums_edge_cases():
     # e* at either end of the grid
     _assert_grid_sums_match(GUMBEL, u, np.linspace(0.4, 1.0, 31), 0.4, 0.7, prizes)
     _assert_grid_sums_match(GUMBEL, u, np.linspace(-0.2, 0.4, 31), 0.4, 0.7, prizes)
+    # a walked uniform of 1, to which V^(1/k) can round, where Gumbel's ppf
+    # divides by zero
+    u[::7, 1:] = 1.0
+    _assert_grid_sums_match(GUMBEL, u, np.linspace(0.0, 1.5, 101), 0.4, 0.7, prizes)
 
 
 E_MAX = COST.max_effort
@@ -156,29 +161,30 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
     grid, i_star = mc._effort_grid(E_MAX, 10**4, e_star)
     for schedule in schedules:
         prizes = np.asarray(schedule.prizes)
-        sums, rank = _scan_sums(dist, u, grid, i_star, rho, prizes)
-        want, want_rank = reference_grid_sums(x, grid, i_star, rho, prizes)
+        sums, tally, _ = _scan_sums(dist, u, grid, i_star, rho, prizes)
+        want, want_tally = reference_grid_sums(x, grid, i_star, rho, prizes)
         assert sums.tobytes() == want.tobytes()
-        assert np.array_equal(rank, want_rank)
+        assert np.array_equal(tally, want_tally)
 
 
-def _count_and_grid_sums(dist, n, prizes, draws, e_star, rho, seed):
-    """The scan's blocks of ``draws`` draws reduced both ways: the totals of
-    ``_grid_counts`` turned into sums by ``_count_sums``, and the block sums
-    of ``_grid_sums``, with the two paths' rank tallies checked equal block
-    by block; and the count totals."""
-    levels = mc._levels(prizes)[1]
-    grid, i_star = mc._effort_grid(E_MAX, 10**4, e_star)
-    cells = mc._Cells(grid)
-    sums = np.zeros((3, grid.size))
-    counts = np.zeros(2 * grid.size + 2, dtype=np.int64)
-    for drawn in _scan_blocks(dist, n, levels, draws, seed):
-        block, rank = mc._grid_sums(*drawn, cells, i_star, rho, prizes)
-        tally, rank_counted = mc._grid_counts(*drawn, cells, i_star, rho, prizes)
-        assert np.array_equal(rank_counted, rank)
-        sums += block
-        counts += tally
-    return mc._count_sums(counts, i_star, prizes[0]), sums, counts
+def _count_and_grid_sums(dist, u, e_star, rho, prizes, grid_size=10**4):
+    """The uniforms ``u`` in blocks of ``BATCH`` rows, the last the rest:
+    the sums ``_finish`` makes of the counts that ``_bin_block`` takes under
+    a two-valued prize, checked bit for bit against the reference's count;
+    the reference's float sums, block by block, added; and the summed
+    counts of jumps on draws lost and won at e*."""
+    grid, i_star = mc._effort_grid(E_MAX, grid_size, e_star)
+    x = dist._ppf(u)
+    table = tally = want = 0
+    for start in range(0, len(u), mc.BATCH):
+        block = slice(start, start + mc.BATCH)
+        _, block_tally, block_table = _scan_sums(dist, u[block], grid, i_star, rho, prizes)
+        block_want, want_tally = reference_grid_sums(x[block], grid, i_star, rho, prizes, counted=False)
+        assert block_table.dtype == np.int64 and np.array_equal(block_tally, want_tally)
+        table, tally, want = table + block_table, tally + block_tally, want + block_want
+    got = mc._finish(table, tally, i_star, prizes)
+    assert got.tobytes() == reference_grid_sums(x, grid, i_star, rho, prizes)[0].tobytes()
+    return got, want, table
 
 
 TWO_VALUED = {
@@ -195,17 +201,18 @@ TWO_VALUED = {
 def test_count_path_matches_grid_sums(family, schedule):
     # winner-take-all's jumps and squared jumps are whole numbers, so every
     # sum is exact both ways; a prize such as 1/10 rounds, and the count
-    # path scales each integer total once, where the block sums round at
+    # path scales each integer total once, where the float jumps round at
     # every bin and cell
     dist = ORACLE_FAMILIES[family]
     prizes = np.asarray(TWO_VALUED[schedule].prizes)
     n, hi = prizes.size, prizes.max()
     draws = 2 * mc.BATCH + 77  # a short last block
-    got, want, counts = _count_and_grid_sums(dist, n, prizes, draws, 0.4, 0.4 + float(dist.ppf(0.4)), 17)
+    u = np.random.default_rng([17, n]).random((draws, n))
+    got, want, table = _count_and_grid_sums(dist, u, 0.4, 0.4 + float(dist.ppf(0.4)), prizes)
     if schedule.startswith("wta"):
         assert got.tobytes() == want.tobytes()
         # a rival far above puts the jump beyond the grid's top, in cell G
-        assert counts[counts.size // 2 - 1] + counts[-1] > 0
+        assert table[:, -1].sum() > 0
     else:
         scale = np.array([[hi], [hi], [hi * hi]]) * draws  # the largest each sum can be
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -213,28 +220,32 @@ def test_count_path_matches_grid_sums(family, schedule):
 
 def test_count_path_edge_cases():
     prizes = np.asarray(eq.PrizeSchedule.winner_take_all(3).prizes)
+    u = np.random.default_rng(3).random((mc.BATCH + 5, 3))
     # no draw passes the standard: every jump lies beyond the grid, and no
     # draw is won at e*
-    got, want, counts = _count_and_grid_sums(GUMBEL, 3, prizes, mc.BATCH + 5, 0.4, 1e6, 3)
+    got, want, table = _count_and_grid_sums(GUMBEL, u, 0.4, 1e6, prizes)
     assert got.tobytes() == want.tobytes()
-    assert not np.any(got) and counts[counts.size // 2 - 1] == mc.BATCH + 5
+    assert not np.any(got) and table[0, -1] == mc.BATCH + 5 and not np.any(table[1])
     # e* at the first and at the last grid point
     for e_star in (0.0, E_MAX):
-        got, want, counts = _count_and_grid_sums(GUMBEL, 3, prizes, mc.BATCH + 5, e_star, e_star + 0.3, 3)
+        got, want, table = _count_and_grid_sums(GUMBEL, u, e_star, e_star + 0.3, prizes)
         assert got.tobytes() == want.tobytes()
-        assert counts[counts.size // 2:].sum() > 0
+        assert np.any(table[1])  # some draw is won at e*
     # a draw won at e*, the grid's top, whose jump rho - x_1 rounds just
-    # above it, into cell G; equal prizes for all at n = 2.  Equal in value:
-    # where no jump lies between a point and e*, the block sums negate a
-    # zero sum into -0.0
-    grid, i_star = mc._effort_grid(E_MAX, 50, E_MAX)
-    x1, rho = np.array([0.13, 0.4, 0.9, -1.0]), E_MAX + 0.13
-    assert rho - x1[0] > grid[-1]
-    drawn = x1, np.zeros(4, dtype=np.int64), np.full((4, 1), -np.inf)
-    want, rank = mc._grid_sums(*drawn, mc._Cells(grid), i_star, rho, np.array([0.5, 0.5]))
-    counts, rank_counted = mc._grid_counts(*drawn, mc._Cells(grid), i_star, rho, np.array([0.5, 0.5]))
-    assert counts[-1] == 1 and np.array_equal(rank_counted, rank)
-    assert np.array_equal(mc._count_sums(counts, i_star, 0.5), want)
+    # above it, into cell G; equal prizes for all at n = 2, on noise that
+    # is its own uniform.  Equal in value: where no jump lies between a
+    # point and e*, the float jumps negate a zero sum into -0.0
+    u = np.array([[0.13, 0.5], [0.4, 0.5], [0.9, 0.5], [-1.0, 0.5]])
+    rho = E_MAX + 0.13
+    assert rho - u[0, 0] > E_MAX
+    got, want, table = _count_and_grid_sums(UNIF, u, E_MAX, rho, np.array([0.5, 0.5]), grid_size=50)
+    assert table[:, -1].tolist() == [1, 1]  # x_1 = -1 lost, and that draw won
+    assert np.array_equal(got, want)
+    # sum w* is the prize times the count of draws won at e*, scaled once;
+    # one draw at each of ten prizes of 1/10, summed prize by prize, reads
+    # 0.9999999999999999
+    tally = np.append(np.ones(10, dtype=np.int64), 5)
+    assert np.all(mc._finish(np.zeros((2, 3), dtype=np.int64), tally, 1, np.full(10, 0.1))[1] == -1.0)
 
 
 def test_substreams_are_independent_in_law():
@@ -258,15 +269,15 @@ def _noise_blocks(dist, n, draws, seed):
     return mc._blocks(lambda m, rng: dist.sample((m, n), rng), draws, mc.BATCH, seed)
 
 
-def _scan_blocks(dist, n, levels, draws, seed):
+def _scan_blocks(n, depth, draws, seed):
     """Every block of the best-response scan's draws, unbinned."""
-    return mc._blocks(functools.partial(mc._scan_block, dist, n, levels), draws, mc.BATCH, seed)
+    return mc._blocks(functools.partial(mc._scan_block, n, depth), draws, mc.BATCH, seed)
 
 
-def _walked(n, levels, draws, seed):
-    """(u_1, K, the rivals' uniforms at ``levels``) from the scan's blocks:
-    uniform noise maps each level to itself."""
-    return [np.concatenate(col) for col in zip(*_scan_blocks(UNIF, n, np.asarray(levels), draws, seed))]
+def _walked(n, depth, rows, draws, seed):
+    """(u_1, K, the walk's ``rows``) from the scan's blocks."""
+    blocks = ((u1, k, walk[rows].T) for u1, k, walk in _scan_blocks(n, depth, draws, seed))
+    return [np.concatenate(col) for col in zip(*blocks)]
 
 
 def _dense(n, draws, seed, ranks):
@@ -307,15 +318,15 @@ def test_direct_draws_follow_the_dense_law(n):
         return np.bincount(np.minimum((4 * u1).astype(int), 3) * bins + k * bins // n, minlength=4 * bins)
 
     for j, depth in enumerate(depths):
-        rows = _walk_rows(depth) if depth else np.array([n - 1])  # equal prizes for all bin level n - 1
-        walked = _walked(n, rows, draws, 31 + n + j)
+        rows = _walk_rows(depth) if depth else np.array([], dtype=int)  # equal prizes for all walk no row
+        walked = _walked(n, depth, rows, draws, 31 + n + j)
         table = np.array([cells(*walked[:2]), cells(u1, k)])
         assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 1e-3, depth
-        for i, rank in enumerate(rows if depth else ()):
+        for i, rank in enumerate(rows):
             assert stats.ks_2samp(walked[2][:, i], top[:, np.searchsorted(ranks, rank)]).pvalue > 1e-3, (depth, rank)
-        x1, kk, every = mc._scan_block(UNIF, n, np.arange(depth), 2000, np.random.default_rng(j))
-        assert np.all(np.diff(every, axis=1) <= 0)
-        above = np.count_nonzero(every > x1[:, None], axis=1)
+        x1, kk, walk = mc._scan_block(n, depth, 2000, np.random.default_rng(j))
+        assert walk.shape == (depth, 2000) and np.all(np.diff(walk, axis=0) <= 0)
+        above = np.count_nonzero(walk > x1, axis=0)
         assert np.array_equal(kk[above < depth], above[above < depth]) and np.all(kk[above == depth] >= depth)
 
 
@@ -361,8 +372,8 @@ def test_best_response_tally_equals_simulation():
          "0x1.281f246e79054p-13", "fb81bbf84cc30360f196e8423041eb8adae58e8397a65d125a76853537eff24c",
          (9913, 10003, 9903, 9959, 9456, 8421, 6312, 3739, 1364, 238, 30692)),
         # ten distinct prizes: every level is binned, walked down from the best rival
-        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f7e1c5a58e883p-5",
-         "0x1.9e7552df0a386p-14", "a973d6a8f93a420b4bf0f56b90d7704b570c81e6fc15b7954eef25cb65164055",
+        (GUMBEL, eq.random_schedule(10, np.random.default_rng(2410)), 0.4, "0x1.f7e1c5a58e8a0p-5",
+         "0x1.9e7552df095edp-14", "80f35c7b3dc7ef54489b9800be8619e53d677367869ebca10b032925d26a58ae",
          (9913, 9881, 10032, 9638, 8784, 7207, 4633, 2207, 661, 106, 36938)),
     ],
     ids=["gumbel-wta", "pareto-eps", "gumbel-dirichlet"],
@@ -388,6 +399,30 @@ def test_seed_required_and_min_draws():
         mc.simulate_prize_probabilities(UNIF, design, 0.3, 0.3, draws=100, seed=1)
     with pytest.raises(ValueError, match="1e4"):
         mc.verify_best_response(UNIF, design, 0.3, draws=200, seed=1)
+
+
+def test_best_response_needs_a_grid_from_zero_to_max_effort():
+    # a grid of one point or none never reaches above e*, so a scan on it
+    # would certify any effort
+    design = _design(UNIF, 2, eq.PrizeSchedule.winner_take_all(2), 0.8)
+    for size in (-1, 0, 1):
+        with pytest.raises(ValueError, match=f"grid_size {size} is below 2"):
+            mc.verify_best_response(UNIF, design, 0.3, grid_size=size, draws=10**4, seed=1)
+
+
+def test_full_depth_scan_block_holds_little_beyond_its_walk():
+    # one BATCH-row block at n = 100 with every level binned: the walk of
+    # 99 rows of BATCH uniforms is its one large array, and binning it row
+    # by row adds under 4 MiB
+    n = 100
+    design = _design(GUMBEL, n, eq.random_schedule(n, np.random.default_rng(5)), 0.4 + float(GUMBEL.ppf(0.4)))
+    tracemalloc.start()
+    try:
+        mc.verify_best_response(GUMBEL, design, 0.4, draws=mc.BATCH, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n - 1) * mc.BATCH * 8 + 4 * 2**20
 
 
 def test_bit_identical_reproducibility():
@@ -545,29 +580,27 @@ def test_blocks_match_serial_substreams(draws):
     assert len(blocks) == len(uniforms)
     for got, u in zip(blocks, uniforms):
         assert np.array_equal(got, GUMBEL.ppf(u))
-    # the scan's blocks under three prize levels at n = 3: u_1, then V_1
-    # and V_2, walked down to the rivals' U_(1) = V_1^(1/2) and
-    # U_(2) = U_(1) V_2, K the count of them above u_1, and no rival at
-    # level 2
-    scanned = list(_scan_blocks(GUMBEL, 3, np.array([0, 1, 2]), draws, 9))
+    # the scan's blocks with both rivals walked at n = 3, as under three
+    # prize levels: u_1, then V_1 and V_2, walked down to the rivals'
+    # U_(1) = V_1^(1/2) and U_(2) = U_(1) V_2, and K the count of them
+    # above u_1
+    scanned = list(_scan_blocks(3, 2, draws, 9))
     assert len(scanned) == len(uniforms)
-    for (x1, k, top), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
-        u1, best = rng.random(m), rng.random(m) ** (1.0 / 2)
+    for (u1, k, walk), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
+        first, best = rng.random(m), rng.random(m) ** (1.0 / 2)
         second = best * rng.random(m) ** 1.0
-        assert np.array_equal(x1, GUMBEL.ppf(u1))
+        assert np.array_equal(u1, first)
         assert np.array_equal(k, (best > u1) + (second > u1).astype(int))
-        assert np.array_equal(top[:, 0], GUMBEL.ppf(np.minimum(best, mc.UNIT_MAX)))
-        assert np.array_equal(top[:, 1], GUMBEL.ppf(np.minimum(second, mc.UNIT_MAX)))
-        assert np.all(top[:, 2] == -np.inf)
+        assert np.array_equal(walk, [best, second])
     # and under winner-take-all at n = 2: u_1, then the best rival's
     # uniform, above u_1 exactly when K = 1
-    scanned = list(_scan_blocks(GUMBEL, 2, np.array([0]), draws, 9))
+    scanned = list(_scan_blocks(2, 1, draws, 9))
     assert len(scanned) == len(uniforms)
-    for (x1, k, top), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
-        u1, best = rng.random(m), rng.random(m)
-        assert np.array_equal(x1, GUMBEL.ppf(u1))
+    for (u1, k, walk), m, rng in zip(scanned, sizes, mc._substreams(9, len(sizes))):
+        first, best = rng.random(m), rng.random(m)
+        assert np.array_equal(u1, first)
         assert np.array_equal(k, best > u1)
-        assert np.array_equal(top[:, 0], GUMBEL.ppf(best))
+        assert np.array_equal(walk, [best])
 
 
 def _first_uniforms(seed, blocks):
@@ -639,7 +672,7 @@ def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
     # every column mapped, as the bound check draws, and the best-response
     # scan's blocks
     streams = (lambda: _noise_blocks(UNIF, 2, 6 * mc.BATCH, 4),
-               lambda: _scan_blocks(UNIF, 2, np.array([0]), 6 * mc.BATCH, 4))
+               lambda: _scan_blocks(2, 1, 6 * mc.BATCH, 4))
     for stream in streams:
         if stop == "raise":
             with pytest.raises(RuntimeError, match="consumer failed"):
