@@ -9,7 +9,6 @@ applies when noise is symmetric and unimodal.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -17,7 +16,7 @@ from itertools import compress
 import numpy as np
 from scipy import fft
 
-from .montecarlo import _blocks
+from .montecarlo import _blocks, _scratch
 
 __all__ = [
     "SampleTooSmall",
@@ -203,11 +202,12 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     the point estimate, over the span of W bins from the first to the last
     occupied bin only: a bin outside it is farther than the span's nearer
     end from every occupied bin, and the weights fall strictly with
-    distance, so its value is below that end's.  Each worker thread makes
-    its buffers once per call: a block of the FFT's L values per resample,
-    zeroed once, into whose occupied columns every block writes its counts,
-    and the spectra and smoothed rows that ``rfft`` and ``irfft`` write
-    through ``out=``.  Each row's mode is its ``np.argmax``.
+    distance, so its value is below that end's.  Each worker thread keeps
+    its buffers across calls (``montecarlo._scratch``): a block of the FFT's
+    L values per resample, zeroed by its first block of each call, into
+    whose occupied columns every block writes its counts, and the spectra
+    and smoothed rows that ``rfft`` and ``irfft`` write through ``out=``.
+    Each row's mode is its ``np.argmax``.
     """
     cols = np.flatnonzero(counts)
     held = counts[cols]
@@ -216,19 +216,17 @@ def _bootstrap_argmax(seed: int, counts: np.ndarray, sigma: float, draws: int) -
     cols -= first
     width = int(cols[-1]) + 1
     radius, length, spectrum = _gaussian_spectrum(sigma, width)
-    buffers = threading.local()
 
     def block_argmax(size: int, rng: np.random.Generator) -> np.ndarray:
-        if not hasattr(buffers, "block"):
-            buffers.block = np.zeros((BOOTSTRAP_BLOCK, length))
-            buffers.spectra = np.empty((BOOTSTRAP_BLOCK, spectrum.size), dtype=complex)
-            buffers.smooth = np.empty((BOOTSTRAP_BLOCK, length))
-        block = buffers.block[:size]
-        block[:, cols] = _resample_counts(rng, held, bin_of_row, size)
-        spectra = np.fft.rfft(block, out=buffers.spectra[:size])
+        block, owner = _scratch("block", (BOOTSTRAP_BLOCK, length)), _scratch("block_owner", (), object)
+        if owner[()] is not cols:  # this worker's first block of this pass, or another pass wrote since
+            block.fill(0.0)
+            owner[()] = cols
+        block[:size, cols] = _resample_counts(rng, held, bin_of_row, size)
+        spectra = np.fft.rfft(block[:size], out=_scratch("spectra", (BOOTSTRAP_BLOCK, spectrum.size), complex)[:size])
         spectra *= spectrum
-        smooth = np.fft.irfft(spectra, length, out=buffers.smooth[:size])[:, radius:radius + width]
-        return np.argmax(smooth, axis=1) + first
+        smooth = np.fft.irfft(spectra, length, out=_scratch("smooth", (BOOTSTRAP_BLOCK, length))[:size])
+        return np.argmax(smooth[:, radius:radius + width], axis=1) + first
 
     return np.concatenate(list(_blocks(block_argmax, draws, BOOTSTRAP_BLOCK, seed)))
 
@@ -304,7 +302,8 @@ def audit_sample(
     occupied bins, outside which the smoothed maximum cannot lie.  Block k
     of resamples draws from ``PCG64DXSM(seed).jumped(k)`` (O'Neill, "PCG",
     HMC-CS-2014-0905) on a worker thread of ``montecarlo._blocks``, so one
-    seed gives one report.
+    seed gives one report; each worker keeps its FFT buffers from one call
+    to the next while their length holds.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,
     or breaks the grid (see ``_binned``), raises ``ValueError``, and so does
     a ``bootstrap`` that is not a positive whole number.

@@ -11,9 +11,11 @@ substream ``PCG64DXSM(seed).jumped(i)`` (O'Neill, "PCG", HMC-CS-2014-0905),
 and ``_substreams`` makes every stream of the package.  ``_blocks`` runs
 the blocks on two worker threads, each drawing its block and reducing it,
 and the caller adds the results in block order, so one seed gives one
-result.  Every effort level on a verification grid reuses the same draws,
-so payoff differences across efforts are common-random-number estimates
-with tiny variance.
+result.  The two workers live for the process and serve every pass, so a
+block must not start a pass of its own; each keeps its buffers across
+passes (``_scratch``).  Every effort level on a verification grid reuses
+the same draws, so payoff differences across efforts are
+common-random-number estimates with tiny variance.
 
 Best-response scan: write the prize as a sum of differentials,
 d_j = v_j - v_(j+1) for the rank j = 0, ..., n - 1 counted from the top, with
@@ -43,8 +45,10 @@ scan (``_Cells``); a two-valued prize counts its jumps in integers.
 
 from __future__ import annotations
 
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +67,9 @@ __all__ = [
 BATCH = 1 << 14
 INVERSION_MAX = 64  # rival counts whose rank count K is drawn by inversion
 UNIT_MAX = 1.0 - 2.0**-53  # the largest uniform ``Generator.random`` draws
+_pools = {}  # the block runner's two workers by process id, so that a forked child makes its own
+_pool_lock = threading.Lock()
+_buffers = threading.local()  # each worker's ``_scratch``
 
 
 class SeedRequired(ValueError):
@@ -122,16 +129,36 @@ def _blocks(work, total: int, block: int, seed: int):
     Block i holds ``block`` draws, the last one the rest, and ``rng`` is
     substream i of ``seed``, ``PCG64DXSM(seed).jumped(i)`` (O'Neill, "PCG",
     HMC-CS-2014-0905), so which thread runs it and when cannot change a bit
-    of it.  Two worker threads run the blocks, and each ``work`` draws its
-    block and reduces it to a small result, so no drawn block leaves its
-    worker.  An error in a block reaches the caller after the results before
-    it and cancels the blocks not yet started, as closing the generator
-    mid-stream does; either way the pool's threads are joined before the
-    generator ends.
+    of it.  Two worker threads, made on the first pass and kept for the
+    process, run the blocks of every pass, and each ``work`` draws its block
+    and reduces it to a small result, so no drawn block leaves its worker.
+    A ``work`` must not start a pass itself: two workers both waiting on
+    blocks queued behind their own would deadlock.  An error in a block
+    reaches the caller after the results before it and cancels the blocks
+    not yet started, as closing the generator mid-stream does; either way
+    the generator ends only once no block of its pass is running.
     """
+    with _pool_lock:
+        pool = _pools.get(os.getpid()) or _pools.setdefault(os.getpid(), ThreadPoolExecutor(2))
     sizes = [min(block, total - start) for start in range(0, total, block)]
-    with ThreadPoolExecutor(2) as pool:
-        yield from pool.map(work, sizes, _substreams(seed, len(sizes)))
+    futures = [pool.submit(work, m, rng) for m, rng in zip(sizes, _substreams(seed, len(sizes)))]
+    try:
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+
+
+def _scratch(key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The calling thread's buffer ``key``, kept across passes as its last
+    block left it; a new one, of zeros, where ``shape`` or ``dtype`` changed."""
+    buffers = vars(_buffers)
+    buffer = buffers.get(key)
+    if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
+        buffer = buffers[key] = np.zeros(shape, dtype)
+    return buffer
 
 
 def _scan_block(n: int, depth: int, m: int, rng: np.random.Generator):
@@ -372,17 +399,17 @@ def verify_best_response(
     random numbers).  The gap is certified up to 3 standard errors plus the
     grid-coarseness bias h L / 2, with h the widest grid step and
     L = sup f + c'(max_effort) a bound on the payoff's slope.  Fewer than
-    1e4 draws, a ``grid_size`` below 2, or an ``e_star`` that is not a
-    number in [0, max_effort], which would widen the grid's step, raise
-    ``ValueError``.
+    1e4 draws, a ``grid_size`` that is not an integer of at least 2 (a
+    ``bool`` is not), or an ``e_star`` that is not a number in
+    [0, max_effort], which would widen the grid's step, raise ``ValueError``.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
-    if grid_size < 2:
-        raise ValueError(f"grid_size {grid_size!r} is below 2, so the grid would not reach from 0 to max_effort")
+    if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
+        raise ValueError(f"grid_size {grid_size!r} is not a whole number of at least 2 to reach max_effort")
     if not 0.0 <= e_star <= e_max:
         raise ValueError(f"checked effort {e_star!r} is not a number in [0, {e_max!r}]")
     grid, i_star = _effort_grid(e_max, grid_size, float(e_star))

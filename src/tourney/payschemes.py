@@ -16,7 +16,6 @@ check the properties exactly; a user's callable is spot-checked statistically.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,7 +23,8 @@ import numpy as np
 
 from .distributions import NoiseDistribution
 from .equilibrium import PrizeSchedule, marginal_benefit_rank, random_schedule
-from .montecarlo import BATCH, UNIT_MAX, _blocks, _rank, _rank_count, _require_draws, _require_seed, _substreams
+from .montecarlo import (BATCH, UNIT_MAX, _blocks, _rank, _rank_count, _require_draws, _require_seed, _scratch,
+                         _substreams)
 
 __all__ = [
     "PayScheme",
@@ -80,7 +80,8 @@ class PayScheme:
     ``marginal_incentive`` calls ``pay`` from two threads at once, so it
     must not mutate shared state; the built-in schemes are pure functions
     of the rows.  There the rows are read-only and shared by every scheme
-    of the call, and refilled by the next block: ``pay`` must not keep them.
+    of the call, and they are the worker's buffer, refilled by its next
+    block of this pass or a later one: ``pay`` must not keep them.
     The library's constructors set ``_checked`` on the kinds whose properties
     they check exactly and, on those that pay by rank alone, ``_rank_form``:
     the payment from player 1's outputs x_1 and the counts k of rivals above.
@@ -364,12 +365,9 @@ def marginal_incentive(
     floor = float(dist.cdf(xm))
     ranked = all(scheme._rank_form is not None for scheme in schemes)
     block = BATCH if ranked else max(1, min(BATCH, 2**20 // n))
-    buffers = threading.local()
 
     def work(m, rng):
-        if not hasattr(buffers, "rows"):
-            buffers.rows = np.empty((block, 1 if ranked else n))
-        u = rng.random(out=buffers.rows[:m])
+        u = rng.random(out=_scratch("rows", (block, 1 if ranked else n))[:m])
         if floor:
             u[:, 0] = np.minimum(floor + (1.0 - floor) * u[:, 0], UNIT_MAX)
         rivals_above = _rank_count(u[:, 0], n, rng) if ranked else None

@@ -1,5 +1,4 @@
 import re
-import threading
 import tracemalloc
 
 import numpy as np
@@ -240,7 +239,7 @@ def test_bootstrap_consumes_the_stream_exactly(monkeypatch, draws, last_bin):
         assert np.array_equal(got, _blocked_loop_argmax(13, counts, sigma, draws))
 
 
-def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
+def test_bootstrap_draw_error_leaves_no_thread(monkeypatch, settled_pool):
     # 33 resamples are two blocks, and only the second has a single row; the
     # blocks are smoothed by numpy's FFT, which writes into the thread's buffers
     _, counts, sigma = _binned_gamma_sample(1_000)
@@ -254,22 +253,25 @@ def test_bootstrap_draw_error_leaves_no_thread(monkeypatch):
         return irfft(x, *args, **kwargs)
 
     monkeypatch.setattr(audit.np.fft, "irfft", failing_second_block)
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match="second block failed"):
         audit._bootstrap_argmax(3, counts, sigma, 33)
+    settled_pool()
     assert sorted(rows) == [1, audit.BOOTSTRAP_BLOCK]
-    assert threading.active_count() == before
 
 
 def test_bootstrap_buffers_carry_nothing_between_calls():
     # A wide span, then a narrow one: each call smooths in buffers of its own
-    # FFT length, and the short last block of 33 resamples reads only its row
+    # FFT length, and the short last block of 33 resamples reads only its row.
+    # Then the narrow span with other occupied columns, in the same length
+    # of buffer, which a worker keeps: the counts the call before left in
+    # column 3 would pull its modes there.  Ten blocks reach both workers.
     _, wide, wide_sigma = _binned_gamma_sample(1_000)
-    narrow = np.zeros(4096, dtype=np.int64)
+    narrow, moved = np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64)
     narrow[[2000, 2003, 2010]] = [20, 15, 5]
-    for counts, sigma in ((wide, wide_sigma), (narrow, 2.0)):
-        got = audit._bootstrap_argmax(7, counts, sigma, 33)
-        assert np.array_equal(got, _blocked_loop_argmax(7, counts, sigma, 33))
+    moved[[2000, 2005, 2010]] = [14, 12, 14]
+    for counts, sigma, draws in ((wide, wide_sigma, 33), (narrow, 2.0, 33), (narrow, 2.0, 320), (moved, 2.0, 320)):
+        got = audit._bootstrap_argmax(7, counts, sigma, draws)
+        assert np.array_equal(got, _blocked_loop_argmax(7, counts, sigma, draws))
 
 
 @pytest.mark.parametrize("chunk", ["one", "inside-a-resample", "above-a-block"])

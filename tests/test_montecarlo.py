@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import hashlib
+import multiprocessing
+import re
 import threading
 import time
 import tracemalloc
@@ -403,11 +405,13 @@ def test_seed_required_and_min_draws():
 
 def test_best_response_needs_a_grid_from_zero_to_max_effort():
     # a grid of one point or none never reaches above e*, so a scan on it
-    # would certify any effort
+    # would certify any effort; a grid size that is not an integer, a bool
+    # included, is refused by name, not deep in ``np.linspace``
     design = _design(UNIF, 2, eq.PrizeSchedule.winner_take_all(2), 0.8)
-    for size in (-1, 0, 1):
-        with pytest.raises(ValueError, match=f"grid_size {size} is below 2"):
+    for size in (-1, 0, 1, 2.5, 3.0, np.nan, True, np.int64(1)):
+        with pytest.raises(ValueError, match=re.escape(f"grid_size {size!r} is not a whole number")):
             mc.verify_best_response(UNIF, design, 0.3, grid_size=size, draws=10**4, seed=1)
+    assert mc.verify_best_response(UNIF, design, 0.3, grid_size=np.int64(2), draws=10**4, seed=1).effort_grid.size == 3
 
 
 def test_full_depth_scan_block_holds_little_beyond_its_walk():
@@ -608,11 +612,10 @@ def _first_uniforms(seed, blocks):
     return [rng.random() for rng in mc._substreams(seed, blocks)]
 
 
-def test_block_error_reaches_caller_and_cancels_the_rest():
+def test_block_error_reaches_caller_and_cancels_the_rest(settled_pool):
     # Block 1 of 64 raises; the blocks after it take 10 ms each, so the
     # caller's cancel comes long before the last of them starts.  Which of
-    # them ran before it is not pinned.
-    before = threading.active_count()
+    # them ran before it is not pinned, and none runs once the error is in.
     firsts, started, seen = _first_uniforms(4, 64), [], []
 
     def work(m, rng):
@@ -627,16 +630,15 @@ def test_block_error_reaches_caller_and_cancels_the_rest():
     with pytest.raises(RuntimeError, match="block 1 failed"):
         for block in mc._blocks(work, 64, 1, 4):
             seen.append(block)
+    settled_pool()
     assert seen == [0]
     assert {0, 1} <= set(started) and len(started) < 64
-    assert threading.active_count() == before
 
 
-def test_scan_error_reaches_caller_and_leaves_no_thread():
+def test_scan_error_reaches_caller_and_leaves_no_thread(settled_pool):
     # a uniform whose ppf raises on block 1: the scan's workers map player
     # 1's column, whose first level is the block's first; under equal
     # prizes for all they map no rival
-    before = threading.active_count()
     firsts, drawn = _first_uniforms(4, 6), []
 
     def ppf(q):
@@ -650,14 +652,12 @@ def test_scan_error_reaches_caller_and_leaves_no_thread():
     design = _design(dist, 2, eq.PrizeSchedule.equal_sharing(2), 0.5)
     with pytest.raises(RuntimeError, match="block 1 failed"):
         mc.verify_best_response(dist, design, 0.3, grid_size=50, draws=6 * mc.BATCH, seed=4)
+    settled_pool()
     assert 1 in drawn
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("stop", ["break", "raise", "close"])
-def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
-    before = threading.active_count()
-
+def test_consumer_stopping_mid_stream_leaves_no_thread(stop, settled_pool):
     def consume(stream):
         blocks = stream()
         for k, _ in enumerate(blocks):
@@ -666,7 +666,7 @@ def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
                     raise RuntimeError("consumer failed")
                 if stop == "close":
                     blocks.close()
-                    assert threading.active_count() == before
+                    settled_pool()
                 break
 
     # every column mapped, as the bound check draws, and the best-response
@@ -679,4 +679,52 @@ def test_consumer_stopping_mid_stream_leaves_no_thread(stop):
                 consume(stream)
         else:
             consume(stream)
-        assert threading.active_count() == before
+        settled_pool()
+
+
+def _scan_bits(seed):
+    """Every field of a three-player Gumbel scan's report, as bytes."""
+    design = _design(GUMBEL, 3, eq.PrizeSchedule.equal_top(2, 3), 0.0)
+    rep = mc.verify_best_response(GUMBEL, design, 0.4, grid_size=50, draws=10 * mc.BATCH, seed=seed)
+    return [np.asarray(getattr(rep, field.name)).tobytes() for field in dataclasses.fields(rep)]
+
+
+def _send_scan_bits(writer, seed):
+    writer.send(_scan_bits(seed))
+    writer.close()
+
+
+def test_forked_child_makes_its_own_workers():
+    # The parent's workers, made by its pass, are not in a fork child; a
+    # child that waited on them would hang, and fail the timeouts here
+    want = _scan_bits(11)
+    fork = multiprocessing.get_context("fork")
+    reader, writer = fork.Pipe(duplex=False)
+    child = fork.Process(target=_send_scan_bits, args=(writer, 11))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the child's scan did not finish"
+        assert reader.recv() == want
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        child.kill()
+        child.join(10)
+
+
+def test_two_callers_at_once_each_get_the_bits_of_a_lone_call():
+    # the callers' blocks share the two workers and interleave on them
+    want, got, barrier = {seed: _scan_bits(seed) for seed in (12, 13)}, {}, threading.Barrier(2, timeout=10)
+
+    def call(seed):
+        barrier.wait()
+        got[seed] = _scan_bits(seed)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in want]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(60)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want

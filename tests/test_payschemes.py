@@ -1,5 +1,4 @@
 import copy
-import threading
 import tracemalloc
 
 import numpy as np
@@ -185,13 +184,12 @@ def _sawtooth(teeth, cliff):
     return dists.piecewise_linear([(0, 0), (1, 2), (2, 0.5), *zip(xs, [1.0, 0.5] * teeth), (5, 0)])
 
 
-def test_unbounded_likelihood_ratio():
+def test_unbounded_likelihood_ratio(settled_pool):
     # 4000 cliffs hold about 1e-3 of the mass, where -f'/f exceeds 2e6
     # times the mode's density; the cap is checked on the worker threads
-    before = threading.active_count()
     with pytest.raises(ps.UnboundedLikelihoodRatio, match="times the mode density"):
         ps.marginal_incentive(_sawtooth(4000, 5e-7), [ps.constant_share(2)], 0.1, draws=20_000, seed=3)
-    assert threading.active_count() == before
+    settled_pool()
     # Pareto(alpha) has -f'/f = (alpha + 1) / x, at most (1 + 1 / alpha)
     # times its mode density alpha / x_min, so a narrow one is not spiky
     narrow = dists.pareto(alpha=2e6)
@@ -199,10 +197,9 @@ def test_unbounded_likelihood_ratio():
     assert abs(est - float(narrow.pdf(1.0)) / 2) <= 4 * se
 
 
-def test_bound_check_error_reaches_caller_and_leaves_no_thread():
+def test_bound_check_error_reaches_caller_and_leaves_no_thread(settled_pool):
     # Pareto's rows all lie above its mode, so the short last block has 5
     # rows, and only there does the scheme raise
-    before = threading.active_count()
 
     def pay(y):
         if len(y) == 5:
@@ -211,7 +208,7 @@ def test_bound_check_error_reaches_caller_and_leaves_no_thread():
 
     with pytest.raises(RuntimeError, match="last block failed"):
         ps.marginal_incentive(PARETO, [ps.PayScheme(2, pay)], 0.3, draws=3 * mc.BATCH + 5, seed=1)
-    assert threading.active_count() == before
+    settled_pool()
 
 
 def test_check_bound_battery_gumbel():
@@ -417,22 +414,22 @@ def test_shared_pass_checks_each_scheme_under_its_own_label():
         ps.check_incentive_bound(GUMBEL, [], 0.3, draws=10_000, seed=1)
 
 
-def test_pay_that_writes_into_its_rows_raises_and_leaves_no_thread():
+def test_pay_that_writes_into_its_rows_raises_and_leaves_no_thread(settled_pool):
     # the rows are shared by every scheme of the call, so they are read-only;
     # the property check's rows are the scheme's own, and it passes there
     def pay(y):
         y[:, 0] += 0.0
         return np.full(len(y), 1 / 3)
 
-    before = threading.active_count()
     with pytest.raises(ValueError, match="read-only"):
         ps.marginal_incentive(PARETO, [ps.constant_share(3), ps.PayScheme(3, pay, "writer")], 0.3, draws=10_000, seed=1)
-    assert threading.active_count() == before
+    settled_pool()
 
 
 def test_each_worker_prices_every_block_from_one_buffer():
-    # Pareto's rows all lie above its mode: 4 full blocks and a short one,
-    # drawn by two workers into one buffer each
+    # Pareto's rows all lie above its mode: 4 full blocks and a short one
+    # per pass, drawn by two workers into one buffer each, which each keeps
+    # for the next pass
     seen = []
 
     def pay(y):
@@ -440,8 +437,10 @@ def test_each_worker_prices_every_block_from_one_buffer():
             seen.append((len(y), y.__array_interface__["data"][0]))
         return np.full(len(y), 1 / 3)
 
-    ps.marginal_incentive(PARETO, [ps.PayScheme(3, pay, "recorder")], 0.3, draws=4 * mc.BATCH + 5, seed=2)
-    assert sorted(m for m, _ in seen) == [5] + [mc.BATCH] * 4
+    scheme = ps.PayScheme(3, pay, "recorder")
+    first = ps.marginal_incentive(PARETO, [scheme], 0.3, draws=4 * mc.BATCH + 5, seed=2)
+    assert ps.marginal_incentive(PARETO, [scheme], 0.3, draws=4 * mc.BATCH + 5, seed=2) == first
+    assert sorted(m for m, _ in seen) == [5] * 2 + [mc.BATCH] * 8
     assert len({pointer for _, pointer in seen}) <= 2
 
 
