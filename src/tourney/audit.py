@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 from scipy import fft
 
-from .montecarlo import _blocks, _scratch
+from .montecarlo import _blocks, _require_seed, _scratch
 
 __all__ = [
     "SampleTooSmall",
@@ -305,14 +305,16 @@ def audit_sample(
     seed gives one report; each worker keeps its FFT buffers from one call
     to the next while their length holds.
     ``bandwidth`` None is Silverman's; one that is not positive and finite,
-    or breaks the grid (see ``_binned``), raises ``ValueError``, and so does
-    a ``bootstrap`` that is not a positive whole number.
+    or breaks the grid (see ``_binned``), raises ``ValueError``, and so do
+    a ``bootstrap`` that is not a positive whole number and a ``seed`` that
+    is not a nonnegative one (a ``bool`` is neither).
     """
     obs = np.asarray(sample.observations, dtype=float)
     if obs.size < MIN_OBSERVATIONS:
         raise SampleTooSmall(f"need at least {MIN_OBSERVATIONS} observations, got {obs.size}")
     if not isinstance(bootstrap, (int, np.integer)) or bootstrap < 1:
         raise ValueError(f"bootstrap needs a whole number of resamples, at least one, got {bootstrap!r}")
+    seed = _require_seed(seed)
     if bandwidth is None:
         bw = silverman_bandwidth(obs)
     else:
@@ -354,7 +356,7 @@ def audit_sample(
         modal_performance=modal,
         mode_ci=ci,
         bootstrap_draws=int(bootstrap),
-        seed=int(seed),
+        seed=seed,
         standard_comparison=comparison,
         pass_benchmark_note=note,
         group_pass_fractions=groups,

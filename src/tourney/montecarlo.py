@@ -34,13 +34,16 @@ Variate Generation, ch. V): the largest of k iid uniforms is V^(1/k), and
 the others are iid uniform below it, so U_(1) = V_1^(1/(n - 1)) and
 U_(j+1) = U_(j) V_(j+1)^(1/(n - 1 - j)); K is the number of these above
 u_1, plus, where all L are, Binomial(n - 1 - L, 1 - u_1 / U_(L)) for the
-rivals below U_(L).  Each block then maps its walked rows one level at a
-time and bins each row's jumps d_j at P_j on the effort grid; the blocks'
-histograms, summed cumulatively, give the payoff sums at every grid point
-in one pass over the draws, whatever the grid size, and the rank tally at
-the checked effort is K where player 1 passes.  A jump finds its grid cell,
-the first grid point at or above P_j, from a bucket table built once per
-scan (``_Cells``); a two-valued prize counts its jumps in integers.
+rivals below U_(L).  Each block then bins each level's jumps d_j in the
+cell of the first grid point g at or above P_j; the blocks' histograms,
+summed cumulatively, give the payoff sums at every grid point in one pass
+over the draws, whatever the grid size.  At the standard's level n - 1,
+P_j = rho - x_1, and x_1 = ppf(u_1) >= rho - g exactly when
+u_1 >= F(rho - g) (Devroye, ch. II), so that level's cell counts the
+F(rho - g) above u_1, and the rank tally at e* is K where
+u_1 >= F(rho - e*).  Only lower levels map u_1 and their rows to noise.
+Cells come from bucket tables made once per scan (``_Cells``); a
+two-valued prize counts its jumps in integers.
 """
 
 from __future__ import annotations
@@ -97,16 +100,22 @@ class SimulationReport:
     certified: bool | None = None
 
 
+def _whole(value, name: str, least: int, why: str) -> int:
+    """``value`` as an int; a ``ValueError`` naming ``name`` and the value
+    where it is not an integer (a ``bool`` is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} {value!r} is not a whole number of at least {why}")
+    return int(value)
+
+
 def _require_seed(seed) -> int:
     if seed is None:
         raise SeedRequired("pass an integer seed; runs must be reproducible")
-    return int(seed)
+    return _whole(seed, "seed", 0, "0")
 
 
 def _require_draws(draws) -> int:
-    if draws < 10**4:
-        raise ValueError("use at least 1e4 draws; standard errors are meaningless below that")
-    return int(draws)
+    return _whole(draws, "draws", 10**4, "1e4 draws; standard errors are meaningless below that")
 
 
 def _effort_grid(e_max: float, points: int, e_star: float) -> tuple[np.ndarray, int]:
@@ -238,12 +247,12 @@ class _Cells:
     """The grid cell of each jump position, equal element for element to
     ``np.searchsorted(grid, pos, side="left")``: the first grid index whose
     point is at or above the position, 0 at -inf, ``grid.size`` beyond the
-    top and at NaN.  ``grid`` must be finite and ascending.
+    top and at NaN.  ``grid`` must be finite and non-decreasing.
 
     Built once per grid: the span is cut into two buckets per grid point,
     and a position starts at the first grid index at or above its bucket's
-    left edge, then moves down or up by comparison with the grid's own
-    floats until it stops; on an even grid it takes at most one move.
+    left edge, then moves by comparison with the grid's own floats: at most
+    once on an even grid, and where two moves fall short, it is searched.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -262,39 +271,44 @@ class _Cells:
     def __call__(self, pos: np.ndarray) -> np.ndarray:
         t = (np.clip(pos, self.lo, self.hi) - self.lo) * self.scale
         k = self.first.take(np.fmin(t, self.buckets).astype(np.intp))
-        while True:
+        for _ in range(2):
             up = self.above.take(k) < pos
             down = self.below.take(k) >= pos
             if not (up.any() or down.any()):
                 return k
             k += up
             k -= down
+        off = np.flatnonzero((self.above.take(k) < pos) | (self.below.take(k) >= pos))
+        k[off] = np.searchsorted(self.grid, pos[off], side="left")
+        return k
 
 
-def _bin_block(dist, u1, k, walk, cells: _Cells, i_star: int, rho: float, prizes: np.ndarray):
-    """One block's jumps of player 1's prize w on ``cells.grid``, from the
-    draws of ``_scan_block``, and its tally of player 1's rank at
-    e* = ``grid[i_star]``, n where it misses the standard.
+def _bin_block(dist, u1, k, walk, tau, efforts, standard, i_star: int, rho: float, prizes: np.ndarray):
+    """One block's jumps of player 1's prize w on the effort grid g, from
+    the draws of ``_scan_block``, and its tally of player 1's rank at
+    e* = g[``i_star``], n where it misses the standard: u_1 < tau[i_star],
+    with ``tau`` = F(rho - g), non-increasing.
 
-    Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring).  Each
-    binned level j maps its row of the walk in place to X_(j+1), its
-    uniforms kept below 1 as ``Generator.random``'s are (the standard's
-    level n - 1 maps none), and ``cells`` finds the first grid
-    point at or above each P_j, G = grid.size beyond the top.  The table
-    has G + 1 cells per row: under a two-valued prize, the counts of jumps
-    on draws lost and won at e*; otherwise the jumps of w, and those of
-    (w - w*)^2, which jumps by (v_j - w*)^2 - (v_(j+1) - w*)^2 across level
-    j, with w* player 1's prize at e*.
+    Per draw w(e) = sum_j d_j 1[e >= P_j] (see the module docstring).  The
+    standard's level n - 1 counts the tau above u_1 on ``standard``, a
+    ``_Cells`` over -tau; a level below maps u_1 and its row of the walk in
+    place, kept below 1 as ``Generator.random``'s are, and finds the first
+    grid point at or above P_j on ``efforts``, G = grid.size beyond the top;
+    a table no level reads may be None.  The table has G + 1 cells per row:
+    under a two-valued prize, the counts of jumps on draws lost and won at
+    e*; otherwise the jumps of w, and those of (w - w*)^2, which jumps by
+    (v_j - w*)^2 - (v_(j+1) - w*)^2 across level j, with w* the prize at e*.
     """
     v, levels = _levels(prizes)
-    n, size = prizes.size, cells.grid.size + 1
-    e_star = cells.grid[i_star]
-    x1 = dist._ppf(u1)
-    rank = np.where(e_star + x1 >= rho, k, n)
+    n, size = prizes.size, tau.size + 1
+    rank = np.where(u1 >= tau[i_star], k, n)
+    x1 = dist._ppf(u1) if levels[0] < n - 1 else None
 
     def cells_of(j):
-        top = dist._ppf_in_place(np.minimum(walk[j], UNIT_MAX, out=walk[j])) if j < n - 1 else -np.inf
-        return cells(np.maximum(rho, e_star + top) - x1)
+        if j == n - 1:
+            return standard(-u1)
+        top = dist._ppf_in_place(np.minimum(walk[j], UNIT_MAX, out=walk[j]))
+        return efforts(np.maximum(rho, efforts.grid[i_star] + top) - x1)
 
     if levels.size == 1:
         j = levels[0]
@@ -391,34 +405,36 @@ def verify_best_response(
     and the rank tally at ``e_star`` that fills the report's rank fields.
     Each block draws u_1, the rivals' uniforms down to the deepest level
     the prizes bin and the rank count K (``_scan_block``), and bins them
-    row by row (``_bin_block``) on a worker thread of ``_blocks``;
-    ``_finish`` turns the summed histograms into payoff sums.
+    (``_bin_block``) on a worker thread of ``_blocks``, the standard's level
+    from u_1 against F(rho - g) and a level below from u_1 and its row
+    mapped to noise; ``_finish`` turns the summed histograms into payoff sums.
 
     The gap is the largest estimated payoff improvement over ``e_star``; its
     standard error comes from the per-draw paired payoff differences (common
     random numbers).  The gap is certified up to 3 standard errors plus the
     grid-coarseness bias h L / 2, with h the widest grid step and
-    L = sup f + c'(max_effort) a bound on the payoff's slope.  Fewer than
-    1e4 draws, a ``grid_size`` that is not an integer of at least 2 (a
-    ``bool`` is not), or an ``e_star`` that is not a number in
-    [0, max_effort], which would widen the grid's step, raise ``ValueError``.
+    L = sup f + c'(max_effort) a bound on the payoff's slope.  A ``seed``
+    or ``draws`` that is not an integer of at least 0 or 1e4, a
+    ``grid_size`` that is not one of at least 2 (a ``bool`` is none), or an
+    ``e_star`` that is not a number in [0, max_effort], which would widen
+    the grid's step, raise ``ValueError``.
     """
     seed = _require_seed(seed)
     draws = _require_draws(draws)
     n = design.n
     prizes = np.asarray(design.schedule.prizes)
     e_max = design.cost.max_effort
-    if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
-        raise ValueError(f"grid_size {grid_size!r} is not a whole number of at least 2 to reach max_effort")
+    _whole(grid_size, "grid_size", 2, "2 to reach max_effort")
     if not 0.0 <= e_star <= e_max:
         raise ValueError(f"checked effort {e_star!r} is not a number in [0, {e_max!r}]")
     grid, i_star = _effort_grid(e_max, grid_size, float(e_star))
-    cells = _Cells(grid)
     levels = _levels(prizes)[1]
     depth = int(levels[levels < n - 1].max(initial=-1)) + 1
+    tau = np.minimum.accumulate(dist.cdf(design.standard - grid))
+    cells = _Cells(grid) if depth else None, _Cells(-tau) if levels[-1] == n - 1 else None
 
     def work(m, rng):
-        return _bin_block(dist, *_scan_block(n, depth, m, rng), cells, i_star, design.standard, prizes)
+        return _bin_block(dist, *_scan_block(n, depth, m, rng), tau, *cells, i_star, design.standard, prizes)
 
     table = rank_counts = 0
     for block, counts in _blocks(work, draws, BATCH, seed):

@@ -12,9 +12,11 @@ import pytest
 from grid_sums_reference import grid_sums as reference_grid_sums
 from rank_reference import finite_difference_marginals
 
+from tourney import audit
 from tourney import distributions as dists
 from tourney import equilibrium as eq
 from tourney import montecarlo as mc
+from tourney import payschemes as ps
 
 UNIF = dists.uniform(0.0, 1.0)
 EXPO = dists.exponential(1.0)
@@ -45,10 +47,12 @@ def _scan_sums(dist, u, grid, i_star, rho, prizes):
     """``_bin_block`` and ``_finish`` on the draws the uniforms ``u`` give:
     player 1's uniform, the count of rivals whose uniform exceeds its own,
     and the rivals' uniforms sorted from the best down, where the scan walks
-    them (``_scan_block``); the sums, the rank tally and the block's table."""
+    them (``_scan_block``), binned on both of ``verify_best_response``'s
+    tables; the sums, the rank tally and the block's table."""
     walk = np.ascontiguousarray(np.sort(u[:, 1:], axis=1)[:, ::-1].T)  # row j holds U_(j+1)
     k = np.count_nonzero(u[:, 1:] > u[:, :1], axis=1)
-    table, tally = mc._bin_block(dist, u[:, 0], k, walk, mc._Cells(grid), i_star, rho, prizes)
+    tau = np.minimum.accumulate(dist.cdf(rho - grid))
+    table, tally = mc._bin_block(dist, u[:, 0], k, walk, tau, mc._Cells(grid), mc._Cells(-tau), i_star, rho, prizes)
     return mc._finish(table, tally, i_star, prizes), tally, table
 
 
@@ -146,6 +150,27 @@ def test_cells_equal_searchsorted():
         assert np.array_equal(mc._Cells(grid)(pos), np.searchsorted(grid, pos, side="left"))
 
 
+def _threshold_grids():
+    """-F(rho - g) on ``verify``'s grid, the table the standard's level is
+    binned on: crowded in Gumbel's tails, repeating 0 and 1 where rho - g
+    leaves a bounded support, and one value repeated throughout."""
+    grid = mc._effort_grid(E_MAX, 10**4, 0.4)[0]
+    for dist, rho in ((GUMBEL, 0.4), (GUMBEL, -4.0), (GUMBEL, 38.0), (UNIF, 1.0), (dists.pareto(2.0), 1.5),
+                      (dists.trimodal_example("red"), 0.8), (UNIF, 5.0), (UNIF, -5.0)):
+        yield -np.minimum.accumulate(dist.cdf(rho - grid))
+
+
+def test_cells_equal_searchsorted_on_a_non_decreasing_grid():
+    # positions where the grid crowds take more than the two moves and are
+    # searched; a repeated grid value is never a cell of its own
+    rng = np.random.default_rng(49)
+    for grid in _threshold_grids():
+        pos = np.concatenate([-rng.random(16384), grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                              [-1.0, -mc.UNIT_MAX, -0.0, 0.0, -np.inf, np.inf, np.nan]])
+        rng.shuffle(pos)
+        assert np.array_equal(mc._Cells(grid)(pos), np.searchsorted(grid, pos, side="left"))
+
+
 @pytest.mark.parametrize("n", [2, 10])
 @pytest.mark.parametrize("family", ["gumbel", "erf_exponential", "pareto", "red"])
 def test_grid_sums_bits_match_searchsorted_reference(family, n):
@@ -167,6 +192,41 @@ def test_grid_sums_bits_match_searchsorted_reference(family, n):
         want, want_tally = reference_grid_sums(x, grid, i_star, rho, prizes)
         assert sums.tobytes() == want.tobytes()
         assert np.array_equal(tally, want_tally)
+
+
+def test_standard_level_ends_match_the_ppf_reference():
+    # the standard's level and the pass test compare u_1 with F(rho - g),
+    # where the reference compares ppf(u_1) with rho - g: the same bits at
+    # u_1 = 0 and UNIT_MAX on bounded supports, where rho - g falls below
+    # and above the support so that F(rho - g) repeats 0 and 1, with e* at
+    # either end of the grid and inside it, and on Gumbel noise far below
+    # its mode, where F underflows to 0 but u_1 > 0
+    rng = np.random.default_rng(49)
+    u = rng.random((3000, 3))
+    u[:6, 0] = 0.0, mc.UNIT_MAX, 1e-300, 5e-324, 1e-20, 0.0
+    schedules = [eq.PrizeSchedule.winner_take_all(3), eq.PrizeSchedule.equal_sharing(3), eq.random_schedule(3, rng)]
+    assert UNIF.cdf(1.4) == 1.0 and UNIF.cdf(1.4 - 3.0) == dists.pareto(2.0).cdf(2.0 - 3.0) == 0.0
+    for dist, rho, top in ((UNIF, 1.4, 3.0), (dists.pareto(2.0), 2.0, 3.0), (GUMBEL, -4.0, 4.0)):
+        rows = u[u[:, 0] > 0] if dist is GUMBEL else u
+        for e_star in (0.0, 0.7, top):
+            grid = np.unique(np.append(np.linspace(0.0, top, 401), e_star))
+            i_star = int(np.searchsorted(grid, e_star))
+            for schedule in schedules:
+                prizes = np.asarray(schedule.prizes)
+                sums, tally, _ = _scan_sums(dist, rows, grid, i_star, rho, prizes)
+                want, want_tally = reference_grid_sums(dist.ppf(rows), grid, i_star, rho, prizes)
+                assert sums.tobytes() == want.tobytes() and np.array_equal(tally, want_tally)
+    # at the ends of the unit interval F rounds where ppf does not: far
+    # below Gumbel's mode F(rho - g) underflows to u_1 = 0, far above it F
+    # rounds to UNIT_MAX, and u_1 passes at g from there on; ppf(0) = -inf
+    # passes nowhere, and ppf(UNIT_MAX) = 36.7 only once rho - g falls to it
+    grid = np.linspace(0.0, 4.0, 401)
+    for u1, rho in ((0.0, -4.0), (mc.UNIT_MAX, 40.0)):
+        tau = GUMBEL.cdf(rho - grid)
+        _, _, table = _scan_sums(GUMBEL, np.array([[u1, 0.5]]), grid, 0, rho, np.array([0.5, 0.5]))
+        cell = np.flatnonzero(table.sum(axis=0))
+        assert cell.tolist() == [np.count_nonzero(tau > u1)]
+        assert 0 < cell[0] < np.searchsorted(grid, rho - GUMBEL.ppf(u1))
 
 
 def _count_and_grid_sums(dist, u, e_star, rho, prizes, grid_size=10**4):
@@ -233,16 +293,20 @@ def test_count_path_edge_cases():
         got, want, table = _count_and_grid_sums(GUMBEL, u, e_star, e_star + 0.3, prizes)
         assert got.tobytes() == want.tobytes()
         assert np.any(table[1])  # some draw is won at e*
-    # a draw won at e*, the grid's top, whose jump rho - x_1 rounds just
-    # above it, into cell G; equal prizes for all at n = 2, on noise that
-    # is its own uniform.  Equal in value: where no jump lies between a
-    # point and e*, the float jumps negate a zero sum into -0.0
+    # a draw whose score at e*, the grid's top, ties the standard while its
+    # jump rho - x_1 rounds just above e*: its pass test and its cell both
+    # compare u_1 with F(rho - e*), which rounds above it, so the draw is
+    # lost at e* and its jump lies beyond the grid, in cell G, as the jump
+    # of the draw x_1 = -1 does; equal prizes for all at n = 2, on noise
+    # that is its own uniform
     u = np.array([[0.13, 0.5], [0.4, 0.5], [0.9, 0.5], [-1.0, 0.5]])
-    rho = E_MAX + 0.13
-    assert rho - u[0, 0] > E_MAX
-    got, want, table = _count_and_grid_sums(UNIF, u, E_MAX, rho, np.array([0.5, 0.5]), grid_size=50)
-    assert table[:, -1].tolist() == [1, 1]  # x_1 = -1 lost, and that draw won
-    assert np.array_equal(got, want)
+    rho, prizes = E_MAX + 0.13, np.array([0.5, 0.5])
+    assert E_MAX + u[0, 0] >= rho and rho - u[0, 0] > E_MAX and UNIF.cdf(rho - E_MAX) > u[0, 0]
+    grid, i_star = mc._effort_grid(E_MAX, 50, E_MAX)
+    got, tally, table = _scan_sums(UNIF, u, grid, i_star, rho, prizes)
+    assert table[:, -1].tolist() == [2, 0] and tally.tolist() == [1, 1, 2]
+    want, want_tally = reference_grid_sums(np.where(u == 0.13, -1.0, u), grid, i_star, rho, prizes)
+    assert got.tobytes() == want.tobytes() and np.array_equal(tally, want_tally)
     # sum w* is the prize times the count of draws won at e*, scaled once;
     # one draw at each of ten prizes of 1/10, summed prize by prize, reads
     # 0.9999999999999999
@@ -403,6 +467,41 @@ def test_seed_required_and_min_draws():
         mc.verify_best_response(UNIF, design, 0.3, draws=200, seed=1)
 
 
+WTA3 = eq.PrizeSchedule.winner_take_all(3)
+SEEDED = {
+    "verify_best_response": lambda seed, draws: mc.verify_best_response(
+        GUMBEL, _design(GUMBEL, 3, WTA3, 0.4), 0.4, grid_size=50, draws=draws, seed=seed),
+    "simulate_prize_probabilities": lambda seed, draws: mc.simulate_prize_probabilities(
+        GUMBEL, _design(GUMBEL, 3, WTA3, 0.4), 0.4, 0.4, draws=draws, seed=seed),
+    "marginal_incentive": lambda seed, draws: ps.marginal_incentive(GUMBEL, [ps.constant_share(3)], 0.4, draws, seed),
+    "check_incentive_bound": lambda seed, draws: ps.check_incentive_bound(
+        GUMBEL, [ps.constant_share(3)], 0.4, draws, seed),
+    "audit_sample": lambda seed, draws: audit.audit_sample(
+        audit.PerformanceSample(tuple(np.linspace(-1.0, 1.0, 200) ** 3)), bootstrap=8, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.7, 3.0, np.float64(2.0), np.nan, True, False, -3, np.int64(-1), "4"])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_seed_that_is_not_a_nonnegative_integer_is_refused_by_name(entry, seed):
+    # not truncated to an int, nor passed to numpy to fail there unnamed
+    with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not a whole number of at least 0")):
+        SEEDED[entry](seed, 10**4)
+
+
+@pytest.mark.parametrize("draws", [20000.9, 20000.0, np.nan, np.inf, True, 9999, -1, np.int64(0)])
+@pytest.mark.parametrize("entry", sorted(set(SEEDED) - {"audit_sample"}))
+def test_draw_count_that_is_not_an_integer_of_1e4_is_refused_by_name(entry, draws):
+    with pytest.raises(ValueError, match=re.escape(f"draws {draws!r} is not a whole number of at least 1e4")):
+        SEEDED[entry](1, draws)
+
+
+def test_numpy_integer_seed_and_draws_run_as_ints():
+    for entry in ("simulate_prize_probabilities", "audit_sample"):
+        want, got = SEEDED[entry](9, 10**4), SEEDED[entry](np.uint64(9), np.int64(10**4))
+        assert got == want and type(got.seed) is int
+
+
 def test_best_response_needs_a_grid_from_zero_to_max_effort():
     # a grid of one point or none never reaches above e*, so a scan on it
     # would certify any effort; a grid size that is not an integer, a bool
@@ -412,6 +511,27 @@ def test_best_response_needs_a_grid_from_zero_to_max_effort():
         with pytest.raises(ValueError, match=re.escape(f"grid_size {size!r} is not a whole number")):
             mc.verify_best_response(UNIF, design, 0.3, grid_size=size, draws=10**4, seed=1)
     assert mc.verify_best_response(UNIF, design, 0.3, grid_size=np.int64(2), draws=10**4, seed=1).effort_grid.size == 3
+
+
+def _counted(calls, name, fn, *args):
+    calls.append(name)
+    return fn(*args)
+
+
+@pytest.mark.parametrize("schedule, mapped", [
+    (eq.PrizeSchedule.equal_sharing(10), []),
+    (eq.PrizeSchedule.equal_top(10, 10), []),
+    (eq.PrizeSchedule.winner_take_all(10), ["_ppf", "_ppf_in_place"]),
+], ids=["equal-sharing", "equal-top-10-of-10", "winner-take-all"])
+def test_only_levels_below_the_standard_map_draws(monkeypatch, schedule, mapped):
+    # equal prizes for all bin only the standard's level, from u_1 against
+    # F(rho - g), so their scan maps no draw; winner-take-all maps u_1 and
+    # the best rival's row
+    dist, calls = dists.erf_exponential(), []
+    for name in ("_ppf", "_ppf_in_place"):
+        monkeypatch.setattr(dist, name, functools.partial(_counted, calls, name, getattr(dist, name)))
+    rep = mc.verify_best_response(dist, _design(dist, 10, schedule, 1.0), 0.4, draws=2 * mc.BATCH, seed=5)
+    assert sorted(set(calls)) == mapped and sum(rep.rank_counts) == 2 * mc.BATCH
 
 
 def test_full_depth_scan_block_holds_little_beyond_its_walk():
@@ -636,20 +756,21 @@ def test_block_error_reaches_caller_and_cancels_the_rest(settled_pool):
 
 
 def test_scan_error_reaches_caller_and_leaves_no_thread(settled_pool):
-    # a uniform whose ppf raises on block 1: the scan's workers map player
-    # 1's column, whose first level is the block's first; under equal
-    # prizes for all they map no rival
+    # a uniform whose ppf raises on block 1: under winner-take-all the
+    # scan's workers map player 1's column, whose first level is the
+    # block's first, and then the best rival's row
     firsts, drawn = _first_uniforms(4, 6), []
 
     def ppf(q):
-        drawn.append(firsts.index(q[0]))
-        if drawn[-1] == 1:
-            raise RuntimeError("block 1 failed")
+        if q[0] in firsts:
+            drawn.append(firsts.index(q[0]))
+            if drawn[-1] == 1:
+                raise RuntimeError("block 1 failed")
         return q
 
     dist = dists.NoiseDistribution("uniform", {}, (0.0, 1.0), np.ones_like, lambda x: x, lambda x: 1.0 - x,
                                    ppf, np.zeros_like, UNIF.find_modes())
-    design = _design(dist, 2, eq.PrizeSchedule.equal_sharing(2), 0.5)
+    design = _design(dist, 2, eq.PrizeSchedule.winner_take_all(2), 0.5)
     with pytest.raises(RuntimeError, match="block 1 failed"):
         mc.verify_best_response(dist, design, 0.3, grid_size=50, draws=6 * mc.BATCH, seed=4)
     settled_pool()

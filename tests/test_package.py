@@ -50,7 +50,7 @@ def test_traced_names_resolve():
 # The underscore names each module imports from a sibling module; a new
 # private coupling between modules shows up here as a diff.
 PRIVATE_IMPORTS = {
-    "audit": {"_blocks", "_scratch"},
+    "audit": {"_blocks", "_require_seed", "_scratch"},
     "cli": {"_marginal_benefit"},
     "prizes": {"_marginal_benefit", "_mode_values", "_unit"},
     "payschemes": {"_blocks", "_rank", "_rank_count", "_require_draws", "_require_seed", "_scratch", "_substreams"},
