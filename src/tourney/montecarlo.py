@@ -293,7 +293,7 @@ def _bin_block(dist, u1, k, walk, tau, efforts, standard, i_star: int, rho: floa
     standard's level n - 1 counts the tau above u_1 on ``standard``, a
     ``_Cells`` over -tau; a level below maps u_1 and its row of the walk in
     place, kept below 1 as ``Generator.random``'s are, and finds the first
-    grid point at or above P_j on ``efforts``, G = grid.size beyond the top;
+    grid point at or above P_j on ``efforts``, G = g.size beyond the top;
     a table no level reads may be None.  The table has G + 1 cells per row:
     under a two-valued prize, the counts of jumps on draws lost and won at
     e*; otherwise the jumps of w, and those of (w - w*)^2, which jumps by

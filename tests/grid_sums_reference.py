@@ -3,16 +3,22 @@ and search.
 
 ``montecarlo._bin_block`` takes a block as player 1's uniform u_1, its rank
 count K (the rivals whose uniform exceeds its own) and the rivals' top
-uniforms walked down from the best; it maps each binned row as it bins it
-and finds each jump's grid cell from a bucket table (``montecarlo._Cells``),
-and ``montecarlo._finish`` turns the binned jumps into sums.  This is the
-form they replace, on the noise x = ppf(u) mapped whole: player 1 ranked by
-the scores e* + x, the order statistics from a sort, and one
-``np.searchsorted`` of each level's jump positions into the whole grid, the
-jumps then added in the same order.  The quantile function never decreases,
-so given the (x_1, K, order statistics) of the same uniforms, the cells are
-the same numbers and everything after them the same arithmetic; where no two
-distinct uniforms give tied scores, the two must agree bit for bit.
+uniforms walked down from the best, with the table tau = F(rho - g) on the
+grid.  It passes player 1 at e* where u_1 >= F(rho - e*), bins the
+standard's level n - 1 by counting the tau above u_1, maps u_1 and each
+lower binned row as it bins it, and finds each jump's grid cell from a
+bucket table (``montecarlo._Cells``); ``montecarlo._finish`` turns the
+binned jumps into sums.  This is the form they replace, on the noise
+x = ppf(u) mapped whole: player 1 passed and ranked by the scores e* + x,
+the order statistics from a sort, and one ``np.searchsorted`` of each
+level's jump positions into the whole grid, the standard's level at
+rho - x_1, the jumps then added in the same order.  The quantile function
+never decreases, and ppf(u_1) >= rho - g exactly when u_1 >= F(rho - g), so
+given the (x_1, K, order statistics) of the same uniforms, the cells are the
+same numbers and everything after them the same arithmetic; where no two
+distinct uniforms give tied scores, and F(rho - g) does not round onto u_1's
+own float (it underflows to 0 far below Gumbel's mode, and rounds to the
+largest uniform below 1 far above it), the two must agree bit for bit.
 
 ``counted`` picks the integer count of a two-valued prize (the default for
 one) or the float jumps of any other; both give the same sums up to rounding.
